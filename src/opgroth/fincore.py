@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .report import CheckReport
 
@@ -63,6 +64,26 @@ class FinMap:
 
     def label(self) -> str:
         return "[" + ",".join(str(v) for v in self.values) + "]"
+
+    @cached_property
+    def fibers(self) -> tuple[tuple[int, ...], ...]:
+        """``fibers[i-1]`` lists the positions over i in increasing order.
+
+        Computed on first use and kept on the map, which is immutable.
+        """
+        out = [[] for _ in range(self.target)]
+        for j, v in enumerate(self.values, start=1):
+            out[v - 1].append(j)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def _ranks(self) -> tuple[int, ...]:
+        """``_ranks[j-1]`` is the position of j inside its fiber, from 1."""
+        ranks = [0] * self.source
+        for fib in self.fibers:
+            for k, j in enumerate(fib, start=1):
+                ranks[j - 1] = k
+        return tuple(ranks)
 
 
 def identity_map(n: int) -> FinMap:
@@ -131,7 +152,7 @@ def fiber(f: FinMap, i: int) -> tuple[int, ...]:
     """Positions j with f(j) = i, in increasing order."""
     if not 1 <= i <= f.target:
         raise IndexError(f"fiber index {i} out of range 1..{f.target}")
-    return tuple(j for j, v in enumerate(f.values, start=1) if v == i)
+    return f.fibers[i - 1]
 
 
 def fiber_sizes(f: FinMap) -> tuple[int, ...]:
@@ -155,6 +176,36 @@ def induced_fiber_map(f: FinMap, g: FinMap, i: int) -> FinMap:
     pos = {j: k for k, j in enumerate(target_fiber, start=1)}
     return FinMap(
         len(source_fiber), len(target_fiber), tuple(pos[g(j)] for j in source_fiber)
+    )
+
+
+def _square(f: FinMap, g: FinMap, built: dict) -> tuple[FinMap, tuple[FinMap, ...]]:
+    """``f.g`` and, for every i, the map ``(f.g)^-1(i) -> f^-1(i)`` that g
+    induces, built in one pass over ``g.values``.
+
+    Output maps are looked up in ``built`` by (target, values) and added on
+    a miss, so a sweep that passes one dict builds and validates each
+    distinct map once.  Agrees with :func:`fm_compose` and
+    :func:`induced_fiber_map`, which stay as the reference implementation.
+    """
+    if g.target != f.source:
+        raise ValueError("maps not composable")
+
+    def interned(target: int, values: tuple[int, ...]) -> FinMap:
+        h = built.get((target, values))
+        if h is None:
+            h = built[target, values] = FinMap(len(values), target, values)
+        return h
+
+    f_values, ranks = f.values, f._ranks
+    fg_values = []
+    blocks = [[] for _ in range(f.target)]
+    for v in g.values:
+        i = f_values[v - 1]
+        fg_values.append(i)
+        blocks[i - 1].append(ranks[v - 1])
+    return interned(f.target, tuple(fg_values)), tuple(
+        interned(len(fib), tuple(block)) for fib, block in zip(f.fibers, blocks)
     )
 
 

@@ -1288,10 +1288,11 @@ def restriction_report(corpus: OCorpus) -> CheckReport:
             except Exception as exc:  # noqa: BLE001 - report, not crash
                 report.violation("restriction.build", f"{x.name} along {h.name}: {exc}")
                 continue
-            key = id(restricted.dom)
-            if key not in omon_cache:
-                omon_cache[key] = check_omon_category(restricted.dom)
-            report.merge(omon_cache[key], where=f"{x.name}|{h.name}:index")
+            # the entry keeps the structure alive, so its id() is not reused
+            dom = restricted.dom
+            if id(dom) not in omon_cache:
+                omon_cache[id(dom)] = (dom, check_omon_category(dom))
+            report.merge(omon_cache[id(dom)][1], where=f"{x.name}|{h.name}:index")
             report.merge(_check_set_lax(restricted), where=f"{x.name}|{h.name}")
         for cell in corpus.ocells:
             if not operads_equal(h.cod, cell.dom.dom.operad):

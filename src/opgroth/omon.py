@@ -18,13 +18,13 @@ from .fincore import (
     FinCat,
     FinMap,
     NatTransform,
+    _square,
     all_maps,
     discrete_category,
     factorize_monotone_perm,
     fiber,
     fm_compose,
     identity_map,
-    induced_fiber_map,
     invert_permutation,
     product_category,
     terminal_map,
@@ -88,22 +88,16 @@ class OMonCategory:
         return self.operad.compose(f, p, tuple(qs))
 
     def blocks_obj(self, f: FinMap, qs, objs):
-        out = []
-        for i in range(1, f.target + 1):
-            fib = fiber(f, i)
-            out.append(
-                self.tensor_obj(len(fib), qs[i - 1], tuple(objs[j - 1] for j in fib))
-            )
-        return tuple(out)
+        return tuple(
+            self.tensor_obj(len(fib), q, tuple(objs[j - 1] for j in fib))
+            for fib, q in zip(f.fibers, qs)
+        )
 
     def blocks_mor(self, f: FinMap, qs, mors):
-        out = []
-        for i in range(1, f.target + 1):
-            fib = fiber(f, i)
-            out.append(
-                self.tensor_mor(len(fib), qs[i - 1], tuple(mors[j - 1] for j in fib))
-            )
-        return tuple(out)
+        return tuple(
+            self.tensor_mor(len(fib), q, tuple(mors[j - 1] for j in fib))
+            for fib, q in zip(f.fibers, qs)
+        )
 
     def phi_endpoints(self, f: FinMap, p: str, qs, objs) -> tuple[int, int]:
         src = self.tensor_obj(f.source, self.op(f, p, qs), objs)
@@ -290,18 +284,24 @@ def check_omon_category(c: OMonCategory) -> CheckReport:
     # that collapses the object-tuple quantifier.
     explicit_triples = {(f, p, qs) for (f, p, qs, _) in c.phi}
     n_obj = base.n_objects
+    maps = {(a, b): tuple(all_maps(a, b)) for a in range(n_arities) for b in range(n_arities)}
+    built: dict = {}
     for n in range(n_arities):
+        ps = operad.elements(n)
         for m in range(n_arities):
-            for f in all_maps(m, n):
-                f_inner = [operad.elements(len(fiber(f, i))) for i in range(1, n + 1)]
-                f_fibers = [fiber(f, i) for i in range(1, n + 1)]
+            for f in maps[m, n]:
+                f_fibers = f.fibers
+                f_inner = [operad.elements(len(fib)) for fib in f_fibers]
+                if not ps or not all(f_inner):
+                    continue  # no instances
                 for ell in range(n_arities):
-                    for g in all_maps(ell, m):
-                        g_inner = [operad.elements(len(fiber(g, j))) for j in range(1, m + 1)]
-                        fg = fm_compose(f, g)
-                        g_is = [induced_fiber_map(f, g, i) for i in range(1, n + 1)]
-                        fg_fibers = [fiber(fg, i) for i in range(1, n + 1)]
-                        for p in operad.elements(n):
+                    for g in maps[ell, m]:
+                        g_inner = [operad.elements(len(fib)) for fib in g.fibers]
+                        if not all(g_inner):
+                            continue
+                        fg, g_is = _square(f, g, built)
+                        fg_fibers = fg.fibers
+                        for p in ps:
                             for qs in itertools.product(*f_inner):
                                 for rs in itertools.product(*g_inner):
                                     rho = c.op(f, p, qs)
@@ -1033,15 +1033,14 @@ def validate_unbiased(u: UnbiasedData) -> CheckReport:
                             where,
                         )
     # associativity square over composable monotone pairs
+    built: dict = {}
     for n in range(u.max_arity + 1):
         for m in range(u.max_arity + 1):
             for f in monotone_maps(m, n):
-                f_fibers = [fiber(f, i) for i in range(1, n + 1)]
                 for ell in range(u.max_arity + 1):
                     for g in monotone_maps(ell, m):
-                        fg = fm_compose(f, g)
-                        g_is = [induced_fiber_map(f, g, i) for i in range(1, n + 1)]
-                        fg_fibers = [fiber(fg, i) for i in range(1, n + 1)]
+                        fg, g_is = _square(f, g, built)
+                        fg_fibers = fg.fibers
                         for objs in itertools.product(range(base.n_objects), repeat=ell):
                             report.count("unbiased.assoc_instances")
                             try:

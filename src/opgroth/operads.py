@@ -14,13 +14,13 @@ from typing import Callable, Optional
 
 from .fincore import (
     FinMap,
+    _square,
     all_maps,
     block_permutation,
     factorize_monotone_perm,
     fiber,
     fm_compose,
     identity_map,
-    induced_fiber_map,
     terminal_map,
 )
 from .report import CheckReport
@@ -47,26 +47,31 @@ class Operad:
         return self.carriers[n]
 
     def compose(self, f: FinMap, p: str, qs: tuple[str, ...]) -> str:
+        # The key fixes every argument, so a hit is a call that already
+        # passed the checks below.  Unhashable arguments are never cached
+        # and fail those checks.
+        qs = tuple(qs)
+        key = (f.target, f.values, p, qs)
+        try:
+            return self._cache[key]
+        except (KeyError, TypeError):
+            pass
         if f.source > self.max_arity or f.target > self.max_arity:
             raise CompositionUndefined(
                 f"map {f.label()} exceeds truncation {self.max_arity}"
             )
         if p not in self.carriers[f.target]:
             raise CompositionUndefined(f"{p!r} is not an element of arity {f.target}")
-        qs = tuple(qs)
         if len(qs) != f.target:
             raise CompositionUndefined(
                 f"expected {f.target} inner elements, got {len(qs)}"
             )
-        for i, q in enumerate(qs, start=1):
-            size = len(fiber(f, i))
+        for i, (q, fib) in enumerate(zip(qs, f.fibers), start=1):
+            size = len(fib)
             if q not in self.carriers[size]:
                 raise CompositionUndefined(
                     f"{q!r} is not an element of arity {size} (fiber {i} of {f.label()})"
                 )
-        key = (f.target, f.values, p, qs)
-        if key in self._cache:
-            return self._cache[key]
         if self.rule is not None:
             result = self.rule(f, p, qs)
         elif self.table is not None:
@@ -87,7 +92,7 @@ def composition_keys(o: Operad):
     for n in range(o.max_arity + 1):
         for m in range(o.max_arity + 1):
             for f in all_maps(m, n):
-                inner = [o.elements(len(fiber(f, i))) for i in range(1, n + 1)]
+                inner = [o.elements(len(fib)) for fib in f.fibers]
                 for p in o.elements(n):
                     for qs in itertools.product(*inner):
                         yield f, p, qs
@@ -356,20 +361,25 @@ def check_operad_axioms(o: Operad) -> CheckReport:
                     f"mu {terminal_map(n).label()} eta {p} = {got} != {p}",
                 )
 
-    # associativity
+    # associativity; a pair (f, g) with an empty inner carrier product has
+    # no instances and is skipped before its square is built
+    maps = {(a, b): tuple(all_maps(a, b)) for a in range(n_arities) for b in range(n_arities)}
+    built: dict = {}
     for n in range(n_arities):
+        ps = o.elements(n)
         for m in range(n_arities):
-            for f in all_maps(m, n):
-                f_inner = [o.elements(len(fiber(f, i))) for i in range(1, n + 1)]
-                f_fibers = [fiber(f, i) for i in range(1, n + 1)]
+            for f in maps[m, n]:
+                f_fibers = f.fibers
+                f_inner = [o.elements(len(fib)) for fib in f_fibers]
+                if not ps or not all(f_inner):
+                    continue
                 for ell in range(n_arities):
-                    for g in all_maps(ell, m):
-                        g_inner = [
-                            o.elements(len(fiber(g, j))) for j in range(1, m + 1)
-                        ]
-                        fg = fm_compose(f, g)
-                        g_is = [induced_fiber_map(f, g, i) for i in range(1, n + 1)]
-                        for p in o.elements(n):
+                    for g in maps[ell, m]:
+                        g_inner = [o.elements(len(fib)) for fib in g.fibers]
+                        if not all(g_inner):
+                            continue
+                        fg, g_is = _square(f, g, built)
+                        for p in ps:
                             for qs in itertools.product(*f_inner):
                                 for rs in itertools.product(*g_inner):
                                     report.count("operad.assoc_instances")

@@ -5,6 +5,7 @@ import pytest
 from opgroth import fixtures
 from opgroth.fincore import (
     FinMap,
+    _square,
     all_functors,
     all_maps,
     all_permutations,
@@ -54,6 +55,8 @@ def test_fiber_readoff():
     assert fiber(identity_map(3), 2) == (2,)
     with pytest.raises(IndexError):
         fiber(f, 3)
+    with pytest.raises(IndexError):
+        fiber(f, 0)
 
 
 def test_induced_fiber_map_cases():
@@ -68,6 +71,48 @@ def test_induced_fiber_map_cases():
     assert induced_fiber_map(
         FinMap(2, 1, (1, 1)), FinMap(2, 2, (2, 1)), 1
     ) == FinMap(2, 2, (2, 1))
+
+
+def _fiber_reference(f, i):
+    """The fiber read straight off the value tuple, with no cached state."""
+    return tuple(j for j, v in enumerate(f.values, start=1) if v == i)
+
+
+def test_cached_fibers_and_square_match_the_reference_exhaustively():
+    # every pair g: ell -> m, f: m -> n of arity at most 4
+    maps = {(m, n): list(all_maps(m, n)) for m in range(5) for n in range(5)}
+    built = {}
+    pairs = 0
+    for (m, n), fs in maps.items():
+        for f in fs:
+            expected = tuple(_fiber_reference(f, i) for i in range(1, n + 1))
+            assert f.fibers == expected
+            assert tuple(fiber(f, i) for i in range(1, n + 1)) == expected
+            for ell in range(5):
+                for g in maps[ell, m]:
+                    fg, induced = _square(f, g, built)
+                    assert fg == fm_compose(f, g)
+                    assert fg.fibers == tuple(_fiber_reference(fg, i) for i in range(1, n + 1))
+                    assert induced == tuple(
+                        induced_fiber_map(f, g, i) for i in range(1, n + 1)
+                    )
+                    pairs += 1
+    assert pairs == sum(
+        len(maps[m, n]) * len(maps[ell, m])
+        for n in range(5) for m in range(5) for ell in range(5)
+    )
+
+
+def test_square_builds_each_distinct_map_once():
+    f, g = FinMap(3, 2, (2, 1, 1)), FinMap(2, 3, (3, 1))
+    built = {}
+    fg, induced = _square(f, g, built)
+    again, induced_again = _square(FinMap(3, 2, (2, 1, 1)), FinMap(2, 3, (3, 1)), built)
+    assert fg is again
+    assert all(a is b for a, b in zip(induced, induced_again))
+    assert set(built) == {(2, (1, 2)), (2, (2,)), (1, (1,))}
+    with pytest.raises(ValueError):
+        _square(g, g, built)
 
 
 def test_block_permutation_examples():

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
+import opgroth.ogroth
+import opgroth.omon
 from opgroth import fixtures
 from opgroth.fincore import functor_from_labels, identity_functor
 from opgroth.fib2cat import fn_compose
@@ -32,6 +36,8 @@ from opgroth.ogroth import (
     restriction_report,
     trivial_laxtoset,
 )
+from opgroth.operads import build_comm
+from opgroth.report import CheckReport
 
 MAX_ARITY = 2  # module-level tests run at truncation 2; acceptance runs 3
 
@@ -197,6 +203,33 @@ def test_restriction_report_small():
     report = restriction_report(corpus)
     assert report.ok, report.render()
     assert report.stats["restriction.pairs"] > 0
+
+
+def test_restriction_report_never_reuses_a_report_for_another_structure(monkeypatch):
+    # Each restricted structure is built, checked and dropped in turn, so
+    # CPython hands a later structure the address of an earlier one; a
+    # cache keyed on bare id() would then merge the earlier report.
+    operad = build_comm(1)
+
+    def restrict(h, x, recheck=True):
+        return SimpleNamespace(dom=SimpleNamespace(tag=x.name))
+
+    def check(structure):
+        report = CheckReport()
+        report.violation("probe.checked", structure.tag)
+        return report
+
+    monkeypatch.setattr(opgroth.omon, "restrict_along_operad_morphism", restrict)
+    monkeypatch.setattr(opgroth.ogroth, "check_omon_category", check)
+    monkeypatch.setattr(opgroth.ogroth, "_check_set_lax", lambda restricted: CheckReport())
+    names = [f"x{k}" for k in range(8)]
+    corpus = SimpleNamespace(
+        operad_morphisms=[SimpleNamespace(cod=operad, name="h")],
+        laxtosets=[SimpleNamespace(name=x, dom=SimpleNamespace(operad=operad)) for x in names],
+        ocells=[],
+    )
+    report = restriction_report(corpus)
+    assert [(r.where, r.witness) for r in report.records] == [(f"{x}|h:index", x) for x in names]
 
 
 def test_corrupted_corpus_object_fails_before_roundtrip():

@@ -211,6 +211,48 @@ def test_checker_agrees_with_oracle_on_builtins(make):
     assert counts == expected_instance_counts(o)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_comm(4), lambda: build_qconv(boolean_semiring(), 4)],
+    ids=["comm", "qconv"],
+)
+def test_arity4_instance_counts_match_the_closed_form(make):
+    o = make()
+    report = check_operad_axioms(o)
+    assert report.ok
+    expected = expected_instance_counts(o)
+    assert report.stats == {
+        "operad.unit_identity_instances": expected["unit_id"],
+        "operad.unit_terminal_instances": expected["unit_t"],
+        "operad.assoc_instances": expected["assoc"],
+    }
+
+
+def test_compose_still_rejects_ill_typed_arguments_once_its_cache_is_warm():
+    q = build_qconv(boolean_semiring(), 2)
+    assert check_operad_axioms(q).ok
+    assert q._cache
+    ill_typed = [
+        (FinMap(3, 1, (1, 1, 1)), "(1)", ("(1,1,1)",)),  # beyond the truncation
+        (identity_map(2), "(1)", ("(1)", "(1)")),  # outer element of the wrong arity
+        (identity_map(2), "(1,1)", ("(1)",)),  # too few inner elements
+        (FinMap(2, 2, (1, 1)), "(1,1)", ("(1,1)", "()")),  # empty inner carrier
+        (identity_map(2), "(1,1)", ("(1)", ["(1)"])),  # unhashable inner element
+    ]
+    for f, p, qs in ill_typed:
+        with pytest.raises(CompositionUndefined):
+            q.compose(f, p, qs)
+    table = Operad(
+        name="T", max_arity=1, carriers=(("e",), ("e",)), unit="e",
+        table={(1, (1,), "e", ("e",)): "e"},
+    )
+    assert table.compose(identity_map(1), "e", ("e",)) == "e"
+    with pytest.raises(CompositionUndefined):
+        table.compose(FinMap(0, 1, ()), "e", ("e",))
+    with pytest.raises(CompositionUndefined):
+        table.compose(FinMap(0, 1, ()), "e", ("e",))
+
+
 def test_checker_agrees_with_oracle_on_corrupted_variants():
     assoc = build_assoc(3)
     corruptions = [
