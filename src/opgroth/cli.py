@@ -3,7 +3,8 @@
 Exit codes: 0 when every requested check is clean, 1 when a law fails,
 2 on parse or structural errors.  Reports stream as human-readable text
 or as JSON lines (one record per line, schema carried in the ``v``
-field).  ``--jobs`` changes wall time only, never report content.
+field).  Sections are checked one after another in one thread;
+``--jobs`` is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .fincore import (
     FinMap,
@@ -94,30 +94,25 @@ def _diagnostics_report(doc) -> CheckReport:
     return report
 
 
-def _load(path: str, max_arity: int):
-    with open(path, "r", encoding="utf-8") as handle:
+def _load(args, out):
+    """The parsed file of ``args``, or None once its diagnostics are emitted."""
+    with open(args.file, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return parse_spec_file(text, default_max_arity=max_arity)
+    doc = parse_spec_file(text, default_max_arity=args.max_arity)
+    if doc.diagnostics:
+        _emit(_diagnostics_report(doc), args.report, out)
+        return None
+    return doc
 
 
-def _check_sections(doc, only: str | None, jobs: int) -> CheckReport:
+def _check_sections(doc, only: str | None) -> CheckReport:
     report = CheckReport()
     sections = [s for s in doc.sections if only is None or s.name == only]
     if only is not None and not sections:
         report.structural("cli.section", f"no section named {only!r}")
         return report
-
-    def run(section):
-        checker = _CHECKERS[section.kind]
-        return checker(section.value)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, sections))
-    else:
-        results = [run(s) for s in sections]
-    for section, result in zip(sections, results):
-        report.merge(result, where=section.name)
+    for section in sections:
+        report.merge(_CHECKERS[section.kind](section.value), where=section.name)
         report.count(f"checked.{section.kind}")
     return report
 
@@ -128,12 +123,10 @@ def _write_output(path: str, text: str) -> None:
 
 
 def cmd_check(args, out) -> int:
-    doc = _load(args.file, args.max_arity)
-    if doc.diagnostics:
-        report = _diagnostics_report(doc)
-        _emit(report, args.report, out)
+    doc = _load(args, out)
+    if doc is None:
         return 2
-    report = _check_sections(doc, args.section, args.jobs)
+    report = _check_sections(doc, args.section)
     _emit(report, args.report, out)
     return _exit_code(report)
 
@@ -150,38 +143,26 @@ def _resolve_named(doc, name: str, kind: str, report: CheckReport):
     return section.value
 
 
-def cmd_groth(args, out) -> int:
-    doc = _load(args.file, args.max_arity)
-    if doc.diagnostics:
-        _emit(_diagnostics_report(doc), args.report, out)
+def _construct(args, out) -> int:
+    """groth, transpose, ogroth and otranspose: check the named section,
+    apply the construction and write the result to ``--output``."""
+    option, kind, construct, serialize, prefix = {
+        "groth": ("iset", "iset", groth_apply, ser_fibration, "int_"),
+        "transpose": ("fib", "fibration", transpose_apply, ser_iset, "T_"),
+        "ogroth": ("laxtoset", "laxtoset", omon_groth, ser_ofib, "int_"),
+        "otranspose": ("ofib", "ofib", omon_transpose, ser_laxtoset, "T_"),
+    }[args.command]
+    doc = _load(args, out)
+    if doc is None:
         return 2
+    name = getattr(args, option)
     report = CheckReport()
-    value = _resolve_named(doc, args.iset, "iset", report)
+    value = _resolve_named(doc, name, kind, report)
     if value is not None:
-        report.merge(validate_indexed_set(value), where=args.iset)
+        report.merge(_CHECKERS[kind](value), where=name)
     if report.ok and value is not None:
-        fib = groth_apply(value)
         b = DocBuilder()
-        ser_fibration(b, fib, suggested=f"int_{args.iset}")
-        _write_output(args.output, b.text())
-        report.count("written.sections")
-    _emit(report, args.report, out)
-    return _exit_code(report)
-
-
-def cmd_transpose(args, out) -> int:
-    doc = _load(args.file, args.max_arity)
-    if doc.diagnostics:
-        _emit(_diagnostics_report(doc), args.report, out)
-        return 2
-    report = CheckReport()
-    value = _resolve_named(doc, args.fib, "fibration", report)
-    if value is not None:
-        report.merge(check_discrete_fibration(value), where=args.fib)
-    if report.ok and value is not None:
-        iset = transpose_apply(value)
-        b = DocBuilder()
-        ser_iset(b, iset, suggested=f"T_{args.fib}")
+        serialize(b, construct(value), suggested=f"{prefix}{name}")
         _write_output(args.output, b.text())
         report.count("written.sections")
     _emit(report, args.report, out)
@@ -189,9 +170,8 @@ def cmd_transpose(args, out) -> int:
 
 
 def cmd_roundtrip(args, out) -> int:
-    doc = _load(args.file, args.max_arity)
-    if doc.diagnostics:
-        _emit(_diagnostics_report(doc), args.report, out)
+    doc = _load(args, out)
+    if doc is None:
         return 2
     isets = [s.value for s in doc.by_kind("iset")]
     fibrations = [s.value for s in doc.by_kind("fibration")]
@@ -217,48 +197,9 @@ def cmd_roundtrip(args, out) -> int:
     return _exit_code(report)
 
 
-def cmd_ogroth(args, out) -> int:
-    doc = _load(args.file, args.max_arity)
-    if doc.diagnostics:
-        _emit(_diagnostics_report(doc), args.report, out)
-        return 2
-    report = CheckReport()
-    value = _resolve_named(doc, args.laxtoset, "laxtoset", report)
-    if value is not None:
-        report.merge(check_laxtoset(value), where=args.laxtoset)
-    if report.ok and value is not None:
-        ofib = omon_groth(value)
-        b = DocBuilder()
-        ser_ofib(b, ofib, suggested=f"int_{args.laxtoset}")
-        _write_output(args.output, b.text())
-        report.count("written.sections")
-    _emit(report, args.report, out)
-    return _exit_code(report)
-
-
-def cmd_otranspose(args, out) -> int:
-    doc = _load(args.file, args.max_arity)
-    if doc.diagnostics:
-        _emit(_diagnostics_report(doc), args.report, out)
-        return 2
-    report = CheckReport()
-    value = _resolve_named(doc, args.ofib, "ofib", report)
-    if value is not None:
-        report.merge(check_ofib_object(value), where=args.ofib)
-    if report.ok and value is not None:
-        lax = omon_transpose(value)
-        b = DocBuilder()
-        ser_laxtoset(b, lax, suggested=f"T_{args.ofib}")
-        _write_output(args.output, b.text())
-        report.count("written.sections")
-    _emit(report, args.report, out)
-    return _exit_code(report)
-
-
 def cmd_oroundtrip(args, out) -> int:
-    doc = _load(args.file, args.max_arity)
-    if doc.diagnostics:
-        _emit(_diagnostics_report(doc), args.report, out)
+    doc = _load(args, out)
+    if doc is None:
         return 2
     laxtosets = [s.value for s in doc.by_kind("laxtoset")]
     ofibs = [s.value for s in doc.by_kind("ofib")]
@@ -307,9 +248,8 @@ def cmd_factorize(args, out) -> int:
 
 
 def cmd_operad_table(args, out) -> int:
-    doc = _load(args.file, args.max_arity)
-    if doc.diagnostics:
-        _emit(_diagnostics_report(doc), args.report, out)
+    doc = _load(args, out)
+    if doc is None:
         return 2
     report = CheckReport()
     value = _resolve_named(doc, args.operad, "operad", report)
@@ -342,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=20240,
                         help="seed for corpus cell generation")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; checks run in one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate every section of a file")
@@ -354,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--iset", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_groth)
+    p.set_defaults(func=_construct)
 
     p = sub.add_parser("transpose", help="take fibers of a discrete fibration")
     p.add_argument("file")
     p.add_argument("--fib", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_transpose)
+    p.set_defaults(func=_construct)
 
     p = sub.add_parser("roundtrip", help="verify the classical 2-equivalence on a corpus")
     p.add_argument("file")
@@ -370,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--laxtoset", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_ogroth)
+    p.set_defaults(func=_construct)
 
     p = sub.add_parser("otranspose", help="transpose a structured fibration")
     p.add_argument("file")
     p.add_argument("--ofib", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_otranspose)
+    p.set_defaults(func=_construct)
 
     p = sub.add_parser("oroundtrip", help="verify the structured 2-equivalence on a corpus")
     p.add_argument("file")

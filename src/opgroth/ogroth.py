@@ -19,17 +19,14 @@ from .fincore import (
     NatTransform,
     all_functors,
     all_nat_transforms,
-    functor_compose,
     identity_functor,
     identity_nat,
-    validate_natural_transformation,
 )
 from .fib2cat import (
     DFib2Cell,
     DFibCell,
     DiscreteFibration,
     FinFunction,
-    FinSet,
     ISet2Cell,
     ISetCell,
     IndexedSet,
@@ -50,14 +47,14 @@ from .omon import (
     TensorTable,
     _check_set_lax,
     _check_table_lax,
-    _fn_product_aligned,
+    _compose_lax,
+    _montrans_square,
+    _normalize_xi,
     _mixed_decode,
     _mixed_encode,
     o_fn_product,
     o_set_product,
-    build_assoc,
     check_omon_category,
-    check_lax_omon_functor,
     dz2_assoc_omon,
     l2_comm_omon,
     nu_key_render,
@@ -66,7 +63,7 @@ from .omon import (
     xi_key_render,
 )
 from .operads import boolean_semiring, build_qconv, composition_keys, identity_operad_morphism, operads_equal, terminal_morphism
-from .report import CheckReport, require_ok
+from .report import CheckReport
 
 LaxToSet = LaxSetFunctor
 
@@ -113,7 +110,20 @@ def omons_equal(a: OMonCategory, b: OMonCategory) -> bool:
     )
 
 
-def check_ofib_object(x: OFibObject, _omon_cache: dict | None = None) -> CheckReport:
+def _checked_omon(memo: dict, c: OMonCategory) -> CheckReport:
+    """check_omon_category(c), run once per structure while ``memo``
+    lives; the entry holds c, so no later structure can take its id()."""
+    entry = memo.get(id(c))
+    if entry is None:
+        entry = memo[id(c)] = (c, check_omon_category(c))
+    return entry[1]
+
+
+def check_ofib_object(x: OFibObject) -> CheckReport:
+    return _check_ofib_object(x, {})
+
+
+def _check_ofib_object(x: OFibObject, memo: dict) -> CheckReport:
     from .fib2cat import check_discrete_fibration
 
     report = CheckReport()
@@ -125,12 +135,8 @@ def check_ofib_object(x: OFibObject, _omon_cache: dict | None = None) -> CheckRe
         report.structural("ofib.frame", "projection frame mismatch", where)
         return report
     report.merge(check_discrete_fibration(x.fib), where=where)
-    cache = _omon_cache if _omon_cache is not None else {}
     for tag, omon in (("total", x.total_omon), ("base", x.base_omon)):
-        key = id(omon)
-        if key not in cache:
-            cache[key] = check_omon_category(omon)
-        report.merge(cache[key], where=f"{where}:{tag}")
+        report.merge(_checked_omon(memo, omon), where=f"{where}:{tag}")
     if not report.ok:
         return report
 
@@ -181,17 +187,6 @@ def check_ofib_object(x: OFibObject, _omon_cache: dict | None = None) -> CheckRe
 
 # --------------------------------------------------------------------------
 # 1-cells and 2-cells
-
-
-def _normalize_xi(endpoints, entries) -> dict:
-    """Drop entries that coincide with the identity default."""
-    out = {}
-    for key, value in entries.items():
-        src, tgt, base = endpoints(key)
-        if src == tgt and value == base.id_of(src):
-            continue
-        out[key] = value
-    return out
 
 
 @dataclass
@@ -266,38 +261,12 @@ def ocell_compose(c2: OCell, c1: OCell) -> OCell:
         omons_equal(c1.cod.dom, c2.dom.dom) and c1.cod.iset == c2.dom.iset
     ):
         raise ValueError("cells not composable")
-    functor = functor_compose(c2.functor, c1.functor)
-    operad = c1.dom.dom.operad
-    base = c2.cod.dom.base
-    lax1, lax2 = c1.index_lax(), c2.index_lax()
-    entries = {}
-    for n in range(operad.max_arity + 1):
-        for p in operad.elements(n):
-            for objs in itertools.product(range(c1.dom.dom.base.n_objects), repeat=n):
-                image = tuple(c1.functor.on_obj[a] for a in objs)
-                value = base.compose(
-                    c2.functor.on_mor[lax1.xi_at(n, p, objs)],
-                    lax2.xi_at(n, p, image),
-                )
-                entries[(n, p, objs)] = value
-
-    def endpoints(key):
-        n, p, objs = key
-        src = c2.cod.dom.tensor_obj(n, p, tuple(functor.on_obj[a] for a in objs))
-        tgt = functor.on_obj[c1.dom.dom.tensor_obj(n, p, objs)]
-        return src, tgt, base
-
+    lax = _compose_lax(c2.index_lax(), c1.index_lax())
     mu = tuple(
         fn_compose(c2.mu[c1.functor.on_obj[a]], c1.mu[a])
         for a in range(c1.dom.dom.base.n_objects)
     )
-    return OCell(
-        dom=c1.dom,
-        cod=c2.cod,
-        functor=functor,
-        xi=_normalize_xi(endpoints, entries),
-        mu=mu,
-    )
+    return OCell(dom=c1.dom, cod=c2.cod, functor=lax.functor, xi=lax.xi, mu=mu)
 
 
 @dataclass
@@ -372,52 +341,15 @@ def check_ofib_cell(c: OFibCell) -> CheckReport:
 
 
 def ofib_cell_compose(c2: OFibCell, c1: OFibCell) -> OFibCell:
-    top = functor_compose(c2.top, c1.top)
-    bottom = functor_compose(c2.bottom, c1.bottom)
-    operad = c1.dom.total_omon.operad
-
-    def composite_xi(lax1, lax2, functor1, cod_omon, dom_base_n):
-        base = cod_omon.base
-        entries = {}
-        for n in range(operad.max_arity + 1):
-            for p in operad.elements(n):
-                for objs in itertools.product(range(dom_base_n), repeat=n):
-                    image = tuple(functor1.on_obj[a] for a in objs)
-                    entries[(n, p, objs)] = base.compose(
-                        lax2.functor.on_mor[lax1.xi_at(n, p, objs)],
-                        lax2.xi_at(n, p, image),
-                    )
-        return entries
-
-    lax_t1, lax_t2 = c1.top_lax(), c2.top_lax()
-    lax_b1, lax_b2 = c1.bottom_lax(), c2.bottom_lax()
-    top_entries = composite_xi(
-        lax_t1, lax_t2, c1.top, c2.cod.total_omon, c1.dom.fib.total.n_objects
-    )
-    bottom_entries = composite_xi(
-        lax_b1, lax_b2, c1.bottom, c2.cod.base_omon, c1.dom.fib.base.n_objects
-    )
-
-    def endpoints_for(cod_omon, dom_omon, functor):
-        def endpoints(key):
-            n, p, objs = key
-            src = cod_omon.tensor_obj(n, p, tuple(functor.on_obj[a] for a in objs))
-            tgt = functor.on_obj[dom_omon.tensor_obj(n, p, objs)]
-            return src, tgt, cod_omon.base
-
-        return endpoints
-
+    top = _compose_lax(c2.top_lax(), c1.top_lax())
+    bottom = _compose_lax(c2.bottom_lax(), c1.bottom_lax())
     return OFibCell(
         dom=c1.dom,
         cod=c2.cod,
-        top=top,
-        bottom=bottom,
-        xi_top=_normalize_xi(
-            endpoints_for(c2.cod.total_omon, c1.dom.total_omon, top), top_entries
-        ),
-        xi_bottom=_normalize_xi(
-            endpoints_for(c2.cod.base_omon, c1.dom.base_omon, bottom), bottom_entries
-        ),
+        top=top.functor,
+        bottom=bottom.functor,
+        xi_top=top.xi,
+        xi_bottom=bottom.xi,
     )
 
 
@@ -439,37 +371,7 @@ def check_o2cell(e: O2Cell) -> CheckReport:
     if not report.ok:
         return report
     # the transformation must respect the comparison structure of both cells
-    dom_omon = e.dom.dom.dom
-    cod_omon = e.dom.cod.dom
-    base = cod_omon.base
-    operad = dom_omon.operad
-    lax1, lax2 = e.dom.index_lax(), e.cod.index_lax()
-    for n in range(operad.max_arity + 1):
-        for p in operad.elements(n):
-            for objs in itertools.product(range(dom_omon.base.n_objects), repeat=n):
-                report.count("o2cell.square_instances")
-                try:
-                    lhs = base.compose(
-                        e.eta.components[dom_omon.tensor_obj(n, p, objs)],
-                        lax1.xi_at(n, p, objs),
-                    )
-                    rhs = base.compose(
-                        lax2.xi_at(n, p, objs),
-                        cod_omon.tensor_mor(
-                            n, p, tuple(e.eta.components[a] for a in objs)
-                        ),
-                    )
-                except (PhiMissing, KeyError) as exc:
-                    report.violation("o2cell.missing", str(exc), where)
-                    continue
-                if lhs != rhs:
-                    report.violation(
-                        "o2cell.square",
-                        "transformation square fails at "
-                        + xi_key_render(p, [dom_omon.base.objects[a] for a in objs]),
-                        where,
-                    )
-    return report
+    return _montrans_square(report, where, "o2cell", "", e.dom.index_lax(), e.cod.index_lax(), e.eta)
 
 
 @dataclass
@@ -495,44 +397,10 @@ def check_ofib_2cell(e: OFib2Cell) -> CheckReport:
     if not report.ok:
         return report
 
-    def montrans_square(lax1, lax2, t, omon_dom, omon_cod, tag):
-        base = omon_cod.base
-        operad = omon_dom.operad
-        for n in range(operad.max_arity + 1):
-            for p in operad.elements(n):
-                for objs in itertools.product(range(omon_dom.base.n_objects), repeat=n):
-                    report.count("ofib2cell.square_instances")
-                    try:
-                        lhs = base.compose(
-                            t.components[omon_dom.tensor_obj(n, p, objs)],
-                            lax1.xi_at(n, p, objs),
-                        )
-                        rhs = base.compose(
-                            lax2.xi_at(n, p, objs),
-                            omon_cod.tensor_mor(
-                                n, p, tuple(t.components[a] for a in objs)
-                            ),
-                        )
-                    except (PhiMissing, KeyError) as exc:
-                        report.violation("ofib2cell.missing", str(exc), where)
-                        continue
-                    if lhs != rhs:
-                        report.violation(
-                            "ofib2cell.square",
-                            f"{tag} transformation square fails at "
-                            + xi_key_render(p, [omon_dom.base.objects[a] for a in objs]),
-                            where,
-                        )
-
-    montrans_square(
-        e.dom.top_lax(), e.cod.top_lax(), e.top,
-        e.dom.dom.total_omon, e.dom.cod.total_omon, "top",
+    _montrans_square(report, where, "ofib2cell", "top ", e.dom.top_lax(), e.cod.top_lax(), e.top)
+    return _montrans_square(
+        report, where, "ofib2cell", "bottom ", e.dom.bottom_lax(), e.cod.bottom_lax(), e.bottom
     )
-    montrans_square(
-        e.dom.bottom_lax(), e.cod.bottom_lax(), e.bottom,
-        e.dom.dom.base_omon, e.dom.cod.base_omon, "bottom",
-    )
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -631,27 +499,17 @@ def _omon_groth_cell(c: OCell) -> OFibCell:
             )
             xi_top[(n, p, combo)] = g_mor_off[value] + kappa.mapping[enc]
 
-    def endpoints(key):
-        n, p, combo = key
-        src = cod_of.total_omon.tensor_obj(
-            n, p, tuple(square.top.on_obj[o] for o in combo)
-        )
-        tgt = square.top.on_obj[dom_of.total_omon.tensor_obj(n, p, combo)]
-        return src, tgt, cod_of.fib.total
-
-    def endpoints_bottom(key):
-        n, p, objs = key
-        src = cod_of.base_omon.tensor_obj(n, p, tuple(c.functor.on_obj[a] for a in objs))
-        tgt = c.functor.on_obj[dom_of.base_omon.tensor_obj(n, p, objs)]
-        return src, tgt, cod_of.fib.base
-
     return OFibCell(
         dom=dom_of,
         cod=cod_of,
         top=square.top,
         bottom=square.bottom,
-        xi_top=_normalize_xi(endpoints, xi_top),
-        xi_bottom=_normalize_xi(endpoints_bottom, dict(c.xi)),
+        xi_top=_normalize_xi(
+            LaxOMonFunctor(dom=dom_of.total_omon, cod=cod_of.total_omon, functor=square.top, xi=xi_top)
+        ),
+        xi_bottom=_normalize_xi(
+            LaxOMonFunctor(dom=dom_of.base_omon, cod=cod_of.base_omon, functor=c.functor, xi=c.xi)
+        ),
     )
 
 
@@ -1166,26 +1024,19 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
     report = CheckReport()
     for k, v in corpus.params.items():
         report.info[f"ocorpus.{k}"] = str(v)
-    omon_cache: dict = {}
-
-    def cached_omon(c: OMonCategory) -> CheckReport:
-        key = id(c)
-        if key not in omon_cache:
-            omon_cache[key] = check_omon_category(c)
-        return omon_cache[key]
-
+    memo: dict = {}
     for x in corpus.laxtosets:
-        report.merge(cached_omon(x.dom), where=x.dom.name or "index")
+        report.merge(_checked_omon(memo, x.dom), where=x.dom.name or "index")
         report.merge(_check_set_lax(x), where=x.name)
     for y in corpus.ofibs:
-        report.merge(check_ofib_object(y, _omon_cache=omon_cache), where=y.name)
+        report.merge(_check_ofib_object(y, memo), where=y.name)
     if not report.ok:
         return report
 
     # forward round trip
     for x in corpus.laxtosets:
         y = omon_groth(x)
-        report.merge(check_ofib_object(y, _omon_cache=omon_cache), where=f"int[{x.name}]")
+        report.merge(_check_ofib_object(y, memo), where=f"int[{x.name}]")
         report.count("oroundtrip.groth_objects")
         if y.fib != groth_apply(x.iset):
             report.violation(
@@ -1206,10 +1057,10 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
     # backward round trip
     for y in corpus.ofibs:
         x = omon_transpose(y)
-        report.merge(cached_omon(x.dom), where=f"T[{y.name}]:index")
+        report.merge(_checked_omon(memo, x.dom), where=f"T[{y.name}]:index")
         report.merge(_check_set_lax(x), where=f"T[{y.name}]")
         fwd = omon_groth(x)
-        report.merge(check_ofib_object(fwd, _omon_cache=omon_cache), where=f"int[T[{y.name}]]")
+        report.merge(_check_ofib_object(fwd, memo), where=f"int[T[{y.name}]]")
         psi = psi_ofib_cell(y, fwd)
         inv = psi_ofib_cell_inverse(y, fwd)
         report.merge(check_ofib_cell(psi), where=psi.name)
@@ -1277,7 +1128,6 @@ def restriction_report(corpus: OCorpus) -> CheckReport:
     from .omon import _pullback_indexed, restrict_along_operad_morphism
 
     report = CheckReport()
-    omon_cache: dict = {}
     for h in corpus.operad_morphisms:
         for x in corpus.laxtosets:
             if not operads_equal(h.cod, x.dom.operad):
@@ -1288,11 +1138,7 @@ def restriction_report(corpus: OCorpus) -> CheckReport:
             except Exception as exc:  # noqa: BLE001 - report, not crash
                 report.violation("restriction.build", f"{x.name} along {h.name}: {exc}")
                 continue
-            # the entry keeps the structure alive, so its id() is not reused
-            dom = restricted.dom
-            if id(dom) not in omon_cache:
-                omon_cache[id(dom)] = (dom, check_omon_category(dom))
-            report.merge(omon_cache[id(dom)][1], where=f"{x.name}|{h.name}:index")
+            report.merge(check_omon_category(restricted.dom), where=f"{x.name}|{h.name}:index")
             report.merge(_check_set_lax(restricted), where=f"{x.name}|{h.name}")
         for cell in corpus.ocells:
             if not operads_equal(h.cod, cell.dom.dom.operad):

@@ -24,6 +24,7 @@ from .fincore import (
     factorize_monotone_perm,
     fiber,
     fm_compose,
+    functor_compose,
     identity_map,
     invert_permutation,
     product_category,
@@ -36,7 +37,6 @@ from .fib2cat import (
     FinSet,
     IndexedSet,
     fn_compose,
-    fn_identity,
     set_product,
     validate_indexed_set,
 )
@@ -409,6 +409,152 @@ def _classify(values, is_identity, is_invertible) -> str:
     return "lax"
 
 
+def _normalize_xi(L: LaxOMonFunctor) -> dict:
+    """L's comparison entries less those equal to the identity default."""
+    base = L.cod.base
+    out = {}
+    for key, value in L.xi.items():
+        src, tgt = L.xi_endpoints(*key)
+        if src != tgt or value != base.id_of(src):
+            out[key] = value
+    return out
+
+
+def _compose_lax(L2: LaxOMonFunctor, L1: LaxOMonFunctor) -> LaxOMonFunctor:
+    """L2 after L1: each component is L2's image of L1's, followed by L2's
+    at the image tuple."""
+    out = LaxOMonFunctor(dom=L1.dom, cod=L2.cod, functor=functor_compose(L2.functor, L1.functor))
+    compose = out.cod.base.compose
+    operad = out.dom.operad
+    for n in range(operad.max_arity + 1):
+        for p in operad.elements(n):
+            for objs in itertools.product(range(out.dom.base.n_objects), repeat=n):
+                out.xi[(n, p, objs)] = compose(
+                    L2.functor.on_mor[L1.xi_at(n, p, objs)],
+                    L2.xi_at(n, p, tuple(L1.functor.on_obj[a] for a in objs)),
+                )
+    out.xi = _normalize_xi(out)
+    return out
+
+
+def _lax_coherence(
+    report: CheckReport,
+    where: str,
+    dom: OMonCategory,
+    *,
+    prefix: str,
+    comp: str,
+    render,
+    missing: str,
+    mistyped: str,
+    entries: dict,
+    endpoints,
+    default,
+    at,
+    on_obj,
+    on_mor,
+    compose,
+    tensor_mor,
+    target_phi,
+    typed,
+    is_identity,
+    is_invertible,
+    errors: tuple,
+) -> CheckReport:
+    """The laws of a lax functor out of ``dom``, for either target: the
+    components ``comp`` are typed (with the identity rule at the unit),
+    natural in the object tuple, and coherent with every structure
+    isomorphism; then the components classify it as strict, weak or lax.
+
+    The target enters through its operations: ``compose``, ``tensor_mor``
+    of a tuple of its morphisms, ``target_phi(f, p, qs, images)`` at the
+    image of an object tuple under ``on_obj``, and the ``typed``,
+    ``is_identity`` and ``is_invertible`` tests.  ``default(src, tgt, n,
+    p, objs)`` resolves an absent entry or raises PhiMissing; ``errors``
+    are the exceptions that mark an ill-typed composite.
+    """
+    operad = dom.operad
+    base = dom.base
+    objects, mor_labels, mor_src, mor_tgt = base.objects, base.mor_labels, base.mor_src, base.mor_tgt
+    dom_tensor_mor, blocks_obj, phi_at, op = dom.tensor_mor, dom.blocks_obj, dom.phi_at, dom.op
+    count, violation = report.count, report.violation
+    check = f"{prefix}.{comp}"
+    # counted once per instance, so formatted once per call
+    instances, nat_instances = f"{check}_instances", f"{check}_naturality_instances"
+    coh_instances = f"{prefix}.coherence_instances"
+    resolved = []
+
+    for n in range(operad.max_arity + 1):
+        for p in operad.elements(n):
+            for objs in itertools.product(range(base.n_objects), repeat=n):
+                key_txt = render(p, [objects[a] for a in objs])
+                count(instances)
+                src, tgt = endpoints(n, p, objs)
+                value = entries.get((n, p, objs))
+                if value is None:
+                    try:
+                        value = default(src, tgt, n, p, objs)
+                    except PhiMissing:
+                        violation(f"{check}_missing", key_txt + missing, where)
+                        continue
+                elif not typed(value, src, tgt):
+                    violation(f"{check}_typing", key_txt + mistyped, where)
+                    continue
+                resolved.append(value)
+                if n == 1 and p == operad.unit and not is_identity(value):
+                    violation(f"{check}_unit", key_txt + " must be the identity", where)
+            # naturality in the object tuple
+            for mors in itertools.product(range(base.n_morphisms), repeat=n):
+                count(nat_instances)
+                try:
+                    at_src = at(n, p, tuple(mor_src[u] for u in mors))
+                    at_tgt = at(n, p, tuple(mor_tgt[u] for u in mors))
+                    lhs = compose(at_tgt, tensor_mor(n, p, tuple(on_mor[u] for u in mors)))
+                    rhs = compose(on_mor[dom_tensor_mor(n, p, mors)], at_src)
+                except errors:
+                    continue  # ill-typed entries are reported by the typing pass
+                if lhs != rhs:
+                    violation(
+                        f"{check}_naturality",
+                        render(p, [mor_labels[u] for u in mors]) + " breaks naturality",
+                        where,
+                    )
+
+    # coherence against every structure isomorphism
+    for f, p, qs in composition_keys(operad):
+        m, n = f.source, f.target
+        fibers = f.fibers
+        rho = op(f, p, qs)
+        for objs in itertools.product(range(base.n_objects), repeat=m):
+            count(coh_instances)
+            try:
+                B = blocks_obj(f, qs, objs)
+                lhs = compose(on_mor[phi_at(f, p, qs, objs)], at(m, rho, objs))
+                blocks = tuple(
+                    at(len(fib), q, tuple(objs[j - 1] for j in fib))
+                    for fib, q in zip(fibers, qs)
+                )
+                rhs = compose(
+                    at(n, p, B),
+                    compose(
+                        tensor_mor(n, p, blocks),
+                        target_phi(f, p, qs, tuple(on_obj[a] for a in objs)),
+                    ),
+                )
+            except errors as exc:
+                violation(f"{prefix}.coherence_missing", str(exc), where)
+                continue
+            if lhs != rhs:
+                violation(
+                    f"{prefix}.coherence",
+                    "coherence square fails at "
+                    + phi_key_render(f, p, qs, [objects[a] for a in objs]),
+                    where,
+                )
+    report.info["classification"] = _classify(resolved, is_identity, is_invertible)
+    return report
+
+
 def _check_table_lax(L: LaxOMonFunctor) -> CheckReport:
     report = CheckReport()
     where = L.name or "laxfun"
@@ -422,96 +568,26 @@ def _check_table_lax(L: LaxOMonFunctor) -> CheckReport:
     report.merge(validate_functor(L.functor), where=where)
     if not report.ok:
         return report
-    operad = dom.operad
     base = cod.base
-    resolved = []
+    id_of, mor_src, mor_tgt = base.id_of, base.mor_src, base.mor_tgt
 
-    for n in range(operad.max_arity + 1):
-        for p in operad.elements(n):
-            for objs in itertools.product(range(dom.base.n_objects), repeat=n):
-                key_txt = xi_key_render(p, [dom.base.objects[a] for a in objs])
-                report.count("laxfun.xi_instances")
-                src, tgt = L.xi_endpoints(n, p, objs)
-                explicit = L.xi.get((n, p, objs))
-                if explicit is None:
-                    if src != tgt:
-                        report.violation("laxfun.xi_missing", key_txt + " has no entry and unequal endpoints", where)
-                        continue
-                    value = base.id_of(src)
-                else:
-                    value = explicit
-                    if base.mor_src[value] != src or base.mor_tgt[value] != tgt:
-                        report.violation("laxfun.xi_typing", key_txt + " has wrong endpoints", where)
-                        continue
-                resolved.append(value)
-                if n == 1 and p == operad.unit and value != base.id_of(src):
-                    report.violation("laxfun.xi_unit", key_txt + " must be the identity", where)
-            # naturality of xi in the object tuple
-            for mors in itertools.product(range(dom.base.n_morphisms), repeat=n):
-                report.count("laxfun.xi_naturality_instances")
-                src_objs = tuple(dom.base.mor_src[u] for u in mors)
-                tgt_objs = tuple(dom.base.mor_tgt[u] for u in mors)
-                try:
-                    xi_src = L.xi_at(n, p, src_objs)
-                    xi_tgt = L.xi_at(n, p, tgt_objs)
-                    f_mors = tuple(L.functor.on_mor[u] for u in mors)
-                    lhs = base.compose(xi_tgt, cod.tensor_mor(n, p, f_mors))
-                    rhs = base.compose(
-                        L.functor.on_mor[dom.tensor_mor(n, p, mors)], xi_src
-                    )
-                except (PhiMissing, KeyError):
-                    continue
-                if lhs != rhs:
-                    report.violation(
-                        "laxfun.xi_naturality",
-                        xi_key_render(p, [dom.base.mor_labels[u] for u in mors]) + " breaks naturality",
-                        where,
-                    )
+    def default(src, tgt, n, p, objs):
+        if src != tgt:
+            raise PhiMissing
+        return id_of(src)
 
-    # coherence against every structure isomorphism
-    for f, p, qs in composition_keys(operad):
-        m, n = f.source, f.target
-        rho = dom.op(f, p, qs)
-        for objs in itertools.product(range(dom.base.n_objects), repeat=m):
-            report.count("laxfun.coherence_instances")
-            try:
-                B = dom.blocks_obj(f, qs, objs)
-                lhs = base.compose(
-                    L.functor.on_mor[dom.phi_at(f, p, qs, objs)],
-                    L.xi_at(m, rho, objs),
-                )
-                f_objs = tuple(L.functor.on_obj[a] for a in objs)
-                block_xis = tuple(
-                    L.xi_at(
-                        len(fiber(f, i)),
-                        qs[i - 1],
-                        tuple(objs[j - 1] for j in fiber(f, i)),
-                    )
-                    for i in range(1, n + 1)
-                )
-                rhs = base.compose(
-                    L.xi_at(n, p, B),
-                    base.compose(
-                        cod.tensor_mor(n, p, block_xis),
-                        cod.phi_at(f, p, qs, f_objs),
-                    ),
-                )
-            except (PhiMissing, KeyError) as exc:
-                report.violation("laxfun.coherence_missing", str(exc), where)
-                continue
-            if lhs != rhs:
-                report.violation(
-                    "laxfun.coherence",
-                    "coherence square fails at "
-                    + phi_key_render(f, p, qs, [dom.base.objects[a] for a in objs]),
-                    where,
-                )
-    report.info["classification"] = _classify(
-        resolved,
-        lambda v: base.is_identity_mor(v),
-        lambda v: _is_invertible(base, v),
+    return _lax_coherence(
+        report, where, dom,
+        prefix="laxfun", comp="xi", render=xi_key_render,
+        missing=" has no entry and unequal endpoints", mistyped=" has wrong endpoints",
+        entries=L.xi, endpoints=L.xi_endpoints, default=default, at=L.xi_at,
+        on_obj=L.functor.on_obj, on_mor=L.functor.on_mor,
+        compose=base.compose, tensor_mor=cod.tensor_mor, target_phi=cod.phi_at,
+        typed=lambda v, src, tgt: mor_src[v] == src and mor_tgt[v] == tgt,
+        is_identity=base.is_identity_mor,
+        is_invertible=lambda v: _is_invertible(base, v),
+        errors=(PhiMissing, KeyError),
     )
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -628,99 +704,20 @@ def _check_set_lax(L: LaxSetFunctor) -> CheckReport:
     report.merge(validate_indexed_set(L.iset), where=where)
     if not report.ok:
         return report
-    operad = dom.operad
-    F = L.iset
-    resolved = []
-
-    for n in range(operad.max_arity + 1):
-        for p in operad.elements(n):
-            for objs in itertools.product(range(dom.base.n_objects), repeat=n):
-                key_txt = nu_key_render(p, [dom.base.objects[a] for a in objs])
-                report.count("laxtoset.nu_instances")
-                src, tgt = L.nu_sets(n, p, objs)
-                explicit = L.nu.get((n, p, objs))
-                if explicit is None:
-                    try:
-                        value = L.nu_at(n, p, objs)
-                    except PhiMissing:
-                        report.violation("laxtoset.nu_missing", key_txt + " has no entry", where)
-                        continue
-                else:
-                    value = explicit
-                    if value.dom != src or value.cod != tgt:
-                        report.violation("laxtoset.nu_typing", key_txt + " has wrong dom/cod", where)
-                        continue
-                resolved.append(value)
-                if n == 1 and p == operad.unit and (
-                    value.dom != value.cod or value.mapping != tuple(range(value.dom.size))
-                ):
-                    report.violation("laxtoset.nu_unit", key_txt + " must be the identity", where)
-            # naturality in the index tuple
-            for mors in itertools.product(range(dom.base.n_morphisms), repeat=n):
-                report.count("laxtoset.nu_naturality_instances")
-                src_objs = tuple(dom.base.mor_src[u] for u in mors)
-                tgt_objs = tuple(dom.base.mor_tgt[u] for u in mors)
-                try:
-                    nu_src = L.nu_at(n, p, src_objs)
-                    nu_tgt = L.nu_at(n, p, tgt_objs)
-                except PhiMissing:
-                    continue
-                prod_action = (
-                    o_fn_product([F.actions[u] for u in mors])
-                    if n > 0
-                    else fn_identity(set_product(()))
-                )
-                try:
-                    lhs = fn_compose(F.actions[dom.tensor_mor(n, p, mors)], nu_src)
-                    rhs = fn_compose(nu_tgt, prod_action)
-                except ValueError:
-                    continue  # ill-typed entries are reported by the typing pass
-                if lhs != rhs:
-                    report.violation(
-                        "laxtoset.nu_naturality",
-                        nu_key_render(p, [dom.base.mor_labels[u] for u in mors]) + " breaks naturality",
-                        where,
-                    )
-
-    for f, p, qs in composition_keys(operad):
-        m, n = f.source, f.target
-        rho = dom.op(f, p, qs)
-        for objs in itertools.product(range(dom.base.n_objects), repeat=m):
-            report.count("laxtoset.coherence_instances")
-            try:
-                B = dom.blocks_obj(f, qs, objs)
-                lhs = fn_compose(
-                    F.actions[dom.phi_at(f, p, qs, objs)], L.nu_at(m, rho, objs)
-                )
-                block_nus = tuple(
-                    L.nu_at(
-                        len(fiber(f, i)),
-                        qs[i - 1],
-                        tuple(objs[j - 1] for j in fiber(f, i)),
-                    )
-                    for i in range(1, n + 1)
-                )
-                regroup = set_regroup(f, tuple(F.values[a] for a in objs))
-                rhs = fn_compose(
-                    L.nu_at(n, p, B),
-                    fn_compose(o_fn_product(block_nus), regroup),
-                )
-            except (PhiMissing, ValueError) as exc:
-                report.violation("laxtoset.coherence_missing", str(exc), where)
-                continue
-            if lhs != rhs:
-                report.violation(
-                    "laxtoset.coherence",
-                    "coherence square fails at "
-                    + phi_key_render(f, p, qs, [dom.base.objects[a] for a in objs]),
-                    where,
-                )
-    report.info["classification"] = _classify(
-        resolved,
-        lambda v: v.dom == v.cod and v.mapping == tuple(range(v.dom.size)),
-        lambda v: v.dom.size == v.cod.size and len(set(v.mapping)) == v.dom.size,
+    return _lax_coherence(
+        report, where, dom,
+        prefix="laxtoset", comp="nu", render=nu_key_render,
+        missing=" has no entry", mistyped=" has wrong dom/cod",
+        entries=L.nu, endpoints=L.nu_sets,
+        default=lambda src, tgt, n, p, objs: L.nu_at(n, p, objs), at=L.nu_at,
+        on_obj=L.iset.values, on_mor=L.iset.actions,
+        compose=fn_compose, tensor_mor=lambda n, p, fns: o_fn_product(fns),
+        target_phi=lambda f, p, qs, sets: set_regroup(f, sets),
+        typed=lambda v, src, tgt: v.dom == src and v.cod == tgt,
+        is_identity=lambda v: v.dom == v.cod and v.mapping == tuple(range(v.dom.size)),
+        is_invertible=lambda v: v.dom.size == v.cod.size and len(set(v.mapping)) == v.dom.size,
+        errors=(PhiMissing, ValueError),
     )
-    return report
 
 
 def _fn_product_aligned(fns) -> FinFunction:
@@ -778,29 +775,33 @@ def check_omon_transformation(tr: OMonTransformation) -> CheckReport:
     report.merge(validate_natural_transformation(tr.t), where=where)
     if not report.ok:
         return report
+    return _montrans_square(report, where, "omontrans", "", F, G, tr.t)
+
+
+def _montrans_square(report: CheckReport, where: str, prefix: str, tag: str, F, G, t) -> CheckReport:
+    """The monoidal square of a transformation ``t: F => G`` between lax
+    functors into a table-backed target, at every operation and object
+    tuple; ``tag`` leads the failure witness."""
     dom, cod = F.dom, F.cod
     base = cod.base
-    operad = dom.operad
-    for n in range(operad.max_arity + 1):
-        for p in operad.elements(n):
+    components = t.components
+    for n in range(dom.operad.max_arity + 1):
+        for p in dom.operad.elements(n):
             for objs in itertools.product(range(dom.base.n_objects), repeat=n):
-                report.count("omontrans.square_instances")
+                report.count(f"{prefix}.square_instances")
                 try:
-                    lhs = base.compose(
-                        tr.t.components[dom.tensor_obj(n, p, objs)],
-                        F.xi_at(n, p, objs),
-                    )
+                    lhs = base.compose(components[dom.tensor_obj(n, p, objs)], F.xi_at(n, p, objs))
                     rhs = base.compose(
                         G.xi_at(n, p, objs),
-                        cod.tensor_mor(n, p, tuple(tr.t.components[a] for a in objs)),
+                        cod.tensor_mor(n, p, tuple(components[a] for a in objs)),
                     )
                 except (PhiMissing, KeyError) as exc:
-                    report.violation("omontrans.missing", str(exc), where)
+                    report.violation(f"{prefix}.missing", str(exc), where)
                     continue
                 if lhs != rhs:
                     report.violation(
-                        "omontrans.square",
-                        "transformation square fails at "
+                        f"{prefix}.square",
+                        f"{tag}transformation square fails at "
                         + xi_key_render(p, [dom.base.objects[a] for a in objs]),
                         where,
                     )

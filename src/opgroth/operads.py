@@ -39,7 +39,7 @@ class Operad:
     rule: Optional[Callable[[FinMap, str, tuple[str, ...]], str]] = None
     table: Optional[dict] = None
     origin: Optional[tuple] = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def elements(self, n: int) -> tuple[str, ...]:
         if not 0 <= n <= self.max_arity:

@@ -5,13 +5,27 @@ import pytest
 import opgroth.ogroth
 import opgroth.omon
 from opgroth import fixtures
-from opgroth.fincore import functor_from_labels, identity_functor
-from opgroth.fib2cat import fn_compose
+from opgroth.fincore import NatTransform, functor_from_labels, identity_functor, identity_nat, terminal_map
+from opgroth.fib2cat import FinFunction, fn_compose
 from opgroth.groth import groth_apply
-from opgroth.omon import check_omon_category, check_strict_omon_iso, grade_assoc_omon
+from opgroth.omon import (
+    LaxOMonFunctor,
+    LaxSetFunctor,
+    check_lax_omon_functor,
+    check_omon_category,
+    check_strict_omon_iso,
+    extend_unbiased_to_assoc,
+    grade_assoc_omon,
+    omon_copy,
+    twisted_bz2_unbiased,
+)
 from opgroth.ogroth import (
+    O2Cell,
     OCell,
+    OFib2Cell,
     check_laxtoset,
+    check_o2cell,
+    check_ofib_2cell,
     check_ocell,
     check_ofib_cell,
     check_ofib_object,
@@ -60,6 +74,159 @@ def test_grade_nu_corruption_breaks_coherence():
     report = check_laxtoset(bad)
     assert not report.ok
     assert any(r.check == "laxtoset.coherence" for r in report.records)
+    # every failure is a coherence square, named at the square it breaks
+    assert {(r.check, r.where) for r in report.records} == {("laxtoset.coherence", "bad:bad")}
+    assert len(report.records) == 164
+    assert [r.witness for r in report.records[:3]] == [
+        "coherence square fails at phi[f=[2,1],p=[1,2],q=([1],[1]),A=(1,1)]",
+        "coherence square fails at phi[f=[2,1],p=[2,1],q=([1],[1]),A=(1,1)]",
+        "coherence square fails at phi[f=[1,1,2],p=[1,2],q=([1,2],[1]),A=(0,1,1)]",
+    ]
+    assert report.info["classification"] == "lax"
+
+
+# ------------------------------------------------- witnesses of the lax laws
+
+
+@pytest.fixture(scope="module")
+def corpus3():
+    return make_o_corpus(3)
+
+
+def _records(report):
+    return [(r.check, r.where, r.witness) for r in report.records]
+
+
+def _identity_lax(corpus, name):
+    """The index lax functor of the identity cell on the named corpus object."""
+    cell = next(c for c in corpus.ocells if c.dom.name == name and c.cod is c.dom
+                and c.functor == identity_functor(c.dom.dom.base))
+    return cell.index_lax()
+
+
+def test_clean_lax_functors_report_classification_and_counts(corpus3):
+    report = check_lax_omon_functor(_identity_lax(corpus3, "L2FAM"))
+    assert report.ok
+    assert report.stats == {
+        "functor.composition_instances": 4,
+        "laxfun.xi_instances": 15,
+        "laxfun.xi_naturality_instances": 40,
+        "laxfun.coherence_instances": 360,
+    }
+    assert report.info == {"classification": "strict"}
+
+    x = next(y for y in corpus3.laxtosets if y.name == "L2FAM")
+    report = check_lax_omon_functor(x)
+    assert report.ok
+    assert report.stats == {
+        "iset.composition_instances": 4,
+        "laxtoset.nu_instances": 15,
+        "laxtoset.nu_naturality_instances": 40,
+        "laxtoset.coherence_instances": 360,
+    }
+    assert report.info == {"classification": "lax"}
+
+
+def test_table_lax_witnesses(corpus3):
+    # typing: a component with the wrong endpoints; the squares through it
+    # cannot compose and are reported as missing
+    lax = _identity_lax(corpus3, "QPROJ")
+    bad = LaxOMonFunctor(lax.dom, lax.cod, lax.functor, {(3, "(1,1,1)", (0, 0, 0)): 1}, name="bad")
+    assert _records(check_lax_omon_functor(bad)) == [
+        ("laxfun.xi_typing", "bad", "xi[p=(1,1,1),A=(0,0,0)] has wrong endpoints")
+    ] + [("laxfun.coherence_missing", "bad", "'no composition entry for (id_0, id_1)'")] * 13
+
+    lax = _identity_lax(corpus3, "L2FAM")
+    base = lax.dom.base
+    le = base.mor_index("le_0_1")
+    # naturality: the source tensor sends (id_0, id_0) to a non-identity,
+    # which only the naturality pass reads
+    dom = omon_copy(lax.dom)
+    dom.tensors[(2, "*")].mor[(base.id_of(0), base.id_of(0))] = le
+    bad = LaxOMonFunctor(dom, lax.cod, lax.functor, {}, name="bad")
+    assert _records(check_lax_omon_functor(bad)) == [
+        ("laxfun.xi_naturality", "bad", "xi[p=*,A=(id_0,id_0)] breaks naturality")
+    ]
+    # coherence: a non-identity structure isomorphism in the source
+    dom = omon_copy(lax.dom)
+    dom.phi[(terminal_map(2), "*", ("*",), (0, 0))] = le
+    bad = LaxOMonFunctor(dom, lax.cod, lax.functor, {}, name="bad")
+    assert _records(check_lax_omon_functor(bad)) == [
+        ("laxfun.coherence", "bad", "coherence square fails at phi[f=[1,1],p=*,q=(*),A=(0,0)]")
+    ]
+
+
+def test_set_lax_witnesses(corpus3):
+    x = next(y for y in corpus3.laxtosets if y.name == "L2FAM")
+    base = x.dom.base
+    le = base.mor_index("le_0_1")
+    # typing: a comparison function into the wrong fiber
+    src, _ = x.nu_sets(3, "*", (0, 0, 0))
+    nu = dict(x.nu)
+    nu[(3, "*", (0, 0, 0))] = FinFunction(src, x.iset.values[1], (0,))
+    bad = LaxSetFunctor(x.dom, x.iset, nu, name="bad")
+    assert _records(check_lax_omon_functor(bad)) == [
+        ("laxtoset.nu_typing", "bad", "nu[p=*,i=(0,0,0)] has wrong dom/cod")
+    ] + [("laxtoset.coherence_missing", "bad", "functions not composable")] * 36
+    # naturality and coherence, through the same source corruptions as above
+    dom = omon_copy(x.dom)
+    dom.tensors[(2, "*")].mor[(base.id_of(0), base.id_of(0))] = le
+    bad = LaxSetFunctor(dom, x.iset, x.nu, name="bad")
+    assert _records(check_lax_omon_functor(bad)) == [
+        ("laxtoset.nu_naturality", "bad", "nu[p=*,i=(id_0,id_0)] breaks naturality")
+    ]
+    dom = omon_copy(x.dom)
+    dom.phi[(terminal_map(2), "*", ("*",), (0, 0))] = le
+    bad = LaxSetFunctor(dom, x.iset, x.nu, name="bad")
+    assert _records(check_lax_omon_functor(bad)) == [
+        ("laxtoset.coherence", "bad", "coherence square fails at phi[f=[1,1],p=*,q=(*),A=(0,0)]")
+    ]
+
+
+def _twisted():
+    """The twisted one-object group structure with its flip morphism: a
+    base where a component can change without leaving naturality."""
+    tw = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
+    return tw, tw.base.mor_index("1")
+
+
+_FLIP_SQUARES = [
+    "transformation square fails at xi[p=[],A=()]",
+    "transformation square fails at xi[p=[1,2],A=(pt,pt)]",
+    "transformation square fails at xi[p=[2,1],A=(pt,pt)]",
+]
+
+
+def test_o2cell_square_witness():
+    tw, flip = _twisted()
+    cell = identity_ocell(trivial_laxtoset(tw, name="TRIVTW"))
+    report = check_o2cell(O2Cell(cell, cell, identity_nat(cell.functor)))
+    assert report.ok
+    assert report.stats == {
+        "iset2.compat_instances": 1,
+        "nattrans.naturality_instances": 2,
+        "o2cell.square_instances": 10,
+    }
+    bad = O2Cell(cell, cell, NatTransform(cell.functor, cell.functor, (flip,)), name="bad")
+    assert _records(check_o2cell(bad)) == [("o2cell.square", "bad", w) for w in _FLIP_SQUARES]
+
+
+def test_ofib_2cell_square_witnesses():
+    tw, flip = _twisted()
+    cell = identity_ofib_cell(identity_ofib(tw, name="idTW"))
+    report = check_ofib_2cell(
+        OFib2Cell(cell, cell, identity_nat(cell.top), identity_nat(cell.bottom))
+    )
+    assert report.ok
+    assert report.stats == {
+        "dfib2.whisker_instances": 1,
+        "nattrans.naturality_instances": 4,
+        "ofib2cell.square_instances": 20,
+    }
+    t = NatTransform(cell.top, cell.top, (flip,))
+    assert _records(check_ofib_2cell(OFib2Cell(cell, cell, t, t, name="bad"))) == [
+        ("ofib2cell.square", "bad", f"{tag} {w}") for tag in ("top", "bottom") for w in _FLIP_SQUARES
+    ]
 
 
 def test_identity_ofib_validates():
@@ -230,6 +397,23 @@ def test_restriction_report_never_reuses_a_report_for_another_structure(monkeypa
     )
     report = restriction_report(corpus)
     assert [(r.where, r.witness) for r in report.records] == [(f"{x}|h:index", x) for x in names]
+
+
+def test_omon_memo_never_reuses_a_report_for_another_structure(monkeypatch):
+    # the round trip's memo sees temporary structures that are dropped in
+    # turn; a memo keyed on bare id() would hand a later one an earlier report
+    def check(structure):
+        report = CheckReport()
+        report.violation("probe.checked", structure.tag)
+        return report
+
+    monkeypatch.setattr(opgroth.ogroth, "check_omon_category", check)
+    memo = {}
+    seen = [
+        opgroth.ogroth._checked_omon(memo, SimpleNamespace(tag=f"c{k}")).records[0].witness
+        for k in range(8)
+    ]
+    assert seen == [f"c{k}" for k in range(8)]
 
 
 def test_corrupted_corpus_object_fails_before_roundtrip():

@@ -30,7 +30,7 @@ from opgroth.omon import (
     validate_unbiased,
     z2_unbiased,
 )
-from opgroth.fincore import identity_functor, identity_nat
+from opgroth.fincore import NatTransform, identity_functor, identity_nat
 
 
 # --------------------------------------------------------------- checkers
@@ -118,6 +118,24 @@ def test_omon_transformation_identity():
     L = LaxOMonFunctor(dom=c, cod=c, functor=identity_functor(c.base), xi={})
     tr = OMonTransformation(dom=L, cod=L, t=identity_nat(L.functor))
     assert check_omon_transformation(tr).ok
+
+
+def test_omon_transformation_square_witness():
+    # in the twisted one-object group every component is natural, so a flip
+    # passes the frame checks and fails the monoidal square in even arity
+    tw = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
+    flip = tw.base.mor_index("1")
+    F = identity_functor(tw.base)
+    L = LaxOMonFunctor(dom=tw, cod=tw, functor=F, xi={})
+    report = check_omon_transformation(OMonTransformation(dom=L, cod=L, t=identity_nat(F)))
+    assert report.ok
+    assert report.stats == {"nattrans.naturality_instances": 2, "omontrans.square_instances": 10}
+    bad = OMonTransformation(dom=L, cod=L, t=NatTransform(F, F, (flip,)), name="bad")
+    assert [(r.check, r.where, r.witness) for r in check_omon_transformation(bad).records] == [
+        ("omontrans.square", "bad", "transformation square fails at xi[p=[],A=()]"),
+        ("omontrans.square", "bad", "transformation square fails at xi[p=[1,2],A=(pt,pt)]"),
+        ("omontrans.square", "bad", "transformation square fails at xi[p=[2,1],A=(pt,pt)]"),
+    ]
 
 
 def test_lax_functor_operad_mismatch_is_structural():

@@ -253,6 +253,20 @@ def test_compose_still_rejects_ill_typed_arguments_once_its_cache_is_warm():
         table.compose(FinMap(0, 1, ()), "e", ("e",))
 
 
+def test_equal_table_operads_stay_equal_after_one_composes():
+    def make():
+        return Operad(
+            name="T", max_arity=1, carriers=(("e",), ("e",)), unit="e",
+            table={(1, (1,), "e", ("e",)): "e"},
+        )
+
+    a, b = make(), make()
+    assert a == b
+    assert a.compose(identity_map(1), "e", ("e",)) == "e"
+    assert a._cache and not b._cache
+    assert a == b
+
+
 def test_checker_agrees_with_oracle_on_corrupted_variants():
     assoc = build_assoc(3)
     corruptions = [
