@@ -382,3 +382,39 @@ UNBIASED_CHECKS = {
 def test_unbiased_corruption_check_names(case):
     report = validate_unbiased(_unbiased_corrupt(case))
     assert collections.Counter(r.check for r in report.records) == UNBIASED_CHECKS[case]
+
+
+# ------------------------------------------------ strict projections
+
+OFIB_CHECKS = {"ofib.strict_tensor": 16, "ofib.strict_phi": 23}
+OFIB_INSTANCES = 91
+OFIB_RECORDS = [
+    ("ofib.strict_tensor", "int[L2FAM]", "tensor[p=*] not strictly preserved at ()"),
+    ("ofib.strict_tensor", "int[L2FAM]", "tensor[p=*] morphism entry not strictly preserved"),
+    ("ofib.strict_phi", "int[L2FAM]", "phi[f=[2,2],p=*] not strictly preserved at (1.b,0.s)"),
+]
+
+
+
+def test_ofib_strictness_records():
+    # the projection of the meet-built total onto L2 with joins preserves
+    # neither tensors nor structure isomorphisms
+    from opgroth.ogroth import check_ofib_object, l2_laxtoset, omon_groth
+
+    x = omon_groth(l2_laxtoset(2))
+    base = x.base_omon.base
+    le = base.mor_index("le_0_1")
+
+    def join(n, p, combo):
+        return max(combo) if combo else 0
+
+    def join_mor(n, p, combo):
+        src = join(n, p, tuple(base.mor_src[m] for m in combo))
+        tgt = join(n, p, tuple(base.mor_tgt[m] for m in combo))
+        return base.id_of(src) if src == tgt else le
+
+    x.base_omon = build_omon(build_comm(2), base, join, join_mor, name="JOIN")
+    report = check_ofib_object(x)
+    assert collections.Counter(r.check for r in report.records) == OFIB_CHECKS
+    assert report.stats["ofib.strictness_instances"] == OFIB_INSTANCES
+    assert _records(report)[:2] + _records(report)[-1:] == OFIB_RECORDS
