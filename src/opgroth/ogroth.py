@@ -49,6 +49,7 @@ from .omon import (
     _check_table_lax,
     _compose_lax,
     _montrans_square,
+    _strict_preservation,
     _normalize_xi,
     _mixed_decode,
     _mixed_encode,
@@ -62,7 +63,7 @@ from .omon import (
     product_omon,
     xi_key_render,
 )
-from .operads import boolean_semiring, build_qconv, composition_keys, identity_operad_morphism, operads_equal, terminal_morphism
+from .operads import boolean_semiring, build_qconv, identity_operad_morphism, operads_equal, terminal_morphism
 from .report import CheckReport
 
 LaxToSet = LaxSetFunctor
@@ -140,49 +141,14 @@ def _check_ofib_object(x: OFibObject, memo: dict) -> CheckReport:
     if not report.ok:
         return report
 
-    proj = x.fib.proj
-    operad = x.total_omon.operad
-    total, base = x.total_omon, x.base_omon
-    for n in range(operad.max_arity + 1):
-        for p in operad.elements(n):
-            for combo in itertools.product(range(x.fib.total.n_objects), repeat=n):
-                report.count("ofib.strictness_instances")
-                if proj.on_obj[total.tensor_obj(n, p, combo)] != base.tensor_obj(
-                    n, p, tuple(proj.on_obj[a] for a in combo)
-                ):
-                    report.violation(
-                        "ofib.strict_tensor",
-                        f"tensor[p={p}] not strictly preserved at "
-                        f"({','.join(x.fib.total.objects[a] for a in combo)})",
-                        where,
-                    )
-            for combo in itertools.product(range(x.fib.total.n_morphisms), repeat=n):
-                report.count("ofib.strictness_instances")
-                if proj.on_mor[total.tensor_mor(n, p, combo)] != base.tensor_mor(
-                    n, p, tuple(proj.on_mor[m] for m in combo)
-                ):
-                    report.violation(
-                        "ofib.strict_tensor",
-                        f"tensor[p={p}] morphism entry not strictly preserved",
-                        where,
-                    )
-    for f, p, qs in composition_keys(operad):
-        for combo in itertools.product(range(x.fib.total.n_objects), repeat=f.source):
-            report.count("ofib.strictness_instances")
-            try:
-                top = total.phi_at(f, p, qs, combo)
-                bottom = base.phi_at(f, p, qs, tuple(proj.on_obj[a] for a in combo))
-            except (PhiMissing, KeyError) as exc:
-                report.violation("ofib.phi_missing", str(exc), where)
-                continue
-            if proj.on_mor[top] != bottom:
-                report.violation(
-                    "ofib.strict_phi",
-                    f"phi[f={f.label()},p={p}] not strictly preserved at "
-                    f"({','.join(x.fib.total.objects[a] for a in combo)})",
-                    where,
-                )
-    return report
+    return _strict_preservation(
+        report,
+        where,
+        ("ofib.strictness_instances", "ofib.strict_tensor", "ofib.phi_missing", "ofib.strict_phi"),
+        x.total_omon,
+        x.base_omon,
+        x.fib.proj,
+    )
 
 
 # --------------------------------------------------------------------------

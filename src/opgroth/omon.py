@@ -18,7 +18,6 @@ from .fincore import (
     FinCat,
     FinMap,
     NatTransform,
-    _square,
     all_maps,
     discrete_category,
     factorize_monotone_perm,
@@ -40,7 +39,16 @@ from .fib2cat import (
     set_product,
     validate_indexed_set,
 )
-from .operads import Operad, build_assoc, composition_keys, operads_equal, perm_label
+from .operads import (
+    Operad,
+    _keys,
+    _squares,
+    build_assoc,
+    build_comm,
+    composition_keys,
+    operads_equal,
+    perm_label,
+)
 from .report import CheckReport, require_ok
 
 
@@ -154,126 +162,178 @@ def _is_invertible(base: FinCat, m: int) -> bool:
 
 
 def check_omon_category(c: OMonCategory) -> CheckReport:
+    return _structure_laws(c, "omon", "phi", all_maps)
+
+
+def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckReport:
+    """The laws of a structured category whose structure isomorphisms
+    (named ``iso`` in the check names) are indexed by the maps that
+    ``family(m, n)`` yields: total, unital, functorial tensor tables;
+    typed, invertible, natural structure isomorphisms that are
+    identities where the unit laws force it; and the associativity
+    square at every composable pair of maps.  An explicit entry whose
+    key indexes no structure isomorphism is a structural error.
+    """
     report = CheckReport()
     operad, base = c.operad, c.base
     n_arities = operad.max_arity + 1
-    where = c.name or "omon"
+    where = c.name or prefix
+    elements, op = operad.elements, operad.compose
+    count, violation, structural = report.count, report.violation, report.structural
+    objects, mor_labels, mor_src, mor_tgt = base.objects, base.mor_labels, base.mor_src, base.mor_tgt
+    n_obj, n_mor, id_of, compose = base.n_objects, base.n_morphisms, base.id_of, base.compose
+    tensors, phi = c.tensors, c.phi
+    phi_at, phi_endpoints, tensor_mor = c.phi_at, c.phi_endpoints, c.tensor_mor
+    blocks_obj, blocks_mor = c.blocks_obj, c.blocks_mor
 
-    # tensor tables: totality, unit tensor, functoriality
+    # tensor tables: totality, unit tensor, identities, endpoints, functoriality
     for n in range(n_arities):
-        for p in operad.elements(n):
-            table = c.tensors.get((n, p))
+        for p in elements(n):
+            table = tensors.get((n, p))
             if table is None:
-                report.structural("omon.tensor_missing", f"no tensor for arity-{n} operation {p}", where)
+                structural(f"{prefix}.tensor_missing", f"no tensor for arity-{n} operation {p}", where)
                 continue
-            for combo in itertools.product(range(base.n_objects), repeat=n):
-                if combo not in table.obj or not 0 <= table.obj[combo] < base.n_objects:
-                    report.structural(
-                        "omon.tensor_table",
-                        tensor_key_render(p, [base.objects[a] for a in combo]) + " missing or out of range",
+            for combo in itertools.product(range(n_obj), repeat=n):
+                if combo not in table.obj or not 0 <= table.obj[combo] < n_obj:
+                    structural(
+                        f"{prefix}.tensor_table",
+                        tensor_key_render(p, [objects[a] for a in combo]) + " missing or out of range",
                         where,
                     )
-            for combo in itertools.product(range(base.n_morphisms), repeat=n):
-                if combo not in table.mor or not 0 <= table.mor[combo] < base.n_morphisms:
-                    report.structural(
-                        "omon.tensor_table",
+            for combo in itertools.product(range(n_mor), repeat=n):
+                if combo not in table.mor or not 0 <= table.mor[combo] < n_mor:
+                    structural(
+                        f"{prefix}.tensor_table",
                         f"tensor[p={p}] morphism entry missing or out of range",
                         where,
                     )
     if report.records:
         return report
 
-    unit_table = c.tensors[(1, operad.unit)]
-    for a in range(base.n_objects):
+    unit_table = tensors[(1, operad.unit)]
+    for a in range(n_obj):
         if unit_table.obj[(a,)] != a:
-            report.violation("omon.unit_tensor", f"unit tensor moves object {base.objects[a]}", where)
-    for m in range(base.n_morphisms):
+            violation(f"{prefix}.unit_tensor", f"unit tensor moves object {objects[a]}", where)
+    for m in range(n_mor):
         if unit_table.mor[(m,)] != m:
-            report.violation("omon.unit_tensor", f"unit tensor moves morphism {base.mor_labels[m]}", where)
+            violation(f"{prefix}.unit_tensor", f"unit tensor moves morphism {mor_labels[m]}", where)
 
+    functoriality_instances = f"{prefix}.tensor_functoriality_instances"
     comp_pairs = list(base.composable_pairs())
     for n in range(n_arities):
-        for p in operad.elements(n):
-            table = c.tensors[(n, p)]
-            for combo in itertools.product(range(base.n_objects), repeat=n):
-                ids = tuple(base.id_of(a) for a in combo)
-                if table.mor[ids] != base.id_of(table.obj[combo]):
-                    report.violation(
-                        "omon.tensor_identity",
-                        tensor_key_render(p, [base.objects[a] for a in combo]) + " breaks identities",
+        for p in elements(n):
+            obj, mor = tensors[(n, p)].obj, tensors[(n, p)].mor
+            for combo in itertools.product(range(n_obj), repeat=n):
+                if mor[tuple(id_of(a) for a in combo)] != id_of(obj[combo]):
+                    violation(
+                        f"{prefix}.tensor_identity",
+                        tensor_key_render(p, [objects[a] for a in combo]) + " breaks identities",
                         where,
                     )
-            for combo in itertools.product(range(base.n_morphisms), repeat=n):
-                src = tuple(base.mor_src[m] for m in combo)
-                tgt = tuple(base.mor_tgt[m] for m in combo)
-                got_src = base.mor_src[table.mor[combo]]
-                if got_src != table.obj[src] or base.mor_tgt[table.mor[combo]] != table.obj[tgt]:
-                    report.violation(
-                        "omon.tensor_endpoints",
+            for combo in itertools.product(range(n_mor), repeat=n):
+                value = mor[combo]
+                if (
+                    mor_src[value] != obj[tuple(mor_src[u] for u in combo)]
+                    or mor_tgt[value] != obj[tuple(mor_tgt[u] for u in combo)]
+                ):
+                    violation(
+                        f"{prefix}.tensor_endpoints",
                         f"tensor[p={p}] morphism entry has wrong endpoints",
                         where,
                     )
             for pair_combo in itertools.product(comp_pairs, repeat=n):
-                report.count("omon.tensor_functoriality_instances")
+                count(functoriality_instances)
                 gs = tuple(g for g, _ in pair_combo)
                 fs = tuple(f for _, f in pair_combo)
-                composed = tuple(base.compose(g, f) for g, f in pair_combo)
-                if table.mor[composed] != base.compose(table.mor[gs], table.mor[fs]):
-                    report.violation(
-                        "omon.tensor_functoriality",
+                try:
+                    broken = mor[tuple(compose(g, f) for g, f in pair_combo)] != compose(mor[gs], mor[fs])
+                except KeyError:
+                    continue  # entries with wrong endpoints are reported above
+                if broken:
+                    violation(
+                        f"{prefix}.tensor_functoriality",
                         f"tensor[p={p}] breaks a composite of morphisms",
                         where,
                     )
     if report.records:
         return report
 
-    # structure isomorphisms: typing, invertibility, naturality, identity axioms
+    # structure isomorphisms: keys, typing, invertibility, identity axioms, naturality
+    maps = {(a, b): tuple(family(a, b)) for a in range(n_arities) for b in range(n_arities)}
+    for f, p, qs, objs in phi:
+        if not (
+            f in maps.get((f.source, f.target), ())
+            and p in elements(f.target)
+            and len(qs) == f.target
+            and all(q in elements(len(fib)) for q, fib in zip(qs, f.fibers))
+            and len(objs) == f.source
+            and all(a in range(n_obj) for a in objs)
+        ):
+            labels = [objects[a] if a in range(n_obj) else str(a) for a in objs]
+            structural(
+                f"{prefix}.{iso}_key",
+                phi_key_render(f, p, qs, labels) + " indexes no structure isomorphism",
+                where,
+            )
+
     id_axiom_keys = set()
     for n in range(n_arities):
-        for p in operad.elements(n):
+        for p in elements(n):
             id_axiom_keys.add((identity_map(n), p, (operad.unit,) * n))
             id_axiom_keys.add((terminal_map(n), operad.unit, (p,)))
 
-    for f, p, qs in composition_keys(operad):
+    iso_instances, naturality_instances = f"{prefix}.{iso}_instances", f"{prefix}.{iso}_naturality_instances"
+    for f, p, qs in _keys(operad, family):
         m, n = f.source, f.target
-        rho = c.op(f, p, qs)
-        for objs in itertools.product(range(base.n_objects), repeat=m):
-            key_txt = phi_key_render(f, p, qs, [base.objects[a] for a in objs])
-            report.count("omon.phi_instances")
-            src, tgt = c.phi_endpoints(f, p, qs, objs)
-            explicit = c.phi.get((f, p, tuple(qs), objs))
-            if explicit is None:
+        rho = op(f, p, qs)
+        identity_forced = (f, p, qs) in id_axiom_keys
+        for objs in itertools.product(range(n_obj), repeat=m):
+            count(iso_instances)
+            src, tgt = phi_endpoints(f, p, qs, objs)
+            value = phi.get((f, p, qs, objs))
+            if value is None:
                 if src != tgt:
-                    report.violation("omon.phi_missing", key_txt + " has no entry and unequal endpoints", where)
+                    violation(
+                        f"{prefix}.{iso}_missing",
+                        phi_key_render(f, p, qs, [objects[a] for a in objs])
+                        + " has no entry and unequal endpoints",
+                        where,
+                    )
                     continue
-                value = base.id_of(src)
-            else:
-                value = explicit
-                if base.mor_src[value] != src or base.mor_tgt[value] != tgt:
-                    report.violation("omon.phi_typing", key_txt + " has wrong endpoints", where)
-                    continue
-                if not _is_invertible(base, value):
-                    report.violation("omon.phi_invertible", key_txt + " is not invertible", where)
-            if (f, p, tuple(qs)) in id_axiom_keys and value != base.id_of(src):
-                report.violation("omon.identity_axiom", key_txt + " must be the identity", where)
-        # naturality in the object tuple, over every tuple of morphisms
-        for mors in itertools.product(range(base.n_morphisms), repeat=m):
-            report.count("omon.phi_naturality_instances")
-            src_objs = tuple(base.mor_src[u] for u in mors)
-            tgt_objs = tuple(base.mor_tgt[u] for u in mors)
-            try:
-                phi_src = c.phi_at(f, p, qs, src_objs)
-                phi_tgt = c.phi_at(f, p, qs, tgt_objs)
-                lhs = base.compose(phi_tgt, c.tensor_mor(m, rho, mors))
-                rhs = base.compose(
-                    c.tensor_mor(n, p, c.blocks_mor(f, qs, mors)), phi_src
+                value = id_of(src)
+            elif mor_src[value] != src or mor_tgt[value] != tgt:
+                violation(
+                    f"{prefix}.{iso}_typing",
+                    phi_key_render(f, p, qs, [objects[a] for a in objs]) + " has wrong endpoints",
+                    where,
                 )
+                continue
+            elif not _is_invertible(base, value):
+                violation(
+                    f"{prefix}.{iso}_invertible",
+                    phi_key_render(f, p, qs, [objects[a] for a in objs]) + " is not invertible",
+                    where,
+                )
+            if identity_forced and value != id_of(src):
+                violation(
+                    f"{prefix}.identity_axiom",
+                    phi_key_render(f, p, qs, [objects[a] for a in objs]) + " must be the identity",
+                    where,
+                )
+        # naturality in the object tuple, over every tuple of morphisms
+        for mors in itertools.product(range(n_mor), repeat=m):
+            count(naturality_instances)
+            try:
+                phi_src = phi_at(f, p, qs, tuple(mor_src[u] for u in mors))
+                phi_tgt = phi_at(f, p, qs, tuple(mor_tgt[u] for u in mors))
+                lhs = compose(phi_tgt, tensor_mor(m, rho, mors))
+                rhs = compose(tensor_mor(n, p, blocks_mor(f, qs, mors)), phi_src)
             except (PhiMissing, KeyError):
                 continue  # ill-typed entries are reported by the typing pass
             if lhs != rhs:
-                report.violation(
-                    "omon.phi_naturality",
-                    phi_key_render(f, p, qs, [base.mor_labels[u] for u in mors]) + " breaks naturality",
+                violation(
+                    f"{prefix}.{iso}_naturality",
+                    phi_key_render(f, p, qs, [mor_labels[u] for u in mors]) + " breaks naturality",
                     where,
                 )
 
@@ -282,94 +342,56 @@ def check_omon_category(c: OMonCategory) -> CheckReport:
     # the square is an identity on endpoints the typing pass has already
     # verified, so only the operad-level composite equality remains to check;
     # that collapses the object-tuple quantifier.
-    explicit_triples = {(f, p, qs) for (f, p, qs, _) in c.phi}
-    n_obj = base.n_objects
-    maps = {(a, b): tuple(all_maps(a, b)) for a in range(n_arities) for b in range(n_arities)}
-    built: dict = {}
-    for n in range(n_arities):
-        ps = operad.elements(n)
-        for m in range(n_arities):
-            for f in maps[m, n]:
-                f_fibers = f.fibers
-                f_inner = [operad.elements(len(fib)) for fib in f_fibers]
-                if not ps or not all(f_inner):
-                    continue  # no instances
-                for ell in range(n_arities):
-                    for g in maps[ell, m]:
-                        g_inner = [operad.elements(len(fib)) for fib in g.fibers]
-                        if not all(g_inner):
-                            continue
-                        fg, g_is = _square(f, g, built)
-                        fg_fibers = fg.fibers
-                        for p in ps:
-                            for qs in itertools.product(*f_inner):
-                                for rs in itertools.product(*g_inner):
-                                    rho = c.op(f, p, qs)
-                                    rs_blocks = tuple(
-                                        tuple(rs[j - 1] for j in f_fibers[i])
-                                        for i in range(n)
-                                    )
-                                    s_ops = tuple(
-                                        c.op(g_is[i], qs[i], rs_blocks[i])
-                                        for i in range(n)
-                                    )
-                                    involved = (
-                                        (g, rho, rs) in explicit_triples
-                                        or (f, p, qs) in explicit_triples
-                                        or (fg, p, s_ops) in explicit_triples
-                                        or any(
-                                            (g_is[i], qs[i], rs_blocks[i])
-                                            in explicit_triples
-                                            for i in range(n)
-                                        )
-                                    )
-                                    if not involved:
-                                        report.count(
-                                            "omon.assoc_instances", n_obj**ell
-                                        )
-                                        if c.op(g, rho, rs) != c.op(fg, p, s_ops):
-                                            report.violation(
-                                                "omon.assoc",
-                                                "square fails at g="
-                                                f"{g.label()} f={f.label()} p={p} "
-                                                f"q=({','.join(qs)}) r=({','.join(rs)})",
-                                                where,
-                                            )
-                                        continue
-                                    for objs in itertools.product(
-                                        range(n_obj), repeat=ell
-                                    ):
-                                        report.count("omon.assoc_instances")
-                                        try:
-                                            phi_g = c.phi_at(g, rho, rs, objs)
-                                            B = c.blocks_obj(g, rs, objs)
-                                            phi_f = c.phi_at(f, p, qs, B)
-                                            phi_fg = c.phi_at(fg, p, s_ops, objs)
-                                            block_morphs = tuple(
-                                                c.phi_at(
-                                                    g_is[i],
-                                                    qs[i],
-                                                    rs_blocks[i],
-                                                    tuple(objs[k - 1] for k in fg_fibers[i]),
-                                                )
-                                                for i in range(n)
-                                            )
-                                            lhs = base.compose(
-                                                c.tensor_mor(n, p, block_morphs),
-                                                phi_fg,
-                                            )
-                                            rhs = base.compose(phi_f, phi_g)
-                                        except (PhiMissing, KeyError):
-                                            continue  # reported in the typing pass
-                                        if lhs != rhs:
-                                            report.violation(
-                                                "omon.assoc",
-                                                "square fails at g="
-                                                f"{g.label()} f={f.label()} p={p} "
-                                                f"q=({','.join(qs)}) r=({','.join(rs)}) "
-                                                f"A=({','.join(base.objects[a] for a in objs)})",
-                                                where,
-                                            )
+    explicit_triples = {(f, p, qs) for (f, p, qs, _) in phi}
+    assoc_instances = f"{prefix}.assoc_instances"
+    for f, g, fg, g_is, ps, f_inner, g_inner in _squares(operad, maps):
+        n, ell = f.target, g.source
+        f_fibers, fg_fibers = f.fibers, fg.fibers
+        for p in ps:
+            for qs in itertools.product(*f_inner):
+                rho = op(f, p, qs)
+                f_explicit = (f, p, qs) in explicit_triples
+                for rs in itertools.product(*g_inner):
+                    rs_blocks = tuple(tuple(rs[j - 1] for j in f_fibers[i]) for i in range(n))
+                    s_ops = tuple(op(g_is[i], qs[i], rs_blocks[i]) for i in range(n))
+                    involved = (
+                        f_explicit
+                        or (g, rho, rs) in explicit_triples
+                        or (fg, p, s_ops) in explicit_triples
+                        or any((g_is[i], qs[i], rs_blocks[i]) in explicit_triples for i in range(n))
+                    )
+                    if not involved:
+                        count(assoc_instances, n_obj**ell)
+                        if op(g, rho, rs) != op(fg, p, s_ops):
+                            violation(
+                                f"{prefix}.assoc",
+                                f"square fails at g={g.label()} f={f.label()} p={p} "
+                                f"q=({','.join(qs)}) r=({','.join(rs)})",
+                                where,
+                            )
+                        continue
+                    for objs in itertools.product(range(n_obj), repeat=ell):
+                        count(assoc_instances)
+                        try:
+                            phi_g = phi_at(g, rho, rs, objs)
+                            phi_f = phi_at(f, p, qs, blocks_obj(g, rs, objs))
+                            phi_fg = phi_at(fg, p, s_ops, objs)
+                            block_morphs = tuple(
+                                phi_at(g_is[i], qs[i], rs_blocks[i], tuple(objs[k - 1] for k in fg_fibers[i]))
+                                for i in range(n)
+                            )
+                            lhs = compose(tensor_mor(n, p, block_morphs), phi_fg)
+                            rhs = compose(phi_f, phi_g)
+                        except (PhiMissing, KeyError):
+                            continue  # reported in the typing pass
+                        if lhs != rhs:
+                            violation(
+                                f"{prefix}.assoc",
+                                f"square fails at g={g.label()} f={f.label()} p={p} "
+                                f"q=({','.join(qs)}) r=({','.join(rs)}) "
+                                f"A=({','.join(objects[a] for a in objs)})",
+                                where,
+                            )
     return report
 
 
@@ -688,8 +710,9 @@ class LaxSetFunctor:
             return self.nu[key]
         src, tgt = self.nu_sets(n, p, objs)
         if n == 1 and p == self.dom.operad.unit:
-            return FinFunction(src, tgt, tuple(range(tgt.size)))
-        if tgt.size == 1 or src.size == 0:
+            if src == tgt:
+                return FinFunction(src, tgt, tuple(range(tgt.size)))
+        elif tgt.size == 1 or src.size == 0:
             return FinFunction(src, tgt, (0,) * src.size)
         raise PhiMissing(nu_key_render(p, [self.dom.base.objects[a] for a in objs]))
 
@@ -928,32 +951,6 @@ class UnbiasedData:
     def tensor_mor(self, n: int, mors) -> int:
         return self.tensors[n].mor[tuple(mors)]
 
-    def blocks_obj(self, f: FinMap, objs):
-        return tuple(
-            self.tensor_obj(len(fiber(f, i)), tuple(objs[j - 1] for j in fiber(f, i)))
-            for i in range(1, f.target + 1)
-        )
-
-    def blocks_mor(self, f: FinMap, mors):
-        return tuple(
-            self.tensor_mor(len(fiber(f, i)), tuple(mors[j - 1] for j in fiber(f, i)))
-            for i in range(1, f.target + 1)
-        )
-
-    def alpha_endpoints(self, f: FinMap, objs) -> tuple[int, int]:
-        src = self.tensor_obj(f.source, objs)
-        tgt = self.tensor_obj(f.target, self.blocks_obj(f, objs))
-        return src, tgt
-
-    def alpha_at(self, f: FinMap, objs) -> int:
-        key = (f, tuple(objs))
-        if key in self.alpha:
-            return self.alpha[key]
-        src, tgt = self.alpha_endpoints(f, objs)
-        if src != tgt:
-            raise PhiMissing(f"alpha[f={f.label()},A=({','.join(str(a) for a in objs)})]")
-        return self.base.id_of(src)
-
 
 def monotone_maps(m: int, n: int):
     for f in all_maps(m, n):
@@ -961,113 +958,29 @@ def monotone_maps(m: int, n: int):
             yield f
 
 
+def _comm_view(u: UnbiasedData) -> OMonCategory:
+    """``u`` as a structure over the terminal operad: the one operation of
+    arity n tensors by ``u.tensors[n]``, and ``alpha[(f, A)]`` is its
+    structure isomorphism at f and A.  Its laws over the monotone maps
+    are the laws of ``u``."""
+    N = u.max_arity
+    return OMonCategory(
+        operad=build_comm(N),
+        base=u.base,
+        tensors={(n, "*"): u.tensors[n] for n in range(N + 1)},
+        phi={(f, "*", ("*",) * f.target, objs): value for (f, objs), value in u.alpha.items()},
+        name=u.name,
+    )
+
+
 def validate_unbiased(u: UnbiasedData) -> CheckReport:
     report = CheckReport()
-    base = u.base
-    where = u.name or "unbiased"
     for n in range(u.max_arity + 1):
         if n not in u.tensors:
-            report.structural("unbiased.tensor_missing", f"no arity-{n} tensor", where)
+            report.structural("unbiased.tensor_missing", f"no arity-{n} tensor", u.name or "unbiased")
     if report.records:
         return report
-    for a in range(base.n_objects):
-        if u.tensors[1].obj[(a,)] != a:
-            report.violation("unbiased.unit_tensor", "arity-1 tensor is not the identity", where)
-    for m in range(base.n_morphisms):
-        if u.tensors[1].mor[(m,)] != m:
-            report.violation("unbiased.unit_tensor", "arity-1 tensor is not the identity", where)
-    comp_pairs = list(base.composable_pairs())
-    for n in range(u.max_arity + 1):
-        table = u.tensors[n]
-        for combo in itertools.product(range(base.n_objects), repeat=n):
-            if table.mor[tuple(base.id_of(a) for a in combo)] != base.id_of(table.obj[combo]):
-                report.violation("unbiased.tensor_identity", f"arity-{n} tensor breaks identities", where)
-        for pair_combo in itertools.product(comp_pairs, repeat=n):
-            gs = tuple(g for g, _ in pair_combo)
-            fs = tuple(f for _, f in pair_combo)
-            composed = tuple(base.compose(g, f) for g, f in pair_combo)
-            if table.mor[composed] != base.compose(table.mor[gs], table.mor[fs]):
-                report.violation("unbiased.tensor_functoriality", f"arity-{n} tensor breaks a composite", where)
-
-    for n in range(u.max_arity + 1):
-        for m in range(u.max_arity + 1):
-            for f in monotone_maps(m, n):
-                identity_required = f.is_identity or (n == 1)
-                for objs in itertools.product(range(base.n_objects), repeat=m):
-                    report.count("unbiased.alpha_instances")
-                    src, tgt = u.alpha_endpoints(f, objs)
-                    explicit = u.alpha.get((f, objs))
-                    if explicit is None:
-                        if src != tgt:
-                            report.violation(
-                                "unbiased.alpha_missing",
-                                f"alpha[f={f.label()}] missing at ({','.join(base.objects[a] for a in objs)})",
-                                where,
-                            )
-                            continue
-                        value = base.id_of(src)
-                    else:
-                        value = explicit
-                        if base.mor_src[value] != src or base.mor_tgt[value] != tgt:
-                            report.violation("unbiased.alpha_typing", f"alpha[f={f.label()}] ill-typed", where)
-                            continue
-                        if not _is_invertible(base, value):
-                            report.violation("unbiased.alpha_invertible", f"alpha[f={f.label()}] not invertible", where)
-                    if identity_required and value != base.id_of(src):
-                        report.violation(
-                            "unbiased.identity_axiom",
-                            f"alpha[f={f.label()}] must be the identity",
-                            where,
-                        )
-                for mors in itertools.product(range(base.n_morphisms), repeat=m):
-                    try:
-                        a_src = u.alpha_at(f, tuple(base.mor_src[x] for x in mors))
-                        a_tgt = u.alpha_at(f, tuple(base.mor_tgt[x] for x in mors))
-                    except PhiMissing:
-                        continue
-                    lhs = base.compose(a_tgt, u.tensor_mor(m, mors))
-                    rhs = base.compose(u.tensor_mor(n, u.blocks_mor(f, mors)), a_src)
-                    if lhs != rhs:
-                        report.violation(
-                            "unbiased.alpha_naturality",
-                            f"alpha[f={f.label()}] breaks naturality",
-                            where,
-                        )
-    # associativity square over composable monotone pairs
-    built: dict = {}
-    for n in range(u.max_arity + 1):
-        for m in range(u.max_arity + 1):
-            for f in monotone_maps(m, n):
-                for ell in range(u.max_arity + 1):
-                    for g in monotone_maps(ell, m):
-                        fg, g_is = _square(f, g, built)
-                        fg_fibers = fg.fibers
-                        for objs in itertools.product(range(base.n_objects), repeat=ell):
-                            report.count("unbiased.assoc_instances")
-                            try:
-                                a_g = u.alpha_at(g, objs)
-                                B = u.blocks_obj(g, objs)
-                                a_f = u.alpha_at(f, B)
-                                a_fg = u.alpha_at(fg, objs)
-                                block = tuple(
-                                    u.alpha_at(
-                                        g_is[i],
-                                        tuple(objs[k - 1] for k in fg_fibers[i]),
-                                    )
-                                    for i in range(n)
-                                )
-                            except PhiMissing:
-                                continue
-                            lhs = base.compose(u.tensor_mor(n, block), a_fg)
-                            rhs = base.compose(a_f, a_g)
-                            if lhs != rhs:
-                                report.violation(
-                                    "unbiased.assoc",
-                                    f"square fails at g={g.label()} f={f.label()} "
-                                    f"A=({','.join(base.objects[a] for a in objs)})",
-                                    where,
-                                )
-    return report
+    return _structure_laws(_comm_view(u), "unbiased", "alpha", monotone_maps)
 
 
 def permute_tuple(t, sigma: FinMap):
@@ -1108,13 +1021,16 @@ def extend_unbiased_to_assoc(u: UnbiasedData) -> OMonCategory:
         name=f"assoc[{u.name}]" if u.name else "assoc[unbiased]",
     )
     if u.alpha:
+        view = _comm_view(u)
         for f, p, qs in composition_keys(assoc):
             sigma = perms[f.target][p]
             rho_label = assoc.compose(f, p, qs)
             rho = perms[f.source][rho_label]
             monotone_part, _ = factorize_monotone_perm(fm_compose(sigma, f))
             for objs in itertools.product(range(u.base.n_objects), repeat=f.source):
-                value = u.alpha_at(monotone_part, permute_tuple(objs, rho))
+                value = view.phi_at(
+                    monotone_part, "*", ("*",) * monotone_part.target, permute_tuple(objs, rho)
+                )
                 src, _ = out.phi_endpoints(f, p, qs, objs)
                 if value != u.base.id_of(src):
                     out.phi[(f, p, tuple(qs), objs)] = value
@@ -1318,35 +1234,50 @@ def check_strict_omon_iso(c1: OMonCategory, c2: OMonCategory, functor: CatFuncto
         report.violation("omoniso.bijective", "comparison functor is not invertible")
     if not report.ok:
         return report
-    operad = c1.operad
+    return _strict_preservation(
+        report, "", ("omoniso.instances", "omoniso.tensor", "omoniso.phi", "omoniso.phi"), c1, c2, functor
+    )
+
+
+def _strict_preservation(report: CheckReport, where: str, checks, c1, c2, functor) -> CheckReport:
+    """That ``functor`` carries every tensor entry and structure
+    isomorphism of ``c1`` to the one of ``c2`` at the image tuple.
+    ``checks`` names the instance counter and the records of a tensor
+    that is not preserved, of a missing structure isomorphism and of one
+    that is not preserved."""
+    counter, tensor_check, missing_check, phi_check = checks
+    operad, base = c1.operad, c1.base
+    objects, on_obj, on_mor = base.objects, functor.on_obj, functor.on_mor
+    count, violation = report.count, report.violation
     for n in range(operad.max_arity + 1):
         for p in operad.elements(n):
-            for combo in itertools.product(range(c1.base.n_objects), repeat=n):
-                report.count("omoniso.instances")
-                if functor.on_obj[c1.tensor_obj(n, p, combo)] != c2.tensor_obj(
-                    n, p, tuple(functor.on_obj[a] for a in combo)
-                ):
-                    report.violation(
-                        "omoniso.tensor",
-                        tensor_key_render(p, [c1.base.objects[a] for a in combo]) + " not preserved",
+            for combo in itertools.product(range(base.n_objects), repeat=n):
+                count(counter)
+                if on_obj[c1.tensor_obj(n, p, combo)] != c2.tensor_obj(n, p, tuple(on_obj[a] for a in combo)):
+                    violation(
+                        tensor_check,
+                        f"tensor[p={p}] not strictly preserved at ({','.join(objects[a] for a in combo)})",
+                        where,
                     )
-            for combo in itertools.product(range(c1.base.n_morphisms), repeat=n):
-                if functor.on_mor[c1.tensor_mor(n, p, combo)] != c2.tensor_mor(
-                    n, p, tuple(functor.on_mor[m] for m in combo)
-                ):
-                    report.violation("omoniso.tensor", f"tensor[p={p}] morphism entry not preserved")
+            for combo in itertools.product(range(base.n_morphisms), repeat=n):
+                count(counter)
+                if on_mor[c1.tensor_mor(n, p, combo)] != c2.tensor_mor(n, p, tuple(on_mor[m] for m in combo)):
+                    violation(tensor_check, f"tensor[p={p}] morphism entry not strictly preserved", where)
     for f, p, qs in composition_keys(operad):
-        for combo in itertools.product(range(c1.base.n_objects), repeat=f.source):
+        for combo in itertools.product(range(base.n_objects), repeat=f.source):
+            count(counter)
             try:
-                lhs = functor.on_mor[c1.phi_at(f, p, qs, combo)]
-                rhs = c2.phi_at(f, p, qs, tuple(functor.on_obj[a] for a in combo))
-            except PhiMissing as exc:
-                report.violation("omoniso.phi", str(exc))
+                top = c1.phi_at(f, p, qs, combo)
+                bottom = c2.phi_at(f, p, qs, tuple(on_obj[a] for a in combo))
+            except (PhiMissing, KeyError) as exc:
+                violation(missing_check, str(exc), where)
                 continue
-            if lhs != rhs:
-                report.violation(
-                    "omoniso.phi",
-                    phi_key_render(f, p, qs, [c1.base.objects[a] for a in combo]) + " not preserved",
+            if on_mor[top] != bottom:
+                violation(
+                    phi_check,
+                    f"phi[f={f.label()},p={p}] not strictly preserved at "
+                    f"({','.join(objects[a] for a in combo)})",
+                    where,
                 )
     return report
 
@@ -1379,7 +1310,6 @@ def grade_assoc_omon(max_arity: int = 3) -> OMonCategory:
 def l2_comm_omon(max_arity: int = 3) -> OMonCategory:
     """Meets in the two-element semilattice over the terminal operad."""
     from . import fixtures
-    from .operads import build_comm
 
     base = fixtures.l2()
     le = base.mor_index("le_0_1")

@@ -89,9 +89,15 @@ class Operad:
 
 def composition_keys(o: Operad):
     """Every (f, p, qs) the truncation defines, in deterministic order."""
+    return _keys(o, all_maps)
+
+
+def _keys(o: Operad, family):
+    """The (f, p, qs) of :func:`composition_keys` with f among the maps
+    ``family(m, n)`` yields, in the same order."""
     for n in range(o.max_arity + 1):
         for m in range(o.max_arity + 1):
-            for f in all_maps(m, n):
+            for f in family(m, n):
                 inner = [o.elements(len(fib)) for fib in f.fibers]
                 for p in o.elements(n):
                     for qs in itertools.product(*inner):
@@ -312,6 +318,32 @@ def build_qconv(r: Semiring, max_arity: int) -> Operad:
 # axiom checking
 
 
+def _squares(o: Operad, maps: dict):
+    """Every associativity square of ``o`` over the maps ``maps[m, n]``,
+    in sweep order: yields ``(f, g, f.g, g_is, ps, f_inner, g_inner)``
+    for each composable pair ``g: l -> m``, ``f: m -> n``, where ``g_is``
+    are the maps between fibers that g induces (from :func:`_square`),
+    ``ps`` the outer operations and ``f_inner``/``g_inner`` the carriers
+    of the fiber slots.  A pair with an empty carrier has no instances
+    and is skipped before its square is built.
+    """
+    n_arities = o.max_arity + 1
+    built: dict = {}
+    for n in range(n_arities):
+        ps = o.elements(n)
+        for m in range(n_arities):
+            for f in maps[m, n]:
+                f_inner = [o.elements(len(fib)) for fib in f.fibers]
+                if not ps or not all(f_inner):
+                    continue
+                for ell in range(n_arities):
+                    for g in maps[ell, m]:
+                        g_inner = [o.elements(len(fib)) for fib in g.fibers]
+                        if all(g_inner):
+                            fg, g_is = _square(f, g, built)
+                            yield f, g, fg, g_is, ps, f_inner, g_inner
+
+
 def check_operad_axioms(o: Operad) -> CheckReport:
     """Exhaustive unit and associativity check over the truncation.
 
@@ -361,50 +393,34 @@ def check_operad_axioms(o: Operad) -> CheckReport:
                     f"mu {terminal_map(n).label()} eta {p} = {got} != {p}",
                 )
 
-    # associativity; a pair (f, g) with an empty inner carrier product has
-    # no instances and is skipped before its square is built
+    # associativity
     maps = {(a, b): tuple(all_maps(a, b)) for a in range(n_arities) for b in range(n_arities)}
-    built: dict = {}
-    for n in range(n_arities):
-        ps = o.elements(n)
-        for m in range(n_arities):
-            for f in maps[m, n]:
-                f_fibers = f.fibers
-                f_inner = [o.elements(len(fib)) for fib in f_fibers]
-                if not ps or not all(f_inner):
-                    continue
-                for ell in range(n_arities):
-                    for g in maps[ell, m]:
-                        g_inner = [o.elements(len(fib)) for fib in g.fibers]
-                        if not all(g_inner):
-                            continue
-                        fg, g_is = _square(f, g, built)
-                        for p in ps:
-                            for qs in itertools.product(*f_inner):
-                                for rs in itertools.product(*g_inner):
-                                    report.count("operad.assoc_instances")
-                                    mid = guarded(f, p, qs, "associativity")
-                                    if mid is None:
-                                        continue
-                                    lhs = guarded(g, mid, rs, "associativity")
-                                    nested = []
-                                    for i in range(n):
-                                        sub = tuple(rs[j - 1] for j in f_fibers[i])
-                                        nested.append(
-                                            guarded(g_is[i], qs[i], sub, "associativity")
-                                        )
-                                    if lhs is None or any(x is None for x in nested):
-                                        continue
-                                    rhs = guarded(fg, p, tuple(nested), "associativity")
-                                    if rhs is None:
-                                        continue
-                                    if lhs != rhs:
-                                        report.violation(
-                                            "operad.assoc",
-                                            "associativity fails at g="
-                                            f"{g.label()} f={f.label()} p={p} "
-                                            f"q=({','.join(qs)}) r=({','.join(rs)})",
-                                        )
+    for f, g, fg, g_is, ps, f_inner, g_inner in _squares(o, maps):
+        n, f_fibers = f.target, f.fibers
+        for p in ps:
+            for qs in itertools.product(*f_inner):
+                for rs in itertools.product(*g_inner):
+                    report.count("operad.assoc_instances")
+                    mid = guarded(f, p, qs, "associativity")
+                    if mid is None:
+                        continue
+                    lhs = guarded(g, mid, rs, "associativity")
+                    nested = []
+                    for i in range(n):
+                        sub = tuple(rs[j - 1] for j in f_fibers[i])
+                        nested.append(guarded(g_is[i], qs[i], sub, "associativity"))
+                    if lhs is None or any(x is None for x in nested):
+                        continue
+                    rhs = guarded(fg, p, tuple(nested), "associativity")
+                    if rhs is None:
+                        continue
+                    if lhs != rhs:
+                        report.violation(
+                            "operad.assoc",
+                            "associativity fails at g="
+                            f"{g.label()} f={f.label()} p={p} "
+                            f"q=({','.join(qs)}) r=({','.join(rs)})",
+                        )
     return report
 
 

@@ -1,6 +1,8 @@
 import io
 import json
 import pathlib
+import random
+import re
 import subprocess
 import sys
 
@@ -69,6 +71,8 @@ MUTATIONS = [
     ("grade.laxtoset", "tensor [1,2] (0,1) = 1", "tensor [1,2] (0,1) = 0"),
     ("l2.laxtoset", "map le_0_1 s = b", "map le_0_1 s = a"),
     ("qconv.laxtoset", "nu (1,1) (0,0) (f1,f1) = f1", "nu (1,1) (0,0) (f1,f1) = f0"),
+    # a tensor morphism with wrong endpoints, whose composites are undefined
+    ("l2.laxtoset", "tensor * (id_1,le_0_1) = le_0_1", "tensor * (id_1,le_0_1) = id_0"),
 ]
 
 
@@ -82,6 +86,53 @@ def test_single_entry_mutations_flip_exit_code(tmp_path, name, old, new):
     assert code == 0
     code, text = run(["--max-arity", "2", "check", str(target)])
     assert code == 1, text
+
+
+def test_phi_entries_that_index_no_isomorphism_are_structural(tmp_path):
+    # the map [1] has one position but the tuple two; nosuchop is no operation
+    anchor = "tensor * (le_0_1,le_0_1,le_0_1) = le_0_1\n"
+    extra = "phi [1] * * (0,0) = le_0_1\nphi [1,1] nosuchop * (0,0) = le_0_1\n"
+    target = tmp_path / "l2.laxtoset"
+    target.write_text(read("l2.laxtoset").replace(anchor, anchor + extra, 1), encoding="utf-8")
+    code, text = run(["--report", "json", "check", str(target), "--section", "L2"])
+    assert code == 2
+    records = [json.loads(line) for line in text.splitlines()[:-1]]
+    assert [(r["severity"], r["check"], r["witness"]) for r in records] == [
+        ("structural", "omon.phi_key", "phi[f=[1],p=*,q=(*),A=(0,0)] indexes no structure isomorphism"),
+        ("structural", "omon.phi_key", "phi[f=[1,1],p=nosuchop,q=(*),A=(0,0)] indexes no structure isomorphism"),
+    ]
+
+
+# ------------------------------------------------------------ fuzzing
+
+TOKEN = re.compile(r"[A-Za-z0-9_*]+")
+
+
+def _token_mutations(text: str, seed: int, count: int):
+    """Single-token replacements, deletions and insertions of ``text``;
+    new tokens are drawn from the tokens of the text itself."""
+    rng = random.Random(seed)
+    spans = [m.span() for m in TOKEN.finditer(text)]
+    vocab = [text[a:b] for a, b in spans]
+    for _ in range(count):
+        a, b = spans[rng.randrange(len(spans))]
+        kind = rng.choice(("replace", "delete", "insert"))
+        if kind == "replace":
+            yield text[:a] + rng.choice(vocab) + text[b:]
+        elif kind == "delete":
+            yield text[:a] + text[b:]
+        else:
+            yield text[:a] + rng.choice(vocab) + "," + text[a:]
+
+
+def test_token_fuzz_never_raises(tmp_path):
+    target = tmp_path / "l2.laxtoset"
+    codes = set()
+    for text in _token_mutations(read("l2.laxtoset"), seed=4, count=100):
+        target.write_text(text, encoding="utf-8")
+        code, _ = run(["--report", "json", "check", str(target)])
+        codes.add(code)
+    assert codes <= {0, 1, 2}
 
 
 # ------------------------------------------------------------ report modes

@@ -286,6 +286,42 @@ def test_unbiased_alpha_corruption_detected():
     assert not validate_unbiased(bad).ok
 
 
+def _unbiased_records(u):
+    return [(r.severity, r.check) for r in validate_unbiased(u).records]
+
+
+def test_unbiased_missing_tensor_entry_is_structural():
+    u = z2_unbiased(2)
+    del u.tensors[2].obj[(1, 1)]
+    assert _unbiased_records(u) == [("structural", "unbiased.tensor_table")]
+
+
+def test_unbiased_tensor_entry_with_wrong_endpoints_is_reported():
+    u = l2_unbiased(2)
+    le = u.base.mor_index("le_0_1")
+    u.tensors[2].mor[(u.base.id_of(0), le)] = le  # both ends meet to 0, so id_0 is right
+    assert ("violation", "unbiased.tensor_endpoints") in _unbiased_records(u)
+
+
+def test_unbiased_alpha_off_the_monotone_maps_is_structural():
+    u = z2_unbiased(2)
+    u.alpha[(FinMap(2, 2, (2, 1)), (0, 1))] = 0
+    report = validate_unbiased(u)
+    assert [(r.check, r.witness) for r in report.records] == [
+        ("unbiased.alpha_key", "phi[f=[2,1],p=*,q=(*,*),A=(0,1)] indexes no structure isomorphism"),
+    ]
+
+
+def test_set_lax_unit_default_needs_equal_sets():
+    # the unit tensor sends 0 to 1, whose fiber has two elements, not one
+    from opgroth.ogroth import l2_laxtoset
+
+    x = l2_laxtoset(2)
+    x.dom.tensors[(1, "*")].obj[(0,)] = 1
+    report = check_lax_omon_functor(x)
+    assert ("laxtoset.nu_missing", "nu[p=*,i=(0)] has no entry") in [(r.check, r.witness) for r in report.records]
+
+
 # --------------------------------------------------------------- products, isos
 
 
