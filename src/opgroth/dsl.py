@@ -37,6 +37,7 @@ from .operads import (
     build_assoc,
     build_comm,
     build_qconv,
+    check_semiring,
     composition_keys,
     operads_equal,
 )
@@ -331,10 +332,10 @@ class _Resolver:
         """Yield (key tokens, value token groups, line) for key=value lines."""
         for entry in raw.entries:
             texts = [t for t, _ in entry.tokens]
-            if "=" in texts:
-                idx = texts.index("=")
+            idx = texts.index("=") if "=" in texts else 0
+            if idx:
                 yield entry.tokens[:idx], entry.tokens[idx + 1 :], entry
-            else:
+            else:  # no '=', or nothing before it
                 yield None, None, entry
 
     def _single(self, raw, entry, value_tokens, what):
@@ -347,6 +348,19 @@ class _Resolver:
 
     def _list_values(self, value_tokens):
         return [g[0][0] for g in _split_on(value_tokens, ",") if g]
+
+    def _natural(self, raw, line, token, least):
+        """The integer ``token`` names, or None after a diagnostic when
+        it names none or one below ``least``."""
+        text, col = token
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < least:
+            self.diag(raw, line, col, f"expected an integer of at least {least}, got {text!r}")
+            return None
+        return n
 
     # -- categories ------------------------------------------------------------
 
@@ -361,14 +375,20 @@ class _Resolver:
                 if ":" in texts and "->" in texts:
                     ci, ai = texts.index(":"), texts.index("->")
                     if ci == 1 and ai == 3 and len(texts) == 5:
-                        arrows.append((texts[0], texts[2], texts[4]))
+                        arrows.append((entry, texts[0], texts[2], texts[4]))
                         continue
                 self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
                 ok = False
                 continue
             key_texts = [t for t, _ in key]
             if key_texts == ["objects"]:
-                objects = self._list_values(value)
+                objects = []
+                for group in _split_on(value, ","):
+                    if group and group[0][0] in objects:
+                        self.diag(raw, entry.line, group[0][1], f"duplicate object label {group[0][0]!r}")
+                        ok = False
+                    elif group:
+                        objects.append(group[0][0])
             elif key_texts and key_texts[0] == "compose" and len(key_texts) == 3:
                 target = self._single(raw, entry, value, "morphism")
                 if target is None:
@@ -381,17 +401,18 @@ class _Resolver:
         if objects is None:
             self.diag(raw, raw.line, 1, "category needs an 'objects' line")
             return None
-        label_pool = set(objects)
-        for label, s, t in arrows:
+        label_pool = set(objects) | {f"id_{a}" for a in objects}
+        for entry, label, s, t in arrows:
             if label in label_pool:
-                self.diag(raw, raw.line, 1, f"arrow label {label!r} collides with another label")
+                self.diag(raw, entry.line, entry.tokens[0][1], f"arrow label {label!r} collides with another label")
                 return None
             label_pool.add(label)
             if s not in objects or t not in objects:
-                self.diag(raw, raw.line, 1, f"arrow {label!r} references unknown objects")
+                col = entry.tokens[2 if s not in objects else 4][1]
+                self.diag(raw, entry.line, col, f"arrow {label!r} references unknown objects")
                 return None
         try:
-            cat = make_category(raw.name, objects, arrows, compose)
+            cat = make_category(raw.name, objects, [a[1:] for a in arrows], compose)
         except KeyError as exc:
             self.diag(raw, raw.line, 1, f"bad composition entry: {exc}")
             return None
@@ -568,12 +589,17 @@ class _Resolver:
             elif key_texts == ["max_arity"]:
                 tok = self._single(raw, entry, value, "integer")
                 if tok:
-                    max_arity = int(tok[0])
+                    max_arity = self._natural(raw, entry.line, tok, 1)
+                    if max_arity is None:
+                        return None
             elif key_texts == ["semiring"]:
                 tok = self._single(raw, entry, value, "semiring name")
                 semiring = self.ref(raw, entry.line, tok, ("semiring",)) if tok else None
             elif len(key_texts) == 2 and key_texts[0] == "arity":
-                arities[int(key_texts[1])] = self._list_values(value)
+                n = self._natural(raw, entry.line, key[1], 0)
+                if n is None:
+                    return None
+                arities[n] = self._list_values(value)
             elif key_texts == ["unit"]:
                 tok = self._single(raw, entry, value, "element")
                 unit = tok[0] if tok else None
@@ -584,6 +610,9 @@ class _Resolver:
                 return None
         if builtin is not None:
             n = max_arity if max_arity is not None else self.default_max_arity
+            if n < 1:
+                self.diag(raw, raw.line, 1, f"builtin operad needs a truncation of at least 1, got {n}")
+                return None
             if builtin == "comm":
                 op = build_comm(n)
             elif builtin == "assoc":
@@ -591,6 +620,9 @@ class _Resolver:
             elif builtin == "qconv":
                 if semiring is None:
                     self.diag(raw, raw.line, 1, "qconv needs a semiring reference")
+                    return None
+                if check_semiring(semiring).has_structural:
+                    self.diag(raw, raw.line, 1, f"qconv needs total semiring tables; {semiring.name!r} has structural errors")
                     return None
                 op = build_qconv(semiring, n)
             else:

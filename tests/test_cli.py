@@ -1,13 +1,12 @@
 import io
 import json
 import pathlib
-import random
-import re
 import subprocess
 import sys
 
 import pytest
 
+from fuzzing import token_mutations
 from opgroth.cli import run_command
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -105,30 +104,10 @@ def test_phi_entries_that_index_no_isomorphism_are_structural(tmp_path):
 
 # ------------------------------------------------------------ fuzzing
 
-TOKEN = re.compile(r"[A-Za-z0-9_*]+")
-
-
-def _token_mutations(text: str, seed: int, count: int):
-    """Single-token replacements, deletions and insertions of ``text``;
-    new tokens are drawn from the tokens of the text itself."""
-    rng = random.Random(seed)
-    spans = [m.span() for m in TOKEN.finditer(text)]
-    vocab = [text[a:b] for a, b in spans]
-    for _ in range(count):
-        a, b = spans[rng.randrange(len(spans))]
-        kind = rng.choice(("replace", "delete", "insert"))
-        if kind == "replace":
-            yield text[:a] + rng.choice(vocab) + text[b:]
-        elif kind == "delete":
-            yield text[:a] + text[b:]
-        else:
-            yield text[:a] + rng.choice(vocab) + "," + text[a:]
-
-
 def test_token_fuzz_never_raises(tmp_path):
     target = tmp_path / "l2.laxtoset"
     codes = set()
-    for text in _token_mutations(read("l2.laxtoset"), seed=4, count=100):
+    for text in token_mutations(read("l2.laxtoset"), seed=4, count=100):
         target.write_text(text, encoding="utf-8")
         code, _ = run(["--report", "json", "check", str(target)])
         codes.add(code)

@@ -1,7 +1,9 @@
+import functools
 import pathlib
 
 import pytest
 
+from fuzzing import token_mutations
 from opgroth.dsl import (
     DocBuilder,
     documents_table_equal,
@@ -149,6 +151,56 @@ def test_incomplete_nu_table_is_diagnosed():
     doc = parse_spec_file("\n".join(lines))
     assert not doc.ok
     assert any("incomplete nu table" in d.message for d in doc.diagnostics)
+
+
+LOCATED = [
+    ("operad_empty_key", "[operad O]\n= comm\n", 3, "2:1: unrecognized line in [O]"),
+    ("laxtoset_empty_key", "[laxtoset X]\n= L2\n", 3, "2:1: unrecognized line in [X]"),
+    ("arity_not_integer", "[operad O]\narity x = e\nunit = e\n", 3,
+     "2:7: expected an integer of at least 0, got 'x' in [O]"),
+    ("arity_negative", "[operad O]\narity -1 = e\nunit = e\n", 3,
+     "2:7: expected an integer of at least 0, got '-1' in [O]"),
+    ("max_arity_not_integer", "[operad O]\nbuiltin = comm\nmax_arity = x\n", 3,
+     "3:13: expected an integer of at least 1, got 'x' in [O]"),
+    ("max_arity_zero", "[operad O]\nbuiltin = comm\nmax_arity = 0\n", 3,
+     "3:13: expected an integer of at least 1, got '0' in [O]"),
+    ("default_truncation_zero", "[operad O]\nbuiltin = comm\n", 0,
+     "1:1: builtin operad needs a truncation of at least 1, got 0 in [O]"),
+    ("duplicate_object", "[category C]\nobjects = a, b, a\n", 3,
+     "2:17: duplicate object label 'a' in [C]"),
+    ("arrow_named_like_identity", "[category C]\nobjects = a, b\nid_a : a -> b\n", 3,
+     "3:1: arrow label 'id_a' collides with another label in [C]"),
+    ("arrow_unknown_object", "[category C]\nobjects = a, b\nu : a -> c\n", 3,
+     "3:10: arrow 'u' references unknown objects in [C]"),
+    ("qconv_partial_semiring",
+     "[semiring R]\nelements = 0, 1\nzero = 0\none = 1\nadd 0 0 = 0\n\n"
+     "[operad Q]\nbuiltin = qconv\nsemiring = R\n", 3,
+     "7:1: qconv needs total semiring tables; 'R' has structural errors in [Q]"),
+]
+
+
+@pytest.mark.parametrize("text,max_arity,rendered", [c[1:] for c in LOCATED], ids=[c[0] for c in LOCATED])
+def test_bad_entries_get_located_diagnostics(text, max_arity, rendered):
+    doc = parse_spec_file(text, default_max_arity=max_arity)
+    assert [d.render() for d in doc.diagnostics] == [rendered]
+
+
+FIXTURE_NAMES = sorted(p.name for p in FIXTURES.iterdir())
+
+
+@functools.lru_cache(maxsize=None)
+def _mutated_documents():
+    """Seed-1 token mutations of every fixture, 100 each, parsed."""
+    return tuple(
+        parse_spec_file(text)
+        for name in FIXTURE_NAMES
+        for text in token_mutations(read(name), seed=1, count=100)
+    )
+
+
+def test_token_mutations_never_hit_the_internal_error_net():
+    rendered = [d.render() for doc in _mutated_documents() for d in doc.diagnostics]
+    assert rendered and not [r for r in rendered if "internal error:" in r]
 
 
 # --------------------------------------------------------------- round trips
