@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import pathlib
 
 import pytest
@@ -201,6 +202,21 @@ def _mutated_documents():
 def test_token_mutations_never_hit_the_internal_error_net():
     rendered = [d.render() for doc in _mutated_documents() for d in doc.diagnostics]
     assert rendered and not [r for r in rendered if "internal error:" in r]
+
+
+def test_parser_pin_over_token_mutations():
+    # rendered diagnostics, per-section built state and the regenerated
+    # text of every clean document, over the same mutations as above
+    h = hashlib.sha256()
+    for doc in _mutated_documents():
+        for d in doc.diagnostics:
+            h.update(d.render().encode() + b"\n")
+        for s in doc.sections:
+            h.update(f"{s.kind} {s.name} {s.value is not None}\n".encode())
+        if doc.ok:
+            h.update(pretty_print(doc).encode())
+        h.update(b"\f")
+    assert h.hexdigest() == "63ba5217ef527e7aeb59202fd99c5b23f8b99cc22a5a8ed25110b5fb87918e71"
 
 
 # --------------------------------------------------------------- round trips
