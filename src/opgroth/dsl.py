@@ -338,6 +338,64 @@ class _Resolver:
             else:  # no '=', or nothing before it
                 yield None, None, entry
 
+    def _entries(self, raw, fields, keys=None, needs=None):
+        """Read the ``key = value`` lines of ``raw`` in order.
+
+        ``fields`` maps a one-word key to a section kind (the value is a
+        reference, resolved on the spot), to ``list`` (a comma list) or
+        to what its single token is.  ``keys`` maps a head word to
+        ``(word count, handler)``: a key with that head word and that
+        many words (any number for None) goes to the handler as one
+        ``(key words, value tokens, entry)`` tuple, and a handler returns
+        False to give the section up.  Any other line is diagnosed and
+        ends the section.  Returns the fields read, or None after a
+        diagnostic, which is the ``needs`` message when that is given
+        and a field is missing.
+        """
+        got = {}
+        for key, value, entry in self._key_values(raw):
+            if key is None:
+                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
+                return None
+            texts = [t for t, _ in key]
+            what = fields.get(texts[0]) if len(texts) == 1 else None
+            size, handle = (keys or {}).get(texts[0], (0, None))
+            if what is list:
+                got[texts[0]] = self._list_values(value)
+            elif what in SECTION_KINDS:
+                tok = self._single(raw, entry, value, f"{what} name")
+                got[texts[0]] = self.ref(raw, entry.line, tok, (what,)) if tok else None
+            elif what is not None:
+                tok = self._single(raw, entry, value, what)
+                got[texts[0]] = tok[0] if tok else None
+            elif handle is not None and size in (None, len(texts)):
+                if handle((texts, value, entry)) is False:
+                    return None
+            else:
+                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(texts)!r}")
+                return None
+        if needs is not None and any(got.get(k) is None for k in fields):
+            self.diag(raw, raw.line, 1, needs)
+            return None
+        return got
+
+    def _cell(self, raw, table, what):
+        """A handler storing a line's value, a single ``what`` token or a
+        comma list when ``what`` is ``list``, in ``table`` at the key's
+        words after the first (one word, or a tuple of several)."""
+
+        def handle(line):
+            texts, value, entry = line
+            at = texts[1] if len(texts) == 2 else tuple(texts[1:])
+            if what is list:
+                table[at] = self._list_values(value)
+            else:
+                tok = self._single(raw, entry, value, what)
+                if tok:
+                    table[at] = tok[0]
+
+        return handle
+
     def _single(self, raw, entry, value_tokens, what):
         if len(value_tokens) != 1:
             line = entry.line
@@ -419,217 +477,114 @@ class _Resolver:
         return cat if ok else None
 
     def _build_functor(self, raw):
-        dom = cod = None
-        obj_map = {}
-        mor_map = {}
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["dom"]:
-                tok = self._single(raw, entry, value, "category name")
-                dom = self.ref(raw, entry.line, tok, ("category",)) if tok else None
-            elif key_texts == ["cod"]:
-                tok = self._single(raw, entry, value, "category name")
-                cod = self.ref(raw, entry.line, tok, ("category",)) if tok else None
-            elif len(key_texts) == 2 and key_texts[0] == "obj":
-                tok = self._single(raw, entry, value, "object")
-                if tok:
-                    obj_map[key_texts[1]] = tok[0]
-            elif len(key_texts) == 2 and key_texts[0] == "mor":
-                tok = self._single(raw, entry, value, "morphism")
-                if tok:
-                    mor_map[key_texts[1]] = tok[0]
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if dom is None or cod is None:
-            self.diag(raw, raw.line, 1, "functor needs dom and cod")
+        obj_map, mor_map = {}, {}
+        got = self._entries(
+            raw, {"dom": "category", "cod": "category"},
+            {"obj": (2, self._cell(raw, obj_map, "object")), "mor": (2, self._cell(raw, mor_map, "morphism"))},
+            "functor needs dom and cod",
+        )
+        if got is None:
             return None
         from .fincore import functor_from_labels
 
         try:
-            return functor_from_labels(dom, cod, obj_map, mor_map, name=raw.name)
+            return functor_from_labels(got["dom"], got["cod"], obj_map, mor_map, name=raw.name)
         except KeyError as exc:
             self.diag(raw, raw.line, 1, str(exc))
             return None
 
     def _build_nattrans(self, raw):
-        dom = cod = None
         at = {}
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["dom"]:
-                tok = self._single(raw, entry, value, "functor name")
-                dom = self.ref(raw, entry.line, tok, ("functor",)) if tok else None
-            elif key_texts == ["cod"]:
-                tok = self._single(raw, entry, value, "functor name")
-                cod = self.ref(raw, entry.line, tok, ("functor",)) if tok else None
-            elif len(key_texts) == 2 and key_texts[0] == "at":
-                tok = self._single(raw, entry, value, "morphism")
-                if tok:
-                    at[key_texts[1]] = tok[0]
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if dom is None or cod is None:
-            self.diag(raw, raw.line, 1, "nattrans needs dom and cod")
+        got = self._entries(
+            raw, {"dom": "functor", "cod": "functor"}, {"at": (2, self._cell(raw, at, "morphism"))},
+            "nattrans needs dom and cod",
+        )
+        if got is None:
             return None
+        dom, cod = got["dom"], got["cod"]
         try:
-            components = tuple(
-                dom.cod.mor_index(at[obj]) for obj in dom.dom.objects
-            )
+            components = tuple(dom.cod.mor_index(at[obj]) for obj in dom.dom.objects)
         except KeyError as exc:
             self.diag(raw, raw.line, 1, f"bad component: {exc}")
             return None
         return NatTransform(dom, cod, components, name=raw.name)
 
     def _build_fibration(self, raw):
-        proj = None
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["proj"]:
-                tok = self._single(raw, entry, value, "functor name")
-                proj = self.ref(raw, entry.line, tok, ("functor",)) if tok else None
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if proj is None:
-            self.diag(raw, raw.line, 1, "fibration needs a proj functor")
-            return None
-        return DiscreteFibration(proj, name=raw.name)
+        got = self._entries(raw, {"proj": "functor"}, needs="fibration needs a proj functor")
+        return None if got is None else DiscreteFibration(got["proj"], name=raw.name)
 
     def _build_iset(self, raw):
-        index = None
-        sets = {}
-        maps: dict = {}
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["index"]:
-                tok = self._single(raw, entry, value, "category name")
-                index = self.ref(raw, entry.line, tok, ("category",)) if tok else None
-            elif len(key_texts) == 2 and key_texts[0] == "set":
-                sets[key_texts[1]] = self._list_values(value)
-            elif len(key_texts) == 3 and key_texts[0] == "map":
-                tok = self._single(raw, entry, value, "element")
-                if tok:
-                    maps.setdefault(key_texts[1], {})[key_texts[2]] = tok[0]
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if index is None:
-            self.diag(raw, raw.line, 1, "indexed set needs an index category")
+        sets, cells, maps = {}, {}, {}
+        got = self._entries(
+            raw, {"index": "category"},
+            {"set": (2, self._cell(raw, sets, list)), "map": (3, self._cell(raw, cells, "element"))},
+            "indexed set needs an index category",
+        )
+        if got is None:
             return None
-        for obj in index.objects:
+        for (m, x), y in cells.items():
+            maps.setdefault(m, {})[x] = y
+        for obj in got["index"].objects:
             sets.setdefault(obj, [])
         try:
-            return iset_from_tables(index, sets, maps, name=raw.name)
+            return iset_from_tables(got["index"], sets, maps, name=raw.name)
         except (KeyError, ValueError) as exc:
             self.diag(raw, raw.line, 1, str(exc))
             return None
 
     def _build_semiring(self, raw):
-        elements = None
-        zero = one = None
-        add = {}
-        mul = {}
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["elements"]:
-                elements = self._list_values(value)
-            elif key_texts == ["zero"]:
-                tok = self._single(raw, entry, value, "element")
-                zero = tok[0] if tok else None
-            elif key_texts == ["one"]:
-                tok = self._single(raw, entry, value, "element")
-                one = tok[0] if tok else None
-            elif len(key_texts) == 3 and key_texts[0] in ("add", "mul"):
-                tok = self._single(raw, entry, value, "element")
-                if tok:
-                    table = add if key_texts[0] == "add" else mul
-                    table[(key_texts[1], key_texts[2])] = tok[0]
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if elements is None or zero is None or one is None:
-            self.diag(raw, raw.line, 1, "semiring needs elements, zero, and one")
+        add, mul = {}, {}
+        got = self._entries(
+            raw, {"elements": list, "zero": "element", "one": "element"},
+            {"add": (3, self._cell(raw, add, "element")), "mul": (3, self._cell(raw, mul, "element"))},
+            "semiring needs elements, zero, and one",
+        )
+        if got is None:
             return None
         return Semiring(
-            name=raw.name, elements=tuple(elements), add=add, mul=mul, zero=zero, one=one
+            name=raw.name, elements=tuple(got["elements"]), add=add, mul=mul, zero=got["zero"], one=got["one"]
         )
 
     def _build_operad(self, raw):
-        builtin = None
-        max_arity = None
-        semiring = None
-        arities = {}
-        unit = None
-        mu_lines = []
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["builtin"]:
-                tok = self._single(raw, entry, value, "builtin name")
-                builtin = tok[0] if tok else None
-            elif key_texts == ["max_arity"]:
-                tok = self._single(raw, entry, value, "integer")
-                if tok:
-                    max_arity = self._natural(raw, entry.line, tok, 1)
-                    if max_arity is None:
-                        return None
-            elif key_texts == ["semiring"]:
-                tok = self._single(raw, entry, value, "semiring name")
-                semiring = self.ref(raw, entry.line, tok, ("semiring",)) if tok else None
-            elif len(key_texts) == 2 and key_texts[0] == "arity":
-                n = self._natural(raw, entry.line, key[1], 0)
-                if n is None:
-                    return None
-                arities[n] = self._list_values(value)
-            elif key_texts == ["unit"]:
-                tok = self._single(raw, entry, value, "element")
-                unit = tok[0] if tok else None
-            elif key_texts and key_texts[0] == "mu":
-                mu_lines.append((key_texts, value, entry))
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
+        arities, mu_lines, max_arity = {}, [], None
+
+        def truncation(line):
+            nonlocal max_arity
+            _, value, entry = line
+            tok = self._single(raw, entry, value, "integer")
+            if tok:
+                max_arity = self._natural(raw, entry.line, tok, 1)
+                return max_arity is not None
+
+        def arity(line):
+            _, value, entry = line
+            n = self._natural(raw, entry.line, entry.tokens[1], 0)
+            if n is None:
+                return False
+            arities[n] = self._list_values(value)
+
+        got = self._entries(
+            raw, {"builtin": "builtin name", "semiring": "semiring", "unit": "element"},
+            {"max_arity": (1, truncation), "arity": (2, arity), "mu": (None, mu_lines.append)},
+        )
+        if got is None:
+            return None
+        builtin, semiring, unit = got.get("builtin"), got.get("semiring"), got.get("unit")
         if builtin is not None:
             n = max_arity if max_arity is not None else self.default_max_arity
             if n < 1:
                 self.diag(raw, raw.line, 1, f"builtin operad needs a truncation of at least 1, got {n}")
-                return None
-            if builtin == "comm":
-                op = build_comm(n)
-            elif builtin == "assoc":
-                op = build_assoc(n)
-            elif builtin == "qconv":
-                if semiring is None:
-                    self.diag(raw, raw.line, 1, "qconv needs a semiring reference")
-                    return None
-                if check_semiring(semiring).has_structural:
-                    self.diag(raw, raw.line, 1, f"qconv needs total semiring tables; {semiring.name!r} has structural errors")
-                    return None
-                op = build_qconv(semiring, n)
-            else:
+            elif builtin not in ("comm", "assoc", "qconv"):
                 self.diag(raw, raw.line, 1, f"unknown builtin {builtin!r}")
-                return None
-            op.name = raw.name
-            return op
+            elif builtin == "qconv" and semiring is None:
+                self.diag(raw, raw.line, 1, "qconv needs a semiring reference")
+            elif builtin == "qconv" and check_semiring(semiring).has_structural:
+                self.diag(raw, raw.line, 1, f"qconv needs total semiring tables; {semiring.name!r} has structural errors")
+            else:
+                op = build_qconv(semiring, n) if builtin == "qconv" else (build_comm if builtin == "comm" else build_assoc)(n)
+                op.name = raw.name
+                return op
+            return None
         if not arities or unit is None:
             self.diag(raw, raw.line, 1, "explicit operad needs arity lines and a unit")
             return None
@@ -652,52 +607,32 @@ class _Resolver:
             if tok is None:
                 return None
             table[(f.target, f.values, p, qs)] = tok[0]
-        return Operad(
-            name=raw.name, max_arity=top, carriers=carriers, unit=unit, table=table
-        )
+        return Operad(name=raw.name, max_arity=top, carriers=carriers, unit=unit, table=table)
 
     # -- structured sections ---------------------------------------------------
 
-    def _lookup_tuple(self, raw, entry, cat, literal, want):
+    def _lookup_tuple(self, raw, entry, cat, literal):
         labels = _parse_tuple(literal)
-        if want == "obj":
-            try:
-                return tuple(cat.obj_index(x) for x in labels), "obj"
-            except KeyError:
-                pass
-            try:
-                return tuple(cat.mor_index(x) for x in labels), "mor"
-            except KeyError:
-                self.diag(raw, entry.line, entry.tokens[0][1],
-                          f"tuple {literal} is neither all objects nor all morphisms")
-                return None, None
-        return None, None
+        try:
+            return tuple(cat.obj_index(x) for x in labels), "obj"
+        except KeyError:
+            pass
+        try:
+            return tuple(cat.mor_index(x) for x in labels), "mor"
+        except KeyError:
+            self.diag(raw, entry.line, entry.tokens[0][1], f"tuple {literal} is neither all objects nor all morphisms")
+            return None, None
 
     def _build_omon(self, raw):
-        operad = base = None
-        tensor_lines = []
-        phi_lines = []
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["operad"]:
-                tok = self._single(raw, entry, value, "operad name")
-                operad = self.ref(raw, entry.line, tok, ("operad",)) if tok else None
-            elif key_texts == ["base"]:
-                tok = self._single(raw, entry, value, "category name")
-                base = self.ref(raw, entry.line, tok, ("category",)) if tok else None
-            elif key_texts and key_texts[0] == "tensor":
-                tensor_lines.append((key_texts, value, entry))
-            elif key_texts and key_texts[0] == "phi":
-                phi_lines.append((key_texts, value, entry))
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if operad is None or base is None:
-            self.diag(raw, raw.line, 1, "structured category needs operad and base")
+        tensor_lines, phi_lines = [], []
+        got = self._entries(
+            raw, {"operad": "operad", "base": "category"},
+            {"tensor": (None, tensor_lines.append), "phi": (None, phi_lines.append)},
+            "structured category needs operad and base",
+        )
+        if got is None:
             return None
+        operad, base = got["operad"], got["base"]
         tensors: dict = {}
         ok = True
         for key_texts, value, entry in tensor_lines:
@@ -706,7 +641,7 @@ class _Resolver:
                 ok = False
                 continue
             p = key_texts[1]
-            combo, kind = self._lookup_tuple(raw, entry, base, key_texts[2], "obj")
+            combo, kind = self._lookup_tuple(raw, entry, base, key_texts[2])
             if combo is None:
                 ok = False
                 continue
@@ -757,35 +692,17 @@ class _Resolver:
                 ok = False
         if not ok:
             return None
-        return OMonCategory(
-            operad=operad, base=base, tensors=tensors, phi=phi, name=raw.name
-        )
+        return OMonCategory(operad=operad, base=base, tensors=tensors, phi=phi, name=raw.name)
 
     def _build_laxfun(self, raw):
-        dom = cod = functor = None
         xi_lines = []
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["dom"]:
-                tok = self._single(raw, entry, value, "omon name")
-                dom = self.ref(raw, entry.line, tok, ("omon",)) if tok else None
-            elif key_texts == ["cod"]:
-                tok = self._single(raw, entry, value, "omon name")
-                cod = self.ref(raw, entry.line, tok, ("omon",)) if tok else None
-            elif key_texts == ["functor"]:
-                tok = self._single(raw, entry, value, "functor name")
-                functor = self.ref(raw, entry.line, tok, ("functor",)) if tok else None
-            elif key_texts and key_texts[0] == "xi":
-                xi_lines.append((key_texts, value, entry))
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if dom is None or cod is None or functor is None:
-            self.diag(raw, raw.line, 1, "lax functor needs dom, cod, and functor")
+        got = self._entries(
+            raw, {"dom": "omon", "cod": "omon", "functor": "functor"}, {"xi": (None, xi_lines.append)},
+            "lax functor needs dom, cod, and functor",
+        )
+        if got is None:
             return None
+        dom, cod = got["dom"], got["cod"]
         xi = {}
         for key_texts, value, entry in xi_lines:
             if len(key_texts) != 3 or not key_texts[2].startswith("("):
@@ -802,36 +719,19 @@ class _Resolver:
             except KeyError as exc:
                 self.diag(raw, entry.line, entry.tokens[0][1], str(exc))
                 return None
-        return LaxOMonFunctor(dom=dom, cod=cod, functor=functor, xi=xi, name=raw.name)
+        return LaxOMonFunctor(dom=dom, cod=cod, functor=got["functor"], xi=xi, name=raw.name)
 
     def _build_omontrans(self, raw):
-        dom = cod = None
         at = {}
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["dom"]:
-                tok = self._single(raw, entry, value, "laxfun name")
-                dom = self.ref(raw, entry.line, tok, ("laxfun",)) if tok else None
-            elif key_texts == ["cod"]:
-                tok = self._single(raw, entry, value, "laxfun name")
-                cod = self.ref(raw, entry.line, tok, ("laxfun",)) if tok else None
-            elif len(key_texts) == 2 and key_texts[0] == "at":
-                tok = self._single(raw, entry, value, "morphism")
-                if tok:
-                    at[key_texts[1]] = tok[0]
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if dom is None or cod is None:
-            self.diag(raw, raw.line, 1, "transformation needs dom and cod")
+        got = self._entries(
+            raw, {"dom": "laxfun", "cod": "laxfun"}, {"at": (2, self._cell(raw, at, "morphism"))},
+            "transformation needs dom and cod",
+        )
+        if got is None:
             return None
+        dom, cod = got["dom"], got["cod"]
         try:
-            components = tuple(
-                cod.cod.base.mor_index(at[obj]) for obj in dom.dom.base.objects
-            )
+            components = tuple(cod.cod.base.mor_index(at[obj]) for obj in dom.dom.base.objects)
         except KeyError as exc:
             self.diag(raw, raw.line, 1, f"bad component: {exc}")
             return None
@@ -839,56 +739,24 @@ class _Resolver:
         return OMonTransformation(dom=dom, cod=cod, t=t, name=raw.name)
 
     def _build_ofib(self, raw):
-        total = base = proj = None
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["total"]:
-                tok = self._single(raw, entry, value, "omon name")
-                total = self.ref(raw, entry.line, tok, ("omon",)) if tok else None
-            elif key_texts == ["base"]:
-                tok = self._single(raw, entry, value, "omon name")
-                base = self.ref(raw, entry.line, tok, ("omon",)) if tok else None
-            elif key_texts == ["proj"]:
-                tok = self._single(raw, entry, value, "functor name")
-                proj = self.ref(raw, entry.line, tok, ("functor",)) if tok else None
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if total is None or base is None or proj is None:
-            self.diag(raw, raw.line, 1, "structured fibration needs total, base, proj")
-            return None
-        return OFibObject(
-            fib=DiscreteFibration(proj, name=raw.name),
-            total_omon=total,
-            base_omon=base,
-            name=raw.name,
+        got = self._entries(
+            raw, {"total": "omon", "base": "omon", "proj": "functor"},
+            needs="structured fibration needs total, base, proj",
         )
+        if got is None:
+            return None
+        fib = DiscreteFibration(got["proj"], name=raw.name)
+        return OFibObject(fib=fib, total_omon=got["total"], base_omon=got["base"], name=raw.name)
 
     def _build_laxtoset(self, raw):
-        omon = iset = None
         nu_lines = []
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
-                return None
-            key_texts = [t for t, _ in key]
-            if key_texts == ["omon"]:
-                tok = self._single(raw, entry, value, "omon name")
-                omon = self.ref(raw, entry.line, tok, ("omon",)) if tok else None
-            elif key_texts == ["iset"]:
-                tok = self._single(raw, entry, value, "iset name")
-                iset = self.ref(raw, entry.line, tok, ("iset",)) if tok else None
-            elif key_texts and key_texts[0] == "nu":
-                nu_lines.append((key_texts, value, entry))
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
-                return None
-        if omon is None or iset is None:
-            self.diag(raw, raw.line, 1, "laxtoset needs omon and iset")
+        got = self._entries(
+            raw, {"omon": "omon", "iset": "iset"}, {"nu": (None, nu_lines.append)},
+            "laxtoset needs omon and iset",
+        )
+        if got is None:
             return None
+        omon, iset = got["omon"], got["iset"]
         if iset.index != omon.base:
             self.diag(raw, raw.line, 1, "iset is not indexed by the structured base")
             return None
@@ -974,13 +842,14 @@ class DocBuilder:
         self.chunks: list[str] = []
         self.names: dict[int, str] = {}
         self.used: set[str] = set()
-        self.done: set[int] = set()
         self._keep: list = []  # pin objects so ids stay unique
 
-    def name_for(self, obj, suggested: str) -> str:
+    def claim(self, obj, suggested: str) -> tuple[str, bool]:
+        """The section name of ``obj``, and whether this is its first
+        claim: the caller emits the section body exactly then."""
         key = id(obj)
         if key in self.names:
-            return self.names[key]
+            return self.names[key], False
         self._keep.append(obj)
         base = _sanitize(suggested)
         name = base
@@ -990,17 +859,7 @@ class DocBuilder:
             k += 1
         self.used.add(name)
         self.names[key] = name
-        return name
-
-    def has(self, obj) -> bool:
-        return id(obj) in self.names
-
-    def mark(self, obj) -> bool:
-        """True exactly once per object: the caller should emit its body."""
-        if id(obj) in self.done:
-            return False
-        self.done.add(id(obj))
-        return True
+        return name, True
 
     def add(self, kind: str, name: str, lines) -> None:
         body = "\n".join(lines)
@@ -1011,8 +870,8 @@ class DocBuilder:
 
 
 def ser_category(b: DocBuilder, cat, suggested: str = "") -> str:
-    name = b.name_for(cat, suggested or cat.name or "C")
-    if not b.mark(cat):
+    name, new = b.claim(cat, suggested or cat.name or "C")
+    if not new:
         return name
     lines = [f"objects = {', '.join(cat.objects)}"]
     for m in range(cat.n_morphisms):
@@ -1036,8 +895,8 @@ def ser_category(b: DocBuilder, cat, suggested: str = "") -> str:
 
 
 def ser_functor(b: DocBuilder, F, suggested: str = "") -> str:
-    name = b.name_for(F, suggested or F.name or "F")
-    if not b.mark(F):
+    name, new = b.claim(F, suggested or F.name or "F")
+    if not new:
         return name
     dom_name = ser_category(b, F.dom)
     cod_name = ser_category(b, F.cod)
@@ -1053,8 +912,8 @@ def ser_functor(b: DocBuilder, F, suggested: str = "") -> str:
 
 
 def ser_fibration(b: DocBuilder, p, suggested: str = "") -> str:
-    name = b.name_for(p, suggested or p.name or "fib")
-    if not b.mark(p):
+    name, new = b.claim(p, suggested or p.name or "fib")
+    if not new:
         return name
     proj_name = ser_functor(b, p.proj, suggested=f"{name}_proj")
     b.add("fibration", name, [f"proj = {proj_name}"])
@@ -1062,8 +921,8 @@ def ser_fibration(b: DocBuilder, p, suggested: str = "") -> str:
 
 
 def ser_iset(b: DocBuilder, F, suggested: str = "") -> str:
-    name = b.name_for(F, suggested or F.name or "F")
-    if not b.mark(F):
+    name, new = b.claim(F, suggested or F.name or "F")
+    if not new:
         return name
     index_name = ser_category(b, F.index)
     lines = [f"index = {index_name}"]
@@ -1080,8 +939,8 @@ def ser_iset(b: DocBuilder, F, suggested: str = "") -> str:
 
 
 def ser_semiring(b: DocBuilder, r, suggested: str = "") -> str:
-    name = b.name_for(r, suggested or r.name or "R")
-    if not b.mark(r):
+    name, new = b.claim(r, suggested or r.name or "R")
+    if not new:
         return name
     lines = [
         f"elements = {', '.join(r.elements)}",
@@ -1097,8 +956,8 @@ def ser_semiring(b: DocBuilder, r, suggested: str = "") -> str:
 
 
 def ser_operad(b: DocBuilder, op, suggested: str = "") -> str:
-    name = b.name_for(op, suggested or op.name or "O")
-    if not b.mark(op):
+    name, new = b.claim(op, suggested or op.name or "O")
+    if not new:
         return name
     origin = op.origin
     if op.rule is not None and origin:
@@ -1122,8 +981,8 @@ def ser_operad(b: DocBuilder, op, suggested: str = "") -> str:
 
 
 def ser_omon(b: DocBuilder, c, suggested: str = "") -> str:
-    name = b.name_for(c, suggested or c.name or "M")
-    if not b.mark(c):
+    name, new = b.claim(c, suggested or c.name or "M")
+    if not new:
         return name
     operad_name = ser_operad(b, c.operad)
     base_name = ser_category(b, c.base)
@@ -1152,8 +1011,8 @@ def ser_omon(b: DocBuilder, c, suggested: str = "") -> str:
 
 
 def ser_laxfun(b: DocBuilder, L, suggested: str = "") -> str:
-    name = b.name_for(L, suggested or L.name or "L")
-    if not b.mark(L):
+    name, new = b.claim(L, suggested or L.name or "L")
+    if not new:
         return name
     dom_name = ser_omon(b, L.dom)
     cod_name = ser_omon(b, L.cod)
@@ -1167,8 +1026,8 @@ def ser_laxfun(b: DocBuilder, L, suggested: str = "") -> str:
 
 
 def ser_omontrans(b: DocBuilder, tr, suggested: str = "") -> str:
-    name = b.name_for(tr, suggested or tr.name or "T")
-    if not b.mark(tr):
+    name, new = b.claim(tr, suggested or tr.name or "T")
+    if not new:
         return name
     dom_name = ser_laxfun(b, tr.dom)
     cod_name = ser_laxfun(b, tr.cod)
@@ -1183,8 +1042,8 @@ def ser_omontrans(b: DocBuilder, tr, suggested: str = "") -> str:
 
 
 def ser_ofib(b: DocBuilder, y, suggested: str = "") -> str:
-    name = b.name_for(y, suggested or y.name or "Y")
-    if not b.mark(y):
+    name, new = b.claim(y, suggested or y.name or "Y")
+    if not new:
         return name
     total_name = ser_omon(b, y.total_omon)
     base_name = ser_omon(b, y.base_omon)
@@ -1197,8 +1056,8 @@ def ser_ofib(b: DocBuilder, y, suggested: str = "") -> str:
 
 
 def ser_laxtoset(b: DocBuilder, x, suggested: str = "") -> str:
-    name = b.name_for(x, suggested or x.name or "X")
-    if not b.mark(x):
+    name, new = b.claim(x, suggested or x.name or "X")
+    if not new:
         return name
     omon_name = ser_omon(b, x.dom)
     iset_name = ser_iset(b, x.iset, suggested=f"{name}_iset")
