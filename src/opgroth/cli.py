@@ -276,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify operad-indexed monoidal coherence and Grothendieck "
         "round trips on finite instances.",
     )
-    default_arity = int(os.environ.get("OPGROTH_MAX_ARITY", "3"))
+    env_arity = os.environ.get("OPGROTH_MAX_ARITY", "3")
+    try:
+        default_arity = int(env_arity)
+    except ValueError:
+        raise ValueError(f"OPGROTH_MAX_ARITY is not an integer: {env_arity!r}") from None
     parser.add_argument("--max-arity", type=int, default=default_arity,
                         help="truncation for builtin operads (default 3, env OPGROTH_MAX_ARITY)")
     parser.add_argument("--report", choices=("text", "json"), default="text")
@@ -338,7 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:
+        out.write(f"error: {exc}\n")
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

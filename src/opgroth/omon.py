@@ -210,6 +210,9 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
     if report.records:
         return report
 
+    if n_arities < 2 or operad.unit not in elements(1):
+        structural(f"{prefix}.operad_unit", f"operad unit {operad.unit!r} is not an arity-1 operation", where)
+        return report
     unit_table = tensors[(1, operad.unit)]
     for a in range(n_obj):
         if unit_table.obj[(a,)] != a:

@@ -357,7 +357,7 @@ def check_operad_axioms(o: Operad) -> CheckReport:
     if len(o.carriers) != n_arities:
         report.structural("operad.carriers", "carrier list does not match truncation")
         return report
-    if o.unit not in o.carriers[1]:
+    if n_arities < 2 or o.unit not in o.carriers[1]:
         report.structural("operad.unit", f"unit {o.unit!r} not in arity-1 carrier")
         return report
 

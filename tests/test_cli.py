@@ -102,6 +102,39 @@ def test_phi_entries_that_index_no_isomorphism_are_structural(tmp_path):
     ]
 
 
+UNIT_SPECS = {
+    # truncation 0: the operad has no arity-1 carrier
+    "truncation_zero": ("[operad Z]\narity 0 = e\nunit = e\n", [
+        ("structural", "operad.unit", "unit 'e' not in arity-1 carrier", "Z"),
+    ]),
+    # a structured category over an operad whose unit is no arity-1 operation
+    "unit_not_an_operation": (
+        "[operad O]\narity 0 = e\narity 1 = e\nunit = x\n\n[category C]\nobjects = a\n\n"
+        "[omon M]\noperad = O\nbase = C\ntensor e () = a\ntensor e (a) = a\n", [
+            ("structural", "operad.unit", "unit 'x' not in arity-1 carrier", "O"),
+            ("structural", "omon.operad_unit", "operad unit 'x' is not an arity-1 operation", "M:M"),
+        ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_SPECS))
+def test_operad_without_a_unary_unit_is_structural(tmp_path, name):
+    text, expected = UNIT_SPECS[name]
+    target = tmp_path / "unit.spec"
+    target.write_text(text, encoding="utf-8")
+    code, out = run(["--report", "json", "check", str(target)])
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert [(r["severity"], r["check"], r["witness"], r["where"]) for r in records] == expected
+
+
+def test_bad_max_arity_variable_is_an_error_line(monkeypatch):
+    monkeypatch.setenv("OPGROTH_MAX_ARITY", "x")
+    code, text = run(["check", str(FIXTURES / "walk.cat")])
+    assert code == 2
+    assert text == "error: OPGROTH_MAX_ARITY is not an integer: 'x'\n"
+
+
 # ------------------------------------------------------------ fuzzing
 
 def test_token_fuzz_never_raises(tmp_path):

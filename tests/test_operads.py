@@ -161,6 +161,12 @@ def test_broken_unit_detected():
     assert any(r.check == "operad.unit_terminal" for r in report.records)
 
 
+def test_truncation_zero_reports_the_unit():
+    o = Operad(name="Z", max_arity=0, carriers=(("e",),), unit="e", table={})
+    report = check_operad_axioms(o)
+    assert [(r.severity, r.check) for r in report.records] == [("structural", "operad.unit")]
+
+
 def test_qconv_boolean_carriers():
     q = build_qconv(boolean_semiring(), 3)
     assert len(q.carriers[0]) == 0
