@@ -398,9 +398,8 @@ class _Resolver:
 
     def _single(self, raw, entry, value_tokens, what):
         if len(value_tokens) != 1:
-            line = entry.line
             col = value_tokens[0][1] if value_tokens else 1
-            self.diag(raw, line, col, f"expected a single {what}")
+            self.diag(raw, entry.line, col, f"expected a single {what}")
             return None
         return value_tokens[0]
 
@@ -441,12 +440,12 @@ class _Resolver:
             key_texts = [t for t, _ in key]
             if key_texts == ["objects"]:
                 objects = []
-                for group in _split_on(value, ","):
-                    if group and group[0][0] in objects:
-                        self.diag(raw, entry.line, group[0][1], f"duplicate object label {group[0][0]!r}")
+                for label, col in (g[0] for g in _split_on(value, ",") if g):
+                    if label in objects:
+                        self.diag(raw, entry.line, col, f"duplicate object label {label!r}")
                         ok = False
-                    elif group:
-                        objects.append(group[0][0])
+                    else:
+                        objects.append(label)
             elif key_texts and key_texts[0] == "compose" and len(key_texts) == 3:
                 target = self._single(raw, entry, value, "morphism")
                 if target is None:
@@ -462,7 +461,8 @@ class _Resolver:
         label_pool = set(objects) | {f"id_{a}" for a in objects}
         for entry, label, s, t in arrows:
             if label in label_pool:
-                self.diag(raw, entry.line, entry.tokens[0][1], f"arrow label {label!r} collides with another label")
+                self.diag(raw, entry.line, entry.tokens[0][1],
+                          f"arrow label {label!r} collides with another label")
                 return None
             label_pool.add(label)
             if s not in objects or t not in objects:
@@ -480,7 +480,8 @@ class _Resolver:
         obj_map, mor_map = {}, {}
         got = self._entries(
             raw, {"dom": "category", "cod": "category"},
-            {"obj": (2, self._cell(raw, obj_map, "object")), "mor": (2, self._cell(raw, mor_map, "morphism"))},
+            {"obj": (2, self._cell(raw, obj_map, "object")),
+             "mor": (2, self._cell(raw, mor_map, "morphism"))},
             "functor needs dom and cod",
         )
         if got is None:
@@ -536,14 +537,14 @@ class _Resolver:
         add, mul = {}, {}
         got = self._entries(
             raw, {"elements": list, "zero": "element", "one": "element"},
-            {"add": (3, self._cell(raw, add, "element")), "mul": (3, self._cell(raw, mul, "element"))},
+            {"add": (3, self._cell(raw, add, "element")),
+             "mul": (3, self._cell(raw, mul, "element"))},
             "semiring needs elements, zero, and one",
         )
         if got is None:
             return None
-        return Semiring(
-            name=raw.name, elements=tuple(got["elements"]), add=add, mul=mul, zero=got["zero"], one=got["one"]
-        )
+        return Semiring(name=raw.name, elements=tuple(got["elements"]), add=add, mul=mul,
+                        zero=got["zero"], one=got["one"])
 
     def _build_operad(self, raw):
         arities, mu_lines, max_arity = {}, [], None
@@ -572,18 +573,20 @@ class _Resolver:
         builtin, semiring, unit = got.get("builtin"), got.get("semiring"), got.get("unit")
         if builtin is not None:
             n = max_arity if max_arity is not None else self.default_max_arity
+            build = {"comm": build_comm, "assoc": build_assoc, "qconv": build_qconv}.get(builtin)
             if n < 1:
-                self.diag(raw, raw.line, 1, f"builtin operad needs a truncation of at least 1, got {n}")
-            elif builtin not in ("comm", "assoc", "qconv"):
-                self.diag(raw, raw.line, 1, f"unknown builtin {builtin!r}")
+                problem = f"builtin operad needs a truncation of at least 1, got {n}"
+            elif build is None:
+                problem = f"unknown builtin {builtin!r}"
             elif builtin == "qconv" and semiring is None:
-                self.diag(raw, raw.line, 1, "qconv needs a semiring reference")
+                problem = "qconv needs a semiring reference"
             elif builtin == "qconv" and check_semiring(semiring).has_structural:
-                self.diag(raw, raw.line, 1, f"qconv needs total semiring tables; {semiring.name!r} has structural errors")
+                problem = f"qconv needs total semiring tables; {semiring.name!r} has structural errors"
             else:
-                op = build_qconv(semiring, n) if builtin == "qconv" else (build_comm if builtin == "comm" else build_assoc)(n)
+                op = build_qconv(semiring, n) if builtin == "qconv" else build(n)
                 op.name = raw.name
                 return op
+            self.diag(raw, raw.line, 1, problem)
             return None
         if not arities or unit is None:
             self.diag(raw, raw.line, 1, "explicit operad needs arity lines and a unit")
@@ -613,15 +616,14 @@ class _Resolver:
 
     def _lookup_tuple(self, raw, entry, cat, literal):
         labels = _parse_tuple(literal)
-        try:
-            return tuple(cat.obj_index(x) for x in labels), "obj"
-        except KeyError:
-            pass
-        try:
-            return tuple(cat.mor_index(x) for x in labels), "mor"
-        except KeyError:
-            self.diag(raw, entry.line, entry.tokens[0][1], f"tuple {literal} is neither all objects nor all morphisms")
-            return None, None
+        for kind, index in (("obj", cat.obj_index), ("mor", cat.mor_index)):
+            try:
+                return tuple(index(x) for x in labels), kind
+            except KeyError:
+                pass
+        self.diag(raw, entry.line, entry.tokens[0][1],
+                  f"tuple {literal} is neither all objects nor all morphisms")
+        return None, None
 
     def _build_omon(self, raw):
         tensor_lines, phi_lines = [], []
