@@ -359,21 +359,21 @@ class _Resolver:
                 return None
             texts = [t for t, _ in key]
             what = fields.get(texts[0]) if len(texts) == 1 else None
-            size, handle = (keys or {}).get(texts[0], (0, None))
-            if what is list:
+            if what is None:
+                size, handle = keys.get(texts[0], (0, None)) if keys else (0, None)
+                if handle is None or size not in (None, len(texts)):
+                    self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(texts)!r}")
+                    return None
+                if handle((texts, value, entry)) is False:
+                    return None
+            elif what is list:
                 got[texts[0]] = self._list_values(value)
             elif what in SECTION_KINDS:
                 tok = self._single(raw, entry, value, f"{what} name")
                 got[texts[0]] = self.ref(raw, entry.line, tok, (what,)) if tok else None
-            elif what is not None:
+            else:
                 tok = self._single(raw, entry, value, what)
                 got[texts[0]] = tok[0] if tok else None
-            elif handle is not None and size in (None, len(texts)):
-                if handle((texts, value, entry)) is False:
-                    return None
-            else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(texts)!r}")
-                return None
         if needs is not None and any(got.get(k) is None for k in fields):
             self.diag(raw, raw.line, 1, needs)
             return None
