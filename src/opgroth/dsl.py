@@ -583,7 +583,7 @@ class _Resolver:
             elif builtin == "qconv" and check_semiring(semiring).has_structural:
                 problem = f"qconv needs total semiring tables; {semiring.name!r} has structural errors"
             else:
-                op = build_qconv(semiring, n) if builtin == "qconv" else build(n)
+                op = build(semiring, n) if builtin == "qconv" else build(n)
                 op.name = raw.name
                 return op
             self.diag(raw, raw.line, 1, problem)
