@@ -367,7 +367,9 @@ class _Resolver:
                 if handle((texts, value, entry)) is False:
                     return None
             elif what is list:
-                got[texts[0]] = self._list_values(value)
+                got[texts[0]] = self._list_values(raw, entry, value)
+                if got[texts[0]] is None:
+                    return None
             elif what in SECTION_KINDS:
                 tok = self._single(raw, entry, value, f"{what} name")
                 got[texts[0]] = self.ref(raw, entry.line, tok, (what,)) if tok else None
@@ -388,7 +390,10 @@ class _Resolver:
             texts, value, entry = line
             at = texts[1] if len(texts) == 2 else tuple(texts[1:])
             if what is list:
-                table[at] = self._list_values(value)
+                values = self._list_values(raw, entry, value)
+                if values is None:
+                    return False
+                table[at] = values
             else:
                 tok = self._single(raw, entry, value, what)
                 if tok:
@@ -403,8 +408,19 @@ class _Resolver:
             return None
         return value_tokens[0]
 
-    def _list_values(self, value_tokens):
-        return [g[0][0] for g in _split_on(value_tokens, ",") if g]
+    def _list_tokens(self, raw, entry, value_tokens):
+        """The (text, column) tokens of a comma list, or None after a
+        diagnostic at the first group holding more than one token."""
+        groups = [g for g in _split_on(value_tokens, ",") if g]
+        for g in groups:
+            if len(g) > 1:
+                self.diag(raw, entry.line, g[1][1], f"expected a comma before {g[1][0]!r}")
+                return None
+        return [g[0] for g in groups]
+
+    def _list_values(self, raw, entry, value_tokens):
+        tokens = self._list_tokens(raw, entry, value_tokens)
+        return None if tokens is None else [text for text, _ in tokens]
 
     def _natural(self, raw, line, token, least):
         """The integer ``token`` names, or None after a diagnostic when
@@ -440,7 +456,10 @@ class _Resolver:
             key_texts = [t for t, _ in key]
             if key_texts == ["objects"]:
                 objects = []
-                for label, col in (g[0] for g in _split_on(value, ",") if g):
+                tokens = self._list_tokens(raw, entry, value)
+                if tokens is None:
+                    return None
+                for label, col in tokens:
                     if label in objects:
                         self.diag(raw, entry.line, col, f"duplicate object label {label!r}")
                         ok = False
@@ -562,7 +581,9 @@ class _Resolver:
             n = self._natural(raw, entry.line, entry.tokens[1], 0)
             if n is None:
                 return False
-            arities[n] = self._list_values(value)
+            arities[n] = self._list_values(raw, entry, value)
+            if arities[n] is None:
+                return False
 
         got = self._entries(
             raw, {"builtin": "builtin name", "semiring": "semiring", "unit": "element"},

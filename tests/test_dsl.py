@@ -177,6 +177,10 @@ LOCATED = [
      "[semiring R]\nelements = 0, 1\nzero = 0\none = 1\nadd 0 0 = 0\n\n"
      "[operad Q]\nbuiltin = qconv\nsemiring = R\n", 3,
      "7:1: qconv needs total semiring tables; 'R' has structural errors in [Q]"),
+    ("list_group_of_two_objects", "[category C]\nobjects = a b, c\n", 3,
+     "2:13: expected a comma before 'b' in [C]"),
+    ("list_group_of_two_operations", "[operad O]\narity 1 = e f\nunit = e\n", 3,
+     "2:13: expected a comma before 'f' in [O]"),
 ]
 
 
