@@ -82,10 +82,6 @@ def fn_from_labels(dom: FinSet, cod: FinSet, assignment: dict) -> FinFunction:
     )
 
 
-def fn_is_bijection(f: FinFunction) -> bool:
-    return f.dom.size == f.cod.size and len(set(f.mapping)) == f.dom.size
-
-
 def set_product(sets) -> FinSet:
     """Cartesian product with tuple labels, lexicographic, slot 1 slowest."""
     sets = tuple(sets)

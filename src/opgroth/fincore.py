@@ -797,28 +797,6 @@ def product_category(factors, name: str = "") -> ProductCat:
     )
 
 
-def tuple_functor(components, product: ProductCat) -> CatFunctor:
-    """The unique functor into a product with the given components."""
-    components = tuple(components)
-    if len(components) != len(product.factors):
-        raise ValueError("component count does not match product arity")
-    dom = components[0].dom if components else None
-    for F in components:
-        if F.dom != dom:
-            raise ValueError("components must share their domain")
-    if dom is None:
-        raise ValueError("empty tuple functor needs an explicit domain")
-    on_obj = tuple(
-        product.obj_index[tuple(F.on_obj[a] for F in components)]
-        for a in range(dom.n_objects)
-    )
-    on_mor = tuple(
-        product.mor_index[tuple(F.on_mor[m] for F in components)]
-        for m in range(dom.n_morphisms)
-    )
-    return CatFunctor(dom, product.cat, on_obj, on_mor)
-
-
 # --------------------------------------------------------------------------
 # brute-force enumeration (corpus generation and tests)
 

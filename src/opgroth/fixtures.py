@@ -75,11 +75,6 @@ def bgrade() -> FinCat:
     return monoid_category("BGRADE", GRADE_ELEMENTS, GRADE_MULT, GRADE_UNIT)
 
 
-def grade_cat() -> FinCat:
-    """Discrete category on the carrier of the graded monoid."""
-    return discrete_category("GRADECAT", GRADE_ELEMENTS)
-
-
 class Fix:
     """Namespace mirror for the fixture builders."""
 
