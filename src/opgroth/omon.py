@@ -101,12 +101,6 @@ class OMonCategory:
             for fib, q in zip(f.fibers, qs)
         )
 
-    def blocks_mor(self, f: FinMap, qs, mors):
-        return tuple(
-            self.tensor_mor(len(fib), q, tuple(mors[j - 1] for j in fib))
-            for fib, q in zip(f.fibers, qs)
-        )
-
     def phi_endpoints(self, f: FinMap, p: str, qs, objs) -> tuple[int, int]:
         src = self.tensor_obj(f.source, self.op(f, p, qs), objs)
         tgt = self.tensor_obj(f.target, p, self.blocks_obj(f, qs, objs))
@@ -150,6 +144,132 @@ def build_omon(
 
 
 # --------------------------------------------------------------------------
+# the compiled form: every table of a structured category as rows of ints
+
+MISSING = -1  # a structure isomorphism or comparison with no value, or an undefined composite
+
+
+class _Compiled:
+    """The tables of a structured category as tuples of ints, for one
+    check call.
+
+    A tuple of objects (of morphisms) is numbered by its mixed-radix code
+    in base ``n_obj`` (``n_mor``), the order ``itertools.product`` yields
+    it in, and a row is indexed by such codes.  ``obj[n, p]`` and
+    ``mor[n, p]`` are the tensor tables and ``comp[g * n_mor + f]`` is the
+    composite or MISSING.  :meth:`key` gives a composition key
+    ``(f, p, qs)`` its operation ``rho``, the row of codes of its target
+    tuples (the block tensors) and the row of its resolved structure
+    isomorphism: the explicit entry, else the identity where the two
+    endpoints agree, else MISSING.
+
+    Rows are built on first use.  No caller keeps the form past the call
+    that builds it, because the label tables it reads are edited in place
+    by :func:`omon_copy` and the mutation helpers.  Tensor tables must be
+    total.
+    """
+
+    def __init__(self, c: OMonCategory):
+        operad, base = c.operad, c.base
+        self.c = c
+        self.n_obj = n_obj = base.n_objects
+        self.n_mor = n_mor = base.n_morphisms
+        self.ident, self.mor_src, self.mor_tgt = base.identity, base.mor_src, base.mor_tgt
+        comp = [MISSING] * (n_mor * n_mor)
+        for (g, f), h in base.composition.items():
+            comp[g * n_mor + f] = h
+        self.comp = tuple(comp)
+        self.obj, self.mor = {}, {}
+        for n in range(operad.max_arity + 1):
+            for p in operad.elements(n):
+                table = c.tensors[(n, p)]
+                self.obj[n, p] = tuple(table.obj[t] for t in itertools.product(range(n_obj), repeat=n))
+                self.mor[n, p] = tuple(table.mor[t] for t in itertools.product(range(n_mor), repeat=n))
+        # explicit entries by composition key, then by the code of their object
+        # tuple; a key whose tuples index nothing keeps an empty dict
+        self.explicit = {}
+        for (f, p, qs, objs), value in c.phi.items():
+            at = self.explicit.setdefault((f.target, f.values, p, qs), {})
+            if len(objs) == f.source and all(a in range(n_obj) for a in objs):
+                at[_mixed_encode(objs, (n_obj,) * len(objs))] = value
+        self._digits, self._restrict, self._blocks, self._ends, self._keys = {}, {}, {}, {}, {}
+
+    def digits(self, m: int, r: int):
+        """``digits[j][x]``: digit j of the m-digit base-r code x."""
+        got = self._digits.get((m, r))
+        if got is None:
+            got = self._digits[m, r] = [
+                tuple((x // r ** (m - 1 - j)) % r for x in range(r**m)) for j in range(m)
+            ]
+        return got
+
+    def image(self, n: int, on, r: int, mor: bool = False):
+        """Row over n-tuples of objects (morphisms when ``mor``) of the
+        code, in base r, of the tuple's image under the table ``on``."""
+        row = [0] * (self.n_mor if mor else self.n_obj) ** n
+        for digit in self.digits(n, self.n_mor if mor else self.n_obj):
+            row = [a * r + on[d] for a, d in zip(row, digit)]
+        return tuple(row)
+
+    def restrict(self, f: FinMap, r: int):
+        """One row per fiber of f over base-r codes of f.source-tuples:
+        the code of the tuple restricted to the fiber."""
+        k = (f.target, f.values, r)
+        got = self._restrict.get(k)
+        if got is None:
+            digits = self.digits(f.source, r)
+            got = []
+            for fib in f.fibers:
+                row = [0] * r**f.source
+                for j in fib:
+                    row = [a * r + d for a, d in zip(row, digits[j - 1])]
+                got.append(tuple(row))
+            self._restrict[k] = got
+        return got
+
+    def blocks(self, f: FinMap, qs, mor: bool = False):
+        """Row over tuples of objects (morphisms when ``mor``) of the code
+        of their block tensors ``(T_q1(A|f^-1(1)), ..., T_qn(A|f^-1(n)))``."""
+        k = (f.target, f.values, qs, mor)
+        got = self._blocks.get(k)
+        if got is None:
+            r, tables = (self.n_mor, self.mor) if mor else (self.n_obj, self.obj)
+            row = [0] * r**f.source
+            for fib, q, sub in zip(f.fibers, qs, self.restrict(f, r)):
+                block = tables[len(fib), q]
+                row = [a * r + block[s] for a, s in zip(row, sub)]
+            got = self._blocks[k] = tuple(row)
+        return got
+
+    def mor_ends(self, m: int):
+        """Rows over m-tuples of morphisms of the codes of their tuples of
+        sources and of targets."""
+        got = self._ends.get(m)
+        if got is None:
+            got = self._ends[m] = (self.image(m, self.mor_src, self.n_obj, True), self.image(m, self.mor_tgt, self.n_obj, True))
+        return got
+
+    def key(self, f: FinMap, p: str, qs):
+        """``(rho, targets, phi)`` of a composition key; see the class doc."""
+        k = (f.target, f.values, p, qs)
+        got = self._keys.get(k)
+        if got is None:
+            rho = self.c.operad.compose(f, p, qs)
+            targets = self.blocks(f, qs)
+            tgt, ident = self.obj[f.target, p], self.ident
+            phi = [ident[s] if s == tgt[t] else MISSING for s, t in zip(self.obj[f.source, rho], targets)]
+            for x, value in self.explicit.get(k, {}).items():
+                phi[x] = value
+            got = self._keys[k] = (rho, targets, tuple(phi))
+        return got
+
+
+def _labels(names, x: int, n: int) -> list:
+    """The labels of the n-tuple with code x over ``names``."""
+    return [names[a] for a in _mixed_decode(x, (len(names),) * n)]
+
+
+# --------------------------------------------------------------------------
 # the coherence checker
 
 
@@ -163,6 +283,13 @@ def _is_invertible(base: FinCat, m: int) -> bool:
 
 def check_omon_category(c: OMonCategory) -> CheckReport:
     return _structure_laws(c, "omon", "phi", all_maps)
+
+
+def _identity_forced(f: FinMap, p: str, qs, unit: str) -> bool:
+    """Whether the unit laws force the structure isomorphism at the key to
+    be the identity: f an identity with unit inner operations, or f
+    terminal with the unit outside."""
+    return (f.is_identity and all(q == unit for q in qs)) or (f.target == 1 and p == unit)
 
 
 def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckReport:
@@ -183,8 +310,6 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
     objects, mor_labels, mor_src, mor_tgt = base.objects, base.mor_labels, base.mor_src, base.mor_tgt
     n_obj, n_mor, id_of, compose = base.n_objects, base.n_morphisms, base.id_of, base.compose
     tensors, phi = c.tensors, c.phi
-    phi_at, phi_endpoints, tensor_mor = c.phi_at, c.phi_endpoints, c.tensor_mor
-    blocks_obj, blocks_mor = c.blocks_obj, c.blocks_mor
 
     # tensor tables: totality, unit tensor, identities, endpoints, functoriality
     for n in range(n_arities):
@@ -279,64 +404,62 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
                 where,
             )
 
-    id_axiom_keys = set()
-    for n in range(n_arities):
-        for p in elements(n):
-            id_axiom_keys.add((identity_map(n), p, (operad.unit,) * n))
-            id_axiom_keys.add((terminal_map(n), operad.unit, (p,)))
-
+    cc = _Compiled(c)
+    comp, tensor_obj, tensor_mor, explicit = cc.comp, cc.obj, cc.mor, cc.explicit
     iso_instances, naturality_instances = f"{prefix}.{iso}_instances", f"{prefix}.{iso}_naturality_instances"
     for f, p, qs in _keys(operad, family):
         m, n = f.source, f.target
-        rho = op(f, p, qs)
-        identity_forced = (f, p, qs) in id_axiom_keys
-        for objs in itertools.product(range(n_obj), repeat=m):
-            count(iso_instances)
-            src, tgt = phi_endpoints(f, p, qs, objs)
-            value = phi.get((f, p, qs, objs))
-            if value is None:
-                if src != tgt:
+        rho, targets, row = cc.key(f, p, qs)
+        if row:
+            count(iso_instances, len(row))
+        entries = explicit.get((n, f.values, p, qs), {})
+        if entries or MISSING in row:
+            src_row, tgt_row = tensor_obj[m, rho], tensor_obj[n, p]
+            identity_forced = _identity_forced(f, p, qs, operad.unit)
+            for x, value in enumerate(row):
+                src, tgt = src_row[x], tgt_row[targets[x]]
+                if x not in entries:
+                    if value == MISSING:
+                        violation(
+                            f"{prefix}.{iso}_missing",
+                            phi_key_render(f, p, qs, _labels(objects, x, m)) + " has no entry and unequal endpoints",
+                            where,
+                        )
+                    continue  # otherwise the identity, which every law below accepts
+                if mor_src[value] != src or mor_tgt[value] != tgt:
                     violation(
-                        f"{prefix}.{iso}_missing",
-                        phi_key_render(f, p, qs, [objects[a] for a in objs])
-                        + " has no entry and unequal endpoints",
+                        f"{prefix}.{iso}_typing",
+                        phi_key_render(f, p, qs, _labels(objects, x, m)) + " has wrong endpoints",
                         where,
                     )
                     continue
-                value = id_of(src)
-            elif mor_src[value] != src or mor_tgt[value] != tgt:
-                violation(
-                    f"{prefix}.{iso}_typing",
-                    phi_key_render(f, p, qs, [objects[a] for a in objs]) + " has wrong endpoints",
-                    where,
-                )
-                continue
-            elif not _is_invertible(base, value):
-                violation(
-                    f"{prefix}.{iso}_invertible",
-                    phi_key_render(f, p, qs, [objects[a] for a in objs]) + " is not invertible",
-                    where,
-                )
-            if identity_forced and value != id_of(src):
-                violation(
-                    f"{prefix}.identity_axiom",
-                    phi_key_render(f, p, qs, [objects[a] for a in objs]) + " must be the identity",
-                    where,
-                )
+                if not _is_invertible(base, value):
+                    violation(
+                        f"{prefix}.{iso}_invertible",
+                        phi_key_render(f, p, qs, _labels(objects, x, m)) + " is not invertible",
+                        where,
+                    )
+                if identity_forced and value != id_of(src):
+                    violation(
+                        f"{prefix}.identity_axiom",
+                        phi_key_render(f, p, qs, _labels(objects, x, m)) + " must be the identity",
+                        where,
+                    )
         # naturality in the object tuple, over every tuple of morphisms
-        for mors in itertools.product(range(n_mor), repeat=m):
-            count(naturality_instances)
-            try:
-                phi_src = phi_at(f, p, qs, tuple(mor_src[u] for u in mors))
-                phi_tgt = phi_at(f, p, qs, tuple(mor_tgt[u] for u in mors))
-                lhs = compose(phi_tgt, tensor_mor(m, rho, mors))
-                rhs = compose(tensor_mor(n, p, blocks_mor(f, qs, mors)), phi_src)
-            except (PhiMissing, KeyError):
-                continue  # ill-typed entries are reported by the typing pass
-            if lhs != rhs:
+        ends_src, ends_tgt = cc.mor_ends(m)
+        if ends_src:
+            count(naturality_instances, len(ends_src))
+        mor_p = tensor_mor[n, p]
+        for y, (s, t, top, blocks) in enumerate(zip(ends_src, ends_tgt, tensor_mor[m, rho], cc.blocks(f, qs, True))):
+            at_src, at_tgt = row[s], row[t]
+            if at_src == MISSING or at_tgt == MISSING:
+                continue  # reported by the typing pass
+            lhs = comp[at_tgt * n_mor + top]
+            rhs = comp[mor_p[blocks] * n_mor + at_src]
+            if lhs != rhs and lhs != MISSING and rhs != MISSING:
                 violation(
                     f"{prefix}.{iso}_naturality",
-                    phi_key_render(f, p, qs, [mor_labels[u] for u in mors]) + " breaks naturality",
+                    phi_key_render(f, p, qs, _labels(mor_labels, y, m)) + " breaks naturality",
                     where,
                 )
 
@@ -345,26 +468,26 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
     # the square is an identity on endpoints the typing pass has already
     # verified, so only the operad-level composite equality remains to check;
     # that collapses the object-tuple quantifier.
-    explicit_triples = {(f, p, qs) for (f, p, qs, _) in phi}
     assoc_instances = f"{prefix}.assoc_instances"
+    swept, assoc_count = False, 0
     for f, g, fg, g_is, ps, f_inner, g_inner in _squares(operad, maps):
-        n, ell = f.target, g.source
-        f_fibers, fg_fibers = f.fibers, fg.fibers
+        n, m, ell = f.target, f.source, g.source
+        f_fibers = f.fibers
         for p in ps:
             for qs in itertools.product(*f_inner):
                 rho = op(f, p, qs)
-                f_explicit = (f, p, qs) in explicit_triples
+                f_explicit = (n, f.values, p, qs) in explicit
                 for rs in itertools.product(*g_inner):
                     rs_blocks = tuple(tuple(rs[j - 1] for j in f_fibers[i]) for i in range(n))
                     s_ops = tuple(op(g_is[i], qs[i], rs_blocks[i]) for i in range(n))
-                    involved = (
+                    involved = explicit and (
                         f_explicit
-                        or (g, rho, rs) in explicit_triples
-                        or (fg, p, s_ops) in explicit_triples
-                        or any((g_is[i], qs[i], rs_blocks[i]) in explicit_triples for i in range(n))
+                        or (m, g.values, rho, rs) in explicit
+                        or (n, fg.values, p, s_ops) in explicit
+                        or any((g_is[i].target, g_is[i].values, qs[i], rs_blocks[i]) in explicit for i in range(n))
                     )
                     if not involved:
-                        count(assoc_instances, n_obj**ell)
+                        swept, assoc_count = True, assoc_count + n_obj**ell
                         if op(g, rho, rs) != op(fg, p, s_ops):
                             violation(
                                 f"{prefix}.assoc",
@@ -373,28 +496,30 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
                                 where,
                             )
                         continue
-                    for objs in itertools.product(range(n_obj), repeat=ell):
-                        count(assoc_instances)
-                        try:
-                            phi_g = phi_at(g, rho, rs, objs)
-                            phi_f = phi_at(f, p, qs, blocks_obj(g, rs, objs))
-                            phi_fg = phi_at(fg, p, s_ops, objs)
-                            block_morphs = tuple(
-                                phi_at(g_is[i], qs[i], rs_blocks[i], tuple(objs[k - 1] for k in fg_fibers[i]))
-                                for i in range(n)
-                            )
-                            lhs = compose(tensor_mor(n, p, block_morphs), phi_fg)
-                            rhs = compose(phi_f, phi_g)
-                        except (PhiMissing, KeyError):
+                    swept, assoc_count = swept or n_obj**ell > 0, assoc_count + n_obj**ell
+                    _, g_targets, phi_g = cc.key(g, rho, rs)
+                    phi_f = cc.key(f, p, qs)[2]
+                    phi_fg = cc.key(fg, p, s_ops)[2]
+                    inner = [cc.key(g_is[i], qs[i], rs_blocks[i])[2] for i in range(n)]
+                    fg_restrict = cc.restrict(fg, n_obj)
+                    mor_p = tensor_mor[n, p]
+                    for x in range(n_obj**ell):
+                        legs = (phi_g[x], phi_f[g_targets[x]], phi_fg[x])
+                        block_morphs = tuple(inner[i][fg_restrict[i][x]] for i in range(n))
+                        if MISSING in legs or MISSING in block_morphs:
                             continue  # reported in the typing pass
-                        if lhs != rhs:
+                        lhs = comp[mor_p[_mixed_encode(block_morphs, (n_mor,) * n)] * n_mor + legs[2]]
+                        rhs = comp[legs[1] * n_mor + legs[0]]
+                        if lhs != rhs and lhs != MISSING and rhs != MISSING:
                             violation(
                                 f"{prefix}.assoc",
                                 f"square fails at g={g.label()} f={f.label()} p={p} "
                                 f"q=({','.join(qs)}) r=({','.join(rs)}) "
-                                f"A=({','.join(objects[a] for a in objs)})",
+                                f"A=({','.join(_labels(objects, x, ell))})",
                                 where,
                             )
+    if swept:
+        count(assoc_instances, assoc_count)
     return report
 
 
@@ -462,122 +587,195 @@ def _compose_lax(L2: LaxOMonFunctor, L1: LaxOMonFunctor) -> LaxOMonFunctor:
     return out
 
 
-def _lax_coherence(
-    report: CheckReport,
-    where: str,
-    dom: OMonCategory,
-    *,
-    prefix: str,
-    comp: str,
-    render,
-    missing: str,
-    mistyped: str,
-    entries: dict,
-    endpoints,
-    default,
-    at,
-    on_obj,
-    on_mor,
-    compose,
-    tensor_mor,
-    target_phi,
-    typed,
-    is_identity,
-    is_invertible,
-    errors: tuple,
-) -> CheckReport:
-    """The laws of a lax functor out of ``dom``, for either target: the
-    components ``comp`` are typed (with the identity rule at the unit),
-    natural in the object tuple, and coherent with every structure
-    isomorphism; then the components classify it as strict, weak or lax.
+class _LaxTarget:
+    """What the lax kernel needs of the target of a lax functor out of a
+    compiled structure: its comparison values and its operations, on
+    ints.  A value is a morphism index of the target, or MISSING.
 
-    The target enters through its operations: ``compose``, ``tensor_mor``
-    of a tuple of its morphisms, ``target_phi(f, p, qs, images)`` at the
-    image of an object tuple under ``on_obj``, and the ``typed``,
-    ``is_identity`` and ``is_invertible`` tests.  ``default(src, tgt, n,
-    p, objs)`` resolves an absent entry or raises PhiMissing; ``errors``
-    are the exceptions that mark an ill-typed composite.
+    ``resolve(n, p)`` gives the row of default components at operation p
+    and a test of whether a value is typed at a code; ``entries`` the
+    explicit components as ``{(n, p): {code: value}}``; ``on_mor`` the
+    image of each morphism of the source base; ``across(n, p)`` the row of
+    ``T_p(F(mors))`` over n-tuples of morphisms; ``tensor(n, p, values)``
+    the tensor of target values; ``regroup(f, p, qs)`` the row of the
+    target's structure isomorphism at the image of each object tuple;
+    ``compose(g, f)`` a composite.  ``at``, ``label_obj``, ``label_mor``,
+    ``label_compose``, ``label_tensor`` and ``label_phi`` are the same
+    operations on label tables, which :meth:`by_labels` evaluates one
+    coherence instance with when the rows cannot settle it.
     """
-    operad = dom.operad
-    base = dom.base
-    objects, mor_labels, mor_src, mor_tgt = base.objects, base.mor_labels, base.mor_src, base.mor_tgt
-    dom_tensor_mor, blocks_obj, phi_at, op = dom.tensor_mor, dom.blocks_obj, dom.phi_at, dom.op
+
+    def by_labels(self, dom: OMonCategory, f: FinMap, p: str, qs, rho: str, objs) -> bool:
+        """Whether the coherence square fails at the instance; raises one
+        of ``errors`` at the first component that is missing."""
+        at, compose = self.at, self.label_compose
+        B = dom.blocks_obj(f, qs, objs)
+        lhs = compose(self.label_mor[dom.phi_at(f, p, qs, objs)], at(f.source, rho, objs))
+        blocks = tuple(at(len(fib), q, tuple(objs[j - 1] for j in fib)) for fib, q in zip(f.fibers, qs))
+        rhs = compose(
+            at(f.target, p, B),
+            compose(
+                self.label_tensor(f.target, p, blocks),
+                self.label_phi(f, p, qs, tuple(self.label_obj[a] for a in objs)),
+            ),
+        )
+        return lhs != rhs
+
+
+def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget) -> CheckReport:
+    """The laws of a lax functor out of the compiled structure ``cc``, for
+    either target ``t``: the components ``t.comp`` are typed (with the
+    identity rule at the unit), natural in the object tuple, and coherent
+    with every structure isomorphism; then the components classify it as
+    strict, weak or lax.
+    """
+    dom = cc.c
+    operad, base = dom.operad, dom.base
+    objects, mor_labels, n_obj = base.objects, base.mor_labels, base.n_objects
     count, violation = report.count, report.violation
-    check = f"{prefix}.{comp}"
-    # counted once per instance, so formatted once per call
+    compose, on_mor = t.compose, t.on_mor
+    check = f"{t.prefix}.{t.comp}"
     instances, nat_instances = f"{check}_instances", f"{check}_naturality_instances"
-    coh_instances = f"{prefix}.coherence_instances"
-    resolved = []
+    coh_instances = f"{t.prefix}.coherence_instances"
+    entries = t.entries
+    rows, resolved = {}, set()
 
     for n in range(operad.max_arity + 1):
         for p in operad.elements(n):
-            for objs in itertools.product(range(base.n_objects), repeat=n):
-                key_txt = render(p, [objects[a] for a in objs])
-                count(instances)
-                src, tgt = endpoints(n, p, objs)
-                value = entries.get((n, p, objs))
-                if value is None:
-                    try:
-                        value = default(src, tgt, n, p, objs)
-                    except PhiMissing:
-                        violation(f"{check}_missing", key_txt + missing, where)
+            row, typed = t.resolve(n, p)
+            if row:
+                count(instances, len(row))
+            explicit = entries.get((n, p), {})
+            if explicit or MISSING in row:
+                for x in range(len(row)):
+                    if x in explicit:
+                        value = row[x] = explicit[x]
+                        if not typed(x, value):
+                            violation(f"{check}_typing", t.render(p, _labels(objects, x, n)) + t.mistyped, where)
+                            continue
+                    elif row[x] == MISSING:
+                        violation(f"{check}_missing", t.render(p, _labels(objects, x, n)) + t.missing, where)
                         continue
-                elif not typed(value, src, tgt):
-                    violation(f"{check}_typing", key_txt + mistyped, where)
-                    continue
-                resolved.append(value)
-                if n == 1 and p == operad.unit and not is_identity(value):
-                    violation(f"{check}_unit", key_txt + " must be the identity", where)
+                    resolved.add(row[x])
+                    if n == 1 and p == operad.unit and not t.is_identity(row[x]):
+                        violation(f"{check}_unit", t.render(p, _labels(objects, x, n)) + " must be the identity", where)
+            else:
+                resolved.update(row)  # default components pass the unit rule
+            rows[n, p] = row
             # naturality in the object tuple
-            for mors in itertools.product(range(base.n_morphisms), repeat=n):
-                count(nat_instances)
-                try:
-                    at_src = at(n, p, tuple(mor_src[u] for u in mors))
-                    at_tgt = at(n, p, tuple(mor_tgt[u] for u in mors))
-                    lhs = compose(at_tgt, tensor_mor(n, p, tuple(on_mor[u] for u in mors)))
-                    rhs = compose(on_mor[dom_tensor_mor(n, p, mors)], at_src)
-                except errors:
-                    continue  # ill-typed entries are reported by the typing pass
-                if lhs != rhs:
+            ends_src, ends_tgt = cc.mor_ends(n)
+            if ends_src:
+                count(nat_instances, len(ends_src))
+            for y, (s, e, across, u) in enumerate(zip(ends_src, ends_tgt, t.across(n, p), cc.mor[n, p])):
+                at_src, at_tgt = row[s], row[e]
+                if at_src == MISSING or at_tgt == MISSING:
+                    continue  # reported by the typing pass
+                lhs = compose(at_tgt, across)
+                rhs = compose(on_mor[u], at_src)
+                if lhs != rhs and lhs != MISSING and rhs != MISSING:
                     violation(
                         f"{check}_naturality",
-                        render(p, [mor_labels[u] for u in mors]) + " breaks naturality",
+                        t.render(p, _labels(mor_labels, y, n)) + " breaks naturality",
                         where,
                     )
 
     # coherence against every structure isomorphism
+    tensor = t.tensor
     for f, p, qs in composition_keys(operad):
         m, n = f.source, f.target
-        fibers = f.fibers
-        rho = op(f, p, qs)
-        for objs in itertools.product(range(base.n_objects), repeat=m):
-            count(coh_instances)
+        rho, targets, phi = cc.key(f, p, qs)
+        if not phi:
+            continue
+        count(coh_instances, len(phi))
+        top, bottom = rows[m, rho], rows[n, p]
+        inner = [(rows[len(fib), q], sub) for fib, q, sub in zip(f.fibers, qs, cc.restrict(f, n_obj))]
+        regroup = t.regroup(f, p, qs)
+        for x, (a, b, c) in enumerate(zip(phi, targets, regroup)):
+            u, v = top[x], bottom[b]
+            blocks = tuple(r[sub[x]] for r, sub in inner)
+            if a != MISSING and u != MISSING and v != MISSING and c != MISSING and MISSING not in blocks:
+                lhs = compose(on_mor[a], u)
+                rhs = compose(tensor(n, p, blocks), c)
+                if rhs != MISSING:
+                    rhs = compose(v, rhs)
+                if lhs != MISSING and rhs != MISSING:
+                    if lhs != rhs:
+                        violation(
+                            f"{t.prefix}.coherence",
+                            "coherence square fails at " + phi_key_render(f, p, qs, _labels(objects, x, m)),
+                            where,
+                        )
+                    continue
+            # a component is missing or a composite undefined: the label
+            # tables name the first failure
             try:
-                B = blocks_obj(f, qs, objs)
-                lhs = compose(on_mor[phi_at(f, p, qs, objs)], at(m, rho, objs))
-                blocks = tuple(
-                    at(len(fib), q, tuple(objs[j - 1] for j in fib))
-                    for fib, q in zip(fibers, qs)
-                )
-                rhs = compose(
-                    at(n, p, B),
-                    compose(
-                        tensor_mor(n, p, blocks),
-                        target_phi(f, p, qs, tuple(on_obj[a] for a in objs)),
-                    ),
-                )
-            except errors as exc:
-                violation(f"{prefix}.coherence_missing", str(exc), where)
+                broken = t.by_labels(dom, f, p, qs, rho, _mixed_decode(x, (n_obj,) * m))
+            except t.errors as exc:
+                violation(f"{t.prefix}.coherence_missing", str(exc), where)
                 continue
-            if lhs != rhs:
+            if broken:
                 violation(
-                    f"{prefix}.coherence",
-                    "coherence square fails at "
-                    + phi_key_render(f, p, qs, [objects[a] for a in objs]),
+                    f"{t.prefix}.coherence",
+                    "coherence square fails at " + phi_key_render(f, p, qs, _labels(objects, x, m)),
                     where,
                 )
-    report.info["classification"] = _classify(resolved, is_identity, is_invertible)
+    report.info["classification"] = _classify(resolved, t.is_identity, t.is_invertible)
     return report
+
+
+class _TableTarget(_LaxTarget):
+    """The target of a lax functor into a structured category: values are
+    morphisms of the codomain base."""
+
+    prefix, comp = "laxfun", "xi"
+    missing, mistyped = " has no entry and unequal endpoints", " has wrong endpoints"
+    errors = (PhiMissing, KeyError)
+
+    def __init__(self, L: LaxOMonFunctor, cc: _Compiled):
+        F, cod = L.functor, L.cod
+        self.cc, self.L = cc, L
+        self.cod = cod_cc = cc if cod is L.dom else _Compiled(cod)
+        n_mor = cod_cc.n_mor
+        arities = range(L.dom.operad.max_arity + 1)
+        self.obj_images = [cc.image(n, F.on_obj, cod_cc.n_obj) for n in arities]
+        self.mor_images = [cc.image(n, F.on_mor, n_mor, True) for n in arities]
+        comp = cod_cc.comp
+        self.compose = lambda g, f: comp[g * n_mor + f]
+        self.on_mor = self.label_mor = F.on_mor
+        self.label_obj = F.on_obj
+        self.at, self.label_compose, self.label_tensor, self.label_phi = (
+            L.xi_at, cod.base.compose, cod.tensor_mor, cod.phi_at,
+        )
+        self.is_identity = cod.base.is_identity_mor
+        self.is_invertible = lambda v: _is_invertible(cod.base, v)
+        self.entries = {}
+        n_obj = cc.n_obj
+        for (n, p, objs), value in L.xi.items():
+            if len(objs) == n and all(a in range(n_obj) for a in objs):
+                self.entries.setdefault((n, p), {})[_mixed_encode(objs, (n_obj,) * n)] = value
+
+    def render(self, p, labels):
+        return xi_key_render(p, labels)
+
+    def resolve(self, n, p):
+        cod = self.cod
+        src = [cod.obj[n, p][i] for i in self.obj_images[n]]
+        on_obj = self.L.functor.on_obj
+        tgt = [on_obj[a] for a in self.cc.obj[n, p]]
+        ident, mor_src, mor_tgt = cod.ident, cod.mor_src, cod.mor_tgt
+        row = [ident[a] if a == b else MISSING for a, b in zip(src, tgt)]
+        return row, lambda x, v: mor_src[v] == src[x] and mor_tgt[v] == tgt[x]
+
+    def across(self, n, p):
+        table = self.cod.mor[n, p]
+        return [table[i] for i in self.mor_images[n]]
+
+    def tensor(self, n, p, values):
+        return self.cod.mor[n, p][_mixed_encode(values, (self.cod.n_mor,) * n)]
+
+    def regroup(self, f, p, qs):
+        phi = self.cod.key(f, p, qs)[2]
+        return [phi[i] for i in self.obj_images[f.source]]
 
 
 def _check_table_lax(L: LaxOMonFunctor) -> CheckReport:
@@ -593,26 +791,8 @@ def _check_table_lax(L: LaxOMonFunctor) -> CheckReport:
     report.merge(validate_functor(L.functor), where=where)
     if not report.ok:
         return report
-    base = cod.base
-    id_of, mor_src, mor_tgt = base.id_of, base.mor_src, base.mor_tgt
-
-    def default(src, tgt, n, p, objs):
-        if src != tgt:
-            raise PhiMissing
-        return id_of(src)
-
-    return _lax_coherence(
-        report, where, dom,
-        prefix="laxfun", comp="xi", render=xi_key_render,
-        missing=" has no entry and unequal endpoints", mistyped=" has wrong endpoints",
-        entries=L.xi, endpoints=L.xi_endpoints, default=default, at=L.xi_at,
-        on_obj=L.functor.on_obj, on_mor=L.functor.on_mor,
-        compose=base.compose, tensor_mor=cod.tensor_mor, target_phi=cod.phi_at,
-        typed=lambda v, src, tgt: mor_src[v] == src and mor_tgt[v] == tgt,
-        is_identity=base.is_identity_mor,
-        is_invertible=lambda v: _is_invertible(base, v),
-        errors=(PhiMissing, KeyError),
-    )
+    cc = _Compiled(dom)
+    return _lax_coherence(report, where, cc, _TableTarget(L, cc))
 
 
 # --------------------------------------------------------------------------
@@ -712,12 +892,122 @@ class LaxSetFunctor:
         if key in self.nu:
             return self.nu[key]
         src, tgt = self.nu_sets(n, p, objs)
-        if n == 1 and p == self.dom.operad.unit:
-            if src == tgt:
-                return FinFunction(src, tgt, tuple(range(tgt.size)))
-        elif tgt.size == 1 or src.size == 0:
-            return FinFunction(src, tgt, (0,) * src.size)
-        raise PhiMissing(nu_key_render(p, [self.dom.base.objects[a] for a in objs]))
+        value = _nu_default(src, tgt, n == 1 and p == self.dom.operad.unit)
+        if value is None:
+            raise PhiMissing(nu_key_render(p, [self.dom.base.objects[a] for a in objs]))
+        return value
+
+
+def _nu_default(src: FinSet, tgt: FinSet, unit: bool):
+    """The function an absent nu entry stands for, or None: the identity
+    at the unit operation, elsewhere the only function into a point or
+    out of the empty set."""
+    if unit:
+        return FinFunction(src, tgt, tuple(range(tgt.size))) if src == tgt else None
+    if tgt.size == 1 or src.size == 0:
+        return FinFunction(src, tgt, (0,) * src.size)
+    return None
+
+
+class _SetTarget(_LaxTarget):
+    """The target of a lax functor into (Set, x): values number the
+    functions the check meets, and each product, regrouping and composite
+    is built once per distinct argument."""
+
+    prefix, comp = "laxtoset", "nu"
+    missing, mistyped = " has no entry", " has wrong dom/cod"
+    errors = (PhiMissing, ValueError)
+
+    def __init__(self, L: "LaxSetFunctor", cc: _Compiled):
+        iset = L.iset
+        self.cc, self.L = cc, L
+        self.fns, self.ids = [], {}
+        self._sources, self._across, self._products, self._composites, self._regroups = {}, {}, {}, {}, {}
+        self.on_mor = [self.intern(a) for a in iset.actions]
+        self.label_obj, self.label_mor = iset.values, iset.actions
+        self.at, self.label_compose = L.nu_at, fn_compose
+        self.label_tensor = lambda n, p, fns: o_fn_product(fns)
+        self.label_phi = lambda f, p, qs, sets: set_regroup(f, sets)
+        self.entries = {}
+        n_obj = cc.n_obj
+        for (n, p, objs), value in L.nu.items():
+            if len(objs) == n and all(a in range(n_obj) for a in objs):
+                self.entries.setdefault((n, p), {})[_mixed_encode(objs, (n_obj,) * n)] = self.intern(value)
+
+    def intern(self, fn: FinFunction) -> int:
+        got = self.ids.get(fn)
+        if got is None:
+            got = self.ids[fn] = len(self.fns)
+            self.fns.append(fn)
+        return got
+
+    def render(self, p, labels):
+        return nu_key_render(p, labels)
+
+    def is_identity(self, v):
+        fn = self.fns[v]
+        return fn.dom == fn.cod and fn.mapping == tuple(range(fn.dom.size))
+
+    def is_invertible(self, v):
+        fn = self.fns[v]
+        return fn.dom.size == fn.cod.size and len(set(fn.mapping)) == fn.dom.size
+
+    def source(self, n: int, x: int) -> FinSet:
+        """The product of the sets over the n-tuple of objects with code x."""
+        got = self._sources.get((n, x))
+        if got is None:
+            values = self.L.iset.values
+            got = self._sources[n, x] = o_set_product(values[a] for a in _mixed_decode(x, (self.cc.n_obj,) * n))
+        return got
+
+    def resolve(self, n, p):
+        values, fns = self.L.iset.values, self.fns
+        unit = n == 1 and p == self.cc.c.operad.unit
+        src = [self.source(n, x) for x in range(self.cc.n_obj**n)]
+        tgt = [values[a] for a in self.cc.obj[n, p]]
+        row = []
+        for s, t in zip(src, tgt):
+            fn = _nu_default(s, t, unit)
+            row.append(MISSING if fn is None else self.intern(fn))
+        return row, lambda x, v: fns[v].dom == src[x] and fns[v].cod == tgt[x]
+
+    def across(self, n, p):
+        got = self._across.get(n)
+        if got is None:
+            actions = self.L.iset.actions
+            got = self._across[n] = [
+                self.intern(o_fn_product(actions[u] for u in mors))
+                for mors in itertools.product(range(self.cc.n_mor), repeat=n)
+            ]
+        return got
+
+    def tensor(self, n, p, values):
+        got = self._products.get(values)
+        if got is None:
+            got = self._products[values] = self.intern(o_fn_product(self.fns[v] for v in values))
+        return got
+
+    def compose(self, g, f):
+        got = self._composites.get((g, f))
+        if got is None:
+            try:
+                got = self.intern(fn_compose(self.fns[g], self.fns[f]))
+            except ValueError:
+                got = MISSING
+            self._composites[g, f] = got
+        return got
+
+    def regroup(self, f, p, qs):
+        memo = self._regroups.setdefault((f.target, f.values), {})
+        values, n_obj = self.L.iset.values, self.cc.n_obj
+        row = []
+        for x in range(n_obj**f.source):
+            got = memo.get(x)
+            if got is None:
+                sets = tuple(values[a] for a in _mixed_decode(x, (n_obj,) * f.source))
+                got = memo[x] = self.intern(set_regroup(f, sets))
+            row.append(got)
+        return row
 
 
 def _check_set_lax(L: LaxSetFunctor) -> CheckReport:
@@ -730,20 +1020,8 @@ def _check_set_lax(L: LaxSetFunctor) -> CheckReport:
     report.merge(validate_indexed_set(L.iset), where=where)
     if not report.ok:
         return report
-    return _lax_coherence(
-        report, where, dom,
-        prefix="laxtoset", comp="nu", render=nu_key_render,
-        missing=" has no entry", mistyped=" has wrong dom/cod",
-        entries=L.nu, endpoints=L.nu_sets,
-        default=lambda src, tgt, n, p, objs: L.nu_at(n, p, objs), at=L.nu_at,
-        on_obj=L.iset.values, on_mor=L.iset.actions,
-        compose=fn_compose, tensor_mor=lambda n, p, fns: o_fn_product(fns),
-        target_phi=lambda f, p, qs, sets: set_regroup(f, sets),
-        typed=lambda v, src, tgt: v.dom == src and v.cod == tgt,
-        is_identity=lambda v: v.dom == v.cod and v.mapping == tuple(range(v.dom.size)),
-        is_invertible=lambda v: v.dom.size == v.cod.size and len(set(v.mapping)) == v.dom.size,
-        errors=(PhiMissing, ValueError),
-    )
+    cc = _Compiled(dom)
+    return _lax_coherence(report, where, cc, _SetTarget(L, cc))
 
 
 def _fn_product_aligned(fns) -> FinFunction:
@@ -1249,37 +1527,50 @@ def _strict_preservation(report: CheckReport, where: str, checks, c1, c2, functo
     that is not preserved, of a missing structure isomorphism and of one
     that is not preserved."""
     counter, tensor_check, missing_check, phi_check = checks
-    operad, base = c1.operad, c1.base
-    objects, on_obj, on_mor = base.objects, functor.on_obj, functor.on_mor
+    operad, objects = c1.operad, c1.base.objects
+    on_obj, on_mor = functor.on_obj, functor.on_mor
     count, violation = report.count, report.violation
+    k1 = _Compiled(c1)
+    k2 = k1 if c2 is c1 else _Compiled(c2)
+    obj_images = [k1.image(n, on_obj, k2.n_obj) for n in range(operad.max_arity + 1)]
     for n in range(operad.max_arity + 1):
+        mor_image = k1.image(n, on_mor, k2.n_mor, True)
         for p in operad.elements(n):
-            for combo in itertools.product(range(base.n_objects), repeat=n):
-                count(counter)
-                if on_obj[c1.tensor_obj(n, p, combo)] != c2.tensor_obj(n, p, tuple(on_obj[a] for a in combo)):
+            top, bottom = k1.obj[n, p], k2.obj[n, p]
+            if top:
+                count(counter, len(top))
+            for x, (a, i) in enumerate(zip(top, obj_images[n])):
+                if on_obj[a] != bottom[i]:
                     violation(
                         tensor_check,
-                        f"tensor[p={p}] not strictly preserved at ({','.join(objects[a] for a in combo)})",
+                        f"tensor[p={p}] not strictly preserved at ({','.join(_labels(objects, x, n))})",
                         where,
                     )
-            for combo in itertools.product(range(base.n_morphisms), repeat=n):
-                count(counter)
-                if on_mor[c1.tensor_mor(n, p, combo)] != c2.tensor_mor(n, p, tuple(on_mor[m] for m in combo)):
+            top, bottom = k1.mor[n, p], k2.mor[n, p]
+            if top:
+                count(counter, len(top))
+            for a, i in zip(top, mor_image):
+                if on_mor[a] != bottom[i]:
                     violation(tensor_check, f"tensor[p={p}] morphism entry not strictly preserved", where)
     for f, p, qs in composition_keys(operad):
-        for combo in itertools.product(range(base.n_objects), repeat=f.source):
-            count(counter)
-            try:
-                top = c1.phi_at(f, p, qs, combo)
-                bottom = c2.phi_at(f, p, qs, tuple(on_obj[a] for a in combo))
-            except (PhiMissing, KeyError) as exc:
-                violation(missing_check, str(exc), where)
+        top, bottom = k1.key(f, p, qs)[2], k2.key(f, p, qs)[2]
+        if top:
+            count(counter, len(top))
+        for x, (a, i) in enumerate(zip(top, obj_images[f.source])):
+            b = bottom[i]
+            if a == MISSING or b == MISSING:
+                # the label tables name the missing entry
+                objs = _mixed_decode(x, (k1.n_obj,) * f.source)
+                try:
+                    c1.phi_at(f, p, qs, objs)
+                    c2.phi_at(f, p, qs, tuple(on_obj[a] for a in objs))
+                except (PhiMissing, KeyError) as exc:
+                    violation(missing_check, str(exc), where)
                 continue
-            if on_mor[top] != bottom:
+            if on_mor[a] != b:
                 violation(
                     phi_check,
-                    f"phi[f={f.label()},p={p}] not strictly preserved at "
-                    f"({','.join(objects[a] for a in combo)})",
+                    f"phi[f={f.label()},p={p}] not strictly preserved at ({','.join(_labels(objects, x, f.source))})",
                     where,
                 )
     return report
