@@ -11,6 +11,7 @@ Missing entries whose endpoints differ are reported, never guessed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .fincore import (
@@ -192,40 +193,48 @@ class _Compiled:
             at = self.explicit.setdefault((f.target, f.values, p, qs), {})
             if len(objs) == f.source and all(a in range(n_obj) for a in objs):
                 at[_mixed_encode(objs, (n_obj,) * len(objs))] = value
+        self.op_index = [{label: i for i, label in enumerate(operad.elements(n))} for n in range(operad.max_arity + 1)]
         self._digits, self._restrict, self._blocks, self._ends, self._keys = {}, {}, {}, {}, {}
+        self._ops, self._op_at = {}, {}
 
-    def digits(self, m: int, r: int):
-        """``digits[j][x]``: digit j of the m-digit base-r code x."""
-        got = self._digits.get((m, r))
+    def digits(self, sizes: tuple):
+        """``digits[j][x]``: digit j of the code x in the mixed radix ``sizes``."""
+        got = self._digits.get(sizes)
         if got is None:
-            got = self._digits[m, r] = [
-                tuple((x // r ** (m - 1 - j)) % r for x in range(r**m)) for j in range(m)
-            ]
+            total = math.prod(sizes)
+            got, step = [], total
+            for size in sizes:
+                step //= size or 1
+                got.append(tuple((x // step) % size for x in range(total)))
+            self._digits[sizes] = got
         return got
 
-    def image(self, n: int, on, r: int, mor: bool = False):
-        """Row over n-tuples of objects (morphisms when ``mor``) of the
-        code, in base r, of the tuple's image under the table ``on``."""
-        row = [0] * (self.n_mor if mor else self.n_obj) ** n
-        for digit in self.digits(n, self.n_mor if mor else self.n_obj):
-            row = [a * r + on[d] for a, d in zip(row, digit)]
-        return tuple(row)
+    def sub_codes(self, sizes: tuple, positions):
+        """Row over the codes x in the radix ``sizes`` of the code of x's
+        digits at ``positions`` (from 1, increasing)."""
+        k = (sizes, positions)
+        got = self._restrict.get(k)
+        if got is None:
+            digits = self.digits(sizes)
+            row = [0] * math.prod(sizes)
+            for j in positions:
+                row = [a * sizes[j - 1] + d for a, d in zip(row, digits[j - 1])]
+            got = self._restrict[k] = tuple(row)
+        return got
 
     def restrict(self, f: FinMap, r: int):
         """One row per fiber of f over base-r codes of f.source-tuples:
         the code of the tuple restricted to the fiber."""
-        k = (f.target, f.values, r)
-        got = self._restrict.get(k)
-        if got is None:
-            digits = self.digits(f.source, r)
-            got = []
-            for fib in f.fibers:
-                row = [0] * r**f.source
-                for j in fib:
-                    row = [a * r + d for a, d in zip(row, digits[j - 1])]
-                got.append(tuple(row))
-            self._restrict[k] = got
-        return got
+        return [self.sub_codes((r,) * f.source, fib) for fib in f.fibers]
+
+    def image(self, n: int, on, r: int, mor: bool = False):
+        """Row over n-tuples of objects (morphisms when ``mor``) of the
+        code, in base r, of the tuple's image under the table ``on``."""
+        size = self.n_mor if mor else self.n_obj
+        row = [0] * size**n
+        for digit in self.digits((size,) * n):
+            row = [a * r + on[d] for a, d in zip(row, digit)]
+        return tuple(row)
 
     def blocks(self, f: FinMap, qs, mor: bool = False):
         """Row over tuples of objects (morphisms when ``mor``) of the code
@@ -262,6 +271,55 @@ class _Compiled:
                 phi[x] = value
             got = self._keys[k] = (rho, targets, tuple(phi))
         return got
+
+    def ops(self, f: FinMap, p: str):
+        """The labels ``op(f, p, qs)`` over the tuples qs of inner
+        operations, in the order ``itertools.product`` yields them."""
+        k = (f.target, f.values, p)
+        got = self._ops.get(k)
+        if got is None:
+            operad = self.c.operad
+            inner = [operad.elements(len(fib)) for fib in f.fibers]
+            got = self._ops[k] = tuple(operad.compose(f, p, qs) for qs in itertools.product(*inner))
+        return got
+
+    def square_failures(self, f: FinMap, g: FinMap, fg: FinMap, g_is, ps):
+        """The operad's associativity square at g and f, at every outer
+        operation p in ``ps`` and tuples qs, rs of inner operations over
+        the fibers of f and of g: whether ``op(g, op(f, p, qs), rs)``
+        equals ``op(fg, p, s)`` with ``s[i] = op(g_is[i], qs[i],
+        rs|f^-1(i))``.  Returns the number of (p, qs, rs) and the codes
+        ``(p_index * Q + qs code) * R + rs code`` of those that fail, or
+        None when some ``s[i]`` lies outside its carrier, which only the
+        caller's own loop reports as the operad does."""
+        elements = self.c.operad.elements
+        f_sizes = tuple(len(elements(len(fib))) for fib in f.fibers)
+        g_sizes = tuple(len(elements(len(fib))) for fib in g.fibers)
+        q_digits = self.digits(f_sizes)
+        # the code of s over (qs, rs), rs fastest
+        code = [0] * (math.prod(f_sizes) * math.prod(g_sizes))
+        for i, (fib, g_i) in enumerate(zip(f.fibers, g_is)):
+            index, sub = self.op_index[g_i.source], self.sub_codes(g_sizes, fib)
+            try:
+                table = [[index[label] for label in self.ops(g_i, q)] for q in elements(len(fib))]
+            except KeyError:
+                return None
+            row = [table[d][r] for d in q_digits[i] for r in sub]
+            code = [c * len(index) + t for c, t in zip(code, row)]
+        lhs, rhs = [], []
+        fg_inner = [elements(len(fib)) for fib in fg.fibers]
+        for p in ps:
+            # op(fg, p, s) only at the tuples s that occur, once each
+            known = self._op_at.setdefault((fg.target, fg.values, p), {})
+            for c in dict.fromkeys(code):
+                if c not in known:
+                    digits = _mixed_decode(c, [len(inner) for inner in fg_inner])
+                    known[c] = self.c.operad.compose(fg, p, tuple(inner[d] for inner, d in zip(fg_inner, digits)))
+            rhs.extend(known[c] for c in code)
+            lhs.extend(a for rho in self.ops(f, p) for a in self.ops(g, rho))
+        if lhs == rhs:
+            return len(lhs), []
+        return len(lhs), [x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
 
 
 def _labels(names, x: int, n: int) -> list:
@@ -473,6 +531,23 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
     for f, g, fg, g_is, ps, f_inner, g_inner in _squares(operad, maps):
         n, m, ell = f.target, f.source, g.source
         f_fibers = f.fibers
+        swept_all = None if explicit else cc.square_failures(f, g, fg, g_is, ps)
+        if swept_all is not None:
+            # the shortcut below, at every p, qs and rs at once
+            total, failures = swept_all
+            swept, assoc_count = True, assoc_count + n_obj**ell * total
+            q_sizes, r_sizes = [len(c) for c in f_inner], [len(c) for c in g_inner]
+            per_p = math.prod(q_sizes) * math.prod(r_sizes)
+            for x in failures:
+                qs = [c[d] for c, d in zip(f_inner, _mixed_decode(x % per_p // math.prod(r_sizes), q_sizes))]
+                rs = [c[d] for c, d in zip(g_inner, _mixed_decode(x % math.prod(r_sizes), r_sizes))]
+                violation(
+                    f"{prefix}.assoc",
+                    f"square fails at g={g.label()} f={f.label()} p={ps[x // per_p]} "
+                    f"q=({','.join(qs)}) r=({','.join(rs)})",
+                    where,
+                )
+            continue
         for p in ps:
             for qs in itertools.product(*f_inner):
                 rho = op(f, p, qs)
