@@ -671,8 +671,9 @@ class _LaxTarget:
     and a test of whether a value is typed at a code; ``entries`` the
     explicit components as ``{(n, p): {code: value}}``; ``on_mor`` the
     image of each morphism of the source base; ``across(n, p)`` the row of
-    ``T_p(F(mors))`` over n-tuples of morphisms; ``tensor(n, p, values)``
-    the tensor of target values; ``regroup(f, p, qs)`` the row of the
+    ``T_p(F(mors))`` over n-tuples of morphisms; ``tensors(n, p, blocks,
+    size)`` the row of ``T_p`` of the target values at the same code of
+    each row in ``blocks``, MISSING where one is missing; ``regroup(f, p, qs)`` the row of the
     target's structure isomorphism at the image of each object tuple;
     ``compose(g, f)`` a composite.  ``at``, ``label_obj``, ``label_mor``,
     ``label_compose``, ``label_tensor`` and ``label_phi`` are the same
@@ -755,7 +756,6 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
                     )
 
     # coherence against every structure isomorphism
-    tensor = t.tensor
     for f, p, qs in composition_keys(operad):
         m, n = f.source, f.target
         rho, targets, phi = cc.key(f, p, qs)
@@ -763,14 +763,13 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
             continue
         count(coh_instances, len(phi))
         top, bottom = rows[m, rho], rows[n, p]
-        inner = [(rows[len(fib), q], sub) for fib, q, sub in zip(f.fibers, qs, cc.restrict(f, n_obj))]
-        regroup = t.regroup(f, p, qs)
-        for x, (a, b, c) in enumerate(zip(phi, targets, regroup)):
-            u, v = top[x], bottom[b]
-            blocks = tuple(r[sub[x]] for r, sub in inner)
-            if a != MISSING and u != MISSING and v != MISSING and c != MISSING and MISSING not in blocks:
+        blocks = [[rows[len(fib), q][s] for s in sub] for fib, q, sub in zip(f.fibers, qs, cc.restrict(f, n_obj))]
+        rows_at = zip(phi, top, targets, t.tensors(n, p, blocks, len(phi)), t.regroup(f, p, qs))
+        for x, (a, u, b, d, c) in enumerate(rows_at):
+            v = bottom[b]
+            if a != MISSING and u != MISSING and v != MISSING and d != MISSING and c != MISSING:
                 lhs = compose(on_mor[a], u)
-                rhs = compose(tensor(n, p, blocks), c)
+                rhs = compose(d, c)
                 if rhs != MISSING:
                     rhs = compose(v, rhs)
                 if lhs != MISSING and rhs != MISSING:
@@ -845,8 +844,12 @@ class _TableTarget(_LaxTarget):
         table = self.cod.mor[n, p]
         return [table[i] for i in self.mor_images[n]]
 
-    def tensor(self, n, p, values):
-        return self.cod.mor[n, p][_mixed_encode(values, (self.cod.n_mor,) * n)]
+    def tensors(self, n, p, blocks, size):
+        table, r = self.cod.mor[n, p], self.cod.n_mor
+        code = [0] * size
+        for row in blocks:
+            code = [MISSING if c == MISSING or b == MISSING else c * r + b for c, b in zip(code, row)]
+        return [MISSING if c == MISSING else table[c] for c in code]
 
     def regroup(self, f, p, qs):
         phi = self.cod.key(f, p, qs)[2]
@@ -1056,11 +1059,14 @@ class _SetTarget(_LaxTarget):
             ]
         return got
 
-    def tensor(self, n, p, values):
-        got = self._products.get(values)
-        if got is None:
-            got = self._products[values] = self.intern(o_fn_product(self.fns[v] for v in values))
-        return got
+    def tensors(self, n, p, blocks, size):
+        row = []
+        for values in zip(*blocks) if blocks else [()] * size:
+            got = MISSING if MISSING in values else self._products.get(values)
+            if got is None:
+                got = self._products[values] = self.intern(o_fn_product(self.fns[v] for v in values))
+            row.append(got)
+        return row
 
     def compose(self, g, f):
         got = self._composites.get((g, f))
