@@ -195,7 +195,7 @@ class _Compiled:
                 at[_mixed_encode(objs, (n_obj,) * len(objs))] = value
         self.op_index = [{label: i for i, label in enumerate(operad.elements(n))} for n in range(operad.max_arity + 1)]
         self._digits, self._restrict, self._blocks, self._ends, self._keys = {}, {}, {}, {}, {}
-        self._ops, self._op_at = {}, {}
+        self._ops, self._op_at, self._op_indices = {}, {}, {}
 
     def digits(self, sizes: tuple):
         """``digits[j][x]``: digit j of the code x in the mixed radix ``sizes``."""
@@ -283,36 +283,47 @@ class _Compiled:
             got = self._ops[k] = tuple(operad.compose(f, p, qs) for qs in itertools.product(*inner))
         return got
 
-    def square_failures(self, f: FinMap, g: FinMap, fg: FinMap, g_is, ps):
+    def op_indices(self, f: FinMap):
+        """For each operation q of arity f.target, the carrier indices of
+        ``op(f, q, qs)`` over the tuples qs; None when one lies outside
+        its carrier."""
+        k = (f.target, f.values)
+        if k not in self._op_indices:
+            index = self.op_index[f.source]
+            try:
+                got = [[index[label] for label in self.ops(f, q)] for q in self.c.operad.elements(f.target)]
+            except KeyError:
+                got = None
+            self._op_indices[k] = got
+        return self._op_indices[k]
+
+    def square_failures(self, f: FinMap, g: FinMap, fg: FinMap, g_is, ps, f_inner, g_inner):
         """The operad's associativity square at g and f, at every outer
         operation p in ``ps`` and tuples qs, rs of inner operations over
-        the fibers of f and of g: whether ``op(g, op(f, p, qs), rs)``
-        equals ``op(fg, p, s)`` with ``s[i] = op(g_is[i], qs[i],
-        rs|f^-1(i))``.  Returns the number of (p, qs, rs) and the codes
-        ``(p_index * Q + qs code) * R + rs code`` of those that fail, or
-        None when some ``s[i]`` lies outside its carrier, which only the
-        caller's own loop reports as the operad does."""
-        elements = self.c.operad.elements
-        f_sizes = tuple(len(elements(len(fib))) for fib in f.fibers)
-        g_sizes = tuple(len(elements(len(fib))) for fib in g.fibers)
-        q_digits = self.digits(f_sizes)
+        the fibers of f and of g (from ``f_inner`` and ``g_inner``):
+        whether ``op(g, op(f, p, qs), rs)`` equals ``op(fg, p, s)`` with
+        ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
+        (p, qs, rs) and the codes ``(p_index * Q + qs code) * R + rs
+        code`` of those that fail, or None when some ``s[i]`` lies outside
+        its carrier, which the caller's own loop reports as the operad
+        does."""
+        g_sizes = tuple(map(len, g_inner))
+        q_digits = self.digits(tuple(map(len, f_inner)))
         # the code of s over (qs, rs), rs fastest
-        code = [0] * (math.prod(f_sizes) * math.prod(g_sizes))
-        for i, (fib, g_i) in enumerate(zip(f.fibers, g_is)):
-            index, sub = self.op_index[g_i.source], self.sub_codes(g_sizes, fib)
-            try:
-                table = [[index[label] for label in self.ops(g_i, q)] for q in elements(len(fib))]
-            except KeyError:
+        code = [0] * (len(q_digits[0]) if q_digits else 1) * math.prod(g_sizes)
+        for fib, g_i, digits in zip(f.fibers, g_is, q_digits):
+            table = self.op_indices(g_i)
+            if table is None:
                 return None
-            row = [table[d][r] for d in q_digits[i] for r in sub]
-            code = [c * len(index) + t for c, t in zip(code, row)]
+            sub, radix = self.sub_codes(g_sizes, fib), len(self.op_index[g_i.source])
+            code = [c * radix + t for c, t in zip(code, [table[d][r] for d in digits for r in sub])]
         lhs, rhs = [], []
-        fg_inner = [elements(len(fib)) for fib in fg.fibers]
         for p in ps:
             # op(fg, p, s) only at the tuples s that occur, once each
             known = self._op_at.setdefault((fg.target, fg.values, p), {})
             for c in dict.fromkeys(code):
                 if c not in known:
+                    fg_inner = [self.c.operad.elements(len(fib)) for fib in fg.fibers]
                     digits = _mixed_decode(c, [len(inner) for inner in fg_inner])
                     known[c] = self.c.operad.compose(fg, p, tuple(inner[d] for inner, d in zip(fg_inner, digits)))
             rhs.extend(known[c] for c in code)
@@ -531,7 +542,10 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
     for f, g, fg, g_is, ps, f_inner, g_inner in _squares(operad, maps):
         n, m, ell = f.target, f.source, g.source
         f_fibers = f.fibers
-        swept_all = None if explicit else cc.square_failures(f, g, fg, g_is, ps)
+        # rows pay off from two instances of the square on (a terminal
+        # operad has one; the permutation operad mostly more)
+        many = len(ps) * math.prod(map(len, f_inner)) * math.prod(map(len, g_inner)) > 1
+        swept_all = cc.square_failures(f, g, fg, g_is, ps, f_inner, g_inner) if many and not explicit else None
         if swept_all is not None:
             # the shortcut below, at every p, qs and rs at once
             total, failures = swept_all
@@ -664,21 +678,24 @@ def _compose_lax(L2: LaxOMonFunctor, L1: LaxOMonFunctor) -> LaxOMonFunctor:
 
 class _LaxTarget:
     """What the lax kernel needs of the target of a lax functor out of a
-    compiled structure: its comparison values and its operations, on
-    ints.  A value is a morphism index of the target, or MISSING.
+    compiled structure: its operations on values, which are ints that
+    number morphisms of the target, or MISSING.
 
-    ``resolve(n, p)`` gives the row of default components at operation p
-    and a test of whether a value is typed at a code; ``entries`` the
-    explicit components as ``{(n, p): {code: value}}``; ``on_mor`` the
-    image of each morphism of the source base; ``across(n, p)`` the row of
-    ``T_p(F(mors))`` over n-tuples of morphisms; ``tensors(n, p, blocks,
-    size)`` the row of ``T_p`` of the target values at the same code of
-    each row in ``blocks``, MISSING where one is missing; ``regroup(f, p, qs)`` the row of the
-    target's structure isomorphism at the image of each object tuple;
-    ``compose(g, f)`` a composite.  ``at``, ``label_obj``, ``label_mor``,
-    ``label_compose``, ``label_tensor`` and ``label_phi`` are the same
-    operations on label tables, which :meth:`by_labels` evaluates one
-    coherence instance with when the rows cannot settle it.
+    - ``resolve(n, p)``: the row of default components at p, and a test
+      of whether a value is typed at a code;
+    - ``entries``: the explicit components, ``{(n, p): {code: value}}``;
+    - ``on_mor``: the image of each morphism of the source base;
+    - ``across(n, p)``: the row of ``T_p(F(mors))`` over morphism tuples;
+    - ``tensors(n, p, blocks, size)``: the row of ``T_p`` of the values
+      at one code of each row in ``blocks``, MISSING where one is;
+    - ``target_phi(f, p, qs)``: the row of the target's structure
+      isomorphism at the image of each object tuple;
+    - ``compose(g, f)``: a composite, or MISSING.
+
+    ``at``, ``label_obj``, ``label_mor``, ``label_compose``,
+    ``label_tensor`` and ``label_phi`` are the same operations on the
+    label tables, with which :meth:`by_labels` evaluates one coherence
+    instance that the rows cannot settle.
     """
 
     def by_labels(self, dom: OMonCategory, f: FinMap, p: str, qs, rho: str, objs) -> bool:
@@ -764,7 +781,7 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
         count(coh_instances, len(phi))
         top, bottom = rows[m, rho], rows[n, p]
         blocks = [[rows[len(fib), q][s] for s in sub] for fib, q, sub in zip(f.fibers, qs, cc.restrict(f, n_obj))]
-        rows_at = zip(phi, top, targets, t.tensors(n, p, blocks, len(phi)), t.regroup(f, p, qs))
+        rows_at = zip(phi, top, targets, t.tensors(n, p, blocks, len(phi)), t.target_phi(f, p, qs))
         for x, (a, u, b, d, c) in enumerate(rows_at):
             v = bottom[b]
             if a != MISSING and u != MISSING and v != MISSING and d != MISSING and c != MISSING:
@@ -808,7 +825,7 @@ class _TableTarget(_LaxTarget):
     def __init__(self, L: LaxOMonFunctor, cc: _Compiled):
         F, cod = L.functor, L.cod
         self.cc, self.L = cc, L
-        self.cod = cod_cc = cc if cod is L.dom else _Compiled(cod)
+        self.cod_cc = cod_cc = cc if cod is L.dom else _Compiled(cod)
         n_mor = cod_cc.n_mor
         arities = range(L.dom.operad.max_arity + 1)
         self.obj_images = [cc.image(n, F.on_obj, cod_cc.n_obj) for n in arities]
@@ -832,7 +849,7 @@ class _TableTarget(_LaxTarget):
         return xi_key_render(p, labels)
 
     def resolve(self, n, p):
-        cod = self.cod
+        cod = self.cod_cc
         src = [cod.obj[n, p][i] for i in self.obj_images[n]]
         on_obj = self.L.functor.on_obj
         tgt = [on_obj[a] for a in self.cc.obj[n, p]]
@@ -841,18 +858,18 @@ class _TableTarget(_LaxTarget):
         return row, lambda x, v: mor_src[v] == src[x] and mor_tgt[v] == tgt[x]
 
     def across(self, n, p):
-        table = self.cod.mor[n, p]
+        table = self.cod_cc.mor[n, p]
         return [table[i] for i in self.mor_images[n]]
 
     def tensors(self, n, p, blocks, size):
-        table, r = self.cod.mor[n, p], self.cod.n_mor
+        table, r = self.cod_cc.mor[n, p], self.cod_cc.n_mor
         code = [0] * size
         for row in blocks:
             code = [MISSING if c == MISSING or b == MISSING else c * r + b for c, b in zip(code, row)]
         return [MISSING if c == MISSING else table[c] for c in code]
 
-    def regroup(self, f, p, qs):
-        phi = self.cod.key(f, p, qs)[2]
+    def target_phi(self, f, p, qs):
+        phi = self.cod_cc.key(f, p, qs)[2]
         return [phi[i] for i in self.obj_images[f.source]]
 
 
@@ -1078,7 +1095,7 @@ class _SetTarget(_LaxTarget):
             self._composites[g, f] = got
         return got
 
-    def regroup(self, f, p, qs):
+    def target_phi(self, f, p, qs):
         memo = self._regroups.setdefault((f.target, f.values), {})
         values, n_obj = self.L.iset.values, self.cc.n_obj
         row = []
