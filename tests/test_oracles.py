@@ -588,8 +588,8 @@ def omon_mutations(c):
 
     for what, tensors in _tensor_mutations(c.tensors, c.base.n_objects, c.base.n_morphisms):
         yield what, rebuilt(tensors=tensors)
-    for f_values_n in [(m, n) for n in range(c.operad.max_arity + 1) for m in range(c.operad.max_arity + 1)]:
-        m, n = f_values_n
+    arities = range(c.operad.max_arity + 1)
+    for n, m in itertools.product(arities, arities):
         for f_values in _maps(m, n):
             f = FinMap(m, n, f_values)
             fibs = _fibers(f_values, n)
