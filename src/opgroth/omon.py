@@ -162,7 +162,8 @@ class _Compiled:
     ``(f, p, qs)`` its operation ``rho``, the row of codes of its target
     tuples (the block tensors) and the row of its resolved structure
     isomorphism: the explicit entry, else the identity where the two
-    endpoints agree, else MISSING.
+    endpoints agree, else MISSING.  :meth:`ops` and
+    :meth:`square_failures` do the same for the operad's composites.
 
     Rows are built on first use.  No caller keeps the form past the call
     that builds it, because the label tables it reads are edited in place
@@ -307,10 +308,10 @@ class _Compiled:
         code`` of those that fail, or None when some ``s[i]`` lies outside
         its carrier, which the caller's own loop reports as the operad
         does."""
-        g_sizes = tuple(map(len, g_inner))
-        q_digits = self.digits(tuple(map(len, f_inner)))
+        f_sizes, g_sizes = tuple(map(len, f_inner)), tuple(map(len, g_inner))
+        q_digits = self.digits(f_sizes)
         # the code of s over (qs, rs), rs fastest
-        code = [0] * (len(q_digits[0]) if q_digits else 1) * math.prod(g_sizes)
+        code = [0] * (math.prod(f_sizes) * math.prod(g_sizes))
         for fib, g_i, digits in zip(f.fibers, g_is, q_digits):
             table = self.op_indices(g_i)
             if table is None:
