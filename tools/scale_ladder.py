@@ -27,16 +27,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _omon(builder: str, arity: int):
+def _omon(make: str, arity: int):
     from opgroth import omon
 
-    return getattr(omon, builder)(arity), omon.check_omon_category
+    return getattr(omon, make)(arity), omon.check_omon_category
 
 
-def _laxtoset(builder: str, arity: int):
+def _laxtoset(make: str, arity: int):
     from opgroth import ogroth
 
-    return getattr(ogroth, builder)(arity), ogroth.check_laxtoset
+    return getattr(ogroth, make)(arity), ogroth.check_laxtoset
 
 
 def _roundtrip(arity: int):
@@ -48,13 +48,13 @@ def _roundtrip(arity: int):
 # rung name -> () -> (input, checker); the input build is timed apart
 RUNGS = {
     **{
-        f"check_omon_category {label}({k})": (lambda b=builder, k=k: _omon(b, k))
-        for label, builder in (("grade", "grade_assoc_omon"), ("dz2", "dz2_assoc_omon"), ("l2", "l2_comm_omon"))
+        f"check_omon_category {label}({k})": (lambda b=make, k=k: _omon(b, k))
+        for label, make in (("grade", "grade_assoc_omon"), ("dz2", "dz2_assoc_omon"), ("l2", "l2_comm_omon"))
         for k in (3, 4)
     },
     **{
-        f"check_laxtoset {label}({k})": (lambda b=builder, k=k: _laxtoset(b, k))
-        for label, builder in (("grade", "grade_laxtoset"), ("l2", "l2_laxtoset"))
+        f"check_laxtoset {label}({k})": (lambda b=make, k=k: _laxtoset(b, k))
+        for label, make in (("grade", "grade_laxtoset"), ("l2", "l2_laxtoset"))
         for k in (3, 4)
     },
     "omon_roundtrip_check make_o_corpus(3)": lambda: _roundtrip(3),
