@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CAP_S = 300.0  # seconds a rung may take
 
 
 def _omon(make: str, arity: int):
@@ -80,16 +81,16 @@ def run_rung(name: str) -> dict:
     }
 
 
-def run_ladder(cap: float, names) -> dict:
+def run_ladder() -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = {}
-    for name in names:
+    for name in RUNGS:
         argv = [sys.executable, str(Path(__file__).resolve()), "--rung", name]
         start = time.perf_counter()
         try:
-            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=cap)
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=CAP_S)
         except subprocess.TimeoutExpired:
-            out[name] = {"status": "over_cap", "cap_s": cap}
+            out[name] = {"status": "over_cap", "cap_s": CAP_S}
         else:
             if proc.returncode == 0:
                 out[name] = json.loads(proc.stdout.splitlines()[-1])
@@ -105,21 +106,18 @@ def main(argv=None) -> int:
     parser.add_argument("--rung", help="run one rung in this process and print its JSON")
     parser.add_argument("--out", type=Path, help="JSON file to add this run to")
     parser.add_argument("--label", default="run", help="name of this run in the output file")
-    parser.add_argument("--cap", type=float, default=300.0, help="seconds a rung may take (default 300)")
-    parser.add_argument("--only", action="append", default=[], help="run only rungs containing this text")
     args = parser.parse_args(argv)
     if args.rung:
         print(json.dumps(run_rung(args.rung)))
         return 0
-    names = [n for n in RUNGS if not args.only or any(s in n for s in args.only)]
     run = {
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
         },
-        "cap_s": args.cap,
-        "rungs": run_ladder(args.cap, names),
+        "cap_s": CAP_S,
+        "rungs": run_ladder(),
     }
     if args.out is None:
         print(json.dumps(run, indent=2))
