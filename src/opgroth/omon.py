@@ -362,6 +362,34 @@ def _identity_forced(f: FinMap, p: str, qs, unit: str) -> bool:
     return (f.is_identity and all(q == unit for q in qs)) or (f.target == 1 and p == unit)
 
 
+def _tensor_totality(report: CheckReport, c: OMonCategory, prefix: str, where: str) -> None:
+    """Record as structural each tensor table of c that is absent and each
+    entry that is missing or out of range; :class:`_Compiled` reads them
+    all."""
+    operad, base = c.operad, c.base
+    n_obj, n_mor = base.n_objects, base.n_morphisms
+    for n in range(operad.max_arity + 1):
+        for p in operad.elements(n):
+            table = c.tensors.get((n, p))
+            if table is None:
+                report.structural(f"{prefix}.tensor_missing", f"no tensor for arity-{n} operation {p}", where)
+                continue
+            for combo in itertools.product(range(n_obj), repeat=n):
+                if combo not in table.obj or not 0 <= table.obj[combo] < n_obj:
+                    report.structural(
+                        f"{prefix}.tensor_table",
+                        tensor_key_render(p, [base.objects[a] for a in combo]) + " missing or out of range",
+                        where,
+                    )
+            for combo in itertools.product(range(n_mor), repeat=n):
+                if combo not in table.mor or not 0 <= table.mor[combo] < n_mor:
+                    report.structural(
+                        f"{prefix}.tensor_table",
+                        f"tensor[p={p}] morphism entry missing or out of range",
+                        where,
+                    )
+
+
 def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckReport:
     """The laws of a structured category whose structure isomorphisms
     (named ``iso`` in the check names) are indexed by the maps that
@@ -382,26 +410,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
     tensors, phi = c.tensors, c.phi
 
     # tensor tables: totality, unit tensor, identities, endpoints, functoriality
-    for n in range(n_arities):
-        for p in elements(n):
-            table = tensors.get((n, p))
-            if table is None:
-                structural(f"{prefix}.tensor_missing", f"no tensor for arity-{n} operation {p}", where)
-                continue
-            for combo in itertools.product(range(n_obj), repeat=n):
-                if combo not in table.obj or not 0 <= table.obj[combo] < n_obj:
-                    structural(
-                        f"{prefix}.tensor_table",
-                        tensor_key_render(p, [objects[a] for a in combo]) + " missing or out of range",
-                        where,
-                    )
-            for combo in itertools.product(range(n_mor), repeat=n):
-                if combo not in table.mor or not 0 <= table.mor[combo] < n_mor:
-                    structural(
-                        f"{prefix}.tensor_table",
-                        f"tensor[p={p}] morphism entry missing or out of range",
-                        where,
-                    )
+    _tensor_totality(report, c, prefix, where)
     if report.records:
         return report
 
@@ -885,6 +894,9 @@ def _check_table_lax(L: LaxOMonFunctor) -> CheckReport:
         report.structural("laxfun.frame", "functor frame mismatch", where)
         return report
     report.merge(validate_functor(L.functor), where=where)
+    _tensor_totality(report, dom, "laxfun", f"{where}:dom")
+    if cod is not dom:
+        _tensor_totality(report, cod, "laxfun", f"{where}:cod")
     if not report.ok:
         return report
     cc = _Compiled(dom)
@@ -1117,6 +1129,7 @@ def _check_set_lax(L: LaxSetFunctor) -> CheckReport:
         report.structural("laxtoset.frame", "indexed set does not live on the structured base", where)
         return report
     report.merge(validate_indexed_set(L.iset), where=where)
+    _tensor_totality(report, dom, "laxtoset", f"{where}:dom")
     if not report.ok:
         return report
     cc = _Compiled(dom)

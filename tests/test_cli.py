@@ -102,6 +102,39 @@ def test_phi_entries_that_index_no_isomorphism_are_structural(tmp_path):
     ]
 
 
+HOLE_SPECS = {
+    # a morphism entry of the cod that the functor (onto object 1) never reaches
+    "cod": ("tensor * (id_0,le_0_1) = id_0\n", ["tensor[p=*] morphism entry missing or out of range"]),
+    # an object entry, and with it the identity entry the parser derives from it
+    "dom": ("tensor * (1,0) = 0\n", [
+        "tensor[p=*,A=(1,0)] missing or out of range",
+        "tensor[p=*] morphism entry missing or out of range",
+    ]),
+}
+
+
+@pytest.mark.parametrize("end", sorted(HOLE_SPECS))
+def test_lax_functor_over_a_tensor_table_hole_is_structural(tmp_path, end):
+    line, witnesses = HOLE_SPECS[end]
+    text = read("l2.laxtoset")
+    omon = text[text.index("[omon L2]"):text.index("[iset")]
+    holed = omon.replace("[omon L2]", "[omon L2H]").replace(line, "", 1)
+    dom, cod = ("L2H", "L2") if end == "dom" else ("L2", "L2H")
+    target = tmp_path / "hole.spec"
+    target.write_text(
+        text[:text.index("[iset")] + holed
+        + "[functor TO1]\ndom = L22\ncod = L22\nobj 0 = 1\nobj 1 = 1\nmor le_0_1 = id_1\n\n"
+        + f"[laxfun C1]\ndom = {dom}\ncod = {cod}\nfunctor = TO1\n",
+        encoding="utf-8",
+    )
+    code, out = run(["--report", "json", "--max-arity", "2", "check", str(target), "--section", "C1"])
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert [(r["severity"], r["check"], r["witness"], r["where"]) for r in records] == [
+        ("structural", "laxfun.tensor_table", w, f"C1:C1:{end}") for w in witnesses
+    ]
+
+
 UNIT_SPECS = {
     # truncation 0: the operad has no arity-1 carrier
     "truncation_zero": ("[operad Z]\narity 0 = e\nunit = e\n", [
