@@ -441,7 +441,7 @@ class _Resolver:
         objects = None
         arrows = []
         compose = {}
-        ok = True
+        ok = listed = True
         for key, value, entry in self._key_values(raw):
             texts = [t for t, _ in entry.tokens]
             if key is None:
@@ -458,7 +458,8 @@ class _Resolver:
                 objects = []
                 tokens = self._list_tokens(raw, entry, value)
                 if tokens is None:
-                    return None
+                    ok = listed = False
+                    continue
                 for label, col in tokens:
                     if label in objects:
                         self.diag(raw, entry.line, col, f"duplicate object label {label!r}")
@@ -477,6 +478,8 @@ class _Resolver:
         if objects is None:
             self.diag(raw, raw.line, 1, "category needs an 'objects' line")
             return None
+        if not listed:
+            return None  # the arrow and composition lines name objects the list does not give
         label_pool = set(objects) | {f"id_{a}" for a in objects}
         for entry, label, s, t in arrows:
             if label in label_pool:

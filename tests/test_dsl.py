@@ -179,6 +179,9 @@ LOCATED = [
      "7:1: qconv needs total semiring tables; 'R' has structural errors in [Q]"),
     ("list_group_of_two_objects", "[category C]\nobjects = a b, c\n", 3,
      "2:13: expected a comma before 'b' in [C]"),
+    # the category section reports every bad line, the list one included
+    ("list_group_then_unknown_key", "[category C]\nobjects = a b, c\nu : a -> c\nfrobnicate = 1\n", 3,
+     ("2:13: expected a comma before 'b' in [C]", "4:1: unknown key 'frobnicate' in [C]")),
     ("list_group_of_two_operations", "[operad O]\narity 1 = e f\nunit = e\n", 3,
      "2:13: expected a comma before 'f' in [O]"),
 ]
@@ -187,7 +190,8 @@ LOCATED = [
 @pytest.mark.parametrize("text,max_arity,rendered", [c[1:] for c in LOCATED], ids=[c[0] for c in LOCATED])
 def test_bad_entries_get_located_diagnostics(text, max_arity, rendered):
     doc = parse_spec_file(text, default_max_arity=max_arity)
-    assert [d.render() for d in doc.diagnostics] == [rendered]
+    expected = list(rendered) if isinstance(rendered, tuple) else [rendered]
+    assert [d.render() for d in doc.diagnostics] == expected
 
 
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.iterdir())
