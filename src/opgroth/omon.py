@@ -163,7 +163,7 @@ class _Compiled:
     tuples (the block tensors) and the row of its resolved structure
     isomorphism: the explicit entry, else the identity where the two
     endpoints agree, else MISSING.  :meth:`ops` and
-    :meth:`square_failures` do the same for the operad's composites.
+    :meth:`square_holds` do the same for the operad's composites.
 
     Rows are built on first use.  No caller keeps the form past the call
     that builds it, because the label tables it reads are edited in place
@@ -298,16 +298,15 @@ class _Compiled:
             self._op_indices[k] = got
         return self._op_indices[k]
 
-    def square_failures(self, f: FinMap, g: FinMap, fg: FinMap, g_is, ps, f_inner, g_inner):
+    def square_holds(self, f: FinMap, g: FinMap, fg: FinMap, g_is, ps, f_inner, g_inner):
         """The operad's associativity square at g and f, at every outer
         operation p in ``ps`` and tuples qs, rs of inner operations over
         the fibers of f and of g (from ``f_inner`` and ``g_inner``):
         whether ``op(g, op(f, p, qs), rs)`` equals ``op(fg, p, s)`` with
         ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
-        (p, qs, rs) and the codes ``(p_index * Q + qs code) * R + rs
-        code`` of those that fail, or None when some ``s[i]`` lies outside
-        its carrier, which the caller's own loop reports as the operad
-        does."""
+        (p, qs, rs) when every one holds, else None, as when some
+        ``s[i]`` lies outside its carrier; the caller's own loop then
+        names each failure as the operad does."""
         f_sizes, g_sizes = tuple(map(len, f_inner)), tuple(map(len, g_inner))
         q_digits = self.digits(f_sizes)
         # the code of s over (qs, rs), rs fastest
@@ -329,9 +328,7 @@ class _Compiled:
                     known[c] = self.c.operad.compose(fg, p, tuple(inner[d] for inner, d in zip(fg_inner, digits)))
             rhs.extend(known[c] for c in code)
             lhs.extend(a for rho in self.ops(f, p) for a in self.ops(g, rho))
-        if lhs == rhs:
-            return len(lhs), []
-        return len(lhs), [x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
+        return len(lhs) if lhs == rhs else None
 
 
 def _labels(names, x: int, n: int) -> list:
@@ -552,26 +549,14 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
     for f, g, fg, g_is, ps, f_inner, g_inner in _squares(operad, maps):
         n, m, ell = f.target, f.source, g.source
         f_fibers = f.fibers
-        # rows pay off from two instances of the square on (a terminal
-        # operad has one; the permutation operad mostly more)
-        many = len(ps) * math.prod(map(len, f_inner)) * math.prod(map(len, g_inner)) > 1
-        swept_all = cc.square_failures(f, g, fg, g_is, ps, f_inner, g_inner) if many and not explicit else None
-        if swept_all is not None:
-            # the shortcut below, at every p, qs and rs at once
-            total, failures = swept_all
-            swept, assoc_count = True, assoc_count + n_obj**ell * total
-            q_sizes, r_sizes = [len(c) for c in f_inner], [len(c) for c in g_inner]
-            per_p = math.prod(q_sizes) * math.prod(r_sizes)
-            for x in failures:
-                qs = [c[d] for c, d in zip(f_inner, _mixed_decode(x % per_p // math.prod(r_sizes), q_sizes))]
-                rs = [c[d] for c, d in zip(g_inner, _mixed_decode(x % math.prod(r_sizes), r_sizes))]
-                violation(
-                    f"{prefix}.assoc",
-                    f"square fails at g={g.label()} f={f.label()} p={ps[x // per_p]} "
-                    f"q=({','.join(qs)}) r=({','.join(rs)})",
-                    where,
-                )
-            continue
+        # with no explicit entry, the square at every p, qs and rs at once
+        # as rows, which pays from two instances on (a terminal operad has
+        # one); when one fails, the loop below names it
+        if not explicit and len(ps) * math.prod(map(len, f_inner)) * math.prod(map(len, g_inner)) > 1:
+            total = cc.square_holds(f, g, fg, g_is, ps, f_inner, g_inner)
+            if total is not None:
+                swept, assoc_count = True, assoc_count + n_obj**ell * total
+                continue
         for p in ps:
             for qs in itertools.product(*f_inner):
                 rho = op(f, p, qs)
