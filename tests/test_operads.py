@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from opgroth.operads import (
     check_operad_axioms,
     check_operad_morphism,
     check_semiring,
+    composition_keys,
     identity_operad_morphism,
     terminal_morphism,
     with_overrides,
@@ -287,6 +289,48 @@ def test_checker_agrees_with_oracle_on_corrupted_variants():
         ok, _ = oracle_operad(broken)
         assert report.ok == ok
         assert not report.ok
+
+
+OUTSIDE = "<outside>"
+
+
+def single_entry_overrides(o: Operad):
+    """Every operad that differs from ``o`` at one composition entry: the
+    entry set to each other element of its carrier, and to a label outside
+    it."""
+    for f, p, qs in composition_keys(o):
+        value = o.compose(f, p, qs)
+        for other in o.carriers[f.source] + (OUTSIDE,):
+            if other != value:
+                yield with_overrides(o, {(f, p, qs): other})
+
+
+def oracle_verdict(o: Operad) -> bool:
+    """The oracle's verdict, a result outside its carrier being a failure."""
+    try:
+        ok, _ = oracle_operad(o)
+    except CompositionUndefined:
+        return False  # such a result was fed back into a composition
+    return ok and all(o.compose(f, p, qs) in o.carriers[f.source] for f, p, qs in composition_keys(o))
+
+
+# sha256 over the (severity, check, witness, where) records and the sorted
+# stats of every report of the sweep below
+OVERRIDE_SWEEP_PIN = "654daf619cbd4a9fc4788e5c6d46c012c8f33f92aec45c4c0b09149ca3e72107"
+
+
+def test_checker_agrees_with_oracle_on_every_single_entry_override():
+    digest, variants = hashlib.sha256(), 0
+    for o in (build_assoc(2), build_comm(3), build_qconv(boolean_semiring(), 2)):
+        for broken in single_entry_overrides(o):
+            report = check_operad_axioms(broken)
+            assert report.ok == oracle_verdict(broken)
+            variants += 1
+            for r in report.records:
+                digest.update(repr((r.severity, r.check, r.witness, r.where)).encode())
+            digest.update(repr(sorted(report.stats.items())).encode())
+    assert variants == 125
+    assert digest.hexdigest() == OVERRIDE_SWEEP_PIN
 
 
 def test_assoc4_sampled_associativity():
