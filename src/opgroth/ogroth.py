@@ -397,6 +397,15 @@ def _omon_groth_object(x: LaxSetFunctor) -> OFibObject:
         a = fib.proj.on_obj[obj]
         return a, obj - obj_off[a]
 
+    nus = {}
+
+    def nu_map(n: int, p: str, i_vec: tuple) -> tuple:
+        """``x.nu_at(n, p, i_vec).mapping``, built once per key."""
+        got = nus.get((n, p, i_vec))
+        if got is None:
+            got = nus[n, p, i_vec] = x.nu_at(n, p, i_vec).mapping
+        return got
+
     tensors = {}
     for n in range(operad.max_arity + 1):
         for p in operad.elements(n):
@@ -404,30 +413,27 @@ def _omon_groth_object(x: LaxSetFunctor) -> OFibObject:
             for combo in itertools.product(range(total.n_objects), repeat=n):
                 pairs = [pair_of(o) for o in combo]
                 i_vec = tuple(a for a, _ in pairs)
-                nu = x.nu_at(n, p, i_vec)
                 enc = _mixed_encode(tuple(xi for _, xi in pairs), [sizes[a] for a in i_vec])
                 target_obj = index.tensor_obj(n, p, i_vec)
-                obj_table[combo] = obj_off[target_obj] + nu.mapping[enc]
+                obj_table[combo] = obj_off[target_obj] + nu_map(n, p, i_vec)[enc]
             mor_table = {}
             for combo in itertools.product(range(total.n_morphisms), repeat=n):
                 base_mors = tuple(fib.proj.on_mor[t] for t in combo)
                 src_pairs = [pair_of(total.mor_src[t]) for t in combo]
                 i_vec = tuple(a for a, _ in src_pairs)
-                nu = x.nu_at(n, p, i_vec)
                 enc = _mixed_encode(
                     tuple(xi for _, xi in src_pairs), [sizes[a] for a in i_vec]
                 )
                 big = index.tensor_mor(n, p, base_mors)
-                mor_table[combo] = mor_off[big] + nu.mapping[enc]
+                mor_table[combo] = mor_off[big] + nu_map(n, p, i_vec)[enc]
             tensors[(n, p)] = TensorTable(obj=obj_table, mor=mor_table)
     phi = {}
     for (f, p, qs, i_vec), value in index.phi.items():
         for xs in itertools.product(*(range(sizes[a]) for a in i_vec)):
             combo = tuple(obj_off[a] + xi for a, xi in zip(i_vec, xs))
             rho = index.op(f, p, qs)
-            nu = x.nu_at(f.source, rho, i_vec)
             enc = _mixed_encode(xs, [sizes[a] for a in i_vec])
-            phi[(f, p, qs, combo)] = mor_off[value] + nu.mapping[enc]
+            phi[(f, p, qs, combo)] = mor_off[value] + nu_map(f.source, rho, i_vec)[enc]
     total_omon = OMonCategory(
         operad=operad,
         base=total,

@@ -42,6 +42,7 @@ from .fib2cat import (
 )
 from .operads import (
     Operad,
+    OperadRows,
     _keys,
     _squares,
     build_assoc,
@@ -162,8 +163,8 @@ class _Compiled:
     ``(f, p, qs)`` its operation ``rho``, the row of codes of its target
     tuples (the block tensors) and the row of its resolved structure
     isomorphism: the explicit entry, else the identity where the two
-    endpoints agree, else MISSING.  :meth:`ops` and
-    :meth:`square_holds` do the same for the operad's composites.
+    endpoints agree, else MISSING.  ``rows`` is the compiled form of the
+    operad, whose mixed-radix helpers the rows here share.
 
     Rows are built on first use.  No caller keeps the form past the call
     that builds it, because the label tables it reads are edited in place
@@ -194,46 +195,20 @@ class _Compiled:
             at = self.explicit.setdefault((f.target, f.values, p, qs), {})
             if len(objs) == f.source and all(a in range(n_obj) for a in objs):
                 at[_mixed_encode(objs, (n_obj,) * len(objs))] = value
-        self.op_index = [{label: i for i, label in enumerate(operad.elements(n))} for n in range(operad.max_arity + 1)]
-        self._digits, self._restrict, self._blocks, self._ends, self._keys = {}, {}, {}, {}, {}
-        self._ops, self._op_at, self._op_indices = {}, {}, {}
-
-    def digits(self, sizes: tuple):
-        """``digits[j][x]``: digit j of the code x in the mixed radix ``sizes``."""
-        got = self._digits.get(sizes)
-        if got is None:
-            total = math.prod(sizes)
-            got, step = [], total
-            for size in sizes:
-                step //= size or 1
-                got.append(tuple((x // step) % size for x in range(total)))
-            self._digits[sizes] = got
-        return got
-
-    def sub_codes(self, sizes: tuple, positions):
-        """Row over the codes x in the radix ``sizes`` of the code of x's
-        digits at ``positions`` (from 1, increasing)."""
-        k = (sizes, positions)
-        got = self._restrict.get(k)
-        if got is None:
-            digits = self.digits(sizes)
-            row = [0] * math.prod(sizes)
-            for j in positions:
-                row = [a * sizes[j - 1] + d for a, d in zip(row, digits[j - 1])]
-            got = self._restrict[k] = tuple(row)
-        return got
+        self.rows = OperadRows(operad)
+        self._blocks, self._ends, self._keys = {}, {}, {}
 
     def restrict(self, f: FinMap, r: int):
         """One row per fiber of f over base-r codes of f.source-tuples:
         the code of the tuple restricted to the fiber."""
-        return [self.sub_codes((r,) * f.source, fib) for fib in f.fibers]
+        return [self.rows.sub_codes((r,) * f.source, fib) for fib in f.fibers]
 
     def image(self, n: int, on, r: int, mor: bool = False):
         """Row over n-tuples of objects (morphisms when ``mor``) of the
         code, in base r, of the tuple's image under the table ``on``."""
         size = self.n_mor if mor else self.n_obj
         row = [0] * size**n
-        for digit in self.digits((size,) * n):
+        for digit in self.rows.digits((size,) * n):
             row = [a * r + on[d] for a, d in zip(row, digit)]
         return tuple(row)
 
@@ -272,63 +247,6 @@ class _Compiled:
                 phi[x] = value
             got = self._keys[k] = (rho, targets, tuple(phi))
         return got
-
-    def ops(self, f: FinMap, p: str):
-        """The labels ``op(f, p, qs)`` over the tuples qs of inner
-        operations, in the order ``itertools.product`` yields them."""
-        k = (f.target, f.values, p)
-        got = self._ops.get(k)
-        if got is None:
-            operad = self.c.operad
-            inner = [operad.elements(len(fib)) for fib in f.fibers]
-            got = self._ops[k] = tuple(operad.compose(f, p, qs) for qs in itertools.product(*inner))
-        return got
-
-    def op_indices(self, f: FinMap):
-        """For each operation q of arity f.target, the carrier indices of
-        ``op(f, q, qs)`` over the tuples qs; None when one lies outside
-        its carrier."""
-        k = (f.target, f.values)
-        if k not in self._op_indices:
-            index = self.op_index[f.source]
-            try:
-                got = [[index[label] for label in self.ops(f, q)] for q in self.c.operad.elements(f.target)]
-            except KeyError:
-                got = None
-            self._op_indices[k] = got
-        return self._op_indices[k]
-
-    def square_holds(self, f: FinMap, g: FinMap, fg: FinMap, g_is, ps, f_inner, g_inner):
-        """The operad's associativity square at g and f, at every outer
-        operation p in ``ps`` and tuples qs, rs of inner operations over
-        the fibers of f and of g (from ``f_inner`` and ``g_inner``):
-        whether ``op(g, op(f, p, qs), rs)`` equals ``op(fg, p, s)`` with
-        ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
-        (p, qs, rs) when every one holds, else None, as when some
-        ``s[i]`` lies outside its carrier; the caller's own loop then
-        names each failure as the operad does."""
-        f_sizes, g_sizes = tuple(map(len, f_inner)), tuple(map(len, g_inner))
-        q_digits = self.digits(f_sizes)
-        # the code of s over (qs, rs), rs fastest
-        code = [0] * (math.prod(f_sizes) * math.prod(g_sizes))
-        for fib, g_i, digits in zip(f.fibers, g_is, q_digits):
-            table = self.op_indices(g_i)
-            if table is None:
-                return None
-            sub, radix = self.sub_codes(g_sizes, fib), len(self.op_index[g_i.source])
-            code = [c * radix + t for c, t in zip(code, [table[d][r] for d in digits for r in sub])]
-        lhs, rhs = [], []
-        for p in ps:
-            # op(fg, p, s) only at the tuples s that occur, once each
-            known = self._op_at.setdefault((fg.target, fg.values, p), {})
-            for c in dict.fromkeys(code):
-                if c not in known:
-                    fg_inner = [self.c.operad.elements(len(fib)) for fib in fg.fibers]
-                    digits = _mixed_decode(c, [len(inner) for inner in fg_inner])
-                    known[c] = self.c.operad.compose(fg, p, tuple(inner[d] for inner, d in zip(fg_inner, digits)))
-            rhs.extend(known[c] for c in code)
-            lhs.extend(a for rho in self.ops(f, p) for a in self.ops(g, rho))
-        return len(lhs) if lhs == rhs else None
 
 
 def _labels(names, x: int, n: int) -> list:
@@ -543,65 +461,72 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
     # tuples.  When no explicit structure-iso entry is involved, every leg of
     # the square is an identity on endpoints the typing pass has already
     # verified, so only the operad-level composite equality remains to check;
-    # that collapses the object-tuple quantifier.
+    # that collapses the object-tuple quantifier.  With no explicit entry at
+    # all, each square holds at every p, qs and rs at once as rows, or by the
+    # singleton lemma; a square where the rows fail goes through the loop,
+    # which names each failure.
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
-    for f, g, fg, g_is, ps, f_inner, g_inner in _squares(operad, maps):
-        n, m, ell = f.target, f.source, g.source
+    rows, settled = cc.rows, {} if explicit else cc.rows.settled(maps)
+    for f, ps, f_inner, ell, pairs in _squares(operad, maps):
+        n, m = f.target, f.source
         f_fibers = f.fibers
-        # with no explicit entry, the square at every p, qs and rs at once
-        # as rows, which pays from two instances on (a terminal operad has
-        # one); when one fails, the loop below names it
-        if not explicit and len(ps) * math.prod(map(len, f_inner)) * math.prod(map(len, g_inner)) > 1:
-            total = cc.square_holds(f, g, fg, g_is, ps, f_inner, g_inner)
-            if total is not None:
+        if (ell, m) in settled:
+            total = len(ps) * math.prod(map(len, f_inner)) * settled[ell, m]
+            if total:
                 swept, assoc_count = True, assoc_count + n_obj**ell * total
-                continue
-        for p in ps:
-            for qs in itertools.product(*f_inner):
-                rho = op(f, p, qs)
-                f_explicit = (n, f.values, p, qs) in explicit
-                for rs in itertools.product(*g_inner):
-                    rs_blocks = tuple(tuple(rs[j - 1] for j in f_fibers[i]) for i in range(n))
-                    s_ops = tuple(op(g_is[i], qs[i], rs_blocks[i]) for i in range(n))
-                    involved = explicit and (
-                        f_explicit
-                        or (m, g.values, rho, rs) in explicit
-                        or (n, fg.values, p, s_ops) in explicit
-                        or any((g_is[i].target, g_is[i].values, qs[i], rs_blocks[i]) in explicit for i in range(n))
-                    )
-                    if not involved:
-                        swept, assoc_count = True, assoc_count + n_obj**ell
-                        if op(g, rho, rs) != op(fg, p, s_ops):
-                            violation(
-                                f"{prefix}.assoc",
-                                f"square fails at g={g.label()} f={f.label()} p={p} "
-                                f"q=({','.join(qs)}) r=({','.join(rs)})",
-                                where,
-                            )
-                        continue
-                    swept, assoc_count = swept or n_obj**ell > 0, assoc_count + n_obj**ell
-                    _, g_targets, phi_g = cc.key(g, rho, rs)
-                    phi_f = cc.key(f, p, qs)[2]
-                    phi_fg = cc.key(fg, p, s_ops)[2]
-                    inner = [cc.key(g_is[i], qs[i], rs_blocks[i])[2] for i in range(n)]
-                    fg_restrict = cc.restrict(fg, n_obj)
-                    mor_p = tensor_mor[n, p]
-                    for x in range(n_obj**ell):
-                        legs = (phi_g[x], phi_f[g_targets[x]], phi_fg[x])
-                        block_morphs = tuple(inner[i][fg_restrict[i][x]] for i in range(n))
-                        if MISSING in legs or MISSING in block_morphs:
-                            continue  # reported in the typing pass
-                        lhs = comp[mor_p[_mixed_encode(block_morphs, (n_mor,) * n)] * n_mor + legs[2]]
-                        rhs = comp[legs[1] * n_mor + legs[0]]
-                        if lhs != rhs and lhs != MISSING and rhs != MISSING:
-                            violation(
-                                f"{prefix}.assoc",
-                                f"square fails at g={g.label()} f={f.label()} p={p} "
-                                f"q=({','.join(qs)}) r=({','.join(rs)}) "
-                                f"A=({','.join(_labels(objects, x, ell))})",
-                                where,
-                            )
+            continue
+        for g, fg, g_is, g_inner in pairs:
+            if not explicit:
+                total = rows.square_holds(f, g, fg, g_is)
+                if total is not None:
+                    swept, assoc_count = True, assoc_count + n_obj**ell * total
+                    continue
+            for p in ps:
+                for qs in itertools.product(*f_inner):
+                    rho = op(f, p, qs)
+                    f_explicit = (n, f.values, p, qs) in explicit
+                    for rs in itertools.product(*g_inner):
+                        rs_blocks = tuple(tuple(rs[j - 1] for j in f_fibers[i]) for i in range(n))
+                        s_ops = tuple(op(g_is[i], qs[i], rs_blocks[i]) for i in range(n))
+                        involved = explicit and (
+                            f_explicit
+                            or (m, g.values, rho, rs) in explicit
+                            or (n, fg.values, p, s_ops) in explicit
+                            or any((g_is[i].target, g_is[i].values, qs[i], rs_blocks[i]) in explicit for i in range(n))
+                        )
+                        if not involved:
+                            swept, assoc_count = True, assoc_count + n_obj**ell
+                            if op(g, rho, rs) != op(fg, p, s_ops):
+                                violation(
+                                    f"{prefix}.assoc",
+                                    f"square fails at g={g.label()} f={f.label()} p={p} "
+                                    f"q=({','.join(qs)}) r=({','.join(rs)})",
+                                    where,
+                                )
+                            continue
+                        swept, assoc_count = swept or n_obj**ell > 0, assoc_count + n_obj**ell
+                        _, g_targets, phi_g = cc.key(g, rho, rs)
+                        phi_f = cc.key(f, p, qs)[2]
+                        phi_fg = cc.key(fg, p, s_ops)[2]
+                        inner = [cc.key(g_is[i], qs[i], rs_blocks[i])[2] for i in range(n)]
+                        fg_restrict = cc.restrict(fg, n_obj)
+                        mor_p = tensor_mor[n, p]
+                        for x in range(n_obj**ell):
+                            legs = (phi_g[x], phi_f[g_targets[x]], phi_fg[x])
+                            block_morphs = tuple(inner[i][fg_restrict[i][x]] for i in range(n))
+                            if MISSING in legs or MISSING in block_morphs:
+                                continue  # reported in the typing pass
+                            lhs = comp[mor_p[_mixed_encode(block_morphs, (n_mor,) * n)] * n_mor + legs[2]]
+                            rhs = comp[legs[1] * n_mor + legs[0]]
+                            if lhs != rhs and lhs != MISSING and rhs != MISSING:
+                                violation(
+                                    f"{prefix}.assoc",
+                                    f"square fails at g={g.label()} f={f.label()} p={p} "
+                                    f"q=({','.join(qs)}) r=({','.join(rs)}) "
+                                    f"A=({','.join(_labels(objects, x, ell))})",
+                                    where,
+                                )
     if swept:
         count(assoc_instances, assoc_count)
     return report
@@ -1610,6 +1535,9 @@ def check_strict_omon_iso(c1: OMonCategory, c2: OMonCategory, functor: CatFuncto
         functor.on_mor
     ) != list(range(c2.base.n_morphisms)):
         report.violation("omoniso.bijective", "comparison functor is not invertible")
+    _tensor_totality(report, c1, "omoniso", "dom")
+    if c2 is not c1:
+        _tensor_totality(report, c2, "omoniso", "cod")
     if not report.ok:
         return report
     return _strict_preservation(

@@ -9,6 +9,7 @@ the i-th inner element in O(|f^-1(i)|), and the result in O(m).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -318,30 +319,156 @@ def build_qconv(r: Semiring, max_arity: int) -> Operad:
 # axiom checking
 
 
+UNDEFINED = -1  # a composite that is undefined or lies outside its carrier
+
+
+class OperadRows:
+    """The composition of an operad as rows of carrier indices, for one
+    check call.
+
+    The operations of each arity are numbered by their place in the
+    carrier.  ``row(f)`` is indexed by the code of ``(p, qs)`` in the
+    mixed radix of the carrier sizes of f.target and of f's fiber slots,
+    the order ``itertools.product`` yields them in; each entry is the
+    index of ``op(f, p, qs)`` in its carrier, or UNDEFINED.  A row is
+    filled by one :meth:`Operad.compose` per key on first use.  No caller
+    keeps the form past the call that builds it, as an operad's table
+    may be edited between calls.
+    """
+
+    def __init__(self, o: Operad):
+        self.o = o
+        self.sizes = tuple(map(len, o.carriers))
+        self.index = [{label: i for i, label in enumerate(c)} for c in o.carriers]
+        self._rows, self._digits, self._sub_codes = {}, {}, {}
+
+    def digits(self, sizes: tuple):
+        """``digits[j][x]``: digit j of the code x in the mixed radix ``sizes``."""
+        got = self._digits.get(sizes)
+        if got is None:
+            total = math.prod(sizes)
+            got, step = [], total
+            for size in sizes:
+                step //= size or 1
+                got.append(tuple((x // step) % size for x in range(total)))
+            self._digits[sizes] = got
+        return got
+
+    def sub_codes(self, sizes: tuple, positions):
+        """Row over the codes x in the radix ``sizes`` of the code of x's
+        digits at ``positions`` (from 1, increasing)."""
+        k = (sizes, positions)
+        got = self._sub_codes.get(k)
+        if got is None:
+            digits = self.digits(sizes)
+            row = [0] * math.prod(sizes)
+            for j in positions:
+                row = [a * sizes[j - 1] + d for a, d in zip(row, digits[j - 1])]
+            got = self._sub_codes[k] = tuple(row)
+        return got
+
+    def row(self, f: FinMap):
+        """The row of f; see the class doc."""
+        k = (f.target, f.values)
+        got = self._rows.get(k)
+        if got is None:
+            o, index = self.o, self.index[f.source]
+            inner = [o.carriers[len(fib)] for fib in f.fibers]
+            got = []
+            for p in o.carriers[f.target]:
+                for qs in itertools.product(*inner):
+                    try:
+                        got.append(index.get(o.compose(f, p, qs), UNDEFINED))
+                    except CompositionUndefined:
+                        got.append(UNDEFINED)
+            got = self._rows[k] = tuple(got)
+        return got
+
+    def settled(self, maps: dict) -> dict:
+        """The singleton lemma.  When every row over the maps ``maps[m, n]``
+        is total and closed, a square whose result arity ell (the source
+        of g) has one operation holds at every instance, both of its
+        sides being that operation.  Gives ``{(ell, m): w}`` over those
+        ell, w being the number of (g, rs) with g: ell -> m, or {} when a
+        row is not total and closed."""
+        if any(UNDEFINED in self.row(f) for fs in maps.values() for f in fs):
+            return {}
+        sizes = self.sizes
+        return {
+            (ell, m): sum(math.prod(sizes[len(fib)] for fib in g.fibers) for g in gs)
+            for (ell, m), gs in maps.items()
+            if sizes[ell] == 1
+        }
+
+    def square_holds(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
+        """The associativity square at g: ell -> m and f: m -> n over every
+        outer operation p and tuples qs, rs of inner operations, as rows:
+        ``op(g, op(f, p, qs), rs)`` against ``op(fg, p, s)`` with
+        ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
+        instances when every one holds, else None, as when one touches
+        UNDEFINED; the caller's loop then names each failure."""
+        sizes = self.sizes
+        f_sizes = tuple(sizes[len(fib)] for fib in f.fibers)
+        g_sizes = tuple(sizes[len(fib)] for fib in g.fibers)
+        row_f, row_g, n_r = self.row(f), self.row(g), math.prod(g_sizes)
+        if UNDEFINED in row_f:
+            return None
+        lhs = []
+        for mid in row_f:
+            lhs += row_g[mid * n_r : mid * n_r + n_r]
+        if UNDEFINED in lhs:
+            return None
+        # the code of s over (qs, rs), rs fastest
+        code = [0] * (math.prod(f_sizes) * n_r)
+        for fib, g_i, digits in zip(f.fibers, g_is, self.digits(f_sizes)):
+            row, sub = self.row(g_i), self.sub_codes(g_sizes, fib)
+            n_sub = math.prod(g_sizes[j - 1] for j in fib)
+            s_i = [row[d * n_sub + x] for d in digits for x in sub]
+            if UNDEFINED in s_i:
+                return None
+            radix = sizes[g_i.source]
+            code = [c * radix + x for c, x in zip(code, s_i)]
+        row_fg = self.row(fg)
+        n_s = len(row_fg) // sizes[f.target]
+        rhs = [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]
+        return len(lhs) if lhs == rhs else None
+
+
 def _squares(o: Operad, maps: dict):
     """Every associativity square of ``o`` over the maps ``maps[m, n]``,
-    in sweep order: yields ``(f, g, f.g, g_is, ps, f_inner, g_inner)``
-    for each composable pair ``g: l -> m``, ``f: m -> n``, where ``g_is``
-    are the maps between fibers that g induces (from :func:`_square`),
-    ``ps`` the outer operations and ``f_inner``/``g_inner`` the carriers
-    of the fiber slots.  A pair with an empty carrier has no instances
-    and is skipped before its square is built.
+    in sweep order, by f and the source arity ell of g: yields
+    ``(f, ps, f_inner, ell, pairs)`` for each f: m -> n and ell, where
+    ``ps`` are the outer operations, ``f_inner`` the carriers of f's
+    fiber slots and ``pairs`` yields ``(g, f.g, g_is, g_inner)`` for each
+    g: ell -> m, ``g_is`` being the maps between fibers that g induces
+    (from :func:`_square`) and ``g_inner`` the carriers of g's fiber
+    slots.  A pair with an empty carrier has no instances and is skipped
+    before its square is built.
     """
-    n_arities = o.max_arity + 1
     built: dict = {}
+
+    def with_inner(hs):
+        for h in hs:
+            inner = [o.elements(len(fib)) for fib in h.fibers]
+            if all(inner):
+                yield h, inner
+
+    live = {key: tuple(with_inner(hs)) for key, hs in maps.items()}
+
+    def pairs(f: FinMap, ell: int):
+        for g, g_inner in live[ell, f.source]:
+            fg, g_is = _square(f, g, built)
+            yield g, fg, g_is, g_inner
+
+    n_arities = o.max_arity + 1
     for n in range(n_arities):
         ps = o.elements(n)
+        if not ps:
+            continue
         for m in range(n_arities):
-            for f in maps[m, n]:
-                f_inner = [o.elements(len(fib)) for fib in f.fibers]
-                if not ps or not all(f_inner):
-                    continue
+            for f, f_inner in live[m, n]:
                 for ell in range(n_arities):
-                    for g in maps[ell, m]:
-                        g_inner = [o.elements(len(fib)) for fib in g.fibers]
-                        if all(g_inner):
-                            fg, g_is = _square(f, g, built)
-                            yield f, g, fg, g_is, ps, f_inner, g_inner
+                    yield f, ps, f_inner, ell, pairs(f, ell)
 
 
 def check_operad_axioms(o: Operad) -> CheckReport:
@@ -393,34 +520,49 @@ def check_operad_axioms(o: Operad) -> CheckReport:
                     f"mu {terminal_map(n).label()} eta {p} = {got} != {p}",
                 )
 
-    # associativity
+    # associativity: each square at every instance at once, from the rows
+    # or by the singleton lemma; a square whose rows fail runs the loop,
+    # which names each failure
     maps = {(a, b): tuple(all_maps(a, b)) for a in range(n_arities) for b in range(n_arities)}
-    for f, g, fg, g_is, ps, f_inner, g_inner in _squares(o, maps):
+    rows = OperadRows(o)
+    settled = rows.settled(maps)
+    instances = 0
+    for f, ps, f_inner, ell, pairs in _squares(o, maps):
+        if (ell, f.source) in settled:
+            instances += len(ps) * math.prod(map(len, f_inner)) * settled[ell, f.source]
+            continue
         n, f_fibers = f.target, f.fibers
-        for p in ps:
-            for qs in itertools.product(*f_inner):
-                for rs in itertools.product(*g_inner):
-                    report.count("operad.assoc_instances")
-                    mid = guarded(f, p, qs, "associativity")
-                    if mid is None:
-                        continue
-                    lhs = guarded(g, mid, rs, "associativity")
-                    nested = []
-                    for i in range(n):
-                        sub = tuple(rs[j - 1] for j in f_fibers[i])
-                        nested.append(guarded(g_is[i], qs[i], sub, "associativity"))
-                    if lhs is None or any(x is None for x in nested):
-                        continue
-                    rhs = guarded(fg, p, tuple(nested), "associativity")
-                    if rhs is None:
-                        continue
-                    if lhs != rhs:
-                        report.violation(
-                            "operad.assoc",
-                            "associativity fails at g="
-                            f"{g.label()} f={f.label()} p={p} "
-                            f"q=({','.join(qs)}) r=({','.join(rs)})",
-                        )
+        for g, fg, g_is, g_inner in pairs:
+            held = rows.square_holds(f, g, fg, g_is)
+            if held is not None:
+                instances += held
+                continue
+            for p in ps:
+                for qs in itertools.product(*f_inner):
+                    for rs in itertools.product(*g_inner):
+                        instances += 1
+                        mid = guarded(f, p, qs, "associativity")
+                        if mid is None:
+                            continue
+                        lhs = guarded(g, mid, rs, "associativity")
+                        nested = []
+                        for i in range(n):
+                            sub = tuple(rs[j - 1] for j in f_fibers[i])
+                            nested.append(guarded(g_is[i], qs[i], sub, "associativity"))
+                        if lhs is None or any(x is None for x in nested):
+                            continue
+                        rhs = guarded(fg, p, tuple(nested), "associativity")
+                        if rhs is None:
+                            continue
+                        if lhs != rhs:
+                            report.violation(
+                                "operad.assoc",
+                                "associativity fails at g="
+                                f"{g.label()} f={f.label()} p={p} "
+                                f"q=({','.join(qs)}) r=({','.join(rs)})",
+                            )
+    if instances:
+        report.count("operad.assoc_instances", instances)
     return report
 
 

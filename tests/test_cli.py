@@ -171,12 +171,13 @@ def test_bad_max_arity_variable_is_an_error_line(monkeypatch):
 # ------------------------------------------------------------ fuzzing
 
 def test_token_fuzz_never_raises(tmp_path):
-    target = tmp_path / "l2.laxtoset"
     codes = set()
-    for text in token_mutations(read("l2.laxtoset"), seed=4, count=100):
-        target.write_text(text, encoding="utf-8")
-        code, _ = run(["--report", "json", "check", str(target)])
-        codes.add(code)
+    for fixture in sorted(FIXTURES.iterdir()):
+        target = tmp_path / fixture.name
+        for text in token_mutations(read(fixture.name), seed=4, count=15):
+            target.write_text(text, encoding="utf-8")
+            code, _ = run(["--report", "json", "check", str(target)])
+            codes.add(code)
     assert codes <= {0, 1, 2}
 
 

@@ -348,6 +348,19 @@ def test_strict_iso_detects_structure_mismatch():
     assert not report.ok
 
 
+def test_strict_iso_over_a_tensor_table_hole_is_structural():
+    c = l2_comm_omon(2)
+    d = omon_copy(c)
+    del d.tensors[(2, "*")].mor[(0, 2)]
+    report = check_strict_omon_iso(c, d, identity_functor(c.base))
+    assert [(r.severity, r.check, r.witness, r.where) for r in report.records] == [
+        ("structural", "omoniso.tensor_table", "tensor[p=*] morphism entry missing or out of range", "cod")
+    ]
+    del c.tensors[(1, "*")]
+    report = check_strict_omon_iso(c, c, identity_functor(c.base))
+    assert [(r.check, r.where) for r in report.records] == [("omoniso.tensor_missing", "dom")]
+
+
 def test_structural_set_restricts_to_itself():
     from opgroth.omon import STRUCTURAL_SET
 

@@ -333,6 +333,32 @@ def test_checker_agrees_with_oracle_on_every_single_entry_override():
     assert digest.hexdigest() == OVERRIDE_SWEEP_PIN
 
 
+def single_entry_deletions(o: Operad):
+    """Every table operad that is ``o`` with one composition entry missing."""
+    table = {(f.target, f.values, p, qs): o.compose(f, p, qs) for f, p, qs in composition_keys(o)}
+    for key in table:
+        rest = {k: v for k, v in table.items() if k != key}
+        yield Operad(name=f"{o.name}-hole", max_arity=o.max_arity, carriers=o.carriers, unit=o.unit, table=rest)
+
+
+# the same digest over the sweep below
+DELETION_SWEEP_PIN = "4925f1d07a9dacc23b2e7c49b4d47f73bd7353327f9cd0d4621b360ee584efd9"
+
+
+def test_checker_names_every_missing_table_entry():
+    digest, variants = hashlib.sha256(), 0
+    for o in (build_assoc(2), build_qconv(boolean_semiring(), 2)):
+        for broken in single_entry_deletions(o):
+            report = check_operad_axioms(broken)
+            assert report.has_structural
+            variants += 1
+            for r in report.records:
+                digest.update(repr((r.severity, r.check, r.witness, r.where)).encode())
+            digest.update(repr(sorted(report.stats.items())).encode())
+    assert variants == 33
+    assert digest.hexdigest() == DELETION_SWEEP_PIN
+
+
 def test_assoc4_sampled_associativity():
     # exhaustive at 4 is factorially large; fixed-seed sample instead
     assoc = build_assoc(4)

@@ -5,7 +5,7 @@ wall-clock cap, and records the build time and the check time apart, the
 instance counters of the report and the instances checked per second.  A
 rung that reaches its cap is recorded as ``over_cap``, never dropped.
 
-    python3 tools/scale_ladder.py --out BENCH_6.json --label change
+    python3 tools/scale_ladder.py --out BENCH_7.json --label change
 
 writes the run under ``runs[label]`` of the output file, keeping the runs
 already there under other labels.  ``--rung NAME`` runs one rung in this
@@ -28,6 +28,14 @@ ROOT = Path(__file__).resolve().parent.parent
 CAP_S = 300.0  # seconds a rung may take
 
 
+def _operad(label: str, arity: int):
+    from opgroth import operads
+
+    if label == "qconv(Bool)":
+        return operads.build_qconv(operads.boolean_semiring(), arity), operads.check_operad_axioms
+    return getattr(operads, f"build_{label}")(arity), operads.check_operad_axioms
+
+
 def _omon(make: str, arity: int):
     from opgroth import omon
 
@@ -48,6 +56,11 @@ def _roundtrip(arity: int):
 
 # rung name -> () -> (input, checker); the input build is timed apart
 RUNGS = {
+    **{
+        f"check_operad_axioms {label}({k})": (lambda label=label, k=k: _operad(label, k))
+        for label in ("assoc", "comm", "qconv(Bool)")
+        for k in (3, 4)
+    },
     **{
         f"check_omon_category {label}({k})": (lambda b=make, k=k: _omon(b, k))
         for label, make in (("grade", "grade_assoc_omon"), ("dz2", "dz2_assoc_omon"), ("l2", "l2_comm_omon"))
