@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -381,3 +382,42 @@ def test_extend_after_forget_recovers_permutation_entries():
     tw = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
     back = extend_unbiased_to_assoc(forget_assoc_to_unbiased(tw))
     assert back.phi == tw.phi
+
+
+# --------------------------------------------------------------- associativity pin
+
+
+def _assoc_pin_structures():
+    """The shipped single-entry mutations of DZ2, L2 and grade at arity 3,
+    the twisted structure extended to assoc, and that structure with each
+    explicit entry at a map of source at most 1 flipped."""
+    for make in (dz2_assoc_omon, l2_comm_omon, grade_assoc_omon):
+        for _, mutated, _ in omon_single_entry_mutations(make(3)):
+            yield mutated
+    twisted = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
+    yield twisted
+    for key, value in twisted.phi.items():
+        if key[0].source <= 1:
+            flipped = omon_copy(twisted)
+            flipped.phi[key] = (value + 1) % twisted.base.n_morphisms
+            yield flipped
+
+
+# sha256 over the (severity, check, witness, where) records and the sorted
+# stats of every report of the sweep below
+ASSOC_SWEEP_PIN = "8be45af937907ca997ce6e9f212a596656754a1a9087d707c7cdecc5bdb54eb1"
+
+
+def test_assoc_sweep_records_and_counts_are_pinned():
+    from test_oracles import oracle_omon
+
+    digest, structures = hashlib.sha256(), 0
+    for c in _assoc_pin_structures():
+        report = check_omon_category(c)
+        structures += 1
+        for r in report.records:
+            digest.update(repr((r.severity, r.check, r.witness, r.where)).encode())
+        digest.update(repr(sorted(report.stats.items())).encode())
+    assert structures == 16
+    assert digest.hexdigest() == ASSOC_SWEEP_PIN
+    assert oracle_omon(extend_unbiased_to_assoc(twisted_bz2_unbiased(3))) == set()
