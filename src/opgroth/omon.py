@@ -41,6 +41,7 @@ from .fib2cat import (
     validate_indexed_set,
 )
 from .operads import (
+    UNDEFINED,
     Operad,
     OperadRows,
     _keys,
@@ -169,10 +170,11 @@ class _Compiled:
     Rows are built on first use.  No caller keeps the form past the call
     that builds it, because the label tables it reads are edited in place
     by :func:`omon_copy` and the mutation helpers.  Tensor tables must be
-    total.
+    total, and so must the operad's composition (see
+    :func:`_composition_totality`, whose rows the form may take over).
     """
 
-    def __init__(self, c: OMonCategory):
+    def __init__(self, c: OMonCategory, rows: OperadRows | None = None):
         operad, base = c.operad, c.base
         self.c = c
         self.n_obj = n_obj = base.n_objects
@@ -195,8 +197,8 @@ class _Compiled:
             at = self.explicit.setdefault((f.target, f.values, p, qs), {})
             if len(objs) == f.source and all(a in range(n_obj) for a in objs):
                 at[_mixed_encode(objs, (n_obj,) * len(objs))] = value
-        self.rows = OperadRows(operad)
-        self._blocks, self._ends, self._keys = {}, {}, {}
+        self.rows = OperadRows(operad) if rows is None else rows
+        self._blocks, self._ends, self._keys, self._by_map = {}, {}, {}, {}
 
     def restrict(self, f: FinMap, r: int):
         """One row per fiber of f over base-r codes of f.source-tuples:
@@ -246,6 +248,25 @@ class _Compiled:
             for x, value in self.explicit.get(k, {}).items():
                 phi[x] = value
             got = self._keys[k] = (rho, targets, tuple(phi))
+        return got
+
+    def by_map(self, f: FinMap):
+        """``(targets, phi)`` of :meth:`key` over every key of f, joined in
+        the order of the codes of ``(p, qs)`` in the operad rows: entry
+        ``code * n_obj**f.source + x`` is the one of the key with that code
+        at the object tuple with code x."""
+        k = (f.target, f.values)
+        got = self._by_map.get(k)
+        if got is None:
+            targets, phi = [], []
+            carriers = self.c.operad.carriers
+            inner = [carriers[len(fib)] for fib in f.fibers]
+            for p in carriers[f.target]:
+                for qs in itertools.product(*inner):
+                    _, t, row = self.key(f, p, qs)
+                    targets += t
+                    phi += row
+            got = self._by_map[k] = (targets, phi)
         return got
 
 
@@ -305,6 +326,31 @@ def _tensor_totality(report: CheckReport, c: OMonCategory, prefix: str, where: s
                     )
 
 
+def _composition_totality(report: CheckReport, operad: Operad, prefix: str, where: str, family=all_maps):
+    """Record as structural each composite of the operad, over the maps
+    ``family(m, n)`` yields, that is undefined or lies outside its carrier
+    (an UNDEFINED entry of its rows); :class:`_Compiled` reads them all.
+    Gives the filled rows, or None when a record was made."""
+    rows, total = OperadRows(operad), True
+    n_arities = operad.max_arity + 1
+    for n in range(n_arities):
+        for m in range(n_arities):
+            for f in family(m, n):
+                row = rows.row(f)
+                if UNDEFINED not in row:
+                    continue
+                total = False
+                inner = itertools.product(*[operad.carriers[len(fib)] for fib in f.fibers])
+                for (p, qs), at in zip(itertools.product(operad.carriers[n], inner), row):
+                    if at == UNDEFINED:
+                        report.structural(
+                            f"{prefix}.operad_composition",
+                            f"mu {f.label()} {p} {' '.join(qs)} is undefined or outside its carrier",
+                            where,
+                        )
+    return rows if total else None
+
+
 def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckReport:
     """The laws of a structured category whose structure isomorphisms
     (named ``iso`` in the check names) are indexed by the maps that
@@ -318,7 +364,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
     operad, base = c.operad, c.base
     n_arities = operad.max_arity + 1
     where = c.name or prefix
-    elements, op = operad.elements, operad.compose
+    elements = operad.elements
     count, violation, structural = report.count, report.violation, report.structural
     objects, mor_labels, mor_src, mor_tgt = base.objects, base.mor_labels, base.mor_src, base.mor_tgt
     n_obj, n_mor, id_of, compose = base.n_objects, base.n_morphisms, base.id_of, base.compose
@@ -382,23 +428,28 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
 
     # structure isomorphisms: keys, typing, invertibility, identity axioms, naturality
     maps = {(a, b): tuple(family(a, b)) for a in range(n_arities) for b in range(n_arities)}
+    composable = []  # the explicit keys that name a composition key
     for f, p, qs, objs in phi:
-        if not (
+        if (
             f in maps.get((f.source, f.target), ())
             and p in elements(f.target)
             and len(qs) == f.target
             and all(q in elements(len(fib)) for q, fib in zip(qs, f.fibers))
-            and len(objs) == f.source
-            and all(a in range(n_obj) for a in objs)
         ):
-            labels = [objects[a] if a in range(n_obj) else str(a) for a in objs]
-            structural(
-                f"{prefix}.{iso}_key",
-                phi_key_render(f, p, qs, labels) + " indexes no structure isomorphism",
-                where,
-            )
+            composable.append((f, p, qs))
+            if len(objs) == f.source and all(a in range(n_obj) for a in objs):
+                continue
+        labels = [objects[a] if a in range(n_obj) else str(a) for a in objs]
+        structural(
+            f"{prefix}.{iso}_key",
+            phi_key_render(f, p, qs, labels) + " indexes no structure isomorphism",
+            where,
+        )
 
-    cc = _Compiled(c)
+    rows = _composition_totality(report, operad, prefix, where, family)
+    if rows is None:
+        return report
+    cc = _Compiled(c, rows)
     comp, tensor_obj, tensor_mor, explicit = cc.comp, cc.obj, cc.mor, cc.explicit
     iso_instances, naturality_instances = f"{prefix}.{iso}_instances", f"{prefix}.{iso}_naturality_instances"
     for f, p, qs in _keys(operad, family):
@@ -458,75 +509,90 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
                 )
 
     # associativity square over all composable pairs, operation tuples, object
-    # tuples.  When no explicit structure-iso entry is involved, every leg of
-    # the square is an identity on endpoints the typing pass has already
-    # verified, so only the operad-level composite equality remains to check;
-    # that collapses the object-tuple quantifier.  With no explicit entry at
-    # all, each square holds at every p, qs and rs at once as rows, or by the
-    # singleton lemma; a square where the rows fail goes through the loop,
-    # which names each failure.
+    # tuples.  At an instance that involves no explicit structure-iso entry,
+    # every leg of the square is an identity on endpoints the typing pass has
+    # already verified, so only the operad-level composite equality remains;
+    # that collapses the object-tuple quantifier.  The touched maps are those
+    # of the explicit keys, each with the row codes of its keys' (p, qs), and
+    # a pair (f, g) is touched when f, g, f.g or an induced g_i is.  Each
+    # pair's operad level holds at every p, qs and rs at once as rows, or by
+    # the singleton lemma, or else its failing instances are named one by
+    # one; a touched pair also evaluates the structure-iso square, over the
+    # object-tuple codes, at each instance where one of its keys is explicit.
+    # As g, f.g and every g_i have a source of at most ell, a settled group
+    # (f, ell) with f untouched and no touched map of source at most ell is
+    # counted whole, without building its squares.
+    touched = {(f.target, f.values): set() for f, _, _, _ in phi}
+    for f, p, qs in composable:
+        touched[f.target, f.values].add(rows.key_code(f, p, qs))
+    lowest = min((len(values) for _, values in touched), default=n_arities)
+    settled = rows.settled(maps)
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
-    rows, settled = cc.rows, {} if explicit else cc.rows.settled(maps)
+
     for f, ps, f_inner, ell, pairs in _squares(operad, maps):
         n, m = f.target, f.source
-        f_fibers = f.fibers
-        if (ell, m) in settled:
+        if (ell, m) in settled and ell < lowest and (n, f.values) not in touched:
             total = len(ps) * math.prod(map(len, f_inner)) * settled[ell, m]
             if total:
                 swept, assoc_count = True, assoc_count + n_obj**ell * total
             continue
+        n_x = n_obj**ell
         for g, fg, g_is, g_inner in pairs:
-            if not explicit:
+            if (ell, m) in settled:
+                total = len(ps) * math.prod(map(len, f_inner)) * math.prod(map(len, g_inner))
+            else:
                 total = rows.square_holds(f, g, fg, g_is)
-                if total is not None:
-                    swept, assoc_count = True, assoc_count + n_obj**ell * total
+            square_maps = (f, g, fg, *g_is)
+            involved, failing = set(), ()
+            if total is None or any(touched.get((h.target, h.values)) for h in square_maps):
+                x_f, x_g, x_gis, x_fg = rows.square_keys(f, g, fg, g_is)
+                for h, xs in zip(square_maps, (x_f, x_g, x_fg, *x_gis)):
+                    codes = touched.get((h.target, h.values))
+                    if codes:
+                        involved.update(k for k, x in enumerate(xs) if x in codes)
+                if total is None:
+                    row_g, row_fg = rows.row(g), rows.row(fg)
+                    total = len(x_f)
+                    failing = [k for k in range(total) if row_g[x_g[k]] != row_fg[x_fg[k]] and k not in involved]
+            swept = swept or len(involved) < total or n_x > 0
+            assoc_count += n_x * total
+            if not (involved or failing):
+                continue
+            radix = (len(ps), *map(len, f_inner), *map(len, g_inner))
+            radix_tail = total // len(ps)
+
+            def witness(k):
+                at = _mixed_decode(k, radix)
+                return (
+                    f"square fails at g={g.label()} f={f.label()} p={ps[at[0]]} "
+                    f"q=({','.join(c[d] for c, d in zip(f_inner, at[1 : n + 1]))}) "
+                    f"r=({','.join(c[d] for c, d in zip(g_inner, at[n + 1 :]))})"
+                )
+
+            targets_g, phi_g = cc.by_map(g)
+            phi_f, phi_fg = cc.by_map(f)[1], cc.by_map(fg)[1]
+            phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
+            for k in sorted(involved.union(failing)):
+                if k not in involved:
+                    violation(f"{prefix}.assoc", witness(k), where)
                     continue
-            for p in ps:
-                for qs in itertools.product(*f_inner):
-                    rho = op(f, p, qs)
-                    f_explicit = (n, f.values, p, qs) in explicit
-                    for rs in itertools.product(*g_inner):
-                        rs_blocks = tuple(tuple(rs[j - 1] for j in f_fibers[i]) for i in range(n))
-                        s_ops = tuple(op(g_is[i], qs[i], rs_blocks[i]) for i in range(n))
-                        involved = explicit and (
-                            f_explicit
-                            or (m, g.values, rho, rs) in explicit
-                            or (n, fg.values, p, s_ops) in explicit
-                            or any((g_is[i].target, g_is[i].values, qs[i], rs_blocks[i]) in explicit for i in range(n))
-                        )
-                        if not involved:
-                            swept, assoc_count = True, assoc_count + n_obj**ell
-                            if op(g, rho, rs) != op(fg, p, s_ops):
-                                violation(
-                                    f"{prefix}.assoc",
-                                    f"square fails at g={g.label()} f={f.label()} p={p} "
-                                    f"q=({','.join(qs)}) r=({','.join(rs)})",
-                                    where,
-                                )
-                            continue
-                        swept, assoc_count = swept or n_obj**ell > 0, assoc_count + n_obj**ell
-                        _, g_targets, phi_g = cc.key(g, rho, rs)
-                        phi_f = cc.key(f, p, qs)[2]
-                        phi_fg = cc.key(fg, p, s_ops)[2]
-                        inner = [cc.key(g_is[i], qs[i], rs_blocks[i])[2] for i in range(n)]
-                        fg_restrict = cc.restrict(fg, n_obj)
-                        mor_p = tensor_mor[n, p]
-                        for x in range(n_obj**ell):
-                            legs = (phi_g[x], phi_f[g_targets[x]], phi_fg[x])
-                            block_morphs = tuple(inner[i][fg_restrict[i][x]] for i in range(n))
-                            if MISSING in legs or MISSING in block_morphs:
-                                continue  # reported in the typing pass
-                            lhs = comp[mor_p[_mixed_encode(block_morphs, (n_mor,) * n)] * n_mor + legs[2]]
-                            rhs = comp[legs[1] * n_mor + legs[0]]
-                            if lhs != rhs and lhs != MISSING and rhs != MISSING:
-                                violation(
-                                    f"{prefix}.assoc",
-                                    f"square fails at g={g.label()} f={f.label()} p={p} "
-                                    f"q=({','.join(qs)}) r=({','.join(rs)}) "
-                                    f"A=({','.join(_labels(objects, x, ell))})",
-                                    where,
-                                )
+                # the structure-iso square at every object tuple x
+                mor_p = tensor_mor[n, ps[k // radix_tail]]
+                at_g, at_f, at_fg = x_g[k] * n_x, x_f[k] * n_obj**m, x_fg[k] * n_x
+                at_gis = [(row, xs[k] * size, sub) for (row, size, sub), xs in zip(phi_gis, x_gis)]
+                for x in range(n_x):
+                    first, second, third = phi_g[at_g + x], phi_f[at_f + targets_g[at_g + x]], phi_fg[at_fg + x]
+                    block = 0
+                    for row, base_at, sub in at_gis:
+                        leg = row[base_at + sub[x]]
+                        block = MISSING if leg == MISSING or block == MISSING else block * n_mor + leg
+                    if MISSING in (first, second, third, block):
+                        continue  # reported in the typing pass
+                    lhs = comp[mor_p[block] * n_mor + third]
+                    rhs = comp[second * n_mor + first]
+                    if lhs != rhs and lhs != MISSING and rhs != MISSING:
+                        violation(f"{prefix}.assoc", f"{witness(k)} A=({','.join(_labels(objects, x, ell))})", where)
     if swept:
         count(assoc_instances, assoc_count)
     return report
@@ -809,7 +875,10 @@ def _check_table_lax(L: LaxOMonFunctor) -> CheckReport:
         _tensor_totality(report, cod, "laxfun", f"{where}:cod")
     if not report.ok:
         return report
-    cc = _Compiled(dom)
+    rows = _composition_totality(report, dom.operad, "laxfun", f"{where}:dom")
+    if rows is None:
+        return report
+    cc = _Compiled(dom, rows)
     return _lax_coherence(report, where, cc, _TableTarget(L, cc))
 
 
@@ -1042,7 +1111,10 @@ def _check_set_lax(L: LaxSetFunctor) -> CheckReport:
     _tensor_totality(report, dom, "laxtoset", f"{where}:dom")
     if not report.ok:
         return report
-    cc = _Compiled(dom)
+    rows = _composition_totality(report, dom.operad, "laxtoset", f"{where}:dom")
+    if rows is None:
+        return report
+    cc = _Compiled(dom, rows)
     return _lax_coherence(report, where, cc, _SetTarget(L, cc))
 
 
@@ -1538,7 +1610,7 @@ def check_strict_omon_iso(c1: OMonCategory, c2: OMonCategory, functor: CatFuncto
     _tensor_totality(report, c1, "omoniso", "dom")
     if c2 is not c1:
         _tensor_totality(report, c2, "omoniso", "cod")
-    if not report.ok:
+    if not report.ok or _composition_totality(report, c1.operad, "omoniso", "dom") is None:
         return report
     return _strict_preservation(
         report, "", ("omoniso.instances", "omoniso.tensor", "omoniso.phi", "omoniso.phi"), c1, c2, functor

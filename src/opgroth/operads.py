@@ -433,6 +433,39 @@ class OperadRows:
         rhs = [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]
         return len(lhs) if lhs == rhs else None
 
+    def key_code(self, f: FinMap, p: str, qs):
+        """The code of ``(p, qs)``, a composition key, in the row of f."""
+        index, sizes = self.index, self.sizes
+        code = index[f.target][p]
+        for q, fib in zip(qs, f.fibers):
+            code = code * sizes[len(fib)] + index[len(fib)][q]
+        return code
+
+    def square_keys(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
+        """The keys of the square of :meth:`square_holds`, whose composites
+        must all be defined, at each instance in sweep order (rs fastest):
+        ``(x_f, x_g, x_gis, x_fg)``, the lists of the codes of ``(p, qs)``
+        in the row of f, of ``(op(f, p, qs), rs)`` in the row of g, of
+        ``(qs[i], rs|f^-1(i))`` in the row of each g_i and of ``(p, s)``
+        in the row of fg."""
+        sizes = self.sizes
+        f_sizes = tuple(sizes[len(fib)] for fib in f.fibers)
+        g_sizes = tuple(sizes[len(fib)] for fib in g.fibers)
+        row_f, n_p, n_r = self.row(f), sizes[f.target], math.prod(g_sizes)
+        x_f = [a for a in range(len(row_f)) for _ in range(n_r)]
+        x_g = [mid * n_r + r for mid in row_f for r in range(n_r)]
+        x_gis, code = [], [0] * (math.prod(f_sizes) * n_r)
+        for fib, g_i, digits in zip(f.fibers, g_is, self.digits(f_sizes)):
+            row, sub = self.row(g_i), self.sub_codes(g_sizes, fib)
+            n_sub = math.prod(g_sizes[j - 1] for j in fib)
+            keys = [d * n_sub + x for d in digits for x in sub]
+            x_gis.append(keys * n_p)
+            radix = sizes[g_i.source]
+            code = [c * radix + row[k] for c, k in zip(code, keys)]
+        n_s = len(self.row(fg)) // n_p
+        x_fg = [at + c for at in range(0, n_p * n_s, n_s) for c in code]
+        return x_f, x_g, x_gis, x_fg
+
 
 def _squares(o: Operad, maps: dict):
     """Every associativity square of ``o`` over the maps ``maps[m, n]``,

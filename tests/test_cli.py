@@ -161,6 +161,24 @@ def test_operad_without_a_unary_unit_is_structural(tmp_path, name):
     assert [(r["severity"], r["check"], r["witness"], r["where"]) for r in records] == expected
 
 
+def test_structure_over_an_operad_with_a_missing_entry_is_structural(tmp_path):
+    # a truncation-1 operad with no mu [1] a a, under a one-object structure
+    target = tmp_path / "hole.spec"
+    target.write_text(
+        "[operad O]\narity 0 = z\narity 1 = a\nunit = a\nmu [] z = z\nmu [] a z = z\n\n"
+        "[category C]\nobjects = x\n\n"
+        "[omon M]\noperad = O\nbase = C\ntensor z () = x\ntensor a (x) = x\n",
+        encoding="utf-8",
+    )
+    code, out = run(["--report", "json", "check", str(target)])
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert [(r["check"], r["where"]) for r in records] == [("operad.composition", "O")] * 4 + [
+        ("omon.operad_composition", "M:M")
+    ]
+    assert records[-1]["witness"] == "mu [1] a a is undefined or outside its carrier"
+
+
 def test_bad_max_arity_variable_is_an_error_line(monkeypatch):
     monkeypatch.setenv("OPGROTH_MAX_ARITY", "x")
     code, text = run(["check", str(FIXTURES / "walk.cat")])

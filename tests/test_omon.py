@@ -5,9 +5,12 @@ import pytest
 
 from opgroth import fixtures
 from opgroth.fincore import FinMap, fm_compose, identity_map, terminal_map
-from opgroth.operads import build_assoc, build_comm, composition_keys, terminal_morphism
+from opgroth.ogroth import check_laxtoset, grade_laxtoset, l2_laxtoset
+from opgroth.operads import Operad, build_assoc, build_comm, composition_keys, terminal_morphism, with_overrides
 from opgroth.omon import (
     LaxOMonFunctor,
+    LaxSetFunctor,
+    OMonCategory,
     OMonTransformation,
     SetAlgebra,
     assoc_algebra_from_monoid,
@@ -321,6 +324,52 @@ def test_set_lax_unit_default_needs_equal_sets():
     x.dom.tensors[(1, "*")].obj[(0,)] = 1
     report = check_lax_omon_functor(x)
     assert ("laxtoset.nu_missing", "nu[p=*,i=(0)] has no entry") in [(r.check, r.witness) for r in report.records]
+
+
+# --------------------------------------------------------------- broken operads
+
+
+def _broken_operads(o):
+    """``(mu key, hole, operad)`` for each composition entry of ``o``: the
+    table without that entry (``hole``), and ``o`` with it set to a label
+    outside its carrier."""
+    table = {(f.target, f.values, p, qs): o.compose(f, p, qs) for f, p, qs in composition_keys(o)}
+    for f, p, qs in composition_keys(o):
+        key = f"mu {f.label()} {p} {' '.join(qs)}"
+        rest = {k: v for k, v in table.items() if k != (f.target, f.values, p, qs)}
+        yield key, True, Operad(name="hole", max_arity=o.max_arity, carriers=o.carriers, unit=o.unit, table=rest)
+        yield key, False, with_overrides(o, {(f, p, qs): "<outside>"})
+
+
+@pytest.mark.parametrize("lax", [l2_laxtoset, grade_laxtoset], ids=["L2", "DZ2"])
+def test_structure_over_a_broken_operad_names_the_entry(lax):
+    x = lax(2)
+    c = x.dom
+    ident = identity_functor(c.base)
+    swept = 0
+    for key, hole, broken in _broken_operads(c.operad):
+        swept += 1
+        d = OMonCategory(operad=broken, base=c.base, tensors=c.tensors, phi=c.phi, name=c.name)
+        witness = f"{key} is undefined or outside its carrier"
+        report = check_omon_category(d)
+        assert [(r.severity, r.check, r.witness, r.where) for r in report.records] == [
+            ("structural", "omon.operad_composition", witness, c.name)
+        ]
+        y = LaxSetFunctor(dom=d, iset=x.iset, nu=x.nu, name=x.name)
+        assert [(r.check, r.witness) for r in check_laxtoset(y).records] == [("omon.operad_composition", witness)]
+        assert [(r.check, r.witness, r.where) for r in check_lax_omon_functor(y).records] == [
+            ("laxtoset.operad_composition", witness, f"{x.name}:dom")
+        ]
+        # a table with a hole already differs from itself, as its entries
+        # cannot be compared; an entry outside the carrier reaches the gate
+        laxfun = check_lax_omon_functor(LaxOMonFunctor(dom=d, cod=d, functor=ident, xi={}))
+        iso = check_strict_omon_iso(d, d, ident)
+        assert [(r.check, r.witness) for r in laxfun.records + iso.records] == (
+            [("laxfun.operad", "dom and cod live over different operads"), ("omoniso.operad", "different operads")]
+            if hole
+            else [("laxfun.operad_composition", witness), ("omoniso.operad_composition", witness)]
+        )
+    assert swept == {"L2": 22, "DZ2": 46}[x.dom.name]
 
 
 # --------------------------------------------------------------- products, isos

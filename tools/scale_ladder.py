@@ -5,7 +5,7 @@ wall-clock cap, and records the build time and the check time apart, the
 instance counters of the report and the instances checked per second.  A
 rung that reaches its cap is recorded as ``over_cap``, never dropped.
 
-    python3 tools/scale_ladder.py --out BENCH_7.json --label change
+    python3 tools/scale_ladder.py --out BENCH_8.json --label change
 
 writes the run under ``runs[label]`` of the output file, keeping the runs
 already there under other labels.  ``--rung NAME`` runs one rung in this
@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 CAP_S = 300.0  # seconds a rung may take
 
 
@@ -36,10 +37,19 @@ def _operad(label: str, arity: int):
     return getattr(operads, f"build_{label}")(arity), operads.check_operad_axioms
 
 
-def _omon(make: str, arity: int):
+def _omon(make: str, arity: int, mutation: int | None = None):
     from opgroth import omon
 
-    return getattr(omon, make)(arity), omon.check_omon_category
+    c = getattr(omon, make)(arity)
+    if mutation is not None:
+        c = omon.omon_single_entry_mutations(c)[mutation][1]
+    return c, omon.check_omon_category
+
+
+def _twisted_assoc():
+    from opgroth import omon
+
+    return omon.extend_unbiased_to_assoc(omon.twisted_bz2_unbiased(3)), omon.check_omon_category
 
 
 def _laxtoset(make: str, arity: int):
@@ -66,6 +76,13 @@ RUNGS = {
         for label, make in (("grade", "grade_assoc_omon"), ("dz2", "dz2_assoc_omon"), ("l2", "l2_comm_omon"))
         for k in (3, 4)
     },
+    # the shipped mutations that set one structure isomorphism explicitly
+    **{
+        f"check_omon_category {label}(4) mutation {i}": (lambda b=make, i=i: _omon(b, 4, i))
+        for label, make in (("grade", "grade_assoc_omon"), ("dz2", "dz2_assoc_omon"))
+        for i in (1, 2)
+    },
+    "check_omon_category twisted assoc(3)": _twisted_assoc,
     **{
         f"check_laxtoset {label}({k})": (lambda b=make, k=k: _laxtoset(b, k))
         for label, make in (("grade", "grade_laxtoset"), ("l2", "l2_laxtoset"))
