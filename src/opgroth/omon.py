@@ -555,12 +555,14 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
                     row_g, row_fg = rows.row(g), rows.row(fg)
                     total = len(x_f)
                     failing = [k for k in range(total) if row_g[x_g[k]] != row_fg[x_fg[k]] and k not in involved]
+            # an instance that involves no explicit entry is swept at the
+            # operad level; one that does, only at its object tuples
             swept = swept or len(involved) < total or n_x > 0
             assoc_count += n_x * total
             if not (involved or failing):
                 continue
             radix = (len(ps), *map(len, f_inner), *map(len, g_inner))
-            radix_tail = total // len(ps)
+            per_p = total // len(ps)
 
             def witness(k):
                 at = _mixed_decode(k, radix)
@@ -578,7 +580,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
                     violation(f"{prefix}.assoc", witness(k), where)
                     continue
                 # the structure-iso square at every object tuple x
-                mor_p = tensor_mor[n, ps[k // radix_tail]]
+                mor_p = tensor_mor[n, ps[k // per_p]]
                 at_g, at_f, at_fg = x_g[k] * n_x, x_f[k] * n_obj**m, x_fg[k] * n_x
                 at_gis = [(row, xs[k] * size, sub) for (row, size, sub), xs in zip(phi_gis, x_gis)]
                 for x in range(n_x):
