@@ -543,11 +543,10 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
                 total = len(ps) * math.prod(map(len, f_inner)) * math.prod(map(len, g_inner))
             else:
                 total = rows.square_holds(f, g, fg, g_is)
-            square_maps = (f, g, fg, *g_is)
             involved, failing = set(), ()
-            if total is None or any(touched.get((h.target, h.values)) for h in square_maps):
+            if total is None or touched and any(touched.get((h.target, h.values)) for h in (f, g, fg, *g_is)):
                 x_f, x_g, x_gis, x_fg = rows.square_keys(f, g, fg, g_is)
-                for h, xs in zip(square_maps, (x_f, x_g, x_fg, *x_gis)):
+                for h, xs in zip((f, g, fg, *g_is), (x_f, x_g, x_fg, *x_gis)):
                     codes = touched.get((h.target, h.values))
                     if codes:
                         involved.update(k for k, x in enumerate(xs) if x in codes)
