@@ -326,16 +326,22 @@ def _tensor_totality(report: CheckReport, c: OMonCategory, prefix: str, where: s
                     )
 
 
-def _composition_totality(report: CheckReport, operad: Operad, prefix: str, where: str, family=all_maps):
+def _family_maps(operad: Operad, family=all_maps) -> dict:
+    """``{(m, n): the maps family(m, n) yields}`` over the truncation."""
+    n_arities = operad.max_arity + 1
+    return {(a, b): tuple(family(a, b)) for a in range(n_arities) for b in range(n_arities)}
+
+
+def _composition_totality(report: CheckReport, operad: Operad, maps: dict, prefix: str, where: str):
     """Record as structural each composite of the operad, over the maps
-    ``family(m, n)`` yields, that is undefined or lies outside its carrier
-    (an UNDEFINED entry of its rows); :class:`_Compiled` reads them all.
+    ``maps[m, n]``, that is undefined or lies outside its carrier (an
+    UNDEFINED entry of its rows); :class:`_Compiled` reads them all.
     Gives the filled rows, or None when a record was made."""
     rows, total = OperadRows(operad), True
     n_arities = operad.max_arity + 1
     for n in range(n_arities):
         for m in range(n_arities):
-            for f in family(m, n):
+            for f in maps[m, n]:
                 row = rows.row(f)
                 if UNDEFINED not in row:
                     continue
@@ -427,7 +433,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
         return report
 
     # structure isomorphisms: keys, typing, invertibility, identity axioms, naturality
-    maps = {(a, b): tuple(family(a, b)) for a in range(n_arities) for b in range(n_arities)}
+    maps = _family_maps(operad, family)
     composable = []  # the explicit keys that name a composition key
     for f, p, qs, objs in phi:
         if (
@@ -446,13 +452,13 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family) -> CheckRepo
             where,
         )
 
-    rows = _composition_totality(report, operad, prefix, where, family)
+    rows = _composition_totality(report, operad, maps, prefix, where)
     if rows is None:
         return report
     cc = _Compiled(c, rows)
     comp, tensor_obj, tensor_mor, explicit = cc.comp, cc.obj, cc.mor, cc.explicit
     iso_instances, naturality_instances = f"{prefix}.{iso}_instances", f"{prefix}.{iso}_naturality_instances"
-    for f, p, qs in _keys(operad, family):
+    for f, p, qs in _keys(operad, lambda a, b: maps[a, b]):
         m, n = f.source, f.target
         rho, targets, row = cc.key(f, p, qs)
         if row:
@@ -702,12 +708,13 @@ class _LaxTarget:
         return lhs != rhs
 
 
-def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget) -> CheckReport:
+def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget, maps: dict) -> CheckReport:
     """The laws of a lax functor out of the compiled structure ``cc``, for
     either target ``t``: the components ``t.comp`` are typed (with the
     identity rule at the unit), natural in the object tuple, and coherent
-    with every structure isomorphism; then the components classify it as
-    strict, weak or lax.
+    with every structure isomorphism, one per composition key over the
+    maps ``maps[m, n]``; then the components classify it as strict, weak
+    or lax.
     """
     dom = cc.c
     operad, base = dom.operad, dom.base
@@ -760,7 +767,7 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
                     )
 
     # coherence against every structure isomorphism
-    for f, p, qs in composition_keys(operad):
+    for f, p, qs in _keys(operad, lambda a, b: maps[a, b]):
         m, n = f.source, f.target
         rho, targets, phi = cc.key(f, p, qs)
         if not phi:
@@ -876,11 +883,12 @@ def _check_table_lax(L: LaxOMonFunctor) -> CheckReport:
         _tensor_totality(report, cod, "laxfun", f"{where}:cod")
     if not report.ok:
         return report
-    rows = _composition_totality(report, dom.operad, "laxfun", f"{where}:dom")
+    maps = _family_maps(dom.operad)
+    rows = _composition_totality(report, dom.operad, maps, "laxfun", f"{where}:dom")
     if rows is None:
         return report
     cc = _Compiled(dom, rows)
-    return _lax_coherence(report, where, cc, _TableTarget(L, cc))
+    return _lax_coherence(report, where, cc, _TableTarget(L, cc), maps)
 
 
 # --------------------------------------------------------------------------
@@ -1112,11 +1120,12 @@ def _check_set_lax(L: LaxSetFunctor) -> CheckReport:
     _tensor_totality(report, dom, "laxtoset", f"{where}:dom")
     if not report.ok:
         return report
-    rows = _composition_totality(report, dom.operad, "laxtoset", f"{where}:dom")
+    maps = _family_maps(dom.operad)
+    rows = _composition_totality(report, dom.operad, maps, "laxtoset", f"{where}:dom")
     if rows is None:
         return report
     cc = _Compiled(dom, rows)
-    return _lax_coherence(report, where, cc, _SetTarget(L, cc))
+    return _lax_coherence(report, where, cc, _SetTarget(L, cc), maps)
 
 
 def _fn_product_aligned(fns) -> FinFunction:
@@ -1611,7 +1620,7 @@ def check_strict_omon_iso(c1: OMonCategory, c2: OMonCategory, functor: CatFuncto
     _tensor_totality(report, c1, "omoniso", "dom")
     if c2 is not c1:
         _tensor_totality(report, c2, "omoniso", "cod")
-    if not report.ok or _composition_totality(report, c1.operad, "omoniso", "dom") is None:
+    if not report.ok or _composition_totality(report, c1.operad, _family_maps(c1.operad), "omoniso", "dom") is None:
         return report
     return _strict_preservation(
         report, "", ("omoniso.instances", "omoniso.tensor", "omoniso.phi", "omoniso.phi"), c1, c2, functor
