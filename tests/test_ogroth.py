@@ -1,3 +1,6 @@
+import hashlib
+import io
+import pathlib
 from types import SimpleNamespace
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 import opgroth.ogroth
 import opgroth.omon
 from opgroth import fixtures
+from opgroth.cli import run_command
 from opgroth.fincore import NatTransform, functor_from_labels, identity_functor, identity_nat, terminal_map
 from opgroth.fib2cat import FinFunction, fn_compose
 from opgroth.groth import groth_apply
@@ -363,6 +367,28 @@ def test_full_o_corpus_roundtrip_small():
     corpus = make_o_corpus(MAX_ARITY)
     report = omon_roundtrip_check(corpus)
     assert report.ok, report.render()
+
+
+# sha256 of the bytes of the structured round trip: the rendered report of
+# omon_roundtrip_check(make_o_corpus(2)), and the stdout of
+# `oroundtrip fixtures/corpus_omon.spec` in text and JSON (run from the
+# repository root, as the source path is a note of the report)
+ROUNDTRIP_PINS = {
+    "corpus(2)": "7d6e69970eb623ef572a93c755b9c0faa1c9fb2791a7a7a3376f749768744a7b",
+    "text": "7c7b2d02bd74fc0b7f9aa041a2552ef1134adb9327d9342335c6f5278d751074",
+    "json": "a4d59a1d8ba45d92b61a649afbe1ac78ed56f16772a050516ed9c9c063b59886",
+}
+
+
+def test_roundtrip_report_bytes_are_pinned(monkeypatch):
+    monkeypatch.delenv("OPGROTH_MAX_ARITY", raising=False)
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parent.parent)
+    got = {"corpus(2)": hashlib.sha256(omon_roundtrip_check(make_o_corpus(2)).render().encode()).hexdigest()}
+    for mode in ("text", "json"):
+        out = io.StringIO()
+        assert run_command(["--report", mode, "oroundtrip", "fixtures/corpus_omon.spec"], out=out) == 0
+        got[mode] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == ROUNDTRIP_PINS
 
 
 def test_restriction_report_small():
