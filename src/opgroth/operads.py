@@ -106,16 +106,20 @@ def _keys(o: Operad, family):
 
 
 def operads_equal(a: Operad, b: Operad) -> bool:
-    """Table equality over the shared truncation."""
+    """Table equality over the shared truncation: at every key both
+    composites are equal or both are undefined."""
+    if a is b:
+        return True
     if a.max_arity != b.max_arity or a.carriers != b.carriers or a.unit != b.unit:
         return False
-    for f, p, qs in composition_keys(a):
+
+    def outcome(o: Operad, f, p, qs):
         try:
-            if a.compose(f, p, qs) != b.compose(f, p, qs):
-                return False
+            return o.compose(f, p, qs)
         except CompositionUndefined:
-            return False
-    return True
+            return None
+
+    return all(outcome(a, f, p, qs) == outcome(b, f, p, qs) for f, p, qs in composition_keys(a))
 
 
 def with_overrides(o: Operad, overrides: dict, name: str = "") -> Operad:

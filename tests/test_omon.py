@@ -6,7 +6,15 @@ import pytest
 from opgroth import fixtures
 from opgroth.fincore import FinMap, fm_compose, identity_map, terminal_map
 from opgroth.ogroth import check_laxtoset, grade_laxtoset, l2_laxtoset
-from opgroth.operads import Operad, build_assoc, build_comm, composition_keys, terminal_morphism, with_overrides
+from opgroth.operads import (
+    Operad,
+    build_assoc,
+    build_comm,
+    composition_keys,
+    operads_equal,
+    terminal_morphism,
+    with_overrides,
+)
 from opgroth.omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
@@ -360,15 +368,20 @@ def test_structure_over_a_broken_operad_names_the_entry(lax):
         assert [(r.check, r.witness, r.where) for r in check_lax_omon_functor(y).records] == [
             ("laxtoset.operad_composition", witness, f"{x.name}:dom")
         ]
-        # a table with a hole already differs from itself, as its entries
-        # cannot be compared; an entry outside the carrier reaches the gate
+        # an operad equals itself, hole or not, so both checks reach the gate
         laxfun = check_lax_omon_functor(LaxOMonFunctor(dom=d, cod=d, functor=ident, xi={}))
         iso = check_strict_omon_iso(d, d, ident)
-        assert [(r.check, r.witness) for r in laxfun.records + iso.records] == (
-            [("laxfun.operad", "dom and cod live over different operads"), ("omoniso.operad", "different operads")]
-            if hole
-            else [("laxfun.operad_composition", witness), ("omoniso.operad_composition", witness)]
-        )
+        assert [(r.check, r.witness) for r in laxfun.records + iso.records] == [
+            ("laxfun.operad_composition", witness),
+            ("omoniso.operad_composition", witness),
+        ]
+        if hole:
+            # two tables with the same hole are equal, and differ from the whole one
+            twin = Operad(
+                name="twin", max_arity=broken.max_arity, carriers=broken.carriers, unit=broken.unit,
+                table=dict(broken.table),
+            )
+            assert operads_equal(broken, twin) and not operads_equal(broken, c.operad)
     assert swept == {"L2": 22, "DZ2": 46}[x.dom.name]
 
 
