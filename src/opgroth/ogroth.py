@@ -111,13 +111,50 @@ def omons_equal(a: OMonCategory, b: OMonCategory) -> bool:
     )
 
 
-def _checked_omon(memo: dict, c: OMonCategory) -> CheckReport:
-    """check_omon_category(c), run once per structure while ``memo``
-    lives; the entry holds c, so no later structure can take its id()."""
-    entry = memo.get(id(c))
+# A structured round trip threads one ``memo`` dict through its checks
+# and constructions, and drops it when it returns.  Each entry holds the
+# objects whose id() its key names, so no object built later in the call
+# can take one of those ids and receive another object's result.
+
+
+def _memoized(memo: dict, key: tuple, keep, build):
+    """``build()``, run once per key while ``memo`` lives; the entry holds
+    ``keep``, the objects whose id() the key names."""
+    entry = memo.get(key)
     if entry is None:
-        entry = memo[id(c)] = (c, check_omon_category(c))
+        entry = memo[key] = (keep, build())
     return entry[1]
+
+
+def _checked_omon(memo: dict, c: OMonCategory) -> CheckReport:
+    """check_omon_category(c), run once per structure while ``memo`` lives."""
+    return _memoized(memo, ("omon", id(c)), c, lambda: check_omon_category(c))
+
+
+def _checked_lax(memo: dict, L: LaxOMonFunctor) -> CheckReport:
+    """_check_table_lax(L), run once per lax functor while ``memo`` lives.
+    The key is all the check reads: the two structures, the functor's
+    frames and tables, the comparison entries and the name."""
+    F = L.functor
+    key = (
+        "lax", id(L.dom), id(L.cod), id(F.dom), id(F.cod),
+        tuple(F.on_obj), tuple(F.on_mor), frozenset(L.xi.items()), L.name,
+    )
+    return _memoized(memo, key, (L.dom, L.cod, F.dom, F.cod), lambda: _check_table_lax(L))
+
+
+def _nu_reader(memo: dict, x: LaxSetFunctor):
+    """``x.nu_at``, read once per key while ``memo`` lives; a missing
+    component is not kept, so it raises at every read."""
+    nus = _memoized(memo, ("nu", id(x)), x, dict)
+
+    def nu_at(n: int, p: str, objs: tuple) -> FinFunction:
+        got = nus.get((n, p, objs))
+        if got is None:
+            got = nus[n, p, objs] = x.nu_at(n, p, objs)
+        return got
+
+    return nu_at
 
 
 def check_ofib_object(x: OFibObject) -> CheckReport:
@@ -184,14 +221,19 @@ def identity_ocell(x: LaxSetFunctor) -> OCell:
 
 
 def check_ocell(c: OCell) -> CheckReport:
+    return _check_ocell(c, {})
+
+
+def _check_ocell(c: OCell, memo: dict) -> CheckReport:
     report = CheckReport()
     where = c.name or "ocell"
     lax = c.index_lax()
-    report.merge(_check_table_lax(lax), where=f"{where}:index")
+    report.merge(_checked_lax(memo, lax), where=f"{where}:index")
     report.merge(validate_iset_cell(c.iset_cell()), where=f"{where}:iset")
     if not report.ok:
         return report
     x, y = c.dom, c.cod
+    x_nu, y_nu = _nu_reader(memo, x), _nu_reader(memo, y)
     operad = x.dom.operad
     G = y.iset
     for n in range(operad.max_arity + 1):
@@ -200,12 +242,12 @@ def check_ocell(c: OCell) -> CheckReport:
                 report.count("ocell.square_instances")
                 try:
                     lhs = fn_compose(
-                        c.mu[x.dom.tensor_obj(n, p, objs)], x.nu_at(n, p, objs)
+                        c.mu[x.dom.tensor_obj(n, p, objs)], x_nu(n, p, objs)
                     )
                     rhs = fn_compose(
                         G.actions[lax.xi_at(n, p, objs)],
                         fn_compose(
-                            y.nu_at(n, p, tuple(c.functor.on_obj[a] for a in objs)),
+                            y_nu(n, p, tuple(c.functor.on_obj[a] for a in objs)),
                             o_fn_product(tuple(c.mu[a] for a in objs)),
                         ),
                     )
@@ -271,13 +313,17 @@ def identity_ofib_cell(x: OFibObject) -> OFibCell:
 
 
 def check_ofib_cell(c: OFibCell) -> CheckReport:
+    return _check_ofib_cell(c, {})
+
+
+def _check_ofib_cell(c: OFibCell, memo: dict) -> CheckReport:
     from .fib2cat import validate_dfib_cell
 
     report = CheckReport()
     where = c.name or "ofibcell"
     report.merge(validate_dfib_cell(c.dfib_cell()), where=f"{where}:square")
-    report.merge(_check_table_lax(c.top_lax()), where=f"{where}:top")
-    report.merge(_check_table_lax(c.bottom_lax()), where=f"{where}:bottom")
+    report.merge(_checked_lax(memo, c.top_lax()), where=f"{where}:top")
+    report.merge(_checked_lax(memo, c.bottom_lax()), where=f"{where}:bottom")
     if not report.ok:
         return report
     # the comparison 2-morphisms must strictly commute with the projections
@@ -375,16 +421,19 @@ def check_ofib_2cell(e: OFib2Cell) -> CheckReport:
 
 def omon_groth(x) -> "OFibObject | OFibCell | OFib2Cell":
     """Structured Grothendieck construction on objects, 1-cells, 2-cells."""
-    if isinstance(x, LaxSetFunctor):
-        return _omon_groth_object(x)
-    if isinstance(x, OCell):
-        return _omon_groth_cell(x)
-    if isinstance(x, O2Cell):
-        return _omon_groth_2cell(x)
+    return _omon_groth(x, {})
+
+
+def _omon_groth(x, memo: dict):
+    """The construction on x, built once per input while ``memo`` lives."""
+    for kind, build in ((LaxSetFunctor, _omon_groth_object), (OCell, _omon_groth_cell), (O2Cell, _omon_groth_2cell)):
+        if isinstance(x, kind):
+            return _memoized(memo, ("groth", id(x)), x, lambda: build(x, memo))
     raise TypeError(f"cannot apply the construction to {type(x).__name__}")
 
 
-def _omon_groth_object(x: LaxSetFunctor) -> OFibObject:
+def _omon_groth_object(x: LaxSetFunctor, memo: dict) -> OFibObject:
+    nu_at = _nu_reader(memo, x)
     F = x.iset
     fib = _groth_object(F)
     index = x.dom
@@ -397,15 +446,6 @@ def _omon_groth_object(x: LaxSetFunctor) -> OFibObject:
         a = fib.proj.on_obj[obj]
         return a, obj - obj_off[a]
 
-    nus = {}
-
-    def nu_map(n: int, p: str, i_vec: tuple) -> tuple:
-        """``x.nu_at(n, p, i_vec).mapping``, built once per key."""
-        got = nus.get((n, p, i_vec))
-        if got is None:
-            got = nus[n, p, i_vec] = x.nu_at(n, p, i_vec).mapping
-        return got
-
     tensors = {}
     for n in range(operad.max_arity + 1):
         for p in operad.elements(n):
@@ -415,7 +455,7 @@ def _omon_groth_object(x: LaxSetFunctor) -> OFibObject:
                 i_vec = tuple(a for a, _ in pairs)
                 enc = _mixed_encode(tuple(xi for _, xi in pairs), [sizes[a] for a in i_vec])
                 target_obj = index.tensor_obj(n, p, i_vec)
-                obj_table[combo] = obj_off[target_obj] + nu_map(n, p, i_vec)[enc]
+                obj_table[combo] = obj_off[target_obj] + nu_at(n, p, i_vec).mapping[enc]
             mor_table = {}
             for combo in itertools.product(range(total.n_morphisms), repeat=n):
                 base_mors = tuple(fib.proj.on_mor[t] for t in combo)
@@ -425,7 +465,7 @@ def _omon_groth_object(x: LaxSetFunctor) -> OFibObject:
                     tuple(xi for _, xi in src_pairs), [sizes[a] for a in i_vec]
                 )
                 big = index.tensor_mor(n, p, base_mors)
-                mor_table[combo] = mor_off[big] + nu_map(n, p, i_vec)[enc]
+                mor_table[combo] = mor_off[big] + nu_at(n, p, i_vec).mapping[enc]
             tensors[(n, p)] = TensorTable(obj=obj_table, mor=mor_table)
     phi = {}
     for (f, p, qs, i_vec), value in index.phi.items():
@@ -433,7 +473,7 @@ def _omon_groth_object(x: LaxSetFunctor) -> OFibObject:
             combo = tuple(obj_off[a] + xi for a, xi in zip(i_vec, xs))
             rho = index.op(f, p, qs)
             enc = _mixed_encode(xs, [sizes[a] for a in i_vec])
-            phi[(f, p, qs, combo)] = mor_off[value] + nu_map(f.source, rho, i_vec)[enc]
+            phi[(f, p, qs, combo)] = mor_off[value] + nu_at(f.source, rho, i_vec).mapping[enc]
     total_omon = OMonCategory(
         operad=operad,
         base=total,
@@ -449,9 +489,10 @@ def _omon_groth_object(x: LaxSetFunctor) -> OFibObject:
     )
 
 
-def _omon_groth_cell(c: OCell) -> OFibCell:
-    dom_of = _omon_groth_object(c.dom)
-    cod_of = _omon_groth_object(c.cod)
+def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
+    dom_of = _omon_groth(c.dom, memo)
+    cod_of = _omon_groth(c.cod, memo)
+    cod_nu = _nu_reader(memo, c.cod)
     square = _groth_cell(c.iset_cell())
     G = c.cod.iset
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
@@ -464,7 +505,7 @@ def _omon_groth_cell(c: OCell) -> OFibCell:
             combo = tuple(f_obj_off[a] + xi for a, xi in zip(objs, xs))
             src_combo = tuple(square.top.on_obj[o] for o in combo)
             src_pairs_i = tuple(c.functor.on_obj[a] for a in objs)
-            kappa = c.cod.nu_at(n, p, src_pairs_i)
+            kappa = cod_nu(n, p, src_pairs_i)
             enc = _mixed_encode(
                 tuple(o - g_obj_off[i] for o, i in zip(src_combo, src_pairs_i)),
                 [G.values[i].size for i in src_pairs_i],
@@ -485,13 +526,13 @@ def _omon_groth_cell(c: OCell) -> OFibCell:
     )
 
 
-def _omon_groth_2cell(e: O2Cell) -> OFib2Cell:
+def _omon_groth_2cell(e: O2Cell, memo: dict) -> OFib2Cell:
     from .groth import _groth_2cell
 
     two = _groth_2cell(ISet2Cell(e.dom.iset_cell(), e.cod.iset_cell(), e.eta))
     return OFib2Cell(
-        dom=_omon_groth_cell(e.dom),
-        cod=_omon_groth_cell(e.cod),
+        dom=_omon_groth(e.dom, memo),
+        cod=_omon_groth(e.cod, memo),
         top=two.top,
         bottom=two.bottom,
     )
@@ -781,12 +822,13 @@ def enumerate_ocells(x: LaxSetFunctor, y: LaxSetFunctor, cap: int = 3):
     if not operads_equal(x.dom.operad, y.dom.operad):
         return []
     out = []
+    memo: dict = {}
     for M in all_functors(x.dom.base, y.dom.base):
         xi = forced_xi(x.dom, y.dom, M)
         if xi is None:
             continue
         lax = LaxOMonFunctor(dom=x.dom, cod=y.dom, functor=M, xi=xi)
-        if not _check_table_lax(lax).ok:
+        if not _checked_lax(memo, lax).ok:
             continue
         per_object = []
         feasible = True
@@ -810,7 +852,7 @@ def enumerate_ocells(x: LaxSetFunctor, y: LaxSetFunctor, cap: int = 3):
             continue
         for combo in itertools.product(*per_object):
             cell = OCell(dom=x, cod=y, functor=M, xi=xi, mu=tuple(combo))
-            if check_ocell(cell).ok:
+            if _check_ocell(cell, memo).ok:
                 out.append(cell)
                 if len(out) >= cap:
                     return out
@@ -1007,7 +1049,7 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
 
     # forward round trip
     for x in corpus.laxtosets:
-        y = omon_groth(x)
+        y = _omon_groth(x, memo)
         report.merge(_check_ofib_object(y, memo), where=f"int[{x.name}]")
         report.count("oroundtrip.groth_objects")
         if y.fib != groth_apply(x.iset):
@@ -1019,8 +1061,8 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
         report.merge(_check_set_lax(back), where=f"T[int[{x.name}]]")
         phi = phi_ocell(x, back)
         inv = phi_ocell_inverse(x, back)
-        report.merge(check_ocell(phi), where=phi.name)
-        report.merge(check_ocell(inv), where=inv.name)
+        report.merge(_check_ocell(phi, memo), where=phi.name)
+        report.merge(_check_ocell(inv, memo), where=inv.name)
         if not ocell_equal(ocell_compose(phi, inv), identity_ocell(x)):
             report.violation("oroundtrip.phi_invertible", f"phi o phi_inv != id at {x.name}")
         if not ocell_equal(ocell_compose(inv, phi), identity_ocell(back)):
@@ -1031,46 +1073,52 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
         x = omon_transpose(y)
         report.merge(_checked_omon(memo, x.dom), where=f"T[{y.name}]:index")
         report.merge(_check_set_lax(x), where=f"T[{y.name}]")
-        fwd = omon_groth(x)
+        fwd = _omon_groth(x, memo)
         report.merge(_check_ofib_object(fwd, memo), where=f"int[T[{y.name}]]")
         psi = psi_ofib_cell(y, fwd)
         inv = psi_ofib_cell_inverse(y, fwd)
-        report.merge(check_ofib_cell(psi), where=psi.name)
-        report.merge(check_ofib_cell(inv), where=inv.name)
+        report.merge(_check_ofib_cell(psi, memo), where=psi.name)
+        report.merge(_check_ofib_cell(inv, memo), where=inv.name)
         if not ofib_cell_equal(ofib_cell_compose(psi, inv), identity_ofib_cell(y)):
             report.violation("oroundtrip.psi_invertible", f"psi o psi_inv != id at {y.name}")
         if not ofib_cell_equal(ofib_cell_compose(inv, psi), identity_ofib_cell(fwd)):
             report.violation("oroundtrip.psi_invertible", f"psi_inv o psi != id at {y.name}")
 
     # cells and functoriality
+    valid = []
     for cell in corpus.ocells:
-        report.merge(check_ocell(cell), where=cell.name or "ocell")
-        image = omon_groth(cell)
-        report.merge(check_ofib_cell(image), where=f"int[{cell.name or 'ocell'}]")
+        checked = _check_ocell(cell, memo)
+        report.merge(checked, where=cell.name or "ocell")
+        if checked.ok:
+            valid.append(cell)
+        image = _omon_groth(cell, memo)
+        report.merge(_check_ofib_cell(image, memo), where=f"int[{cell.name or 'ocell'}]")
         report.count("oroundtrip.cells")
     for cell in corpus.ofib_cells:
-        report.merge(check_ofib_cell(cell), where=cell.name or "ofibcell")
+        report.merge(_check_ofib_cell(cell, memo), where=cell.name or "ofibcell")
         back = omon_transpose(cell)
-        report.merge(check_ocell(back), where=f"T[{cell.name or 'ofibcell'}]")
+        report.merge(_check_ocell(back, memo), where=f"T[{cell.name or 'ofibcell'}]")
     for e in corpus.o2cells:
         report.merge(check_o2cell(e), where=e.name or "o2cell")
-        report.merge(check_ofib_2cell(omon_groth(e)), where="int[o2cell]")
+        report.merge(check_ofib_2cell(_omon_groth(e, memo)), where="int[o2cell]")
     for e in corpus.ofib_2cells:
         report.merge(check_ofib_2cell(e), where=e.name or "ofib2cell")
 
     for x in corpus.laxtosets:
         if not ofib_cell_equal(
-            omon_groth(identity_ocell(x)), identity_ofib_cell(omon_groth(x))
+            _omon_groth(identity_ocell(x), memo), identity_ofib_cell(_omon_groth(x, memo))
         ):
             report.violation("oroundtrip.functorial_id", f"int(id) != id at {x.name}")
-    for c1 in corpus.ocells:
-        for c2 in corpus.ocells:
+    # the construction is a functor on valid cells; an invalid one has
+    # its records above, and its composites may lack components
+    for c1 in valid:
+        for c2 in valid:
             if c1.cod is not c2.dom:
                 continue
             report.count("oroundtrip.functoriality_pairs")
             if not ofib_cell_equal(
-                omon_groth(ocell_compose(c2, c1)),
-                ofib_cell_compose(omon_groth(c2), omon_groth(c1)),
+                _omon_groth(ocell_compose(c2, c1), memo),
+                ofib_cell_compose(_omon_groth(c2, memo), _omon_groth(c1, memo)),
             ):
                 report.violation(
                     "oroundtrip.functorial_compose",
@@ -1084,7 +1132,7 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
             continue
         if cell.functor != identity_functor(cell.dom.dom.base) or cell.xi:
             continue
-        image = omon_groth(cell)
+        image = _omon_groth(cell, memo)
         report.count("oroundtrip.fixed_base_cells")
         if image.bottom != identity_functor(image.dom.base_omon.base) or image.xi_bottom:
             report.violation(

@@ -9,7 +9,7 @@ import opgroth.ogroth
 import opgroth.omon
 from opgroth import fixtures
 from opgroth.cli import run_command
-from opgroth.fincore import NatTransform, functor_from_labels, identity_functor, identity_nat, terminal_map
+from opgroth.fincore import CatFunctor, NatTransform, functor_from_labels, identity_functor, identity_nat, terminal_map
 from opgroth.fib2cat import FinFunction, fn_compose
 from opgroth.groth import groth_apply
 from opgroth.omon import (
@@ -440,6 +440,79 @@ def test_omon_memo_never_reuses_a_report_for_another_structure(monkeypatch):
         for k in range(8)
     ]
     assert seen == [f"c{k}" for k in range(8)]
+
+
+def test_lax_memo_gives_each_lax_functor_its_own_report(monkeypatch):
+    # lax functors over one structure that differ only in one comparison
+    # entry, in on_mor or in the name each get their own check inside one
+    # memo; an equal one built anew, functor included, reuses the report
+    calls = []
+
+    def check(L):
+        calls.append(L)
+        report = CheckReport()
+        report.violation("probe.checked", repr((sorted(L.xi.items()), L.functor.on_mor, L.name)))
+        return report
+
+    monkeypatch.setattr(opgroth.ogroth, "_check_table_lax", check)
+    c = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
+    ident = identity_functor(c.base)
+    unit, flip = c.base.id_of(0), c.base.mor_index("1")
+    flat = CatFunctor(c.base, c.base, ident.on_obj, (unit,) * c.base.n_morphisms)
+    given = dict(dom=c, cod=c, functor=ident, xi={(0, "[]", ()): unit}, name="L")
+    variants = [given, {**given, "xi": {(0, "[]", ()): flip}}, {**given, "functor": flat}, {**given, "name": "M"}]
+    memo = {}
+    seen = [opgroth.ogroth._checked_lax(memo, LaxOMonFunctor(**v)).records[0].witness for v in variants]
+    assert len(set(seen)) == len(calls) == 4
+    again = LaxOMonFunctor(**{**given, "functor": identity_functor(c.base), "xi": dict(given["xi"])})
+    assert opgroth.ogroth._checked_lax(memo, again).records[0].witness == seen[0]
+    assert len(calls) == 4
+
+
+def test_construction_memo_never_hands_a_lax_object_another_ones_construction(monkeypatch):
+    # lax objects built and dropped in turn, as the backward round trip
+    # does with its transposes: each gets its own construction, and its
+    # total structure its own report
+    def check(structure):
+        report = CheckReport()
+        report.violation("probe.checked", structure.name)
+        return report
+
+    x = l2_laxtoset(1)
+    point, top = x.nu[0, "*", ()].dom, x.iset.values[1]
+    monkeypatch.setattr(opgroth.ogroth, "check_omon_category", check)
+    memo = {}
+    for k in range(8):
+        nu = {(0, "*", ()): FinFunction(point, top, (k % 2,))}
+        y = opgroth.ogroth._omon_groth(LaxSetFunctor(dom=x.dom, iset=x.iset, nu=nu, name=f"x{k}"), memo)
+        fresh = omon_groth(LaxSetFunctor(dom=x.dom, iset=x.iset, nu=nu, name=f"x{k}"))
+        assert y.name == f"int[x{k}]" and y.total_omon.tensors == fresh.total_omon.tensors
+        report = opgroth.ogroth._check_ofib_object(y, memo)
+        assert [(r.where, r.witness) for r in report.records] == [
+            (f"int[x{k}]:total", f"int[x{k}]"),
+            (f"int[x{k}]:base", x.dom.name),
+        ]
+        del y, fresh
+
+
+def test_round_trip_reports_a_broken_cell_at_its_own_place():
+    # the broken cell shares its lax objects and index functor with the
+    # identity cell before it, so its records come through the memo
+    corpus = make_o_corpus(MAX_ARITY)
+    grade = corpus.laxtosets[0]
+    ident = identity_ocell(grade)
+    squash = FinFunction(grade.iset.values[0], grade.iset.values[0], (0, 0))
+    broken = OCell(dom=grade, cod=grade, functor=ident.functor, mu=(squash,) + ident.mu[1:], name="broken")
+    corpus.ocells.append(broken)
+    report = omon_roundtrip_check(corpus)
+    expected = CheckReport()
+    expected.merge(check_ocell(broken), where="broken")
+    expected.merge(check_ofib_cell(omon_groth(broken)), where="int[broken]")
+    assert report.records == expected.records
+    assert [(r.check, r.witness) for r in report.records if r.where == "broken:broken"] == [
+        ("ocell.square", "comparison square fails at nu[p=[1,2],i=(1,1)]"),
+        ("ocell.square", "comparison square fails at nu[p=[2,1],i=(1,1)]"),
+    ]
 
 
 def test_corrupted_corpus_object_fails_before_roundtrip():
