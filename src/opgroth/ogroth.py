@@ -1106,18 +1106,19 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
 
     for x in corpus.laxtosets:
         if not ofib_cell_equal(
-            _omon_groth(identity_ocell(x), memo), identity_ofib_cell(_omon_groth(x, memo))
+            _omon_groth_cell(identity_ocell(x), memo), identity_ofib_cell(_omon_groth(x, memo))
         ):
             report.violation("oroundtrip.functorial_id", f"int(id) != id at {x.name}")
     # the construction is a functor on valid cells; an invalid one has
-    # its records above, and its composites may lack components
+    # its records above, and its composites may lack components.  A
+    # composite is used once, so its construction takes no memo entry.
     for c1 in valid:
         for c2 in valid:
             if c1.cod is not c2.dom:
                 continue
             report.count("oroundtrip.functoriality_pairs")
             if not ofib_cell_equal(
-                _omon_groth(ocell_compose(c2, c1), memo),
+                _omon_groth_cell(ocell_compose(c2, c1), memo),
                 ofib_cell_compose(_omon_groth(c2, memo), _omon_groth(c1, memo)),
             ):
                 report.violation(
