@@ -5,7 +5,7 @@ wall-clock cap, and records the build time and the check time apart, the
 instance counters of the report and the instances checked per second.  A
 rung that reaches its cap is recorded as ``over_cap``, never dropped.
 
-    python3 tools/scale_ladder.py --out BENCH_8.json --label change
+    python3 tools/scale_ladder.py --out BENCH_9.json --label change
 
 writes the run under ``runs[label]`` of the output file, keeping the runs
 already there under other labels.  ``--rung NAME`` runs one rung in this
@@ -88,7 +88,7 @@ RUNGS = {
         for label, make in (("grade", "grade_laxtoset"), ("l2", "l2_laxtoset"))
         for k in (3, 4)
     },
-    "omon_roundtrip_check make_o_corpus(3)": lambda: _roundtrip(3),
+    **{f"omon_roundtrip_check make_o_corpus({k})": (lambda k=k: _roundtrip(k)) for k in (3, 4)},
 }
 
 
