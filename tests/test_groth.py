@@ -1,4 +1,10 @@
+import hashlib
+import io
+import pathlib
+
 from opgroth import fixtures
+from opgroth.cli import run_command
+from opgroth.dsl import parse_spec_file
 from opgroth.fincore import validate_category
 from opgroth.fib2cat import (
     DiscreteFibration,
@@ -17,9 +23,10 @@ from opgroth.fib2cat import (
     validate_iset_cell,
 )
 from opgroth.groth import (
-     make_corpus,
+    generate_cells,
     groth_apply,
     groth_product_comparison,
+    make_corpus,
     phi_component,
     phi_inverse,
     psi_component,
@@ -232,3 +239,43 @@ def test_roundtrip_on_discrete_corpus():
         params={"seed": 0},
     )
     assert roundtrip_report(corpus).ok
+
+
+# sha256 of the bytes of the classical round trip: the stdout of
+# `--seed 1/2 roundtrip fixtures/corpus_small.spec` in text and JSON (run
+# from the repository root, as the source path is a note of the report),
+# the repr of generate_cells over that file's objects at seeds 0-29, and
+# the repr of the cells of make_corpus()
+ROUNDTRIP_PINS = {
+    "seed 1 text": "783ebdfe751aab902f69c429da4b90e854614e7ae319cfe34c16c0adf83026a7",
+    "seed 1 json": "4902fb8656ff4154e71ac5b0aee40e5105c73280b28d8a9d0e0657182f01fa7a",
+    "seed 2 text": "fa2004fce7bd3e203dc217fd432a511790d15712684d1b893c75ee1f0de3cd2c",
+    "seed 2 json": "4dadad82052a5ed754245aa318d9c7a5db62a683c8717f0dd4ab2ba9cb7477b0",
+    "cells 0-29": "fbefae8eb8a7d48bfc62c6a73347c95b3f6702642df3ad267f6fb3b39e150068",
+    "make_corpus": "3a9b37c64aa164704b6150d90f92a10124c8f1b87e3a5a1691bb44683a06221c",
+}
+
+
+def test_roundtrip_bytes_and_generated_cells_are_pinned(monkeypatch):
+    monkeypatch.delenv("OPGROTH_MAX_ARITY", raising=False)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    got = {}
+    for seed in (1, 2):
+        for mode in ("text", "json"):
+            out = io.StringIO()
+            argv = ["--report", mode, "--seed", str(seed), "roundtrip", "fixtures/corpus_small.spec"]
+            assert run_command(argv, out=out) == 0
+            got[f"seed {seed} {mode}"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    doc = parse_spec_file((root / "fixtures" / "corpus_small.spec").read_text(encoding="utf-8"))
+    isets = [s.value for s in doc.by_kind("iset")]
+    fibrations = [s.value for s in doc.by_kind("fibration")]
+    cells = hashlib.sha256()
+    for seed in range(30):
+        cells.update(repr(generate_cells(isets, fibrations, seed)).encode())
+    got["cells 0-29"] = cells.hexdigest()
+    c = make_corpus()
+    got["make_corpus"] = hashlib.sha256(
+        repr((c.iset_cells, c.dfib_cells, c.iset_2cells, c.dfib_2cells)).encode()
+    ).hexdigest()
+    assert got == ROUNDTRIP_PINS

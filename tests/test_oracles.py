@@ -1,5 +1,6 @@
 """Slow reference checkers for structured categories and lax functors,
-and a sweep of every single-entry mutation of small structures.
+and a sweep of every single-entry mutation of small structures; and a
+slow reference search for the natural families of the classical corpus.
 
 Each oracle is a direct transcription of the laws in its own loop nest:
 it reads the label tables of its input and shares no helper with the
@@ -9,10 +10,13 @@ and, for lax functors, on the classification.
 """
 
 import itertools
+import pathlib
 
 import pytest
 
-from opgroth.fincore import FinMap, identity_functor
+from opgroth.dsl import parse_spec_file
+from opgroth.fincore import FinMap, all_functors, identity_functor
+from opgroth.groth import _valid_mus
 from opgroth.omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
@@ -724,3 +728,63 @@ def test_set_lax_oracle_agrees_on_every_comparison_function():
                 ), (key, fn)
                 swept += 1
     assert swept >= 10
+
+
+# ---------------------------------------------------------------------------
+# natural families of indexed sets
+
+
+def oracle_valid_mus(F, G, M, cap):
+    """The mapping tuples of every natural family mu_a : F(a) -> G(M a),
+    in the order of the product of the per-object functions, up to
+    ``cap`` families: each candidate is built whole and then tested at
+    every morphism."""
+    n = F.index.n_objects
+    per_object = [
+        list(itertools.product(range(len(G.values[M.on_obj[a]].labels)), repeat=len(F.values[a].labels)))
+        for a in range(n)
+    ]
+    found = []
+    for combo in itertools.product(*per_object):
+        natural = True
+        for m in range(F.index.n_morphisms):
+            a, b = F.index.mor_src[m], F.index.mor_tgt[m]
+            g_act, f_act = G.actions[M.on_mor[m]].mapping, F.actions[m].mapping
+            if [g_act[v] for v in combo[a]] != [combo[b][v] for v in f_act]:
+                natural = False
+                break
+        if natural:
+            found.append(combo)
+            if len(found) >= cap:
+                break
+    return found
+
+
+# a subset of the corpus_small.spec isets: every index shape, an empty
+# value set, an involution, and sizes up to 3
+ORACLE_ISETS = (
+    "term_i18", "disc2_i19", "disc2_i1", "disc3_i20", "l2_i3", "l2_i21",
+    "chain3_i4", "span_i23", "cospan_i24", "par_i25", "bz2_i8", "bz2_i17",
+)
+
+
+def test_valid_mus_matches_the_product_loop_at_every_cap():
+    path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "corpus_small.spec"
+    doc = parse_spec_file(path.read_text(encoding="utf-8"))
+    isets = {s.value.name: s.value for s in doc.by_kind("iset")}
+    triples = cut = 0
+    for F in (isets[name] for name in ORACLE_ISETS):
+        for G in (isets[name] for name in ORACLE_ISETS):
+            for M in all_functors(F.index, G.index):
+                triples += 1
+                for cap in (4000, 1, 2, 7):
+                    cells = _valid_mus(F, G, M, cap)
+                    expected = oracle_valid_mus(F, G, M, cap)
+                    assert [tuple(fn.mapping for fn in cell.mu) for cell in cells] == expected, (F.name, G.name, M.on_mor, cap)
+                    for cell in cells:
+                        assert cell.dom is F and cell.cod is G and cell.functor is M
+                        assert all(
+                            fn.dom == F.values[a] and fn.cod == G.values[M.on_obj[a]] for a, fn in enumerate(cell.mu)
+                        )
+                    cut += cap < 4000 and len(cells) == cap
+    assert triples > 600 and cut > 300
