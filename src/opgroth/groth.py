@@ -9,6 +9,7 @@ morphism plus its source pair.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -31,14 +32,12 @@ from .fib2cat import (
     ISetCell,
     IndexedSet,
     check_discrete_fibration,
-    constant_singleton,
     dfib_2cell_vcompose,
     dfib_cell_compose,
     dfib_whisker_post,
     dfib_whisker_pre,
     embed_set_as_dfib,
     fn_compose,
-    fn_identity,
     identity_dfib_2cell,
     identity_dfib_cell,
     identity_fibration,
@@ -57,6 +56,34 @@ from .fib2cat import (
     validate_iset_cell,
 )
 from .report import CheckReport
+
+# --------------------------------------------------------------------------
+# one memo per call
+#
+# A round trip threads one ``memo`` dict through its constructions and
+# checks, and drops it when it returns.  Each entry holds the objects
+# whose id() its key names, so no object built later in the call can take
+# one of those ids and receive another object's result.
+
+
+def _memoized(memo: dict, key: tuple, keep, build):
+    """``build()``, run once per key while ``memo`` lives; the entry holds
+    ``keep``, the objects whose id() the key names."""
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (keep, build())
+    return entry[1]
+
+
+def _groth_of(memo: dict, F: IndexedSet) -> DiscreteFibration:
+    """_groth_object(F), built once per indexed set while ``memo`` lives."""
+    return _memoized(memo, ("groth", id(F)), F, lambda: _groth_object(F))
+
+
+def _transpose_of(memo: dict, p: DiscreteFibration) -> IndexedSet:
+    """_transpose_object(p), built once per fibration while ``memo`` lives."""
+    return _memoized(memo, ("transpose", id(p)), p, lambda: _transpose_object(p))
+
 
 # --------------------------------------------------------------------------
 # pair bookkeeping for a total category
@@ -131,10 +158,10 @@ def _groth_object(F: IndexedSet) -> DiscreteFibration:
     return DiscreteFibration(proj, name=f"int[{F.name or index.name}]")
 
 
-def _groth_cell(cell: ISetCell) -> DFibCell:
+def _groth_cell(cell: ISetCell, memo: dict) -> DFibCell:
     F, G = cell.dom, cell.cod
-    dom_fib = _groth_object(F)
-    cod_fib = _groth_object(G)
+    dom_fib = _groth_of(memo, F)
+    cod_fib = _groth_of(memo, G)
     f_obj_off, _, f_mor_off, _ = _pair_offsets(F)
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
     on_obj = []
@@ -151,9 +178,9 @@ def _groth_cell(cell: ISetCell) -> DFibCell:
     return DFibCell(dom_fib, cod_fib, top, cell.functor)
 
 
-def _groth_2cell(e: ISet2Cell) -> DFib2Cell:
-    c1 = _groth_cell(e.dom)
-    c2 = _groth_cell(e.cod)
+def _groth_2cell(e: ISet2Cell, memo: dict) -> DFib2Cell:
+    c1 = _groth_cell(e.dom, memo)
+    c2 = _groth_cell(e.cod, memo)
     F, G = e.dom.dom, e.dom.cod
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
     comps = []
@@ -170,9 +197,9 @@ def groth_apply(cell):
     if isinstance(cell, IndexedSet):
         return _groth_object(cell)
     if isinstance(cell, ISetCell):
-        return _groth_cell(cell)
+        return _groth_cell(cell, {})
     if isinstance(cell, ISet2Cell):
-        return _groth_2cell(cell)
+        return _groth_2cell(cell, {})
     raise TypeError(f"not an indexed-set cell: {type(cell).__name__}")
 
 
@@ -215,9 +242,9 @@ def _transpose_object(p: DiscreteFibration) -> IndexedSet:
     )
 
 
-def _transpose_cell(d: DFibCell) -> ISetCell:
-    Fp = _transpose_object(d.dom)
-    Gq = _transpose_object(d.cod)
+def _transpose_cell(d: DFibCell, memo: dict) -> ISetCell:
+    Fp = _transpose_of(memo, d.dom)
+    Gq = _transpose_of(memo, d.cod)
     p, q = d.dom, d.cod
     fibers_p = _fiber_objects(p)
     position_q = {}
@@ -232,8 +259,8 @@ def _transpose_cell(d: DFibCell) -> ISetCell:
     return ISetCell(Fp, Gq, d.bottom, tuple(mu))
 
 
-def _transpose_2cell(e: DFib2Cell) -> ISet2Cell:
-    return ISet2Cell(_transpose_cell(e.dom), _transpose_cell(e.cod), e.bottom)
+def _transpose_2cell(e: DFib2Cell, memo: dict) -> ISet2Cell:
+    return ISet2Cell(_transpose_cell(e.dom, memo), _transpose_cell(e.cod, memo), e.bottom)
 
 
 def transpose_apply(cell):
@@ -241,9 +268,9 @@ def transpose_apply(cell):
     if isinstance(cell, DiscreteFibration):
         return _transpose_object(cell)
     if isinstance(cell, DFibCell):
-        return _transpose_cell(cell)
+        return _transpose_cell(cell, {})
     if isinstance(cell, DFib2Cell):
-        return _transpose_2cell(cell)
+        return _transpose_2cell(cell, {})
     raise TypeError(f"not a discrete-fibration cell: {type(cell).__name__}")
 
 
@@ -254,7 +281,11 @@ def transpose_apply(cell):
 def phi_component(F: IndexedSet) -> ISetCell:
     """Invertible cell from the transpose of the construction back to F;
     pointwise it forgets the index coordinate of a pair."""
-    TF = _transpose_object(_groth_object(F))
+    return _phi_component(F, {})
+
+
+def _phi_component(F: IndexedSet, memo: dict) -> ISetCell:
+    TF = _transpose_of(memo, _groth_of(memo, F))
     mu = tuple(
         FinFunction(TF.values[a], F.values[a], tuple(range(F.values[a].size)))
         for a in range(F.index.n_objects)
@@ -263,7 +294,11 @@ def phi_component(F: IndexedSet) -> ISetCell:
 
 
 def phi_inverse(F: IndexedSet) -> ISetCell:
-    TF = _transpose_object(_groth_object(F))
+    return _phi_inverse(F, {})
+
+
+def _phi_inverse(F: IndexedSet, memo: dict) -> ISetCell:
+    TF = _transpose_of(memo, _groth_of(memo, F))
     mu = tuple(
         FinFunction(F.values[a], TF.values[a], tuple(range(F.values[a].size)))
         for a in range(F.index.n_objects)
@@ -273,13 +308,16 @@ def phi_inverse(F: IndexedSet) -> ISetCell:
 
 def psi_component(p: DiscreteFibration) -> DFibCell:
     """Invertible cell from the construction of the transpose back to p."""
-    back = _groth_object(_transpose_object(p))
+    return _psi_component(p, {})
+
+
+def _psi_component(p: DiscreteFibration, memo: dict) -> DFibCell:
+    Tp = _transpose_of(memo, p)
+    back = _groth_of(memo, Tp)
     fibers = _fiber_objects(p)
-    flat = [c for fiber in fibers for c in fiber]
-    on_obj = tuple(flat)
+    on_obj = tuple(c for fiber in fibers for c in fiber)
     lifts = lift_count_table(p)
     on_mor = []
-    Tp = _transpose_object(p)
     for m in range(Tp.index.n_morphisms):
         a = Tp.index.mor_src[m]
         for c in fibers[a]:
@@ -289,7 +327,12 @@ def psi_component(p: DiscreteFibration) -> DFibCell:
 
 
 def psi_inverse(p: DiscreteFibration) -> DFibCell:
-    back = _groth_object(_transpose_object(p))
+    return _psi_inverse(p, {})
+
+
+def _psi_inverse(p: DiscreteFibration, memo: dict) -> DFibCell:
+    Tp = _transpose_of(memo, p)
+    back = _groth_of(memo, Tp)
     fibers = _fiber_objects(p)
     pair_index = {}
     k = 0
@@ -297,7 +340,6 @@ def psi_inverse(p: DiscreteFibration) -> DFibCell:
         for c in fiber:
             pair_index[c] = k
             k += 1
-    Tp = _transpose_object(p)
     _, _, mor_off, _ = _pair_offsets(Tp)
     position = {}
     for fiber in fibers:
@@ -456,61 +498,72 @@ def _random_iset(name, cat, meta, rng, tag):
 
 
 def _valid_mus(F: IndexedSet, G: IndexedSet, M: CatFunctor, cap: int = 4000):
-    """Natural families mu_a : F(a) -> G(M(a)), exhaustively up to a cap."""
-    import itertools as it
+    """Natural families mu_a : F(a) -> G(M(a)), exhaustively up to a cap,
+    in the order of the product of the per-object functions.
 
-    per_object = []
-    for a in range(F.index.n_objects):
-        dom, cod = F.values[a], G.values[M.on_obj[a]]
-        if dom.size > 0 and cod.size == 0:
-            return []
-        per_object.append(
-            [
-                FinFunction(dom, cod, mapping)
-                for mapping in it.product(range(max(cod.size, 1)), repeat=dom.size)
-            ]
-            if cod.size > 0 or dom.size == 0
-            else []
-        )
-        if dom.size == 0:
-            per_object[-1] = [FinFunction(dom, cod, ())]
+    A backtracking search assigns the objects in index order and tests the
+    square G(M m) o mu_a = mu_b o F(m) of each morphism m : a -> b at the
+    deeper of a and b, on mapping tuples computed once per (morphism,
+    candidate); cells are built only for the families found."""
+    index = F.index
+    n = index.n_objects
+    candidates = [
+        list(itertools.product(range(G.values[M.on_obj[a]].size), repeat=F.values[a].size))
+        for a in range(n)
+    ]
+    # squares[d]: (a, b, left, right) for each morphism a -> b with
+    # max(a, b) == d, where left[i] is G(M m) after candidate i at a and
+    # right[j] is candidate j at b after F(m)
+    squares = [[] for _ in range(n)]
+    for m in range(index.n_morphisms):
+        a, b = index.mor_src[m], index.mor_tgt[m]
+        g, f = G.actions[M.on_mor[m]].mapping, F.actions[m].mapping
+        left = [tuple(g[v] for v in mu) for mu in candidates[a]]
+        right = [tuple(mu[v] for v in f) for mu in candidates[b]]
+        squares[max(a, b)].append((a, b, left, right))
     found = []
-    for combo in it.product(*per_object):
-        candidate = ISetCell(F, G, M, tuple(combo))
-        good = True
-        for m in range(F.index.n_morphisms):
-            a, b = F.index.mor_src[m], F.index.mor_tgt[m]
-            if fn_compose(G.actions[M.on_mor[m]], combo[a]) != fn_compose(
-                combo[b], F.actions[m]
-            ):
-                good = False
-                break
-        if good:
-            found.append(candidate)
-            if len(found) >= cap:
-                break
-    return found
+    choice = [0] * n
+
+    def extend(d: int) -> bool:
+        """Extend the assignment from object d; True once the cap is hit."""
+        if d == n:
+            found.append(tuple(choice))
+            return len(found) >= cap
+        for i in range(len(candidates[d])):
+            choice[d] = i
+            if all(left[choice[a]] == right[choice[b]] for a, b, left, right in squares[d]):
+                if extend(d + 1):
+                    return True
+        return False
+
+    extend(0)
+    functions: dict = {}
+
+    def function(a: int, i: int) -> FinFunction:
+        fn = functions.get((a, i))
+        if fn is None:
+            fn = functions[a, i] = FinFunction(F.values[a], G.values[M.on_obj[a]], candidates[a][i])
+        return fn
+
+    return [ISetCell(F, G, M, tuple(function(a, i) for a, i in enumerate(combo))) for combo in found]
 
 
 def generate_cells(isets, fibrations, seed: int, n_iset_cells=14, n_2cells=8):
     """Deterministically build valid cells among the given objects."""
     rng = random.Random(seed)
     iset_cells = [identity_iset_cell(F) for F in isets]
-    functor_cache: dict = {}
+    memo: dict = {}
 
-    def functors_between(F, G):
-        key = (id(F.index), id(G.index))
-        if key not in functor_cache:
-            functor_cache[key] = list(all_functors(F.index, G.index))
-        return functor_cache[key]
+    def functors_between(C: FinCat, D: FinCat) -> list:
+        return _memoized(memo, ("functors", id(C), id(D)), (C, D), lambda: list(all_functors(C, D)))
 
     attempts = 0
     built = 0
-    while built < n_iset_cells and attempts < 500:
+    while isets and built < n_iset_cells and attempts < 500:
         attempts += 1
         F = rng.choice(isets)
         G = rng.choice(isets)
-        functors = functors_between(F, G)
+        functors = functors_between(F.index, G.index)
         if not functors:
             continue
         M = rng.choice(functors)
@@ -526,11 +579,11 @@ def generate_cells(isets, fibrations, seed: int, n_iset_cells=14, n_2cells=8):
         iset_2cells.append(identity_iset_2cell(cell))
     built = 0
     attempts = 0
-    while built < n_2cells and attempts < 300:
+    while iset_cells and built < n_2cells and attempts < 300:
         attempts += 1
         cell = rng.choice(iset_cells)
         F, G = cell.dom, cell.cod
-        targets = functors_between(F, G)
+        targets = functors_between(F.index, G.index)
         N = rng.choice(targets) if targets else None
         if N is None:
             continue
@@ -549,7 +602,7 @@ def generate_cells(isets, fibrations, seed: int, n_iset_cells=14, n_2cells=8):
 
     dfib_cells = [identity_dfib_cell(p) for p in fibrations]
     for cell in iset_cells[:10]:
-        dfib_cells.append(_groth_cell(cell))
+        dfib_cells.append(_groth_cell(cell, memo))
     # diagonal cells between identity fibrations
     id_fibs = [p for p in fibrations if p.proj.on_obj == tuple(range(p.total.n_objects))
                and p.total == p.base]
@@ -559,10 +612,7 @@ def generate_cells(isets, fibrations, seed: int, n_iset_cells=14, n_2cells=8):
         attempts += 1
         p = rng.choice(id_fibs)
         q = rng.choice(id_fibs)
-        functors = functor_cache.setdefault(
-            (id(p.total), id(q.total), "cat"),
-            list(all_functors(p.total, q.total)),
-        )
+        functors = functors_between(p.total, q.total)
         if not functors:
             continue
         Fc = rng.choice(functors)
@@ -571,7 +621,7 @@ def generate_cells(isets, fibrations, seed: int, n_iset_cells=14, n_2cells=8):
 
     dfib_2cells = [identity_dfib_2cell(c) for c in dfib_cells[:6]]
     for e in iset_2cells[:6]:
-        dfib_2cells.append(_groth_2cell(e))
+        dfib_2cells.append(_groth_2cell(e, memo))
     # transformations on diagonal cells
     built = 0
     attempts = 0
@@ -662,40 +712,48 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
     if not report.ok:
         return report
 
+    # one memo for the call: each object's construction, transpose and
+    # isomorphism components are built once
+    memo: dict = {}
+
+    def phi(F: IndexedSet) -> ISetCell:
+        return _memoized(memo, ("phi", id(F)), F, lambda: _phi_component(F, memo))
+
+    def psi(p: DiscreteFibration) -> DFibCell:
+        return _memoized(memo, ("psi", id(p)), p, lambda: _psi_component(p, memo))
+
     # invertibility of the pointwise isomorphisms
     for F in corpus.isets:
-        fib = _groth_object(F)
+        fib = _groth_of(memo, F)
         report.merge(check_discrete_fibration(fib), where=f"int[{F.name}]")
-        phi = phi_component(F)
-        inv = phi_inverse(F)
-        report.merge(validate_iset_cell(phi), where=f"phi[{F.name}]")
+        fwd, inv = phi(F), _phi_inverse(F, memo)
+        report.merge(validate_iset_cell(fwd), where=f"phi[{F.name}]")
         report.merge(validate_iset_cell(inv), where=f"phi_inv[{F.name}]")
-        if iset_cell_compose(phi, inv) != identity_iset_cell(F):
+        if iset_cell_compose(fwd, inv) != identity_iset_cell(F):
             report.violation("roundtrip.phi_invertible", f"phi o phi_inv != id at {F.name}")
-        if iset_cell_compose(inv, phi) != identity_iset_cell(phi.dom):
+        if iset_cell_compose(inv, fwd) != identity_iset_cell(fwd.dom):
             report.violation("roundtrip.phi_invertible", f"phi_inv o phi != id at {F.name}")
         report.count("roundtrip.phi_components")
     for p in corpus.fibrations:
-        TF = _transpose_object(p)
+        TF = _transpose_of(memo, p)
         report.merge(validate_indexed_set(TF), where=f"T[{p.name}]")
-        psi = psi_component(p)
-        inv = psi_inverse(p)
-        report.merge(validate_dfib_cell(psi), where=f"psi[{p.name}]")
+        fwd, inv = psi(p), _psi_inverse(p, memo)
+        report.merge(validate_dfib_cell(fwd), where=f"psi[{p.name}]")
         report.merge(validate_dfib_cell(inv), where=f"psi_inv[{p.name}]")
-        if dfib_cell_compose(psi, inv) != identity_dfib_cell(p):
+        if dfib_cell_compose(fwd, inv) != identity_dfib_cell(p):
             report.violation("roundtrip.psi_invertible", f"psi o psi_inv != id at {p.name}")
-        if dfib_cell_compose(inv, psi) != identity_dfib_cell(psi.dom):
+        if dfib_cell_compose(inv, fwd) != identity_dfib_cell(fwd.dom):
             report.violation("roundtrip.psi_invertible", f"psi_inv o psi != id at {p.name}")
         report.count("roundtrip.psi_components")
 
     # naturality against every corpus 1-cell
     for cell in corpus.iset_cells:
         report.merge(validate_iset_cell(cell), where=cell.name or "iset-cell")
-        image = _groth_cell(cell)
+        image = _groth_cell(cell, memo)
         report.merge(validate_dfib_cell(image), where="int[cell]")
-        back = _transpose_cell(image)
-        lhs = iset_cell_compose(phi_component(cell.cod), back)
-        rhs = iset_cell_compose(cell, phi_component(cell.dom))
+        back = _transpose_cell(image, memo)
+        lhs = iset_cell_compose(phi(cell.cod), back)
+        rhs = iset_cell_compose(cell, phi(cell.dom))
         report.count("roundtrip.naturality_squares")
         if lhs != rhs:
             report.violation(
@@ -704,11 +762,11 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             )
     for cell in corpus.dfib_cells:
         report.merge(validate_dfib_cell(cell), where=cell.name or "dfib-cell")
-        image = _transpose_cell(cell)
+        image = _transpose_cell(cell, memo)
         report.merge(validate_iset_cell(image), where="T[cell]")
-        back = _groth_cell(image)
-        lhs = dfib_cell_compose(psi_component(cell.cod), back)
-        rhs = dfib_cell_compose(cell, psi_component(cell.dom))
+        back = _groth_cell(image, memo)
+        lhs = dfib_cell_compose(psi(cell.cod), back)
+        rhs = dfib_cell_compose(cell, psi(cell.dom))
         report.count("roundtrip.naturality_squares")
         if lhs != rhs:
             report.violation(
@@ -719,32 +777,32 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
     # naturality against every corpus 2-cell (whiskering equality)
     for e in corpus.iset_2cells:
         report.merge(validate_iset_cell(e), where="iset-2cell")
-        image = _groth_2cell(e)
+        image = _groth_2cell(e, memo)
         report.merge(validate_dfib_cell(image), where="int[2cell]")
-        back = _transpose_2cell(image)
-        lhs = iset_whisker_post(phi_component(e.dom.cod), back)
-        rhs = iset_whisker_pre(e, phi_component(e.dom.dom))
+        back = _transpose_2cell(image, memo)
+        lhs = iset_whisker_post(phi(e.dom.cod), back)
+        rhs = iset_whisker_pre(e, phi(e.dom.dom))
         report.count("roundtrip.naturality_squares")
         if lhs != rhs:
             report.violation("roundtrip.phi_naturality_2", "2-cell whiskering differs")
     for e in corpus.dfib_2cells:
         report.merge(validate_dfib_cell(e), where="dfib-2cell")
-        image = _transpose_2cell(e)
+        image = _transpose_2cell(e, memo)
         report.merge(validate_iset_cell(image), where="T[2cell]")
-        back = _groth_2cell(image)
-        lhs = dfib_whisker_post(psi_component(e.dom.cod), back)
-        rhs = dfib_whisker_pre(e, psi_component(e.dom.dom))
+        back = _groth_2cell(image, memo)
+        lhs = dfib_whisker_post(psi(e.dom.cod), back)
+        rhs = dfib_whisker_pre(e, psi(e.dom.dom))
         report.count("roundtrip.naturality_squares")
         if lhs != rhs:
             report.violation("roundtrip.psi_naturality_2", "2-cell whiskering differs")
 
     # strict functoriality: identities and all composable corpus pairs
     for F in corpus.isets:
-        if _groth_cell(identity_iset_cell(F)) != identity_dfib_cell(_groth_object(F)):
+        if _groth_cell(identity_iset_cell(F), memo) != identity_dfib_cell(_groth_of(memo, F)):
             report.violation("roundtrip.functorial_id", f"int(id) != id at {F.name}")
     for p in corpus.fibrations:
-        if _transpose_cell(identity_dfib_cell(p)) != identity_iset_cell(
-            _transpose_object(p)
+        if _transpose_cell(identity_dfib_cell(p), memo) != identity_iset_cell(
+            _transpose_of(memo, p)
         ):
             report.violation("roundtrip.functorial_id", f"T(id) != id at {p.name}")
     for c1 in corpus.iset_cells:
@@ -752,8 +810,8 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             if c1.cod != c2.dom:
                 continue
             report.count("roundtrip.functoriality_pairs")
-            if _groth_cell(iset_cell_compose(c2, c1)) != dfib_cell_compose(
-                _groth_cell(c2), _groth_cell(c1)
+            if _groth_cell(iset_cell_compose(c2, c1), memo) != dfib_cell_compose(
+                _groth_cell(c2, memo), _groth_cell(c1, memo)
             ):
                 report.violation(
                     "roundtrip.functorial_compose", "int breaks a composite"
@@ -763,8 +821,8 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             if c1.cod != c2.dom:
                 continue
             report.count("roundtrip.functoriality_pairs")
-            if _transpose_cell(dfib_cell_compose(c2, c1)) != iset_cell_compose(
-                _transpose_cell(c2), _transpose_cell(c1)
+            if _transpose_cell(dfib_cell_compose(c2, c1), memo) != iset_cell_compose(
+                _transpose_cell(c2, memo), _transpose_cell(c1, memo)
             ):
                 report.violation(
                     "roundtrip.functorial_compose", "T breaks a composite"
@@ -774,8 +832,8 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             if e1.cod != e2.dom:
                 continue
             report.count("roundtrip.functoriality_pairs")
-            if _groth_2cell(iset_2cell_vcompose(e2, e1)) != dfib_2cell_vcompose(
-                _groth_2cell(e2), _groth_2cell(e1)
+            if _groth_2cell(iset_2cell_vcompose(e2, e1), memo) != dfib_2cell_vcompose(
+                _groth_2cell(e2, memo), _groth_2cell(e1, memo)
             ):
                 report.violation(
                     "roundtrip.functorial_compose", "int breaks a vertical composite"
@@ -785,8 +843,8 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             if e1.cod != e2.dom:
                 continue
             report.count("roundtrip.functoriality_pairs")
-            if _transpose_2cell(dfib_2cell_vcompose(e2, e1)) != iset_2cell_vcompose(
-                _transpose_2cell(e2), _transpose_2cell(e1)
+            if _transpose_2cell(dfib_2cell_vcompose(e2, e1), memo) != iset_2cell_vcompose(
+                _transpose_2cell(e2, memo), _transpose_2cell(e1, memo)
             ):
                 report.violation(
                     "roundtrip.functorial_compose", "T breaks a vertical composite"

@@ -37,7 +37,7 @@ from .fib2cat import (
     set_product,
     validate_iset_cell,
 )
-from .groth import _groth_cell, _groth_object, _pair_offsets, groth_apply, phi_component, phi_inverse, transpose_apply
+from .groth import _groth_cell, _groth_object, _memoized, _pair_offsets, groth_apply, phi_component, phi_inverse, transpose_apply
 from .omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
@@ -112,18 +112,7 @@ def omons_equal(a: OMonCategory, b: OMonCategory) -> bool:
 
 
 # A structured round trip threads one ``memo`` dict through its checks
-# and constructions, and drops it when it returns.  Each entry holds the
-# objects whose id() its key names, so no object built later in the call
-# can take one of those ids and receive another object's result.
-
-
-def _memoized(memo: dict, key: tuple, keep, build):
-    """``build()``, run once per key while ``memo`` lives; the entry holds
-    ``keep``, the objects whose id() the key names."""
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = (keep, build())
-    return entry[1]
+# and constructions, and drops it when it returns (see groth._memoized).
 
 
 def _checked_omon(memo: dict, c: OMonCategory) -> CheckReport:
@@ -493,7 +482,7 @@ def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
     dom_of = _omon_groth(c.dom, memo)
     cod_of = _omon_groth(c.cod, memo)
     cod_nu = _nu_reader(memo, c.cod)
-    square = _groth_cell(c.iset_cell())
+    square = _groth_cell(c.iset_cell(), {})
     G = c.cod.iset
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
     f_obj_off, _, _, _ = _pair_offsets(c.dom.iset)
@@ -529,7 +518,7 @@ def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
 def _omon_groth_2cell(e: O2Cell, memo: dict) -> OFib2Cell:
     from .groth import _groth_2cell
 
-    two = _groth_2cell(ISet2Cell(e.dom.iset_cell(), e.cod.iset_cell(), e.eta))
+    two = _groth_2cell(ISet2Cell(e.dom.iset_cell(), e.cod.iset_cell(), e.eta), {})
     return OFib2Cell(
         dom=_omon_groth(e.dom, memo),
         cod=_omon_groth(e.cod, memo),
@@ -588,7 +577,7 @@ def _omon_transpose_object(y: OFibObject) -> LaxSetFunctor:
 def _omon_transpose_cell(c: OFibCell) -> OCell:
     from .groth import _transpose_cell
 
-    square = _transpose_cell(c.dfib_cell())
+    square = _transpose_cell(c.dfib_cell(), {})
     return OCell(
         dom=_omon_transpose_object(c.dom),
         cod=_omon_transpose_object(c.cod),

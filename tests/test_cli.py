@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -250,6 +251,30 @@ def test_roundtrip_seed_changes_cells_but_not_status():
     code2, _ = run(["--seed", "2", "roundtrip", str(FIXTURES / "corpus_small.spec")])
     assert code1 == code2 == 0
     assert "status: ok" in text1
+
+
+def _corpus_without(kind: str, tmp_path) -> pathlib.Path:
+    """corpus_small.spec with every section of one kind deleted."""
+    blocks = re.split(r"(?m)^(?=\[)", read("corpus_small.spec"))
+    path = tmp_path / f"no_{kind}.spec"
+    path.write_text("".join(b for b in blocks if not b.startswith(f"[{kind} ")), encoding="utf-8")
+    return path
+
+
+def test_roundtrip_on_fibrations_alone(tmp_path):
+    code, text = run(["--seed", "1", "roundtrip", str(_corpus_without("iset", tmp_path))])
+    assert code == 0, text
+    assert "status: ok" in text
+    assert "count roundtrip.psi_components = 16" in text
+    assert "roundtrip.phi_components" not in text
+
+
+def test_roundtrip_on_isets_alone(tmp_path):
+    code, text = run(["--seed", "1", "roundtrip", str(_corpus_without("fibration", tmp_path))])
+    assert code == 0, text
+    assert "status: ok" in text
+    assert "count roundtrip.phi_components = 26" in text
+    assert "roundtrip.psi_components" not in text
 
 
 def test_operad_table_prints_mu_lines():

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import pathlib
+import weakref
 
 from opgroth import fixtures
 from opgroth.cli import run_command
@@ -26,6 +27,7 @@ from opgroth.groth import (
     generate_cells,
     groth_apply,
     groth_product_comparison,
+    _groth_of,
     make_corpus,
     phi_component,
     phi_inverse,
@@ -223,6 +225,28 @@ def test_roundtrip_on_small_seeded_corpus():
     corpus = make_corpus(seed=11, n_isets=9, n_iset_cells=5, n_2cells=3)
     report = roundtrip_report(corpus)
     assert report.ok, report.render()
+
+
+def test_memo_never_hands_one_iset_another_isets_construction():
+    # Each indexed set is built and dropped in turn, so CPython hands a
+    # later one the address of an earlier one; a memo keyed on bare id()
+    # would then return the earlier construction.
+    base = fixtures.dz2()
+    memo = {}
+    seen = []
+    for k in range(200):
+        F = iset_from_tables(base, {"0": [f"x{k}"], "1": []}, {}, name=f"F{k}")
+        seen.append(_groth_of(memo, F).total.objects)
+        del F
+    assert seen == [(f"0.x{k}",) for k in range(200)]
+    # the entry holds its object, so the object lives as long as the memo
+    F = grade_over_dz2()
+    held = weakref.ref(F)
+    fib = _groth_of(memo, F)
+    del F
+    assert held() is not None and _groth_of(memo, held()) is fib
+    memo.clear()
+    assert held() is None
 
 
 def test_roundtrip_on_discrete_corpus():

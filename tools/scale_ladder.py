@@ -1,11 +1,12 @@
-"""Scale ladder: time the structured checkers at growing arity.
+"""Scale ladder: time the structured checkers at growing arity, and the
+classical round trip.
 
 Each rung builds one input and checks it, in a fresh interpreter with a
 wall-clock cap, and records the build time and the check time apart, the
 instance counters of the report and the instances checked per second.  A
 rung that reaches its cap is recorded as ``over_cap``, never dropped.
 
-    python3 tools/scale_ladder.py --out BENCH_9.json --label change
+    python3 tools/scale_ladder.py --out BENCH_10.json --label change
 
 writes the run under ``runs[label]`` of the output file, keeping the runs
 already there under other labels.  ``--rung NAME`` runs one rung in this
@@ -64,6 +65,32 @@ def _roundtrip(arity: int):
     return ogroth.make_o_corpus(arity), ogroth.omon_roundtrip_check
 
 
+def _classical_file(name: str, seed: int):
+    from opgroth import groth
+    from opgroth.dsl import parse_spec_file
+
+    doc = parse_spec_file((ROOT / "fixtures" / name).read_text(encoding="utf-8"))
+    isets = [s.value for s in doc.by_kind("iset")]
+    fibrations = [s.value for s in doc.by_kind("fibration")]
+    iset_cells, dfib_cells, iset_2cells, dfib_2cells = groth.generate_cells(isets, fibrations, seed)
+    corpus = groth.Corpus(
+        isets=isets,
+        fibrations=fibrations,
+        iset_cells=iset_cells,
+        dfib_cells=dfib_cells,
+        iset_2cells=iset_2cells,
+        dfib_2cells=dfib_2cells,
+        params={"seed": seed, "source": f"fixtures/{name}"},
+    )
+    return corpus, groth.roundtrip_report
+
+
+def _classical_corpus():
+    from opgroth import groth
+
+    return groth.make_corpus(), groth.roundtrip_report
+
+
 # rung name -> () -> (input, checker); the input build is timed apart
 RUNGS = {
     **{
@@ -89,6 +116,9 @@ RUNGS = {
         for k in (3, 4)
     },
     **{f"omon_roundtrip_check make_o_corpus({k})": (lambda k=k: _roundtrip(k)) for k in (3, 4)},
+    # the classical round trip: the build is the parse and generate_cells
+    "roundtrip corpus_small.spec seed 1": lambda: _classical_file("corpus_small.spec", 1),
+    "roundtrip_report make_corpus()": _classical_corpus,
 }
 
 
