@@ -65,11 +65,12 @@ def _roundtrip(arity: int):
     return ogroth.make_o_corpus(arity), ogroth.omon_roundtrip_check
 
 
-def _classical_file(name: str, seed: int):
+def _classical_spec():
     from opgroth import groth
     from opgroth.dsl import parse_spec_file
 
-    doc = parse_spec_file((ROOT / "fixtures" / name).read_text(encoding="utf-8"))
+    seed = 1
+    doc = parse_spec_file((ROOT / "fixtures" / "corpus_small.spec").read_text(encoding="utf-8"))
     isets = [s.value for s in doc.by_kind("iset")]
     fibrations = [s.value for s in doc.by_kind("fibration")]
     iset_cells, dfib_cells, iset_2cells, dfib_2cells = groth.generate_cells(isets, fibrations, seed)
@@ -80,7 +81,7 @@ def _classical_file(name: str, seed: int):
         dfib_cells=dfib_cells,
         iset_2cells=iset_2cells,
         dfib_2cells=dfib_2cells,
-        params={"seed": seed, "source": f"fixtures/{name}"},
+        params={"seed": seed, "source": "fixtures/corpus_small.spec"},
     )
     return corpus, groth.roundtrip_report
 
@@ -117,7 +118,7 @@ RUNGS = {
     },
     **{f"omon_roundtrip_check make_o_corpus({k})": (lambda k=k: _roundtrip(k)) for k in (3, 4)},
     # the classical round trip: the build is the parse and generate_cells
-    "roundtrip corpus_small.spec seed 1": lambda: _classical_file("corpus_small.spec", 1),
+    "roundtrip corpus_small.spec seed 1": _classical_spec,
     "roundtrip_report make_corpus()": _classical_corpus,
 }
 
