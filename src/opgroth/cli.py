@@ -10,6 +10,7 @@ field).  Sections are checked one after another in one thread;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -270,18 +271,15 @@ def cmd_operad_table(args, out) -> int:
     return _exit_code(report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; an absent --max-arity parses to None."""
     parser = argparse.ArgumentParser(
         prog="opgroth",
         description="Verify operad-indexed monoidal coherence and Grothendieck "
         "round trips on finite instances.",
     )
-    env_arity = os.environ.get("OPGROTH_MAX_ARITY", "3")
-    try:
-        default_arity = int(env_arity)
-    except ValueError:
-        raise ValueError(f"OPGROTH_MAX_ARITY is not an integer: {env_arity!r}") from None
-    parser.add_argument("--max-arity", type=int, default=default_arity,
+    parser.add_argument("--max-arity", type=int, default=None,
                         help="truncation for builtin operads (default 3, env OPGROTH_MAX_ARITY)")
     parser.add_argument("--report", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=20240,
@@ -342,15 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
+    env_arity = os.environ.get("OPGROTH_MAX_ARITY", "3")
     try:
-        parser = build_parser()
-    except ValueError as exc:
-        out.write(f"error: {exc}\n")
+        default_arity = int(env_arity)
+    except ValueError:
+        out.write(f"error: OPGROTH_MAX_ARITY is not an integer: {env_arity!r}\n")
         return 2
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.max_arity is None:
+        args.max_arity = default_arity
     try:
         return args.func(args, out)
     except FileNotFoundError as exc:

@@ -346,12 +346,6 @@ class FinCat:
                 if self.mor_src[g] == self.mor_tgt[f]:
                     yield g, f
 
-    def mor_witness(self, m: int) -> str:
-        return (
-            f"{self.mor_labels[m]}: "
-            f"{self.objects[self.mor_src[m]]} -> {self.objects[self.mor_tgt[m]]}"
-        )
-
 
 def make_category(
     name: str,

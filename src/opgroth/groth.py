@@ -9,6 +9,7 @@ morphism plus its source pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -75,14 +76,23 @@ def _memoized(memo: dict, key: tuple, keep, build):
     return entry[1]
 
 
-def _groth_of(memo: dict, F: IndexedSet) -> DiscreteFibration:
-    """_groth_object(F), built once per indexed set while ``memo`` lives."""
-    return _memoized(memo, ("groth", id(F)), F, lambda: _groth_object(F))
+def _memo_step(tag: str):
+    """Turn ``build(x, memo)`` into the step ``name(x, *, memo=None)``,
+    which builds each input once while ``memo`` lives; without a memo it
+    builds into a fresh one.  ``tag`` keeps the steps' entries apart."""
 
+    def wrap(build):
+        def step(x, *, memo: dict | None = None):
+            memo = {} if memo is None else memo
+            return _memoized(memo, (tag, id(x)), x, lambda: build(x, memo))
 
-def _transpose_of(memo: dict, p: DiscreteFibration) -> IndexedSet:
-    """_transpose_object(p), built once per fibration while ``memo`` lives."""
-    return _memoized(memo, ("transpose", id(p)), p, lambda: _transpose_object(p))
+        # the builder's name and module, so tracing and help() find the public
+        # name where it is defined, and the step's own signature
+        functools.update_wrapper(step, build, ("__module__", "__name__", "__qualname__", "__doc__"))
+        del step.__wrapped__
+        return step
+
+    return wrap
 
 
 # --------------------------------------------------------------------------
@@ -160,8 +170,8 @@ def _groth_object(F: IndexedSet) -> DiscreteFibration:
 
 def _groth_cell(cell: ISetCell, memo: dict) -> DFibCell:
     F, G = cell.dom, cell.cod
-    dom_fib = _groth_of(memo, F)
-    cod_fib = _groth_of(memo, G)
+    dom_fib = groth_apply(F, memo=memo)
+    cod_fib = groth_apply(G, memo=memo)
     f_obj_off, _, f_mor_off, _ = _pair_offsets(F)
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
     on_obj = []
@@ -179,8 +189,8 @@ def _groth_cell(cell: ISetCell, memo: dict) -> DFibCell:
 
 
 def _groth_2cell(e: ISet2Cell, memo: dict) -> DFib2Cell:
-    c1 = _groth_cell(e.dom, memo)
-    c2 = _groth_cell(e.cod, memo)
+    c1 = groth_apply(e.dom, memo=memo)
+    c2 = groth_apply(e.cod, memo=memo)
     F, G = e.dom.dom, e.dom.cod
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
     comps = []
@@ -192,14 +202,15 @@ def _groth_2cell(e: ISet2Cell, memo: dict) -> DFib2Cell:
     return DFib2Cell(c1, c2, top, e.eta)
 
 
-def groth_apply(cell):
+@_memo_step("groth")
+def groth_apply(cell, memo: dict):
     """The Grothendieck construction on an object, 1-cell, or 2-cell."""
     if isinstance(cell, IndexedSet):
         return _groth_object(cell)
     if isinstance(cell, ISetCell):
-        return _groth_cell(cell, {})
+        return _groth_cell(cell, memo)
     if isinstance(cell, ISet2Cell):
-        return _groth_2cell(cell, {})
+        return _groth_2cell(cell, memo)
     raise TypeError(f"not an indexed-set cell: {type(cell).__name__}")
 
 
@@ -243,8 +254,8 @@ def _transpose_object(p: DiscreteFibration) -> IndexedSet:
 
 
 def _transpose_cell(d: DFibCell, memo: dict) -> ISetCell:
-    Fp = _transpose_of(memo, d.dom)
-    Gq = _transpose_of(memo, d.cod)
+    Fp = transpose_apply(d.dom, memo=memo)
+    Gq = transpose_apply(d.cod, memo=memo)
     p, q = d.dom, d.cod
     fibers_p = _fiber_objects(p)
     position_q = {}
@@ -260,17 +271,18 @@ def _transpose_cell(d: DFibCell, memo: dict) -> ISetCell:
 
 
 def _transpose_2cell(e: DFib2Cell, memo: dict) -> ISet2Cell:
-    return ISet2Cell(_transpose_cell(e.dom, memo), _transpose_cell(e.cod, memo), e.bottom)
+    return ISet2Cell(transpose_apply(e.dom, memo=memo), transpose_apply(e.cod, memo=memo), e.bottom)
 
 
-def transpose_apply(cell):
+@_memo_step("transpose")
+def transpose_apply(cell, memo: dict):
     """Fiberwise inverse of the Grothendieck construction."""
     if isinstance(cell, DiscreteFibration):
         return _transpose_object(cell)
     if isinstance(cell, DFibCell):
-        return _transpose_cell(cell, {})
+        return _transpose_cell(cell, memo)
     if isinstance(cell, DFib2Cell):
-        return _transpose_2cell(cell, {})
+        return _transpose_2cell(cell, memo)
     raise TypeError(f"not a discrete-fibration cell: {type(cell).__name__}")
 
 
@@ -278,42 +290,34 @@ def transpose_apply(cell):
 # the two natural isomorphisms
 
 
-def phi_component(F: IndexedSet) -> ISetCell:
+def _by_position(F: IndexedSet, G: IndexedSet) -> tuple:
+    """The components that send each element of F(a) to the element at
+    its position in G(a), for index objects a."""
+    return tuple(
+        FinFunction(F.values[a], G.values[a], tuple(range(F.values[a].size)))
+        for a in range(F.index.n_objects)
+    )
+
+
+@_memo_step("phi")
+def phi_component(F: IndexedSet, memo: dict) -> ISetCell:
     """Invertible cell from the transpose of the construction back to F;
     pointwise it forgets the index coordinate of a pair."""
-    return _phi_component(F, {})
+    TF = transpose_apply(groth_apply(F, memo=memo), memo=memo)
+    return ISetCell(TF, F, identity_functor(F.index), _by_position(TF, F), name=f"phi[{F.name}]")
 
 
-def _phi_component(F: IndexedSet, memo: dict) -> ISetCell:
-    TF = _transpose_of(memo, _groth_of(memo, F))
-    mu = tuple(
-        FinFunction(TF.values[a], F.values[a], tuple(range(F.values[a].size)))
-        for a in range(F.index.n_objects)
-    )
-    return ISetCell(TF, F, identity_functor(F.index), mu, name=f"phi[{F.name}]")
+@_memo_step("phi_inv")
+def phi_inverse(F: IndexedSet, memo: dict) -> ISetCell:
+    TF = transpose_apply(groth_apply(F, memo=memo), memo=memo)
+    return ISetCell(F, TF, identity_functor(F.index), _by_position(F, TF), name=f"phi_inv[{F.name}]")
 
 
-def phi_inverse(F: IndexedSet) -> ISetCell:
-    return _phi_inverse(F, {})
-
-
-def _phi_inverse(F: IndexedSet, memo: dict) -> ISetCell:
-    TF = _transpose_of(memo, _groth_of(memo, F))
-    mu = tuple(
-        FinFunction(F.values[a], TF.values[a], tuple(range(F.values[a].size)))
-        for a in range(F.index.n_objects)
-    )
-    return ISetCell(F, TF, identity_functor(F.index), mu, name=f"phi_inv[{F.name}]")
-
-
-def psi_component(p: DiscreteFibration) -> DFibCell:
+@_memo_step("psi")
+def psi_component(p: DiscreteFibration, memo: dict) -> DFibCell:
     """Invertible cell from the construction of the transpose back to p."""
-    return _psi_component(p, {})
-
-
-def _psi_component(p: DiscreteFibration, memo: dict) -> DFibCell:
-    Tp = _transpose_of(memo, p)
-    back = _groth_of(memo, Tp)
+    Tp = transpose_apply(p, memo=memo)
+    back = groth_apply(Tp, memo=memo)
     fibers = _fiber_objects(p)
     on_obj = tuple(c for fiber in fibers for c in fiber)
     lifts = lift_count_table(p)
@@ -326,13 +330,10 @@ def _psi_component(p: DiscreteFibration, memo: dict) -> DFibCell:
     return DFibCell(back, p, top, identity_functor(p.base), name=f"psi[{p.name}]")
 
 
-def psi_inverse(p: DiscreteFibration) -> DFibCell:
-    return _psi_inverse(p, {})
-
-
-def _psi_inverse(p: DiscreteFibration, memo: dict) -> DFibCell:
-    Tp = _transpose_of(memo, p)
-    back = _groth_of(memo, Tp)
+@_memo_step("psi_inv")
+def psi_inverse(p: DiscreteFibration, memo: dict) -> DFibCell:
+    Tp = transpose_apply(p, memo=memo)
+    back = groth_apply(Tp, memo=memo)
     fibers = _fiber_objects(p)
     pair_index = {}
     k = 0
@@ -397,11 +398,7 @@ def transpose_product_comparison(p1: DiscreteFibration, p2: DiscreteFibration) -
     P = product_dfib([p1, p2])
     dom = _transpose_object(P)
     cod = product_iset([_transpose_object(p1), _transpose_object(p2)])
-    mu = tuple(
-        FinFunction(dom.values[a], cod.values[a], tuple(range(dom.values[a].size)))
-        for a in range(dom.index.n_objects)
-    )
-    return ISetCell(dom, cod, identity_functor(dom.index), mu)
+    return ISetCell(dom, cod, identity_functor(dom.index), _by_position(dom, cod))
 
 
 # --------------------------------------------------------------------------
@@ -602,7 +599,7 @@ def generate_cells(isets, fibrations, seed: int, n_iset_cells=14, n_2cells=8):
 
     dfib_cells = [identity_dfib_cell(p) for p in fibrations]
     for cell in iset_cells[:10]:
-        dfib_cells.append(_groth_cell(cell, memo))
+        dfib_cells.append(groth_apply(cell, memo=memo))
     # diagonal cells between identity fibrations
     id_fibs = [p for p in fibrations if p.proj.on_obj == tuple(range(p.total.n_objects))
                and p.total == p.base]
@@ -621,7 +618,7 @@ def generate_cells(isets, fibrations, seed: int, n_iset_cells=14, n_2cells=8):
 
     dfib_2cells = [identity_dfib_2cell(c) for c in dfib_cells[:6]]
     for e in iset_2cells[:6]:
-        dfib_2cells.append(_groth_2cell(e, memo))
+        dfib_2cells.append(groth_apply(e, memo=memo))
     # transformations on diagonal cells
     built = 0
     attempts = 0
@@ -712,21 +709,15 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
     if not report.ok:
         return report
 
-    # one memo for the call: each object's construction, transpose and
-    # isomorphism components are built once
+    # one memo for the call: each corpus object's and cell's construction,
+    # transpose and isomorphism components are built once
     memo: dict = {}
-
-    def phi(F: IndexedSet) -> ISetCell:
-        return _memoized(memo, ("phi", id(F)), F, lambda: _phi_component(F, memo))
-
-    def psi(p: DiscreteFibration) -> DFibCell:
-        return _memoized(memo, ("psi", id(p)), p, lambda: _psi_component(p, memo))
 
     # invertibility of the pointwise isomorphisms
     for F in corpus.isets:
-        fib = _groth_of(memo, F)
+        fib = groth_apply(F, memo=memo)
         report.merge(check_discrete_fibration(fib), where=f"int[{F.name}]")
-        fwd, inv = phi(F), _phi_inverse(F, memo)
+        fwd, inv = phi_component(F, memo=memo), phi_inverse(F, memo=memo)
         report.merge(validate_iset_cell(fwd), where=f"phi[{F.name}]")
         report.merge(validate_iset_cell(inv), where=f"phi_inv[{F.name}]")
         if iset_cell_compose(fwd, inv) != identity_iset_cell(F):
@@ -735,9 +726,9 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             report.violation("roundtrip.phi_invertible", f"phi_inv o phi != id at {F.name}")
         report.count("roundtrip.phi_components")
     for p in corpus.fibrations:
-        TF = _transpose_of(memo, p)
+        TF = transpose_apply(p, memo=memo)
         report.merge(validate_indexed_set(TF), where=f"T[{p.name}]")
-        fwd, inv = psi(p), _psi_inverse(p, memo)
+        fwd, inv = psi_component(p, memo=memo), psi_inverse(p, memo=memo)
         report.merge(validate_dfib_cell(fwd), where=f"psi[{p.name}]")
         report.merge(validate_dfib_cell(inv), where=f"psi_inv[{p.name}]")
         if dfib_cell_compose(fwd, inv) != identity_dfib_cell(p):
@@ -749,11 +740,11 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
     # naturality against every corpus 1-cell
     for cell in corpus.iset_cells:
         report.merge(validate_iset_cell(cell), where=cell.name or "iset-cell")
-        image = _groth_cell(cell, memo)
+        image = groth_apply(cell, memo=memo)
         report.merge(validate_dfib_cell(image), where="int[cell]")
-        back = _transpose_cell(image, memo)
-        lhs = iset_cell_compose(phi(cell.cod), back)
-        rhs = iset_cell_compose(cell, phi(cell.dom))
+        back = transpose_apply(image, memo=memo)
+        lhs = iset_cell_compose(phi_component(cell.cod, memo=memo), back)
+        rhs = iset_cell_compose(cell, phi_component(cell.dom, memo=memo))
         report.count("roundtrip.naturality_squares")
         if lhs != rhs:
             report.violation(
@@ -762,11 +753,11 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             )
     for cell in corpus.dfib_cells:
         report.merge(validate_dfib_cell(cell), where=cell.name or "dfib-cell")
-        image = _transpose_cell(cell, memo)
+        image = transpose_apply(cell, memo=memo)
         report.merge(validate_iset_cell(image), where="T[cell]")
-        back = _groth_cell(image, memo)
-        lhs = dfib_cell_compose(psi(cell.cod), back)
-        rhs = dfib_cell_compose(cell, psi(cell.dom))
+        back = groth_apply(image, memo=memo)
+        lhs = dfib_cell_compose(psi_component(cell.cod, memo=memo), back)
+        rhs = dfib_cell_compose(cell, psi_component(cell.dom, memo=memo))
         report.count("roundtrip.naturality_squares")
         if lhs != rhs:
             report.violation(
@@ -777,32 +768,34 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
     # naturality against every corpus 2-cell (whiskering equality)
     for e in corpus.iset_2cells:
         report.merge(validate_iset_cell(e), where="iset-2cell")
-        image = _groth_2cell(e, memo)
+        image = groth_apply(e, memo=memo)
         report.merge(validate_dfib_cell(image), where="int[2cell]")
-        back = _transpose_2cell(image, memo)
-        lhs = iset_whisker_post(phi(e.dom.cod), back)
-        rhs = iset_whisker_pre(e, phi(e.dom.dom))
+        back = transpose_apply(image, memo=memo)
+        lhs = iset_whisker_post(phi_component(e.dom.cod, memo=memo), back)
+        rhs = iset_whisker_pre(e, phi_component(e.dom.dom, memo=memo))
         report.count("roundtrip.naturality_squares")
         if lhs != rhs:
             report.violation("roundtrip.phi_naturality_2", "2-cell whiskering differs")
     for e in corpus.dfib_2cells:
         report.merge(validate_dfib_cell(e), where="dfib-2cell")
-        image = _transpose_2cell(e, memo)
+        image = transpose_apply(e, memo=memo)
         report.merge(validate_iset_cell(image), where="T[2cell]")
-        back = _groth_2cell(image, memo)
-        lhs = dfib_whisker_post(psi(e.dom.cod), back)
-        rhs = dfib_whisker_pre(e, psi(e.dom.dom))
+        back = groth_apply(image, memo=memo)
+        lhs = dfib_whisker_post(psi_component(e.dom.cod, memo=memo), back)
+        rhs = dfib_whisker_pre(e, psi_component(e.dom.dom, memo=memo))
         report.count("roundtrip.naturality_squares")
         if lhs != rhs:
             report.violation("roundtrip.psi_naturality_2", "2-cell whiskering differs")
 
-    # strict functoriality: identities and all composable corpus pairs
+    # strict functoriality: identities and all composable corpus pairs.
+    # An identity or composite built here is used once, so its
+    # construction calls the per-kind builder and takes no memo entry.
     for F in corpus.isets:
-        if _groth_cell(identity_iset_cell(F), memo) != identity_dfib_cell(_groth_of(memo, F)):
+        if _groth_cell(identity_iset_cell(F), memo) != identity_dfib_cell(groth_apply(F, memo=memo)):
             report.violation("roundtrip.functorial_id", f"int(id) != id at {F.name}")
     for p in corpus.fibrations:
         if _transpose_cell(identity_dfib_cell(p), memo) != identity_iset_cell(
-            _transpose_of(memo, p)
+            transpose_apply(p, memo=memo)
         ):
             report.violation("roundtrip.functorial_id", f"T(id) != id at {p.name}")
     for c1 in corpus.iset_cells:
@@ -811,7 +804,7 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
                 continue
             report.count("roundtrip.functoriality_pairs")
             if _groth_cell(iset_cell_compose(c2, c1), memo) != dfib_cell_compose(
-                _groth_cell(c2, memo), _groth_cell(c1, memo)
+                groth_apply(c2, memo=memo), groth_apply(c1, memo=memo)
             ):
                 report.violation(
                     "roundtrip.functorial_compose", "int breaks a composite"
@@ -822,7 +815,7 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
                 continue
             report.count("roundtrip.functoriality_pairs")
             if _transpose_cell(dfib_cell_compose(c2, c1), memo) != iset_cell_compose(
-                _transpose_cell(c2, memo), _transpose_cell(c1, memo)
+                transpose_apply(c2, memo=memo), transpose_apply(c1, memo=memo)
             ):
                 report.violation(
                     "roundtrip.functorial_compose", "T breaks a composite"
@@ -833,7 +826,7 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
                 continue
             report.count("roundtrip.functoriality_pairs")
             if _groth_2cell(iset_2cell_vcompose(e2, e1), memo) != dfib_2cell_vcompose(
-                _groth_2cell(e2, memo), _groth_2cell(e1, memo)
+                groth_apply(e2, memo=memo), groth_apply(e1, memo=memo)
             ):
                 report.violation(
                     "roundtrip.functorial_compose", "int breaks a vertical composite"
@@ -844,7 +837,7 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
                 continue
             report.count("roundtrip.functoriality_pairs")
             if _transpose_2cell(dfib_2cell_vcompose(e2, e1), memo) != iset_2cell_vcompose(
-                _transpose_2cell(e2, memo), _transpose_2cell(e1, memo)
+                transpose_apply(e2, memo=memo), transpose_apply(e1, memo=memo)
             ):
                 report.violation(
                     "roundtrip.functorial_compose", "T breaks a vertical composite"

@@ -30,14 +30,26 @@ from .fib2cat import (
     ISet2Cell,
     ISetCell,
     IndexedSet,
+    check_discrete_fibration,
     fn_compose,
     fn_identity,
     identity_fibration,
     iset_from_tables,
     set_product,
+    validate_dfib_cell,
     validate_iset_cell,
 )
-from .groth import _groth_cell, _groth_object, _memoized, _pair_offsets, groth_apply, phi_component, phi_inverse, transpose_apply
+from .groth import (
+    _memo_step,
+    _memoized,
+    _pair_offsets,
+    groth_apply,
+    phi_component,
+    phi_inverse,
+    psi_component,
+    psi_inverse,
+    transpose_apply,
+)
 from .omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
@@ -146,13 +158,8 @@ def _nu_reader(memo: dict, x: LaxSetFunctor):
     return nu_at
 
 
-def check_ofib_object(x: OFibObject) -> CheckReport:
-    return _check_ofib_object(x, {})
-
-
-def _check_ofib_object(x: OFibObject, memo: dict) -> CheckReport:
-    from .fib2cat import check_discrete_fibration
-
+def check_ofib_object(x: OFibObject, *, memo: dict | None = None) -> CheckReport:
+    memo = {} if memo is None else memo
     report = CheckReport()
     where = x.name or "ofib"
     if not operads_equal(x.total_omon.operad, x.base_omon.operad):
@@ -209,11 +216,8 @@ def identity_ocell(x: LaxSetFunctor) -> OCell:
     )
 
 
-def check_ocell(c: OCell) -> CheckReport:
-    return _check_ocell(c, {})
-
-
-def _check_ocell(c: OCell, memo: dict) -> CheckReport:
+def check_ocell(c: OCell, *, memo: dict | None = None) -> CheckReport:
+    memo = {} if memo is None else memo
     report = CheckReport()
     where = c.name or "ocell"
     lax = c.index_lax()
@@ -301,13 +305,8 @@ def identity_ofib_cell(x: OFibObject) -> OFibCell:
     )
 
 
-def check_ofib_cell(c: OFibCell) -> CheckReport:
-    return _check_ofib_cell(c, {})
-
-
-def _check_ofib_cell(c: OFibCell, memo: dict) -> CheckReport:
-    from .fib2cat import validate_dfib_cell
-
+def check_ofib_cell(c: OFibCell, *, memo: dict | None = None) -> CheckReport:
+    memo = {} if memo is None else memo
     report = CheckReport()
     where = c.name or "ofibcell"
     report.merge(validate_dfib_cell(c.dfib_cell()), where=f"{where}:square")
@@ -385,8 +384,6 @@ class OFib2Cell:
 
 
 def check_ofib_2cell(e: OFib2Cell) -> CheckReport:
-    from .fib2cat import validate_dfib_cell
-
     report = CheckReport()
     where = e.name or "ofib2cell"
     report.merge(
@@ -408,23 +405,19 @@ def check_ofib_2cell(e: OFib2Cell) -> CheckReport:
 # the construction
 
 
-def omon_groth(x) -> "OFibObject | OFibCell | OFib2Cell":
+@_memo_step("ogroth")
+def omon_groth(x, memo: dict) -> "OFibObject | OFibCell | OFib2Cell":
     """Structured Grothendieck construction on objects, 1-cells, 2-cells."""
-    return _omon_groth(x, {})
-
-
-def _omon_groth(x, memo: dict):
-    """The construction on x, built once per input while ``memo`` lives."""
     for kind, build in ((LaxSetFunctor, _omon_groth_object), (OCell, _omon_groth_cell), (O2Cell, _omon_groth_2cell)):
         if isinstance(x, kind):
-            return _memoized(memo, ("groth", id(x)), x, lambda: build(x, memo))
+            return build(x, memo)
     raise TypeError(f"cannot apply the construction to {type(x).__name__}")
 
 
 def _omon_groth_object(x: LaxSetFunctor, memo: dict) -> OFibObject:
     nu_at = _nu_reader(memo, x)
     F = x.iset
-    fib = _groth_object(F)
+    fib = groth_apply(F, memo=memo)
     index = x.dom
     operad = index.operad
     obj_off, _, mor_off, _ = _pair_offsets(F)
@@ -479,10 +472,10 @@ def _omon_groth_object(x: LaxSetFunctor, memo: dict) -> OFibObject:
 
 
 def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
-    dom_of = _omon_groth(c.dom, memo)
-    cod_of = _omon_groth(c.cod, memo)
+    dom_of = omon_groth(c.dom, memo=memo)
+    cod_of = omon_groth(c.cod, memo=memo)
     cod_nu = _nu_reader(memo, c.cod)
-    square = _groth_cell(c.iset_cell(), {})
+    square = groth_apply(c.iset_cell())
     G = c.cod.iset
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
     f_obj_off, _, _, _ = _pair_offsets(c.dom.iset)
@@ -516,12 +509,10 @@ def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
 
 
 def _omon_groth_2cell(e: O2Cell, memo: dict) -> OFib2Cell:
-    from .groth import _groth_2cell
-
-    two = _groth_2cell(ISet2Cell(e.dom.iset_cell(), e.cod.iset_cell(), e.eta), {})
+    two = groth_apply(ISet2Cell(e.dom.iset_cell(), e.cod.iset_cell(), e.eta))
     return OFib2Cell(
-        dom=_omon_groth(e.dom, memo),
-        cod=_omon_groth(e.cod, memo),
+        dom=omon_groth(e.dom, memo=memo),
+        cod=omon_groth(e.cod, memo=memo),
         top=two.top,
         bottom=two.bottom,
     )
@@ -575,9 +566,7 @@ def _omon_transpose_object(y: OFibObject) -> LaxSetFunctor:
 
 
 def _omon_transpose_cell(c: OFibCell) -> OCell:
-    from .groth import _transpose_cell
-
-    square = _transpose_cell(c.dfib_cell(), {})
+    square = transpose_apply(c.dfib_cell())
     return OCell(
         dom=_omon_transpose_object(c.dom),
         cod=_omon_transpose_object(c.cod),
@@ -841,7 +830,7 @@ def enumerate_ocells(x: LaxSetFunctor, y: LaxSetFunctor, cap: int = 3):
             continue
         for combo in itertools.product(*per_object):
             cell = OCell(dom=x, cod=y, functor=M, xi=xi, mu=tuple(combo))
-            if _check_ocell(cell, memo).ok:
+            if check_ocell(cell, memo=memo).ok:
                 out.append(cell)
                 if len(out) >= cap:
                     return out
@@ -970,8 +959,6 @@ def phi_ocell_inverse(x: LaxSetFunctor, back: LaxSetFunctor) -> OCell:
 
 
 def psi_ofib_cell(y: OFibObject, fwd: OFibObject) -> OFibCell:
-    from .groth import psi_component
-
     base_psi = psi_component(y.fib)
     return OFibCell(
         dom=fwd,
@@ -983,8 +970,6 @@ def psi_ofib_cell(y: OFibObject, fwd: OFibObject) -> OFibCell:
 
 
 def psi_ofib_cell_inverse(y: OFibObject, fwd: OFibObject) -> OFibCell:
-    from .groth import psi_inverse
-
     base_inv = psi_inverse(y.fib)
     return OFibCell(
         dom=y,
@@ -1032,15 +1017,16 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
         report.merge(_checked_omon(memo, x.dom), where=x.dom.name or "index")
         report.merge(_check_set_lax(x), where=x.name)
     for y in corpus.ofibs:
-        report.merge(_check_ofib_object(y, memo), where=y.name)
+        report.merge(check_ofib_object(y, memo=memo), where=y.name)
     if not report.ok:
         return report
 
     # forward round trip
     for x in corpus.laxtosets:
-        y = _omon_groth(x, memo)
-        report.merge(_check_ofib_object(y, memo), where=f"int[{x.name}]")
+        y = omon_groth(x, memo=memo)
+        report.merge(check_ofib_object(y, memo=memo), where=f"int[{x.name}]")
         report.count("oroundtrip.groth_objects")
+        # a second construction, built without the memo, which holds y.fib itself
         if y.fib != groth_apply(x.iset):
             report.violation(
                 "oroundtrip.underlying",
@@ -1050,8 +1036,8 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
         report.merge(_check_set_lax(back), where=f"T[int[{x.name}]]")
         phi = phi_ocell(x, back)
         inv = phi_ocell_inverse(x, back)
-        report.merge(_check_ocell(phi, memo), where=phi.name)
-        report.merge(_check_ocell(inv, memo), where=inv.name)
+        report.merge(check_ocell(phi, memo=memo), where=phi.name)
+        report.merge(check_ocell(inv, memo=memo), where=inv.name)
         if not ocell_equal(ocell_compose(phi, inv), identity_ocell(x)):
             report.violation("oroundtrip.phi_invertible", f"phi o phi_inv != id at {x.name}")
         if not ocell_equal(ocell_compose(inv, phi), identity_ocell(back)):
@@ -1062,12 +1048,12 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
         x = omon_transpose(y)
         report.merge(_checked_omon(memo, x.dom), where=f"T[{y.name}]:index")
         report.merge(_check_set_lax(x), where=f"T[{y.name}]")
-        fwd = _omon_groth(x, memo)
-        report.merge(_check_ofib_object(fwd, memo), where=f"int[T[{y.name}]]")
+        fwd = omon_groth(x, memo=memo)
+        report.merge(check_ofib_object(fwd, memo=memo), where=f"int[T[{y.name}]]")
         psi = psi_ofib_cell(y, fwd)
         inv = psi_ofib_cell_inverse(y, fwd)
-        report.merge(_check_ofib_cell(psi, memo), where=psi.name)
-        report.merge(_check_ofib_cell(inv, memo), where=inv.name)
+        report.merge(check_ofib_cell(psi, memo=memo), where=psi.name)
+        report.merge(check_ofib_cell(inv, memo=memo), where=inv.name)
         if not ofib_cell_equal(ofib_cell_compose(psi, inv), identity_ofib_cell(y)):
             report.violation("oroundtrip.psi_invertible", f"psi o psi_inv != id at {y.name}")
         if not ofib_cell_equal(ofib_cell_compose(inv, psi), identity_ofib_cell(fwd)):
@@ -1076,26 +1062,26 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
     # cells and functoriality
     valid = []
     for cell in corpus.ocells:
-        checked = _check_ocell(cell, memo)
+        checked = check_ocell(cell, memo=memo)
         report.merge(checked, where=cell.name or "ocell")
         if checked.ok:
             valid.append(cell)
-        image = _omon_groth(cell, memo)
-        report.merge(_check_ofib_cell(image, memo), where=f"int[{cell.name or 'ocell'}]")
+        image = omon_groth(cell, memo=memo)
+        report.merge(check_ofib_cell(image, memo=memo), where=f"int[{cell.name or 'ocell'}]")
         report.count("oroundtrip.cells")
     for cell in corpus.ofib_cells:
-        report.merge(_check_ofib_cell(cell, memo), where=cell.name or "ofibcell")
+        report.merge(check_ofib_cell(cell, memo=memo), where=cell.name or "ofibcell")
         back = omon_transpose(cell)
-        report.merge(_check_ocell(back, memo), where=f"T[{cell.name or 'ofibcell'}]")
+        report.merge(check_ocell(back, memo=memo), where=f"T[{cell.name or 'ofibcell'}]")
     for e in corpus.o2cells:
         report.merge(check_o2cell(e), where=e.name or "o2cell")
-        report.merge(check_ofib_2cell(_omon_groth(e, memo)), where="int[o2cell]")
+        report.merge(check_ofib_2cell(omon_groth(e, memo=memo)), where="int[o2cell]")
     for e in corpus.ofib_2cells:
         report.merge(check_ofib_2cell(e), where=e.name or "ofib2cell")
 
     for x in corpus.laxtosets:
         if not ofib_cell_equal(
-            _omon_groth_cell(identity_ocell(x), memo), identity_ofib_cell(_omon_groth(x, memo))
+            _omon_groth_cell(identity_ocell(x), memo), identity_ofib_cell(omon_groth(x, memo=memo))
         ):
             report.violation("oroundtrip.functorial_id", f"int(id) != id at {x.name}")
     # the construction is a functor on valid cells; an invalid one has
@@ -1108,7 +1094,7 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
             report.count("oroundtrip.functoriality_pairs")
             if not ofib_cell_equal(
                 _omon_groth_cell(ocell_compose(c2, c1), memo),
-                ofib_cell_compose(_omon_groth(c2, memo), _omon_groth(c1, memo)),
+                ofib_cell_compose(omon_groth(c2, memo=memo), omon_groth(c1, memo=memo)),
             ):
                 report.violation(
                     "oroundtrip.functorial_compose",
@@ -1122,7 +1108,7 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
             continue
         if cell.functor != identity_functor(cell.dom.dom.base) or cell.xi:
             continue
-        image = _omon_groth(cell, memo)
+        image = omon_groth(cell, memo=memo)
         report.count("oroundtrip.fixed_base_cells")
         if image.bottom != identity_functor(image.dom.base_omon.base) or image.xi_bottom:
             report.violation(

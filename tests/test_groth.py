@@ -27,7 +27,6 @@ from opgroth.groth import (
     generate_cells,
     groth_apply,
     groth_product_comparison,
-    _groth_of,
     make_corpus,
     phi_component,
     phi_inverse,
@@ -236,15 +235,15 @@ def test_memo_never_hands_one_iset_another_isets_construction():
     seen = []
     for k in range(200):
         F = iset_from_tables(base, {"0": [f"x{k}"], "1": []}, {}, name=f"F{k}")
-        seen.append(_groth_of(memo, F).total.objects)
+        seen.append(groth_apply(F, memo=memo).total.objects)
         del F
     assert seen == [(f"0.x{k}",) for k in range(200)]
     # the entry holds its object, so the object lives as long as the memo
     F = grade_over_dz2()
     held = weakref.ref(F)
-    fib = _groth_of(memo, F)
+    fib = groth_apply(F, memo=memo)
     del F
-    assert held() is not None and _groth_of(memo, held()) is fib
+    assert held() is not None and groth_apply(held(), memo=memo) is fib
     memo.clear()
     assert held() is None
 

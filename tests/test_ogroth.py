@@ -5,13 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import opgroth.groth
 import opgroth.ogroth
 import opgroth.omon
 from opgroth import fixtures
 from opgroth.cli import run_command
 from opgroth.fincore import CatFunctor, NatTransform, functor_from_labels, identity_functor, identity_nat, terminal_map
 from opgroth.fib2cat import FinFunction, fn_compose
-from opgroth.groth import groth_apply
+from opgroth.groth import groth_apply, make_corpus, roundtrip_report
 from opgroth.omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
@@ -484,15 +485,43 @@ def test_construction_memo_never_hands_a_lax_object_another_ones_construction(mo
     memo = {}
     for k in range(8):
         nu = {(0, "*", ()): FinFunction(point, top, (k % 2,))}
-        y = opgroth.ogroth._omon_groth(LaxSetFunctor(dom=x.dom, iset=x.iset, nu=nu, name=f"x{k}"), memo)
+        y = omon_groth(LaxSetFunctor(dom=x.dom, iset=x.iset, nu=nu, name=f"x{k}"), memo=memo)
         fresh = omon_groth(LaxSetFunctor(dom=x.dom, iset=x.iset, nu=nu, name=f"x{k}"))
         assert y.name == f"int[x{k}]" and y.total_omon.tensors == fresh.total_omon.tensors
-        report = opgroth.ogroth._check_ofib_object(y, memo)
+        report = check_ofib_object(y, memo=memo)
         assert [(r.where, r.witness) for r in report.records] == [
             (f"int[x{k}]:total", f"int[x{k}]"),
             (f"int[x{k}]:base", x.dom.name),
         ]
         del y, fresh
+
+
+def test_round_trips_reach_every_step_by_its_public_name(monkeypatch):
+    # a wrapper rebound on a module attribute, as a tracer installs it,
+    # sees every memoised step of both round trips, and the reports stay
+    # those of an unwrapped run
+    ocorpus = make_o_corpus(MAX_ARITY)
+    corpus = make_corpus(seed=11, n_isets=9, n_iset_cells=5, n_2cells=3)
+    expected = [omon_roundtrip_check(ocorpus), roundtrip_report(corpus)]
+    steps = {
+        opgroth.ogroth: ("check_ocell", "check_ofib_cell", "check_ofib_object", "omon_groth"),
+        opgroth.groth: ("groth_apply", "transpose_apply", "phi_component", "psi_component"),
+    }
+    calls = {name: 0 for names in steps.values() for name in names}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, names in steps.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    got = [omon_roundtrip_check(ocorpus), roundtrip_report(corpus)]
+    assert all(calls.values()), calls
+    assert [(r.records, r.stats) for r in got] == [(r.records, r.stats) for r in expected]
 
 
 def test_round_trip_reports_a_broken_cell_at_its_own_place():
