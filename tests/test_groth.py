@@ -1,7 +1,9 @@
 import hashlib
 import io
+import json
 import pathlib
 import weakref
+from dataclasses import replace
 
 from opgroth import fixtures
 from opgroth.cli import run_command
@@ -9,6 +11,7 @@ from opgroth.dsl import parse_spec_file
 from opgroth.fincore import validate_category
 from opgroth.fib2cat import (
     DiscreteFibration,
+    FinFunction,
     check_discrete_fibration,
     constant_singleton,
     dfib_cell_compose,
@@ -302,3 +305,71 @@ def test_roundtrip_bytes_and_generated_cells_are_pinned(monkeypatch):
         repr((c.iset_cells, c.dfib_cells, c.iset_2cells, c.dfib_2cells)).encode()
     ).hexdigest()
     assert got == ROUNDTRIP_PINS
+
+
+# Corpora with one broken cell each, built from the small seeded corpus:
+# every entry is moved to the next value of its codomain.
+
+
+def _moved(values: tuple, k: int, n: int) -> tuple:
+    return values[:k] + ((values[k] + 1) % n,) + values[k + 1:]
+
+
+def _small_corpus():
+    return make_corpus(seed=11, n_isets=9, n_iset_cells=5, n_2cells=3)
+
+
+def broken_iset_cell_corpus():
+    # the first component entry of the first non-identity iset cell
+    corpus = _small_corpus()
+    k = next(k for k, c in enumerate(corpus.iset_cells) if c != identity_iset_cell(c.dom))
+    cell = corpus.iset_cells[k]
+    fn = cell.mu[0]
+    mu0 = FinFunction(fn.dom, fn.cod, _moved(fn.mapping, 0, fn.cod.size))
+    corpus.iset_cells[k] = replace(cell, mu=(mu0,) + cell.mu[1:])
+    return corpus
+
+
+def broken_dfib_cell_corpus():
+    # the first object of the top functor of the last dfib cell
+    corpus = _small_corpus()
+    cell = corpus.dfib_cells[-1]
+    top = replace(cell.top, on_obj=_moved(cell.top.on_obj, 0, cell.top.cod.n_objects))
+    corpus.dfib_cells[-1] = replace(cell, top=top)
+    return corpus
+
+
+def broken_iset_2cell_corpus():
+    # the first component of the last iset 2-cell
+    corpus = _small_corpus()
+    e = corpus.iset_2cells[-1]
+    eta = replace(e.eta, components=_moved(e.eta.components, 0, e.eta.dom.cod.n_morphisms))
+    corpus.iset_2cells[-1] = replace(e, eta=eta)
+    return corpus
+
+
+# sha256 of render() and of the JSON lines of the records of
+# roundtrip_report on each broken corpus
+BROKEN_ROUNDTRIP_PINS = {
+    "iset cell text": "78a2480e4f0821282b23e6155b93ab90215fa38f1807bfcf25f09fe01b81d61a",
+    "iset cell json": "5d609000209e5a56e89c923001e811ee69826a5dd0122a2c75080bb0ca121bd1",
+    "dfib cell text": "854ef90094b8e9c1f572923e623209b1e9bfc9cfc550a8b3d44b45f4d1918a82",
+    "dfib cell json": "2db86233df6ef625523b04e1c0a4e5bc4cca664ec832b8faad3650d67980ecfa",
+    "iset 2-cell text": "3918ab480ee32e5d55d61793a920678ca27cd8c7e786cfb6b8ccd10dd0575334",
+    "iset 2-cell json": "5a61001c47fa93f750e04ff4149058aeb08ac73c15ee495d9f27890206c3cf05",
+}
+
+
+def test_broken_corpus_reports_are_pinned():
+    got = {}
+    for name, build in (
+        ("iset cell", broken_iset_cell_corpus),
+        ("dfib cell", broken_dfib_cell_corpus),
+        ("iset 2-cell", broken_iset_2cell_corpus),
+    ):
+        report = roundtrip_report(build())
+        assert not report.ok
+        lines = "\n".join(json.dumps(r.as_json(), sort_keys=True) for r in report.records)
+        got[f"{name} text"] = hashlib.sha256(report.render().encode()).hexdigest()
+        got[f"{name} json"] = hashlib.sha256(lines.encode()).hexdigest()
+    assert got == BROKEN_ROUNDTRIP_PINS
