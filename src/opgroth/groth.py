@@ -13,13 +13,16 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
+from . import fixtures
 from .fincore import (
     CatFunctor,
     FinCat,
     NatTransform,
     all_functors,
     all_nat_transforms,
+    discrete_category,
     identity_functor,
     product_category,
 )
@@ -219,22 +222,23 @@ def groth_apply(cell, memo: dict):
 
 
 def _fiber_objects(p: DiscreteFibration):
+    """The total objects over each base object, in total order, and the
+    place of each total object in its fiber."""
     fibers = [[] for _ in range(p.base.n_objects)]
+    position = []
     for c in range(p.total.n_objects):
-        fibers[p.proj.on_obj[c]].append(c)
-    return fibers
+        fiber = fibers[p.proj.on_obj[c]]
+        position.append(len(fiber))
+        fiber.append(c)
+    return fibers, position
 
 
 def _transpose_object(p: DiscreteFibration) -> IndexedSet:
     base, total = p.base, p.total
-    fibers = _fiber_objects(p)
+    fibers, position = _fiber_objects(p)
     values = tuple(
         FinSet(tuple(total.objects[c] for c in fiber)) for fiber in fibers
     )
-    position = {}
-    for fiber in fibers:
-        for k, c in enumerate(fiber):
-            position[c] = k
     lifts = lift_count_table(p)
     actions = []
     for f in range(base.n_morphisms):
@@ -257,11 +261,8 @@ def _transpose_cell(d: DFibCell, memo: dict) -> ISetCell:
     Fp = transpose_apply(d.dom, memo=memo)
     Gq = transpose_apply(d.cod, memo=memo)
     p, q = d.dom, d.cod
-    fibers_p = _fiber_objects(p)
-    position_q = {}
-    for fiber in _fiber_objects(q):
-        for k, c in enumerate(fiber):
-            position_q[c] = k
+    fibers_p, _ = _fiber_objects(p)
+    _, position_q = _fiber_objects(q)
     mu = []
     for a in range(p.base.n_objects):
         cod_set = Gq.values[d.bottom.on_obj[a]]
@@ -318,7 +319,7 @@ def psi_component(p: DiscreteFibration, memo: dict) -> DFibCell:
     """Invertible cell from the construction of the transpose back to p."""
     Tp = transpose_apply(p, memo=memo)
     back = groth_apply(Tp, memo=memo)
-    fibers = _fiber_objects(p)
+    fibers, _ = _fiber_objects(p)
     on_obj = tuple(c for fiber in fibers for c in fiber)
     lifts = lift_count_table(p)
     on_mor = []
@@ -334,19 +335,9 @@ def psi_component(p: DiscreteFibration, memo: dict) -> DFibCell:
 def psi_inverse(p: DiscreteFibration, memo: dict) -> DFibCell:
     Tp = transpose_apply(p, memo=memo)
     back = groth_apply(Tp, memo=memo)
-    fibers = _fiber_objects(p)
-    pair_index = {}
-    k = 0
-    for fiber in fibers:
-        for c in fiber:
-            pair_index[c] = k
-            k += 1
-    _, _, mor_off, _ = _pair_offsets(Tp)
-    position = {}
-    for fiber in fibers:
-        for i, c in enumerate(fiber):
-            position[c] = i
-    on_obj = tuple(pair_index[c] for c in range(p.total.n_objects))
+    _, position = _fiber_objects(p)
+    obj_off, _, mor_off, _ = _pair_offsets(Tp)
+    on_obj = tuple(obj_off[p.proj.on_obj[c]] + position[c] for c in range(p.total.n_objects))
     on_mor = tuple(
         mor_off[p.proj.on_mor[m]] + position[p.total.mor_src[m]]
         for m in range(p.total.n_morphisms)
@@ -432,18 +423,10 @@ DEFAULT_CORPUS_SEED = 20240
 
 
 def _pool_categories():
-    from . import fixtures
-
     return [
         ("term", product_category([]).cat, {}),
         ("disc2", fixtures.dz2(), {}),
-        (
-            "disc3",
-            __import__("opgroth.fincore", fromlist=["discrete_category"]).discrete_category(
-                "D3", ["x", "y", "z"]
-            ),
-            {},
-        ),
+        ("disc3", discrete_category("D3", ["x", "y", "z"]), {}),
         ("l2", fixtures.l2(), {"edges": [("le_0_1", "0", "1")]}),
         (
             "chain3",
@@ -657,8 +640,6 @@ def make_corpus(
             fibrations.append(
                 DiscreteFibration(fib.proj, name=f"int_{F.name}")
             )
-    from . import fixtures
-
     for cat in (fixtures.walk(), fixtures.l2(), fixtures.bz2(), fixtures.chain3()):
         fibrations.append(identity_fibration(cat))
     fibrations.append(embed_set_as_dfib(["s1", "s2"], name="twopoint"))
@@ -691,6 +672,31 @@ def make_corpus(
 # round-trip verification
 
 
+class _Side(NamedTuple):
+    """One side of the 2-equivalence: its corpus, record names, construction
+    to the other side, isomorphisms, checks and cell operations."""
+
+    objects: list
+    cells: list
+    two_cells: list
+    noun: str  # an unnamed object
+    kind: str  # an unnamed cell
+    construction: str
+    iso: str
+    apply: Callable
+    build_cell: Callable
+    build_2cell: Callable
+    iso_component: Callable
+    iso_inverse: Callable
+    check_object: Callable
+    validate: Callable
+    identity: Callable
+    compose: Callable
+    vcompose: Callable
+    whisker_post: Callable
+    whisker_pre: Callable
+
+
 def roundtrip_report(corpus: Corpus) -> CheckReport:
     """Verify the 2-equivalence on the corpus: invertibility and
     naturality of both isomorphisms, and strict functoriality of the
@@ -702,10 +708,27 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
     report.count("corpus.1cells", corpus.n_1cells)
     report.count("corpus.2cells", corpus.n_2cells)
 
-    for F in corpus.isets:
-        report.merge(validate_indexed_set(F), where=F.name or "iset")
-    for p in corpus.fibrations:
-        report.merge(check_discrete_fibration(p), where=p.name or "fibration")
+    # Each law runs in both directions (s, t), from side s to side t, the
+    # iset side first.  The sides are read from the module's names at every
+    # call, so a wrapper rebound on a step (as a tracer installs it) is the
+    # one called.
+    iset = _Side(
+        corpus.isets, corpus.iset_cells, corpus.iset_2cells, "iset", "iset", "int", "phi",
+        groth_apply, _groth_cell, _groth_2cell, phi_component, phi_inverse,
+        validate_indexed_set, validate_iset_cell, identity_iset_cell, iset_cell_compose,
+        iset_2cell_vcompose, iset_whisker_post, iset_whisker_pre,
+    )
+    dfib = _Side(
+        corpus.fibrations, corpus.dfib_cells, corpus.dfib_2cells, "fibration", "dfib", "T", "psi",
+        transpose_apply, _transpose_cell, _transpose_2cell, psi_component, psi_inverse,
+        check_discrete_fibration, validate_dfib_cell, identity_dfib_cell, dfib_cell_compose,
+        dfib_2cell_vcompose, dfib_whisker_post, dfib_whisker_pre,
+    )
+    directions = ((iset, dfib), (dfib, iset))
+
+    for s, _ in directions:
+        for x in s.objects:
+            report.merge(s.check_object(x), where=x.name or s.noun)
     if not report.ok:
         return report
 
@@ -714,132 +737,74 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
     memo: dict = {}
 
     # invertibility of the pointwise isomorphisms
-    for F in corpus.isets:
-        fib = groth_apply(F, memo=memo)
-        report.merge(check_discrete_fibration(fib), where=f"int[{F.name}]")
-        fwd, inv = phi_component(F, memo=memo), phi_inverse(F, memo=memo)
-        report.merge(validate_iset_cell(fwd), where=f"phi[{F.name}]")
-        report.merge(validate_iset_cell(inv), where=f"phi_inv[{F.name}]")
-        if iset_cell_compose(fwd, inv) != identity_iset_cell(F):
-            report.violation("roundtrip.phi_invertible", f"phi o phi_inv != id at {F.name}")
-        if iset_cell_compose(inv, fwd) != identity_iset_cell(fwd.dom):
-            report.violation("roundtrip.phi_invertible", f"phi_inv o phi != id at {F.name}")
-        report.count("roundtrip.phi_components")
-    for p in corpus.fibrations:
-        TF = transpose_apply(p, memo=memo)
-        report.merge(validate_indexed_set(TF), where=f"T[{p.name}]")
-        fwd, inv = psi_component(p, memo=memo), psi_inverse(p, memo=memo)
-        report.merge(validate_dfib_cell(fwd), where=f"psi[{p.name}]")
-        report.merge(validate_dfib_cell(inv), where=f"psi_inv[{p.name}]")
-        if dfib_cell_compose(fwd, inv) != identity_dfib_cell(p):
-            report.violation("roundtrip.psi_invertible", f"psi o psi_inv != id at {p.name}")
-        if dfib_cell_compose(inv, fwd) != identity_dfib_cell(fwd.dom):
-            report.violation("roundtrip.psi_invertible", f"psi_inv o psi != id at {p.name}")
-        report.count("roundtrip.psi_components")
+    for s, t in directions:
+        for x in s.objects:
+            report.merge(t.check_object(s.apply(x, memo=memo)), where=f"{s.construction}[{x.name}]")
+            fwd, inv = s.iso_component(x, memo=memo), s.iso_inverse(x, memo=memo)
+            report.merge(s.validate(fwd), where=f"{s.iso}[{x.name}]")
+            report.merge(s.validate(inv), where=f"{s.iso}_inv[{x.name}]")
+            if s.compose(fwd, inv) != s.identity(x):
+                report.violation(f"roundtrip.{s.iso}_invertible", f"{s.iso} o {s.iso}_inv != id at {x.name}")
+            if s.compose(inv, fwd) != s.identity(fwd.dom):
+                report.violation(f"roundtrip.{s.iso}_invertible", f"{s.iso}_inv o {s.iso} != id at {x.name}")
+            report.count(f"roundtrip.{s.iso}_components")
 
     # naturality against every corpus 1-cell
-    for cell in corpus.iset_cells:
-        report.merge(validate_iset_cell(cell), where=cell.name or "iset-cell")
-        image = groth_apply(cell, memo=memo)
-        report.merge(validate_dfib_cell(image), where="int[cell]")
-        back = transpose_apply(image, memo=memo)
-        lhs = iset_cell_compose(phi_component(cell.cod, memo=memo), back)
-        rhs = iset_cell_compose(cell, phi_component(cell.dom, memo=memo))
-        report.count("roundtrip.naturality_squares")
-        if lhs != rhs:
-            report.violation(
-                "roundtrip.phi_naturality",
-                f"naturality square fails at cell {cell.name or '?'}",
-            )
-    for cell in corpus.dfib_cells:
-        report.merge(validate_dfib_cell(cell), where=cell.name or "dfib-cell")
-        image = transpose_apply(cell, memo=memo)
-        report.merge(validate_iset_cell(image), where="T[cell]")
-        back = groth_apply(image, memo=memo)
-        lhs = dfib_cell_compose(psi_component(cell.cod, memo=memo), back)
-        rhs = dfib_cell_compose(cell, psi_component(cell.dom, memo=memo))
-        report.count("roundtrip.naturality_squares")
-        if lhs != rhs:
-            report.violation(
-                "roundtrip.psi_naturality",
-                f"naturality square fails at cell {cell.name or '?'}",
-            )
+    for s, t in directions:
+        for cell in s.cells:
+            report.merge(s.validate(cell), where=cell.name or f"{s.kind}-cell")
+            image = s.apply(cell, memo=memo)
+            report.merge(t.validate(image), where=f"{s.construction}[cell]")
+            back = t.apply(image, memo=memo)
+            lhs = s.compose(s.iso_component(cell.cod, memo=memo), back)
+            rhs = s.compose(cell, s.iso_component(cell.dom, memo=memo))
+            report.count("roundtrip.naturality_squares")
+            if lhs != rhs:
+                report.violation(
+                    f"roundtrip.{s.iso}_naturality",
+                    f"naturality square fails at cell {cell.name or '?'}",
+                )
 
     # naturality against every corpus 2-cell (whiskering equality)
-    for e in corpus.iset_2cells:
-        report.merge(validate_iset_cell(e), where="iset-2cell")
-        image = groth_apply(e, memo=memo)
-        report.merge(validate_dfib_cell(image), where="int[2cell]")
-        back = transpose_apply(image, memo=memo)
-        lhs = iset_whisker_post(phi_component(e.dom.cod, memo=memo), back)
-        rhs = iset_whisker_pre(e, phi_component(e.dom.dom, memo=memo))
-        report.count("roundtrip.naturality_squares")
-        if lhs != rhs:
-            report.violation("roundtrip.phi_naturality_2", "2-cell whiskering differs")
-    for e in corpus.dfib_2cells:
-        report.merge(validate_dfib_cell(e), where="dfib-2cell")
-        image = transpose_apply(e, memo=memo)
-        report.merge(validate_iset_cell(image), where="T[2cell]")
-        back = groth_apply(image, memo=memo)
-        lhs = dfib_whisker_post(psi_component(e.dom.cod, memo=memo), back)
-        rhs = dfib_whisker_pre(e, psi_component(e.dom.dom, memo=memo))
-        report.count("roundtrip.naturality_squares")
-        if lhs != rhs:
-            report.violation("roundtrip.psi_naturality_2", "2-cell whiskering differs")
+    for s, t in directions:
+        for e in s.two_cells:
+            report.merge(s.validate(e), where=f"{s.kind}-2cell")
+            image = s.apply(e, memo=memo)
+            report.merge(t.validate(image), where=f"{s.construction}[2cell]")
+            back = t.apply(image, memo=memo)
+            lhs = s.whisker_post(s.iso_component(e.dom.cod, memo=memo), back)
+            rhs = s.whisker_pre(e, s.iso_component(e.dom.dom, memo=memo))
+            report.count("roundtrip.naturality_squares")
+            if lhs != rhs:
+                report.violation(f"roundtrip.{s.iso}_naturality_2", "2-cell whiskering differs")
 
     # strict functoriality: identities and all composable corpus pairs.
     # An identity or composite built here is used once, so its
     # construction calls the per-kind builder and takes no memo entry.
-    for F in corpus.isets:
-        if _groth_cell(identity_iset_cell(F), memo) != identity_dfib_cell(groth_apply(F, memo=memo)):
-            report.violation("roundtrip.functorial_id", f"int(id) != id at {F.name}")
-    for p in corpus.fibrations:
-        if _transpose_cell(identity_dfib_cell(p), memo) != identity_iset_cell(
-            transpose_apply(p, memo=memo)
-        ):
-            report.violation("roundtrip.functorial_id", f"T(id) != id at {p.name}")
-    for c1 in corpus.iset_cells:
-        for c2 in corpus.iset_cells:
-            if c1.cod != c2.dom:
-                continue
-            report.count("roundtrip.functoriality_pairs")
-            if _groth_cell(iset_cell_compose(c2, c1), memo) != dfib_cell_compose(
-                groth_apply(c2, memo=memo), groth_apply(c1, memo=memo)
-            ):
-                report.violation(
-                    "roundtrip.functorial_compose", "int breaks a composite"
-                )
-    for c1 in corpus.dfib_cells:
-        for c2 in corpus.dfib_cells:
-            if c1.cod != c2.dom:
-                continue
-            report.count("roundtrip.functoriality_pairs")
-            if _transpose_cell(dfib_cell_compose(c2, c1), memo) != iset_cell_compose(
-                transpose_apply(c2, memo=memo), transpose_apply(c1, memo=memo)
-            ):
-                report.violation(
-                    "roundtrip.functorial_compose", "T breaks a composite"
-                )
-    for e1 in corpus.iset_2cells:
-        for e2 in corpus.iset_2cells:
-            if e1.cod != e2.dom:
-                continue
-            report.count("roundtrip.functoriality_pairs")
-            if _groth_2cell(iset_2cell_vcompose(e2, e1), memo) != dfib_2cell_vcompose(
-                groth_apply(e2, memo=memo), groth_apply(e1, memo=memo)
-            ):
-                report.violation(
-                    "roundtrip.functorial_compose", "int breaks a vertical composite"
-                )
-    for e1 in corpus.dfib_2cells:
-        for e2 in corpus.dfib_2cells:
-            if e1.cod != e2.dom:
-                continue
-            report.count("roundtrip.functoriality_pairs")
-            if _transpose_2cell(dfib_2cell_vcompose(e2, e1), memo) != iset_2cell_vcompose(
-                transpose_apply(e2, memo=memo), transpose_apply(e1, memo=memo)
-            ):
-                report.violation(
-                    "roundtrip.functorial_compose", "T breaks a vertical composite"
-                )
+    for s, t in directions:
+        for x in s.objects:
+            if s.build_cell(s.identity(x), memo) != t.identity(s.apply(x, memo=memo)):
+                report.violation("roundtrip.functorial_id", f"{s.construction}(id) != id at {x.name}")
+    for s, t in directions:
+        for c1 in s.cells:
+            for c2 in s.cells:
+                if c1.cod != c2.dom:
+                    continue
+                report.count("roundtrip.functoriality_pairs")
+                if s.build_cell(s.compose(c2, c1), memo) != t.compose(
+                    s.apply(c2, memo=memo), s.apply(c1, memo=memo)
+                ):
+                    report.violation("roundtrip.functorial_compose", f"{s.construction} breaks a composite")
+    for s, t in directions:
+        for e1 in s.two_cells:
+            for e2 in s.two_cells:
+                if e1.cod != e2.dom:
+                    continue
+                report.count("roundtrip.functoriality_pairs")
+                if s.build_2cell(s.vcompose(e2, e1), memo) != t.vcompose(
+                    s.apply(e2, memo=memo), s.apply(e1, memo=memo)
+                ):
+                    report.violation(
+                        "roundtrip.functorial_compose", f"{s.construction} breaks a vertical composite"
+                    )
     return report

@@ -40,6 +40,7 @@ from .fib2cat import (
     validate_iset_cell,
 )
 from .groth import (
+    _fiber_objects,
     _memo_step,
     _memoized,
     _pair_offsets,
@@ -518,33 +519,23 @@ def _omon_groth_2cell(e: O2Cell, memo: dict) -> OFib2Cell:
     )
 
 
-def omon_transpose(y) -> "LaxSetFunctor | OCell | O2Cell":
+@_memo_step("otranspose")
+def omon_transpose(y, memo: dict) -> "LaxSetFunctor | OCell | O2Cell":
     """Fiberwise inverse; comparison functions are read off the total
     tensors of fiber elements."""
-    if isinstance(y, OFibObject):
-        return _omon_transpose_object(y)
-    if isinstance(y, OFibCell):
-        return _omon_transpose_cell(y)
-    if isinstance(y, OFib2Cell):
-        return O2Cell(
-            dom=_omon_transpose_cell(y.dom),
-            cod=_omon_transpose_cell(y.cod),
-            eta=y.bottom,
-        )
+    for kind, build in (
+        (OFibObject, _omon_transpose_object), (OFibCell, _omon_transpose_cell), (OFib2Cell, _omon_transpose_2cell)
+    ):
+        if isinstance(y, kind):
+            return build(y, memo)
     raise TypeError(f"cannot transpose {type(y).__name__}")
 
 
-def _omon_transpose_object(y: OFibObject) -> LaxSetFunctor:
-    F = transpose_apply(y.fib)
+def _omon_transpose_object(y: OFibObject, memo: dict) -> LaxSetFunctor:
+    F = transpose_apply(y.fib, memo=memo)
     index = y.base_omon
     operad = index.operad
-    fibers = [[] for _ in range(y.fib.base.n_objects)]
-    for c in range(y.fib.total.n_objects):
-        fibers[y.fib.proj.on_obj[c]].append(c)
-    position = {}
-    for fiber_objs in fibers:
-        for k, c in enumerate(fiber_objs):
-            position[c] = k
+    fibers, position = _fiber_objects(y.fib)
     nu = {}
     for n in range(operad.max_arity + 1):
         for p in operad.elements(n):
@@ -565,15 +556,19 @@ def _omon_transpose_object(y: OFibObject) -> LaxSetFunctor:
     return LaxSetFunctor(dom=index, iset=F, nu=nu, name=f"T[{y.name}]")
 
 
-def _omon_transpose_cell(c: OFibCell) -> OCell:
+def _omon_transpose_cell(c: OFibCell, memo: dict) -> OCell:
     square = transpose_apply(c.dfib_cell())
     return OCell(
-        dom=_omon_transpose_object(c.dom),
-        cod=_omon_transpose_object(c.cod),
+        dom=omon_transpose(c.dom, memo=memo),
+        cod=omon_transpose(c.cod, memo=memo),
         functor=c.bottom,
         xi=dict(c.xi_bottom),
         mu=square.mu,
     )
+
+
+def _omon_transpose_2cell(e: OFib2Cell, memo: dict) -> O2Cell:
+    return O2Cell(dom=omon_transpose(e.dom, memo=memo), cod=omon_transpose(e.cod, memo=memo), eta=e.bottom)
 
 
 # --------------------------------------------------------------------------
@@ -1032,7 +1027,7 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
                 "oroundtrip.underlying",
                 f"underlying fibration of the construction differs at {x.name}",
             )
-        back = omon_transpose(y)
+        back = omon_transpose(y, memo=memo)
         report.merge(_check_set_lax(back), where=f"T[int[{x.name}]]")
         phi = phi_ocell(x, back)
         inv = phi_ocell_inverse(x, back)
@@ -1045,7 +1040,7 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
 
     # backward round trip
     for y in corpus.ofibs:
-        x = omon_transpose(y)
+        x = omon_transpose(y, memo=memo)
         report.merge(_checked_omon(memo, x.dom), where=f"T[{y.name}]:index")
         report.merge(_check_set_lax(x), where=f"T[{y.name}]")
         fwd = omon_groth(x, memo=memo)
@@ -1071,7 +1066,7 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
         report.count("oroundtrip.cells")
     for cell in corpus.ofib_cells:
         report.merge(check_ofib_cell(cell, memo=memo), where=cell.name or "ofibcell")
-        back = omon_transpose(cell)
+        back = omon_transpose(cell, memo=memo)
         report.merge(check_ocell(back, memo=memo), where=f"T[{cell.name or 'ofibcell'}]")
     for e in corpus.o2cells:
         report.merge(check_o2cell(e), where=e.name or "o2cell")

@@ -504,8 +504,10 @@ def test_round_trips_reach_every_step_by_its_public_name(monkeypatch):
     corpus = make_corpus(seed=11, n_isets=9, n_iset_cells=5, n_2cells=3)
     expected = [omon_roundtrip_check(ocorpus), roundtrip_report(corpus)]
     steps = {
-        opgroth.ogroth: ("check_ocell", "check_ofib_cell", "check_ofib_object", "omon_groth"),
-        opgroth.groth: ("groth_apply", "transpose_apply", "phi_component", "psi_component"),
+        opgroth.ogroth: ("check_ocell", "check_ofib_cell", "check_ofib_object", "omon_groth", "omon_transpose"),
+        opgroth.groth: (
+            "groth_apply", "transpose_apply", "phi_component", "phi_inverse", "psi_component", "psi_inverse",
+        ),
     }
     calls = {name: 0 for names in steps.values() for name in names}
 
