@@ -74,14 +74,3 @@ def bgrade() -> FinCat:
     """The graded three-element monoid as a one-object category."""
     return monoid_category("BGRADE", GRADE_ELEMENTS, GRADE_MULT, GRADE_UNIT)
 
-
-class Fix:
-    """Namespace mirror for the fixture builders."""
-
-    WALK = staticmethod(walk)
-    DZ2 = staticmethod(dz2)
-    L2 = staticmethod(l2)
-    GRADE_ELEMENTS = GRADE_ELEMENTS
-    GRADE_UNIT = GRADE_UNIT
-    GRADE_MULT = GRADE_MULT
-    GRADE_DEGREE = GRADE_DEGREE

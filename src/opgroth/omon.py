@@ -37,6 +37,7 @@ from .fib2cat import (
     FinSet,
     IndexedSet,
     fn_compose,
+    fn_product,
     set_product,
     validate_indexed_set,
 )
@@ -935,7 +936,7 @@ def o_fn_product(fns) -> FinFunction:
     fns = tuple(fns)
     if len(fns) == 1:
         return fns[0]
-    return _fn_product_aligned(fns)
+    return fn_product(fns)
 
 
 def set_regroup(f: FinMap, sets) -> FinFunction:
@@ -1126,22 +1127,6 @@ def _check_set_lax(L: LaxSetFunctor) -> CheckReport:
         return report
     cc = _Compiled(dom, rows)
     return _lax_coherence(report, where, cc, _SetTarget(L, cc), maps)
-
-
-def _fn_product_aligned(fns) -> FinFunction:
-    """Product of functions between products built with set_product."""
-    fns = tuple(fns)
-    dom = set_product(f.dom for f in fns)
-    cod = set_product(f.cod for f in fns)
-    dom_sizes = [f.dom.size for f in fns]
-    cod_sizes = [f.cod.size for f in fns]
-    mapping = []
-    for idx in range(dom.size):
-        xs = _mixed_decode(idx, dom_sizes) if fns else ()
-        mapping.append(
-            _mixed_encode(tuple(f.mapping[x] for f, x in zip(fns, xs)), cod_sizes)
-        )
-    return FinFunction(dom, cod, tuple(mapping))
 
 
 def check_lax_omon_functor(L) -> CheckReport:
@@ -1695,7 +1680,7 @@ def dz2_assoc_omon(max_arity: int = 3) -> OMonCategory:
     alg = assoc_algebra_from_monoid(
         fixtures.Z2_ELEMENTS, fixtures.Z2_ADD, "0", max_arity, name="DZ2"
     )
-    return omon_from_set_algebra(build_assoc(max_arity), alg, name="DZ2")
+    return omon_from_set_algebra(alg.operad, alg, name="DZ2")
 
 
 def grade_assoc_omon(max_arity: int = 3) -> OMonCategory:
@@ -1705,7 +1690,7 @@ def grade_assoc_omon(max_arity: int = 3) -> OMonCategory:
     alg = assoc_algebra_from_monoid(
         fixtures.GRADE_ELEMENTS, fixtures.GRADE_MULT, fixtures.GRADE_UNIT, max_arity, name="GRADECAT"
     )
-    return omon_from_set_algebra(build_assoc(max_arity), alg, name="GRADECAT")
+    return omon_from_set_algebra(alg.operad, alg, name="GRADECAT")
 
 
 def l2_comm_omon(max_arity: int = 3) -> OMonCategory:
