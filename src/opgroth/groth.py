@@ -749,10 +749,17 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
                 report.violation(f"roundtrip.{s.iso}_invertible", f"{s.iso}_inv o {s.iso} != id at {x.name}")
             report.count(f"roundtrip.{s.iso}_components")
 
+    # each side's cells and 2-cells that validate: the functoriality pass
+    # runs on these, since the composites of an invalid one may not exist
+    valid = {s.kind: ([], []) for s, _ in directions}
+
     # naturality against every corpus 1-cell
     for s, t in directions:
         for cell in s.cells:
-            report.merge(s.validate(cell), where=cell.name or f"{s.kind}-cell")
+            checked = s.validate(cell)
+            report.merge(checked, where=cell.name or f"{s.kind}-cell")
+            if checked.ok:
+                valid[s.kind][0].append(cell)
             image = s.apply(cell, memo=memo)
             report.merge(t.validate(image), where=f"{s.construction}[cell]")
             back = t.apply(image, memo=memo)
@@ -768,7 +775,10 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
     # naturality against every corpus 2-cell (whiskering equality)
     for s, t in directions:
         for e in s.two_cells:
-            report.merge(s.validate(e), where=f"{s.kind}-2cell")
+            checked = s.validate(e)
+            report.merge(checked, where=f"{s.kind}-2cell")
+            if checked.ok:
+                valid[s.kind][1].append(e)
             image = s.apply(e, memo=memo)
             report.merge(t.validate(image), where=f"{s.construction}[2cell]")
             back = t.apply(image, memo=memo)
@@ -786,8 +796,8 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             if s.build_cell(s.identity(x), memo) != t.identity(s.apply(x, memo=memo)):
                 report.violation("roundtrip.functorial_id", f"{s.construction}(id) != id at {x.name}")
     for s, t in directions:
-        for c1 in s.cells:
-            for c2 in s.cells:
+        for c1 in valid[s.kind][0]:
+            for c2 in valid[s.kind][0]:
                 if c1.cod != c2.dom:
                     continue
                 report.count("roundtrip.functoriality_pairs")
@@ -796,8 +806,8 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
                 ):
                     report.violation("roundtrip.functorial_compose", f"{s.construction} breaks a composite")
     for s, t in directions:
-        for e1 in s.two_cells:
-            for e2 in s.two_cells:
+        for e1 in valid[s.kind][1]:
+            for e2 in valid[s.kind][1]:
                 if e1.cod != e2.dom:
                     continue
                 report.count("roundtrip.functoriality_pairs")
