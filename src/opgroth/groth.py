@@ -175,7 +175,6 @@ def _groth_cell(cell: ISetCell, memo: dict) -> DFibCell:
     F, G = cell.dom, cell.cod
     dom_fib = groth_apply(F, memo=memo)
     cod_fib = groth_apply(G, memo=memo)
-    f_obj_off, _, f_mor_off, _ = _pair_offsets(F)
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
     on_obj = []
     for a in range(F.index.n_objects):
