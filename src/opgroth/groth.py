@@ -750,7 +750,7 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
 
     # each side's cells and 2-cells that validate: the functoriality pass
     # runs on these, since the composites of an invalid one may not exist
-    valid = {s.kind: ([], []) for s, _ in directions}
+    valid = {(s.kind, dim): [] for s, _ in directions for dim in (1, 2)}
 
     # naturality against every corpus 1-cell
     for s, t in directions:
@@ -758,7 +758,7 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             checked = s.validate(cell)
             report.merge(checked, where=cell.name or f"{s.kind}-cell")
             if checked.ok:
-                valid[s.kind][0].append(cell)
+                valid[s.kind, 1].append(cell)
             image = s.apply(cell, memo=memo)
             report.merge(t.validate(image), where=f"{s.construction}[cell]")
             back = t.apply(image, memo=memo)
@@ -777,7 +777,7 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             checked = s.validate(e)
             report.merge(checked, where=f"{s.kind}-2cell")
             if checked.ok:
-                valid[s.kind][1].append(e)
+                valid[s.kind, 2].append(e)
             image = s.apply(e, memo=memo)
             report.merge(t.validate(image), where=f"{s.construction}[2cell]")
             back = t.apply(image, memo=memo)
@@ -795,8 +795,8 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
             if s.build_cell(s.identity(x), memo) != t.identity(s.apply(x, memo=memo)):
                 report.violation("roundtrip.functorial_id", f"{s.construction}(id) != id at {x.name}")
     for s, t in directions:
-        for c1 in valid[s.kind][0]:
-            for c2 in valid[s.kind][0]:
+        for c1 in valid[s.kind, 1]:
+            for c2 in valid[s.kind, 1]:
                 if c1.cod != c2.dom:
                     continue
                 report.count("roundtrip.functoriality_pairs")
@@ -805,8 +805,8 @@ def roundtrip_report(corpus: Corpus) -> CheckReport:
                 ):
                     report.violation("roundtrip.functorial_compose", f"{s.construction} breaks a composite")
     for s, t in directions:
-        for e1 in valid[s.kind][1]:
-            for e2 in valid[s.kind][1]:
+        for e1 in valid[s.kind, 2]:
+            for e2 in valid[s.kind, 2]:
                 if e1.cod != e2.dom:
                     continue
                 report.count("roundtrip.functoriality_pairs")
