@@ -27,6 +27,7 @@ from opgroth.omon import (
     _comm_view,
     check_omon_category,
     dz2_assoc_omon,
+    grade_assoc_omon,
     l2_comm_omon,
     twisted_bz2_unbiased,
     validate_unbiased,
@@ -692,6 +693,28 @@ def test_table_lax_oracle_agrees_on_every_comparison_flip():
         assert (report.ok, _names(report), report.info["classification"]) == (not names, names, classification), what
         verdicts.add(report.ok)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("make", [dz2_assoc_omon, l2_comm_omon, grade_assoc_omon], ids=["DZ2", "L2", "grade"])
+def test_table_lax_oracle_agrees_with_a_mutated_structure_iso_on_either_side(make):
+    # the identity functor between a structure and each of its single-entry
+    # structure-iso mutations, in both directions and to itself: every leg of
+    # every coherence square is a default identity, so only the two sides'
+    # structure isomorphisms decide it
+    c = make(2)
+    functor = identity_functor(c.base)
+    cases = [("clean", LaxOMonFunctor(dom=c, cod=c, functor=functor))]
+    for what, m in omon_mutations(c):
+        if what.startswith("phi "):
+            for side, dom, cod in (("c->m", c, m), ("m->c", m, c), ("m->m", m, m)):
+                cases.append((f"{what} {side}", LaxOMonFunctor(dom=dom, cod=cod, functor=functor)))
+    verdicts = set()
+    for what, L in cases:
+        report = _check_table_lax(L)
+        names, classification = oracle_table_lax(L)
+        assert (report.ok, _names(report), report.info["classification"]) == (not names, names, classification), what
+        verdicts.add(report.ok)
+    assert verdicts == {True, False} and len(cases) > 150
 
 
 def _all_functions(src, tgt):
