@@ -59,24 +59,10 @@ from .fib2cat import (
     validate_indexed_set,
     validate_iset_cell,
 )
-from .report import CheckReport
+from .report import CheckReport, _memoized
 
 # --------------------------------------------------------------------------
-# one memo per call
-#
-# A round trip threads one ``memo`` dict through its constructions and
-# checks, and drops it when it returns.  Each entry holds the objects
-# whose id() its key names, so no object built later in the call can take
-# one of those ids and receive another object's result.
-
-
-def _memoized(memo: dict, key: tuple, keep, build):
-    """``build()``, run once per key while ``memo`` lives; the entry holds
-    ``keep``, the objects whose id() the key names."""
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = (keep, build())
-    return entry[1]
+# one memo per call (see report._memoized)
 
 
 def _memo_step(tag: str):

@@ -42,7 +42,6 @@ from .fib2cat import (
 from .groth import (
     _fiber_objects,
     _memo_step,
-    _memoized,
     _pair_offsets,
     groth_apply,
     phi_component,
@@ -77,7 +76,7 @@ from .omon import (
     xi_key_render,
 )
 from .operads import boolean_semiring, build_qconv, identity_operad_morphism, operads_equal, terminal_morphism
-from .report import CheckReport
+from .report import CheckReport, _memoized
 
 LaxToSet = LaxSetFunctor
 
@@ -125,12 +124,12 @@ def omons_equal(a: OMonCategory, b: OMonCategory) -> bool:
 
 
 # A structured round trip threads one ``memo`` dict through its checks
-# and constructions, and drops it when it returns (see groth._memoized).
+# and constructions, and drops it when it returns (see report._memoized).
 
 
 def _checked_omon(memo: dict, c: OMonCategory) -> CheckReport:
     """check_omon_category(c), run once per structure while ``memo`` lives."""
-    return _memoized(memo, ("omon", id(c)), c, lambda: check_omon_category(c))
+    return _memoized(memo, ("omon", id(c)), c, lambda: check_omon_category(c, memo=memo))
 
 
 def _checked_lax(memo: dict, L: LaxOMonFunctor) -> CheckReport:
@@ -142,7 +141,7 @@ def _checked_lax(memo: dict, L: LaxOMonFunctor) -> CheckReport:
         "lax", id(L.dom), id(L.cod), id(F.dom), id(F.cod),
         tuple(F.on_obj), tuple(F.on_mor), frozenset(L.xi.items()), L.name,
     )
-    return _memoized(memo, key, (L.dom, L.cod, F.dom, F.cod), lambda: _check_table_lax(L))
+    return _memoized(memo, key, (L.dom, L.cod, F.dom, F.cod), lambda: _check_table_lax(L, memo=memo))
 
 
 def _nu_reader(memo: dict, x: LaxSetFunctor):
@@ -476,7 +475,7 @@ def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
     dom_of = omon_groth(c.dom, memo=memo)
     cod_of = omon_groth(c.cod, memo=memo)
     cod_nu = _nu_reader(memo, c.cod)
-    square = groth_apply(c.iset_cell())
+    square = groth_apply(c.iset_cell(), memo=memo)
     G = c.cod.iset
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
     f_obj_off, _, _, _ = _pair_offsets(c.dom.iset)
@@ -510,7 +509,7 @@ def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
 
 
 def _omon_groth_2cell(e: O2Cell, memo: dict) -> OFib2Cell:
-    two = groth_apply(ISet2Cell(e.dom.iset_cell(), e.cod.iset_cell(), e.eta))
+    two = groth_apply(ISet2Cell(e.dom.iset_cell(), e.cod.iset_cell(), e.eta), memo=memo)
     return OFib2Cell(
         dom=omon_groth(e.dom, memo=memo),
         cod=omon_groth(e.cod, memo=memo),
@@ -557,7 +556,7 @@ def _omon_transpose_object(y: OFibObject, memo: dict) -> LaxSetFunctor:
 
 
 def _omon_transpose_cell(c: OFibCell, memo: dict) -> OCell:
-    square = transpose_apply(c.dfib_cell())
+    square = transpose_apply(c.dfib_cell(), memo=memo)
     return OCell(
         dom=omon_transpose(c.dom, memo=memo),
         cod=omon_transpose(c.cod, memo=memo),
@@ -927,10 +926,10 @@ def make_o_corpus(max_arity: int = 3) -> OCorpus:
 # round trips
 
 
-def phi_ocell(x: LaxSetFunctor, back: LaxSetFunctor) -> OCell:
+def phi_ocell(x: LaxSetFunctor, back: LaxSetFunctor, *, memo: dict | None = None) -> OCell:
     """The canonical invertible cell from the transposed construction of
     x back to x: forget the index coordinate of every pair."""
-    base_phi = phi_component(x.iset)
+    base_phi = phi_component(x.iset, memo=memo)
     return OCell(
         dom=back,
         cod=x,
@@ -941,8 +940,8 @@ def phi_ocell(x: LaxSetFunctor, back: LaxSetFunctor) -> OCell:
     )
 
 
-def phi_ocell_inverse(x: LaxSetFunctor, back: LaxSetFunctor) -> OCell:
-    base_inv = phi_inverse(x.iset)
+def phi_ocell_inverse(x: LaxSetFunctor, back: LaxSetFunctor, *, memo: dict | None = None) -> OCell:
+    base_inv = phi_inverse(x.iset, memo=memo)
     return OCell(
         dom=x,
         cod=back,
@@ -953,8 +952,8 @@ def phi_ocell_inverse(x: LaxSetFunctor, back: LaxSetFunctor) -> OCell:
     )
 
 
-def psi_ofib_cell(y: OFibObject, fwd: OFibObject) -> OFibCell:
-    base_psi = psi_component(y.fib)
+def psi_ofib_cell(y: OFibObject, fwd: OFibObject, *, memo: dict | None = None) -> OFibCell:
+    base_psi = psi_component(y.fib, memo=memo)
     return OFibCell(
         dom=fwd,
         cod=y,
@@ -964,8 +963,8 @@ def psi_ofib_cell(y: OFibObject, fwd: OFibObject) -> OFibCell:
     )
 
 
-def psi_ofib_cell_inverse(y: OFibObject, fwd: OFibObject) -> OFibCell:
-    base_inv = psi_inverse(y.fib)
+def psi_ofib_cell_inverse(y: OFibObject, fwd: OFibObject, *, memo: dict | None = None) -> OFibCell:
+    base_inv = psi_inverse(y.fib, memo=memo)
     return OFibCell(
         dom=y,
         cod=fwd,
@@ -1010,7 +1009,7 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
     memo: dict = {}
     for x in corpus.laxtosets:
         report.merge(_checked_omon(memo, x.dom), where=x.dom.name or "index")
-        report.merge(_check_set_lax(x), where=x.name)
+        report.merge(_check_set_lax(x, memo=memo), where=x.name)
     for y in corpus.ofibs:
         report.merge(check_ofib_object(y, memo=memo), where=y.name)
     if not report.ok:
@@ -1028,9 +1027,9 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
                 f"underlying fibration of the construction differs at {x.name}",
             )
         back = omon_transpose(y, memo=memo)
-        report.merge(_check_set_lax(back), where=f"T[int[{x.name}]]")
-        phi = phi_ocell(x, back)
-        inv = phi_ocell_inverse(x, back)
+        report.merge(_check_set_lax(back, memo=memo), where=f"T[int[{x.name}]]")
+        phi = phi_ocell(x, back, memo=memo)
+        inv = phi_ocell_inverse(x, back, memo=memo)
         report.merge(check_ocell(phi, memo=memo), where=phi.name)
         report.merge(check_ocell(inv, memo=memo), where=inv.name)
         if not ocell_equal(ocell_compose(phi, inv), identity_ocell(x)):
@@ -1042,11 +1041,11 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
     for y in corpus.ofibs:
         x = omon_transpose(y, memo=memo)
         report.merge(_checked_omon(memo, x.dom), where=f"T[{y.name}]:index")
-        report.merge(_check_set_lax(x), where=f"T[{y.name}]")
+        report.merge(_check_set_lax(x, memo=memo), where=f"T[{y.name}]")
         fwd = omon_groth(x, memo=memo)
         report.merge(check_ofib_object(fwd, memo=memo), where=f"int[T[{y.name}]]")
-        psi = psi_ofib_cell(y, fwd)
-        inv = psi_ofib_cell_inverse(y, fwd)
+        psi = psi_ofib_cell(y, fwd, memo=memo)
+        inv = psi_ofib_cell_inverse(y, fwd, memo=memo)
         report.merge(check_ofib_cell(psi, memo=memo), where=psi.name)
         report.merge(check_ofib_cell(inv, memo=memo), where=inv.name)
         if not ofib_cell_equal(ofib_cell_compose(psi, inv), identity_ofib_cell(y)):

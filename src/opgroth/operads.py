@@ -335,16 +335,19 @@ class OperadRows:
     mixed radix of the carrier sizes of f.target and of f's fiber slots,
     the order ``itertools.product`` yields them in; each entry is the
     index of ``op(f, p, qs)`` in its carrier, or UNDEFINED.  A row is
-    filled by one :meth:`Operad.compose` per key on first use.  No caller
-    keeps the form past the call that builds it, as an operad's table
-    may be edited between calls.
+    filled by one :meth:`Operad.compose` per key on first use.  An
+    operad's table may be edited between calls, so a standalone check
+    builds its own form and drops it; a round trip keeps one form per
+    operad on its memo, with the operad held, and that form (``shared``)
+    also keeps the outcome of each square it proves.
     """
 
-    def __init__(self, o: Operad):
+    def __init__(self, o: Operad, shared: bool = False):
         self.o = o
         self.sizes = tuple(map(len, o.carriers))
         self.index = [{label: i for i, label in enumerate(c)} for c in o.carriers]
         self._rows, self._digits, self._sub_codes = {}, {}, {}
+        self._held = {} if shared else None
 
     def digits(self, sizes: tuple):
         """``digits[j][x]``: digit j of the code x in the mixed radix ``sizes``."""
@@ -411,6 +414,14 @@ class OperadRows:
         ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
         instances when every one holds, else None, as when one touches
         UNDEFINED; the caller's loop then names each failure."""
+        if self._held is None:
+            return self._square_holds(f, g, fg, g_is)
+        k = (f.target, f.values, g.values)
+        if k not in self._held:
+            self._held[k] = self._square_holds(f, g, fg, g_is)
+        return self._held[k]
+
+    def _square_holds(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
         sizes = self.sizes
         f_sizes = tuple(sizes[len(fib)] for fib in f.fibers)
         g_sizes = tuple(sizes[len(fib)] for fib in g.fibers)

@@ -429,7 +429,7 @@ def test_restriction_report_never_reuses_a_report_for_another_structure(monkeypa
 def test_omon_memo_never_reuses_a_report_for_another_structure(monkeypatch):
     # the round trip's memo sees temporary structures that are dropped in
     # turn; a memo keyed on bare id() would hand a later one an earlier report
-    def check(structure):
+    def check(structure, *, memo=None):
         report = CheckReport()
         report.violation("probe.checked", structure.tag)
         return report
@@ -449,7 +449,7 @@ def test_lax_memo_gives_each_lax_functor_its_own_report(monkeypatch):
     # memo; an equal one built anew, functor included, reuses the report
     calls = []
 
-    def check(L):
+    def check(L, *, memo=None):
         calls.append(L)
         report = CheckReport()
         report.violation("probe.checked", repr((sorted(L.xi.items()), L.functor.on_mor, L.name)))
@@ -474,7 +474,7 @@ def test_construction_memo_never_hands_a_lax_object_another_ones_construction(mo
     # lax objects built and dropped in turn, as the backward round trip
     # does with its transposes: each gets its own construction, and its
     # total structure its own report
-    def check(structure):
+    def check(structure, *, memo=None):
         report = CheckReport()
         report.violation("probe.checked", structure.name)
         return report

@@ -483,3 +483,32 @@ def test_assoc_sweep_records_and_counts_are_pinned():
     assert structures == 16
     assert digest.hexdigest() == ASSOC_SWEEP_PIN
     assert oracle_omon(extend_unbiased_to_assoc(twisted_bz2_unbiased(3))) == set()
+
+
+def _as_tuple(report):
+    return report.records, report.stats, report.info
+
+
+@pytest.mark.parametrize("make", [dz2_assoc_omon, l2_comm_omon, grade_assoc_omon], ids=["DZ2", "L2", "grade"])
+def test_shared_operad_rows_change_no_report(make):
+    # a round trip's memo shares one operad's rows, and the outcome of each
+    # square they prove, between structures over that operad: a clean one
+    # and its shipped mutations, in either order
+    clean = make(3)
+    alone = {id(clean): _as_tuple(check_omon_category(clean))}
+    mutations = [mutated for _, mutated, _ in omon_single_entry_mutations(clean)]
+    for mutated in mutations:
+        alone[id(mutated)] = _as_tuple(check_omon_category(mutated))
+    for mutated in mutations:
+        for order in ((clean, mutated), (mutated, clean)):
+            memo = {}
+            for c in order:
+                assert _as_tuple(check_omon_category(c, memo=memo)) == alone[id(c)]
+
+
+def test_shared_operad_rows_hold_their_operad():
+    c = l2_comm_omon(2)
+    memo = {}
+    check_omon_category(c, memo=memo)
+    (key, (kept, rows)), = memo.items()
+    assert key == ("rows", id(c.operad)) and kept is c.operad and rows.o is c.operad
