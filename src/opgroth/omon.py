@@ -696,12 +696,13 @@ class _LaxTarget:
     label tables, with which :meth:`by_labels` evaluates one coherence
     instance that the rows cannot settle.
 
-    Where ``default_identities`` holds, a default component is an
-    identity, and ``settles(f, p, qs, rho, phi, targets)`` tries a whole
-    key whose legs are all default components at once.
+    ``settles(f, p, qs, rho, phi, targets)`` tries to settle a whole
+    coherence key whose legs are all default components at once.
     """
 
-    default_identities = False
+    def settles(self, f, p, qs, rho, phi, targets) -> bool:
+        """False: into finite sets a default component is no identity."""
+        return False
 
     def by_labels(self, dom: OMonCategory, f: FinMap, p: str, qs, rho: str, objs) -> bool:
         """Whether the coherence square fails at the instance; raises one
@@ -738,7 +739,7 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
     coh_instances = f"{t.prefix}.coherence_instances"
     entries = t.entries
     rows, resolved = {}, set()
-    plain = set()  # the (n, p) whose components are all identity defaults
+    plain = set()  # the (n, p) whose components are all defaults
 
     for n in range(operad.max_arity + 1):
         for p in operad.elements(n):
@@ -761,8 +762,7 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
                         violation(f"{check}_unit", t.render(p, _labels(objects, x, n)) + " must be the identity", where)
             else:
                 resolved.update(row)  # default components pass the unit rule
-                if t.default_identities:
-                    plain.add((n, p))
+                plain.add((n, p))
             rows[n, p] = row
             # naturality in the object tuple
             ends_src, ends_tgt = cc.mor_ends(n)
@@ -837,7 +837,6 @@ class _TableTarget(_LaxTarget):
     prefix, comp = "laxfun", "xi"
     missing, mistyped = " has no entry and unequal endpoints", " has wrong endpoints"
     errors = (PhiMissing, KeyError)
-    default_identities = True
 
     def __init__(self, L: LaxOMonFunctor, cc: _Compiled):
         F, cod = L.functor, L.cod
@@ -857,7 +856,7 @@ class _TableTarget(_LaxTarget):
         self.is_identity = cod.base.is_identity_mor
         self.is_invertible = lambda v: _is_invertible(cod.base, v)
         # whether each identity of the cod is an endomorphism of its object
-        # and a unit for composition; then _neutral is filled per (n, p)
+        # and a unit for composition, which settles relies on
         ident, mor_src, mor_tgt = cod_cc.ident, cod_cc.mor_src, cod_cc.mor_tgt
         self._unital = all(mor_src[i] == a == mor_tgt[i] for a, i in enumerate(ident)) and all(
             comp[v * n_mor + ident[mor_src[v]]] == v == comp[ident[mor_tgt[v]] * n_mor + v] for v in range(n_mor)
@@ -911,7 +910,8 @@ class _TableTarget(_LaxTarget):
 
     def settles(self, f, p, qs, rho, phi, targets):
         """Whether the coherence square holds at every object tuple A of a
-        key whose legs at rho, at p and at each q_i are default identities.
+        key whose legs at rho, at p and at each q_i are default components,
+        which into a structured category are identities.
         Where the cod is :meth:`neutral` at p, the square is then
         ``F(phi_dom(A)) == phi_cod(F A)``, with ``phi_cod(F A)`` running from
         ``F(T_rho A)`` to ``F(T_p B)``.  A default ``phi_cod`` value runs so

@@ -9,7 +9,8 @@ rung that reaches its cap is recorded as ``over_cap``, never dropped.
     python3 tools/scale_ladder.py --out BENCH_10.json --label change
 
 writes the run under ``runs[label]`` of the output file, keeping the runs
-already there under other labels.  ``--rung NAME`` runs one rung in this
+already there under other labels; ``--only NAME`` (repeatable) runs just
+the named rungs.  ``--rung NAME`` runs one rung in this
 process and prints its JSON line, which is what the ladder runs in each
 child.  The ladder is not part of the test suite.
 """
@@ -51,6 +52,14 @@ def _twisted_assoc():
     from opgroth import omon
 
     return omon.extend_unbiased_to_assoc(omon.twisted_bz2_unbiased(3)), omon.check_omon_category
+
+
+def _identity_lax(make: str, arity: int):
+    from opgroth import omon
+    from opgroth.fincore import identity_functor
+
+    c = getattr(omon, make)(arity)
+    return omon.LaxOMonFunctor(dom=c, cod=c, functor=identity_functor(c.base)), omon._check_table_lax
 
 
 def _laxtoset(make: str, arity: int):
@@ -111,6 +120,7 @@ RUNGS = {
         for i in (1, 2)
     },
     "check_omon_category twisted assoc(3)": _twisted_assoc,
+    **{f"check_table_lax identity grade({k})": (lambda k=k: _identity_lax("grade_assoc_omon", k)) for k in (3, 4)},
     **{
         f"check_laxtoset {label}({k})": (lambda b=make, k=k: _laxtoset(b, k))
         for label, make in (("grade", "grade_laxtoset"), ("l2", "l2_laxtoset"))
@@ -142,10 +152,10 @@ def run_rung(name: str) -> dict:
     }
 
 
-def run_ladder() -> dict:
+def run_ladder(names) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = {}
-    for name in RUNGS:
+    for name in names:
         argv = [sys.executable, str(Path(__file__).resolve()), "--rung", name]
         start = time.perf_counter()
         try:
@@ -167,6 +177,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rung", help="run one rung in this process and print its JSON")
     parser.add_argument("--out", type=Path, help="JSON file to add this run to")
     parser.add_argument("--label", default="run", help="name of this run in the output file")
+    parser.add_argument("--only", action="append", choices=RUNGS, metavar="NAME", help="run only this rung")
     args = parser.parse_args(argv)
     if args.rung:
         print(json.dumps(run_rung(args.rung)))
@@ -178,7 +189,7 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
         },
         "cap_s": CAP_S,
-        "rungs": run_ladder(),
+        "rungs": run_ladder(args.only or list(RUNGS)),
     }
     if args.out is None:
         print(json.dumps(run, indent=2))
