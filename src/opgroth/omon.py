@@ -696,11 +696,12 @@ class _LaxTarget:
     label tables, with which :meth:`by_labels` evaluates one coherence
     instance that the rows cannot settle.
 
-    ``settles(f, p, qs, rho, phi, targets)`` tries to settle a whole
-    coherence key whose legs are all default components at once.
+    ``settles(f, p, qs, rho, phi, targets, target)`` tries to settle a
+    whole coherence key whose legs are all default components at once,
+    ``target`` being its ``target_phi`` row.
     """
 
-    def settles(self, f, p, qs, rho, phi, targets) -> bool:
+    def settles(self, f, p, qs, rho, phi, targets, target) -> bool:
         """False: into finite sets a default component is no identity."""
         return False
 
@@ -788,16 +789,17 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
         if not phi:
             continue
         count(coh_instances, len(phi))
+        target = t.target_phi(f, p, qs)
         if (
             (m, rho) in plain
             and (n, p) in plain
             and all((len(fib), q) in plain for fib, q in zip(f.fibers, qs))
-            and t.settles(f, p, qs, rho, phi, targets)
+            and t.settles(f, p, qs, rho, phi, targets, target)
         ):
             continue
         top, bottom = rows[m, rho], rows[n, p]
         blocks = [[rows[len(fib), q][s] for s in sub] for fib, q, sub in zip(f.fibers, qs, cc.restrict(f, n_obj))]
-        rows_at = zip(phi, top, targets, t.tensors(n, p, blocks, len(phi)), t.target_phi(f, p, qs))
+        rows_at = zip(phi, top, targets, t.tensors(n, p, blocks, len(phi)), target)
         for x, (a, u, b, d, c) in enumerate(rows_at):
             v = bottom[b]
             if a != MISSING and u != MISSING and v != MISSING and d != MISSING and c != MISSING:
@@ -908,7 +910,7 @@ class _TableTarget(_LaxTarget):
             )
         return got
 
-    def settles(self, f, p, qs, rho, phi, targets):
+    def settles(self, f, p, qs, rho, phi, targets, target):
         """Whether the coherence square holds at every object tuple A of a
         key whose legs at rho, at p and at each q_i are default components,
         which into a structured category are identities.
@@ -919,8 +921,7 @@ class _TableTarget(_LaxTarget):
         endpoints.  A False leaves the key to the per-instance loop."""
         if MISSING in phi or not self.neutral(f.target, p):
             return False
-        on_mor, target = self.on_mor, self.target_phi(f, p, qs)
-        if [on_mor[a] for a in phi] != target:
+        if [self.on_mor[a] for a in phi] != target:
             return False
         cod = self.cod_cc
         if not cod.explicit.get((f.target, f.values, p, qs)):

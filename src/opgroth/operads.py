@@ -416,10 +416,11 @@ class OperadRows:
         UNDEFINED; the caller's loop then names each failure."""
         if self._held is None:
             return self._square_holds(f, g, fg, g_is)
-        k = (f.target, f.values, g.values)
-        if k not in self._held:
-            self._held[k] = self._square_holds(f, g, fg, g_is)
-        return self._held[k]
+        # by f, then by g's values, which the rows of g already hold
+        held = self._held.setdefault((f.target, f.values), {})
+        if g.values not in held:
+            held[g.values] = self._square_holds(f, g, fg, g_is)
+        return held[g.values]
 
     def _square_holds(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
         sizes = self.sizes

@@ -717,6 +717,26 @@ def test_table_lax_oracle_agrees_with_a_mutated_structure_iso_on_either_side(mak
     assert verdicts == {True, False} and len(cases) > 150
 
 
+@pytest.mark.parametrize("make", [dz2_assoc_omon, l2_comm_omon], ids=["DZ2", "L2"])
+def test_table_lax_oracle_agrees_with_a_mutated_tensor_in_the_cod(make):
+    # the identity functor into each single-entry tensor mutation: a cod
+    # tensor that sends identities to a non-identity leaves no coherence
+    # square to its structure isomorphisms alone
+    c = make(2)
+    functor = identity_functor(c.base)
+    swept = 0
+    for what, m in omon_mutations(c):
+        if what.startswith("tensor "):
+            L = LaxOMonFunctor(dom=c, cod=m, functor=functor)
+            report = _check_table_lax(L)
+            names, classification = oracle_table_lax(L)
+            assert (report.ok, _names(report), report.info.get("classification")) == (
+                not names, names, classification,
+            ), what
+            swept += 1
+    assert swept > 20
+
+
 def _all_functions(src, tgt):
     for mapping in itertools.product(range(tgt.size), repeat=src.size):
         yield FinFunction(src, tgt, mapping)
