@@ -696,18 +696,19 @@ def test_table_lax_oracle_agrees_on_every_comparison_flip():
 
 
 @pytest.mark.parametrize("make", [dz2_assoc_omon, l2_comm_omon, grade_assoc_omon], ids=["DZ2", "L2", "grade"])
-def test_table_lax_oracle_agrees_with_a_mutated_structure_iso_on_either_side(make):
+def test_table_lax_oracle_agrees_with_a_mutated_structure_on_either_side(make):
     # the identity functor between a structure and each of its single-entry
-    # structure-iso mutations, in both directions and to itself: every leg of
-    # every coherence square is a default identity, so only the two sides'
-    # structure isomorphisms decide it
+    # structure-iso mutations, in both directions and to itself, and into
+    # each of its tensor mutations: every leg of a coherence square is a
+    # default identity where the tensors agree, so the two sides' structure
+    # isomorphisms and the cod's tensor of identities decide it
     c = make(2)
     functor = identity_functor(c.base)
     cases = [("clean", LaxOMonFunctor(dom=c, cod=c, functor=functor))]
     for what, m in omon_mutations(c):
-        if what.startswith("phi "):
-            for side, dom, cod in (("c->m", c, m), ("m->c", m, c), ("m->m", m, m)):
-                cases.append((f"{what} {side}", LaxOMonFunctor(dom=dom, cod=cod, functor=functor)))
+        sides = (("c->m", c, m), ("m->c", m, c), ("m->m", m, m)) if what.startswith("phi ") else (("c->m", c, m),)
+        for side, dom, cod in sides:
+            cases.append((f"{what} {side}", LaxOMonFunctor(dom=dom, cod=cod, functor=functor)))
     verdicts = set()
     for what, L in cases:
         report = _check_table_lax(L)
@@ -715,26 +716,6 @@ def test_table_lax_oracle_agrees_with_a_mutated_structure_iso_on_either_side(mak
         assert (report.ok, _names(report), report.info["classification"]) == (not names, names, classification), what
         verdicts.add(report.ok)
     assert verdicts == {True, False} and len(cases) > 150
-
-
-@pytest.mark.parametrize("make", [dz2_assoc_omon, l2_comm_omon], ids=["DZ2", "L2"])
-def test_table_lax_oracle_agrees_with_a_mutated_tensor_in_the_cod(make):
-    # the identity functor into each single-entry tensor mutation: a cod
-    # tensor that sends identities to a non-identity leaves no coherence
-    # square to its structure isomorphisms alone
-    c = make(2)
-    functor = identity_functor(c.base)
-    swept = 0
-    for what, m in omon_mutations(c):
-        if what.startswith("tensor "):
-            L = LaxOMonFunctor(dom=c, cod=m, functor=functor)
-            report = _check_table_lax(L)
-            names, classification = oracle_table_lax(L)
-            assert (report.ok, _names(report), report.info.get("classification")) == (
-                not names, names, classification,
-            ), what
-            swept += 1
-    assert swept > 20
 
 
 def _all_functions(src, tgt):
