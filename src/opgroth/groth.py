@@ -179,15 +179,19 @@ def _groth_cell(cell: ISetCell, memo: dict) -> DFibCell:
 def _groth_2cell(e: ISet2Cell, memo: dict) -> DFib2Cell:
     c1 = groth_apply(e.dom, memo=memo)
     c2 = groth_apply(e.cod, memo=memo)
-    F, G = e.dom.dom, e.dom.cod
-    g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
+    return DFib2Cell(c1, c2, _groth_2cell_top(e.dom, e.eta, c1.top, c2.top), e.eta)
+
+
+def _groth_2cell_top(cell: ISetCell, eta, top1: CatFunctor, top2: CatFunctor) -> NatTransform:
+    """The top of the construction of a 2-cell ``eta`` out of ``cell``,
+    from ``top1`` to ``top2``, the tops of its end cells' constructions."""
+    F, G = cell.dom, cell.cod
+    _, _, g_mor_off, _ = _pair_offsets(G)
     comps = []
     for a in range(F.index.n_objects):
         for xi in range(F.values[a].size):
-            m = e.eta.components[a]
-            comps.append(g_mor_off[m] + e.dom.mu[a].mapping[xi])
-    top = NatTransform(c1.top, c2.top, tuple(comps))
-    return DFib2Cell(c1, c2, top, e.eta)
+            comps.append(g_mor_off[eta.components[a]] + cell.mu[a].mapping[xi])
+    return NatTransform(top1, top2, tuple(comps))
 
 
 @_memo_step("groth")

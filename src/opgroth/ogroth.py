@@ -41,8 +41,11 @@ from .fib2cat import (
 )
 from .groth import (
     _fiber_objects,
+    _groth_2cell_top,
+    _groth_cell,
     _memo_step,
     _pair_offsets,
+    _transpose_cell,
     groth_apply,
     phi_component,
     phi_inverse,
@@ -475,7 +478,7 @@ def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
     dom_of = omon_groth(c.dom, memo=memo)
     cod_of = omon_groth(c.cod, memo=memo)
     cod_nu = _nu_reader(memo, c.cod)
-    square = groth_apply(c.iset_cell(), memo=memo)
+    square = _groth_cell(c.iset_cell(), memo)
     G = c.cod.iset
     g_obj_off, _, g_mor_off, _ = _pair_offsets(G)
     f_obj_off, _, _, _ = _pair_offsets(c.dom.iset)
@@ -509,13 +512,8 @@ def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
 
 
 def _omon_groth_2cell(e: O2Cell, memo: dict) -> OFib2Cell:
-    two = groth_apply(ISet2Cell(e.dom.iset_cell(), e.cod.iset_cell(), e.eta), memo=memo)
-    return OFib2Cell(
-        dom=omon_groth(e.dom, memo=memo),
-        cod=omon_groth(e.cod, memo=memo),
-        top=two.top,
-        bottom=two.bottom,
-    )
+    dom, cod = omon_groth(e.dom, memo=memo), omon_groth(e.cod, memo=memo)
+    return OFib2Cell(dom=dom, cod=cod, top=_groth_2cell_top(e.dom.iset_cell(), e.eta, dom.top, cod.top), bottom=e.eta)
 
 
 @_memo_step("otranspose")
@@ -556,7 +554,7 @@ def _omon_transpose_object(y: OFibObject, memo: dict) -> LaxSetFunctor:
 
 
 def _omon_transpose_cell(c: OFibCell, memo: dict) -> OCell:
-    square = transpose_apply(c.dfib_cell(), memo=memo)
+    square = _transpose_cell(c.dfib_cell(), memo)
     return OCell(
         dom=omon_transpose(c.dom, memo=memo),
         cod=omon_transpose(c.cod, memo=memo),

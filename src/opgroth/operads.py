@@ -339,7 +339,7 @@ class OperadRows:
     operad's table may be edited between calls, so a standalone check
     builds its own form and drops it; a round trip keeps one form per
     operad on its memo, with the operad held, and that form (``shared``)
-    also keeps the outcome of each square it proves.
+    also keeps whether each square it proves holds, one byte a square.
     """
 
     def __init__(self, o: Operad, shared: bool = False):
@@ -416,11 +416,24 @@ class OperadRows:
         UNDEFINED; the caller's loop then names each failure."""
         if self._held is None:
             return self._square_holds(f, g, fg, g_is)
-        # by f, then by g's values, which the rows of g already hold
-        held = self._held.setdefault((f.target, f.values), {})
-        if g.values not in held:
-            held[g.values] = self._square_holds(f, g, fg, g_is)
-        return held[g.values]
+        # one byte per g: ell -> m, at the code of g's values in radix m:
+        # 0 not proved yet, 1 holds, 2 fails; a square that holds has one
+        # instance per (p, qs, rs)
+        m = f.source
+        held = self._held.get((f.target, f.values, g.source))
+        if held is None:
+            held = self._held[f.target, f.values, g.source] = bytearray(m**g.source)
+        at = 0
+        for v in g.values:
+            at = at * m + v - 1
+        if not held[at]:
+            total = self._square_holds(f, g, fg, g_is)
+            held[at] = 2 if total is None else 1
+            return total
+        if held[at] == 2:
+            return None
+        sizes = self.sizes
+        return sizes[f.target] * math.prod(sizes[len(fib)] for fib in (*f.fibers, *g.fibers))
 
     def _square_holds(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
         sizes = self.sizes

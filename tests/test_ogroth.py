@@ -11,7 +11,7 @@ import opgroth.omon
 from opgroth import fixtures
 from opgroth.cli import run_command
 from opgroth.fincore import CatFunctor, NatTransform, functor_from_labels, identity_functor, identity_nat, terminal_map
-from opgroth.fib2cat import FinFunction, fn_compose
+from opgroth.fib2cat import DFib2Cell, DFibCell, FinFunction, ISet2Cell, ISetCell, fn_compose
 from opgroth.groth import groth_apply, make_corpus, roundtrip_report
 from opgroth.omon import (
     LaxOMonFunctor,
@@ -494,6 +494,18 @@ def test_construction_memo_never_hands_a_lax_object_another_ones_construction(mo
             (f"int[x{k}]:base", x.dom.name),
         ]
         del y, fresh
+
+
+def test_structured_cells_keep_no_classical_wrapper_on_the_memo():
+    # the classical cell a structured cell or 2-cell wraps is built for one
+    # call: its square reads the end objects through the memo and takes no
+    # entry of its own
+    corpus = make_o_corpus(2)
+    memo = {}
+    for cell in corpus.ocells + corpus.o2cells:
+        omon_transpose(omon_groth(cell, memo=memo), memo=memo)
+    kept = [entry[0] for entry in memo.values()]
+    assert kept and not any(isinstance(k, (ISetCell, ISet2Cell, DFibCell, DFib2Cell)) for k in kept)
 
 
 def test_round_trips_reach_every_step_by_its_public_name(monkeypatch):

@@ -506,6 +506,27 @@ def test_shared_operad_rows_change_no_report(make):
                 assert _as_tuple(check_omon_category(c, memo=memo)) == alone[id(c)]
 
 
+def test_shared_operad_rows_keep_failing_squares():
+    # over an operad with one composite redirected inside its carrier, the
+    # second check on a round trip's memo reads each failing square, and the
+    # count of each square that holds, off the shared rows
+    c = grade_laxtoset(2).dom
+    o = c.operad
+    swept = 0
+    for f, p, qs in composition_keys(o):
+        others = [q for q in o.carriers[f.source] if q != o.compose(f, p, qs)]
+        if not others:
+            continue
+        broken = with_overrides(o, {(f, p, qs): others[0]})
+        d = OMonCategory(operad=broken, base=c.base, tensors=c.tensors, phi=c.phi, name=c.name)
+        alone = _as_tuple(check_omon_category(d))
+        assert "omon.assoc" in {r.check for r in alone[0]}
+        memo = {}
+        assert [_as_tuple(check_omon_category(d, memo=memo)) for _ in range(2)] == [alone, alone]
+        swept += 1
+    assert swept == 14
+
+
 def test_shared_operad_rows_hold_their_operad():
     c = l2_comm_omon(2)
     memo = {}

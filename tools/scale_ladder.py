@@ -9,10 +9,10 @@ rung that reaches its cap is recorded as ``over_cap``, never dropped.
     python3 tools/scale_ladder.py --out BENCH_10.json --label change
 
 writes the run under ``runs[label]`` of the output file, keeping the runs
-already there under other labels; ``--only NAME`` (repeatable) runs just
-the named rungs.  ``--rung NAME`` runs one rung in this
+already there under other labels.  ``--rung NAME`` runs one rung in this
 process and prints its JSON line, which is what the ladder runs in each
-child.  The ladder is not part of the test suite.
+child.  ``peak_rss_mb`` is the peak resident set of that child, build
+included.  The ladder is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -149,13 +150,14 @@ def run_rung(name: str) -> dict:
         "instances": instances,
         "instances_per_s": round(instances / check_s) if check_s > 0 else None,
         "stats": stats,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 
 
-def run_ladder(names) -> dict:
+def run_ladder() -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = {}
-    for name in names:
+    for name in RUNGS:
         argv = [sys.executable, str(Path(__file__).resolve()), "--rung", name]
         start = time.perf_counter()
         try:
@@ -177,7 +179,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rung", help="run one rung in this process and print its JSON")
     parser.add_argument("--out", type=Path, help="JSON file to add this run to")
     parser.add_argument("--label", default="run", help="name of this run in the output file")
-    parser.add_argument("--only", action="append", choices=RUNGS, metavar="NAME", help="run only this rung")
     args = parser.parse_args(argv)
     if args.rung:
         print(json.dumps(run_rung(args.rung)))
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
         },
         "cap_s": CAP_S,
-        "rungs": run_ladder(args.only or list(RUNGS)),
+        "rungs": run_ladder(),
     }
     if args.out is None:
         print(json.dumps(run, indent=2))
