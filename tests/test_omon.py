@@ -533,3 +533,44 @@ def test_shared_operad_rows_hold_their_operad():
     check_omon_category(c, memo=memo)
     (key, (kept, rows)), = memo.items()
     assert key == ("rows", id(c.operad)) and kept is c.operad and rows.o is c.operad
+
+
+def _set_algebra_pin_cases():
+    # every single-entry override of the DZ2(2) and grade(2) algebras, to
+    # each other carrier element and to one label outside the carrier,
+    # every single-table deletion, and the clean DZ2(3) and grade(3)
+    monoids = (
+        ("DZ2", fixtures.Z2_ELEMENTS, fixtures.Z2_ADD, "0"),
+        ("GRADECAT", fixtures.GRADE_ELEMENTS, fixtures.GRADE_MULT, fixtures.GRADE_UNIT),
+    )
+    for name, elements, mult, unit in monoids:
+        alg = assoc_algebra_from_monoid(elements, mult, unit, 2, name=name)
+        for key, table in alg.ops.items():
+            for xs, value in table.items():
+                for other in (*(x for x in alg.carrier if x != value), "?"):
+                    ops = dict(alg.ops)
+                    ops[key] = {**table, xs: other}
+                    yield SetAlgebra(alg.operad, alg.carrier, ops, name)
+            ops = dict(alg.ops)
+            del ops[key]
+            yield SetAlgebra(alg.operad, alg.carrier, ops, name)
+    for name, elements, mult, unit in monoids:
+        yield assoc_algebra_from_monoid(elements, mult, unit, 3, name=name)
+
+
+# sha256 over the (severity, check, witness, where) records and the sorted
+# stats of every report of the sweep above
+SET_ALGEBRA_PIN = "259eeaa24477996b75de0b7a1f514164ab31234757319fa7b53bce15eceeea60"
+
+
+def test_set_algebra_records_and_counts_are_pinned():
+    digest, cases, failing = hashlib.sha256(), 0, 0
+    for alg in _set_algebra_pin_cases():
+        report = check_set_algebra(alg)
+        cases += 1
+        failing += any(r.check == "algebra.equation" for r in report.records)
+        for r in report.records:
+            digest.update(repr((r.severity, r.check, r.witness, r.where)).encode())
+        digest.update(repr(sorted(report.stats.items())).encode())
+    assert (cases, failing) == (98, 55)
+    assert digest.hexdigest() == SET_ALGEBRA_PIN

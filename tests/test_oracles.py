@@ -1,6 +1,7 @@
 """Slow reference checkers for structured categories and lax functors,
-and a sweep of every single-entry mutation of small structures; and a
-slow reference search for the natural families of the classical corpus.
+and a sweep of every single-entry mutation of small structures; a slow
+reference search for the natural families of the classical corpus; and
+the composition of the permutation operad by its factorization.
 
 Each oracle is a direct transcription of the laws in its own loop nest:
 it reads the label tables of its input and shares no helper with the
@@ -15,7 +16,14 @@ import pathlib
 import pytest
 
 from opgroth.dsl import parse_spec_file
-from opgroth.fincore import FinMap, all_functors, identity_functor
+from opgroth.fincore import (
+    FinMap,
+    all_functors,
+    block_permutation,
+    factorize_monotone_perm,
+    fm_compose,
+    identity_functor,
+)
 from opgroth.groth import _valid_mus
 from opgroth.omon import (
     LaxOMonFunctor,
@@ -34,6 +42,7 @@ from opgroth.omon import (
 )
 from opgroth.fib2cat import FinFunction, FinSet
 from opgroth.ogroth import l2_laxtoset
+from opgroth.operads import build_assoc, composition_keys
 
 # ---------------------------------------------------------------------------
 # plain finite combinatorics, written out here
@@ -812,3 +821,31 @@ def test_valid_mus_matches_the_product_loop_at_every_cap():
                         )
                     cut += cap < 4000 and len(cells) == cap
     assert triples > 600 and cut > 300
+
+
+# ---------------------------------------------------------------------------
+# the permutation operad
+
+
+def oracle_assoc_compose(f, p, qs):
+    """``mu(f; sigma; taus)`` of the permutation operad: the permutation of
+    the monotone-times-permutation factorization of ``sigma . f`` after
+    the block permutation of the taus over f."""
+
+    def perm(label):
+        values = tuple(int(t) for t in label[1:-1].split(",")) if label != "[]" else ()
+        return FinMap(len(values), len(values), values)
+
+    sigma, taus = perm(p), [perm(q) for q in qs]
+    _, sigma_f = factorize_monotone_perm(fm_compose(sigma, f))
+    return fm_compose(sigma_f, block_permutation(f, taus)).label()
+
+
+def test_assoc_composition_matches_its_factorization():
+    keys = 0
+    for k in range(1, 5):
+        o = build_assoc(k)
+        for f, p, qs in composition_keys(o):
+            assert o.compose(f, p, qs) == oracle_assoc_compose(f, p, qs), (f, p, qs)
+            keys += 1
+    assert keys == 3 + 23 + 533 + 26597
