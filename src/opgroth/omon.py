@@ -1531,21 +1531,41 @@ def check_set_algebra(alg: SetAlgebra) -> CheckReport:
     for x in alg.carrier:
         if alg.apply(1, operad.unit, (x,)) != x:
             report.violation("algebra.unit", f"unit action moves {x}", where)
+    # each table as a row of carrier indices over the codes of its
+    # argument tuples; a key is proved by one row compare, and only a key
+    # whose rows differ, or whose composite has no row, is read by labels
+    # to name its failing tuples
+    rows, size = OperadRows(operad), len(alg.carrier)
+    index = {x: k for k, x in enumerate(alg.carrier)}
+    tables = {
+        (n, p): [index[alg.ops[n, p][xs]] for xs in itertools.product(alg.carrier, repeat=n)]
+        for n in range(operad.max_arity + 1)
+        for p in operad.elements(n)
+    }
+    last = None
     for f, p, qs in composition_keys(operad):
+        if f is not last:
+            # the code of the block values at each argument tuple, by qs
+            last, codes, radix = f, {}, (size,) * f.source
+            subs = [rows.sub_codes(radix, fib) for fib in f.fibers]
         rho = operad.compose(f, p, qs)
+        if size**f.source:
+            report.count("algebra.instances", size**f.source)
+        lhs = tables.get((f.source, rho))
+        if lhs is not None:
+            code = codes.get(qs)
+            if code is None:
+                code = [0] * len(lhs)
+                for q, fib, sub in zip(qs, f.fibers, subs):
+                    row = tables[len(fib), q]
+                    code = [c * size + row[x] for c, x in zip(code, sub)]
+                codes[qs] = code
+            row = tables[f.target, p]
+            if lhs == [row[c] for c in code]:
+                continue
         for xs in itertools.product(alg.carrier, repeat=f.source):
-            report.count("algebra.instances")
-            lhs = alg.apply(f.source, rho, xs)
-            blocks = tuple(
-                alg.apply(
-                    len(fiber(f, i)),
-                    qs[i - 1],
-                    tuple(xs[j - 1] for j in fiber(f, i)),
-                )
-                for i in range(1, f.target + 1)
-            )
-            rhs = alg.apply(f.target, p, blocks)
-            if lhs != rhs:
+            blocks = tuple(alg.apply(len(fib), q, tuple(xs[j - 1] for j in fib)) for q, fib in zip(qs, f.fibers))
+            if alg.apply(f.source, rho, xs) != alg.apply(f.target, p, blocks):
                 report.violation(
                     "algebra.equation",
                     f"mu {f.label()} {p} ({','.join(qs)}) at ({','.join(xs)})",

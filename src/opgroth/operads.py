@@ -17,10 +17,7 @@ from .fincore import (
     FinMap,
     _square,
     all_maps,
-    block_permutation,
-    factorize_monotone_perm,
     fiber,
-    fm_compose,
     identity_map,
     terminal_map,
 )
@@ -173,26 +170,26 @@ def build_assoc(max_arity: int) -> Operad:
     monotone-times-permutation factorization against the fiber blocks."""
     if max_arity < 1:
         raise ValueError("max_arity must be at least 1")
-    perms = [
-        {perm_label(p): p for p in map_perms}
-        for map_perms in (
-            tuple(
-                FinMap(n, n, values)
-                for values in itertools.permutations(range(1, n + 1))
-            )
-            for n in range(max_arity + 1)
-        )
-    ]
-    carriers = tuple(tuple(perms[n].keys()) for n in range(max_arity + 1))
+    perms = [tuple(itertools.permutations(range(1, n + 1))) for n in range(max_arity + 1)]
+    labels = [{values: perm_label(FinMap(n, n, values)) for values in perms[n]} for n in range(max_arity + 1)]
+    values_of = [{label: values for values, label in labels[n].items()} for n in range(max_arity + 1)]
+    carriers = tuple(tuple(labels[n].values()) for n in range(max_arity + 1))
 
     def rule(f: FinMap, p: str, qs: tuple[str, ...]) -> str:
-        sigma = perms[f.target][p]
-        taus = tuple(
-            perms[len(fiber(f, i))][q] for i, q in enumerate(qs, start=1)
-        )
-        twist = block_permutation(f, taus)
-        _, sigma_f = factorize_monotone_perm(fm_compose(sigma, f))
-        return perm_label(fm_compose(sigma_f, twist))
+        # sigma . f factors as a monotone map after the permutation that
+        # lays the fibers of f out in the order sigma gives their images,
+        # each in increasing order; the result is that permutation after
+        # the block permutation of the taus: position j, k-th in its fiber
+        # of f, goes to the fiber's offset plus tau(k)
+        sigma, fibers = values_of[f.target][p], f.fibers
+        offsets, at = [0] * f.target, 0
+        for i in sorted(range(f.target), key=sigma.__getitem__):
+            offsets[i], at = at, at + len(fibers[i])
+        values = [0] * f.source
+        for fib, q, offset in zip(fibers, qs, offsets):
+            for j, t in zip(fib, values_of[len(fib)][q]):
+                values[j - 1] = offset + t
+        return labels[f.source][tuple(values)]
 
     return Operad(
         name=f"Assoc({max_arity})",
