@@ -187,6 +187,18 @@ def test_bad_max_arity_variable_is_an_error_line(monkeypatch):
     assert text == "error: OPGROTH_MAX_ARITY is not an integer: 'x'\n"
 
 
+def test_max_arity_flag_truncates_a_builtin_operad_at_five(tmp_path):
+    # a builtin operad that pins no max_arity takes the flag's truncation;
+    # every square of comm(k) is one composable pair g: l -> m, f: m -> n
+    target = tmp_path / "comm.spec"
+    target.write_text("[operad C]\nbuiltin = comm\n", encoding="utf-8")
+    code, out = run(["--report", "json", "--max-arity", "5", "check", str(target)])
+    assert code == 0
+    arities = range(6)
+    pairs = sum(n**m * m**ell for n in arities for m in arities for ell in arities)
+    assert json.loads(out)["stats"]["operad.assoc_instances"] == pairs == 18705846
+
+
 # ------------------------------------------------------------ fuzzing
 
 def test_token_fuzz_never_raises(tmp_path):

@@ -41,9 +41,9 @@ def _operad(label: str, arity: int):
 
 
 def _omon(make: str, arity: int, mutation: int | None = None):
-    from opgroth import omon
+    from opgroth import ogroth, omon
 
-    c = getattr(omon, make)(arity)
+    c = getattr(omon if hasattr(omon, make) else ogroth, make)(arity)
     if mutation is not None:
         c = omon.omon_single_entry_mutations(c)[mutation][1]
     return c, omon.check_omon_category
@@ -106,13 +106,19 @@ def _classical_corpus():
 RUNGS = {
     **{
         f"check_operad_axioms {label}({k})": (lambda label=label, k=k: _operad(label, k))
-        for label in ("assoc", "comm", "qconv(Bool)")
-        for k in (3, 4)
+        # assoc(5) has 3.58e10 instances, hours at the rate of assoc(4)
+        for label, arities in (("assoc", (3, 4)), ("comm", (3, 4, 5)), ("qconv(Bool)", (3, 4, 5)))
+        for k in arities
     },
     **{
         f"check_omon_category {label}({k})": (lambda b=make, k=k: _omon(b, k))
-        for label, make in (("grade", "grade_assoc_omon"), ("dz2", "dz2_assoc_omon"), ("l2", "l2_comm_omon"))
-        for k in (3, 4)
+        for label, make, arities in (
+            ("grade", "grade_assoc_omon", (3, 4)),
+            ("dz2", "dz2_assoc_omon", (3, 4)),
+            ("l2", "l2_comm_omon", (3, 4, 5)),
+            ("qconv_or", "qconv_or_omon", (5,)),
+        )
+        for k in arities
     },
     # the shipped mutations that set one structure isomorphism explicitly
     **{
@@ -124,8 +130,12 @@ RUNGS = {
     **{f"check_table_lax identity grade({k})": (lambda k=k: _identity_lax("grade_assoc_omon", k)) for k in (3, 4)},
     **{
         f"check_laxtoset {label}({k})": (lambda b=make, k=k: _laxtoset(b, k))
-        for label, make in (("grade", "grade_laxtoset"), ("l2", "l2_laxtoset"))
-        for k in (3, 4)
+        for label, make, arities in (
+            ("grade", "grade_laxtoset", (3, 4)),
+            ("l2", "l2_laxtoset", (3, 4, 5)),
+            ("qconv_proj", "qconv_proj_laxtoset", (5,)),
+        )
+        for k in arities
     },
     **{f"omon_roundtrip_check make_o_corpus({k})": (lambda k=k: _roundtrip(k)) for k in (3, 4)},
     # the classical round trip: the build is the parse and generate_cells
