@@ -354,7 +354,7 @@ def run_command(argv, out=None) -> int:
         args.max_arity = default_arity
     try:
         return args.func(args, out)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         out.write(f"error: {exc}\n")
         return 2
 

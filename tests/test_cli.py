@@ -55,6 +55,20 @@ def test_missing_file_exits_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["input_directory", "input_not_utf8", "output_directory"])
+def test_unreadable_input_or_unwritable_output_is_an_error_line(tmp_path, case):
+    not_utf8 = tmp_path / "latin1.cat"
+    not_utf8.write_bytes("category C\nobjects: \xe9\n".encode("latin-1"))
+    argv = {
+        "input_directory": ["check", str(tmp_path)],
+        "input_not_utf8": ["check", str(not_utf8)],
+        "output_directory": ["groth", str(FIXTURES / "grade.laxtoset"), "--iset", "GRADE_iset", "-o", str(tmp_path)],
+    }[case]
+    code, text = run(argv)
+    assert code == 2
+    assert len(text.splitlines()) == 1 and text.startswith("error: ")
+
+
 def test_section_filter():
     code, text = run(["check", str(FIXTURES / "grade.laxtoset"), "--section", "GRADE_iset"])
     assert code == 0
