@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .fincore import FinMap, make_category
+from .fincore import FinMap, _mixed_encode, make_category
 from .fib2cat import (
     DiscreteFibration,
     FinFunction,
@@ -28,7 +28,6 @@ from .omon import (
     OMonTransformation,
     TensorTable,
     o_set_product,
-    _mixed_encode,
 )
 from .ogroth import OFibObject, omons_equal
 from .operads import (
@@ -1092,12 +1091,8 @@ def ser_laxtoset(b: DocBuilder, x, suggested: str = "") -> str:
     for (n, p, i_vec), fn in sorted(x.nu.items()):
         i_labels = ",".join(base.objects[a] for a in i_vec)
         value_sets = [x.iset.values[a].labels for a in i_vec]
-        for combo in itertools.product(*value_sets):
-            sizes = [len(v) for v in value_sets]
-            xs = tuple(vs.index(lab) for vs, lab in zip(value_sets, combo))
-            out = fn.cod.labels[fn.mapping[_mixed_encode(xs, sizes)]]
-            x_labels = ",".join(combo)
-            lines.append(f"nu {p} ({i_labels}) ({x_labels}) = {out}")
+        for code, combo in enumerate(itertools.product(*value_sets)):
+            lines.append(f"nu {p} ({i_labels}) ({','.join(combo)}) = {fn.cod.labels[fn.mapping[code]]}")
     b.add("laxtoset", name, lines)
     return name
 

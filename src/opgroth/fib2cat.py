@@ -9,12 +9,14 @@ witnessed by explicit invertible cells.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .fincore import (
     CatFunctor,
     FinCat,
     NatTransform,
+    _digits,
     discrete_category,
     functor_compose,
     identity_functor,
@@ -95,16 +97,11 @@ def set_product(sets) -> FinSet:
 
 def fn_product(fns) -> FinFunction:
     fns = tuple(fns)
-    dom = set_product(f.dom for f in fns)
-    cod = set_product(f.cod for f in fns)
-    mapping = []
-    for combo in itertools.product(*(range(f.dom.size) for f in fns)):
-        target = tuple(f.mapping[v] for f, v in zip(fns, combo))
-        flat = 0
-        for f, v in zip(fns, target):
-            flat = flat * f.cod.size + v
-        mapping.append(flat)
-    return FinFunction(dom, cod, tuple(mapping))
+    sizes = tuple(f.dom.size for f in fns)
+    mapping = [0] * math.prod(sizes)
+    for f, digit in zip(fns, _digits(sizes)):
+        mapping = [c * f.cod.size + f.mapping[x] for c, x in zip(mapping, digit)]
+    return FinFunction(set_product(f.dom for f in fns), set_product(f.cod for f in fns), tuple(mapping))
 
 
 # --------------------------------------------------------------------------

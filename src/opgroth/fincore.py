@@ -271,6 +271,50 @@ def flatten_by_fibers(f: FinMap, grouped: tuple) -> tuple:
 
 
 # --------------------------------------------------------------------------
+# tuple codes
+#
+# A tuple whose j-th entry lies below sizes[j] is numbered by its
+# mixed-radix code, its place in the order ``itertools.product`` yields
+# it in (the last entry fastest).  Every table row of the package is
+# indexed by such codes.  ``_digits`` and ``_sub_codes`` are pure; a form
+# that reads the same rows many times wraps them in ``functools.cache``
+# for its own lifetime, so no row outlives the check that reads it.
+
+
+def _mixed_decode(idx: int, sizes) -> tuple[int, ...]:
+    out = []
+    for s in reversed(sizes):
+        out.append(idx % s)
+        idx //= s
+    return tuple(reversed(out))
+
+
+def _mixed_encode(tup, sizes) -> int:
+    idx = 0
+    for v, s in zip(tup, sizes):
+        idx = idx * s + v
+    return idx
+
+
+def _sub_codes(sizes: tuple, positions: tuple) -> tuple:
+    """Row over the codes x in the radix ``sizes`` of the code of the
+    entries of x at ``positions`` (from 1, increasing)."""
+    row = [0]
+    for j, size in enumerate(sizes, start=1):
+        entries = range(size)
+        if j in positions:
+            row = [a * size + d for a in row for d in entries]
+        else:
+            row = [a for a in row for _ in entries]
+    return tuple(row)
+
+
+def _digits(sizes: tuple) -> tuple:
+    """``_digits(sizes)[j][x]``: entry j of the tuple with code x."""
+    return tuple(_sub_codes(sizes, (j,)) for j in range(1, len(sizes) + 1))
+
+
+# --------------------------------------------------------------------------
 # finite categories
 
 

@@ -17,6 +17,8 @@ from .fincore import (
     CatFunctor,
     FinMap,
     NatTransform,
+    _mixed_decode,
+    _mixed_encode,
     all_functors,
     all_nat_transforms,
     identity_functor,
@@ -66,8 +68,6 @@ from .omon import (
     _montrans_square,
     _strict_preservation,
     _normalize_xi,
-    _mixed_decode,
-    _mixed_encode,
     o_fn_product,
     o_set_product,
     check_omon_category,
@@ -540,16 +540,12 @@ def _omon_transpose_object(y: OFibObject, memo: dict) -> LaxSetFunctor:
                 continue
             for i_vec in itertools.product(range(y.fib.base.n_objects), repeat=n):
                 src = o_set_product(F.values[a] for a in i_vec)
-                tgt_obj = index.tensor_obj(n, p, i_vec)
-                tgt = F.values[tgt_obj]
-                sizes = [F.values[a].size for a in i_vec]
-                mapping = []
-                for idx in range(src.size):
-                    xs = _mixed_decode(idx, sizes) if sizes else ()
-                    total_objs = tuple(fibers[a][xi] for a, xi in zip(i_vec, xs))
-                    out = y.total_omon.tensor_obj(n, p, total_objs)
-                    mapping.append(position[out])
-                nu[(n, p, i_vec)] = FinFunction(src, tgt, tuple(mapping))
+                tgt = F.values[index.tensor_obj(n, p, i_vec)]
+                mapping = tuple(
+                    position[y.total_omon.tensor_obj(n, p, objs)]
+                    for objs in itertools.product(*(fibers[a] for a in i_vec))
+                )
+                nu[(n, p, i_vec)] = FinFunction(src, tgt, mapping)
     return LaxSetFunctor(dom=index, iset=F, nu=nu, name=f"T[{y.name}]")
 
 

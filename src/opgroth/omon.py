@@ -13,12 +13,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .fincore import (
     CatFunctor,
     FinCat,
     FinMap,
     NatTransform,
+    _digits,
+    _mixed_decode,
+    _mixed_encode,
+    _sub_codes,
     all_maps,
     discrete_category,
     factorize_monotone_perm,
@@ -126,7 +131,6 @@ def build_omon(
     base: FinCat,
     tensor_obj_rule,
     tensor_mor_rule,
-    phi: dict | None = None,
     name: str = "",
 ) -> OMonCategory:
     """Materialize tensor tables from rules (operation label, tuple) -> value."""
@@ -142,9 +146,7 @@ def build_omon(
                 for combo in itertools.product(range(base.n_morphisms), repeat=n)
             }
             tensors[(n, p)] = TensorTable(obj=obj, mor=mor)
-    return OMonCategory(
-        operad=operad, base=base, tensors=tensors, phi=dict(phi or {}), name=name
-    )
+    return OMonCategory(operad=operad, base=base, tensors=tensors, phi={}, name=name)
 
 
 # --------------------------------------------------------------------------
@@ -165,17 +167,16 @@ class _Compiled:
     ``(f, p, qs)`` its operation ``rho``, the row of codes of its target
     tuples (the block tensors) and the row of its resolved structure
     isomorphism: the explicit entry, else the identity where the two
-    endpoints agree, else MISSING.  ``rows`` is the compiled form of the
-    operad, whose mixed-radix helpers the rows here share.
+    endpoints agree, else MISSING.
 
     Rows are built on first use.  No caller keeps the form past the call
     that builds it, because the label tables it reads are edited in place
     by :func:`omon_copy` and the mutation helpers.  Tensor tables must be
     total, and so must the operad's composition (see
-    :func:`_composition_totality`, whose rows the form may take over).
+    :func:`_composition_totality`).
     """
 
-    def __init__(self, c: OMonCategory, rows: OperadRows | None = None):
+    def __init__(self, c: OMonCategory):
         operad, base = c.operad, c.base
         self.c = c
         self.n_obj = n_obj = base.n_objects
@@ -198,20 +199,20 @@ class _Compiled:
             at = self.explicit.setdefault((f.target, f.values, p, qs), {})
             if len(objs) == f.source and all(a in range(n_obj) for a in objs):
                 at[_mixed_encode(objs, (n_obj,) * len(objs))] = value
-        self.rows = OperadRows(operad) if rows is None else rows
         self._blocks, self._ends, self._keys, self._by_map = {}, {}, {}, {}
+        self._digits, self._sub_codes = cache(_digits), cache(_sub_codes)
 
     def restrict(self, f: FinMap, r: int):
         """One row per fiber of f over base-r codes of f.source-tuples:
         the code of the tuple restricted to the fiber."""
-        return [self.rows.sub_codes((r,) * f.source, fib) for fib in f.fibers]
+        return [self._sub_codes((r,) * f.source, fib) for fib in f.fibers]
 
     def image(self, n: int, on, r: int, mor: bool = False):
         """Row over n-tuples of objects (morphisms when ``mor``) of the
         code, in base r, of the tuple's image under the table ``on``."""
         size = self.n_mor if mor else self.n_obj
         row = [0] * size**n
-        for digit in self.rows.digits((size,) * n):
+        for digit in self._digits((size,) * n):
             row = [a * r + on[d] for a, d in zip(row, digit)]
         return tuple(row)
 
@@ -337,12 +338,9 @@ def _composition_totality(report: CheckReport, operad: Operad, maps: dict, prefi
     """Record as structural each composite of the operad, over the maps
     ``maps[m, n]``, that is undefined or lies outside its carrier (an
     UNDEFINED entry of its rows); :class:`_Compiled` reads them all.
-    Gives the filled rows, or None when a record was made.  With a round
-    trip's ``memo`` the rows are the operad's shared form."""
-    if memo is None:
-        rows = OperadRows(operad)
-    else:
-        rows = _memoized(memo, ("rows", id(operad)), operad, lambda: OperadRows(operad, shared=True))
+    Gives the filled rows, or None when a record was made.  A round
+    trip's ``memo`` keeps one form per operad."""
+    rows = _memoized({} if memo is None else memo, ("rows", id(operad)), operad, lambda: OperadRows(operad))
     total = True
     n_arities = operad.max_arity + 1
     for n in range(n_arities):
@@ -461,7 +459,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     rows = _composition_totality(report, operad, maps, prefix, where, memo)
     if rows is None:
         return report
-    cc = _Compiled(c, rows)
+    cc = _Compiled(c)
     comp, tensor_obj, tensor_mor, explicit = cc.comp, cc.obj, cc.mor, cc.explicit
     iso_instances, naturality_instances = f"{prefix}.{iso}_instances", f"{prefix}.{iso}_naturality_instances"
     for f, p, qs in _keys(operad, lambda a, b: maps[a, b]):
@@ -843,7 +841,7 @@ class _TableTarget(_LaxTarget):
     def __init__(self, L: LaxOMonFunctor, cc: _Compiled):
         F, cod = L.functor, L.cod
         self.cc, self.L = cc, L
-        self.cod_cc = cod_cc = cc if cod is L.dom else _Compiled(cod, cc.rows)
+        self.cod_cc = cod_cc = cc if cod is L.dom else _Compiled(cod)
         n_mor = cod_cc.n_mor
         arities = range(L.dom.operad.max_arity + 1)
         self.obj_images = [cc.image(n, F.on_obj, cod_cc.n_obj) for n in arities]
@@ -948,10 +946,9 @@ def _check_table_lax(L: LaxOMonFunctor, *, memo: dict | None = None) -> CheckRep
     if not report.ok:
         return report
     maps = _family_maps(dom.operad)
-    rows = _composition_totality(report, dom.operad, maps, "laxfun", f"{where}:dom", memo)
-    if rows is None:
+    if _composition_totality(report, dom.operad, maps, "laxfun", f"{where}:dom", memo) is None:
         return report
-    cc = _Compiled(dom, rows)
+    cc = _Compiled(dom)
     return _lax_coherence(report, where, cc, _TableTarget(L, cc), maps)
 
 
@@ -969,21 +966,6 @@ class StructuralSet:
 
 
 STRUCTURAL_SET = StructuralSet()
-
-
-def _mixed_decode(idx: int, sizes) -> tuple[int, ...]:
-    out = []
-    for s in reversed(sizes):
-        out.append(idx % s)
-        idx //= s
-    return tuple(reversed(out))
-
-
-def _mixed_encode(tup, sizes) -> int:
-    idx = 0
-    for v, s in zip(tup, sizes):
-        idx = idx * s + v
-    return idx
 
 
 def o_set_product(sets) -> FinSet:
@@ -1005,27 +987,13 @@ def o_fn_product(fns) -> FinFunction:
 def set_regroup(f: FinMap, sets) -> FinFunction:
     """Canonical bijection from a flat product to its fiber regrouping."""
     sets = tuple(sets)
-    flat = o_set_product(sets)
-    blocks = [
-        o_set_product(tuple(sets[j - 1] for j in fiber(f, i)))
-        for i in range(1, f.target + 1)
-    ]
-    cod = o_set_product(blocks)
-    sizes = [s.size for s in sets]
-    block_sizes = [b.size for b in blocks]
-    mapping = []
-    for idx in range(flat.size):
-        xs = _mixed_decode(idx, sizes) if sizes else ()
-        grouped = []
-        for i in range(1, f.target + 1):
-            fib = fiber(f, i)
-            grouped.append(
-                _mixed_encode(
-                    tuple(xs[j - 1] for j in fib), [sizes[j - 1] for j in fib]
-                )
-            )
-        mapping.append(_mixed_encode(tuple(grouped), block_sizes))
-    return FinFunction(flat, cod, tuple(mapping))
+    sizes = tuple(s.size for s in sets)
+    mapping, blocks = [0] * math.prod(sizes), []
+    for i in range(1, f.target + 1):
+        fib = fiber(f, i)
+        blocks.append(o_set_product(sets[j - 1] for j in fib))
+        mapping = [c * blocks[-1].size + x for c, x in zip(mapping, _sub_codes(sizes, fib))]
+    return FinFunction(o_set_product(sets), o_set_product(blocks), tuple(mapping))
 
 
 @dataclass
@@ -1185,10 +1153,9 @@ def _check_set_lax(L: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport
     if not report.ok:
         return report
     maps = _family_maps(dom.operad)
-    rows = _composition_totality(report, dom.operad, maps, "laxtoset", f"{where}:dom", memo)
-    if rows is None:
+    if _composition_totality(report, dom.operad, maps, "laxtoset", f"{where}:dom", memo) is None:
         return report
-    cc = _Compiled(dom, rows)
+    cc = _Compiled(dom)
     return _lax_coherence(report, where, cc, _SetTarget(L, cc), maps)
 
 
@@ -1535,7 +1502,7 @@ def check_set_algebra(alg: SetAlgebra) -> CheckReport:
     # argument tuples; a key is proved by one row compare, and only a key
     # whose rows differ, or whose composite has no row, is read by labels
     # to name its failing tuples
-    rows, size = OperadRows(operad), len(alg.carrier)
+    size = len(alg.carrier)
     index = {x: k for k, x in enumerate(alg.carrier)}
     tables = {
         (n, p): [index[alg.ops[n, p][xs]] for xs in itertools.product(alg.carrier, repeat=n)]
@@ -1547,7 +1514,7 @@ def check_set_algebra(alg: SetAlgebra) -> CheckReport:
         if f is not last:
             # the code of the block values at each argument tuple, by qs
             last, codes, radix = f, {}, (size,) * f.source
-            subs = [rows.sub_codes(radix, fib) for fib in f.fibers]
+            subs = [_sub_codes(radix, fib) for fib in f.fibers]
         rho = operad.compose(f, p, qs)
         if size**f.source:
             report.count("algebra.instances", size**f.source)

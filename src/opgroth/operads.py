@@ -11,11 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 from .fincore import (
     FinMap,
+    _digits,
     _square,
+    _sub_codes,
     all_maps,
     fiber,
     identity_map,
@@ -288,22 +291,17 @@ def build_qconv(r: Semiring, max_arity: int) -> Operad:
     empty domain."""
     if max_arity < 1:
         raise ValueError("max_arity must be at least 1")
-    carriers = []
-    for n in range(max_arity + 1):
-        level = tuple(
-            qconv_label(coords)
-            for coords in itertools.product(r.elements, repeat=n)
-            if r.sum(coords) == r.one
-        )
-        carriers.append(level)
+    coords_of = [
+        {qconv_label(coords): coords for coords in itertools.product(r.elements, repeat=n) if r.sum(coords) == r.one}
+        for n in range(max_arity + 1)
+    ]
+    carriers = [tuple(level) for level in coords_of]
 
     def rule(f: FinMap, p: str, qs: tuple[str, ...]) -> str:
-        alpha = qconv_coords(p)
-        betas = [qconv_coords(q) for q in qs]
         out = [r.zero] * f.source
-        for i in range(1, f.target + 1):
-            for k, j in enumerate(fiber(f, i)):
-                out[j - 1] = r.mul[(alpha[i - 1], betas[i - 1][k])]
+        for a, q, fib in zip(coords_of[f.target][p], qs, f.fibers):
+            for j, b in zip(fib, coords_of[len(fib)][q]):
+                out[j - 1] = r.mul[(a, b)]
         return qconv_label(out)
 
     return Operad(
@@ -332,44 +330,19 @@ class OperadRows:
     mixed radix of the carrier sizes of f.target and of f's fiber slots,
     the order ``itertools.product`` yields them in; each entry is the
     index of ``op(f, p, qs)`` in its carrier, or UNDEFINED.  A row is
-    filled by one :meth:`Operad.compose` per key on first use.  An
-    operad's table may be edited between calls, so a standalone check
-    builds its own form and drops it; a round trip keeps one form per
-    operad on its memo, with the operad held, and that form (``shared``)
+    filled by one :meth:`Operad.compose` per key on first use.  The form
     also keeps whether each square it proves holds, one byte a square.
+    An operad's table may be edited between calls, so a standalone check
+    builds its own form and drops it; a round trip keeps one form per
+    operad on its memo, with the operad held.
     """
 
-    def __init__(self, o: Operad, shared: bool = False):
+    def __init__(self, o: Operad):
         self.o = o
         self.sizes = tuple(map(len, o.carriers))
         self.index = [{label: i for i, label in enumerate(c)} for c in o.carriers]
-        self._rows, self._digits, self._sub_codes = {}, {}, {}
-        self._held = {} if shared else None
-
-    def digits(self, sizes: tuple):
-        """``digits[j][x]``: digit j of the code x in the mixed radix ``sizes``."""
-        got = self._digits.get(sizes)
-        if got is None:
-            total = math.prod(sizes)
-            got, step = [], total
-            for size in sizes:
-                step //= size or 1
-                got.append(tuple((x // step) % size for x in range(total)))
-            self._digits[sizes] = got
-        return got
-
-    def sub_codes(self, sizes: tuple, positions):
-        """Row over the codes x in the radix ``sizes`` of the code of x's
-        digits at ``positions`` (from 1, increasing)."""
-        k = (sizes, positions)
-        got = self._sub_codes.get(k)
-        if got is None:
-            digits = self.digits(sizes)
-            row = [0] * math.prod(sizes)
-            for j in positions:
-                row = [a * sizes[j - 1] + d for a, d in zip(row, digits[j - 1])]
-            got = self._sub_codes[k] = tuple(row)
-        return got
+        self._rows, self._held = {}, {}
+        self._digits, self._sub_codes = cache(_digits), cache(_sub_codes)
 
     def row(self, f: FinMap):
         """The row of f; see the class doc."""
@@ -411,8 +384,6 @@ class OperadRows:
         ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
         instances when every one holds, else None, as when one touches
         UNDEFINED; the caller's loop then names each failure."""
-        if self._held is None:
-            return self._square_holds(f, g, fg, g_is)
         # one byte per g: ell -> m, at the code of g's values in radix m:
         # 0 not proved yet, 1 holds, 2 fails; a square that holds has one
         # instance per (p, qs, rs)
@@ -446,8 +417,8 @@ class OperadRows:
             return None
         # the code of s over (qs, rs), rs fastest
         code = [0] * (math.prod(f_sizes) * n_r)
-        for fib, g_i, digits in zip(f.fibers, g_is, self.digits(f_sizes)):
-            row, sub = self.row(g_i), self.sub_codes(g_sizes, fib)
+        for fib, g_i, digits in zip(f.fibers, g_is, self._digits(f_sizes)):
+            row, sub = self.row(g_i), self._sub_codes(g_sizes, fib)
             n_sub = math.prod(g_sizes[j - 1] for j in fib)
             s_i = [row[d * n_sub + x] for d in digits for x in sub]
             if UNDEFINED in s_i:
@@ -481,8 +452,8 @@ class OperadRows:
         x_f = [a for a in range(len(row_f)) for _ in range(n_r)]
         x_g = [mid * n_r + r for mid in row_f for r in range(n_r)]
         x_gis, code = [], [0] * (math.prod(f_sizes) * n_r)
-        for fib, g_i, digits in zip(f.fibers, g_is, self.digits(f_sizes)):
-            row, sub = self.row(g_i), self.sub_codes(g_sizes, fib)
+        for fib, g_i, digits in zip(f.fibers, g_is, self._digits(f_sizes)):
+            row, sub = self.row(g_i), self._sub_codes(g_sizes, fib)
             n_sub = math.prod(g_sizes[j - 1] for j in fib)
             keys = [d * n_sub + x for d in digits for x in sub]
             x_gis.append(keys * n_p)

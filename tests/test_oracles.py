@@ -1,7 +1,10 @@
 """Slow reference checkers for structured categories and lax functors,
 and a sweep of every single-entry mutation of small structures; a slow
-reference search for the natural families of the classical corpus; and
-the composition of the permutation operad by its factorization.
+reference search for the natural families of the classical corpus; the
+regroupings and products of finite sets and the order of tuple codes
+against ``itertools.product``; and the composition of the permutation
+operad by its factorization and of the quasi-convexity operad by its
+coordinates.
 
 Each oracle is a direct transcription of the laws in its own loop nest:
 it reads the label tables of its input and shares no helper with the
@@ -18,6 +21,8 @@ import pytest
 from opgroth.dsl import parse_spec_file
 from opgroth.fincore import (
     FinMap,
+    _digits,
+    _sub_codes,
     all_functors,
     block_permutation,
     factorize_monotone_perm,
@@ -37,12 +42,14 @@ from opgroth.omon import (
     dz2_assoc_omon,
     grade_assoc_omon,
     l2_comm_omon,
+    o_fn_product,
+    set_regroup,
     twisted_bz2_unbiased,
     validate_unbiased,
 )
 from opgroth.fib2cat import FinFunction, FinSet
 from opgroth.ogroth import l2_laxtoset
-from opgroth.operads import build_assoc, composition_keys
+from opgroth.operads import boolean_semiring, build_assoc, build_qconv, composition_keys
 
 # ---------------------------------------------------------------------------
 # plain finite combinatorics, written out here
@@ -763,6 +770,47 @@ def test_set_lax_oracle_agrees_on_every_comparison_function():
     assert swept >= 10
 
 
+def _sets(sizes):
+    return [FinSet(tuple(f"x{k}" for k in range(size))) for size in sizes]
+
+
+def test_regroupings_and_products_match_their_references():
+    # every map f: m -> n with n <= 4, over sets of size 0-3 for m <= 3 and
+    # of size 0-2 for m = 4; products of one function per set, each into a
+    # set one larger, over the same tuples of sets
+    regroupings = products = 0
+    for m in range(5):
+        tuples = list(itertools.product(range(4 if m < 4 else 3), repeat=m))
+        for n in range(5):
+            for values in _maps(m, n):
+                f = FinMap(m, n, values)
+                for sizes in tuples:
+                    sets = _sets(sizes)
+                    got = _as_fn(set_regroup(f, sets))
+                    assert got == _regroup(values, n, [s.labels for s in sets]), (values, sizes)
+                    regroupings += 1
+        for sizes in tuples:
+            fns = [
+                FinFunction(s, t, tuple(s.size - x for x in range(s.size)))
+                for s, t in zip(_sets(sizes), _sets(size + 1 for size in sizes))
+            ]
+            assert _as_fn(o_fn_product(fns)) == _fn_product([_as_fn(fn) for fn in fns]), sizes
+            products += 1
+    assert (regroupings, products) == (35599, 166)
+
+
+@pytest.mark.parametrize("sizes", [(), (3,), (2, 0, 3), (1, 3, 2, 2)], ids=["empty", "3", "2x0x3", "1x3x2x2"])
+def test_tuple_codes_follow_product_order(sizes):
+    tuples = list(itertools.product(*map(range, sizes)))
+    digits = _digits(sizes)
+    assert len(digits) == len(sizes) and all(len(d) == len(tuples) for d in digits)
+    assert [tuple(d[x] for d in digits) for x in range(len(tuples))] == tuples
+    for r in range(len(sizes) + 1):
+        for positions in itertools.combinations(range(1, len(sizes) + 1), r):
+            sub = list(itertools.product(*(range(sizes[j - 1]) for j in positions)))
+            assert list(_sub_codes(sizes, positions)) == [sub.index(tuple(t[j - 1] for j in positions)) for t in tuples]
+
+
 # ---------------------------------------------------------------------------
 # natural families of indexed sets
 
@@ -824,7 +872,7 @@ def test_valid_mus_matches_the_product_loop_at_every_cap():
 
 
 # ---------------------------------------------------------------------------
-# the permutation operad
+# the permutation operad and the quasi-convexity operad
 
 
 def oracle_assoc_compose(f, p, qs):
@@ -841,11 +889,35 @@ def oracle_assoc_compose(f, p, qs):
     return fm_compose(sigma_f, block_permutation(f, taus)).label()
 
 
-def test_assoc_composition_matches_its_factorization():
+def oracle_qconv_compose(f, p, qs):
+    """``mu(f; alpha; betas)`` of the quasi-convexity operad over the
+    Boolean semiring: coordinate j of the result is ``alpha_f(j)`` times
+    the coordinate of ``beta_f(j)`` at j's place in its fiber."""
+
+    def coords(label):
+        return label[1:-1].split(",") if label != "()" else []
+
+    alpha, betas = coords(p), [coords(q) for q in qs]
+    out = ["0"] * f.source
+    for i, fib in enumerate(_fibers(f.values, f.target)):
+        for k, j in enumerate(fib):
+            out[j - 1] = "1" if alpha[i] == betas[i][k] == "1" else "0"
+    return "(" + ",".join(out) + ")"
+
+
+@pytest.mark.parametrize(
+    "build, oracle, arities, n_keys",
+    [
+        (build_assoc, oracle_assoc_compose, range(1, 5), 3 + 23 + 533 + 26597),
+        (lambda k: build_qconv(boolean_semiring(), k), oracle_qconv_compose, range(1, 6), 28143),
+    ],
+    ids=["assoc", "qconv"],
+)
+def test_operad_composition_matches_its_reference(build, oracle, arities, n_keys):
     keys = 0
-    for k in range(1, 5):
-        o = build_assoc(k)
+    for k in arities:
+        o = build(k)
         for f, p, qs in composition_keys(o):
-            assert o.compose(f, p, qs) == oracle_assoc_compose(f, p, qs), (f, p, qs)
+            assert o.compose(f, p, qs) == oracle(f, p, qs), (f, p, qs)
             keys += 1
-    assert keys == 3 + 23 + 533 + 26597
+    assert keys == n_keys
