@@ -68,6 +68,7 @@ from .omon import (
     _montrans_square,
     _strict_preservation,
     _normalize_xi,
+    _pullback_indexed,
     o_fn_product,
     o_set_product,
     check_omon_category,
@@ -76,6 +77,7 @@ from .omon import (
     nu_key_render,
     omon_from_set_algebra,
     product_omon,
+    restrict_along_operad_morphism,
     xi_key_render,
 )
 from .operads import boolean_semiring, build_qconv, identity_operad_morphism, operads_equal, terminal_morphism
@@ -1109,8 +1111,6 @@ def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
 def restriction_report(corpus: OCorpus) -> CheckReport:
     """Every applicable (corpus cell, corpus operad morphism) pair:
     the restricted cell must re-validate."""
-    from .omon import _pullback_indexed, restrict_along_operad_morphism
-
     report = CheckReport()
     for h in corpus.operad_morphisms:
         for x in corpus.laxtosets:

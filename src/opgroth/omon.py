@@ -51,7 +51,6 @@ from .operads import (
     Operad,
     OperadRows,
     _keys,
-    _squares,
     build_assoc,
     build_comm,
     composition_keys,
@@ -334,13 +333,14 @@ def _family_maps(operad: Operad, family=all_maps) -> dict:
     return {(a, b): tuple(family(a, b)) for a in range(n_arities) for b in range(n_arities)}
 
 
-def _composition_totality(report: CheckReport, operad: Operad, maps: dict, prefix: str, where: str, memo=None):
+def _composition_totality(report: CheckReport, operad: Operad, maps: dict, prefix: str, where: str, memo=None, family=all_maps):
     """Record as structural each composite of the operad, over the maps
-    ``maps[m, n]``, that is undefined or lies outside its carrier (an
-    UNDEFINED entry of its rows); :class:`_Compiled` reads them all.
-    Gives the filled rows, or None when a record was made.  A round
-    trip's ``memo`` keeps one form per operad."""
-    rows = _memoized({} if memo is None else memo, ("rows", id(operad)), operad, lambda: OperadRows(operad))
+    ``maps[m, n]`` that ``family(m, n)`` yields, that is undefined or lies
+    outside its carrier (an UNDEFINED entry of its rows); :class:`_Compiled`
+    reads them all.  Gives the filled rows, or None when a record was made.
+    A round trip's ``memo`` keeps one form per operad and family, since
+    the form keeps its verdicts on the squares of one family."""
+    rows = _memoized({} if memo is None else memo, ("rows", id(operad), family), operad, lambda: OperadRows(operad))
     total = True
     n_arities = operad.max_arity + 1
     for n in range(n_arities):
@@ -359,6 +359,17 @@ def _composition_totality(report: CheckReport, operad: Operad, maps: dict, prefi
                             where,
                         )
     return rows if total else None
+
+
+def _compile_gate(report: CheckReport, prefix: str, at: str, dom: OMonCategory, cod=None, memo=None):
+    """Tensor totality of dom, then of another ``cod``, then the composition gate: the maps, or None."""
+    _tensor_totality(report, dom, prefix, at + "dom")
+    if cod is not None and cod is not dom:
+        _tensor_totality(report, cod, prefix, at + "cod")
+    if report.ok:
+        maps = _family_maps(dom.operad)
+        if _composition_totality(report, dom.operad, maps, prefix, at + "dom", memo):
+            return maps
 
 
 def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -> CheckReport:
@@ -456,7 +467,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             where,
         )
 
-    rows = _composition_totality(report, operad, maps, prefix, where, memo)
+    rows = _composition_totality(report, operad, maps, prefix, where, memo, family)
     if rows is None:
         return report
     cc = _Compiled(c)
@@ -524,35 +535,33 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     # already verified, so only the operad-level composite equality remains;
     # that collapses the object-tuple quantifier.  The touched maps are those
     # of the explicit keys, each with the row codes of its keys' (p, qs), and
-    # a pair (f, g) is touched when f, g, f.g or an induced g_i is.  Each
-    # pair's operad level holds at every p, qs and rs at once as rows, or by
-    # the singleton lemma, or else its failing instances are named one by
-    # one; a touched pair also evaluates the structure-iso square, over the
-    # object-tuple codes, at each instance where one of its keys is explicit.
-    # As g, f.g and every g_i have a source of at most ell, a settled group
-    # (f, ell) with f untouched and no touched map of source at most ell is
-    # counted whole, without building its squares.
+    # a pair (f, g) is touched when f, g, f.g or an induced g_i is.  The
+    # operad rows give one verdict per group (f, ell) of pairs, and keep
+    # each one they prove square by square.  As g, f.g and every g_i have
+    # a source of at most ell, a proven group with f untouched and no
+    # touched map of source at most ell is counted whole, without building
+    # its squares.  Any other group walks its pairs: a pair's operad level
+    # holds at every p, qs and rs by its group's verdict or by its rows, or
+    # else its failing instances are named one by one; a touched pair also
+    # evaluates the structure-iso square, over the object-tuple codes, at
+    # each instance where one of its keys is explicit.
     touched = {(f.target, f.values): set() for f, _, _, _ in phi}
     for f, p, qs in composable:
         touched[f.target, f.values].add(rows.key_code(f, p, qs))
     lowest = min((len(values) for _, values in touched), default=n_arities)
-    settled = rows.settled(maps)
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
 
-    for f, ps, f_inner, ell, pairs in _squares(operad, maps):
+    for f, ps, f_inner, ell, proven, pairs in rows.sweep(maps):
         n, m = f.target, f.source
-        if (ell, m) in settled and ell < lowest and (n, f.values) not in touched:
-            total = len(ps) * math.prod(map(len, f_inner)) * settled[ell, m]
-            if total:
-                swept, assoc_count = True, assoc_count + n_obj**ell * total
-            continue
         n_x = n_obj**ell
+        if proven is not None and ell < lowest and (n, f.values) not in touched:
+            if proven:
+                swept, assoc_count = True, assoc_count + n_x * proven
+            continue
+        per_g = len(ps) * math.prod(map(len, f_inner))
         for g, fg, g_is, g_inner in pairs:
-            if (ell, m) in settled:
-                total = len(ps) * math.prod(map(len, f_inner)) * math.prod(map(len, g_inner))
-            else:
-                total = rows.square_holds(f, g, fg, g_is)
+            total = rows.square_holds(f, g, fg, g_is) if proven is None else per_g * math.prod(map(len, g_inner))
             involved, failing = set(), ()
             if total is None or touched and any(touched.get((h.target, h.values)) for h in (f, g, fg, *g_is)):
                 x_f, x_g, x_gis, x_fg = rows.square_keys(f, g, fg, g_is)
@@ -940,13 +949,8 @@ def _check_table_lax(L: LaxOMonFunctor, *, memo: dict | None = None) -> CheckRep
         report.structural("laxfun.frame", "functor frame mismatch", where)
         return report
     report.merge(validate_functor(L.functor), where=where)
-    _tensor_totality(report, dom, "laxfun", f"{where}:dom")
-    if cod is not dom:
-        _tensor_totality(report, cod, "laxfun", f"{where}:cod")
-    if not report.ok:
-        return report
-    maps = _family_maps(dom.operad)
-    if _composition_totality(report, dom.operad, maps, "laxfun", f"{where}:dom", memo) is None:
+    maps = _compile_gate(report, "laxfun", f"{where}:", dom, cod, memo)
+    if maps is None:
         return report
     cc = _Compiled(dom)
     return _lax_coherence(report, where, cc, _TableTarget(L, cc), maps)
@@ -1149,11 +1153,8 @@ def _check_set_lax(L: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport
         report.structural("laxtoset.frame", "indexed set does not live on the structured base", where)
         return report
     report.merge(validate_indexed_set(L.iset), where=where)
-    _tensor_totality(report, dom, "laxtoset", f"{where}:dom")
-    if not report.ok:
-        return report
-    maps = _family_maps(dom.operad)
-    if _composition_totality(report, dom.operad, maps, "laxtoset", f"{where}:dom", memo) is None:
+    maps = _compile_gate(report, "laxtoset", f"{where}:", dom, memo=memo)
+    if maps is None:
         return report
     cc = _Compiled(dom)
     return _lax_coherence(report, where, cc, _SetTarget(L, cc), maps)
@@ -1652,10 +1653,7 @@ def check_strict_omon_iso(c1: OMonCategory, c2: OMonCategory, functor: CatFuncto
         functor.on_mor
     ) != list(range(c2.base.n_morphisms)):
         report.violation("omoniso.bijective", "comparison functor is not invertible")
-    _tensor_totality(report, c1, "omoniso", "dom")
-    if c2 is not c1:
-        _tensor_totality(report, c2, "omoniso", "cod")
-    if not report.ok or _composition_totality(report, c1.operad, _family_maps(c1.operad), "omoniso", "dom") is None:
+    if _compile_gate(report, "omoniso", "", c1, c2) is None:
         return report
     return _strict_preservation(
         report, "", ("omoniso.instances", "omoniso.tensor", "omoniso.phi", "omoniso.phi"), c1, c2, functor

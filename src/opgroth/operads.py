@@ -322,8 +322,7 @@ UNDEFINED = -1  # a composite that is undefined or lies outside its carrier
 
 
 class OperadRows:
-    """The composition of an operad as rows of carrier indices, for one
-    check call.
+    """The composition of an operad as rows of carrier indices.
 
     The operations of each arity are numbered by their place in the
     carrier.  ``row(f)`` is indexed by the code of ``(p, qs)`` in the
@@ -331,17 +330,18 @@ class OperadRows:
     the order ``itertools.product`` yields them in; each entry is the
     index of ``op(f, p, qs)`` in its carrier, or UNDEFINED.  A row is
     filled by one :meth:`Operad.compose` per key on first use.  The form
-    also keeps whether each square it proves holds, one byte a square.
-    An operad's table may be edited between calls, so a standalone check
-    builds its own form and drops it; a round trip keeps one form per
-    operad on its memo, with the operad held.
+    also keeps the verdict of each group of associativity squares it
+    proves square by square (see :meth:`sweep`), so it serves one family
+    of maps.  An operad's table may be edited between calls, so a
+    standalone check builds its own form and drops it; a round trip keeps
+    one form per operad and family on its memo, with the operad held.
     """
 
     def __init__(self, o: Operad):
         self.o = o
         self.sizes = tuple(map(len, o.carriers))
         self.index = [{label: i for i, label in enumerate(c)} for c in o.carriers]
-        self._rows, self._held = {}, {}
+        self._rows, self._verdicts, self._closed = {}, {}, None
         self._digits, self._sub_codes = cache(_digits), cache(_sub_codes)
 
     def row(self, f: FinMap):
@@ -361,21 +361,74 @@ class OperadRows:
             got = self._rows[k] = tuple(got)
         return got
 
-    def settled(self, maps: dict) -> dict:
-        """The singleton lemma.  When every row over the maps ``maps[m, n]``
-        is total and closed, a square whose result arity ell (the source
-        of g) has one operation holds at every instance, both of its
-        sides being that operation.  Gives ``{(ell, m): w}`` over those
-        ell, w being the number of (g, rs) with g: ell -> m, or {} when a
-        row is not total and closed."""
-        if any(UNDEFINED in self.row(f) for fs in maps.values() for f in fs):
-            return {}
-        sizes = self.sizes
-        return {
-            (ell, m): sum(math.prod(sizes[len(fib)] for fib in g.fibers) for g in gs)
-            for (ell, m), gs in maps.items()
-            if sizes[ell] == 1
-        }
+    def sweep(self, maps: dict):
+        """Every associativity square over the maps ``maps[m, n]``, in sweep
+        order, grouped by f and the source arity ell of g: yields
+        ``(f, ps, f_inner, ell, total, pairs)`` for each f: m -> n and
+        ell, where ``ps`` are the outer operations, ``f_inner`` the
+        carriers of f's fiber slots and ``pairs`` yields
+        ``(g, f.g, g_is, g_inner)`` for each g: ell -> m, ``g_is`` being
+        the maps between fibers that g induces (from :func:`_square`) and
+        ``g_inner`` the carriers of g's fiber slots.  A pair with an empty
+        carrier has no instances and is skipped before its square is
+        built.
+
+        ``total`` is the group's verdict: its number of instances when
+        every square of the group holds, else None.  The singleton lemma
+        gives it by arithmetic in each sweep: when every row over the maps
+        is total and closed, a square whose result arity ell has one
+        operation holds at every instance, both of its sides being that
+        operation, so the group is counted without building a square.
+        Any other group is proved square by square (:meth:`square_holds`)
+        once per form, which keeps the verdict.
+        """
+        o, sizes, verdicts = self.o, self.sizes, self._verdicts
+        built: dict = {}
+
+        def with_inner(hs):
+            for h in hs:
+                inner = [o.elements(len(fib)) for fib in h.fibers]
+                if all(inner):
+                    yield h, inner
+
+        live = {key: tuple(with_inner(hs)) for key, hs in maps.items()}
+
+        def pairs(f: FinMap, ell: int):
+            for g, g_inner in live[ell, f.source]:
+                fg, g_is = _square(f, g, built)
+                yield g, fg, g_is, g_inner
+
+        if self._closed is None:
+            self._closed = not any(UNDEFINED in self.row(f) for fs in maps.values() for f in fs)
+        weights: dict = {}  # the number of (g, rs) with g: ell -> m, by (ell, m)
+        n_arities = o.max_arity + 1
+        for n in range(n_arities):
+            ps = o.elements(n)
+            if not ps:
+                continue
+            for m in range(n_arities):
+                for f, f_inner in live[m, n]:
+                    for ell in range(n_arities):
+                        key = (n, f.values, ell)
+                        if self._closed and sizes[ell] == 1:
+                            if (ell, m) not in weights:
+                                weights[ell, m] = sum(math.prod(sizes[len(fib)] for fib in g.fibers) for g in maps[ell, m])
+                            total = len(ps) * math.prod(map(len, f_inner)) * weights[ell, m]
+                        elif key in verdicts:
+                            total = verdicts[key]
+                        else:
+                            # square by square; the squares are not kept, so a
+                            # group walked after its verdict builds them again
+                            # (keeping them raised the peak resident set)
+                            total = 0
+                            for g, fg, g_is, _ in pairs(f, ell):
+                                held = self.square_holds(f, g, fg, g_is)
+                                if held is None:
+                                    total = None
+                                    break
+                                total += held
+                            verdicts[key] = total
+                        yield f, ps, f_inner, ell, total, pairs(f, ell)
 
     def square_holds(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
         """The associativity square at g: ell -> m and f: m -> n over every
@@ -384,26 +437,6 @@ class OperadRows:
         ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
         instances when every one holds, else None, as when one touches
         UNDEFINED; the caller's loop then names each failure."""
-        # one byte per g: ell -> m, at the code of g's values in radix m:
-        # 0 not proved yet, 1 holds, 2 fails; a square that holds has one
-        # instance per (p, qs, rs)
-        m = f.source
-        held = self._held.get((f.target, f.values, g.source))
-        if held is None:
-            held = self._held[f.target, f.values, g.source] = bytearray(m**g.source)
-        at = 0
-        for v in g.values:
-            at = at * m + v - 1
-        if not held[at]:
-            total = self._square_holds(f, g, fg, g_is)
-            held[at] = 2 if total is None else 1
-            return total
-        if held[at] == 2:
-            return None
-        sizes = self.sizes
-        return sizes[f.target] * math.prod(sizes[len(fib)] for fib in (*f.fibers, *g.fibers))
-
-    def _square_holds(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
         sizes = self.sizes
         f_sizes = tuple(sizes[len(fib)] for fib in f.fibers)
         g_sizes = tuple(sizes[len(fib)] for fib in g.fibers)
@@ -464,43 +497,6 @@ class OperadRows:
         return x_f, x_g, x_gis, x_fg
 
 
-def _squares(o: Operad, maps: dict):
-    """Every associativity square of ``o`` over the maps ``maps[m, n]``,
-    in sweep order, by f and the source arity ell of g: yields
-    ``(f, ps, f_inner, ell, pairs)`` for each f: m -> n and ell, where
-    ``ps`` are the outer operations, ``f_inner`` the carriers of f's
-    fiber slots and ``pairs`` yields ``(g, f.g, g_is, g_inner)`` for each
-    g: ell -> m, ``g_is`` being the maps between fibers that g induces
-    (from :func:`_square`) and ``g_inner`` the carriers of g's fiber
-    slots.  A pair with an empty carrier has no instances and is skipped
-    before its square is built.
-    """
-    built: dict = {}
-
-    def with_inner(hs):
-        for h in hs:
-            inner = [o.elements(len(fib)) for fib in h.fibers]
-            if all(inner):
-                yield h, inner
-
-    live = {key: tuple(with_inner(hs)) for key, hs in maps.items()}
-
-    def pairs(f: FinMap, ell: int):
-        for g, g_inner in live[ell, f.source]:
-            fg, g_is = _square(f, g, built)
-            yield g, fg, g_is, g_inner
-
-    n_arities = o.max_arity + 1
-    for n in range(n_arities):
-        ps = o.elements(n)
-        if not ps:
-            continue
-        for m in range(n_arities):
-            for f, f_inner in live[m, n]:
-                for ell in range(n_arities):
-                    yield f, ps, f_inner, ell, pairs(f, ell)
-
-
 def check_operad_axioms(o: Operad) -> CheckReport:
     """Exhaustive unit and associativity check over the truncation.
 
@@ -550,16 +546,15 @@ def check_operad_axioms(o: Operad) -> CheckReport:
                     f"mu {terminal_map(n).label()} eta {p} = {got} != {p}",
                 )
 
-    # associativity: each square at every instance at once, from the rows
-    # or by the singleton lemma; a square whose rows fail runs the loop,
-    # which names each failure
+    # associativity: one verdict per group of squares, from the rows or by
+    # the singleton lemma; in a group that fails, a square whose rows fail
+    # runs the loop, which names each failure
     maps = {(a, b): tuple(all_maps(a, b)) for a in range(n_arities) for b in range(n_arities)}
     rows = OperadRows(o)
-    settled = rows.settled(maps)
     instances = 0
-    for f, ps, f_inner, ell, pairs in _squares(o, maps):
-        if (ell, f.source) in settled:
-            instances += len(ps) * math.prod(map(len, f_inner)) * settled[ell, f.source]
+    for f, ps, f_inner, ell, total, pairs in rows.sweep(maps):
+        if total is not None:
+            instances += total
             continue
         n, f_fibers = f.target, f.fibers
         for g, fg, g_is, g_inner in pairs:

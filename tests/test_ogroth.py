@@ -7,7 +7,6 @@ import pytest
 
 import opgroth.groth
 import opgroth.ogroth
-import opgroth.omon
 from opgroth import fixtures
 from opgroth.cli import run_command
 from opgroth.fincore import CatFunctor, NatTransform, functor_from_labels, identity_functor, identity_nat, terminal_map
@@ -413,7 +412,7 @@ def test_restriction_report_never_reuses_a_report_for_another_structure(monkeypa
         report.violation("probe.checked", structure.tag)
         return report
 
-    monkeypatch.setattr(opgroth.omon, "restrict_along_operad_morphism", restrict)
+    monkeypatch.setattr(opgroth.ogroth, "restrict_along_operad_morphism", restrict)
     monkeypatch.setattr(opgroth.ogroth, "check_omon_category", check)
     monkeypatch.setattr(opgroth.ogroth, "_check_set_lax", lambda restricted: CheckReport())
     names = [f"x{k}" for k in range(8)]

@@ -3,8 +3,9 @@ import itertools
 
 import pytest
 
+import opgroth.operads
 from opgroth import fixtures
-from opgroth.fincore import FinMap, fm_compose, identity_map, terminal_map
+from opgroth.fincore import FinMap, all_maps, fm_compose, identity_map, terminal_map
 from opgroth.ogroth import check_laxtoset, grade_laxtoset, l2_laxtoset
 from opgroth.operads import (
     Operad,
@@ -33,6 +34,7 @@ from opgroth.omon import (
     grade_assoc_omon,
     l2_comm_omon,
     l2_unbiased,
+    monotone_maps,
     omon_copy,
     omon_from_set_algebra,
     omon_single_entry_mutations,
@@ -41,6 +43,7 @@ from opgroth.omon import (
     twisted_bz2_unbiased,
     validate_unbiased,
     z2_unbiased,
+    _structure_laws,
 )
 from opgroth.fincore import NatTransform, identity_functor, identity_nat
 
@@ -532,7 +535,64 @@ def test_shared_operad_rows_hold_their_operad():
     memo = {}
     check_omon_category(c, memo=memo)
     (key, (kept, rows)), = memo.items()
-    assert key == ("rows", id(c.operad)) and kept is c.operad and rows.o is c.operad
+    assert key == ("rows", id(c.operad), all_maps) and kept is c.operad and rows.o is c.operad
+
+
+def test_shared_operad_rows_serve_one_family_of_maps():
+    # the rows keep the verdict of each group of squares they prove, and a
+    # group over the monotone maps has fewer squares than over all maps
+    c = grade_assoc_omon(2)
+    alone = [_as_tuple(_structure_laws(c, "omon", "phi", family)) for family in (monotone_maps, all_maps)]
+    memo = {}
+    shared = [_as_tuple(_structure_laws(c, "omon", "phi", family, memo)) for family in (monotone_maps, all_maps)]
+    assert shared == alone
+    assert alone[0][1]["omon.assoc_instances"] < alone[1][1]["omon.assoc_instances"]
+    assert sorted(key[2].__name__ for key in memo) == ["all_maps", "monotone_maps"]
+
+
+@pytest.fixture
+def built_squares(monkeypatch):
+    built = []
+
+    def counting(f, g, interned):
+        built.append((f, g))
+        return square(f, g, interned)
+
+    square = opgroth.operads._square
+    monkeypatch.setattr(opgroth.operads, "_square", counting)
+    return built
+
+
+def test_a_proven_operad_builds_no_squares_for_a_later_structure(built_squares):
+    c, memo = grade_assoc_omon(3), {}
+    first = _as_tuple(check_omon_category(c, memo=memo))
+    assert len(built_squares) == 1476
+    built_squares.clear()
+    assert _as_tuple(check_omon_category(c, memo=memo)) == first
+    assert built_squares == []
+
+
+def test_only_touched_groups_build_their_squares(built_squares):
+    # one explicit entry at the terminal map 2 -> 1: the groups of that map
+    # and every group whose g has a source of at least 2 walk their pairs
+    c, memo = grade_assoc_omon(3), {}
+    check_omon_category(c, memo=memo)
+    _, mutated, _ = omon_single_entry_mutations(c)[1]
+    (key,) = mutated.phi
+    assert key[0] == terminal_map(2)
+    alone = _as_tuple(check_omon_category(mutated))
+    built_squares.clear()
+    assert _as_tuple(check_omon_category(mutated, memo=memo)) == alone
+    touched = {
+        (f, g)
+        for m, n in itertools.product(range(4), repeat=2)
+        for f in all_maps(m, n)
+        for ell in range(4)
+        for g in all_maps(ell, m)
+        if f == terminal_map(2) or ell >= 2
+    }
+    assert len(built_squares) == len(touched) == 1479
+    assert set(built_squares) == touched
 
 
 def _set_algebra_pin_cases():
