@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .fincore import (
     CatFunctor,
-    FinMap,
     NatTransform,
     _mixed_decode,
     _mixed_encode,
@@ -37,7 +36,6 @@ from .fib2cat import (
     fn_identity,
     identity_fibration,
     iset_from_tables,
-    set_product,
     validate_dfib_cell,
     validate_iset_cell,
 )
@@ -69,6 +67,7 @@ from .omon import (
     _strict_preservation,
     _normalize_xi,
     _pullback_indexed,
+    assoc_algebra_from_monoid,
     o_fn_product,
     o_set_product,
     check_omon_category,
@@ -80,7 +79,7 @@ from .omon import (
     restrict_along_operad_morphism,
     xi_key_render,
 )
-from .operads import boolean_semiring, build_qconv, identity_operad_morphism, operads_equal, terminal_morphism
+from .operads import boolean_semiring, build_qconv, identity_operad_morphism, operads_equal, qconv_coords, terminal_morphism
 from .report import CheckReport, _memoized
 
 LaxToSet = LaxSetFunctor
@@ -631,90 +630,66 @@ def product_ofib(y1: OFibObject, y2: OFibObject, name: str = "") -> OFibObject:
 # shipped fixture families
 
 
-def grade_laxtoset(max_arity: int = 3) -> LaxSetFunctor:
-    """The graded three-element monoid as a lax comparison structure over
-    addition mod 2: the motivating 'pair of monoids' example."""
-    from . import fixtures
-    from .omon import permute_tuple
-    from .fincore import fm_from_label
-
-    index = dz2_assoc_omon(max_arity)
-    iset = iset_from_tables(
-        index.base, {"0": ["p", "q"], "1": ["r"]}, {}, name="gradeF"
-    )
+def _laxtoset_from_rule(index: OMonCategory, iset: IndexedSet, rule, name: str) -> LaxSetFunctor:
+    """The lax functor into Set whose comparison at ``(n, p, objs)`` sends
+    each tuple of element labels ``xs`` to the element ``rule(n, p, xs)``.
+    The unit operation and comparisons into a one-element set keep the
+    default that an absent entry stands for."""
+    x = LaxSetFunctor(dom=index, iset=iset, name=name)
     operad = index.operad
-
-    def product_of(labels) -> str:
-        acc = fixtures.GRADE_UNIT
-        for x in labels:
-            acc = fixtures.GRADE_MULT[(acc, x)]
-        return acc
-
-    nu = {}
     for n in range(operad.max_arity + 1):
         for p in operad.elements(n):
             if n == 1 and p == operad.unit:
                 continue
-            sigma = fm_from_label(p) if n else FinMap(0, 0, ())
-            for i_vec in itertools.product(range(2), repeat=n):
-                src = set_product(iset.values[a] for a in i_vec)
-                tgt = iset.values[index.tensor_obj(n, p, i_vec)]
-                if tgt.size == 1:
-                    continue  # unique function, defaulted
-                mapping = []
-                for combo in itertools.product(*(iset.values[a].labels for a in i_vec)):
-                    mapping.append(tgt.index(product_of(permute_tuple(combo, sigma))))
-                nu[(n, p, i_vec)] = FinFunction(src, tgt, tuple(mapping))
-    return LaxSetFunctor(dom=index, iset=iset, nu=nu, name="GRADE")
+            for objs in itertools.product(range(index.base.n_objects), repeat=n):
+                src, tgt = x.nu_sets(n, p, objs)
+                if tgt.size != 1:
+                    labels = itertools.product(*(iset.values[a].labels for a in objs))
+                    x.nu[(n, p, objs)] = FinFunction(src, tgt, tuple(tgt.index(rule(n, p, xs)) for xs in labels))
+    return x
+
+
+def grade_laxtoset(max_arity: int = 3) -> LaxSetFunctor:
+    """The graded three-element monoid as a lax comparison structure over
+    addition mod 2: the motivating 'pair of monoids' example."""
+    from . import fixtures
+
+    index = dz2_assoc_omon(max_arity)
+    iset = iset_from_tables(index.base, {"0": ["p", "q"], "1": ["r"]}, {}, name="gradeF")
+    grade = assoc_algebra_from_monoid(fixtures.GRADE_ELEMENTS, fixtures.GRADE_MULT, fixtures.GRADE_UNIT, max_arity)
+    return _laxtoset_from_rule(index, iset, grade.apply, "GRADE")
 
 
 def l2_laxtoset(max_arity: int = 3) -> LaxSetFunctor:
     """A two-level family over the meet-semilattice: the top fiber is the
     or-monoid, the bottom is a point."""
     index = l2_comm_omon(max_arity)
-    iset = iset_from_tables(
-        index.base,
-        {"0": ["s"], "1": ["a", "b"]},
-        {"le_0_1": {"s": "b"}},
-        name="l2F",
-    )
-    top = iset.values[1]
+    iset = iset_from_tables(index.base, {"0": ["s"], "1": ["a", "b"]}, {"le_0_1": {"s": "b"}}, name="l2F")
+    return _laxtoset_from_rule(index, iset, lambda n, p, xs: "b" if "b" in xs else "a", "L2FAM")
 
-    def or_label(labels) -> str:
-        return "b" if "b" in labels else "a"
 
-    nu = {}
-    for n in range(2, max_arity + 1):
-        i_vec = (1,) * n
-        src = set_product([top] * n)
-        mapping = tuple(
-            top.index(or_label(combo))
-            for combo in itertools.product(top.labels, repeat=n)
-        )
-        nu[(n, "*", i_vec)] = FinFunction(src, top, mapping)
-    nu[(0, "*", ())] = FinFunction(set_product(()), top, (top.index("a"),))
-    return LaxSetFunctor(dom=index, iset=iset, nu=nu, name="L2FAM")
+def _weighted_or(carrier):
+    """The weighted-or rule of a quasi-convex operation on the two labels
+    of ``carrier``: the second label exactly when an input of weight 1
+    is the second label."""
+
+    def rule(n, p, xs):
+        return carrier[any(a == "1" and x == carrier[1] for a, x in zip(qconv_coords(p), xs))]
+
+    return rule
 
 
 def qconv_or_omon(max_arity: int = 3) -> OMonCategory:
     """The weighted-or algebra on two points over the quasi-convexity
     operad of the Boolean semiring."""
-    from .operads import qconv_coords
-
     operad = build_qconv(boolean_semiring(), max_arity)
     carrier = ("0", "1")
-    ops = {}
-    for n in range(max_arity + 1):
-        for p in operad.elements(n):
-            alpha = qconv_coords(p)
-            table = {}
-            for xs in itertools.product(carrier, repeat=n):
-                bit = "0"
-                for a, x in zip(alpha, xs):
-                    if a == "1" and x == "1":
-                        bit = "1"
-                table[xs] = bit
-            ops[(n, p)] = table
+    rule = _weighted_or(carrier)
+    ops = {
+        (n, p): {xs: rule(n, p, xs) for xs in itertools.product(carrier, repeat=n)}
+        for n in range(max_arity + 1)
+        for p in operad.elements(n)
+    }
     alg = SetAlgebra(operad=operad, carrier=carrier, ops=ops, name="QOR")
     return omon_from_set_algebra(operad, alg, name="QOR")
 
@@ -723,32 +698,10 @@ def qconv_proj_laxtoset(max_arity: int = 3) -> LaxSetFunctor:
     """A two-element family over the weighted-or structure whose
     comparison maps are the weighted-or itself: the quasi-convex analogue
     of the graded-monoid example."""
-    from .operads import qconv_coords
-
     index = qconv_or_omon(max_arity)
-    operad = index.operad
-    fiber_set = ["f0", "f1"]
-    iset = iset_from_tables(
-        index.base, {obj: fiber_set for obj in index.base.objects}, {}, name="qprojF"
-    )
-    values = iset.values[0]
-    nu = {}
-    for n in range(max_arity + 1):
-        for p in operad.elements(n):
-            if n == 1 and p == operad.unit:
-                continue
-            alpha = qconv_coords(p)
-            for i_vec in itertools.product(range(2), repeat=n):
-                src = set_product([values] * n)
-                mapping = []
-                for xs in itertools.product(range(2), repeat=n):
-                    bit = 0
-                    for a, x in zip(alpha, xs):
-                        if a == "1" and x == 1:
-                            bit = 1
-                    mapping.append(bit)
-                nu[(n, p, i_vec)] = FinFunction(src, values, tuple(mapping))
-    return LaxSetFunctor(dom=index, iset=iset, nu=nu, name="QPROJ")
+    fiber_set = ("f0", "f1")
+    iset = iset_from_tables(index.base, {obj: fiber_set for obj in index.base.objects}, {}, name="qprojF")
+    return _laxtoset_from_rule(index, iset, _weighted_or(fiber_set), "QPROJ")
 
 
 def trivial_laxtoset(index: OMonCategory, name: str = "") -> LaxSetFunctor:

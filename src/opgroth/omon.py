@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 from .fincore import (
@@ -29,6 +29,7 @@ from .fincore import (
     factorize_monotone_perm,
     fiber,
     fm_compose,
+    fm_from_label,
     functor_compose,
     identity_map,
     invert_permutation,
@@ -131,8 +132,13 @@ def build_omon(
     tensor_obj_rule,
     tensor_mor_rule,
     name: str = "",
+    phi_rule=None,
 ) -> OMonCategory:
-    """Materialize tensor tables from rules (operation label, tuple) -> value."""
+    """Materialize tensor tables from rules (arity, operation label,
+    tuple) -> value, and the structure isomorphisms from
+    ``phi_rule(f, p, qs, objs)``, stored only where the value is not the
+    identity an absent entry stands for.  Without ``phi_rule`` every
+    structure isomorphism is that identity."""
     tensors = {}
     for n in range(operad.max_arity + 1):
         for p in operad.elements(n):
@@ -145,7 +151,15 @@ def build_omon(
                 for combo in itertools.product(range(base.n_morphisms), repeat=n)
             }
             tensors[(n, p)] = TensorTable(obj=obj, mor=mor)
-    return OMonCategory(operad=operad, base=base, tensors=tensors, phi={}, name=name)
+    out = OMonCategory(operad=operad, base=base, tensors=tensors, phi={}, name=name)
+    if phi_rule is not None:
+        for f, p, qs in composition_keys(operad):
+            rho = operad.compose(f, p, qs)
+            for objs in itertools.product(range(base.n_objects), repeat=f.source):
+                value = phi_rule(f, p, qs, objs)
+                if value != base.id_of(tensors[(f.source, rho)].obj[objs]):
+                    out.phi[(f, p, qs, objs)] = value
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -1398,44 +1412,21 @@ def extend_unbiased_to_assoc(u: UnbiasedData) -> OMonCategory:
     report = validate_unbiased(u)
     require_ok(report, u.name or "unbiased data")
     assoc = build_assoc(u.max_arity)
-    perms = {
-        n: {perm_label(s): s for s in (FinMap(n, n, v) for v in itertools.permutations(range(1, n + 1)))}
-        for n in range(u.max_arity + 1)
-    }
-    tensors = {}
-    for n in range(u.max_arity + 1):
-        for p_label, sigma in perms[n].items():
-            obj = {
-                combo: u.tensor_obj(n, permute_tuple(combo, sigma))
-                for combo in itertools.product(range(u.base.n_objects), repeat=n)
-            }
-            mor = {
-                combo: u.tensor_mor(n, permute_tuple(combo, sigma))
-                for combo in itertools.product(range(u.base.n_morphisms), repeat=n)
-            }
-            tensors[(n, p_label)] = TensorTable(obj=obj, mor=mor)
-    out = OMonCategory(
-        operad=assoc,
-        base=u.base,
-        tensors=tensors,
-        phi={},
+    view = _comm_view(u)
+
+    def phi_rule(f, p, qs, objs):
+        monotone_part, _ = factorize_monotone_perm(fm_compose(fm_from_label(p), f))
+        rho = fm_from_label(assoc.compose(f, p, qs))
+        return view.phi_at(monotone_part, "*", ("*",) * monotone_part.target, permute_tuple(objs, rho))
+
+    return build_omon(
+        assoc,
+        u.base,
+        lambda n, p, combo: u.tensor_obj(n, permute_tuple(combo, fm_from_label(p))),
+        lambda n, p, combo: u.tensor_mor(n, permute_tuple(combo, fm_from_label(p))),
         name=f"assoc[{u.name}]" if u.name else "assoc[unbiased]",
+        phi_rule=phi_rule if u.alpha else None,
     )
-    if u.alpha:
-        view = _comm_view(u)
-        for f, p, qs in composition_keys(assoc):
-            sigma = perms[f.target][p]
-            rho_label = assoc.compose(f, p, qs)
-            rho = perms[f.source][rho_label]
-            monotone_part, _ = factorize_monotone_perm(fm_compose(sigma, f))
-            for objs in itertools.product(range(u.base.n_objects), repeat=f.source):
-                value = view.phi_at(
-                    monotone_part, "*", ("*",) * monotone_part.target, permute_tuple(objs, rho)
-                )
-                src, _ = out.phi_endpoints(f, p, qs, objs)
-                if value != u.base.id_of(src):
-                    out.phi[(f, p, tuple(qs), objs)] = value
-    return out
 
 
 def forget_assoc_to_unbiased(c: OMonCategory) -> UnbiasedData:
@@ -1576,7 +1567,7 @@ def assoc_algebra_from_monoid(elements, mult, unit, max_arity: int, name: str = 
     ops = {}
     for n in range(max_arity + 1):
         for p in assoc.elements(n):
-            sigma = FinMap(n, n, tuple(int(t) for t in p[1:-1].split(",")) if n else ())
+            sigma = fm_from_label(p)
             ops[(n, p)] = {
                 xs: product_of(permute_tuple(xs, sigma))
                 for xs in itertools.product(elements, repeat=n)
@@ -1592,47 +1583,25 @@ def product_omon(c1: OMonCategory, c2: OMonCategory, name: str = "") -> OMonCate
     if not operads_equal(c1.operad, c2.operad):
         raise ValueError("factors live over different operads")
     prod = product_category([c1.base, c2.base])
-    operad = c1.operad
-    tensors = {}
-    for n in range(operad.max_arity + 1):
-        for p in operad.elements(n):
-            obj = {}
-            for combo in itertools.product(range(prod.cat.n_objects), repeat=n):
-                parts = [prod.obj_tuples[a] for a in combo]
-                obj[combo] = prod.obj_index[
-                    (
-                        c1.tensor_obj(n, p, tuple(t[0] for t in parts)),
-                        c2.tensor_obj(n, p, tuple(t[1] for t in parts)),
-                    )
-                ]
-            mor = {}
-            for combo in itertools.product(range(prod.cat.n_morphisms), repeat=n):
-                parts = [prod.mor_tuples[m] for m in combo]
-                mor[combo] = prod.mor_index[
-                    (
-                        c1.tensor_mor(n, p, tuple(t[0] for t in parts)),
-                        c2.tensor_mor(n, p, tuple(t[1] for t in parts)),
-                    )
-                ]
-            tensors[(n, p)] = TensorTable(obj=obj, mor=mor)
-    out = OMonCategory(
-        operad=operad,
-        base=prod.cat,
-        tensors=tensors,
-        phi={},
+
+    def paired(tuples, index, at1, at2):
+        """The rule pairing ``at1`` and ``at2`` at the projections of a tuple."""
+
+        def rule(*key_and_combo):
+            *key, combo = key_and_combo
+            parts = [tuples[x] for x in combo]
+            return index[at1(*key, tuple(t[0] for t in parts)), at2(*key, tuple(t[1] for t in parts))]
+
+        return rule
+
+    return build_omon(
+        c1.operad,
+        prod.cat,
+        paired(prod.obj_tuples, prod.obj_index, c1.tensor_obj, c2.tensor_obj),
+        paired(prod.mor_tuples, prod.mor_index, c1.tensor_mor, c2.tensor_mor),
         name=name or f"({c1.name}x{c2.name})",
+        phi_rule=paired(prod.obj_tuples, prod.mor_index, c1.phi_at, c2.phi_at) if c1.phi or c2.phi else None,
     )
-    if c1.phi or c2.phi:
-        for f, p, qs in composition_keys(operad):
-            for combo in itertools.product(range(prod.cat.n_objects), repeat=f.source):
-                parts = [prod.obj_tuples[a] for a in combo]
-                v1 = c1.phi_at(f, p, qs, tuple(t[0] for t in parts))
-                v2 = c2.phi_at(f, p, qs, tuple(t[1] for t in parts))
-                value = prod.mor_index[(v1, v2)]
-                src, _ = out.phi_endpoints(f, p, qs, combo)
-                if value != prod.cat.id_of(src):
-                    out.phi[(f, p, tuple(qs), combo)] = value
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -1762,54 +1731,16 @@ def l2_comm_omon(max_arity: int = 3) -> OMonCategory:
 
 
 def z2_unbiased(max_arity: int = 3) -> UnbiasedData:
-    from . import fixtures
-
-    base = fixtures.dz2()
-
-    def xor_all(combo):
-        acc = 0
-        for a in combo:
-            acc ^= a
-        return acc
-
-    tensors = {
-        n: TensorTable(
-            obj={
-                combo: xor_all(combo)
-                for combo in itertools.product(range(2), repeat=n)
-            },
-            mor={
-                combo: xor_all(combo)
-                for combo in itertools.product(range(2), repeat=n)
-            },
-        )
-        for n in range(max_arity + 1)
-    }
-    return UnbiasedData(base=base, max_arity=max_arity, tensors=tensors, name="Z2")
+    """Addition mod 2: the identity-permutation tensors of DZ2."""
+    return replace(forget_assoc_to_unbiased(dz2_assoc_omon(max_arity)), name="Z2")
 
 
 def l2_unbiased(max_arity: int = 3) -> UnbiasedData:
-    from . import fixtures
-
-    base = fixtures.l2()
-    le = base.mor_index("le_0_1")
-
-    def meet_obj(combo):
-        return 0 if 0 in combo else 1
-
-    def meet_mor(combo):
-        src = meet_obj(tuple(base.mor_src[m] for m in combo))
-        tgt = meet_obj(tuple(base.mor_tgt[m] for m in combo))
-        return base.id_of(src) if src == tgt else le
-
-    tensors = {
-        n: TensorTable(
-            obj={c: meet_obj(c) for c in itertools.product(range(2), repeat=n)},
-            mor={c: meet_mor(c) for c in itertools.product(range(3), repeat=n)},
-        )
-        for n in range(max_arity + 1)
-    }
-    return UnbiasedData(base=base, max_arity=max_arity, tensors=tensors, name="L2")
+    """Meets in the two-element semilattice: the tensors of L2."""
+    c = l2_comm_omon(max_arity)
+    return UnbiasedData(
+        base=c.base, max_arity=max_arity, tensors={n: c.tensors[(n, "*")] for n in range(max_arity + 1)}, name="L2"
+    )
 
 
 # a coherent nonzero GF(2) twisting of the one-object group category:
