@@ -29,7 +29,7 @@ from .omon import (
     TensorTable,
     o_set_product,
 )
-from .ogroth import OFibObject, omons_equal
+from .ogroth import OFibObject
 from .operads import (
     Operad,
     Semiring,
@@ -38,7 +38,6 @@ from .operads import (
     build_qconv,
     check_semiring,
     composition_keys,
-    operads_equal,
 )
 
 SECTION_KINDS = (
@@ -1120,47 +1119,3 @@ def pretty_print(doc: SpecDocument) -> str:
             continue
         _SERIALIZERS[section.kind](b, section.value, suggested=section.name)
     return b.text()
-
-
-def section_values_equal(kind: str, a, b) -> bool:
-    if a is None or b is None:
-        return a is b
-    if kind == "operad":
-        return operads_equal(a, b)
-    if kind == "omon":
-        return omons_equal(a, b)
-    if kind == "laxfun":
-        return (
-            omons_equal(a.dom, b.dom)
-            and omons_equal(a.cod, b.cod)
-            and a.functor == b.functor
-            and a.xi == b.xi
-        )
-    if kind == "omontrans":
-        return (
-            section_values_equal("laxfun", a.dom, b.dom)
-            and section_values_equal("laxfun", a.cod, b.cod)
-            and a.t.components == b.t.components
-        )
-    if kind == "ofib":
-        return (
-            a.fib == b.fib
-            and omons_equal(a.total_omon, b.total_omon)
-            and omons_equal(a.base_omon, b.base_omon)
-        )
-    if kind == "laxtoset":
-        return omons_equal(a.dom, b.dom) and a.iset == b.iset and a.nu == b.nu
-    return a == b
-
-
-def documents_table_equal(a: SpecDocument, b: SpecDocument) -> bool:
-    if len(a.sections) != len(b.sections):
-        return False
-    b_by_name = {s.name: s for s in b.sections}
-    for sa in a.sections:
-        sb = b_by_name.get(sa.name)
-        if sb is None or sb.kind != sa.kind:
-            return False
-        if not section_values_equal(sa.kind, sa.value, sb.value):
-            return False
-    return True

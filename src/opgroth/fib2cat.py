@@ -133,12 +133,6 @@ class IndexedSet:
     actions: tuple[FinFunction, ...]
     name: str = field(default="", compare=False)
 
-    def value(self, a: int) -> FinSet:
-        return self.values[a]
-
-    def action(self, m: int) -> FinFunction:
-        return self.actions[m]
-
 
 def constant_singleton(index: FinCat, name: str = "") -> IndexedSet:
     star = FinSet(("*",))
@@ -582,42 +576,7 @@ def product_iset(factors, name: str = "") -> IndexedSet:
     )
 
 
-def tuple_iset_cell(cells, target: IndexedSet) -> ISetCell:
-    """The unique cell into a product with the given component cells."""
-    cells = tuple(cells)
-    if not cells:
-        raise ValueError("empty tuple cell needs an explicit domain")
-    dom = cells[0].dom
-    for c in cells:
-        if c.dom != dom:
-            raise ValueError("component cells must share their domain")
-    prod = product_category([c.cod.index for c in cells])
-    on_obj = tuple(
-        prod.obj_index[tuple(c.functor.on_obj[a] for c in cells)]
-        for a in range(dom.index.n_objects)
-    )
-    on_mor = tuple(
-        prod.mor_index[tuple(c.functor.on_mor[m] for c in cells)]
-        for m in range(dom.index.n_morphisms)
-    )
-    functor = CatFunctor(dom.index, target.index, on_obj, on_mor)
-    mu = []
-    for a in range(dom.index.n_objects):
-        cod_set = target.values[on_obj[a]]
-        assignment = {}
-        for x in dom.values[a].labels:
-            assignment[x] = tuple_label([c.mu[a](x) for c in cells])
-        mu.append(fn_from_labels(dom.values[a], cod_set, assignment))
-    return ISetCell(dom, target, functor, tuple(mu))
-
-
 def embed_set_as_dfib(labels, name: str = "") -> DiscreteFibration:
     """A set X regarded as the identity fibration on the discrete X."""
     c = discrete_category(name or "set", labels)
     return identity_fibration(c, name=name)
-
-
-def embed_set_as_iset(labels, name: str = "") -> IndexedSet:
-    """A set X regarded as the constant-singleton indexed set on X."""
-    c = discrete_category(name or "set", labels)
-    return constant_singleton(c, name=name)

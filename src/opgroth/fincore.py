@@ -124,11 +124,6 @@ def all_maps(m: int, n: int):
         yield FinMap(m, n, values)
 
 
-def all_permutations(n: int):
-    for values in itertools.permutations(range(1, n + 1)):
-        yield FinMap(n, n, values)
-
-
 def fm_from_label(text: str) -> FinMap:
     """Parse "[2,1,1]" back into a map; the target defaults to max(values).
 
@@ -598,26 +593,10 @@ class CatFunctor:
     on_mor: tuple[int, ...]
     name: str = field(default="", compare=False)
 
-    def obj(self, a: int) -> int:
-        return self.on_obj[a]
-
-    def mor(self, m: int) -> int:
-        return self.on_mor[m]
-
 
 def identity_functor(c: FinCat) -> CatFunctor:
     return CatFunctor(
         c, c, tuple(range(c.n_objects)), tuple(range(c.n_morphisms)), name="id"
-    )
-
-
-def constant_functor(dom: FinCat, cod: FinCat, obj: int) -> CatFunctor:
-    return CatFunctor(
-        dom,
-        cod,
-        (obj,) * dom.n_objects,
-        (cod.id_of(obj),) * dom.n_morphisms,
-        name=f"const_{cod.objects[obj]}",
     )
 
 
@@ -689,9 +668,6 @@ class NatTransform:
     cod: CatFunctor
     components: tuple[int, ...]
     name: str = field(default="", compare=False)
-
-    def at(self, a: int) -> int:
-        return self.components[a]
 
 
 def identity_nat(F: CatFunctor) -> NatTransform:

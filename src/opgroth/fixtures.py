@@ -68,9 +68,3 @@ def parallel_pair() -> FinCat:
 def bz2() -> FinCat:
     """The group Z/2 as a one-object category."""
     return monoid_category("BZ2", Z2_ELEMENTS, Z2_ADD, "0")
-
-
-def bgrade() -> FinCat:
-    """The graded three-element monoid as a one-object category."""
-    return monoid_category("BGRADE", GRADE_ELEMENTS, GRADE_MULT, GRADE_UNIT)
-

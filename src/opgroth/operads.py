@@ -122,29 +122,6 @@ def operads_equal(a: Operad, b: Operad) -> bool:
     return all(outcome(a, f, p, qs) == outcome(b, f, p, qs) for f, p, qs in composition_keys(a))
 
 
-def with_overrides(o: Operad, overrides: dict, name: str = "") -> Operad:
-    """A copy of ``o`` whose composition is redirected on the given keys;
-    used to build deliberately broken variants in tests and fixtures.
-
-    Keys are (f, p, qs) triples.
-    """
-    frozen = {(f.target, f.values, p, tuple(qs)): r for (f, p, qs), r in overrides.items()}
-
-    def rule(f: FinMap, p: str, qs: tuple[str, ...]) -> str:
-        key = (f.target, f.values, p, qs)
-        if key in frozen:
-            return frozen[key]
-        return o.compose(f, p, qs)
-
-    return Operad(
-        name=name or f"{o.name}-broken",
-        max_arity=o.max_arity,
-        carriers=o.carriers,
-        unit=o.unit,
-        rule=rule,
-    )
-
-
 # --------------------------------------------------------------------------
 # builtin operads
 

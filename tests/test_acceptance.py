@@ -12,7 +12,7 @@ import time
 import pytest
 
 from opgroth.cli import run_command
-from opgroth.fincore import FinMap, all_maps, all_permutations, factorize_monotone_perm, fiber, fm_compose, functor_from_labels
+from opgroth.fincore import FinMap, all_maps, factorize_monotone_perm, fiber, fm_compose, functor_from_labels
 from opgroth.groth import make_corpus, roundtrip_report
 from opgroth.ogroth import (
     check_ofib_object,
@@ -46,6 +46,7 @@ from opgroth.operads import (
     identity_operad_morphism,
     terminal_morphism,
 )
+from testkit import all_permutations
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

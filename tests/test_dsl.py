@@ -7,7 +7,6 @@ import pytest
 from fuzzing import token_mutations
 from opgroth.dsl import (
     DocBuilder,
-    documents_table_equal,
     parse_spec_file,
     pretty_print,
     ser_category,
@@ -16,6 +15,7 @@ from opgroth.dsl import (
 )
 from opgroth.fincore import FinMap, validate_category
 from opgroth.fib2cat import validate_indexed_set
+from testkit import documents_table_equal
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

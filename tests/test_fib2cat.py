@@ -5,7 +5,6 @@ from opgroth.fincore import (
     CatFunctor,
     NatTransform,
     all_functors,
-    constant_functor,
     functor_from_labels,
     identity_functor,
     product_category,
@@ -21,7 +20,6 @@ from opgroth.fib2cat import (
     constant_singleton,
     dfib_cell_compose,
     embed_set_as_dfib,
-    embed_set_as_iset,
     fn_compose,
     fn_from_labels,
     fn_identity,
@@ -34,11 +32,11 @@ from opgroth.fib2cat import (
     lift_count_table,
     product_dfib,
     product_iset,
-    tuple_iset_cell,
     validate_dfib_cell,
     validate_indexed_set,
     validate_iset_cell,
 )
+from testkit import constant_functor, embed_set_as_iset, tuple_iset_cell
 
 
 def grade_over_dz2():

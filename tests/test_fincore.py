@@ -8,9 +8,7 @@ from opgroth.fincore import (
     _square,
     all_functors,
     all_maps,
-    all_permutations,
     block_permutation,
-    constant_functor,
     factorize_monotone_perm,
     fiber,
     flatten_by_fibers,
@@ -29,6 +27,7 @@ from opgroth.fincore import (
     validate_natural_transformation,
     NatTransform,
 )
+from testkit import all_permutations, bgrade, constant_functor
 
 
 # ---------------------------------------------------------------- FinMap
@@ -258,7 +257,7 @@ def test_validator_agrees_with_naive_oracle_on_corpus():
         fixtures.cospan(),
         fixtures.parallel_pair(),
         fixtures.bz2(),
-        fixtures.bgrade(),
+        bgrade(),
     ]
     corpus.append(
         make_category("BAD", ["a"], [("s", "a", "a")], compose={("s", "s"): "s", ("s", "id_a"): "id_a"})

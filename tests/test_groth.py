@@ -39,6 +39,7 @@ from opgroth.groth import (
     transpose_apply,
     transpose_product_comparison,
 )
+from testkit import bgrade
 
 
 def grade_over_dz2():
@@ -89,7 +90,7 @@ def test_groth_of_grade_indexed_set():
 def test_lift_along_graded_action():
     # the degree-graded two-element set over the graded monoid: lifting the
     # base morphism r from (pt, 0) is the multiplication arrow to (pt, 1)
-    bg = fixtures.bgrade()
+    bg = bgrade()
     action = {
         m: {x: fixtures.Z2_ADD[(x, fixtures.GRADE_DEGREE[m])] for x in ("0", "1")}
         for m in ("q", "r")

@@ -14,8 +14,8 @@ from opgroth.operads import (
     composition_keys,
     operads_equal,
     terminal_morphism,
-    with_overrides,
 )
+from testkit import with_overrides
 from opgroth.omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
@@ -267,7 +267,8 @@ def test_phi_value_independent_of_factorization():
     # the shipped closed form
     tw = twisted_bz2_unbiased(3)
     ext = extend_unbiased_to_assoc(tw)
-    from opgroth.fincore import all_maps, all_permutations
+    from opgroth.fincore import all_maps
+    from testkit import all_permutations
 
     for m in range(4):
         for n in range(4):

@@ -18,8 +18,8 @@ from opgroth.operads import (
     composition_keys,
     identity_operad_morphism,
     terminal_morphism,
-    with_overrides,
 )
+from testkit import with_overrides
 
 # ---------------------------------------------------------------------------
 # independent oracle: its own loop nest, no helpers shared with the package

@@ -31,7 +31,8 @@ from opgroth.omon import (
     validate_unbiased,
     z2_unbiased,
 )
-from opgroth.operads import build_assoc, build_comm, with_overrides
+from opgroth.operads import build_assoc, build_comm
+from testkit import with_overrides
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
