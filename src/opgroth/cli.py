@@ -23,7 +23,7 @@ from .fincore import (
     validate_natural_transformation,
 )
 from .fib2cat import check_discrete_fibration, validate_indexed_set
-from .groth import Corpus, generate_cells, groth_apply, roundtrip_report, transpose_apply
+from .groth import corpus_with_cells, groth_apply, roundtrip_report, transpose_apply
 from .ogroth import (
     OCorpus,
     check_laxtoset,
@@ -181,18 +181,7 @@ def cmd_roundtrip(args, out) -> int:
         report.structural("cli.corpus", "no iset or fibration sections in the file")
         _emit(report, args.report, out)
         return 2
-    iset_cells, dfib_cells, iset_2cells, dfib_2cells = generate_cells(
-        isets, fibrations, args.seed
-    )
-    corpus = Corpus(
-        isets=isets,
-        fibrations=fibrations,
-        iset_cells=iset_cells,
-        dfib_cells=dfib_cells,
-        iset_2cells=iset_2cells,
-        dfib_2cells=dfib_2cells,
-        params={"seed": args.seed, "source": args.file},
-    )
+    corpus = corpus_with_cells(isets, fibrations, args.seed, {"seed": args.seed, "source": args.file})
     report.merge(roundtrip_report(corpus))
     _emit(report, args.report, out)
     return _exit_code(report)

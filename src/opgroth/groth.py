@@ -609,6 +609,12 @@ def generate_cells(isets, fibrations, seed: int, n_iset_cells=14, n_2cells=8):
     return iset_cells, dfib_cells, iset_2cells, dfib_2cells
 
 
+def corpus_with_cells(isets, fibrations, seed: int, params: dict, n_iset_cells=14, n_2cells=8) -> Corpus:
+    """The corpus of the given objects and the cells that
+    :func:`generate_cells` builds among them from ``seed``."""
+    return Corpus(isets, fibrations, *generate_cells(isets, fibrations, seed, n_iset_cells, n_2cells), params=params)
+
+
 def make_corpus(
     seed: int = DEFAULT_CORPUS_SEED,
     n_isets: int = 26,
@@ -638,23 +644,8 @@ def make_corpus(
             name="walk_x_set",
         )
     )
-    iset_cells, dfib_cells, iset_2cells, dfib_2cells = generate_cells(
-        isets, fibrations, seed + 1, n_iset_cells, n_2cells
-    )
-    return Corpus(
-        isets=isets,
-        fibrations=fibrations,
-        iset_cells=iset_cells,
-        dfib_cells=dfib_cells,
-        iset_2cells=iset_2cells,
-        dfib_2cells=dfib_2cells,
-        params={
-            "seed": seed,
-            "max_objects": 3,
-            "max_morphisms": 6,
-            "max_value_size": 3,
-        },
-    )
+    params = {"seed": seed, "max_objects": 3, "max_morphisms": 6, "max_value_size": 3}
+    return corpus_with_cells(isets, fibrations, seed + 1, params, n_iset_cells, n_2cells)
 
 
 # --------------------------------------------------------------------------

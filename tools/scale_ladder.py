@@ -83,16 +83,7 @@ def _classical_spec():
     doc = parse_spec_file((ROOT / "fixtures" / "corpus_small.spec").read_text(encoding="utf-8"))
     isets = [s.value for s in doc.by_kind("iset")]
     fibrations = [s.value for s in doc.by_kind("fibration")]
-    iset_cells, dfib_cells, iset_2cells, dfib_2cells = groth.generate_cells(isets, fibrations, seed)
-    corpus = groth.Corpus(
-        isets=isets,
-        fibrations=fibrations,
-        iset_cells=iset_cells,
-        dfib_cells=dfib_cells,
-        iset_2cells=iset_2cells,
-        dfib_2cells=dfib_2cells,
-        params={"seed": seed, "source": "fixtures/corpus_small.spec"},
-    )
+    corpus = groth.corpus_with_cells(isets, fibrations, seed, {"seed": seed, "source": "fixtures/corpus_small.spec"})
     return corpus, groth.roundtrip_report
 
 
