@@ -59,12 +59,12 @@ from .omon import (
     OMonCategory,
     PhiMissing,
     SetAlgebra,
-    TensorTable,
     _check_set_lax,
     _check_table_lax,
     _compose_lax,
     _montrans_square,
     _strict_preservation,
+    build_omon,
     _normalize_xi,
     _pullback_indexed,
     assoc_algebra_from_monoid,
@@ -423,56 +423,31 @@ def _omon_groth_object(x: LaxSetFunctor, memo: dict) -> OFibObject:
     F = x.iset
     fib = groth_apply(F, memo=memo)
     index = x.dom
-    operad = index.operad
     obj_off, _, mor_off, _ = _pair_offsets(F)
     sizes = [v.size for v in F.values]
-    total = fib.total
+    on_obj, on_mor, mor_src = fib.proj.on_obj, fib.proj.on_mor, fib.total.mor_src
+    element = [o - obj_off[a] for o, a in enumerate(on_obj)]
 
-    def pair_of(obj: int) -> tuple[int, int]:
-        a = fib.proj.on_obj[obj]
-        return a, obj - obj_off[a]
+    def lift(n, p, objs):
+        """The element that nu at (n, p) gives the elements a tuple of
+        total objects stands for."""
+        i_vec = tuple(on_obj[o] for o in objs)
+        return nu_at(n, p, i_vec).mapping[_mixed_encode([element[o] for o in objs], [sizes[a] for a in i_vec])]
 
-    tensors = {}
-    for n in range(operad.max_arity + 1):
-        for p in operad.elements(n):
-            obj_table = {}
-            for combo in itertools.product(range(total.n_objects), repeat=n):
-                pairs = [pair_of(o) for o in combo]
-                i_vec = tuple(a for a, _ in pairs)
-                enc = _mixed_encode(tuple(xi for _, xi in pairs), [sizes[a] for a in i_vec])
-                target_obj = index.tensor_obj(n, p, i_vec)
-                obj_table[combo] = obj_off[target_obj] + nu_at(n, p, i_vec).mapping[enc]
-            mor_table = {}
-            for combo in itertools.product(range(total.n_morphisms), repeat=n):
-                base_mors = tuple(fib.proj.on_mor[t] for t in combo)
-                src_pairs = [pair_of(total.mor_src[t]) for t in combo]
-                i_vec = tuple(a for a, _ in src_pairs)
-                enc = _mixed_encode(
-                    tuple(xi for _, xi in src_pairs), [sizes[a] for a in i_vec]
-                )
-                big = index.tensor_mor(n, p, base_mors)
-                mor_table[combo] = mor_off[big] + nu_at(n, p, i_vec).mapping[enc]
-            tensors[(n, p)] = TensorTable(obj=obj_table, mor=mor_table)
-    phi = {}
+    total = build_omon(
+        index.operad,
+        fib.total,
+        lambda n, p, objs: obj_off[index.tensor_obj(n, p, tuple(on_obj[o] for o in objs))] + lift(n, p, objs),
+        lambda n, p, mors: mor_off[index.tensor_mor(n, p, tuple(on_mor[t] for t in mors))]
+        + lift(n, p, tuple(mor_src[t] for t in mors)),
+        name=f"int[{x.name or F.name}]",
+    )
     for (f, p, qs, i_vec), value in index.phi.items():
+        rho = index.op(f, p, qs)
         for xs in itertools.product(*(range(sizes[a]) for a in i_vec)):
-            combo = tuple(obj_off[a] + xi for a, xi in zip(i_vec, xs))
-            rho = index.op(f, p, qs)
-            enc = _mixed_encode(xs, [sizes[a] for a in i_vec])
-            phi[(f, p, qs, combo)] = mor_off[value] + nu_at(f.source, rho, i_vec).mapping[enc]
-    total_omon = OMonCategory(
-        operad=operad,
-        base=total,
-        tensors=tensors,
-        phi=phi,
-        name=f"int[{x.name or F.name}]",
-    )
-    return OFibObject(
-        fib=fib,
-        total_omon=total_omon,
-        base_omon=index,
-        name=f"int[{x.name or F.name}]",
-    )
+            objs = tuple(obj_off[a] + xi for a, xi in zip(i_vec, xs))
+            total.phi[(f, p, qs, objs)] = mor_off[value] + lift(f.source, rho, objs)
+    return OFibObject(fib=fib, total_omon=total, base_omon=index, name=total.name)
 
 
 def _omon_groth_cell(c: OCell, memo: dict) -> OFibCell:
