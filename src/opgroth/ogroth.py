@@ -442,6 +442,7 @@ def _omon_groth_object(x: LaxSetFunctor, memo: dict) -> OFibObject:
         + lift(n, p, tuple(mor_src[t] for t in mors)),
         name=f"int[{x.name or F.name}]",
     )
+    # an absent base entry lifts to an identity, so only explicit ones are lifted
     for (f, p, qs, i_vec), value in index.phi.items():
         rho = index.op(f, p, qs)
         for xs in itertools.product(*(range(sizes[a]) for a in i_vec)):
