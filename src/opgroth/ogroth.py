@@ -64,12 +64,12 @@ from .omon import (
     _compose_lax,
     _montrans_square,
     _strict_preservation,
-    build_omon,
     _normalize_xi,
     _pullback_indexed,
-    assoc_algebra_from_monoid,
     o_fn_product,
     o_set_product,
+    assoc_algebra_from_monoid,
+    build_omon,
     check_omon_category,
     dz2_assoc_omon,
     l2_comm_omon,
