@@ -33,6 +33,7 @@ from opgroth.groth import _valid_mus
 from opgroth.omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
+    SetAlgebra,
     TensorTable,
     UnbiasedData,
     _check_set_lax,
@@ -43,13 +44,14 @@ from opgroth.omon import (
     grade_assoc_omon,
     l2_comm_omon,
     o_fn_product,
+    omon_from_set_algebra,
     set_regroup,
     twisted_bz2_unbiased,
     validate_unbiased,
 )
-from opgroth.fib2cat import FinFunction, FinSet
-from opgroth.ogroth import l2_laxtoset
-from opgroth.operads import boolean_semiring, build_assoc, build_qconv, composition_keys
+from opgroth.fib2cat import FinFunction, FinSet, iset_from_tables
+from opgroth.ogroth import _laxtoset_from_rule, grade_laxtoset, l2_laxtoset, qconv_proj_laxtoset
+from opgroth.operads import boolean_semiring, build_assoc, build_comm, build_qconv, composition_keys
 
 # ---------------------------------------------------------------------------
 # plain finite combinatorics, written out here
@@ -739,35 +741,90 @@ def _all_functions(src, tgt):
         yield FinFunction(src, tgt, mapping)
 
 
+def _rule_laxtoset(index, sets, maps, rule, name):
+    """A lax functor into finite sets out of ``index``, its indexed set
+    given by label tables and its comparisons by a rule on element labels."""
+    iset = iset_from_tables(index.base, sets, maps, name=f"{name}F")
+    return _laxtoset_from_rule(index, iset, rule, name)
+
+
+def _any_b(n, p, xs):
+    return "b" if any("b" in x for x in xs) else "a"
+
+
+def _set_lax_families():
+    """The shipped families at arity 2, and two more over L2(2) with the
+    comparisons of the or-monoid {a, b}: one whose two objects carry the
+    same set {a, b}, and one whose bottom set is labelled as the product
+    of {a, b} with the empty product, so that its labels contain commas
+    and equal those of the codomain of a regrouping."""
+    nullary = {"a": "(a,())", "b": "(b,())"}
+    return [
+        l2_laxtoset(2),
+        grade_laxtoset(2),
+        qconv_proj_laxtoset(2),
+        _rule_laxtoset(l2_comm_omon(2), {"0": ["a", "b"], "1": ["a", "b"]}, {"le_0_1": {"a": "a", "b": "b"}}, _any_b, "EQUALSETS"),
+        _rule_laxtoset(
+            l2_comm_omon(2),
+            {"0": list(nullary.values()), "1": ["a", "b"]},
+            {"le_0_1": {v: k for k, v in nullary.items()}},
+            lambda n, p, xs: nullary[_any_b(n, p, xs)] if any(x in nullary.values() for x in xs) else _any_b(n, p, xs),
+            "COMMAS",
+        ),
+    ]
+
+
+def _assert_set_lax_agrees(L, what):
+    report = _check_set_lax(L)
+    names, classification = oracle_set_lax(L)
+    assert (report.ok, _names(report), report.info["classification"]) == (not names, names, classification), what
+    return report.ok
+
+
 def test_set_lax_oracle_agrees_on_every_comparison_function():
-    x = l2_laxtoset(2)
-    assert _check_set_lax(x).ok and oracle_set_lax(x) == (set(), "lax")
-    dom, iset = x.dom, x.iset
-    swept = 0
-    for n in range(dom.operad.max_arity + 1):
-        for objs in itertools.product(range(dom.base.n_objects), repeat=n):
-            key = (n, "*", objs)
-            src = _product([iset.values[a].labels for a in objs])
-            tgt = iset.values[dom.tensors[(n, "*")].obj[objs]]
-            src_set = FinSet(src)
-            old = x.nu.get(key)
-            variants = [fn for fn in _all_functions(src_set, tgt) if fn != old]
-            if old is not None:
-                variants.append(None)
-            for fn in variants:
-                nu = dict(x.nu)
-                if fn is None:
-                    del nu[key]
-                else:
-                    nu[key] = fn
-                L = LaxSetFunctor(dom=dom, iset=iset, nu=nu, name=x.name)
-                report = _check_set_lax(L)
-                names, classification = oracle_set_lax(L)
-                assert (report.ok, _names(report), report.info["classification"]) == (
-                    not names, names, classification,
-                ), (key, fn)
+    # every single-entry change of a comparison, at every operation: each
+    # well-typed function, one function into each other fiber, and deletion
+    swept, verdicts = 0, set()
+    for x in _set_lax_families():
+        assert _check_set_lax(x).ok and oracle_set_lax(x)[0] == set(), x.name
+        dom, iset = x.dom, x.iset
+        fibers = dict.fromkeys(iset.values)
+        for n in range(dom.operad.max_arity + 1):
+            for p in dom.operad.elements(n):
+                for objs in itertools.product(range(dom.base.n_objects), repeat=n):
+                    key = (n, p, objs)
+                    src, tgt = x.nu_sets(n, p, objs)
+                    old = x.nu.get(key)
+                    variants = [fn for fn in _all_functions(src, tgt) if fn != old]
+                    variants += [
+                        FinFunction(src, wrong, (0,) * src.size)
+                        for wrong in fibers
+                        if wrong != tgt and (wrong.size or not src.size)
+                    ]
+                    if old is not None:
+                        variants.append(None)
+                    for fn in variants:
+                        nu = dict(x.nu)
+                        if fn is None:
+                            del nu[key]
+                        else:
+                            nu[key] = fn
+                        verdicts.add(_assert_set_lax_agrees(LaxSetFunctor(dom=dom, iset=iset, nu=nu, name=x.name), (x.name, key, fn)))
+                        swept += 1
+    assert verdicts == {True, False} and swept > 250
+
+
+def test_set_lax_oracle_agrees_on_every_structure_iso_change():
+    # every single-entry change of the domain's structure isomorphism, to
+    # every morphism of its base, under each family's comparisons
+    swept, verdicts = 0, set()
+    for x in _set_lax_families():
+        c = x.dom
+        for what, mutated in omon_mutations(c):
+            if what.startswith("phi "):
+                verdicts.add(_assert_set_lax_agrees(LaxSetFunctor(dom=mutated, iset=x.iset, nu=x.nu, name=x.name), (x.name, what)))
                 swept += 1
-    assert swept >= 10
+    assert verdicts == {True, False} and swept > 250
 
 
 def _sets(sizes):
