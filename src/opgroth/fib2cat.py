@@ -95,13 +95,20 @@ def set_product(sets) -> FinSet:
     )
 
 
+def product_mapping(mappings, cod_sizes) -> tuple:
+    """The mapping of the product of functions with these mappings into
+    sets of these sizes, on the tuple codes of :func:`set_product`."""
+    sizes = tuple(len(m) for m in mappings)
+    out = [0] * math.prod(sizes)
+    for at, size, digit in zip(mappings, cod_sizes, _digits(sizes)):
+        out = [c * size + at[x] for c, x in zip(out, digit)]
+    return tuple(out)
+
+
 def fn_product(fns) -> FinFunction:
     fns = tuple(fns)
-    sizes = tuple(f.dom.size for f in fns)
-    mapping = [0] * math.prod(sizes)
-    for f, digit in zip(fns, _digits(sizes)):
-        mapping = [c * f.cod.size + f.mapping[x] for c, x in zip(mapping, digit)]
-    return FinFunction(set_product(f.dom for f in fns), set_product(f.cod for f in fns), tuple(mapping))
+    mapping = product_mapping([f.mapping for f in fns], [f.cod.size for f in fns])
+    return FinFunction(set_product(f.dom for f in fns), set_product(f.cod for f in fns), mapping)
 
 
 # --------------------------------------------------------------------------

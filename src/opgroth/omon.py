@@ -44,6 +44,7 @@ from .fib2cat import (
     IndexedSet,
     fn_compose,
     fn_product,
+    product_mapping,
     set_product,
     validate_indexed_set,
 )
@@ -717,14 +718,14 @@ class _LaxTarget:
     label tables, with which :meth:`by_labels` evaluates one coherence
     instance that the rows cannot settle.
 
-    ``settles(f, p, qs, rho, phi, targets, target)`` tries to settle a
-    whole coherence key whose legs are all default components at once,
-    ``target`` being its ``target_phi`` row.
+    ``settles(f, p, qs, rho, phi, targets)`` tries to settle a whole
+    coherence key whose legs are all default components at once.
+    ``proven(f, p, qs, rho, phi, targets)`` may give, per object tuple,
+    whether the square holds when every component is present and typed.
     """
 
-    def settles(self, f, p, qs, rho, phi, targets, target) -> bool:
-        """False: into finite sets a default component is no identity."""
-        return False
+    def proven(self, f, p, qs, rho, phi, targets):
+        return None
 
     def by_labels(self, dom: OMonCategory, f: FinMap, p: str, qs, rho: str, objs) -> bool:
         """Whether the coherence square fails at the instance; raises one
@@ -803,25 +804,31 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
                         where,
                     )
 
-    # coherence against every structure isomorphism
+    # coherence against every structure isomorphism; with no record so
+    # far, every component is present and typed
+    clean = report.ok
     for f, p, qs in _keys(operad, lambda a, b: maps[a, b]):
         m, n = f.source, f.target
         rho, targets, phi = cc.key(f, p, qs)
         if not phi:
             continue
         count(coh_instances, len(phi))
-        target = t.target_phi(f, p, qs)
         if (
             (m, rho) in plain
             and (n, p) in plain
             and all((len(fib), q) in plain for fib, q in zip(f.fibers, qs))
-            and t.settles(f, p, qs, rho, phi, targets, target)
+            and t.settles(f, p, qs, rho, phi, targets)
         ):
+            continue
+        proven = t.proven(f, p, qs, rho, phi, targets) if clean else None
+        if proven and all(proven):
             continue
         top, bottom = rows[m, rho], rows[n, p]
         blocks = [[rows[len(fib), q][s] for s in sub] for fib, q, sub in zip(f.fibers, qs, cc.restrict(f, n_obj))]
-        rows_at = zip(phi, top, targets, t.tensors(n, p, blocks, len(phi)), target)
-        for x, (a, u, b, d, c) in enumerate(rows_at):
+        rows_at = enumerate(zip(phi, top, targets, t.tensors(n, p, blocks, len(phi)), t.target_phi(f, p, qs)))
+        if proven:
+            rows_at = itertools.compress(rows_at, [not v for v in proven])
+        for x, (a, u, b, d, c) in rows_at:
             v = bottom[b]
             if a != MISSING and u != MISSING and v != MISSING and d != MISSING and c != MISSING:
                 lhs = compose(on_mor[a], u)
@@ -931,7 +938,7 @@ class _TableTarget(_LaxTarget):
             )
         return got
 
-    def settles(self, f, p, qs, rho, phi, targets, target):
+    def settles(self, f, p, qs, rho, phi, targets):
         """Whether the coherence square holds at every object tuple A of a
         key whose legs at rho, at p and at each q_i are default components,
         which into a structured category are identities.
@@ -942,6 +949,7 @@ class _TableTarget(_LaxTarget):
         endpoints.  A False leaves the key to the per-instance loop."""
         if MISSING in phi or not self.neutral(f.target, p):
             return False
+        target = self.target_phi(f, p, qs)
         if [self.on_mor[a] for a in phi] != target:
             return False
         cod = self.cod_cc
@@ -1002,16 +1010,21 @@ def o_fn_product(fns) -> FinFunction:
     return fn_product(fns)
 
 
+def _regroup_mapping(f: FinMap, sizes) -> tuple:
+    """The mapping of the regrouping along f of sets of these sizes."""
+    mapping = [0] * math.prod(sizes)
+    for i in range(1, f.target + 1):
+        fib = fiber(f, i)
+        size = math.prod(sizes[j - 1] for j in fib)
+        mapping = [c * size + x for c, x in zip(mapping, _sub_codes(sizes, fib))]
+    return tuple(mapping)
+
+
 def set_regroup(f: FinMap, sets) -> FinFunction:
     """Canonical bijection from a flat product to its fiber regrouping."""
     sets = tuple(sets)
-    sizes = tuple(s.size for s in sets)
-    mapping, blocks = [0] * math.prod(sizes), []
-    for i in range(1, f.target + 1):
-        fib = fiber(f, i)
-        blocks.append(o_set_product(sets[j - 1] for j in fib))
-        mapping = [c * blocks[-1].size + x for c, x in zip(mapping, _sub_codes(sizes, fib))]
-    return FinFunction(o_set_product(sets), o_set_product(blocks), tuple(mapping))
+    blocks = [o_set_product(sets[j - 1] for j in fib) for fib in f.fibers]
+    return FinFunction(o_set_product(sets), o_set_product(blocks), _regroup_mapping(f, tuple(s.size for s in sets)))
 
 
 @dataclass
@@ -1038,27 +1051,32 @@ class LaxSetFunctor:
         if key in self.nu:
             return self.nu[key]
         src, tgt = self.nu_sets(n, p, objs)
-        value = _nu_default(src, tgt, n == 1 and p == self.dom.operad.unit)
-        if value is None:
+        mapping = _nu_default(src == tgt, src.size, tgt.size, n == 1 and p == self.dom.operad.unit)
+        if mapping is None:
             raise PhiMissing(nu_key_render(p, [self.dom.base.objects[a] for a in objs]))
-        return value
+        return FinFunction(src, tgt, mapping)
 
 
-def _nu_default(src: FinSet, tgt: FinSet, unit: bool):
-    """The function an absent nu entry stands for, or None: the identity
-    at the unit operation, elsewhere the only function into a point or
-    out of the empty set."""
+def _nu_default(same: bool, src_size: int, tgt_size: int, unit: bool):
+    """The mapping of the function an absent nu entry stands for, or None:
+    the identity at the unit operation, elsewhere the only function into
+    a point or out of the empty set."""
     if unit:
-        return FinFunction(src, tgt, tuple(range(tgt.size))) if src == tgt else None
-    if tgt.size == 1 or src.size == 0:
-        return FinFunction(src, tgt, (0,) * src.size)
+        return tuple(range(tgt_size)) if same else None
+    if tgt_size == 1 or src_size == 0:
+        return (0,) * src_size
     return None
 
 
 class _SetTarget(_LaxTarget):
-    """The target of a lax functor into (Set, x): values number the
-    functions the check meets, and each product, regrouping and composite
-    is built once per distinct argument."""
+    """The target of a lax functor into (Set, x), on ids for one check.
+
+    Sets and functions share one numbering, given on first sight: a set
+    is numbered by its :class:`FinSet`, so equal ids are exactly equal
+    sets, a product whose labels equal another set's included, and a
+    function by its triple ``(dom, cod, mapping)`` of ids and codes.
+    Each product of sets and of functions, each regrouping and each
+    composite is built once per tuple of ids."""
 
     prefix, comp = "laxtoset", "nu"
     missing, mistyped = " has no entry", " has wrong dom/cod"
@@ -1067,8 +1085,9 @@ class _SetTarget(_LaxTarget):
     def __init__(self, L: "LaxSetFunctor", cc: _Compiled):
         iset = L.iset
         self.cc, self.L = cc, L
-        self.fns, self.ids = [], {}
-        self._sources, self._across, self._products, self._composites, self._regroups = {}, {}, {}, {}, {}
+        self.sets = self.fns = []  # by id: a FinSet, or a function's triple
+        self.ids, self._sources, self._set_products, self._fn_products, self._composites, self._regroups = {}, {}, {}, {}, {}, {}
+        self.atoms = [self.number(v) for v in iset.values]
         self.on_mor = [self.intern(a) for a in iset.actions]
         self.label_obj, self.label_mor = iset.values, iset.actions
         self.at, self.label_compose = L.nu_at, fn_compose
@@ -1080,83 +1099,115 @@ class _SetTarget(_LaxTarget):
             if len(objs) == n and all(a in range(n_obj) for a in objs):
                 self.entries.setdefault((n, p), {})[_mixed_encode(objs, (n_obj,) * n)] = self.intern(value)
 
-    def intern(self, fn: FinFunction) -> int:
-        got = self.ids.get(fn)
+    def number(self, key) -> int:
+        got = self.ids.get(key)
         if got is None:
-            got = self.ids[fn] = len(self.fns)
-            self.fns.append(fn)
+            got = self.ids[key] = len(self.fns)
+            self.fns.append(key)
+        return got
+
+    def intern(self, fn: FinFunction) -> int:
+        return self.number((self.number(fn.dom), self.number(fn.cod), fn.mapping))
+
+    def product(self, ids) -> int:
+        """The id of the product of the sets ``ids``; the unary product is
+        the set itself, as in :func:`o_set_product`."""
+        if len(ids) == 1:
+            return ids[0]
+        got = self._set_products.get(ids)
+        if got is None:
+            got = self._set_products[ids] = self.number(set_product(self.sets[i] for i in ids))
         return got
 
     def render(self, p, labels):
         return nu_key_render(p, labels)
 
     def is_identity(self, v):
-        fn = self.fns[v]
-        return fn.dom == fn.cod and fn.mapping == tuple(range(fn.dom.size))
+        dom, cod, mapping = self.fns[v]
+        return dom == cod and mapping == tuple(range(len(mapping)))
 
     def is_invertible(self, v):
-        fn = self.fns[v]
-        return fn.dom.size == fn.cod.size and len(set(fn.mapping)) == fn.dom.size
+        dom, cod, mapping = self.fns[v]
+        return len(mapping) == self.sets[cod].size == len(set(mapping))
 
-    def source(self, n: int, x: int) -> FinSet:
-        """The product of the sets over the n-tuple of objects with code x."""
-        got = self._sources.get((n, x))
+    def sources(self, n: int) -> list:
+        """The id of the product of the sets of each n-tuple of objects."""
+        got = self._sources.get(n)
         if got is None:
-            values = self.L.iset.values
-            got = self._sources[n, x] = o_set_product(values[a] for a in _mixed_decode(x, (self.cc.n_obj,) * n))
+            got = self._sources[n] = [self.product(ids) for ids in itertools.product(self.atoms, repeat=n)]
         return got
 
     def resolve(self, n, p):
-        values, fns = self.L.iset.values, self.fns
+        sets, fns = self.sets, self.fns
         unit = n == 1 and p == self.cc.c.operad.unit
-        src = [self.source(n, x) for x in range(self.cc.n_obj**n)]
-        tgt = [values[a] for a in self.cc.obj[n, p]]
+        src, tgt = self.sources(n), [self.atoms[a] for a in self.cc.obj[n, p]]
         row = []
         for s, t in zip(src, tgt):
-            fn = _nu_default(s, t, unit)
-            row.append(MISSING if fn is None else self.intern(fn))
-        return row, lambda x, v: fns[v].dom == src[x] and fns[v].cod == tgt[x]
+            mapping = _nu_default(s == t, sets[s].size, sets[t].size, unit)
+            row.append(MISSING if mapping is None else self.number((s, t, mapping)))
+        return row, lambda x, v: fns[v][0] == src[x] and fns[v][1] == tgt[x]
 
     def across(self, n, p):
-        got = self._across.get(n)
+        return [self.fn_product(mors) for mors in itertools.product(self.on_mor, repeat=n)]
+
+    def fn_product(self, values) -> int:
+        """The id of the product of the functions ``values``; the unary
+        product is the function itself."""
+        if len(values) == 1:
+            return values[0]
+        got = self._fn_products.get(values)
         if got is None:
-            actions = self.L.iset.actions
-            got = self._across[n] = [
-                self.intern(o_fn_product(actions[u] for u in mors))
-                for mors in itertools.product(range(self.cc.n_mor), repeat=n)
-            ]
+            fns = [self.fns[v] for v in values]
+            dom, cod = self.product(tuple(fn[0] for fn in fns)), self.product(tuple(fn[1] for fn in fns))
+            mapping = product_mapping([fn[2] for fn in fns], [self.sets[fn[1]].size for fn in fns])
+            got = self._fn_products[values] = self.number((dom, cod, mapping))
         return got
 
     def tensors(self, n, p, blocks, size):
-        row = []
-        for values in zip(*blocks) if blocks else [()] * size:
-            got = MISSING if MISSING in values else self._products.get(values)
-            if got is None:
-                got = self._products[values] = self.intern(o_fn_product(self.fns[v] for v in values))
-            row.append(got)
-        return row
+        return [MISSING if MISSING in vs else self.fn_product(vs) for vs in (zip(*blocks) if blocks else [()] * size)]
 
     def compose(self, g, f):
         got = self._composites.get((g, f))
         if got is None:
-            try:
-                got = self.intern(fn_compose(self.fns[g], self.fns[f]))
-            except ValueError:
-                got = MISSING
+            (g_dom, g_cod, g_at), (f_dom, f_cod, f_at) = self.fns[g], self.fns[f]
+            got = MISSING if f_cod != g_dom else self.number((f_dom, g_cod, tuple(g_at[v] for v in f_at)))
             self._composites[g, f] = got
         return got
 
     def target_phi(self, f, p, qs):
-        memo = self._regroups.setdefault((f.target, f.values), {})
-        values, n_obj = self.L.iset.values, self.cc.n_obj
-        row = []
-        for x in range(n_obj**f.source):
-            got = memo.get(x)
-            if got is None:
-                sets = tuple(values[a] for a in _mixed_decode(x, (n_obj,) * f.source))
-                got = memo[x] = self.intern(set_regroup(f, sets))
-            row.append(got)
+        """The regrouping along f at each object tuple, which p and qs do
+        not enter; one mapping per tuple of sizes."""
+        got = self._regroups.get((f.target, f.values))
+        if got is None:
+            tuples, mappings, fns = list(itertools.product(self.atoms, repeat=f.source)), {}, {}
+            for ids in dict.fromkeys(tuples):
+                sizes = tuple(self.sets[i].size for i in ids)
+                if sizes not in mappings:
+                    mappings[sizes] = _regroup_mapping(f, sizes)
+                blocks = tuple(self.product(tuple(ids[j - 1] for j in fib)) for fib in f.fibers)
+                fns[ids] = self.number((self.product(ids), self.product(blocks), mappings[sizes]))
+            got = self._regroups[f.target, f.values] = [fns[ids] for ids in tuples]
+        return got
+
+    def proven(self, f, p, qs, rho, phi, targets):
+        """Per object tuple A, whether the singleton lemma proves the square
+        there when every leg is present and typed.  With B the block
+        tensors, both sides then run from the product of the sets of A to
+        ``F(T_p B)``, if phi runs from ``T_rho A`` to ``T_p B``: a default
+        entry does by construction, an explicit one is tested.  So they are
+        equal when ``F(T_p B)`` has one element or the product is empty."""
+        cc, sets = self.cc, self.sets
+        one = [sets[self.atoms[b]].size == 1 for b in cc.obj[f.target, p]]
+        row = [a != MISSING and (one[b] or not sets[s].size) for a, b, s in zip(phi, targets, self.sources(f.source))]
+        top, bottom = cc.obj[f.source, rho], cc.obj[f.target, p]
+        for x, a in cc.explicit.get((f.target, f.values, p, qs), {}).items():
+            row[x] = row[x] and cc.mor_src[a] == top[x] and cc.mor_tgt[a] == bottom[targets[x]]
         return row
+
+    def settles(self, f, p, qs, rho, phi, targets):
+        """Whether the singleton lemma proves every square of a key whose
+        legs are all default components, which are present and typed."""
+        return all(self.proven(f, p, qs, rho, phi, targets))
 
 
 def _check_set_lax(L: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport:

@@ -187,6 +187,46 @@ def test_set_lax_witnesses(corpus3):
     ]
 
 
+def test_set_lax_singleton_lemma_needs_each_condition():
+    # The set target proves a coherence square without evaluating it when
+    # every leg is present and typed, phi runs from T_rho A to T_p B, and
+    # F(T_p B) has one element.  Each case breaks one condition at an
+    # instance that meets the others, and keeps the records of the plain
+    # per-instance loop.
+    x = l2_laxtoset(2)
+    le = x.dom.base.mor_index("le_0_1")
+
+    def with_nu(key, fn):
+        nu = dict(x.nu)
+        if fn is None:
+            del nu[key]
+        else:
+            nu[key] = fn
+        return LaxSetFunctor(x.dom, x.iset, nu, name="bad")
+
+    # phi at A=(0,0) runs to 1, not to T_p B = 0, whose set {s} is a point
+    dom = omon_copy(x.dom)
+    dom.phi[(terminal_map(2), "*", ("*",), (0, 0))] = le
+    assert _records(check_lax_omon_functor(LaxSetFunctor(dom, x.iset, x.nu, name="bad"))) == [
+        ("laxtoset.coherence", "bad", "coherence square fails at phi[f=[1,1],p=*,q=(*),A=(0,0)]")
+    ]
+    # the nullary leg, a block of the square at f=[1], A=(0), into the point
+    # F(T(0, 1)), is missing, then typed into the wrong fiber
+    src, _ = x.nu_sets(0, "*", ())
+    assert _records(check_lax_omon_functor(with_nu((0, "*", ()), None))) == [
+        ("laxtoset.nu_missing", "bad", "nu[p=*,i=()] has no entry")
+    ] + [("laxtoset.coherence_missing", "bad", "nu[p=*,i=()]")] * 15
+    assert _records(check_lax_omon_functor(with_nu((0, "*", ()), FinFunction(src, x.iset.values[0], (0,))))) == [
+        ("laxtoset.nu_typing", "bad", "nu[p=*,i=()] has wrong dom/cod")
+    ] + [("laxtoset.coherence_missing", "bad", "functions not composable")] * 15
+    # every leg typed and natural, but the top set {a, b} has two elements
+    src, tgt = x.nu_sets(2, "*", (1, 1))
+    assert _records(check_lax_omon_functor(with_nu((2, "*", (1, 1)), FinFunction(src, tgt, (1, 1, 1, 1))))) == [
+        ("laxtoset.coherence", "bad", f"coherence square fails at phi[f={f},p=*,q=(*,*),A={a}]")
+        for f, a in (("[]", "()"), ("[1]", "(1)"), ("[2]", "(1)"))
+    ]
+
+
 def _twisted():
     """The twisted one-object group structure with its flip morphism: a
     base where a component can change without leaving naturality."""
