@@ -139,7 +139,7 @@ def _resolve_named(doc, name: str, kind: str, report: CheckReport):
         report.structural("cli.section", f"no section named {name!r}")
         return None
     if section.kind != kind:
-        report.structural("cli.section", f"{name!r} is a {section.kind}, expected {kind}")
+        report.structural("cli.section", f"{name!r} has kind {section.kind}, expected {kind}")
         return None
     return section.value
 

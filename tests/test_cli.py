@@ -322,6 +322,21 @@ def test_construction_pipeline(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["ogroth", "corpus_omon.spec", "--laxtoset", "IDL2"], "'IDL2' has kind ofib, expected laxtoset"),
+        (["groth", "grade.laxtoset", "--iset", "Assoc_3"], "'Assoc_3' has kind operad, expected iset"),
+        (["otranspose", "corpus_omon.spec", "--ofib", "DZ2"], "'DZ2' has kind omon, expected ofib"),
+    ],
+)
+def test_construction_of_a_section_of_another_kind_is_structural(tmp_path, argv, kind):
+    out = tmp_path / "out.spec"
+    code, text = run([argv[0], str(FIXTURES / argv[1]), *argv[2:], "-o", str(out)])
+    assert (code, text) == (2, f"structural: cli.section: {kind}\nstatus: failed\n")
+    assert not out.exists()
+
+
 def test_structured_pipeline(tmp_path):
     # run at truncation 2 to stay quick: serialize a small grade family
     from opgroth.dsl import DocBuilder, ser_laxtoset
