@@ -12,7 +12,13 @@ writes the run under ``runs[label]`` of the output file, keeping the runs
 already there under other labels.  ``--rung NAME`` runs one rung in this
 process and prints its JSON line, which is what the ladder runs in each
 child.  ``peak_rss_mb`` is the peak resident set of that child, build
-included.  The ladder is not part of the test suite.
+included.
+
+    python3 tools/scale_ladder.py --rung "check_laxtoset l2(5)" --repeat 3
+
+runs one rung in 3 fresh children and prints the median, min and max of
+its ``check_s`` and ``peak_rss_mb``; it exits 1 when the counters differ
+between the runs or a run does not finish.  The ladder is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -155,22 +162,44 @@ def run_rung(name: str) -> dict:
     }
 
 
-def run_ladder() -> dict:
+def run_child(name: str) -> dict:
+    """One rung in a fresh interpreter, under the cap."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(Path(__file__).resolve()), "--rung", name]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=CAP_S)
+    except subprocess.TimeoutExpired:
+        out = {"status": "over_cap", "cap_s": CAP_S}
+    else:
+        if proc.returncode == 0:
+            out = json.loads(proc.stdout.splitlines()[-1])
+        else:
+            out = {"status": "error", "stderr": proc.stderr.strip().splitlines()[-1:]}
+    out["wall_s"] = round(time.perf_counter() - start, 3)
+    return out
+
+
+def run_repeated(name: str, repeat: int) -> dict:
+    """The rung in ``repeat`` fresh children: the median, min and max of
+    its check time and peak resident set, and its counters, which must be
+    the same in every run (``stats_agree``)."""
+    runs = [run_child(name) for _ in range(repeat)]
+    out = {"rung": name, "repeat": repeat, "status": sorted({r["status"] for r in runs})}
+    for key in ("check_s", "peak_rss_mb"):
+        values = [r[key] for r in runs if key in r]
+        if values:
+            out[key] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
+    stats = [r.get("stats") for r in runs]
+    out["stats_agree"] = all(s == stats[0] for s in stats)
+    out["stats"] = stats[0]
+    return out
+
+
+def run_ladder() -> dict:
     out = {}
     for name in RUNGS:
-        argv = [sys.executable, str(Path(__file__).resolve()), "--rung", name]
-        start = time.perf_counter()
-        try:
-            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=CAP_S)
-        except subprocess.TimeoutExpired:
-            out[name] = {"status": "over_cap", "cap_s": CAP_S}
-        else:
-            if proc.returncode == 0:
-                out[name] = json.loads(proc.stdout.splitlines()[-1])
-            else:
-                out[name] = {"status": "error", "stderr": proc.stderr.strip().splitlines()[-1:]}
-        out[name]["wall_s"] = round(time.perf_counter() - start, 3)
+        out[name] = run_child(name)
         print(f"{name}: {out[name]['status']} in {out[name]['wall_s']} s", file=sys.stderr, flush=True)
     return out
 
@@ -178,9 +207,14 @@ def run_ladder() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rung", help="run one rung in this process and print its JSON")
+    parser.add_argument("--repeat", type=int, help="with --rung: run it in this many fresh children and print the spread")
     parser.add_argument("--out", type=Path, help="JSON file to add this run to")
     parser.add_argument("--label", default="run", help="name of this run in the output file")
     args = parser.parse_args(argv)
+    if args.rung and args.repeat:
+        summary = run_repeated(args.rung, args.repeat)
+        print(json.dumps(summary))
+        return 0 if summary["stats_agree"] and set(summary["status"]) <= {"ok", "failed"} else 1
     if args.rung:
         print(json.dumps(run_rung(args.rung)))
         return 0
