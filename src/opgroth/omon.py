@@ -821,14 +821,14 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
         ):
             continue
         proven = t.proven(f, p, qs, rho, phi, targets) if clean else None
-        if proven and all(proven):
+        xs = range(len(phi)) if proven is None else [x for x, done in enumerate(proven) if not done]
+        if not xs:
             continue
-        top, bottom = rows[m, rho], rows[n, p]
+        top, bottom, target = rows[m, rho], rows[n, p], t.target_phi(f, p, qs)
         blocks = [[rows[len(fib), q][s] for s in sub] for fib, q, sub in zip(f.fibers, qs, cc.restrict(f, n_obj))]
-        rows_at = enumerate(zip(phi, top, targets, t.tensors(n, p, blocks, len(phi)), t.target_phi(f, p, qs)))
-        if proven:
-            rows_at = itertools.compress(rows_at, [not v for v in proven])
-        for x, (a, u, b, d, c) in rows_at:
+        tensors = t.tensors(n, p, blocks, len(phi))
+        for x in xs:
+            a, u, b, d, c = phi[x], top[x], targets[x], tensors[x], target[x]
             v = bottom[b]
             if a != MISSING and u != MISSING and v != MISSING and d != MISSING and c != MISSING:
                 lhs = compose(on_mor[a], u)
@@ -1068,6 +1068,17 @@ def _nu_default(same: bool, src_size: int, tgt_size: int, unit: bool):
     return None
 
 
+class _Regroupings:
+    """The row of :meth:`_SetTarget.regroup` along one map, read entry by
+    entry; it holds the target, which does not hold it."""
+
+    def __init__(self, t: "_SetTarget", f: FinMap):
+        self.t, self.f = t, f
+
+    def __getitem__(self, x: int) -> int:
+        return self.t.regroup(self.f, x)
+
+
 class _SetTarget(_LaxTarget):
     """The target of a lax functor into (Set, x), on ids for one check.
 
@@ -1086,7 +1097,8 @@ class _SetTarget(_LaxTarget):
         iset = L.iset
         self.cc, self.L = cc, L
         self.sets = self.fns = []  # by id: a FinSet, or a function's triple
-        self.ids, self._sources, self._set_products, self._fn_products, self._composites, self._regroups = {}, {}, {}, {}, {}, {}
+        self.ids, self._sources, self._set_products, self._fn_products = {}, {}, {}, {}
+        self._composites, self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}, {}
         self.atoms = [self.number(v) for v in iset.values]
         self.on_mor = [self.intern(a) for a in iset.actions]
         self.label_obj, self.label_mor = iset.values, iset.actions
@@ -1141,6 +1153,8 @@ class _SetTarget(_LaxTarget):
         sets, fns = self.sets, self.fns
         unit = n == 1 and p == self.cc.c.operad.unit
         src, tgt = self.sources(n), [self.atoms[a] for a in self.cc.obj[n, p]]
+        # for proven: whether each target has one element, each source none
+        self._one[n, p], self._empty[n] = [sets[t].size == 1 for t in tgt], [sets[s].size == 0 for s in src]
         row = []
         for s, t in zip(src, tgt):
             mapping = _nu_default(s == t, sets[s].size, sets[t].size, unit)
@@ -1175,18 +1189,20 @@ class _SetTarget(_LaxTarget):
         return got
 
     def target_phi(self, f, p, qs):
-        """The regrouping along f at each object tuple, which p and qs do
-        not enter; one mapping per tuple of sizes."""
-        got = self._regroups.get((f.target, f.values))
+        return _Regroupings(self, f)
+
+    def regroup(self, f: FinMap, x: int) -> int:
+        """The regrouping along f, which no operation enters, at the object
+        tuple with code x; one mapping per tuple of sizes."""
+        got = self._regroups.get((f.target, f.values, x))
         if got is None:
-            tuples, mappings, fns = list(itertools.product(self.atoms, repeat=f.source)), {}, {}
-            for ids in dict.fromkeys(tuples):
-                sizes = tuple(self.sets[i].size for i in ids)
-                if sizes not in mappings:
-                    mappings[sizes] = _regroup_mapping(f, sizes)
-                blocks = tuple(self.product(tuple(ids[j - 1] for j in fib)) for fib in f.fibers)
-                fns[ids] = self.number((self.product(ids), self.product(blocks), mappings[sizes]))
-            got = self._regroups[f.target, f.values] = [fns[ids] for ids in tuples]
+            ids = tuple(self.atoms[a] for a in _mixed_decode(x, (self.cc.n_obj,) * f.source))
+            sizes = tuple(self.sets[i].size for i in ids)
+            mapping = self._mappings.get((f.target, f.values, sizes))
+            if mapping is None:
+                mapping = self._mappings[f.target, f.values, sizes] = _regroup_mapping(f, sizes)
+            blocks = tuple(self.product(tuple(ids[j - 1] for j in fib)) for fib in f.fibers)
+            got = self._regroups[f.target, f.values, x] = self.number((self.product(ids), self.product(blocks), mapping))
         return got
 
     def proven(self, f, p, qs, rho, phi, targets):
@@ -1196,9 +1212,8 @@ class _SetTarget(_LaxTarget):
         ``F(T_p B)``, if phi runs from ``T_rho A`` to ``T_p B``: a default
         entry does by construction, an explicit one is tested.  So they are
         equal when ``F(T_p B)`` has one element or the product is empty."""
-        cc, sets = self.cc, self.sets
-        one = [sets[self.atoms[b]].size == 1 for b in cc.obj[f.target, p]]
-        row = [a != MISSING and (one[b] or not sets[s].size) for a, b, s in zip(phi, targets, self.sources(f.source))]
+        cc, one, empty = self.cc, self._one[f.target, p], self._empty[f.source]
+        row = [a != MISSING and (one[b] or e) for a, b, e in zip(phi, targets, empty)]
         top, bottom = cc.obj[f.source, rho], cc.obj[f.target, p]
         for x, a in cc.explicit.get((f.target, f.values, p, qs), {}).items():
             row[x] = row[x] and cc.mor_src[a] == top[x] and cc.mor_tgt[a] == bottom[targets[x]]
