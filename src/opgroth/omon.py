@@ -709,8 +709,8 @@ class _LaxTarget:
     - ``across(n, p)``: the row of ``T_p(F(mors))`` over morphism tuples;
     - ``tensors(n, p, blocks, size)``: the row of ``T_p`` of the values
       at one code of each row in ``blocks``, MISSING where one is;
-    - ``target_phi(f, p, qs)``: the row of the target's structure
-      isomorphism at the image of each object tuple;
+    - ``target_phi(f, p, qs, xs)``: the target's structure isomorphism
+      at the image of each object tuple with a code in ``xs``;
     - ``compose(g, f)``: a composite, or MISSING.
 
     ``at``, ``label_obj``, ``label_mor``, ``label_compose``,
@@ -824,11 +824,13 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
         xs = range(len(phi)) if proven is None else [x for x, done in enumerate(proven) if not done]
         if not xs:
             continue
-        top, bottom, target = rows[m, rho], rows[n, p], t.target_phi(f, p, qs)
-        blocks = [[rows[len(fib), q][s] for s in sub] for fib, q, sub in zip(f.fibers, qs, cc.restrict(f, n_obj))]
-        tensors = t.tensors(n, p, blocks, len(phi))
-        for x in xs:
-            a, u, b, d, c = phi[x], top[x], targets[x], tensors[x], target[x]
+        subs = cc.restrict(f, n_obj)
+        if len(xs) < len(phi):
+            subs = [[sub[x] for x in xs] for sub in subs]
+        top, bottom = rows[m, rho], rows[n, p]
+        blocks = [[rows[len(fib), q][s] for s in sub] for fib, q, sub in zip(f.fibers, qs, subs)]
+        for x, d, c in zip(xs, t.tensors(n, p, blocks, len(xs)), t.target_phi(f, p, qs, xs)):
+            a, u, b = phi[x], top[x], targets[x]
             v = bottom[b]
             if a != MISSING and u != MISSING and v != MISSING and d != MISSING and c != MISSING:
                 lhs = compose(on_mor[a], u)
@@ -921,9 +923,9 @@ class _TableTarget(_LaxTarget):
             code = [MISSING if c == MISSING or b == MISSING else c * r + b for c, b in zip(code, row)]
         return [MISSING if c == MISSING else table[c] for c in code]
 
-    def target_phi(self, f, p, qs):
-        phi = self.cod_cc.key(f, p, qs)[2]
-        return [phi[i] for i in self.obj_images[f.source]]
+    def target_phi(self, f, p, qs, xs):
+        phi, images = self.cod_cc.key(f, p, qs)[2], self.obj_images[f.source]
+        return [phi[images[x]] for x in xs]
 
     def neutral(self, n, p):
         """Whether the cod's identities are units and its tensor at p sends
@@ -949,7 +951,7 @@ class _TableTarget(_LaxTarget):
         endpoints.  A False leaves the key to the per-instance loop."""
         if MISSING in phi or not self.neutral(f.target, p):
             return False
-        target = self.target_phi(f, p, qs)
+        target = self.target_phi(f, p, qs, range(len(phi)))
         if [self.on_mor[a] for a in phi] != target:
             return False
         cod = self.cod_cc
@@ -1068,17 +1070,6 @@ def _nu_default(same: bool, src_size: int, tgt_size: int, unit: bool):
     return None
 
 
-class _Regroupings:
-    """The row of :meth:`_SetTarget.regroup` along one map, read entry by
-    entry; it holds the target, which does not hold it."""
-
-    def __init__(self, t: "_SetTarget", f: FinMap):
-        self.t, self.f = t, f
-
-    def __getitem__(self, x: int) -> int:
-        return self.t.regroup(self.f, x)
-
-
 class _SetTarget(_LaxTarget):
     """The target of a lax functor into (Set, x), on ids for one check.
 
@@ -1097,7 +1088,7 @@ class _SetTarget(_LaxTarget):
         iset = L.iset
         self.cc, self.L = cc, L
         self.sets = self.fns = []  # by id: a FinSet, or a function's triple
-        self.ids, self._sources, self._set_products, self._fn_products = {}, {}, {}, {}
+        self.ids, self._tuples, self._set_products, self._fn_products = {}, {}, {}, {}
         self._composites, self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}, {}
         self.atoms = [self.number(v) for v in iset.values]
         self.on_mor = [self.intern(a) for a in iset.actions]
@@ -1142,17 +1133,17 @@ class _SetTarget(_LaxTarget):
         dom, cod, mapping = self.fns[v]
         return len(mapping) == self.sets[cod].size == len(set(mapping))
 
-    def sources(self, n: int) -> list:
-        """The id of the product of the sets of each n-tuple of objects."""
-        got = self._sources.get(n)
+    def tuples(self, n: int) -> list:
+        """The ids of the sets of each n-tuple of objects, by its code."""
+        got = self._tuples.get(n)
         if got is None:
-            got = self._sources[n] = [self.product(ids) for ids in itertools.product(self.atoms, repeat=n)]
+            got = self._tuples[n] = list(itertools.product(self.atoms, repeat=n))
         return got
 
     def resolve(self, n, p):
         sets, fns = self.sets, self.fns
         unit = n == 1 and p == self.cc.c.operad.unit
-        src, tgt = self.sources(n), [self.atoms[a] for a in self.cc.obj[n, p]]
+        src, tgt = [self.product(ids) for ids in self.tuples(n)], [self.atoms[a] for a in self.cc.obj[n, p]]
         # for proven: whether each target has one element, each source none
         self._one[n, p], self._empty[n] = [sets[t].size == 1 for t in tgt], [sets[s].size == 0 for s in src]
         row = []
@@ -1188,22 +1179,22 @@ class _SetTarget(_LaxTarget):
             self._composites[g, f] = got
         return got
 
-    def target_phi(self, f, p, qs):
-        return _Regroupings(self, f)
-
-    def regroup(self, f: FinMap, x: int) -> int:
-        """The regrouping along f, which no operation enters, at the object
-        tuple with code x; one mapping per tuple of sizes."""
-        got = self._regroups.get((f.target, f.values, x))
-        if got is None:
-            ids = tuple(self.atoms[a] for a in _mixed_decode(x, (self.cc.n_obj,) * f.source))
-            sizes = tuple(self.sets[i].size for i in ids)
-            mapping = self._mappings.get((f.target, f.values, sizes))
-            if mapping is None:
-                mapping = self._mappings[f.target, f.values, sizes] = _regroup_mapping(f, sizes)
-            blocks = tuple(self.product(tuple(ids[j - 1] for j in fib)) for fib in f.fibers)
-            got = self._regroups[f.target, f.values, x] = self.number((self.product(ids), self.product(blocks), mapping))
-        return got
+    def target_phi(self, f, p, qs, xs):
+        """The regrouping along f, which p and qs do not enter, at each
+        object tuple of ``xs``: built once per tuple of sets, with one
+        mapping per tuple of their sizes."""
+        built, tuples, row = self._regroups.setdefault((f.target, f.values), {}), self.tuples(f.source), []
+        for ids in (tuples[x] for x in xs):
+            got = built.get(ids)
+            if got is None:
+                sizes = tuple(self.sets[i].size for i in ids)
+                mapping = self._mappings.get((f.target, f.values, sizes))
+                if mapping is None:
+                    mapping = self._mappings[f.target, f.values, sizes] = _regroup_mapping(f, sizes)
+                blocks = tuple(self.product(tuple(ids[j - 1] for j in fib)) for fib in f.fibers)
+                got = built[ids] = self.number((self.product(ids), self.product(blocks), mapping))
+            row.append(got)
+        return row
 
     def proven(self, f, p, qs, rho, phi, targets):
         """Per object tuple A, whether the singleton lemma proves the square

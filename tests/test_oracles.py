@@ -33,7 +33,6 @@ from opgroth.groth import _valid_mus
 from opgroth.omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
-    SetAlgebra,
     TensorTable,
     UnbiasedData,
     _check_set_lax,
@@ -44,14 +43,13 @@ from opgroth.omon import (
     grade_assoc_omon,
     l2_comm_omon,
     o_fn_product,
-    omon_from_set_algebra,
     set_regroup,
     twisted_bz2_unbiased,
     validate_unbiased,
 )
 from opgroth.fib2cat import FinFunction, FinSet, iset_from_tables
 from opgroth.ogroth import _laxtoset_from_rule, grade_laxtoset, l2_laxtoset, qconv_proj_laxtoset
-from opgroth.operads import boolean_semiring, build_assoc, build_comm, build_qconv, composition_keys
+from opgroth.operads import boolean_semiring, build_assoc, build_qconv, composition_keys
 
 # ---------------------------------------------------------------------------
 # plain finite combinatorics, written out here
