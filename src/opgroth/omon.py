@@ -951,7 +951,8 @@ class _TableTarget(_LaxTarget):
         endpoints.  A False leaves the key to the per-instance loop."""
         if MISSING in phi or not self.neutral(f.target, p):
             return False
-        target = self.target_phi(f, p, qs, range(len(phi)))
+        cod_phi = self.cod_cc.key(f, p, qs)[2]
+        target = [cod_phi[i] for i in self.obj_images[f.source]]
         if [self.on_mor[a] for a in phi] != target:
             return False
         cod = self.cod_cc
