@@ -329,6 +329,7 @@ def test_construction_pipeline(tmp_path):
         (["groth", "grade.laxtoset", "--iset", "Assoc_3"], "'Assoc_3' has kind operad, expected iset"),
         (["otranspose", "corpus_omon.spec", "--ofib", "DZ2"], "'DZ2' has kind omon, expected ofib"),
     ],
+    ids=["ogroth", "groth", "otranspose"],
 )
 def test_construction_of_a_section_of_another_kind_is_structural(tmp_path, argv, kind):
     out = tmp_path / "out.spec"

@@ -18,7 +18,8 @@ included.
 
 runs one rung in 3 fresh children and prints the median, min and max of
 its ``check_s`` and ``peak_rss_mb``; it exits 1 when the counters differ
-between the runs or a run does not finish.  The ladder is not part of the test suite.
+between the runs or a run does not finish.  The ladder is not part of
+the test suite.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import json
 import os
 import platform
 import resource
-import statistics
 import subprocess
 import sys
 import time
@@ -184,6 +184,8 @@ def run_repeated(name: str, repeat: int) -> dict:
     """The rung in ``repeat`` fresh children: the median, min and max of
     its check time and peak resident set, and its counters, which must be
     the same in every run (``stats_agree``)."""
+    import statistics  # here, so that a rung's own process does not load it
+
     runs = [run_child(name) for _ in range(repeat)]
     out = {"rung": name, "repeat": repeat, "status": sorted({r["status"] for r in runs})}
     for key in ("check_s", "peak_rss_mb"):
