@@ -721,8 +721,12 @@ class _LaxTarget:
     ``settles(f, p, qs, rho, phi, targets)`` tries to settle a whole
     coherence key whose legs are all default components at once.
     ``proven(f, p, qs, rho, phi, targets)`` may give, per object tuple,
-    whether the square holds when every component is present and typed.
+    whether the square holds when every component is present and typed;
+    the kernel asks it only while the report has no record.
     """
+
+    def settles(self, f, p, qs, rho, phi, targets):
+        return False
 
     def proven(self, f, p, qs, rho, phi, targets):
         return None
@@ -1088,7 +1092,7 @@ class _SetTarget(_LaxTarget):
     def __init__(self, L: "LaxSetFunctor", cc: _Compiled):
         iset = L.iset
         self.cc, self.L = cc, L
-        self.sets = self.fns = []  # by id: a FinSet, or a function's triple
+        self.by_id = []  # a FinSet, or a function's triple
         self.ids, self._tuples, self._set_products, self._fn_products = {}, {}, {}, {}
         self._composites, self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}, {}
         self.atoms = [self.number(v) for v in iset.values]
@@ -1106,8 +1110,8 @@ class _SetTarget(_LaxTarget):
     def number(self, key) -> int:
         got = self.ids.get(key)
         if got is None:
-            got = self.ids[key] = len(self.fns)
-            self.fns.append(key)
+            got = self.ids[key] = len(self.by_id)
+            self.by_id.append(key)
         return got
 
     def intern(self, fn: FinFunction) -> int:
@@ -1120,19 +1124,19 @@ class _SetTarget(_LaxTarget):
             return ids[0]
         got = self._set_products.get(ids)
         if got is None:
-            got = self._set_products[ids] = self.number(set_product(self.sets[i] for i in ids))
+            got = self._set_products[ids] = self.number(set_product(self.by_id[i] for i in ids))
         return got
 
     def render(self, p, labels):
         return nu_key_render(p, labels)
 
     def is_identity(self, v):
-        dom, cod, mapping = self.fns[v]
+        dom, cod, mapping = self.by_id[v]
         return dom == cod and mapping == tuple(range(len(mapping)))
 
     def is_invertible(self, v):
-        dom, cod, mapping = self.fns[v]
-        return len(mapping) == self.sets[cod].size == len(set(mapping))
+        dom, cod, mapping = self.by_id[v]
+        return len(mapping) == self.by_id[cod].size == len(set(mapping))
 
     def tuples(self, n: int) -> list:
         """The ids of the sets of each n-tuple of objects, by its code."""
@@ -1142,16 +1146,14 @@ class _SetTarget(_LaxTarget):
         return got
 
     def resolve(self, n, p):
-        sets, fns = self.sets, self.fns
+        by_id = self.by_id
         unit = n == 1 and p == self.cc.c.operad.unit
         src, tgt = [self.product(ids) for ids in self.tuples(n)], [self.atoms[a] for a in self.cc.obj[n, p]]
-        # for proven: whether each target has one element, each source none
-        self._one[n, p], self._empty[n] = [sets[t].size == 1 for t in tgt], [sets[s].size == 0 for s in src]
         row = []
         for s, t in zip(src, tgt):
-            mapping = _nu_default(s == t, sets[s].size, sets[t].size, unit)
+            mapping = _nu_default(s == t, by_id[s].size, by_id[t].size, unit)
             row.append(MISSING if mapping is None else self.number((s, t, mapping)))
-        return row, lambda x, v: fns[v][0] == src[x] and fns[v][1] == tgt[x]
+        return row, lambda x, v: by_id[v][0] == src[x] and by_id[v][1] == tgt[x]
 
     def across(self, n, p):
         return [self.fn_product(mors) for mors in itertools.product(self.on_mor, repeat=n)]
@@ -1163,9 +1165,9 @@ class _SetTarget(_LaxTarget):
             return values[0]
         got = self._fn_products.get(values)
         if got is None:
-            fns = [self.fns[v] for v in values]
+            fns = [self.by_id[v] for v in values]
             dom, cod = self.product(tuple(fn[0] for fn in fns)), self.product(tuple(fn[1] for fn in fns))
-            mapping = product_mapping([fn[2] for fn in fns], [self.sets[fn[1]].size for fn in fns])
+            mapping = product_mapping([fn[2] for fn in fns], [self.by_id[fn[1]].size for fn in fns])
             got = self._fn_products[values] = self.number((dom, cod, mapping))
         return got
 
@@ -1175,7 +1177,7 @@ class _SetTarget(_LaxTarget):
     def compose(self, g, f):
         got = self._composites.get((g, f))
         if got is None:
-            (g_dom, g_cod, g_at), (f_dom, f_cod, f_at) = self.fns[g], self.fns[f]
+            (g_dom, g_cod, g_at), (f_dom, f_cod, f_at) = self.by_id[g], self.by_id[f]
             got = MISSING if f_cod != g_dom else self.number((f_dom, g_cod, tuple(g_at[v] for v in f_at)))
             self._composites[g, f] = got
         return got
@@ -1188,7 +1190,7 @@ class _SetTarget(_LaxTarget):
         for ids in (tuples[x] for x in xs):
             got = built.get(ids)
             if got is None:
-                sizes = tuple(self.sets[i].size for i in ids)
+                sizes = tuple(self.by_id[i].size for i in ids)
                 mapping = self._mappings.get((f.target, f.values, sizes))
                 if mapping is None:
                     mapping = self._mappings[f.target, f.values, sizes] = _regroup_mapping(f, sizes)
@@ -1204,17 +1206,18 @@ class _SetTarget(_LaxTarget):
         ``F(T_p B)``, if phi runs from ``T_rho A`` to ``T_p B``: a default
         entry does by construction, an explicit one is tested.  So they are
         equal when ``F(T_p B)`` has one element or the product is empty."""
-        cc, one, empty = self.cc, self._one[f.target, p], self._empty[f.source]
+        cc, by_id = self.cc, self.by_id
+        one = self._one.get((f.target, p))
+        if one is None:
+            one = self._one[f.target, p] = [self.label_obj[a].size == 1 for a in cc.obj[f.target, p]]
+        empty = self._empty.get(f.source)
+        if empty is None:
+            empty = self._empty[f.source] = [any(by_id[i].size == 0 for i in ids) for ids in self.tuples(f.source)]
         row = [a != MISSING and (one[b] or e) for a, b, e in zip(phi, targets, empty)]
         top, bottom = cc.obj[f.source, rho], cc.obj[f.target, p]
         for x, a in cc.explicit.get((f.target, f.values, p, qs), {}).items():
             row[x] = row[x] and cc.mor_src[a] == top[x] and cc.mor_tgt[a] == bottom[targets[x]]
         return row
-
-    def settles(self, f, p, qs, rho, phi, targets):
-        """Whether the singleton lemma proves every square of a key whose
-        legs are all default components, which are present and typed."""
-        return all(self.proven(f, p, qs, rho, phi, targets))
 
 
 def _check_set_lax(L: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport:

@@ -10,7 +10,7 @@ import opgroth.ogroth
 from opgroth import fixtures
 from opgroth.cli import run_command
 from opgroth.fincore import CatFunctor, NatTransform, functor_from_labels, identity_functor, identity_nat, terminal_map
-from opgroth.fib2cat import DFib2Cell, DFibCell, FinFunction, ISet2Cell, ISetCell, fn_compose
+from opgroth.fib2cat import DFib2Cell, DFibCell, FinFunction, FinSet, IndexedSet, ISet2Cell, ISetCell, fn_compose
 from opgroth.groth import groth_apply, make_corpus, roundtrip_report
 from opgroth.omon import (
     LaxOMonFunctor,
@@ -224,6 +224,15 @@ def test_set_lax_singleton_lemma_needs_each_condition():
     assert _records(check_lax_omon_functor(with_nu((2, "*", (1, 1)), FinFunction(src, tgt, (1, 1, 1, 1))))) == [
         ("laxtoset.coherence", "bad", f"coherence square fails at phi[f={f},p=*,q=(*,*),A={a}]")
         for f, a in (("[]", "()"), ("[1]", "(1)"), ("[2]", "(1)"))
+    ]
+    # F(id_0) runs from the point F(0) into {a, b}, so F(phi) at A=(0,0)
+    # does not run into F(T_p B): the misaligned action stops the check
+    # before any coherence square
+    actions = list(x.iset.actions)
+    actions[x.dom.base.mor_index("id_0")] = FinFunction(x.iset.values[0], FinSet(("a", "b")), (0,))
+    iset = IndexedSet(x.iset.index, x.iset.values, tuple(actions), name=x.iset.name)
+    assert _records(check_lax_omon_functor(LaxSetFunctor(x.dom, iset, x.nu, name="bad"))) == [
+        ("iset.alignment", "bad", "action of id_0 has wrong dom/cod")
     ]
 
 

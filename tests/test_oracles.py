@@ -784,7 +784,7 @@ def test_set_lax_oracle_agrees_on_every_comparison_function():
     # well-typed function, one function into each other fiber, and deletion
     swept, verdicts = 0, set()
     for x in _set_lax_families():
-        assert _check_set_lax(x).ok and oracle_set_lax(x)[0] == set(), x.name
+        assert _assert_set_lax_agrees(x, x.name) and oracle_set_lax(x) == (set(), "lax"), x.name
         dom, iset = x.dom, x.iset
         fibers = dict.fromkeys(iset.values)
         for n in range(dom.operad.max_arity + 1):
