@@ -1091,7 +1091,7 @@ class _SetTarget(_LaxTarget):
 
     def __init__(self, L: "LaxSetFunctor", cc: _Compiled):
         iset = L.iset
-        self.cc, self.L = cc, L
+        self.cc = cc
         self.by_id = []  # a FinSet, or a function's triple
         self.ids, self._tuples, self._set_products, self._fn_products = {}, {}, {}, {}
         self._composites, self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}, {}
