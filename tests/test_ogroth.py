@@ -1,5 +1,6 @@
 import hashlib
 import io
+from collections import Counter
 import pathlib
 from types import SimpleNamespace
 
@@ -10,14 +11,27 @@ import opgroth.ogroth
 from opgroth import fixtures
 from opgroth.cli import run_command
 from opgroth.fincore import CatFunctor, NatTransform, functor_from_labels, identity_functor, identity_nat, terminal_map
-from opgroth.fib2cat import DFib2Cell, DFibCell, FinFunction, FinSet, IndexedSet, ISet2Cell, ISetCell, fn_compose
+from opgroth.fib2cat import (
+    DFib2Cell,
+    DFibCell,
+    DiscreteFibration,
+    FinFunction,
+    FinSet,
+    IndexedSet,
+    ISet2Cell,
+    ISetCell,
+    fn_compose,
+    identity_fibration,
+)
 from opgroth.groth import groth_apply, make_corpus, roundtrip_report
 from opgroth.omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
+    OMonCategory,
     check_lax_omon_functor,
     check_omon_category,
     check_strict_omon_iso,
+    dz2_assoc_omon,
     extend_unbiased_to_assoc,
     grade_assoc_omon,
     omon_copy,
@@ -27,6 +41,7 @@ from opgroth.ogroth import (
     O2Cell,
     OCell,
     OFib2Cell,
+    OFibObject,
     check_laxtoset,
     check_o2cell,
     check_ofib_2cell,
@@ -321,6 +336,41 @@ def test_perturbed_total_tensor_fails_strictness():
     table.obj[(0, 0)] = (table.obj[(0, 0)] + 1) % y.fib.total.n_objects
     report = check_ofib_object(y)
     assert not report.ok
+
+
+# sha256 of the rendered report, and the records by check name
+STRICTNESS_PINS = {
+    "tensors not preserved": (
+        "7c61774af900928b2fb04ece4aa844b20dfde9c5262d05b835e230d09834ac7b",
+        {"ofib.strict_tensor": 18, "ofib.strict_phi": 60},
+    ),
+    "explicit total phi": ("b5ff6748e4cd882d95c0dc853574ee40a9169a8cbeace59116551e2a4b5a0e8a", {"ofib.strict_phi": 290}),
+    "explicit base phi": ("75b527295b85670a01ca015808e0b142d596ef6a5dacb5cf74e4d4f7ac0a7ba5", {"ofib.strict_phi": 290}),
+}
+
+
+def test_strict_preservation_records_are_pinned():
+    # Projections between clean structures that break strictness at keys
+    # with no explicit structure-iso entry: the swap of DZ2, which moves
+    # every tensor of an odd number of objects and so every structure
+    # isomorphism there; and the identity between the twisted one-object
+    # group and the strict structure on its tensors, either way round,
+    # which differ exactly at the explicit entries.
+    dz2 = dz2_assoc_omon(MAX_ARITY)
+    swap = CatFunctor(dz2.base, dz2.base, (1, 0), (dz2.base.id_of(1), dz2.base.id_of(0)))
+    tw, _ = _twisted()
+    strict = OMonCategory(operad=tw.operad, base=tw.base, tensors=tw.tensors, name="STRICT")
+    assert check_omon_category(strict).ok and check_omon_category(tw).ok and tw.phi
+    cases = {
+        "tensors not preserved": OFibObject(DiscreteFibration(swap), dz2, dz2, name="SWAP"),
+        "explicit total phi": OFibObject(identity_fibration(tw.base), tw, strict, name="TW>S"),
+        "explicit base phi": OFibObject(identity_fibration(tw.base), strict, tw, name="S>TW"),
+    }
+    got = {}
+    for what, y in cases.items():
+        report = check_ofib_object(y)
+        got[what] = (hashlib.sha256(report.render().encode()).hexdigest(), dict(Counter(r.check for r in report.records)))
+    assert got == STRICTNESS_PINS
 
 
 def test_transpose_recovers_grade_tables():

@@ -25,6 +25,7 @@ from opgroth.fincore import (
     _sub_codes,
     all_functors,
     block_permutation,
+    discrete_category,
     factorize_monotone_perm,
     fm_compose,
     identity_functor,
@@ -38,8 +39,10 @@ from opgroth.omon import (
     _check_set_lax,
     _check_table_lax,
     _comm_view,
+    build_omon,
     check_omon_category,
     dz2_assoc_omon,
+    extend_unbiased_to_assoc,
     grade_assoc_omon,
     l2_comm_omon,
     o_fn_product,
@@ -48,8 +51,9 @@ from opgroth.omon import (
     validate_unbiased,
 )
 from opgroth.fib2cat import FinFunction, FinSet, iset_from_tables
-from opgroth.ogroth import _laxtoset_from_rule, grade_laxtoset, l2_laxtoset, qconv_proj_laxtoset
+from opgroth.ogroth import _checked_lax, _checked_omon, _laxtoset_from_rule, grade_laxtoset, l2_laxtoset, qconv_proj_laxtoset
 from opgroth.operads import boolean_semiring, build_assoc, build_qconv, composition_keys
+from testkit import constant_functor
 
 # ---------------------------------------------------------------------------
 # plain finite combinatorics, written out here
@@ -691,23 +695,53 @@ def test_unbiased_oracle_agrees_on_every_single_entry_mutation():
     assert failing > 30
 
 
+def _checked_through_a_memo(L, memo):
+    """L's report through the round trip's memo step, with both structure
+    reports already on the memo, as in a round trip."""
+    _checked_omon(memo, L.dom)
+    _checked_omon(memo, L.cod)
+    return _checked_lax(memo, L)
+
+
+def _assert_table_lax_agrees(L, what, memo):
+    """The check of L standalone and through ``memo`` gives the same
+    records in the same order, the same counters and the same notes, and
+    agrees with the oracle; gives the standalone report."""
+    report = _check_table_lax(L)
+    via = _checked_through_a_memo(L, memo)
+    assert (via.records, list(via.stats.items()), via.info) == (report.records, list(report.stats.items()), report.info), what
+    names, classification = oracle_table_lax(L)
+    assert (report.ok, _names(report), report.info["classification"]) == (not names, names, classification), what
+    return report
+
+
+def _bz2_view(alpha):
+    """The one-object group as a structure over the terminal operad, with
+    the twisted structure isomorphisms or with none; the twisted view is
+    not clean over all maps, the strict one is."""
+    u = twisted_bz2_unbiased(3)
+    if alpha == "strict":
+        u = UnbiasedData(base=u.base, max_arity=u.max_arity, tensors=u.tensors, alpha={}, name="STRICT")
+    return _comm_view(u)
+
+
 def test_table_lax_oracle_agrees_on_every_comparison_flip():
     # the only non-identity comparisons available: the flip of the
-    # one-object group, at every operation and object tuple
-    view = _comm_view(twisted_bz2_unbiased(3))
-    flip = view.base.mor_index("1")
-    clean = LaxOMonFunctor(dom=view, cod=view, functor=identity_functor(view.base), xi={})
-    cases = [("identity", clean)]
-    for n in range(view.operad.max_arity + 1):
-        for objs in itertools.product(range(view.base.n_objects), repeat=n):
-            xi = {(n, "*", objs): flip}
-            cases.append((f"xi {n} {objs} flipped", LaxOMonFunctor(dom=view, cod=view, functor=clean.functor, xi=xi)))
-    verdicts = set()
+    # one-object group, at every operation and object tuple, over the
+    # twisted and the strict structure
+    cases = []
+    for alpha in ("twisted", "strict"):
+        view = _bz2_view(alpha)
+        flip = view.base.mor_index("1")
+        clean = LaxOMonFunctor(dom=view, cod=view, functor=identity_functor(view.base), xi={})
+        cases.append((f"{alpha} identity", clean))
+        for n in range(view.operad.max_arity + 1):
+            for objs in itertools.product(range(view.base.n_objects), repeat=n):
+                xi = {(n, "*", objs): flip}
+                cases.append((f"{alpha} xi {n} {objs} flipped", LaxOMonFunctor(dom=view, cod=view, functor=clean.functor, xi=xi)))
+    verdicts, memo = set(), {}
     for what, L in cases:
-        report = _check_table_lax(L)
-        names, classification = oracle_table_lax(L)
-        assert (report.ok, _names(report), report.info["classification"]) == (not names, names, classification), what
-        verdicts.add(report.ok)
+        verdicts.add(_assert_table_lax_agrees(L, what, memo).ok)
     assert verdicts == {True, False}
 
 
@@ -725,13 +759,57 @@ def test_table_lax_oracle_agrees_with_a_mutated_structure_on_either_side(make):
         sides = (("c->m", c, m), ("m->c", m, c), ("m->m", m, m)) if what.startswith("phi ") else (("c->m", c, m),)
         for side, dom, cod in sides:
             cases.append((f"{what} {side}", LaxOMonFunctor(dom=dom, cod=cod, functor=functor)))
-    verdicts = set()
+    verdicts, memo = set(), {}
     for what, L in cases:
-        report = _check_table_lax(L)
-        names, classification = oracle_table_lax(L)
-        assert (report.ok, _names(report), report.info["classification"]) == (not names, names, classification), what
-        verdicts.add(report.ok)
+        verdicts.add(_assert_table_lax_agrees(L, what, memo).ok)
     assert verdicts == {True, False} and len(cases) > 150
+
+
+def _with_tensor_entry(c, n, p, side, combo, value):
+    out = type(c)(operad=c.operad, base=c.base, tensors=_copy_tensors(c.tensors), phi=dict(c.phi), name=c.name)
+    getattr(out.tensors[(n, p)], side)[combo] = value
+    return out
+
+
+def _untouched_key_cases():
+    """Lax functors between clean or nearly clean structures, each of
+    which breaks one condition under which a round trip may prove a
+    coherence key without evaluating it, at keys that meet all the others
+    and whose squares fail; with the number of records of each."""
+    dz2 = dz2_assoc_omon(2)
+    binary = dz2.operad.elements(2)[0]
+    point = discrete_category("PT", ["pt"])
+    terminal = build_omon(dz2.operad, point, lambda n, p, combo: 0, lambda n, p, combo: 0, name="PT")
+    # T(0, 1) redirected to 0: phi of dz2 has no default at the keys through
+    # it, but every object of the point is its own tensor
+    no_default = _with_tensor_entry(dz2, 2, binary, "obj", (0, 1), 0)
+    # the tensor of two identities of 0 is the identity of 1
+    no_identity = _with_tensor_entry(dz2, 2, binary, "mor", (0, 0), dz2.base.id_of(1))
+    twisted = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
+    strict = type(twisted)(operad=twisted.operad, base=twisted.base, tensors=twisted.tensors, name="STRICT")
+    view = _bz2_view("strict")
+    flip = view.base.mor_index("1")
+    same = identity_functor(dz2.base)
+    return [
+        ("unclean dom", LaxOMonFunctor(dom=no_default, cod=terminal, functor=constant_functor(dz2.base, point, 0)), 6),
+        ("unclean cod", LaxOMonFunctor(dom=dz2, cod=no_identity, functor=same), 13),
+        ("explicit dom phi", LaxOMonFunctor(dom=twisted, cod=strict, functor=identity_functor(twisted.base)), 290),
+        ("explicit cod phi", LaxOMonFunctor(dom=strict, cod=twisted, functor=identity_functor(twisted.base)), 290),
+        # f: 3 -> 2 reads the flip at rho alone, f: 2 -> 3 at p alone
+        ("leg at rho or p", LaxOMonFunctor(dom=view, cod=view, functor=identity_functor(view.base), xi={(3, "*", (0, 0, 0)): flip}), 22),
+        # f: 1 -> 2 reads the flip at its empty fiber alone
+        ("leg at a q_i", LaxOMonFunctor(dom=view, cod=view, functor=identity_functor(view.base), xi={(0, "*", ()): flip}), 31),
+        ("typing record", LaxOMonFunctor(dom=dz2, cod=dz2, functor=same, xi={(2, binary, (0, 0)): dz2.base.id_of(1)}), 18),
+    ]
+
+
+def test_table_lax_untouched_key_cases_agree_with_the_oracle():
+    # the oracle gives check names, so the number of records is pinned too
+    memo = {}
+    for what, L, n_records in _untouched_key_cases():
+        report = _assert_table_lax_agrees(L, what, memo)
+        assert _names(report) & {"laxfun.coherence", "laxfun.coherence_missing"}, what
+        assert len(report.records) == n_records, what
 
 
 def _all_functions(src, tgt):
