@@ -198,12 +198,14 @@ def cmd_oroundtrip(args, out) -> int:
         report.structural("cli.corpus", "no laxtoset or ofib sections in the file")
         _emit(report, args.report, out)
         return 2
+    # one memo for the search and the round trip, which checks the same structures
+    memo: dict = {}
     ocells = [identity_ocell(x) for x in laxtosets]
     for x in laxtosets:
         for y in laxtosets:
             if x is y:
                 continue
-            ocells.extend(enumerate_ocells(x, y, cap=2))
+            ocells.extend(enumerate_ocells(x, y, cap=2, memo=memo))
     o2cells = []
     for c1 in ocells:
         for c2 in ocells:
@@ -219,7 +221,7 @@ def cmd_oroundtrip(args, out) -> int:
         operad_morphisms=[],
         params={"source": args.file, "max_arity": args.max_arity},
     )
-    report.merge(omon_roundtrip_check(corpus))
+    report.merge(omon_roundtrip_check(corpus, memo=memo))
     _emit(report, args.report, out)
     return _exit_code(report)
 

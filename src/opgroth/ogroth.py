@@ -65,6 +65,7 @@ from .omon import (
     _montrans_square,
     _strict_preservation,
     _normalize_xi,
+    _omon_key,
     _pullback_indexed,
     o_fn_product,
     o_set_product,
@@ -133,7 +134,7 @@ def omons_equal(a: OMonCategory, b: OMonCategory) -> bool:
 
 def _checked_omon(memo: dict, c: OMonCategory) -> CheckReport:
     """check_omon_category(c), run once per structure while ``memo`` lives."""
-    return _memoized(memo, ("omon", id(c)), c, lambda: check_omon_category(c, memo=memo))
+    return _memoized(memo, _omon_key(c), c, lambda: check_omon_category(c, memo=memo))
 
 
 def _checked_lax(memo: dict, L: LaxOMonFunctor) -> CheckReport:
@@ -185,6 +186,7 @@ def check_ofib_object(x: OFibObject, *, memo: dict | None = None) -> CheckReport
         x.total_omon,
         x.base_omon,
         x.fib.proj,
+        clean=True,
     )
 
 
@@ -714,12 +716,19 @@ def forced_xi(dom_omon: OMonCategory, cod_omon: OMonCategory, functor: CatFuncto
     return xi
 
 
-def enumerate_ocells(x: LaxSetFunctor, y: LaxSetFunctor, cap: int = 3):
-    """Valid cells x -> y found by exhaustive search (thin-hom bases)."""
+def enumerate_ocells(x: LaxSetFunctor, y: LaxSetFunctor, cap: int = 3, *, memo: dict | None = None):
+    """Valid cells x -> y found by exhaustive search (thin-hom bases).
+    A caller's ``memo`` first gets the reports of both index structures,
+    which a round trip on the same memo checks anyway, so that untouched
+    keys of the candidate lax functors are proved without their rows."""
     if not operads_equal(x.dom.operad, y.dom.operad):
         return []
     out = []
-    memo: dict = {}
+    if memo is None:
+        memo = {}
+    else:
+        _checked_omon(memo, x.dom)
+        _checked_omon(memo, y.dom)
     for M in all_functors(x.dom.base, y.dom.base):
         xi = forced_xi(x.dom, y.dom, M)
         if xi is None:
@@ -924,14 +933,15 @@ def ofib_cell_equal(a: OFibCell, b: OFibCell) -> bool:
     )
 
 
-def omon_roundtrip_check(corpus: OCorpus) -> CheckReport:
+def omon_roundtrip_check(corpus: OCorpus, *, memo: dict | None = None) -> CheckReport:
     """Both round trips up to the explicit structured isomorphisms, plus
     strict functoriality of the construction on corpus cells and the
-    fixed-base restriction."""
+    fixed-base restriction.  A caller that built the corpus on a memo may
+    pass it on."""
     report = CheckReport()
     for k, v in corpus.params.items():
         report.info[f"ocorpus.{k}"] = str(v)
-    memo: dict = {}
+    memo = {} if memo is None else memo
     for x in corpus.laxtosets:
         report.merge(_checked_omon(memo, x.dom), where=x.dom.name or "index")
         report.merge(_check_set_lax(x, memo=memo), where=x.name)

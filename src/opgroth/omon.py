@@ -307,6 +307,17 @@ def check_omon_category(c: OMonCategory, *, memo: dict | None = None) -> CheckRe
     return _structure_laws(c, "omon", "phi", all_maps, memo)
 
 
+def _omon_key(c: OMonCategory) -> tuple:
+    """The key of c's report on a round trip's memo (``ogroth._checked_omon``)."""
+    return ("omon", id(c))
+
+
+def _clean_on(memo: dict | None, c: OMonCategory) -> bool:
+    """Whether ``memo`` holds c's structure report, and it is clean."""
+    entry = None if memo is None else memo.get(_omon_key(c))
+    return entry is not None and entry[1].ok
+
+
 def _identity_forced(f: FinMap, p: str, qs, unit: str) -> bool:
     """Whether the unit laws force the structure isomorphism at the key to
     be the identity: f an identity with unit inner operations, or f
@@ -555,9 +566,10 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     # each one they prove square by square.  As g, f.g and every g_i have
     # a source of at most ell, a proven group with f untouched and no
     # touched map of source at most ell is counted whole, without building
-    # its squares.  Any other group walks its pairs: a pair's operad level
-    # holds at every p, qs and rs by its group's verdict or by its rows, or
-    # else its failing instances are named one by one; a touched pair also
+    # its squares.  Any other group walks its pairs, and the rows leave the
+    # proof of its verdict to the walk: a pair's operad level holds at
+    # every p, qs and rs by its group's verdict or by its rows, or else its
+    # failing instances are named one by one; a touched pair also
     # evaluates the structure-iso square, over the object-tuple codes, at
     # each instance where one of its keys is explicit.
     touched = {(f.target, f.values): set() for f, _, _, _ in phi}
@@ -567,10 +579,13 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
 
-    for f, ps, f_inner, ell, proven, pairs in rows.sweep(maps):
+    def walked(n, values, ell):
+        return ell >= lowest or (n, values) in touched
+
+    for f, ps, f_inner, ell, proven, pairs in rows.sweep(maps, walked):
         n, m = f.target, f.source
         n_x = n_obj**ell
-        if proven is not None and ell < lowest and (n, f.values) not in touched:
+        if proven is not None and not walked(n, f.values, ell):
             if proven:
                 swept, assoc_count = True, assoc_count + n_x * proven
             continue
@@ -718,12 +733,18 @@ class _LaxTarget:
     label tables, with which :meth:`by_labels` evaluates one coherence
     instance that the rows cannot settle.
 
+    ``untouched(f, p, qs)`` tells whether a key whose legs are all
+    default components holds at every object tuple without its rows;
+    the kernel asks it only while the report has no record.
     ``settles(f, p, qs, rho, phi, targets)`` tries to settle a whole
     coherence key whose legs are all default components at once.
     ``proven(f, p, qs, rho, phi, targets)`` may give, per object tuple,
     whether the square holds when every component is present and typed;
     the kernel asks it only while the report has no record.
     """
+
+    def untouched(self, f, p, qs):
+        return False
 
     def settles(self, f, p, qs, rho, phi, targets):
         return False
@@ -808,21 +829,27 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
                         where,
                     )
 
+    def plain_legs(f, p, qs, rho):
+        return (
+            (f.source, rho) in plain
+            and (f.target, p) in plain
+            and all((len(fib), q) in plain for fib, q in zip(f.fibers, qs))
+        )
+
     # coherence against every structure isomorphism; with no record so
     # far, every component is present and typed
     clean = report.ok
     for f, p, qs in _keys(operad, lambda a, b: maps[a, b]):
         m, n = f.source, f.target
+        if clean and t.untouched(f, p, qs) and plain_legs(f, p, qs, operad.compose(f, p, qs)):
+            if n_obj**m:
+                count(coh_instances, n_obj**m)
+            continue
         rho, targets, phi = cc.key(f, p, qs)
         if not phi:
             continue
         count(coh_instances, len(phi))
-        if (
-            (m, rho) in plain
-            and (n, p) in plain
-            and all((len(fib), q) in plain for fib, q in zip(f.fibers, qs))
-            and t.settles(f, p, qs, rho, phi, targets)
-        ):
+        if plain_legs(f, p, qs, rho) and t.settles(f, p, qs, rho, phi, targets):
             continue
         proven = t.proven(f, p, qs, rho, phi, targets) if clean else None
         xs = range(len(phi)) if proven is None else [x for x, done in enumerate(proven) if not done]
@@ -874,7 +901,7 @@ class _TableTarget(_LaxTarget):
     missing, mistyped = " has no entry and unequal endpoints", " has wrong endpoints"
     errors = (PhiMissing, KeyError)
 
-    def __init__(self, L: LaxOMonFunctor, cc: _Compiled):
+    def __init__(self, L: LaxOMonFunctor, cc: _Compiled, clean: bool = False):
         F, cod = L.functor, L.cod
         self.cc, self.L = cc, L
         self.cod_cc = cod_cc = cc if cod is L.dom else _Compiled(cod)
@@ -897,6 +924,7 @@ class _TableTarget(_LaxTarget):
         self._unital = all(mor_src[i] == a == mor_tgt[i] for a, i in enumerate(ident)) and all(
             comp[v * n_mor + ident[mor_src[v]]] == v == comp[ident[mor_tgt[v]] * n_mor + v] for v in range(n_mor)
         )
+        self._untouched = clean and self._unital
         self._neutral = {}
         self.entries = {}
         n_obj = cc.n_obj
@@ -944,6 +972,21 @@ class _TableTarget(_LaxTarget):
             )
         return got
 
+    def untouched(self, f, p, qs):
+        """The untouched-key lemma, for a check whose two structures have
+        clean reports (``clean``) and whose report is clean after the
+        typing and naturality passes: a key where neither structure has an
+        explicit entry, not even an empty one, and whose legs are default
+        components holds at every object tuple A.  A clean structure has
+        no MISSING default, so both structure isomorphisms at the key are
+        identities, and its tensors send identities to identities; a
+        default leg of a clean report is the identity, with
+        ``F(T A) = T(F A)``; and F preserves identities, or the check
+        would have stopped before.  So both sides of the square are the
+        identity of ``F(T_rho A)`` in a :attr:`_unital` cod."""
+        k = (f.target, f.values, p, qs)
+        return self._untouched and k not in self.cc.explicit and k not in self.cod_cc.explicit
+
     def settles(self, f, p, qs, rho, phi, targets):
         """Whether the coherence square holds at every object tuple A of a
         key whose legs at rho, at p and at each q_i are default components,
@@ -968,6 +1011,9 @@ class _TableTarget(_LaxTarget):
 
 
 def _check_table_lax(L: LaxOMonFunctor, *, memo: dict | None = None) -> CheckReport:
+    """The laws of a table lax functor.  Where ``memo`` holds clean
+    structure reports of both sides, as in a round trip, untouched keys
+    are proved without their rows (:meth:`_TableTarget.untouched`)."""
     report = CheckReport()
     where = L.name or "laxfun"
     dom, cod = L.dom, L.cod
@@ -982,7 +1028,8 @@ def _check_table_lax(L: LaxOMonFunctor, *, memo: dict | None = None) -> CheckRep
     if maps is None:
         return report
     cc = _Compiled(dom)
-    return _lax_coherence(report, where, cc, _TableTarget(L, cc), maps)
+    clean = _clean_on(memo, dom) and _clean_on(memo, cod)
+    return _lax_coherence(report, where, cc, _TableTarget(L, cc, clean), maps)
 
 
 # --------------------------------------------------------------------------
@@ -1232,7 +1279,22 @@ def _check_set_lax(L: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport
     if maps is None:
         return report
     cc = _Compiled(dom)
-    return _lax_coherence(report, where, cc, _SetTarget(L, cc), maps)
+    t = _SetTarget(L, cc)
+    # element labels with commas can give two elements of a product one
+    # label, and a FinSet has distinct labels
+    for n in range(2, dom.operad.max_arity + 1):
+        for x, ids in enumerate(t.tuples(n)):
+            try:
+                t.product(ids)
+            except ValueError:
+                report.structural(
+                    "laxtoset.product",
+                    f"the product of the sets at ({','.join(_labels(dom.base.objects, x, n))}) has duplicate element labels",
+                    where,
+                )
+    if report.records:
+        return report
+    return _lax_coherence(report, where, cc, t, maps)
 
 
 def check_lax_omon_functor(L) -> CheckReport:
@@ -1690,12 +1752,18 @@ def check_strict_omon_iso(c1: OMonCategory, c2: OMonCategory, functor: CatFuncto
     )
 
 
-def _strict_preservation(report: CheckReport, where: str, checks, c1, c2, functor) -> CheckReport:
+def _strict_preservation(report: CheckReport, where: str, checks, c1, c2, functor, clean: bool = False) -> CheckReport:
     """That ``functor`` carries every tensor entry and structure
     isomorphism of ``c1`` to the one of ``c2`` at the image tuple.
     ``checks`` names the instance counter and the records of a tensor
     that is not preserved, of a missing structure isomorphism and of one
-    that is not preserved."""
+    that is not preserved.
+
+    ``clean`` says that both structures have clean reports and that the
+    report is clean so far, so the functor preserves identities.  If the
+    tensor pass then records nothing, a key where neither structure has
+    an explicit entry needs no rows: both structure isomorphisms there
+    are identities, of ``T_rho A`` and of ``T_rho(F A) = F(T_rho A)``."""
     counter, tensor_check, missing_check, phi_check = checks
     operad, objects = c1.operad, c1.base.objects
     on_obj, on_mor = functor.on_obj, functor.on_mor
@@ -1722,7 +1790,13 @@ def _strict_preservation(report: CheckReport, where: str, checks, c1, c2, functo
             for a, i in zip(top, mor_image):
                 if on_mor[a] != bottom[i]:
                     violation(tensor_check, f"tensor[p={p}] morphism entry not strictly preserved", where)
+    untouched = clean and report.ok
     for f, p, qs in composition_keys(operad):
+        k = (f.target, f.values, p, qs)
+        if untouched and k not in k1.explicit and k not in k2.explicit:
+            if k1.n_obj**f.source:
+                count(counter, k1.n_obj**f.source)
+            continue
         top, bottom = k1.key(f, p, qs)[2], k2.key(f, p, qs)[2]
         if top:
             count(counter, len(top))

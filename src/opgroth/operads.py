@@ -338,7 +338,7 @@ class OperadRows:
             got = self._rows[k] = tuple(got)
         return got
 
-    def sweep(self, maps: dict):
+    def sweep(self, maps: dict, walks=None):
         """Every associativity square over the maps ``maps[m, n]``, in sweep
         order, grouped by f and the source arity ell of g: yields
         ``(f, ps, f_inner, ell, total, pairs)`` for each f: m -> n and
@@ -357,7 +357,11 @@ class OperadRows:
         operation holds at every instance, both of its sides being that
         operation, so the group is counted without building a square.
         Any other group is proved square by square (:meth:`square_holds`)
-        once per form, which keeps the verdict.
+        once per form, which keeps the verdict, unless ``walks(n,
+        f.values, ell)`` says that the caller walks the group's pairs
+        whatever its verdict: such a group without a kept verdict gets
+        None, and the caller proves each square as it walks, so that no
+        square is built twice.
         """
         o, sizes, verdicts = self.o, self.sizes, self._verdicts
         built: dict = {}
@@ -393,9 +397,10 @@ class OperadRows:
                             total = len(ps) * math.prod(map(len, f_inner)) * weights[ell, m]
                         elif key in verdicts:
                             total = verdicts[key]
+                        elif walks is not None and walks(n, f.values, ell):
+                            total = None
                         else:
-                            # square by square; the squares are not kept, so a
-                            # group walked after its verdict builds them again
+                            # square by square; the squares are not kept
                             # (keeping them raised the peak resident set)
                             total = 0
                             for g, fg, g_is, _ in pairs(f, ell):

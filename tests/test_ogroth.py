@@ -22,6 +22,7 @@ from opgroth.fib2cat import (
     ISetCell,
     fn_compose,
     identity_fibration,
+    iset_from_tables,
 )
 from opgroth.groth import groth_apply, make_corpus, roundtrip_report
 from opgroth.omon import (
@@ -248,6 +249,17 @@ def test_set_lax_singleton_lemma_needs_each_condition():
     iset = IndexedSet(x.iset.index, x.iset.values, tuple(actions), name=x.iset.name)
     assert _records(check_lax_omon_functor(LaxSetFunctor(x.dom, iset, x.nu, name="bad"))) == [
         ("iset.alignment", "bad", "action of id_0 has wrong dom/cod")
+    ]
+
+
+def test_set_lax_names_an_object_tuple_whose_product_labels_clash():
+    # (x, "x,x") and ("x,x", x) are both labelled (x,x,x) in F(0) x F(0):
+    # a structural record, not a traceback from building that product
+    x = l2_laxtoset(2)
+    iset = iset_from_tables(x.dom.base, {"0": ["x", "x,x"], "1": ["y"]}, {"le_0_1": {"x": "y", "x,x": "y"}}, name="CLASH")
+    report = check_lax_omon_functor(LaxSetFunctor(x.dom, iset, {}, name="clash"))
+    assert _records(report) == [
+        ("laxtoset.product", "clash", "the product of the sets at (0,0) has duplicate element labels")
     ]
 
 

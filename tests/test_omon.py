@@ -596,6 +596,23 @@ def test_only_touched_groups_build_their_squares(built_squares):
     assert set(built_squares) == touched
 
 
+@pytest.mark.parametrize(
+    "mutation, witness",
+    [
+        (1, "phi[f=[1,1],p=[1],q=([1,2]),A=(0,0)] has wrong endpoints"),
+        (2, "phi[f=[1,2],p=[1,2],q=([1],[1]),A=(0,0)] has wrong endpoints"),
+    ],
+)
+def test_a_standalone_check_builds_each_square_once(built_squares, mutation, witness):
+    # a group that the square pass walks because an explicit entry touches
+    # it is proved as it is walked, not square by square beforehand as well
+    _, mutated, _ = omon_single_entry_mutations(dz2_assoc_omon(3))[mutation]
+    report = check_omon_category(mutated)
+    assert [(r.check, r.witness) for r in report.records] == [("omon.phi_typing", witness)]
+    assert report.stats["omon.assoc_instances"] == 241863
+    assert len(built_squares) == len(set(built_squares)) == 1479
+
+
 def _set_algebra_pin_cases():
     # every single-entry override of the DZ2(2) and grade(2) algebras, to
     # each other carrier element and to one label outside the carrier,

@@ -12,7 +12,11 @@ writes the run under ``runs[label]`` of the output file, keeping the runs
 already there under other labels.  ``--rung NAME`` runs one rung in this
 process and prints its JSON line, which is what the ladder runs in each
 child.  ``peak_rss_mb`` is the peak resident set of that child, build
-included.
+included.  Before the first rung, one warm-up child compiles this tool,
+the package and the stdlib modules they load into a temporary bytecode
+tree that every child reads (``PYTHONPYCACHEPREFIX``), so that no rung
+compiles the package from source inside its ``peak_rss_mb``, even where
+bytecode writing is off (``PYTHONDONTWRITEBYTECODE``).
 
     python3 tools/scale_ladder.py --rung "check_laxtoset l2(5)" --repeat 3
 
@@ -31,6 +35,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -162,6 +167,20 @@ def run_rung(name: str) -> dict:
     }
 
 
+def compile_for_children(prefix: str) -> None:
+    """Point every later child at a bytecode tree under ``prefix``, and
+    fill it in one warm-up child that imports this tool and the package
+    with bytecode writing on, which compiles them and the stdlib modules
+    they load.  The compile runs in a child of its own because a child's
+    ``ru_maxrss`` starts from the resident set of the process that
+    started it."""
+    os.environ["PYTHONPYCACHEPREFIX"] = prefix
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import scale_ladder, opgroth.cli"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def run_child(name: str) -> dict:
     """One rung in a fresh interpreter, under the cap."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -213,13 +232,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="JSON file to add this run to")
     parser.add_argument("--label", default="run", help="name of this run in the output file")
     args = parser.parse_args(argv)
-    if args.rung and args.repeat:
-        summary = run_repeated(args.rung, args.repeat)
-        print(json.dumps(summary))
-        return 0 if summary["stats_agree"] and set(summary["status"]) <= {"ok", "failed"} else 1
-    if args.rung:
+    if args.rung and not args.repeat:
         print(json.dumps(run_rung(args.rung)))
         return 0
+    with tempfile.TemporaryDirectory(prefix="ladder-bytecode-") as prefix:
+        compile_for_children(prefix)
+        if args.rung:
+            summary = run_repeated(args.rung, args.repeat)
+            print(json.dumps(summary))
+            return 0 if summary["stats_agree"] and set(summary["status"]) <= {"ok", "failed"} else 1
+        rungs = run_ladder()
     run = {
         "host": {
             "python": platform.python_version(),
@@ -227,7 +249,7 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
         },
         "cap_s": CAP_S,
-        "rungs": run_ladder(),
+        "rungs": rungs,
     }
     if args.out is None:
         print(json.dumps(run, indent=2))
