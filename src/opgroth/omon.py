@@ -901,7 +901,7 @@ class _TableTarget(_LaxTarget):
     missing, mistyped = " has no entry and unequal endpoints", " has wrong endpoints"
     errors = (PhiMissing, KeyError)
 
-    def __init__(self, L: LaxOMonFunctor, cc: _Compiled, clean: bool = False):
+    def __init__(self, L: LaxOMonFunctor, cc: _Compiled, clean: bool):
         F, cod = L.functor, L.cod
         self.cc, self.L = cc, L
         self.cod_cc = cod_cc = cc if cod is L.dom else _Compiled(cod)
