@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import io
 import json
 import pathlib
@@ -237,6 +239,66 @@ def test_json_report_is_one_record_per_line():
     assert lines[-1]["summary"] is True
     assert lines[-1]["status"] == "failed"
     assert any(rec.get("check") == "category.unit" for rec in lines[:-1])
+
+
+# sha256 of the stdout of ``check`` on each fixture by report mode; the
+# fixtures pin their truncation, so --max-arity 2 gives the same bytes
+CHECK_PINS = {
+    ("broken_syntax.cat", "text"): "be1c9dec7739c6b00d7ff8755d1a26d4cd1b7d4ded93ba296b4dbcb4abaafd74",
+    ("broken_syntax.cat", "json"): "1627b604ad533e13128fea235aecfded13cae1f5f3a017b2baad82a215e0c02c",
+    ("broken_unit.cat", "text"): "4422ac011fa876c25a5912ea2ee0e4312b5af984c913fdfa27b99413734d7188",
+    ("broken_unit.cat", "json"): "570caaca7d4c5350d76ea144ce4922888ada29ae7e88dfdcb26c8d4b45c8307f",
+    ("corpus_omon.spec", "text"): "bf368981717d9029e35bf877d009ee2af2b3b3569c4221249556a153467f2f94",
+    ("corpus_omon.spec", "json"): "89ffa6062a07ddc10bf0f05688782317a7fe4e755f269d725fbf14896d842eb6",
+    ("corpus_small.spec", "text"): "522c269bbb08a7cde91d872de5ccbd6acdff13f6f9d943e0e52131e4f0883be8",
+    ("corpus_small.spec", "json"): "c568927d828a8171676173be3ec697a4e1403b5d86342eb47c126c2c874bb25b",
+    ("grade.laxtoset", "text"): "5988f7582b7ec59223bd4e576f3b362caf70bb02785014e14498f07024a5d7c8",
+    ("grade.laxtoset", "json"): "d5842e1c92bcffefd7f9883dfd932bf3ec28a6e200f10724bd127f43fc265d5e",
+    ("incomplete.cat", "text"): "91751e9a36b50ea9aeebdd619849bf678ae5d5419ffabd7139c50177dc2fb4ed",
+    ("incomplete.cat", "json"): "5370e5e1a87cb4c80f58f30ab13a6172dddd8ecb55deeb2ae857c3230699372a",
+    ("l2.laxtoset", "text"): "3b7dca671a6c0add018cef77780207252dff55ac7535bd8e1455559ba10f5e4b",
+    ("l2.laxtoset", "json"): "9986f50d47125972f4cc736e23945f7d741608d4b3302d06150b0a4a2745bdf4",
+    ("qconv.laxtoset", "text"): "17883ece5cf2ed2bfb4f86eee84e750b54441d401a9666e48c40ca87c2876b45",
+    ("qconv.laxtoset", "json"): "3be9b688cbbd6f730b765a830c73b63bbc035fa2822898fd9d3368aa94766916",
+    ("walk.cat", "text"): "8f3af4a912da7eb685e29902aaa3f7f98a1dc8d7a77c2268163fa83a46bafe5c",
+    ("walk.cat", "json"): "3108848ac7fcbceaac685de3746903c62772bb841072dc015f2487dfd4d302bc",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_check_stdout_is_pinned_on_every_fixture():
+    assert {(p.name, mode) for p in FIXTURES.iterdir() for mode in ("text", "json")} == set(CHECK_PINS)
+    for (name, mode), digest in sorted(CHECK_PINS.items()):
+        for arity in ([], ["--max-arity", "2"]):
+            _, text = run([*arity, "--report", mode, "check", str(FIXTURES / name)])
+            assert _sha(text) == digest, (name, mode, arity)
+
+
+# one DZ2 tensor entry flipped: the structure's report is unclean, and every
+# section over DZ2 merges that one report under its own name
+FLIPPED_DZ2 = ("tensor [1,2,3] (1,1,1) = 1\n", "tensor [1,2,3] (1,1,1) = 0\n")
+FLIPPED_PINS = {
+    "text": "947ca2b74005c665e6ca090b3a121c07a73547ec9c32ed85b10734a7f46d14ad",
+    "json": "b82126a57fc5ed25d6a81af0f47ed574cf2de70aae4ffe93dd76186bae49dd65",
+}
+
+
+def test_check_records_of_an_unclean_structure_are_pinned(tmp_path):
+    old, new = FLIPPED_DZ2
+    target = tmp_path / "flipped.spec"
+    target.write_text(read("corpus_omon.spec").replace(old, new, 1), encoding="utf-8")
+    for mode, digest in FLIPPED_PINS.items():
+        code, text = run(["--report", mode, "check", str(target)])
+        assert code == 1 and _sha(text) == digest, mode
+    records = [json.loads(line) for line in text.splitlines()[:-1]]
+    assert {r["check"] for r in records} == {"omon.phi_missing"}
+    assert collections.Counter(r["where"] for r in records) == {
+        "DZ2:DZ2": 50, "GRADE:DZ2:DZ2": 50, "TRIVDZ2:DZ2:DZ2": 50, "INTGRADE:INTGRADE:base:DZ2": 50,
+    }
+    assert records[0]["witness"] == "phi[f=[1,1,2],p=[1,2],q=([1,2],[1]),A=(1,1,1)] has no entry and unequal endpoints"
 
 
 def test_jobs_flag_does_not_change_report_bytes():
