@@ -3,8 +3,10 @@
 Exit codes: 0 when every requested check is clean, 1 when a law fails,
 2 on parse or structural errors.  Reports stream as human-readable text
 or as JSON lines (one record per line, schema carried in the ``v``
-field).  Sections are checked one after another in one thread;
-``--jobs`` is accepted for compatibility and changes nothing.
+field).  Sections are checked one after another in one thread, on one
+memo per command, so that each structure and operad a file names is
+proved once; ``--jobs`` is accepted for compatibility and changes
+nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .fib2cat import check_discrete_fibration, validate_indexed_set
 from .groth import corpus_with_cells, groth_apply, roundtrip_report, transpose_apply
 from .ogroth import (
     OCorpus,
+    _checked_omon,
     check_laxtoset,
     check_ofib_object,
     enumerate_ocells,
@@ -36,7 +39,7 @@ from .ogroth import (
     omon_roundtrip_check,
     omon_transpose,
 )
-from .omon import check_lax_omon_functor, check_omon_category, check_omon_transformation
+from .omon import check_lax_omon_functor, check_omon_transformation
 from .operads import check_operad_axioms, check_semiring
 from .dsl import (
     DocBuilder,
@@ -56,12 +59,14 @@ _CHECKERS = {
     "iset": validate_indexed_set,
     "semiring": check_semiring,
     "operad": check_operad_axioms,
-    "omon": check_omon_category,
+    "omon": lambda c, *, memo=None: _checked_omon(memo, c),
     "laxfun": check_lax_omon_functor,
     "omontrans": check_omon_transformation,
     "ofib": check_ofib_object,
     "laxtoset": check_laxtoset,
 }
+# the kinds whose checker reads the command's memo (see _check_sections)
+_READS_MEMO = frozenset({"operad", "omon", "laxfun", "ofib", "laxtoset"})
 
 
 def _emit(report: CheckReport, mode: str, out) -> None:
@@ -90,7 +95,7 @@ def _diagnostics_report(doc) -> CheckReport:
     report = CheckReport()
     for d in doc.diagnostics:
         report.records.append(
-            CheckRecord(STRUCTURAL, "parse", d.render(), d.section)
+            CheckRecord(STRUCTURAL, "parse", f"{d.line}:{d.col}: {d.message}", d.section)
         )
     return report
 
@@ -109,11 +114,17 @@ def _load(args, out):
 def _check_sections(doc, only: str | None) -> CheckReport:
     report = CheckReport()
     sections = [s for s in doc.sections if only is None or s.name == only]
+    if not doc.sections:
+        report.structural("cli.section", "no sections in the file")
+        return report
     if only is not None and not sections:
         report.structural("cli.section", f"no section named {only!r}")
         return report
+    memo: dict = {}  # one per command: a structure or operad named again is not proved again
     for section in sections:
-        report.merge(_CHECKERS[section.kind](section.value), where=section.name)
+        check = _CHECKERS[section.kind]
+        got = check(section.value, memo=memo) if section.kind in _READS_MEMO else check(section.value)
+        report.merge(got, where=section.name)
         report.count(f"checked.{section.kind}")
     return report
 

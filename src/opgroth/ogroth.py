@@ -86,14 +86,15 @@ from .report import CheckReport, _memoized
 LaxToSet = LaxSetFunctor
 
 
-def check_laxtoset(x: LaxSetFunctor) -> CheckReport:
+def check_laxtoset(x: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport:
     """Validate the index structure, the indexed set, and the lax
-    comparison data as one object."""
+    comparison data as one object.  On a ``memo``, the index structure's
+    report is the one its other checks on that memo read."""
     report = CheckReport()
-    report.merge(check_omon_category(x.dom), where=x.dom.name or "index")
+    report.merge(_checked_omon(memo, x.dom), where=x.dom.name or "index")
     if not report.ok:
         return report
-    report.merge(_check_set_lax(x), where=x.name or "laxtoset")
+    report.merge(_check_set_lax(x, memo=memo), where=x.name or "laxtoset")
     return report
 
 
@@ -128,11 +129,12 @@ def omons_equal(a: OMonCategory, b: OMonCategory) -> bool:
     )
 
 
-# A structured round trip threads one ``memo`` dict through its checks
-# and constructions, and drops it when it returns (see report._memoized).
+# A structured round trip, or a ``check`` command, threads one ``memo``
+# dict through its checks and constructions, and drops it when it returns
+# (see report._memoized).
 
 
-def _checked_omon(memo: dict, c: OMonCategory) -> CheckReport:
+def _checked_omon(memo: dict | None, c: OMonCategory) -> CheckReport:
     """check_omon_category(c), run once per structure while ``memo`` lives."""
     return _memoized(memo, _omon_key(c), c, lambda: check_omon_category(c, memo=memo))
 

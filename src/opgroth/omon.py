@@ -51,15 +51,15 @@ from .fib2cat import (
 from .operads import (
     UNDEFINED,
     Operad,
-    OperadRows,
     _keys,
+    _rows_on,
     build_assoc,
     build_comm,
     composition_keys,
     operads_equal,
     perm_label,
 )
-from .report import CheckReport, _memoized, require_ok
+from .report import CheckReport, require_ok
 
 
 class PhiMissing(Exception):
@@ -308,7 +308,7 @@ def check_omon_category(c: OMonCategory, *, memo: dict | None = None) -> CheckRe
 
 
 def _omon_key(c: OMonCategory) -> tuple:
-    """The key of c's report on a round trip's memo (``ogroth._checked_omon``)."""
+    """The key of c's report on a memo (``ogroth._checked_omon``)."""
     return ("omon", id(c))
 
 
@@ -364,9 +364,9 @@ def _composition_totality(report: CheckReport, operad: Operad, maps: dict, prefi
     ``maps[m, n]`` that ``family(m, n)`` yields, that is undefined or lies
     outside its carrier (an UNDEFINED entry of its rows); :class:`_Compiled`
     reads them all.  Gives the filled rows, or None when a record was made.
-    A round trip's ``memo`` keeps one form per operad and family, since
-    the form keeps its verdicts on the squares of one family."""
-    rows = _memoized({} if memo is None else memo, ("rows", id(operad), family), operad, lambda: OperadRows(operad))
+    A ``memo`` keeps one form per operad and family (:func:`_rows_on`),
+    since the form keeps its verdicts on the squares of one family."""
+    rows = _rows_on(memo, operad, family)
     total = True
     n_arities = operad.max_arity + 1
     for n in range(n_arities):
@@ -1297,12 +1297,12 @@ def _check_set_lax(L: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport
     return _lax_coherence(report, where, cc, t, maps)
 
 
-def check_lax_omon_functor(L) -> CheckReport:
+def check_lax_omon_functor(L, *, memo: dict | None = None) -> CheckReport:
     """Dispatch on the codomain: table-backed target or (Set, x)."""
     if isinstance(L, LaxSetFunctor):
-        return _check_set_lax(L)
+        return _check_set_lax(L, memo=memo)
     if isinstance(L, LaxOMonFunctor):
-        return _check_table_lax(L)
+        return _check_table_lax(L, memo=memo)
     report = CheckReport()
     report.structural("laxfun.kind", f"not a lax functor: {type(L).__name__}")
     return report

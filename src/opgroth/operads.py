@@ -24,7 +24,7 @@ from .fincore import (
     identity_map,
     terminal_map,
 )
-from .report import CheckReport
+from .report import CheckReport, _memoized
 
 
 class CompositionUndefined(Exception):
@@ -310,8 +310,9 @@ class OperadRows:
     also keeps the verdict of each group of associativity squares it
     proves square by square (see :meth:`sweep`), so it serves one family
     of maps.  An operad's table may be edited between calls, so a
-    standalone check builds its own form and drops it; a round trip keeps
-    one form per operad and family on its memo, with the operad held.
+    standalone check builds its own form and drops it; a round trip or a
+    ``check`` command keeps one form per operad and family on its memo
+    (:func:`_rows_on`).
     """
 
     def __init__(self, o: Operad):
@@ -479,13 +480,21 @@ class OperadRows:
         return x_f, x_g, x_gis, x_fg
 
 
-def check_operad_axioms(o: Operad) -> CheckReport:
+def _rows_on(memo: dict | None, o: Operad, family=all_maps) -> OperadRows:
+    """The form of o for the maps ``family`` yields: one per operad and
+    family while ``memo`` lives, with the operad held, so that each group
+    of squares is proved once; a new form without a memo."""
+    return _memoized(memo, ("rows", id(o), family), o, lambda: OperadRows(o))
+
+
+def check_operad_axioms(o: Operad, *, memo: dict | None = None) -> CheckReport:
     """Exhaustive unit and associativity check over the truncation.
 
     Instances whose inner element slots are empty (an empty fiber with
     O(0) empty) do not exist and are skipped, mirroring the restriction
     of composition to surjective maps when there are no nullary
-    operations.
+    operations.  On a ``memo``, the rows and the verdicts of the square
+    groups are shared with the structures over o (:func:`_rows_on`).
     """
     report = CheckReport()
     n_arities = o.max_arity + 1
@@ -532,7 +541,7 @@ def check_operad_axioms(o: Operad) -> CheckReport:
     # the singleton lemma; in a group that fails, a square whose rows fail
     # runs the loop, which names each failure
     maps = {(a, b): tuple(all_maps(a, b)) for a in range(n_arities) for b in range(n_arities)}
-    rows = OperadRows(o)
+    rows = _rows_on(memo, o)
     instances = 0
     for f, ps, f_inner, ell, total, pairs in rows.sweep(maps):
         if total is not None:

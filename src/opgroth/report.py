@@ -85,9 +85,12 @@ class CheckReport:
 # one of those ids and receive another object's result.
 
 
-def _memoized(memo: dict, key: tuple, keep, build):
+def _memoized(memo: dict | None, key: tuple, keep, build):
     """``build()``, run once per key while ``memo`` lives; the entry holds
-    ``keep``, the objects whose id() the key names."""
+    ``keep``, the objects whose id() the key names.  Without a memo,
+    ``build()`` runs at every call."""
+    if memo is None:
+        return build()
     entry = memo.get(key)
     if entry is None:
         entry = memo[key] = (keep, build())

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+import opgroth.omon
+import opgroth.operads
 from fuzzing import token_mutations
 from opgroth.cli import run_command
 
@@ -77,6 +79,36 @@ def test_section_filter():
     assert "checked.iset = 1" in text
     code, _ = run(["check", str(FIXTURES / "grade.laxtoset"), "--section", "NOPE"])
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n"])
+def test_a_file_with_no_sections_is_structural(tmp_path, text):
+    target = tmp_path / "empty.spec"
+    target.write_text(text, encoding="utf-8")
+    code, out = run(["check", str(target)])
+    assert code == 2
+    assert out == "structural: cli.section: no sections in the file\nstatus: failed\n"
+    code, out = run(["--report", "json", "check", str(target)])
+    assert code == 2
+    assert json.loads(out.splitlines()[0]) == {
+        "v": 1, "severity": "structural", "check": "cli.section", "witness": "no sections in the file", "where": "",
+    }
+
+
+def test_a_parse_diagnostic_names_its_section_once(tmp_path):
+    target = tmp_path / "a.spec"
+    target.write_text("[operad A]\nbuiltin = assoc\n", encoding="utf-8")
+    code, out = run(["--max-arity", "0", "check", str(target)])
+    assert code == 2
+    assert out.splitlines()[0] == (
+        "structural: parse: 1:1: builtin operad needs a truncation of at least 1, got 0 [A]"
+    )
+    code, out = run(["--report", "json", "--max-arity", "0", "check", str(target)])
+    assert code == 2
+    assert out.splitlines()[0] == (
+        '{"check": "parse", "severity": "structural", "v": 1, "where": "A", '
+        '"witness": "1:1: builtin operad needs a truncation of at least 1, got 0"}'
+    )
 
 
 # ------------------------------------------------------------ mutation matrix
@@ -299,6 +331,28 @@ def test_check_records_of_an_unclean_structure_are_pinned(tmp_path):
         "DZ2:DZ2": 50, "GRADE:DZ2:DZ2": 50, "TRIVDZ2:DZ2:DZ2": 50, "INTGRADE:INTGRADE:base:DZ2": 50,
     }
     assert records[0]["witness"] == "phi[f=[1,1,2],p=[1,2],q=([1,2],[1]),A=(1,1,1)] has no entry and unequal endpoints"
+
+
+def test_check_proves_each_structure_and_operad_once(monkeypatch):
+    # corpus_omon.spec has three operads and four structures, which its
+    # laxtoset and ofib sections name again
+    laws, forms = collections.Counter(), collections.Counter()
+    structure_laws, rows_init = opgroth.omon._structure_laws, opgroth.operads.OperadRows.__init__
+
+    def counting_laws(c, *args):
+        laws[c.name] += 1
+        return structure_laws(c, *args)
+
+    def counting_init(self, o):
+        forms[id(o)] += 1
+        rows_init(self, o)
+
+    monkeypatch.setattr(opgroth.omon, "_structure_laws", counting_laws)
+    monkeypatch.setattr(opgroth.operads.OperadRows, "__init__", counting_init)
+    code, _ = run(["check", str(FIXTURES / "corpus_omon.spec")])
+    assert code == 0
+    assert laws == {"DZ2": 1, "L2": 1, "QOR": 1, "int_GRADE": 1}
+    assert sorted(forms.values()) == [1, 1, 1]
 
 
 def test_jobs_flag_does_not_change_report_bytes():

@@ -1,5 +1,5 @@
-"""Scale ladder: time the structured checkers at growing arity, and the
-classical round trip.
+"""Scale ladder: time the structured checkers at growing arity, the
+classical round trip, and the ``check`` command on the structured corpus.
 
 Each rung builds one input and checks it, in a fresh interpreter with a
 wall-clock cap, and records the build time and the check time apart, the
@@ -105,6 +105,14 @@ def _classical_corpus():
     return groth.make_corpus(), groth.roundtrip_report
 
 
+def _check_command(name: str):
+    from opgroth import cli
+    from opgroth.dsl import parse_spec_file
+
+    doc = parse_spec_file((ROOT / "fixtures" / name).read_text(encoding="utf-8"))
+    return doc, lambda doc: cli._check_sections(doc, None)
+
+
 # rung name -> () -> (input, checker); the input build is timed apart
 RUNGS = {
     **{
@@ -144,6 +152,8 @@ RUNGS = {
     # the classical round trip: the build is the parse and generate_cells
     "roundtrip corpus_small.spec seed 1": _classical_spec,
     "roundtrip_report make_corpus()": _classical_corpus,
+    # every section of the file on the command's one memo: the build is the parse
+    "check corpus_omon.spec": lambda: _check_command("corpus_omon.spec"),
 }
 
 
