@@ -59,7 +59,7 @@ _CHECKERS = {
     "iset": validate_indexed_set,
     "semiring": check_semiring,
     "operad": check_operad_axioms,
-    "omon": lambda c, *, memo=None: _checked_omon(memo, c),
+    "omon": lambda c, *, memo: _checked_omon(memo, c),
     "laxfun": check_lax_omon_functor,
     "omontrans": check_omon_transformation,
     "ofib": check_ofib_object,
@@ -113,10 +113,10 @@ def _load(args, out):
 
 def _check_sections(doc, only: str | None) -> CheckReport:
     report = CheckReport()
-    sections = [s for s in doc.sections if only is None or s.name == only]
     if not doc.sections:
         report.structural("cli.section", "no sections in the file")
         return report
+    sections = [s for s in doc.sections if only is None or s.name == only]
     if only is not None and not sections:
         report.structural("cli.section", f"no section named {only!r}")
         return report
