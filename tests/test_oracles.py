@@ -4,7 +4,8 @@ reference search for the natural families of the classical corpus; the
 regroupings and products of finite sets and the order of tuple codes
 against ``itertools.product``; and the composition of the permutation
 operad by its factorization and of the quasi-convexity operad by its
-coordinates.
+coordinates; and the cell laws of the structured round trip, record by
+record, over every single-entry change of a few small cells.
 
 Each oracle is a direct transcription of the laws in its own loop nest:
 it reads the label tables of its input and shares no helper with the
@@ -34,11 +35,13 @@ from opgroth.groth import _valid_mus
 from opgroth.omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
+    PhiMissing,
     TensorTable,
     UnbiasedData,
     _check_set_lax,
     _check_table_lax,
     _comm_view,
+    _compose_lax,
     build_omon,
     check_omon_category,
     dz2_assoc_omon,
@@ -50,9 +53,26 @@ from opgroth.omon import (
     twisted_bz2_unbiased,
     validate_unbiased,
 )
-from opgroth.fib2cat import FinFunction, FinSet, iset_from_tables
-from opgroth.ogroth import _checked_lax, _checked_omon, _laxtoset_from_rule, grade_laxtoset, l2_laxtoset, qconv_proj_laxtoset
+from opgroth.fib2cat import FinFunction, FinSet, fn_identity, iset_from_tables, validate_dfib_cell, validate_iset_cell
+from opgroth.ogroth import (
+    OCell,
+    OFibCell,
+    _checked_lax,
+    _checked_omon,
+    _laxtoset_from_rule,
+    check_ocell,
+    check_ofib_cell,
+    enumerate_ocells,
+    grade_laxtoset,
+    identity_ocell,
+    identity_ofib,
+    l2_laxtoset,
+    omon_groth,
+    qconv_proj_laxtoset,
+    trivial_laxtoset,
+)
 from opgroth.operads import boolean_semiring, build_assoc, build_qconv, composition_keys
+from opgroth.report import CheckReport
 from testkit import constant_functor
 
 # ---------------------------------------------------------------------------
@@ -1054,3 +1074,308 @@ def test_operad_composition_matches_its_reference(build, oracle, arities, n_keys
             assert o.compose(f, p, qs) == oracle(f, p, qs), (f, p, qs)
             keys += 1
     assert keys == n_keys
+
+
+# ---------------------------------------------------------------------------
+# the cell laws of the structured round trip: the comparison square of a
+# cell into finite sets, the composite of two lax functors and the strict
+# commuting of comparisons with projections
+#
+# Each oracle reads the label tables one operation and object tuple at a
+# time, and names the first missing value or uncomposable pair of an
+# instance in the order the checker evaluates them.  The checks that come
+# before the loops are the package's own.
+
+
+def _xi_label(L, n, p, objs):
+    """L's comparison at (n, p, objs), or None where it is missing."""
+    key = (n, p, tuple(objs))
+    if key in L.xi:
+        return L.xi[key]
+    on_obj = L.functor.on_obj
+    src = L.cod.tensors[(n, p)].obj[tuple(on_obj[a] for a in objs)]
+    tgt = on_obj[L.dom.tensors[(n, p)].obj[tuple(objs)]]
+    return L.cod.base.identity[src] if src == tgt else None
+
+
+def _nu_label(x, n, p, objs):
+    """x's comparison function at (n, p, objs), or None where it is missing."""
+    key = (n, p, tuple(objs))
+    if key in x.nu:
+        return _as_fn(x.nu[key])
+    sets = [v.labels for v in x.iset.values]
+    src = _product([sets[a] for a in objs])
+    tgt = sets[x.dom.tensors[(n, p)].obj[tuple(objs)]]
+    if n == 1 and p == x.dom.operad.unit:
+        return (src, tgt, tuple(range(len(tgt)))) if src == tgt else None
+    if len(tgt) == 1 or len(src) == 0:
+        return src, tgt, (0,) * len(src)
+    return None
+
+
+def _render(kind, letter, p, labels):
+    return f"{kind}[p={p},{letter}=({','.join(labels)})]"
+
+
+def oracle_ocell(c):
+    """check_ocell's report: the checks of the index lax functor and of the
+    indexed-set cell, then the comparison square at every operation and
+    object tuple, ``mu . nu_x == G(xi) . nu_y . (mu x ... x mu)``."""
+    report = CheckReport()
+    where = c.name or "ocell"
+    report.merge(_check_table_lax(c.index_lax()), where=f"{where}:index")
+    report.merge(validate_iset_cell(c.iset_cell()), where=f"{where}:iset")
+    if not report.ok:
+        return report
+    x, y, on_obj = c.dom, c.cod, c.functor.on_obj
+    lax, objects, cod_objects = c.index_lax(), x.dom.base.objects, y.dom.base.objects
+    mu = [_as_fn(m) for m in c.mu]
+    actions = [_as_fn(a) for a in y.iset.actions]
+
+    def square(n, p, objs):
+        """(lhs, rhs), or the witness of the first failure."""
+        top = _nu_label(x, n, p, objs)
+        if top is None:
+            return _render("nu", "i", p, [objects[a] for a in objs])
+        lhs = _fn_compose(mu[x.dom.tensors[(n, p)].obj[objs]], top)
+        if lhs is None:
+            return "functions not composable"
+        xi = _xi_label(lax, n, p, objs)
+        if xi is None:
+            return _render("xi", "A", p, [objects[a] for a in objs])
+        image = tuple(on_obj[a] for a in objs)
+        bottom = _nu_label(y, n, p, image)
+        if bottom is None:
+            return _render("nu", "i", p, [cod_objects[a] for a in image])
+        inner = _fn_compose(bottom, _fn_product([mu[a] for a in objs]))
+        rhs = None if inner is None else _fn_compose(actions[xi], inner)
+        return "functions not composable" if rhs is None else (lhs, rhs)
+
+    for n in range(x.dom.operad.max_arity + 1):
+        for p in x.dom.operad.carriers[n]:
+            for objs in itertools.product(range(len(objects)), repeat=n):
+                report.count("ocell.square_instances")
+                got = square(n, p, objs)
+                if isinstance(got, str):
+                    report.violation("ocell.missing", got, where)
+                elif got[0] != got[1]:
+                    report.violation(
+                        "ocell.square", "comparison square fails at " + _render("nu", "i", p, [objects[a] for a in objs]), where
+                    )
+    return report
+
+
+def oracle_compose_lax(L2, L1):
+    """("ok", xi) of L2 after L1, where xi holds the components that are
+    not the identity an absent entry stands for; or the exception name
+    and text of the first missing component or undefined composite."""
+    dom, cod, F1, F2 = L1.dom, L2.cod, L1.functor, L2.functor
+    base = cod.base
+    xi = {}
+    for n in range(dom.operad.max_arity + 1):
+        for p in dom.operad.carriers[n]:
+            for objs in itertools.product(range(len(dom.base.objects)), repeat=n):
+                first = _xi_label(L1, n, p, objs)
+                if first is None:
+                    return "PhiMissing", _render("xi", "A", p, [dom.base.objects[a] for a in objs])
+                image = tuple(F1.on_obj[a] for a in objs)
+                second = _xi_label(L2, n, p, image)
+                if second is None:
+                    return "PhiMissing", _render("xi", "A", p, [L2.dom.base.objects[a] for a in image])
+                g = F2.on_mor[first]
+                value = base.composition.get((g, second))
+                if value is None:
+                    return "KeyError", str(KeyError(f"no composition entry for ({base.mor_labels[g]}, {base.mor_labels[second]})"))
+                src = cod.tensors[(n, p)].obj[tuple(F2.on_obj[a] for a in image)]
+                tgt = F2.on_obj[F1.on_obj[dom.tensors[(n, p)].obj[objs]]]
+                if src != tgt or value != base.identity[src]:
+                    xi[(n, p, objs)] = value
+    return "ok", xi
+
+
+def _composed(L2, L1):
+    try:
+        return "ok", _compose_lax(L2, L1).xi
+    except (PhiMissing, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def oracle_ofib_cell(c):
+    """check_ofib_cell's report: the checks of the underlying square and of
+    the two lax functors, then whether the top comparison at every
+    operation and tuple of total objects projects to the bottom one."""
+    report = CheckReport()
+    where = c.name or "ofibcell"
+    report.merge(validate_dfib_cell(c.dfib_cell()), where=f"{where}:square")
+    report.merge(_check_table_lax(c.top_lax()), where=f"{where}:top")
+    report.merge(_check_table_lax(c.bottom_lax()), where=f"{where}:bottom")
+    if not report.ok:
+        return report
+    top, bottom = c.top_lax(), c.bottom_lax()
+    objects, base_objects = c.dom.fib.total.objects, c.dom.fib.base.objects
+    down_obj, proj = c.dom.fib.proj.on_obj, c.cod.fib.proj.on_mor
+    for n in range(top.dom.operad.max_arity + 1):
+        for p in top.dom.operad.carriers[n]:
+            for combo in itertools.product(range(len(objects)), repeat=n):
+                report.count("ofibcell.strict_instances")
+                up = _xi_label(top, n, p, combo)
+                if up is None:
+                    report.violation("ofibcell.missing", _render("xi", "A", p, [objects[a] for a in combo]), where)
+                    continue
+                image = tuple(down_obj[a] for a in combo)
+                down = _xi_label(bottom, n, p, image)
+                if down is None:
+                    report.violation("ofibcell.missing", _render("xi", "A", p, [base_objects[a] for a in image]), where)
+                elif proj[up] != down:
+                    report.violation(
+                        "ofibcell.strict_xi", _render("xi", "A", p, [objects[a] for a in combo]) + " does not commute with the projections", where
+                    )
+    return report
+
+
+def _twisted_cells():
+    """Cells over the twisted one-object group, on the set {a, b} with the
+    flip acting as the swap.  The flip at every even arity is a valid
+    comparison of the identity functor, by the cocycle of the twist; XOR
+    compares by the parity of the b's, and SWAPPED by XOR followed by the
+    swap at even arities.  The first two cells hold, the third fails its
+    square at every even arity."""
+    tw = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
+    flip = tw.base.mor_index("1")
+    iset = iset_from_tables(tw.base, {"pt": ["a", "b"]}, {"1": {"a": "b", "b": "a"}}, name="swapF")
+
+    def parity(n, p, xs, shift=0):
+        return "ab"[(sum(x == "b" for x in xs) + shift) % 2]
+
+    xor = _laxtoset_from_rule(tw, iset, parity, "XOR")
+    swapped = _laxtoset_from_rule(tw, iset, lambda n, p, xs: parity(n, p, xs, n % 2 == 0), "SWAPPED")
+    even = {(n, p, (0,) * n): flip for n in (0, 2) for p in tw.operad.elements(n)}
+    same, swap = (fn_identity(iset.values[0]),), (iset.actions[flip],)
+    functor = identity_functor(tw.base)
+    return [
+        OCell(dom=swapped, cod=xor, functor=functor, xi=even, mu=same, name="TW1"),
+        OCell(dom=xor, cod=xor, functor=functor, xi=even, mu=swap, name="TW2"),
+        OCell(dom=xor, cod=xor, functor=functor, xi=even, mu=same, name="TW3"),
+    ]
+
+
+def _cells():
+    """The identity cells of the shipped families at arity 2, two cells the
+    search finds between L2FAM and its trivial family, and the twisted
+    cells."""
+    l2fam = l2_laxtoset(2)
+    triv = trivial_laxtoset(l2fam.dom, name="TRIVL2")
+    cells = [identity_ocell(x) for x in (grade_laxtoset(2), l2fam, qconv_proj_laxtoset(2))]
+    cells += enumerate_ocells(l2fam, triv, cap=1) + enumerate_ocells(l2fam, l2fam, cap=2)[1:]
+    return cells + _twisted_cells()
+
+
+def _xi_flips(xi, dom, cod, functor):
+    """(what, xi) for each comparison set to every other morphism of the
+    cod base, and each explicit one deleted."""
+    L = LaxOMonFunctor(dom=dom, cod=cod, functor=functor, xi=xi)
+    for n in range(dom.operad.max_arity + 1):
+        for p in dom.operad.elements(n):
+            for objs in itertools.product(range(dom.base.n_objects), repeat=n):
+                key = (n, p, objs)
+                old = _xi_label(L, n, p, objs)
+                for value in range(cod.base.n_morphisms):
+                    if value != old:
+                        yield f"xi {key} -> {value}", {**xi, key: value}
+                if key in xi:
+                    yield f"xi {key} deleted", {k: v for k, v in xi.items() if k != key}
+
+
+def _cell_variants(c):
+    """The cell, and each cell one mu entry, one xi entry or one explicit nu
+    entry of either side away from it."""
+    yield "clean", c
+    for a, fn in enumerate(c.mu):
+        for i, old in enumerate(fn.mapping):
+            for value in range(fn.cod.size):
+                if value != old:
+                    mapping = fn.mapping[:i] + (value,) + fn.mapping[i + 1 :]
+                    mu = c.mu[:a] + (FinFunction(fn.dom, fn.cod, mapping),) + c.mu[a + 1 :]
+                    yield f"mu {a} {i} -> {value}", OCell(c.dom, c.cod, c.functor, c.xi, mu, c.name)
+    for what, xi in _xi_flips(c.xi, c.dom.dom, c.cod.dom, c.functor):
+        yield what, OCell(c.dom, c.cod, c.functor, xi, c.mu, c.name)
+    for side in ("dom", "cod"):
+        x = getattr(c, side)
+        for key in x.nu:
+            cut = LaxSetFunctor(dom=x.dom, iset=x.iset, nu={k: v for k, v in x.nu.items() if k != key}, name=x.name)
+            ends = {"dom": c.dom, "cod": c.cod, side: cut}
+            yield f"{side} nu {key} deleted", OCell(ends["dom"], ends["cod"], c.functor, c.xi, c.mu, c.name)
+
+
+def _same_report(got, expected):
+    return (got.records, got.stats) == (expected.records, expected.stats)
+
+
+def test_cell_square_and_composite_agree_with_their_oracles():
+    # every single-entry mu change and xi flip of each cell, and each
+    # explicit nu entry of either side deleted: the check gives the
+    # oracle's records in its order and its counters, and the index lax
+    # functor composes with the cell's own, either way round and with
+    # itself, to the oracle's comparisons or its exception
+    seen, swept = set(), 0
+    for cell in _cells():
+        original = cell.index_lax()
+        for what, c in _cell_variants(cell):
+            report = check_ocell(c)
+            assert _same_report(report, oracle_ocell(c)), (cell.name, what)
+            seen |= _names(report)
+            L = c.index_lax()
+            for L2, L1 in ((L, original), (original, L), (L, L)):
+                got = _composed(L2, L1)
+                assert got == oracle_compose_lax(L2, L1), (cell.name, what)
+                seen.add(got[0] if got[0] != "ok" or not got[1] else "nontrivial")
+            swept += 1
+    assert {"ocell.square", "ocell.missing", "laxfun.coherence", "iset.naturality"} <= seen, seen
+    assert {"KeyError", "nontrivial", "ok"} <= seen and swept > 150, (seen, swept)
+
+
+def test_composite_reports_a_missing_default_as_the_label_tables_do():
+    # the constant functor at 1 of DZ2 has no default comparison at the
+    # nullary operation, where the unit object 0 meets F(0) = 1
+    dz2 = dz2_assoc_omon(2)
+    const = LaxOMonFunctor(dom=dz2, cod=dz2, functor=constant_functor(dz2.base, dz2.base, 1))
+    same = LaxOMonFunctor(dom=dz2, cod=dz2, functor=identity_functor(dz2.base))
+    for L2, L1 in ((same, const), (const, same)):
+        assert _composed(L2, L1) == oracle_compose_lax(L2, L1) == ("PhiMissing", "xi[p=[],A=()]")
+
+
+def _ofib_cells():
+    """The identity structure on the twisted group with the even flips above
+    and below, which commute with the projections, and with them on one
+    side only, which do not; the construction of the cell with the even
+    flips on the trivial family over the twisted group; and the
+    constructions of the arity-2 identity cells of GRADE and QPROJ."""
+    tw = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
+    flip = tw.base.mor_index("1")
+    even = {(n, p, (0,) * n): flip for n in (0, 2) for p in tw.operad.elements(n)}
+    y = identity_ofib(tw, name="idTW")
+    top, bottom = identity_functor(y.fib.total), identity_functor(y.fib.base)
+    triv = trivial_laxtoset(tw, name="TRIVTW")
+    cells = [identity_ocell(triv), identity_ocell(grade_laxtoset(2)), identity_ocell(qconv_proj_laxtoset(2))]
+    cells[0].xi = even
+    return [
+        OFibCell(y, y, top, bottom, xi_top=even, xi_bottom=even, name="EVEN"),
+        OFibCell(y, y, top, bottom, xi_top=even, xi_bottom={}, name="ABOVE"),
+        OFibCell(y, y, top, bottom, xi_top={}, xi_bottom=even, name="BELOW"),
+    ] + [omon_groth(c) for c in cells]
+
+
+def test_strict_xi_pass_agrees_with_its_oracle_on_every_comparison_flip():
+    seen, swept = set(), 0
+    for cell in _ofib_cells():
+        variants = [cell]
+        for what, xi in _xi_flips(cell.xi_top, cell.dom.total_omon, cell.cod.total_omon, cell.top):
+            variants.append(OFibCell(cell.dom, cell.cod, cell.top, cell.bottom, xi, cell.xi_bottom, cell.name))
+        for what, xi in _xi_flips(cell.xi_bottom, cell.dom.base_omon, cell.cod.base_omon, cell.bottom):
+            variants.append(OFibCell(cell.dom, cell.cod, cell.top, cell.bottom, cell.xi_top, xi, cell.name))
+        for c in variants:
+            report = check_ofib_cell(c)
+            assert _same_report(report, oracle_ofib_cell(c)), (cell.name, c.xi_top, c.xi_bottom)
+            seen |= _names(report)
+            swept += 1
+    assert "ofibcell.strict_xi" in seen and "laxfun.coherence" in seen and swept > 100, (seen, swept)
