@@ -202,13 +202,20 @@ def cmd_oroundtrip(args, out) -> int:
     doc = _load(args, out)
     if doc is None:
         return 2
+    report = _oroundtrip(doc, {"source": args.file, "max_arity": args.max_arity})
+    _emit(report, args.report, out)
+    return _exit_code(report)
+
+
+def _oroundtrip(doc, params: dict) -> CheckReport:
+    """The structured round trip on the laxtoset and ofib sections of a
+    parsed file, with the cells the search finds between its laxtosets."""
     laxtosets = [s.value for s in doc.by_kind("laxtoset")]
     ofibs = [s.value for s in doc.by_kind("ofib")]
     report = CheckReport()
     if not laxtosets and not ofibs:
         report.structural("cli.corpus", "no laxtoset or ofib sections in the file")
-        _emit(report, args.report, out)
-        return 2
+        return report
     # one memo for the search and the round trip, which checks the same structures
     memo: dict = {}
     ocells = [identity_ocell(x) for x in laxtosets]
@@ -230,11 +237,10 @@ def cmd_oroundtrip(args, out) -> int:
         o2cells=o2cells,
         ofib_2cells=[],
         operad_morphisms=[],
-        params={"source": args.file, "max_arity": args.max_arity},
+        params=params,
     )
     report.merge(omon_roundtrip_check(corpus, memo=memo))
-    _emit(report, args.report, out)
-    return _exit_code(report)
+    return report
 
 
 def cmd_factorize(args, out) -> int:

@@ -54,14 +54,19 @@ from .groth import (
     transpose_apply,
 )
 from .omon import (
+    MISSING,
     LaxOMonFunctor,
     LaxSetFunctor,
     OMonCategory,
     PhiMissing,
     SetAlgebra,
+    _Compiled,
+    _SetTarget,
+    _TableTarget,
     _check_set_lax,
     _check_table_lax,
     _compose_lax,
+    _labels,
     _montrans_square,
     _strict_preservation,
     _normalize_xi,
@@ -235,39 +240,67 @@ def check_ocell(c: OCell, *, memo: dict | None = None) -> CheckReport:
         return report
     x, y = c.dom, c.cod
     x_nu, y_nu = _nu_reader(memo, x), _nu_reader(memo, y)
-    operad = x.dom.operad
-    G = y.iset
+    operad, objects, G = x.dom.operad, x.dom.base.objects, y.iset
+
+    def by_labels(n, p, objs):
+        try:
+            lhs = fn_compose(c.mu[x.dom.tensor_obj(n, p, objs)], x_nu(n, p, objs))
+            rhs = fn_compose(
+                G.actions[lax.xi_at(n, p, objs)],
+                fn_compose(y_nu(n, p, tuple(c.functor.on_obj[a] for a in objs)), o_fn_product(tuple(c.mu[a] for a in objs))),
+            )
+        except (PhiMissing, ValueError, KeyError) as exc:
+            report.violation("ocell.missing", str(exc), where)
+            return
+        if lhs != rhs:
+            report.violation("ocell.square", "comparison square fails at " + nu_key_render(p, [objects[a] for a in objs]), where)
+
+    # the square mu . nu_x == G(xi) . nu_y . (mu x ... x mu) on the ids of
+    # one numbering of both sides' sets and functions; a missing value or an
+    # uncomposable pair goes to the label tables, which name it
+    xi = _TableTarget(lax, _Compiled(x.dom), False)
+    top = _SetTarget(x, xi.cc)
+    bottom = top if y is x else _SetTarget(y, xi.cod_cc, share=top)
+    mu = [top.intern(fn) for fn in c.mu]
+    compose, actions, n_obj = top.compose, bottom.on_mor, xi.cc.n_obj
+
+    def rows(n, p):
+        """The rows at (n, p) of nu_x, xi, nu_y, the tensors and the products
+        of mu, or None where a product of sets has duplicate labels."""
+        try:
+            above = top.row(n, p)
+            products = [top.fn_product(vs) for vs in itertools.product(mu, repeat=n)]
+            return above, xi.row(n, p), above if bottom is top else bottom.row(n, p), xi.cc.obj[n, p], products
+        except ValueError:
+            return None
+
     for n in range(operad.max_arity + 1):
+        images, size = xi.obj_images[n], n_obj**n
         for p in operad.elements(n):
-            for objs in itertools.product(range(x.dom.base.n_objects), repeat=n):
-                report.count("ocell.square_instances")
-                try:
-                    lhs = fn_compose(
-                        c.mu[x.dom.tensor_obj(n, p, objs)], x_nu(n, p, objs)
-                    )
-                    rhs = fn_compose(
-                        G.actions[lax.xi_at(n, p, objs)],
-                        fn_compose(
-                            y_nu(n, p, tuple(c.functor.on_obj[a] for a in objs)),
-                            o_fn_product(tuple(c.mu[a] for a in objs)),
-                        ),
-                    )
-                except (PhiMissing, ValueError, KeyError) as exc:
-                    report.violation("ocell.missing", str(exc), where)
-                    continue
-                if lhs != rhs:
-                    report.violation(
-                        "ocell.square",
-                        "comparison square fails at "
-                        + nu_key_render(p, [x.dom.base.objects[a] for a in objs]),
-                        where,
-                    )
+            if size:
+                report.count("ocell.square_instances", size)
+            got = rows(n, p)
+            if got is None:
+                for code in range(size):
+                    by_labels(n, p, _mixed_decode(code, (n_obj,) * n))
+                continue
+            nu_x, comparisons, nu_y, tensors, products = got
+            for code, (a, v, t, product) in enumerate(zip(nu_x, comparisons, tensors, products)):
+                b = nu_y[images[code]]
+                if MISSING not in (a, v, b):
+                    lhs, inner = compose(mu[t], a), compose(b, product)
+                    rhs = MISSING if inner == MISSING else compose(actions[v], inner)
+                    if MISSING not in (lhs, rhs):
+                        if lhs != rhs:
+                            report.violation("ocell.square", "comparison square fails at " + nu_key_render(p, _labels(objects, code, n)), where)
+                        continue
+                by_labels(n, p, _mixed_decode(code, (n_obj,) * n))
     return report
 
 
 def ocell_compose(c2: OCell, c1: OCell) -> OCell:
     if c1.cod is not c2.dom and not (
-        omons_equal(c1.cod.dom, c2.dom.dom) and c1.cod.iset == c2.dom.iset
+        omons_equal(c1.cod.dom, c2.dom.dom) and c1.cod.iset == c2.dom.iset and c1.cod.nu == c2.dom.nu
     ):
         raise ValueError("cells not composable")
     lax = _compose_lax(c2.index_lax(), c1.index_lax())
@@ -322,33 +355,48 @@ def check_ofib_cell(c: OFibCell, *, memo: dict | None = None) -> CheckReport:
     report.merge(_checked_lax(memo, c.bottom_lax()), where=f"{where}:bottom")
     if not report.ok:
         return report
-    # the comparison 2-morphisms must strictly commute with the projections
-    operad = c.dom.total_omon.operad
-    proj = c.cod.fib.proj
+    # the comparison 2-morphisms must strictly commute with the projections:
+    # one row compare per operation, and a walk of the rows where they differ;
+    # a missing component goes to the label tables, which name it
     top, bottom = c.top_lax(), c.bottom_lax()
+    up, down = _TableTarget(top, _Compiled(top.dom), False), _TableTarget(bottom, _Compiled(bottom.dom), False)
+    operad, objects, proj = top.dom.operad, c.dom.fib.total.objects, c.cod.fib.proj.on_mor
+    n_obj, n_base = up.cc.n_obj, down.cc.n_obj
+
+    def by_labels(n, p, combo):
+        try:
+            above = top.xi_at(n, p, combo)
+            below = bottom.xi_at(n, p, tuple(c.dom.fib.proj.on_obj[a] for a in combo))
+        except (PhiMissing, KeyError) as exc:
+            report.violation("ofibcell.missing", str(exc), where)
+            return
+        if proj[above] != below:
+            report.violation("ofibcell.strict_xi", xi_key_render(p, [objects[a] for a in combo]) + " does not commute with the projections", where)
+
     for n in range(operad.max_arity + 1):
+        images = up.cc.image(n, c.dom.fib.proj.on_obj, n_base)
         for p in operad.elements(n):
-            for combo in itertools.product(range(c.dom.fib.total.n_objects), repeat=n):
-                report.count("ofibcell.strict_instances")
-                try:
-                    up = top.xi_at(n, p, combo)
-                    down = bottom.xi_at(
-                        n, p, tuple(c.dom.fib.proj.on_obj[a] for a in combo)
-                    )
-                except (PhiMissing, KeyError) as exc:
-                    report.violation("ofibcell.missing", str(exc), where)
-                    continue
-                if proj.on_mor[up] != down:
-                    report.violation(
-                        "ofibcell.strict_xi",
-                        xi_key_render(p, [c.dom.fib.total.objects[a] for a in combo])
-                        + " does not commute with the projections",
-                        where,
-                    )
+            above, below = up.row(n, p), down.row(n, p)
+            if above:
+                report.count("ofibcell.strict_instances", len(above))
+            below = [below[b] for b in images]
+            if MISSING in above or MISSING in below or [proj[u] for u in above] != below:
+                for code, (u, d) in enumerate(zip(above, below)):
+                    if MISSING in (u, d):
+                        by_labels(n, p, _mixed_decode(code, (n_obj,) * n))
+                    elif proj[u] != d:
+                        report.violation(
+                            "ofibcell.strict_xi", xi_key_render(p, _labels(objects, code, n)) + " does not commute with the projections", where
+                        )
     return report
 
 
 def ofib_cell_compose(c2: OFibCell, c1: OFibCell) -> OFibCell:
+    y, z = c1.cod, c2.dom
+    if y is not z and not (
+        y.fib == z.fib and omons_equal(y.total_omon, z.total_omon) and omons_equal(y.base_omon, z.base_omon)
+    ):
+        raise ValueError("cells not composable")
     top = _compose_lax(c2.top_lax(), c1.top_lax())
     bottom = _compose_lax(c2.bottom_lax(), c1.bottom_lax())
     return OFibCell(

@@ -169,6 +169,18 @@ def build_omon(
 MISSING = -1  # a structure isomorphism or comparison with no value, or an undefined composite
 
 
+class _Rows(dict):
+    """Rows by key, each built by ``build(key)`` on first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        got = self[key] = self.build(key)
+        return got
+
+
 class _Compiled:
     """The tables of a structured category as tuples of ints, for one
     check call.
@@ -191,7 +203,7 @@ class _Compiled:
     """
 
     def __init__(self, c: OMonCategory):
-        operad, base = c.operad, c.base
+        base = c.base
         self.c = c
         self.n_obj = n_obj = base.n_objects
         self.n_mor = n_mor = base.n_morphisms
@@ -200,12 +212,9 @@ class _Compiled:
         for (g, f), h in base.composition.items():
             comp[g * n_mor + f] = h
         self.comp = tuple(comp)
-        self.obj, self.mor = {}, {}
-        for n in range(operad.max_arity + 1):
-            for p in operad.elements(n):
-                table = c.tensors[(n, p)]
-                self.obj[n, p] = tuple(table.obj[t] for t in itertools.product(range(n_obj), repeat=n))
-                self.mor[n, p] = tuple(table.mor[t] for t in itertools.product(range(n_mor), repeat=n))
+        tensors = c.tensors
+        self.obj = _Rows(lambda k: tuple(map(tensors[k].obj.__getitem__, itertools.product(range(n_obj), repeat=k[0]))))
+        self.mor = _Rows(lambda k: tuple(map(tensors[k].mor.__getitem__, itertools.product(range(n_mor), repeat=k[0]))))
         # explicit entries by composition key, then by the code of their object
         # tuple; a key whose tuples index nothing keeps an empty dict
         self.explicit = {}
@@ -697,18 +706,32 @@ def _normalize_xi(L: LaxOMonFunctor) -> dict:
 
 def _compose_lax(L2: LaxOMonFunctor, L1: LaxOMonFunctor) -> LaxOMonFunctor:
     """L2 after L1: each component is L2's image of L1's, followed by L2's
-    at the image tuple."""
+    at the image tuple; only components other than the identity an absent
+    entry stands for are kept.  One operation at a time on the rows of
+    both; a missing component or undefined composite is left to the label
+    tables, which raise at it."""
     out = LaxOMonFunctor(dom=L1.dom, cod=L2.cod, functor=functor_compose(L2.functor, L1.functor))
-    compose = out.cod.base.compose
-    operad = out.dom.operad
-    for n in range(operad.max_arity + 1):
-        for p in operad.elements(n):
-            for objs in itertools.product(range(out.dom.base.n_objects), repeat=n):
-                out.xi[(n, p, objs)] = compose(
-                    L2.functor.on_mor[L1.xi_at(n, p, objs)],
-                    L2.xi_at(n, p, tuple(L1.functor.on_obj[a] for a in objs)),
-                )
-    out.xi = _normalize_xi(out)
+    first = _TableTarget(L1, _Compiled(L1.dom), False)
+    second = _TableTarget(L2, first.cod_cc if L2.dom is L1.cod else _Compiled(L2.dom), False)
+    cod = second.cod_cc
+    composition, ident = cod.c.base.composition, cod.ident
+    on_mor, on_obj = L2.functor.on_mor, out.functor.on_obj
+    n_obj = first.cc.n_obj
+    for n in range(L1.dom.operad.max_arity + 1):
+        images, twice = first.obj_images[n], second.obj_images[n]
+        for p in L1.dom.operad.elements(n):
+            top, bottom, tensors, src = first.row(n, p), second.row(n, p), first.cc.obj[n, p], cod.obj[n, p]
+            for x, (a, i) in enumerate(zip(top, images)):
+                b = bottom[i]
+                value = None if MISSING in (a, b) else composition.get((on_mor[a], b))
+                if value is None:
+                    objs = _mixed_decode(x, (n_obj,) * n)
+                    value = cod.c.base.compose(
+                        on_mor[L1.xi_at(n, p, objs)], L2.xi_at(n, p, tuple(L1.functor.on_obj[o] for o in objs))
+                    )
+                s = src[twice[i]]
+                if s != on_obj[tensors[x]] or value != ident[s]:
+                    out.xi[n, p, _mixed_decode(x, (n_obj,) * n)] = value
     return out
 
 
@@ -742,6 +765,14 @@ class _LaxTarget:
     whether the square holds when every component is present and typed;
     the kernel asks it only while the report has no record.
     """
+
+    def row(self, n, p) -> list:
+        """The components at (n, p) by object-tuple code, untyped: the
+        explicit entries over the defaults of ``resolve``."""
+        row = self.resolve(n, p)[0]
+        for x, value in self.entries.get((n, p), {}).items():
+            row[x] = value
+        return row
 
     def untouched(self, f, p, qs):
         return False
@@ -906,9 +937,8 @@ class _TableTarget(_LaxTarget):
         self.cc, self.L = cc, L
         self.cod_cc = cod_cc = cc if cod is L.dom else _Compiled(cod)
         n_mor = cod_cc.n_mor
-        arities = range(L.dom.operad.max_arity + 1)
-        self.obj_images = [cc.image(n, F.on_obj, cod_cc.n_obj) for n in arities]
-        self.mor_images = [cc.image(n, F.on_mor, n_mor, True) for n in arities]
+        self.obj_images = _Rows(lambda n: cc.image(n, F.on_obj, cod_cc.n_obj))
+        self.mor_images = _Rows(lambda n: cc.image(n, F.on_mor, n_mor, True))
         comp = cod_cc.comp
         self.compose = lambda g, f: comp[g * n_mor + f]
         self.on_mor = self.label_mor = F.on_mor
@@ -937,9 +967,8 @@ class _TableTarget(_LaxTarget):
 
     def resolve(self, n, p):
         cod = self.cod_cc
-        src = [cod.obj[n, p][i] for i in self.obj_images[n]]
-        on_obj = self.L.functor.on_obj
-        tgt = [on_obj[a] for a in self.cc.obj[n, p]]
+        src = list(map(cod.obj[n, p].__getitem__, self.obj_images[n]))
+        tgt = list(map(self.L.functor.on_obj.__getitem__, self.cc.obj[n, p]))
         ident, mor_src, mor_tgt = cod.ident, cod.mor_src, cod.mor_tgt
         row = [ident[a] if a == b else MISSING for a, b in zip(src, tgt)]
         return row, lambda x, v: mor_src[v] == src[x] and mor_tgt[v] == tgt[x]
@@ -1130,18 +1159,22 @@ class _SetTarget(_LaxTarget):
     sets, a product whose labels equal another set's included, and a
     function by its triple ``(dom, cod, mapping)`` of ids and codes.
     Each product of sets and of functions, each regrouping and each
-    composite is built once per tuple of ids."""
+    composite is built once per tuple of ids.  A target built with
+    ``share`` numbers into the tables of that one, so that the values of
+    two lax functors compare and compose."""
 
     prefix, comp = "laxtoset", "nu"
     missing, mistyped = " has no entry", " has wrong dom/cod"
     errors = (PhiMissing, ValueError)
 
-    def __init__(self, L: "LaxSetFunctor", cc: _Compiled):
+    def __init__(self, L: "LaxSetFunctor", cc: _Compiled, share: "_SetTarget | None" = None):
         iset = L.iset
         self.cc = cc
-        self.by_id = []  # a FinSet, or a function's triple
-        self.ids, self._tuples, self._set_products, self._fn_products = {}, {}, {}, {}
-        self._composites, self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}, {}
+        numbering = (share.by_id, share.ids, share._set_products, share._fn_products, share._composites) if share else ([], {}, {}, {}, {})
+        # by_id holds a FinSet, or a function's triple
+        self.by_id, self.ids, self._set_products, self._fn_products, self._composites = numbering
+        self._tuples, self._sources, self._defaults = {}, {}, {}
+        self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}
         self.atoms = [self.number(v) for v in iset.values]
         self.on_mor = [self.intern(a) for a in iset.actions]
         self.label_obj, self.label_mor = iset.values, iset.actions
@@ -1192,14 +1225,27 @@ class _SetTarget(_LaxTarget):
             got = self._tuples[n] = list(itertools.product(self.atoms, repeat=n))
         return got
 
+    def sources(self, n: int) -> list:
+        """The id of the product of the sets of each n-tuple of objects, by
+        its code."""
+        got = self._sources.get(n)
+        if got is None:
+            got = self._sources[n] = [self.product(ids) for ids in self.tuples(n)]
+        return got
+
     def resolve(self, n, p):
-        by_id = self.by_id
+        """The default of each component at (n, p), which depends on its
+        two sets and on whether p is the unit, numbered once per triple."""
+        by_id, defaults = self.by_id, self._defaults
         unit = n == 1 and p == self.cc.c.operad.unit
-        src, tgt = [self.product(ids) for ids in self.tuples(n)], [self.atoms[a] for a in self.cc.obj[n, p]]
+        src, tgt = self.sources(n), [self.atoms[a] for a in self.cc.obj[n, p]]
         row = []
         for s, t in zip(src, tgt):
-            mapping = _nu_default(s == t, by_id[s].size, by_id[t].size, unit)
-            row.append(MISSING if mapping is None else self.number((s, t, mapping)))
+            got = defaults.get((s, t, unit))
+            if got is None:
+                mapping = _nu_default(s == t, by_id[s].size, by_id[t].size, unit)
+                got = defaults[s, t, unit] = MISSING if mapping is None else self.number((s, t, mapping))
+            row.append(got)
         return row, lambda x, v: by_id[v][0] == src[x] and by_id[v][1] == tgt[x]
 
     def across(self, n, p):

@@ -35,7 +35,9 @@ from opgroth.omon import (
     dz2_assoc_omon,
     extend_unbiased_to_assoc,
     grade_assoc_omon,
+    l2_comm_omon,
     omon_copy,
+    omon_single_entry_mutations,
     twisted_bz2_unbiased,
 )
 from opgroth.ogroth import (
@@ -58,6 +60,7 @@ from opgroth.ogroth import (
     make_o_corpus,
     ocell_compose,
     ocell_equal,
+    ofib_cell_compose,
     ofib_cell_equal,
     omon_groth,
     omon_roundtrip_check,
@@ -472,6 +475,49 @@ def test_ocell_composition_functorial_under_groth():
     assert ocell_equal(ocell_compose(idc, idc), idc)
     image = omon_groth(idc)
     assert ofib_cell_equal(image, identity_ofib_cell(omon_groth(x)))
+
+
+def test_cell_square_names_a_product_with_duplicate_labels():
+    # the sets at 0 and 1 multiply to two elements labelled (a,b,c), so no
+    # comparison at (0, 1) can be built; every other default is missing
+    index = l2_comm_omon(MAX_ARITY)
+    iset = iset_from_tables(index.base, {"0": ["a", "a,b"], "1": ["b,c", "c"]}, {"le_0_1": {"a": "c", "a,b": "b,c"}})
+    report = check_ocell(identity_ocell(LaxSetFunctor(dom=index, iset=iset, name="DUP")))
+    assert report.stats["ocell.square_instances"] == 7
+    assert [(r.check, r.witness) for r in report.records] == [
+        ("ocell.missing", "nu[p=*,i=()]"),
+        ("ocell.missing", "nu[p=*,i=(0,0)]"),
+        ("ocell.missing", "duplicate element labels"),
+        ("ocell.missing", "nu[p=*,i=(1,0)]"),
+        ("ocell.missing", "nu[p=*,i=(1,1)]"),
+    ]
+
+
+def test_cells_compose_only_over_equal_comparisons():
+    # a copy of GRADE that lacks one comparison entry has GRADE's structure
+    # and indexed set, but it is another lax functor
+    grade = make_o_corpus(MAX_ARITY).laxtosets[0]
+    key = next(iter(grade.nu))
+    cut = LaxSetFunctor(dom=grade.dom, iset=grade.iset, nu={k: v for k, v in grade.nu.items() if k != key}, name="Y")
+    with pytest.raises(ValueError, match="cells not composable"):
+        ocell_compose(identity_ocell(cut), identity_ocell(grade))
+    copy = LaxSetFunctor(dom=grade.dom, iset=grade.iset, nu=dict(grade.nu), name="COPY")
+    composite = ocell_compose(identity_ocell(copy), identity_ocell(grade))
+    assert (composite.dom, composite.cod) == (grade, copy)
+
+
+def test_structured_fibration_cells_compose_only_over_equal_objects():
+    # idDZ2's fibration under each shipped single-entry mutation of its
+    # structure, on both sides: not the object idDZ2, so no composite
+    y = make_o_corpus(MAX_ARITY).ofibs[3]
+    assert y.name == "idDZ2"
+    for what, mutated, _ in omon_single_entry_mutations(y.total_omon):
+        z = OFibObject(fib=y.fib, total_omon=mutated, base_omon=mutated, name="MUT")
+        with pytest.raises(ValueError, match="cells not composable"):
+            ofib_cell_compose(identity_ofib_cell(z), identity_ofib_cell(y))
+    copy = OFibObject(fib=y.fib, total_omon=omon_copy(y.total_omon), base_omon=omon_copy(y.base_omon), name="COPY")
+    composite = ofib_cell_compose(identity_ofib_cell(copy), identity_ofib_cell(y))
+    assert (composite.dom, composite.cod) == (y, copy)
 
 
 def test_full_o_corpus_roundtrip_small():

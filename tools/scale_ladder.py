@@ -1,5 +1,6 @@
 """Scale ladder: time the structured checkers at growing arity, the
-classical round trip, and the ``check`` command on the structured corpus.
+classical round trip, and the ``check`` and ``oroundtrip`` commands on
+the structured corpus.
 
 Each rung builds one input and checks it, in a fresh interpreter with a
 wall-clock cap, and records the build time and the check time apart, the
@@ -113,6 +114,14 @@ def _check_command(name: str):
     return doc, lambda doc: cli._check_sections(doc, None)
 
 
+def _oroundtrip_command(name: str):
+    from opgroth import cli
+    from opgroth.dsl import parse_spec_file
+
+    doc = parse_spec_file((ROOT / "fixtures" / name).read_text(encoding="utf-8"))
+    return doc, lambda doc: cli._oroundtrip(doc, {"source": f"fixtures/{name}", "max_arity": 3})
+
+
 # rung name -> () -> (input, checker); the input build is timed apart
 RUNGS = {
     **{
@@ -154,6 +163,9 @@ RUNGS = {
     "roundtrip_report make_corpus()": _classical_corpus,
     # every section of the file on the command's one memo: the build is the parse
     "check corpus_omon.spec": lambda: _check_command("corpus_omon.spec"),
+    # the cell search and the structured round trip of the oroundtrip
+    # command, on one memo: the build is the parse
+    "oroundtrip corpus_omon.spec": lambda: _oroundtrip_command("corpus_omon.spec"),
 }
 
 
