@@ -242,6 +242,9 @@ def check_ocell(c: OCell, *, memo: dict | None = None) -> CheckReport:
     x_nu, y_nu = _nu_reader(memo, x), _nu_reader(memo, y)
     operad, objects, G = x.dom.operad, x.dom.base.objects, y.iset
 
+    def square(p, labels):
+        report.violation("ocell.square", "comparison square fails at " + nu_key_render(p, labels), where)
+
     def by_labels(n, p, objs):
         try:
             lhs = fn_compose(c.mu[x.dom.tensor_obj(n, p, objs)], x_nu(n, p, objs))
@@ -253,7 +256,7 @@ def check_ocell(c: OCell, *, memo: dict | None = None) -> CheckReport:
             report.violation("ocell.missing", str(exc), where)
             return
         if lhs != rhs:
-            report.violation("ocell.square", "comparison square fails at " + nu_key_render(p, [objects[a] for a in objs]), where)
+            square(p, [objects[a] for a in objs])
 
     # the square mu . nu_x == G(xi) . nu_y . (mu x ... x mu) on the ids of
     # one numbering of both sides' sets and functions; a missing value or an
@@ -292,7 +295,7 @@ def check_ocell(c: OCell, *, memo: dict | None = None) -> CheckReport:
                     rhs = MISSING if inner == MISSING else compose(actions[v], inner)
                     if MISSING not in (lhs, rhs):
                         if lhs != rhs:
-                            report.violation("ocell.square", "comparison square fails at " + nu_key_render(p, _labels(objects, code, n)), where)
+                            square(p, _labels(objects, code, n))
                         continue
                 by_labels(n, p, _mixed_decode(code, (n_obj,) * n))
     return report
@@ -363,6 +366,9 @@ def check_ofib_cell(c: OFibCell, *, memo: dict | None = None) -> CheckReport:
     operad, objects, proj = top.dom.operad, c.dom.fib.total.objects, c.cod.fib.proj.on_mor
     n_obj, n_base = up.cc.n_obj, down.cc.n_obj
 
+    def strict_xi(p, labels):
+        report.violation("ofibcell.strict_xi", xi_key_render(p, labels) + " does not commute with the projections", where)
+
     def by_labels(n, p, combo):
         try:
             above = top.xi_at(n, p, combo)
@@ -371,7 +377,7 @@ def check_ofib_cell(c: OFibCell, *, memo: dict | None = None) -> CheckReport:
             report.violation("ofibcell.missing", str(exc), where)
             return
         if proj[above] != below:
-            report.violation("ofibcell.strict_xi", xi_key_render(p, [objects[a] for a in combo]) + " does not commute with the projections", where)
+            strict_xi(p, [objects[a] for a in combo])
 
     for n in range(operad.max_arity + 1):
         images = up.cc.image(n, c.dom.fib.proj.on_obj, n_base)
@@ -385,9 +391,7 @@ def check_ofib_cell(c: OFibCell, *, memo: dict | None = None) -> CheckReport:
                     if MISSING in (u, d):
                         by_labels(n, p, _mixed_decode(code, (n_obj,) * n))
                     elif proj[u] != d:
-                        report.violation(
-                            "ofibcell.strict_xi", xi_key_render(p, _labels(objects, code, n)) + " does not commute with the projections", where
-                        )
+                        strict_xi(p, _labels(objects, code, n))
     return report
 
 

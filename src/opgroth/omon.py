@@ -1170,9 +1170,13 @@ class _SetTarget(_LaxTarget):
     def __init__(self, L: "LaxSetFunctor", cc: _Compiled, share: "_SetTarget | None" = None):
         iset = L.iset
         self.cc = cc
-        numbering = (share.by_id, share.ids, share._set_products, share._fn_products, share._composites) if share else ([], {}, {}, {}, {})
         # by_id holds a FinSet, or a function's triple
-        self.by_id, self.ids, self._set_products, self._fn_products, self._composites = numbering
+        if share is None:
+            self.by_id, self.ids, self._set_products, self._fn_products, self._composites = [], {}, {}, {}, {}
+        else:
+            self.by_id, self.ids, self._set_products, self._fn_products, self._composites = (
+                share.by_id, share.ids, share._set_products, share._fn_products, share._composites
+            )
         self._tuples, self._sources, self._defaults = {}, {}, {}
         self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}
         self.atoms = [self.number(v) for v in iset.values]
@@ -1182,9 +1186,9 @@ class _SetTarget(_LaxTarget):
         self.label_tensor = lambda n, p, fns: o_fn_product(fns)
         self.label_phi = lambda f, p, qs, sets: set_regroup(f, sets)
         self.entries = {}
-        n_obj = cc.n_obj
+        n_obj, objects = cc.n_obj, frozenset(range(cc.n_obj))
         for (n, p, objs), value in L.nu.items():
-            if len(objs) == n and all(a in range(n_obj) for a in objs):
+            if len(objs) == n and objects.issuperset(objs):
                 self.entries.setdefault((n, p), {})[_mixed_encode(objs, (n_obj,) * n)] = self.intern(value)
 
     def number(self, key) -> int:

@@ -1185,7 +1185,8 @@ def oracle_compose_lax(L2, L1):
                 g = F2.on_mor[first]
                 value = base.composition.get((g, second))
                 if value is None:
-                    return "KeyError", str(KeyError(f"no composition entry for ({base.mor_labels[g]}, {base.mor_labels[second]})"))
+                    pair = f"({base.mor_labels[g]}, {base.mor_labels[second]})"
+                    return "KeyError", str(KeyError(f"no composition entry for {pair}"))
                 src = cod.tensors[(n, p)].obj[tuple(F2.on_obj[a] for a in image)]
                 tgt = F2.on_obj[F1.on_obj[dom.tensors[(n, p)].obj[objs]]]
                 if src != tgt or value != base.identity[src]:
@@ -1227,9 +1228,8 @@ def oracle_ofib_cell(c):
                 if down is None:
                     report.violation("ofibcell.missing", _render("xi", "A", p, [base_objects[a] for a in image]), where)
                 elif proj[up] != down:
-                    report.violation(
-                        "ofibcell.strict_xi", _render("xi", "A", p, [objects[a] for a in combo]) + " does not commute with the projections", where
-                    )
+                    witness = _render("xi", "A", p, [objects[a] for a in combo]) + " does not commute with the projections"
+                    report.violation("ofibcell.strict_xi", witness, where)
     return report
 
 
