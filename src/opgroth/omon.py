@@ -1177,8 +1177,7 @@ class _SetTarget(_LaxTarget):
             self.by_id, self.ids, self._set_products, self._fn_products, self._composites = (
                 share.by_id, share.ids, share._set_products, share._fn_products, share._composites
             )
-        self._tuples, self._sources, self._defaults = {}, {}, {}
-        self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}
+        self._tuples, self._defaults, self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}, {}, {}
         self.atoms = [self.number(v) for v in iset.values]
         self.on_mor = [self.intern(a) for a in iset.actions]
         self.label_obj, self.label_mor = iset.values, iset.actions
@@ -1229,20 +1228,12 @@ class _SetTarget(_LaxTarget):
             got = self._tuples[n] = list(itertools.product(self.atoms, repeat=n))
         return got
 
-    def sources(self, n: int) -> list:
-        """The id of the product of the sets of each n-tuple of objects, by
-        its code."""
-        got = self._sources.get(n)
-        if got is None:
-            got = self._sources[n] = [self.product(ids) for ids in self.tuples(n)]
-        return got
-
     def resolve(self, n, p):
         """The default of each component at (n, p), which depends on its
         two sets and on whether p is the unit, numbered once per triple."""
         by_id, defaults = self.by_id, self._defaults
         unit = n == 1 and p == self.cc.c.operad.unit
-        src, tgt = self.sources(n), [self.atoms[a] for a in self.cc.obj[n, p]]
+        src, tgt = [self.product(ids) for ids in self.tuples(n)], [self.atoms[a] for a in self.cc.obj[n, p]]
         row = []
         for s, t in zip(src, tgt):
             got = defaults.get((s, t, unit))
