@@ -169,6 +169,18 @@ def build_omon(
 MISSING = -1  # a structure isomorphism or comparison with no value, or an undefined composite
 
 
+class _Rows(dict):
+    """Rows by key, each built by ``build(key)`` on first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        got = self[key] = self.build(key)
+        return got
+
+
 class _Compiled:
     """The tables of a structured category as tuples of ints, for one
     check call.
@@ -191,7 +203,7 @@ class _Compiled:
     """
 
     def __init__(self, c: OMonCategory):
-        operad, base = c.operad, c.base
+        base = c.base
         self.c = c
         self.n_obj = n_obj = base.n_objects
         self.n_mor = n_mor = base.n_morphisms
@@ -200,12 +212,9 @@ class _Compiled:
         for (g, f), h in base.composition.items():
             comp[g * n_mor + f] = h
         self.comp = tuple(comp)
-        self.obj, self.mor = {}, {}
-        for n in range(operad.max_arity + 1):
-            for p in operad.elements(n):
-                table = c.tensors[(n, p)]
-                self.obj[n, p] = tuple(table.obj[t] for t in itertools.product(range(n_obj), repeat=n))
-                self.mor[n, p] = tuple(table.mor[t] for t in itertools.product(range(n_mor), repeat=n))
+        tensors = c.tensors
+        self.obj = _Rows(lambda k: tuple(map(tensors[k].obj.__getitem__, itertools.product(range(n_obj), repeat=k[0]))))
+        self.mor = _Rows(lambda k: tuple(map(tensors[k].mor.__getitem__, itertools.product(range(n_mor), repeat=k[0]))))
         # explicit entries by composition key, then by the code of their object
         # tuple; a key whose tuples index nothing keeps an empty dict
         self.explicit = {}
@@ -928,9 +937,8 @@ class _TableTarget(_LaxTarget):
         self.cc, self.L = cc, L
         self.cod_cc = cod_cc = cc if cod is L.dom else _Compiled(cod)
         n_mor = cod_cc.n_mor
-        arities = range(L.dom.operad.max_arity + 1)
-        self.obj_images = [cc.image(n, F.on_obj, cod_cc.n_obj) for n in arities]
-        self.mor_images = [cc.image(n, F.on_mor, n_mor, True) for n in arities]
+        self.obj_images = _Rows(lambda n: cc.image(n, F.on_obj, cod_cc.n_obj))
+        self.mor_images = _Rows(lambda n: cc.image(n, F.on_mor, n_mor, True))
         comp = cod_cc.comp
         self.compose = lambda g, f: comp[g * n_mor + f]
         self.on_mor = self.label_mor = F.on_mor
@@ -959,9 +967,8 @@ class _TableTarget(_LaxTarget):
 
     def resolve(self, n, p):
         cod = self.cod_cc
-        src = [cod.obj[n, p][i] for i in self.obj_images[n]]
-        on_obj = self.L.functor.on_obj
-        tgt = [on_obj[a] for a in self.cc.obj[n, p]]
+        src = list(map(cod.obj[n, p].__getitem__, self.obj_images[n]))
+        tgt = list(map(self.L.functor.on_obj.__getitem__, self.cc.obj[n, p]))
         ident, mor_src, mor_tgt = cod.ident, cod.mor_src, cod.mor_tgt
         row = [ident[a] if a == b else MISSING for a, b in zip(src, tgt)]
         return row, lambda x, v: mor_src[v] == src[x] and mor_tgt[v] == tgt[x]
@@ -1170,7 +1177,7 @@ class _SetTarget(_LaxTarget):
             self.by_id, self.ids, self._set_products, self._fn_products, self._composites = (
                 share.by_id, share.ids, share._set_products, share._fn_products, share._composites
             )
-        self._tuples, self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}, {}
+        self._tuples, self._defaults, self._regroups, self._mappings, self._one, self._empty = {}, {}, {}, {}, {}, {}
         self.atoms = [self.number(v) for v in iset.values]
         self.on_mor = [self.intern(a) for a in iset.actions]
         self.label_obj, self.label_mor = iset.values, iset.actions
@@ -1178,9 +1185,9 @@ class _SetTarget(_LaxTarget):
         self.label_tensor = lambda n, p, fns: o_fn_product(fns)
         self.label_phi = lambda f, p, qs, sets: set_regroup(f, sets)
         self.entries = {}
-        n_obj = cc.n_obj
+        n_obj, objects = cc.n_obj, frozenset(range(cc.n_obj))
         for (n, p, objs), value in L.nu.items():
-            if len(objs) == n and all(a in range(n_obj) for a in objs):
+            if len(objs) == n and objects.issuperset(objs):
                 self.entries.setdefault((n, p), {})[_mixed_encode(objs, (n_obj,) * n)] = self.intern(value)
 
     def number(self, key) -> int:
@@ -1222,13 +1229,18 @@ class _SetTarget(_LaxTarget):
         return got
 
     def resolve(self, n, p):
-        by_id = self.by_id
+        """The default of each component at (n, p), which depends on its
+        two sets and on whether p is the unit, numbered once per triple."""
+        by_id, defaults = self.by_id, self._defaults
         unit = n == 1 and p == self.cc.c.operad.unit
         src, tgt = [self.product(ids) for ids in self.tuples(n)], [self.atoms[a] for a in self.cc.obj[n, p]]
         row = []
         for s, t in zip(src, tgt):
-            mapping = _nu_default(s == t, by_id[s].size, by_id[t].size, unit)
-            row.append(MISSING if mapping is None else self.number((s, t, mapping)))
+            got = defaults.get((s, t, unit))
+            if got is None:
+                mapping = _nu_default(s == t, by_id[s].size, by_id[t].size, unit)
+                got = defaults[s, t, unit] = MISSING if mapping is None else self.number((s, t, mapping))
+            row.append(got)
         return row, lambda x, v: by_id[v][0] == src[x] and by_id[v][1] == tgt[x]
 
     def across(self, n, p):
