@@ -489,6 +489,43 @@ def test_assoc_sweep_records_and_counts_are_pinned():
     assert oracle_omon(extend_unbiased_to_assoc(twisted_bz2_unbiased(3))) == set()
 
 
+def _mutation_sweep_structures():
+    """Every single-entry mutation of the oracle sweep of DZ2, L2 and grade
+    at arity 2 (561), and each explicit entry of the twisted structure
+    extended to assoc at a map of source at most 2 flipped to the other
+    morphism (50)."""
+    from test_oracles import omon_mutations
+
+    for make in (dz2_assoc_omon, l2_comm_omon, grade_assoc_omon):
+        for _, mutated in omon_mutations(make(2)):
+            yield mutated
+    twisted = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
+    for key, value in twisted.phi.items():
+        if key[0].source <= 2:
+            flipped = omon_copy(twisted)
+            flipped.phi[key] = (value + 1) % twisted.base.n_morphisms
+            yield flipped
+
+
+# sha256 over the (severity, check, witness, where) records, in order, and
+# the sorted stats of every report of the sweep below
+MUTATION_SWEEP_PIN = "29f77e8b0ee037884aa31e5748ecf8381be62c5061b79cc63b1a67fcb34202bf"
+
+
+def test_mutation_sweep_records_and_counts_are_pinned():
+    # the oracle sweep compares check names only; this pins every witness,
+    # the object tuple of each failing structure-iso square included
+    digest, structures = hashlib.sha256(), 0
+    for c in _mutation_sweep_structures():
+        report = check_omon_category(c)
+        structures += 1
+        for r in report.records:
+            digest.update(repr((r.severity, r.check, r.witness, r.where)).encode())
+        digest.update(repr(sorted(report.stats.items())).encode())
+    assert structures == 611
+    assert digest.hexdigest() == MUTATION_SWEEP_PIN
+
+
 def _as_tuple(report):
     return report.records, report.stats, report.info
 
