@@ -229,8 +229,17 @@ def identity_ocell(x: LaxSetFunctor) -> OCell:
     )
 
 
+def _ocell_key(c: OCell) -> tuple:
+    """The key of the report that :func:`enumerate_ocells` leaves on a
+    memo for each cell it keeps, with the cell held."""
+    return ("ocell", id(c))
+
+
 def check_ocell(c: OCell, *, memo: dict | None = None) -> CheckReport:
     memo = {} if memo is None else memo
+    kept = memo.get(_ocell_key(c))
+    if kept is not None:
+        return kept[1]
     report = CheckReport()
     where = c.name or "ocell"
     lax = c.index_lax()
@@ -774,7 +783,9 @@ def enumerate_ocells(x: LaxSetFunctor, y: LaxSetFunctor, cap: int = 3, *, memo: 
     """Valid cells x -> y found by exhaustive search (thin-hom bases).
     A caller's ``memo`` first gets the reports of both index structures,
     which a round trip on the same memo checks anyway, so that untouched
-    keys of the candidate lax functors are proved without their rows."""
+    keys of the candidate lax functors are proved without their rows,
+    and then the report of each cell kept, which :func:`check_ocell`
+    reads there; a rejected candidate leaves none."""
     if not operads_equal(x.dom.operad, y.dom.operad):
         return []
     out = []
@@ -812,7 +823,10 @@ def enumerate_ocells(x: LaxSetFunctor, y: LaxSetFunctor, cap: int = 3, *, memo: 
             continue
         for combo in itertools.product(*per_object):
             cell = OCell(dom=x, cod=y, functor=M, xi=xi, mu=tuple(combo))
-            if check_ocell(cell, memo=memo).ok:
+            checked = check_ocell(cell, memo=memo)
+            if checked.ok:
+                # a round trip on the memo checks the cells it keeps again
+                memo[_ocell_key(cell)] = (cell, checked)
                 out.append(cell)
                 if len(out) >= cap:
                     return out

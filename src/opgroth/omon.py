@@ -415,6 +415,19 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     identities where the unit laws force it; and the associativity
     square at every composable pair of maps.  An explicit entry whose
     key indexes no structure isomorphism is a structural error.
+
+    The associativity square at an instance (g, f, p, qs, rs) and an
+    object tuple A has four kinds of legs: the structure isomorphisms of
+    g and f.g at A, of f at the block tensors of A under g, and of each
+    induced g_i at the restriction of A to the i-th fiber of f.g.  The
+    tuple lemma: where the operad level holds at the instance (both
+    sides are one operation rho), and no leg reads an explicit entry at
+    A, every leg is a default identity on endpoints the typing pass has
+    checked (a default with unequal endpoints is MISSING, which that
+    pass reports), so both sides are the identity of T_rho(A) and the
+    square holds.  So at such an instance the square is evaluated only
+    at the tuples some leg reads an entry at, in ascending order, and an
+    instance whose operad level fails runs every tuple.
     """
     report = CheckReport()
     operad, base = c.operad, c.base
@@ -546,17 +559,22 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                         phi_key_render(f, p, qs, _labels(objects, x, m)) + " must be the identity",
                         where,
                     )
-        # naturality in the object tuple, over every tuple of morphisms
+        # naturality in the object tuple, over every tuple of morphisms, as
+        # one row compare; the loop names each failure
         ends_src, ends_tgt = cc.mor_ends(m)
         if ends_src:
             count(naturality_instances, len(ends_src))
-        mor_p = tensor_mor[n, p]
-        for y, (s, t, top, blocks) in enumerate(zip(ends_src, ends_tgt, tensor_mor[m, rho], cc.blocks(f, qs, True))):
+        mor_p, tops, blocks = tensor_mor[n, p], tensor_mor[m, rho], cc.blocks(f, qs, True)
+        if MISSING not in row:
+            lhs = [comp[row[t] * n_mor + top] for t, top in zip(ends_tgt, tops)]
+            if lhs == [comp[mor_p[b] * n_mor + row[s]] for s, b in zip(ends_src, blocks)]:
+                continue
+        for y, (s, t, top, b) in enumerate(zip(ends_src, ends_tgt, tops, blocks)):
             at_src, at_tgt = row[s], row[t]
             if at_src == MISSING or at_tgt == MISSING:
                 continue  # reported by the typing pass
             lhs = comp[at_tgt * n_mor + top]
-            rhs = comp[mor_p[blocks] * n_mor + at_src]
+            rhs = comp[mor_p[b] * n_mor + at_src]
             if lhs != rhs and lhs != MISSING and rhs != MISSING:
                 violation(
                     f"{prefix}.{iso}_naturality",
@@ -564,13 +582,11 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                     where,
                 )
 
-    # associativity square over all composable pairs, operation tuples, object
-    # tuples.  At an instance that involves no explicit structure-iso entry,
-    # every leg of the square is an identity on endpoints the typing pass has
-    # already verified, so only the operad-level composite equality remains;
-    # that collapses the object-tuple quantifier.  The touched maps are those
-    # of the explicit keys, each with the row codes of its keys' (p, qs), and
-    # a pair (f, g) is touched when f, g, f.g or an induced g_i is.  The
+    # associativity square over all composable pairs, operation tuples and
+    # object tuples, by the tuple lemma of the docstring.  The touched maps
+    # are those of the explicit keys, each with the row codes of its keys'
+    # (p, qs) and, for each, the codes of its entries' object tuples; a
+    # pair (f, g) is touched when f, g, f.g or an induced g_i is.  The
     # operad rows give one verdict per group (f, ell) of pairs, and keep
     # each one they prove square by square.  As g, f.g and every g_i have
     # a source of at most ell, a proven group with f untouched and no
@@ -578,12 +594,16 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     # its squares.  Any other group walks its pairs, and the rows leave the
     # proof of its verdict to the walk: a pair's operad level holds at
     # every p, qs and rs by its group's verdict or by its rows, or else its
-    # failing instances are named one by one; a touched pair also
-    # evaluates the structure-iso square, over the object-tuple codes, at
-    # each instance where one of its keys is explicit.
-    touched = {(f.target, f.values): set() for f, _, _, _ in phi}
+    # failing instances are named one by one, and a touched pair evaluates
+    # the structure-iso square at each instance where one of its keys is
+    # explicit.  Per-instance operad verdicts are computed only in a pair
+    # whose square fails, and the tuples read are gathered only until
+    # every tuple is read.
+    touched = {(f.target, f.values): {} for f, _, _, _ in phi}
     for f, p, qs in composable:
-        touched[f.target, f.values].add(rows.key_code(f, p, qs))
+        touched[f.target, f.values][rows.key_code(f, p, qs)] = explicit[f.target, f.values, p, qs]
+    # the touched maps each of whose explicit keys has an entry at every object tuple
+    whole = {h for h, codes in touched.items() if all(len(e) == n_obj ** len(h[1]) for e in codes.values())}
     lowest = min((len(values) for _, values in touched), default=n_arities)
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
@@ -601,17 +621,20 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
         per_g = len(ps) * math.prod(map(len, f_inner))
         for g, fg, g_is, g_inner in pairs:
             total = rows.square_holds(f, g, fg, g_is) if proven is None else per_g * math.prod(map(len, g_inner))
+            hs = [(h.target, h.values) for h in (f, g, fg, *g_is)]
+            legs = [touched.get(h) for h in hs]
             involved, failing = set(), ()
-            if total is None or touched and any(touched.get((h.target, h.values)) for h in (f, g, fg, *g_is)):
+            if total is None or any(legs):
                 x_f, x_g, x_gis, x_fg = rows.square_keys(f, g, fg, g_is)
-                for h, xs in zip((f, g, fg, *g_is), (x_f, x_g, x_fg, *x_gis)):
-                    codes = touched.get((h.target, h.values))
+                keys = (x_f, x_g, x_fg, *x_gis)
+                for codes, xs in zip(legs, keys):
                     if codes:
-                        involved.update(k for k, x in enumerate(xs) if x in codes)
+                        involved.update(itertools.compress(itertools.count(), map(codes.__contains__, xs)))
                 if total is None:
+                    # the instances whose operad level fails
                     row_g, row_fg = rows.row(g), rows.row(fg)
                     total = len(x_f)
-                    failing = [k for k in range(total) if row_g[x_g[k]] != row_fg[x_fg[k]] and k not in involved]
+                    failing = {k for k in range(total) if row_g[x_g[k]] != row_fg[x_fg[k]]}
             # an instance that involves no explicit entry is swept at the
             # operad level; one that does, only at its object tuples
             swept = swept or len(involved) < total or n_x > 0
@@ -631,16 +654,46 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
 
             targets_g, phi_g = cc.by_map(g)
             phi_f, phi_fg = cc.by_map(f)[1], cc.by_map(fg)[1]
-            phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
+            subs = cc.restrict(fg, n_obj)
+            phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, subs)]
+            # each touched leg with its keys and the row that carries an
+            # object tuple x to the code of the leg's tuple: none for g and
+            # f.g, the block tensors of g for f, the restriction for g_i
+            reading = [
+                (codes, xs, via)
+                for codes, xs, via in zip(
+                    (legs[1], legs[2], legs[0], *legs[3:]), (x_g, x_fg, x_f, *x_gis), (None, None, targets_g, *subs)
+                )
+                if codes
+            ]
+            reads_all = all(h in whole for h, codes in zip(hs, legs) if codes)
             for k in sorted(involved.union(failing)):
                 if k not in involved:
                     violation(f"{prefix}.assoc", witness(k), where)
                     continue
-                # the structure-iso square at every object tuple x
-                mor_p = tensor_mor[n, ps[k // per_p]]
                 at_g, at_f, at_fg = x_g[k] * n_x, x_f[k] * n_obj**m, x_fg[k] * n_x
+                if k in failing or reads_all:
+                    tuples = range(n_x)
+                else:
+                    # the object tuples where some leg reads an explicit entry
+                    read = set()
+                    for codes, xs, via in reading:
+                        entries = codes.get(xs[k])
+                        if not entries:
+                            continue
+                        if via is None:
+                            read.update(entries)
+                        elif via is targets_g:
+                            read.update(x for x in range(n_x) if via[at_g + x] in entries)
+                        else:
+                            read.update(x for x, c in enumerate(via) if c in entries)
+                        if len(read) == n_x:
+                            break
+                    tuples = sorted(read)
+                # the structure-iso square at those object tuples x
+                mor_p = tensor_mor[n, ps[k // per_p]]
                 at_gis = [(row, xs[k] * size, sub) for (row, size, sub), xs in zip(phi_gis, x_gis)]
-                for x in range(n_x):
+                for x in tuples:
                     first, second, third = phi_g[at_g + x], phi_f[at_f + targets_g[at_g + x]], phi_fg[at_fg + x]
                     block = 0
                     for row, base_at, sub in at_gis:

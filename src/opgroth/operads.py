@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from operator import add, mul
 from typing import Callable, Optional
 
 from .fincore import (
@@ -306,10 +307,11 @@ class OperadRows:
     mixed radix of the carrier sizes of f.target and of f's fiber slots,
     the order ``itertools.product`` yields them in; each entry is the
     index of ``op(f, p, qs)`` in its carrier, or UNDEFINED.  A row is
-    filled by one :meth:`Operad.compose` per key on first use.  The form
-    also keeps the verdict of each group of associativity squares it
-    proves square by square (see :meth:`sweep`), so it serves one family
-    of maps.  An operad's table may be edited between calls, so a
+    filled by one :meth:`Operad.compose` per key on first use, and kept
+    in the map's :meth:`table` with the sizes :meth:`square_holds` reads.
+    The form also keeps the verdict of each group of associativity
+    squares it proves square by square (see :meth:`sweep`), so it serves
+    one family of maps.  An operad's table may be edited between calls, so a
     standalone check builds its own form and drops it; a round trip or a
     ``check`` command keeps one form per operad and family on its memo
     (:func:`_rows_on`).
@@ -319,24 +321,54 @@ class OperadRows:
         self.o = o
         self.sizes = tuple(map(len, o.carriers))
         self.index = [{label: i for i, label in enumerate(c)} for c in o.carriers]
-        self._rows, self._verdicts, self._closed = {}, {}, None
+        self._tables, self._verdicts, self._closed = {}, {}, None
+        self._gather_f, self._gathers, self._ints = None, {}, ()
         self._digits, self._sub_codes = cache(_digits), cache(_sub_codes)
 
-    def row(self, f: FinMap):
-        """The row of f; see the class doc."""
+    def table(self, f: FinMap):
+        """``(row, slots, width)`` of f: its row (see the class doc), the
+        carrier sizes of its fiber slots and their product, the number of
+        codes of qs."""
         k = (f.target, f.values)
-        got = self._rows.get(k)
+        got = self._tables.get(k)
         if got is None:
             o, index = self.o, self.index[f.source]
             inner = [o.carriers[len(fib)] for fib in f.fibers]
-            got = []
+            row = []
             for p in o.carriers[f.target]:
                 for qs in itertools.product(*inner):
                     try:
-                        got.append(index.get(o.compose(f, p, qs), UNDEFINED))
+                        row.append(index.get(o.compose(f, p, qs), UNDEFINED))
                     except CompositionUndefined:
-                        got.append(UNDEFINED)
-            got = self._rows[k] = tuple(got)
+                        row.append(UNDEFINED)
+            slots = tuple(map(len, inner))
+            got = self._tables[k] = (tuple(row), slots, math.prod(slots))
+        return got
+
+    def row(self, f: FinMap):
+        """The row of f; see the class doc."""
+        return self.table(f)[0]
+
+    def gather(self, f: FinMap, g_slots: tuple):
+        """For each fiber i of f, over the codes of (qs, rs) with rs
+        fastest, rs having the slot sizes ``g_slots`` of a map g into
+        f.source: the code of ``(qs[i], rs|f^-1(i))`` in the row of the
+        map g_i that g induces on that fiber.  Kept for the last f only,
+        as a sweep takes the pairs of each f in a row, and built of one
+        tuple of ints per form: keeping every f's, or ints of their own,
+        raised the peak resident set at arity 4."""
+        if self._gather_f != (f.target, f.values):
+            self._gather_f, self._gathers = (f.target, f.values), {}
+        got = self._gathers.get(g_slots)
+        if got is None:
+            got = []
+            for fib, digits in zip(f.fibers, self._digits(self.table(f)[1])):
+                n_sub, sub = math.prod(g_slots[j - 1] for j in fib), self._sub_codes(g_slots, fib)
+                if len(self._ints) < self.sizes[len(fib)] * n_sub:
+                    self._ints = tuple(range(self.sizes[len(fib)] * n_sub))
+                ints = self._ints
+                got.append(tuple([ints[d * n_sub + x] for d in digits for x in sub]))
+            got = self._gathers[g_slots] = tuple(got)
         return got
 
     def sweep(self, maps: dict, walks=None):
@@ -420,30 +452,34 @@ class OperadRows:
         ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
         instances when every one holds, else None, as when one touches
         UNDEFINED; the caller's loop then names each failure."""
-        sizes = self.sizes
-        f_sizes = tuple(sizes[len(fib)] for fib in f.fibers)
-        g_sizes = tuple(sizes[len(fib)] for fib in g.fibers)
-        row_f, row_g, n_r = self.row(f), self.row(g), math.prod(g_sizes)
+        table = self.table
+        row_f, _, n_q = table(f)
+        row_g, g_slots, n_r = table(g)
         if UNDEFINED in row_f:
             return None
-        lhs = []
-        for mid in row_f:
-            lhs += row_g[mid * n_r : mid * n_r + n_r]
+        if n_r == 1:
+            lhs = list(map(row_g.__getitem__, row_f))
+        else:
+            lhs = []
+            for mid in row_f:
+                lhs += row_g[mid * n_r : mid * n_r + n_r]
         if UNDEFINED in lhs:
             return None
-        # the code of s over (qs, rs), rs fastest
-        code = [0] * (math.prod(f_sizes) * n_r)
-        for fib, g_i, digits in zip(f.fibers, g_is, self._digits(f_sizes)):
-            row, sub = self.row(g_i), self._sub_codes(g_sizes, fib)
-            n_sub = math.prod(g_sizes[j - 1] for j in fib)
-            s_i = [row[d * n_sub + x] for d in digits for x in sub]
-            if UNDEFINED in s_i:
+        # the code of s over (qs, rs), rs fastest, by Horner's rule over
+        # the fibers of f; every entry of the row of each g_i is read
+        code, sizes = None, self.sizes
+        for g_i, at in zip(g_is, self.gather(f, g_slots)):
+            row = table(g_i)[0]
+            if UNDEFINED in row:
                 return None
-            radix = sizes[g_i.source]
-            code = [c * radix + x for c, x in zip(code, s_i)]
-        row_fg = self.row(fg)
-        n_s = len(row_fg) // sizes[f.target]
-        rhs = [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]
+            s_i = map(row.__getitem__, at)
+            code = s_i if code is None else map(add, map(mul, code, itertools.repeat(sizes[g_i.source])), s_i)
+        code = [0] * n_r if code is None else list(code)  # no fibers: n_q is 1
+        row_fg, _, n_s = table(fg)
+        if len(row_fg) == n_s:
+            rhs = list(map(row_fg.__getitem__, code))
+        else:
+            rhs = [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]
         return len(lhs) if lhs == rhs else None
 
     def key_code(self, f: FinMap, p: str, qs):
@@ -461,21 +497,17 @@ class OperadRows:
         in the row of f, of ``(op(f, p, qs), rs)`` in the row of g, of
         ``(qs[i], rs|f^-1(i))`` in the row of each g_i and of ``(p, s)``
         in the row of fg."""
-        sizes = self.sizes
-        f_sizes = tuple(sizes[len(fib)] for fib in f.fibers)
-        g_sizes = tuple(sizes[len(fib)] for fib in g.fibers)
-        row_f, n_p, n_r = self.row(f), sizes[f.target], math.prod(g_sizes)
+        row_f, _, n_q = self.table(f)
+        _, g_slots, n_r = self.table(g)
+        n_p, sizes = self.sizes[f.target], self.sizes
         x_f = [a for a in range(len(row_f)) for _ in range(n_r)]
         x_g = [mid * n_r + r for mid in row_f for r in range(n_r)]
-        x_gis, code = [], [0] * (math.prod(f_sizes) * n_r)
-        for fib, g_i, digits in zip(f.fibers, g_is, self._digits(f_sizes)):
-            row, sub = self.row(g_i), self._sub_codes(g_sizes, fib)
-            n_sub = math.prod(g_sizes[j - 1] for j in fib)
-            keys = [d * n_sub + x for d in digits for x in sub]
-            x_gis.append(keys * n_p)
-            radix = sizes[g_i.source]
-            code = [c * radix + row[k] for c, k in zip(code, keys)]
-        n_s = len(self.row(fg)) // n_p
+        x_gis, code = [], [0] * (n_q * n_r)
+        for g_i, at in zip(g_is, self.gather(f, g_slots)):
+            row, radix = self.row(g_i), sizes[g_i.source]
+            x_gis.append(list(at) * n_p)
+            code = [c * radix + row[k] for c, k in zip(code, at)]
+        n_s = self.table(fg)[2]
         x_fg = [at + c for at in range(0, n_p * n_s, n_s) for c in code]
         return x_f, x_g, x_gis, x_fg
 

@@ -9,10 +9,12 @@ import sys
 
 import pytest
 
+import opgroth.ogroth
 import opgroth.omon
 import opgroth.operads
 from fuzzing import token_mutations
 from opgroth.cli import run_command
+from opgroth.fib2cat import ISetCell
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -353,6 +355,23 @@ def test_check_proves_each_structure_and_operad_once(monkeypatch):
     assert code == 0
     assert laws == {"DZ2": 1, "L2": 1, "QOR": 1, "int_GRADE": 1}
     assert sorted(forms.values()) == [1, 1, 1]
+
+
+def test_oroundtrip_checks_each_cell_the_search_keeps_once(monkeypatch):
+    # the search leaves the report of each cell it keeps on the command's
+    # memo, so the round trip reads it there instead of checking the cell
+    # again; every check_ocell that runs validates its set cell once
+    validated = []
+    validate = opgroth.ogroth.validate_iset_cell
+
+    def counting(cell):
+        validated.append(cell)
+        return validate(cell)
+
+    monkeypatch.setattr(opgroth.ogroth, "validate_iset_cell", counting)
+    code, _ = run(["oroundtrip", str(FIXTURES / "corpus_omon.spec")])
+    assert code == 0
+    assert sum(isinstance(c, ISetCell) for c in validated) == 33
 
 
 def test_jobs_flag_does_not_change_report_bytes():
