@@ -222,7 +222,7 @@ class _Compiled:
             at = self.explicit.setdefault((f.target, f.values, p, qs), {})
             if len(objs) == f.source and all(a in range(n_obj) for a in objs):
                 at[_mixed_encode(objs, (n_obj,) * len(objs))] = value
-        self._blocks, self._ends, self._keys, self._by_map = {}, {}, {}, {}
+        self._blocks, self._ends, self._keys, self._by_map, self._over = {}, {}, {}, {}, {}
         self._digits, self._sub_codes = cache(_digits), cache(_sub_codes)
 
     def restrict(self, f: FinMap, r: int):
@@ -251,6 +251,22 @@ class _Compiled:
                 block = tables[len(fib), q]
                 row = [a * r + block[s] for a, s in zip(row, sub)]
             got = self._blocks[k] = tuple(row)
+        return got
+
+    def over(self, f: FinMap):
+        """One row per fiber of f over the codes of the tuples of objects
+        on the fiber: the codes of the f.source-tuples that restrict to
+        it (see :meth:`restrict`)."""
+        k = (f.target, f.values)
+        got = self._over.get(k)
+        if got is None:
+            got = []
+            for fib, sub in zip(f.fibers, self.restrict(f, self.n_obj)):
+                tuples = [[] for _ in range(self.n_obj ** len(fib))]
+                for x, c in enumerate(sub):
+                    tuples[c].append(x)
+                got.append(tuples)
+            got = self._over[k] = got
         return got
 
     def mor_ends(self, m: int):
@@ -621,8 +637,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
         per_g = len(ps) * math.prod(map(len, f_inner))
         for g, fg, g_is, g_inner in pairs:
             total = rows.square_holds(f, g, fg, g_is) if proven is None else per_g * math.prod(map(len, g_inner))
-            hs = [(h.target, h.values) for h in (f, g, fg, *g_is)]
-            legs = [touched.get(h) for h in hs]
+            legs = [touched.get((h.target, h.values)) for h in (f, g, fg, *g_is)]
             involved, failing = set(), ()
             if total is None or any(legs):
                 x_f, x_g, x_gis, x_fg = rows.square_keys(f, g, fg, g_is)
@@ -654,19 +669,19 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
 
             targets_g, phi_g = cc.by_map(g)
             phi_f, phi_fg = cc.by_map(f)[1], cc.by_map(fg)[1]
-            subs = cc.restrict(fg, n_obj)
-            phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, subs)]
-            # each touched leg with its keys and the row that carries an
-            # object tuple x to the code of the leg's tuple: none for g and
-            # f.g, the block tensors of g for f, the restriction for g_i
+            phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
+            # each touched leg with its keys and what carries the code of
+            # the leg's object tuple to the tuples x that read it: nothing
+            # for g and f.g, the block tensors of g for f, and for g_i the
+            # tuples over each code of the i-th fiber of f.g
             reading = [
                 (codes, xs, via)
                 for codes, xs, via in zip(
-                    (legs[1], legs[2], legs[0], *legs[3:]), (x_g, x_fg, x_f, *x_gis), (None, None, targets_g, *subs)
+                    (legs[1], legs[2], legs[0], *legs[3:]), (x_g, x_fg, x_f, *x_gis), (None, None, targets_g, *cc.over(fg))
                 )
                 if codes
             ]
-            reads_all = all(h in whole for h, codes in zip(hs, legs) if codes)
+            reads_all = all((h.target, h.values) in whole for h, codes in zip((f, g, fg, *g_is), legs) if codes)
             for k in sorted(involved.union(failing)):
                 if k not in involved:
                     violation(f"{prefix}.assoc", witness(k), where)
@@ -686,9 +701,12 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                         elif via is targets_g:
                             read.update(x for x in range(n_x) if via[at_g + x] in entries)
                         else:
-                            read.update(x for x, c in enumerate(via) if c in entries)
+                            for e in entries:
+                                read.update(via[e])
                         if len(read) == n_x:
                             break
+                    if not read:
+                        continue
                     tuples = sorted(read)
                 # the structure-iso square at those object tuples x
                 mor_p = tensor_mor[n, ps[k // per_p]]

@@ -452,10 +452,11 @@ class OperadRows:
         ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
         instances when every one holds, else None, as when one touches
         UNDEFINED; the caller's loop then names each failure."""
-        table = self.table
-        row_f, _, n_q = table(f)
-        row_g, g_slots, n_r = table(g)
-        if UNDEFINED in row_f:
+        # a closed form has no UNDEFINED entry in any row of its family
+        tables, closed = self._tables, self._closed
+        row_f, _, n_q = tables.get((f.target, f.values)) or self.table(f)
+        row_g, g_slots, n_r = tables.get((g.target, g.values)) or self.table(g)
+        if not closed and UNDEFINED in row_f:
             return None
         if n_r == 1:
             lhs = list(map(row_g.__getitem__, row_f))
@@ -463,19 +464,19 @@ class OperadRows:
             lhs = []
             for mid in row_f:
                 lhs += row_g[mid * n_r : mid * n_r + n_r]
-        if UNDEFINED in lhs:
+        if not closed and UNDEFINED in lhs:
             return None
         # the code of s over (qs, rs), rs fastest, by Horner's rule over
         # the fibers of f; every entry of the row of each g_i is read
         code, sizes = None, self.sizes
         for g_i, at in zip(g_is, self.gather(f, g_slots)):
-            row = table(g_i)[0]
-            if UNDEFINED in row:
+            row = (tables.get((g_i.target, g_i.values)) or self.table(g_i))[0]
+            if not closed and UNDEFINED in row:
                 return None
             s_i = map(row.__getitem__, at)
             code = s_i if code is None else map(add, map(mul, code, itertools.repeat(sizes[g_i.source])), s_i)
         code = [0] * n_r if code is None else list(code)  # no fibers: n_q is 1
-        row_fg, _, n_s = table(fg)
+        row_fg, _, n_s = tables.get((fg.target, fg.values)) or self.table(fg)
         if len(row_fg) == n_s:
             rhs = list(map(row_fg.__getitem__, code))
         else:
