@@ -256,17 +256,17 @@ class _Compiled:
     def over(self, f: FinMap):
         """One row per fiber of f over the codes of the tuples of objects
         on the fiber: the codes of the f.source-tuples that restrict to
-        it (see :meth:`restrict`)."""
-        k = (f.target, f.values)
-        got = self._over.get(k)
-        if got is None:
-            got = []
-            for fib, sub in zip(f.fibers, self.restrict(f, self.n_obj)):
-                tuples = [[] for _ in range(self.n_obj ** len(fib))]
+        it (see :meth:`restrict`).  Kept by source and fiber, which many
+        maps share (kept by map, they raised the peak resident set of
+        ``grade(4)`` mutation 1 by 1.4 MB)."""
+        got = []
+        for fib, sub in zip(f.fibers, self.restrict(f, self.n_obj)):
+            tuples = self._over.get((f.source, fib))
+            if tuples is None:
+                tuples = self._over[f.source, fib] = [[] for _ in range(self.n_obj ** len(fib))]
                 for x, c in enumerate(sub):
                     tuples[c].append(x)
-                got.append(tuples)
-            got = self._over[k] = got
+            got.append(tuples)
         return got
 
     def mor_ends(self, m: int):
