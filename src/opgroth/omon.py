@@ -670,18 +670,18 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             targets_g, phi_g = cc.by_map(g)
             phi_f, phi_fg = cc.by_map(f)[1], cc.by_map(fg)[1]
             phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
+            reads_all = all((h.target, h.values) in whole for h, codes in zip((f, g, fg, *g_is), legs) if codes)
             # each touched leg with its keys and what carries the code of
             # the leg's object tuple to the tuples x that read it: nothing
             # for g and f.g, the block tensors of g for f, and for g_i the
             # tuples over each code of the i-th fiber of f.g
-            reading = [
+            reading = () if reads_all else [
                 (codes, xs, via)
                 for codes, xs, via in zip(
                     (legs[1], legs[2], legs[0], *legs[3:]), (x_g, x_fg, x_f, *x_gis), (None, None, targets_g, *cc.over(fg))
                 )
                 if codes
             ]
-            reads_all = all((h.target, h.values) in whole for h, codes in zip((f, g, fg, *g_is), legs) if codes)
             for k in sorted(involved.union(failing)):
                 if k not in involved:
                     violation(f"{prefix}.assoc", witness(k), where)
