@@ -453,34 +453,28 @@ class OperadRows:
         instances when every one holds, else None, as when one touches
         UNDEFINED; the caller's loop then names each failure."""
         # a closed form has no UNDEFINED entry in any row of its family
-        tables, closed = self._tables, self._closed
-        row_f, _, n_q = tables.get((f.target, f.values)) or self.table(f)
-        row_g, g_slots, n_r = tables.get((g.target, g.values)) or self.table(g)
+        closed = self._closed
+        row_f, _, n_q = self.table(f)
+        row_g, g_slots, n_r = self.table(g)
         if not closed and UNDEFINED in row_f:
             return None
-        if n_r == 1:
-            lhs = list(map(row_g.__getitem__, row_f))
-        else:
-            lhs = []
-            for mid in row_f:
-                lhs += row_g[mid * n_r : mid * n_r + n_r]
+        lhs = []
+        for mid in row_f:
+            lhs += row_g[mid * n_r : mid * n_r + n_r]
         if not closed and UNDEFINED in lhs:
             return None
         # the code of s over (qs, rs), rs fastest, by Horner's rule over
         # the fibers of f; every entry of the row of each g_i is read
         code, sizes = None, self.sizes
         for g_i, at in zip(g_is, self.gather(f, g_slots)):
-            row = (tables.get((g_i.target, g_i.values)) or self.table(g_i))[0]
+            row = self.table(g_i)[0]
             if not closed and UNDEFINED in row:
                 return None
             s_i = map(row.__getitem__, at)
             code = s_i if code is None else map(add, map(mul, code, itertools.repeat(sizes[g_i.source])), s_i)
         code = [0] * n_r if code is None else list(code)  # no fibers: n_q is 1
-        row_fg, _, n_s = tables.get((fg.target, fg.values)) or self.table(fg)
-        if len(row_fg) == n_s:
-            rhs = list(map(row_fg.__getitem__, code))
-        else:
-            rhs = [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]
+        row_fg, _, n_s = self.table(fg)
+        rhs = [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]
         return len(lhs) if lhs == rhs else None
 
     def key_code(self, f: FinMap, p: str, qs):
