@@ -674,14 +674,16 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             # each touched leg with its keys and what carries the code of
             # the leg's object tuple to the tuples x that read it: nothing
             # for g and f.g, the block tensors of g for f, and for g_i the
-            # tuples over each code of the i-th fiber of f.g
-            reading = () if reads_all else [
-                (codes, xs, via)
-                for codes, xs, via in zip(
-                    (legs[1], legs[2], legs[0], *legs[3:]), (x_g, x_fg, x_f, *x_gis), (None, None, targets_g, *cc.over(fg))
-                )
-                if codes
-            ]
+            # tuples over each code of the i-th fiber of f.g, built only
+            # when some g_i leg is touched
+            reading = []
+            if not reads_all:
+                via_gis = cc.over(fg) if any(legs[3:]) else [None] * len(g_is)
+                reading = [
+                    (codes, xs, via)
+                    for codes, xs, via in zip((legs[1], legs[2], legs[0], *legs[3:]), (x_g, x_fg, x_f, *x_gis), (None, None, targets_g, *via_gis))
+                    if codes
+                ]
             for k in sorted(involved.union(failing)):
                 if k not in involved:
                     violation(f"{prefix}.assoc", witness(k), where)
