@@ -333,6 +333,25 @@ def test_checker_agrees_with_oracle_on_every_single_entry_override():
     assert digest.hexdigest() == OVERRIDE_SWEEP_PIN
 
 
+# the same digest over every single-entry override of qconv(Bool, 3)
+QCONV3_OVERRIDE_PIN = "f6eff77005fa7b85f36abc489d47dc71b2751c6b48ea84690eb8026cada00b56"
+
+
+def test_every_single_entry_override_of_qconv3_is_pinned():
+    # the oracle takes about 20 ms a variant, so it runs on every 8th
+    digest, variants = hashlib.sha256(), 0
+    for k, broken in enumerate(single_entry_overrides(build_qconv(boolean_semiring(), 3))):
+        report = check_operad_axioms(broken)
+        if k % 8 == 0:
+            assert report.ok == oracle_verdict(broken)
+        variants += 1
+        for r in report.records:
+            digest.update(repr((r.severity, r.check, r.witness, r.where)).encode())
+        digest.update(repr(sorted(report.stats.items())).encode())
+    assert variants == 749
+    assert digest.hexdigest() == QCONV3_OVERRIDE_PIN
+
+
 def single_entry_deletions(o: Operad):
     """Every table operad that is ``o`` with one composition entry missing."""
     table = {(f.target, f.values, p, qs): o.compose(f, p, qs) for f, p, qs in composition_keys(o)}
