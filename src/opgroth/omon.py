@@ -634,9 +634,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             if proven:
                 swept, assoc_count = True, assoc_count + n_x * proven
             continue
-        per_g = len(ps) * math.prod(map(len, f_inner))
-        for g, fg, g_is, g_inner in pairs:
-            total = rows.square_holds(f, g, fg, g_is) if proven is None else per_g * math.prod(map(len, g_inner))
+        for g, fg, g_is, g_inner, total in pairs:
             legs = [touched.get((h.target, h.values)) for h in (f, g, fg, *g_is)]
             involved, failing = set(), ()
             if total is None or any(legs):

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .fincore import (
     FinMap,
     _digits,
-    _square,
+    _square_codes,
     _sub_codes,
     all_maps,
     fiber,
@@ -304,34 +304,39 @@ class OperadRows:
 
     The operations of each arity are numbered by their place in the
     carrier.  ``row(f)`` is indexed by the code of ``(p, qs)`` in the
-    mixed radix of the carrier sizes of f.target and of f's fiber slots,
-    the order ``itertools.product`` yields them in; each entry is the
-    index of ``op(f, p, qs)`` in its carrier, or UNDEFINED.  A row is
-    filled by one :meth:`Operad.compose` per key on first use, and kept
-    in the map's :meth:`table` with the sizes :meth:`square_holds` reads.
-    The form also keeps the verdict of each group of associativity
-    squares it proves square by square (see :meth:`sweep`), so it serves
-    one family of maps.  An operad's table may be edited between calls, so a
-    standalone check builds its own form and drops it; a round trip or a
-    ``check`` command keeps one form per operad and family on its memo
-    (:func:`_rows_on`).
+    mixed radix of the carrier sizes of f.target and of f's fiber slots
+    (:meth:`slots`), the order ``itertools.product`` yields them in; each
+    entry is the index of ``op(f, p, qs)`` in its carrier, or UNDEFINED.
+    A row is filled by one :meth:`Operad.compose` per key on first use,
+    and kept in one list per source and target indexed by
+    :attr:`FinMap.code`, so that the square kernel of :meth:`sweep` finds
+    the rows of f.g and of each g_i from their codes, without building
+    the maps.  The form also keeps the verdict of each group of
+    associativity squares it proves square by square (see :meth:`sweep`),
+    so it serves one family of maps.  An operad's table may be edited
+    between calls, so a standalone check builds its own form and drops
+    it; a round trip or a ``check`` command keeps one form per operad and
+    family on its memo (:func:`_rows_on`).
     """
 
     def __init__(self, o: Operad):
         self.o = o
         self.sizes = tuple(map(len, o.carriers))
         self.index = [{label: i for i, label in enumerate(c)} for c in o.carriers]
-        self._tables, self._verdicts, self._closed = {}, {}, None
+        # _rows[m][n][code]: the row of the map m -> n with that code, or
+        # None before it is filled; a list is made on first use
+        self._rows = [[None] * len(self.sizes) for _ in self.sizes]
+        self._slots, self._verdicts, self._closed = {}, {}, None
         self._gather_f, self._gathers, self._ints = None, {}, ()
         self._digits, self._sub_codes = cache(_digits), cache(_sub_codes)
 
-    def table(self, f: FinMap):
-        """``(row, slots, width)`` of f: its row (see the class doc), the
-        carrier sizes of its fiber slots and their product, the number of
-        codes of qs."""
-        k = (f.target, f.values)
-        got = self._tables.get(k)
-        if got is None:
+    def row(self, f: FinMap):
+        """The row of f; see the class doc."""
+        by_code = self._rows[f.source][f.target]
+        if by_code is None:
+            by_code = self._rows[f.source][f.target] = [None] * f.target**f.source
+        row = by_code[f.code]
+        if row is None:
             o, index = self.o, self.index[f.source]
             inner = [o.carriers[len(fib)] for fib in f.fibers]
             row = []
@@ -341,13 +346,14 @@ class OperadRows:
                         row.append(index.get(o.compose(f, p, qs), UNDEFINED))
                     except CompositionUndefined:
                         row.append(UNDEFINED)
-            slots = tuple(map(len, inner))
-            got = self._tables[k] = (tuple(row), slots, math.prod(slots))
-        return got
+            row = by_code[f.code] = tuple(row)
+        return row
 
-    def row(self, f: FinMap):
-        """The row of f; see the class doc."""
-        return self.table(f)[0]
+    def slots(self, f: FinMap) -> tuple:
+        """The carrier sizes of f's fiber slots, one tuple per distinct
+        value for the form's lifetime."""
+        slots = tuple(self.sizes[len(fib)] for fib in f.fibers)
+        return self._slots.setdefault(slots, slots)
 
     def gather(self, f: FinMap, g_slots: tuple):
         """For each fiber i of f, over the codes of (qs, rs) with rs
@@ -357,12 +363,12 @@ class OperadRows:
         as a sweep takes the pairs of each f in a row, and built of one
         tuple of ints per form: keeping every f's, or ints of their own,
         raised the peak resident set at arity 4."""
-        if self._gather_f != (f.target, f.values):
-            self._gather_f, self._gathers = (f.target, f.values), {}
+        if self._gather_f is not f:
+            self._gather_f, self._gathers = f, {}
         got = self._gathers.get(g_slots)
         if got is None:
             got = []
-            for fib, digits in zip(f.fibers, self._digits(self.table(f)[1])):
+            for fib, digits in zip(f.fibers, self._digits(self.slots(f))):
                 n_sub, sub = math.prod(g_slots[j - 1] for j in fib), self._sub_codes(g_slots, fib)
                 if len(self._ints) < self.sizes[len(fib)] * n_sub:
                     self._ints = tuple(range(self.sizes[len(fib)] * n_sub))
@@ -377,11 +383,13 @@ class OperadRows:
         ``(f, ps, f_inner, ell, total, pairs)`` for each f: m -> n and
         ell, where ``ps`` are the outer operations, ``f_inner`` the
         carriers of f's fiber slots and ``pairs`` yields
-        ``(g, f.g, g_is, g_inner)`` for each g: ell -> m, ``g_is`` being
-        the maps between fibers that g induces (from :func:`_square`) and
-        ``g_inner`` the carriers of g's fiber slots.  A pair with an empty
-        carrier has no instances and is skipped before its square is
-        built.
+        ``(g, f.g, g_is, g_inner, held)`` for each g: ell -> m, ``g_is``
+        being the maps between fibers that g induces, ``g_inner`` the
+        carriers of g's fiber slots and ``held`` the square's number of
+        instances when every one holds, else None.  A pair with an empty
+        carrier has no instances and is skipped.  f.g and each g_i are
+        read from ``maps`` by their codes (:func:`_square_codes`), so
+        ``maps`` must hold them: all maps, or the monotone ones.
 
         ``total`` is the group's verdict: its number of instances when
         every square of the group holds, else None.  The singleton lemma
@@ -389,42 +397,108 @@ class OperadRows:
         is total and closed, a square whose result arity ell has one
         operation holds at every instance, both of its sides being that
         operation, so the group is counted without building a square.
-        Any other group is proved square by square (:meth:`square_holds`)
-        once per form, which keeps the verdict, unless ``walks(n,
-        f.values, ell)`` says that the caller walks the group's pairs
-        whatever its verdict: such a group without a kept verdict gets
-        None, and the caller proves each square as it walks, so that no
-        square is built twice.
+        Any other group is proved square by square once per form, which
+        keeps the verdict, unless ``walks(n, f.values, ell)`` says that
+        the caller walks the group's pairs whatever its verdict: such a
+        group without a kept verdict gets None, and its ``pairs`` prove
+        each square as they yield it, so that no square is built twice.
+
+        The squares of a group are proved in one loop over its g, on
+        codes: one pass over ``g.values`` gives the codes of f.g and of
+        each g_i, which index their rows, and no map is built.  The
+        ``pairs`` of a group read f.g and each g_i from ``maps`` by code,
+        and take ``held`` from the group's verdict when it has one.
         """
-        o, sizes, verdicts = self.o, self.sizes, self._verdicts
-        built: dict = {}
-
-        def with_inner(hs):
-            for h in hs:
-                inner = [o.elements(len(fib)) for fib in h.fibers]
-                if all(inner):
-                    yield h, inner
-
-        live = {key: tuple(with_inner(hs)) for key, hs in maps.items()}
-
-        def pairs(f: FinMap, ell: int):
-            for g, g_inner in live[ell, f.source]:
-                fg, g_is = _square(f, g, built)
-                yield g, fg, g_is, g_inner
-
-        if self._closed is None:
-            self._closed = not any(UNDEFINED in self.row(f) for fs in maps.values() for f in fs)
-        weights: dict = {}  # the number of (g, rs) with g: ell -> m, by (ell, m)
+        o, sizes, verdicts, rows = self.o, self.sizes, self._verdicts, self._rows
         n_arities = o.max_arity + 1
+        if self._closed is None:
+            # fills every row of the family, which the kernel reads by code
+            self._closed = all([UNDEFINED not in self.row(h) for hs in maps.values() for h in hs])
+        closed = self._closed
+        # by_code[m][n][code]: the map of maps[m, n] with that code, or None
+        by_code = [[None] * n_arities for _ in range(n_arities)]
+        for (m, n), hs in maps.items():
+            by_code[m][n] = table = [None] * n**m
+            for h in hs:
+                table[h.code] = h
+        # the maps of maps[m, n] whose fiber slots all have operations,
+        # and for each its slot carriers, their sizes and the product
+        live, slots_of = {}, {}
+        for key, hs in maps.items():
+            kept = [(h, [o.elements(len(fib)) for fib in h.fibers]) for h in hs]
+            kept = [(h, inner) for h, inner in kept if all(inner)]
+            live[key] = tuple(h for h, _ in kept)
+            slots_of[key] = tuple((inner, self.slots(h), math.prod(self.slots(h))) for h, inner in kept)
+
+        def squares(f: FinMap, ell: int, prove: bool):
+            """``(g, g_inner, (fg_code, sources, codes), held)`` for each
+            g of the group (f, ell), ``held`` by the square kernel when
+            ``prove``, else by arithmetic from a group that holds."""
+            m, n = f.source, f.target
+            gs = live[ell, m]
+            n_p, f_slots = sizes[n], self.slots(f)
+            got = _square_codes(f, gs)
+            if not prove:
+                n_pq = n_p * math.prod(f_slots)
+                for g, (g_inner, _, n_r), codes in zip(gs, slots_of[ell, m], got):
+                    yield g, g_inner, codes, n_pq * n_r
+                return
+            # lhs: op(g, op(f, p, qs), rs) over (p, qs, rs), rs fastest;
+            # rhs: op(fg, p, s) with the code of s over (qs, rs) by
+            # Horner's rule over the fibers of f, from the row of each g_i
+            # at its gather; every entry of those rows is read, and a
+            # closed form has no UNDEFINED entry in any row of its family
+            row_f, rows_g, rows_fg = rows[m][n][f.code], rows[ell][m], rows[ell][n]
+            widths, gathers = [len(fib) for fib in f.fibers], {}
+            dead = not closed and UNDEFINED in row_f
+            for g, (g_inner, g_slots, n_r), codes in zip(gs, slots_of[ell, m], got):
+                held = None
+                if dead:
+                    yield g, g_inner, codes, held
+                    continue
+                row_g = rows_g[g.code]
+                if n_r == 1:
+                    lhs = [row_g[mid] for mid in row_f]
+                else:
+                    lhs = []
+                    for mid in row_f:
+                        lhs += row_g[mid * n_r : mid * n_r + n_r]
+                if closed or UNDEFINED not in lhs:
+                    at = gathers.get(g_slots)
+                    if at is None:
+                        at = gathers[g_slots] = self.gather(f, g_slots)
+                    fg_code, sources, g_codes = codes
+                    code = None
+                    for source, width, c, at_i in zip(sources, widths, g_codes, at):
+                        row = rows[source][width][c]
+                        if not closed and UNDEFINED in row:
+                            break
+                        s_i = map(row.__getitem__, at_i)
+                        code = s_i if code is None else map(add, map(mul, code, itertools.repeat(sizes[source])), s_i)
+                    else:
+                        code = [0] * n_r if code is None else list(code)  # no fibers: n_q is 1
+                        row_fg = rows_fg[fg_code]
+                        n_s = len(row_fg) // n_p
+                        if lhs == [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]:
+                            held = len(lhs)
+                yield g, g_inner, codes, held
+
+        def pairs(f: FinMap, ell: int, total):
+            fgs, widths = by_code[ell][f.target], [len(fib) for fib in f.fibers]
+            for g, g_inner, (fg_code, sources, codes), held in squares(f, ell, total is None):
+                g_is = tuple(by_code[s][w][c] for s, w, c in zip(sources, widths, codes))
+                yield g, fgs[fg_code], g_is, g_inner, held
+
+        weights: dict = {}  # the number of (g, rs) with g: ell -> m, by (ell, m)
         for n in range(n_arities):
             ps = o.elements(n)
             if not ps:
                 continue
             for m in range(n_arities):
-                for f, f_inner in live[m, n]:
+                for f, (f_inner, _, _) in zip(live[m, n], slots_of[m, n]):
                     for ell in range(n_arities):
                         key = (n, f.values, ell)
-                        if self._closed and sizes[ell] == 1:
+                        if closed and sizes[ell] == 1:
                             if (ell, m) not in weights:
                                 weights[ell, m] = sum(math.prod(sizes[len(fib)] for fib in g.fibers) for g in maps[ell, m])
                             total = len(ps) * math.prod(map(len, f_inner)) * weights[ell, m]
@@ -436,46 +510,13 @@ class OperadRows:
                             # square by square; the squares are not kept
                             # (keeping them raised the peak resident set)
                             total = 0
-                            for g, fg, g_is, _ in pairs(f, ell):
-                                held = self.square_holds(f, g, fg, g_is)
+                            for *_, held in squares(f, ell, True):
                                 if held is None:
                                     total = None
                                     break
                                 total += held
                             verdicts[key] = total
-                        yield f, ps, f_inner, ell, total, pairs(f, ell)
-
-    def square_holds(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
-        """The associativity square at g: ell -> m and f: m -> n over every
-        outer operation p and tuples qs, rs of inner operations, as rows:
-        ``op(g, op(f, p, qs), rs)`` against ``op(fg, p, s)`` with
-        ``s[i] = op(g_is[i], qs[i], rs|f^-1(i))``.  Returns the number of
-        instances when every one holds, else None, as when one touches
-        UNDEFINED; the caller's loop then names each failure."""
-        # a closed form has no UNDEFINED entry in any row of its family
-        closed = self._closed
-        row_f, _, n_q = self.table(f)
-        row_g, g_slots, n_r = self.table(g)
-        if not closed and UNDEFINED in row_f:
-            return None
-        lhs = []
-        for mid in row_f:
-            lhs += row_g[mid * n_r : mid * n_r + n_r]
-        if not closed and UNDEFINED in lhs:
-            return None
-        # the code of s over (qs, rs), rs fastest, by Horner's rule over
-        # the fibers of f; every entry of the row of each g_i is read
-        code, sizes = None, self.sizes
-        for g_i, at in zip(g_is, self.gather(f, g_slots)):
-            row = self.table(g_i)[0]
-            if not closed and UNDEFINED in row:
-                return None
-            s_i = map(row.__getitem__, at)
-            code = s_i if code is None else map(add, map(mul, code, itertools.repeat(sizes[g_i.source])), s_i)
-        code = [0] * n_r if code is None else list(code)  # no fibers: n_q is 1
-        row_fg, _, n_s = self.table(fg)
-        rhs = [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]
-        return len(lhs) if lhs == rhs else None
+                        yield f, ps, f_inner, ell, total, pairs(f, ell, total)
 
     def key_code(self, f: FinMap, p: str, qs):
         """The code of ``(p, qs)``, a composition key, in the row of f."""
@@ -486,15 +527,15 @@ class OperadRows:
         return code
 
     def square_keys(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
-        """The keys of the square of :meth:`square_holds`, whose composites
-        must all be defined, at each instance in sweep order (rs fastest):
-        ``(x_f, x_g, x_gis, x_fg)``, the lists of the codes of ``(p, qs)``
-        in the row of f, of ``(op(f, p, qs), rs)`` in the row of g, of
-        ``(qs[i], rs|f^-1(i))`` in the row of each g_i and of ``(p, s)``
-        in the row of fg."""
-        row_f, _, n_q = self.table(f)
-        _, g_slots, n_r = self.table(g)
-        n_p, sizes = self.sizes[f.target], self.sizes
+        """The keys of the square at g: ell -> m and f: m -> n, whose
+        composites must all be defined, at each instance in sweep order
+        (rs fastest): ``(x_f, x_g, x_gis, x_fg)``, the lists of the codes
+        of ``(p, qs)`` in the row of f, of ``(op(f, p, qs), rs)`` in the
+        row of g, of ``(qs[i], rs|f^-1(i))`` in the row of each g_i and of
+        ``(p, s)`` in the row of fg, ``s[i]`` being ``op(g_i, qs[i],
+        rs|f^-1(i))``."""
+        row_f, g_slots = self.row(f), self.slots(g)
+        n_p, n_q, n_r, sizes = self.sizes[f.target], math.prod(self.slots(f)), math.prod(g_slots), self.sizes
         x_f = [a for a in range(len(row_f)) for _ in range(n_r)]
         x_g = [mid * n_r + r for mid in row_f for r in range(n_r)]
         x_gis, code = [], [0] * (n_q * n_r)
@@ -502,7 +543,7 @@ class OperadRows:
             row, radix = self.row(g_i), sizes[g_i.source]
             x_gis.append(list(at) * n_p)
             code = [c * radix + row[k] for c, k in zip(code, at)]
-        n_s = self.table(fg)[2]
+        n_s = math.prod(self.slots(fg))
         x_fg = [at + c for at in range(0, n_p * n_s, n_s) for c in code]
         return x_f, x_g, x_gis, x_fg
 
@@ -575,8 +616,7 @@ def check_operad_axioms(o: Operad, *, memo: dict | None = None) -> CheckReport:
             instances += total
             continue
         n, f_fibers = f.target, f.fibers
-        for g, fg, g_is, g_inner in pairs:
-            held = rows.square_holds(f, g, fg, g_is)
+        for g, fg, g_is, g_inner, held in pairs:
             if held is not None:
                 instances += held
                 continue

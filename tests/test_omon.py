@@ -590,14 +590,16 @@ def test_shared_operad_rows_serve_one_family_of_maps():
 
 @pytest.fixture
 def built_squares(monkeypatch):
+    # the sweep takes the codes of f.g and of each g_i at every pair of a
+    # group it proves or walks in one call, with the group's g
     built = []
 
-    def counting(f, g, interned):
-        built.append((f, g))
-        return square(f, g, interned)
+    def counting(f, gs):
+        built.extend((f, g) for g in gs)
+        return square_codes(f, gs)
 
-    square = opgroth.operads._square
-    monkeypatch.setattr(opgroth.operads, "_square", counting)
+    square_codes = opgroth.operads._square_codes
+    monkeypatch.setattr(opgroth.operads, "_square_codes", counting)
     return built
 
 

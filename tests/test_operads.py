@@ -484,19 +484,25 @@ def _table_copies(o: Operad):
 
 
 def test_square_kernel_matches_a_per_instance_loop():
-    from opgroth.fincore import all_maps
+    from opgroth.fincore import all_maps, fm_compose, induced_fiber_map
     from opgroth.operads import OperadRows
 
+    # once as a standalone check sweeps, the held of a proven group read
+    # from its verdict, and once with every group walked, each square
+    # proved by the kernel as its pair is yielded
     operads = [build_assoc(3), build_comm(3), build_qconv(boolean_semiring(), 3), *_table_copies(build_assoc(2))]
-    squares = failing = 0
-    for o in operads:
-        maps = {(a, b): tuple(all_maps(a, b)) for a in range(o.max_arity + 1) for b in range(o.max_arity + 1)}
-        rows = OperadRows(o)
-        for f, _, _, _, _, pairs in rows.sweep(maps):
-            for g, fg, g_is, _ in pairs:
-                expected = _square_by_instances(o, f, g, fg, g_is)
-                assert rows.square_holds(f, g, fg, g_is) == expected, (o.name, f, g)
-                squares += 1
-                failing += expected is None
     assert len(operads) == 3 + 37
-    assert (squares, failing) == (5200, 353)
+    for walks in (None, lambda *_: True):
+        squares = failing = 0
+        for o in operads:
+            maps = {(a, b): tuple(all_maps(a, b)) for a in range(o.max_arity + 1) for b in range(o.max_arity + 1)}
+            rows = OperadRows(o)
+            for f, _, _, _, _, pairs in rows.sweep(maps, walks):
+                for g, fg, g_is, _, held in pairs:
+                    assert fg == fm_compose(f, g)
+                    assert g_is == tuple(induced_fiber_map(f, g, i) for i in range(1, f.target + 1))
+                    expected = _square_by_instances(o, f, g, fg, g_is)
+                    assert held == expected, (o.name, f, g)
+                    squares += 1
+                    failing += expected is None
+        assert (squares, failing) == (5200, 353)
