@@ -124,14 +124,17 @@ def invert_permutation(p: FinMap) -> FinMap:
 
 
 def all_maps(m: int, n: int):
-    """All maps {1..m} -> {1..n} in lexicographic order of value tuples."""
+    """All maps {1..m} -> {1..n} in lexicographic order of value tuples,
+    which is the order of their codes (:attr:`FinMap.code`)."""
     if m == 0:
         yield FinMap(0, n, ())
         return
     if n == 0:
         return
-    for values in itertools.product(range(1, n + 1), repeat=m):
-        yield FinMap(m, n, values)
+    for code, values in enumerate(itertools.product(range(1, n + 1), repeat=m)):
+        f = FinMap(m, n, values)
+        f.__dict__["code"] = code  # the cached property, known from the order
+        yield f
 
 
 def fm_from_label(text: str) -> FinMap:

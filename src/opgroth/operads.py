@@ -415,54 +415,53 @@ class OperadRows:
             # fills every row of the family, which the kernel reads by code
             self._closed = all([UNDEFINED not in self.row(h) for hs in maps.values() for h in hs])
         closed = self._closed
-        # by_code[m][n][code]: the map of maps[m, n] with that code, or None
-        by_code = [[None] * n_arities for _ in range(n_arities)]
-        for (m, n), hs in maps.items():
-            by_code[m][n] = table = [None] * n**m
-            for h in hs:
-                table[h.code] = h
         # the maps of maps[m, n] whose fiber slots all have operations,
         # and for each its slot carriers, their sizes and the product
-        live, slots_of = {}, {}
+        live, slots_of, interned = {}, {}, self._slots
         for key, hs in maps.items():
-            kept = [(h, [o.elements(len(fib)) for fib in h.fibers]) for h in hs]
-            kept = [(h, inner) for h, inner in kept if all(inner)]
-            live[key] = tuple(h for h, _ in kept)
-            slots_of[key] = tuple((inner, self.slots(h), math.prod(self.slots(h))) for h, inner in kept)
+            kept, info = [], []
+            for h in hs:
+                inner = [o.carriers[len(fib)] for fib in h.fibers]
+                if all(inner):
+                    slots = tuple(map(len, inner))
+                    kept.append(h)
+                    info.append((inner, interned.setdefault(slots, slots), math.prod(slots)))
+            live[key], slots_of[key] = tuple(kept), tuple(info)
+        # by_code[m][n][code]: the map of maps[m, n] with that code, or
+        # None; made when a group's pairs are first walked
+        by_code = []
 
-        def squares(f: FinMap, ell: int, prove: bool):
+        def squares(f: FinMap, n_q: int, ell: int, prove: bool):
             """``(g, g_inner, (fg_code, sources, codes), held)`` for each
-            g of the group (f, ell), ``held`` by the square kernel when
-            ``prove``, else by arithmetic from a group that holds."""
+            g of the group (f, ell), n_q being the number of f's qs and
+            ``held`` from the square kernel when ``prove``, else from the
+            arithmetic of a group that holds."""
             m, n = f.source, f.target
-            gs = live[ell, m]
-            n_p, f_slots = sizes[n], self.slots(f)
+            gs, n_p = live[ell, m], sizes[n]
             got = _square_codes(f, gs)
             if not prove:
-                n_pq = n_p * math.prod(f_slots)
                 for g, (g_inner, _, n_r), codes in zip(gs, slots_of[ell, m], got):
-                    yield g, g_inner, codes, n_pq * n_r
+                    yield g, g_inner, codes, n_p * n_q * n_r
                 return
-            # lhs: op(g, op(f, p, qs), rs) over (p, qs, rs), rs fastest;
-            # rhs: op(fg, p, s) with the code of s over (qs, rs) by
-            # Horner's rule over the fibers of f, from the row of each g_i
-            # at its gather; every entry of those rows is read, and a
-            # closed form has no UNDEFINED entry in any row of its family
             row_f, rows_g, rows_fg = rows[m][n][f.code], rows[ell][m], rows[ell][n]
-            widths, gathers = [len(fib) for fib in f.fibers], {}
-            dead = not closed and UNDEFINED in row_f
+            if not closed and UNDEFINED in row_f:
+                for g, (g_inner, _, _), codes in zip(gs, slots_of[ell, m], got):
+                    yield g, g_inner, codes, None
+                return
+            # lhs: op(g, op(f, p, qs), rs) over (p, qs, rs), rs fastest, read
+            # from the row of g at indices kept per n_r; rhs: op(fg, p, s),
+            # the code of s over (qs, rs) by Horner's rule over the fibers
+            # of f from the row of each g_i at its gather, kept per g_slots.
+            # Every entry of those rows is read.  A closed form has no
+            # UNDEFINED entry in any row of its family, so it skips each
+            # scan for one, and each g_i whose source has one operation:
+            # its row is all 0
+            widths, reads, gathers = [len(fib) for fib in f.fibers], {}, {}
             for g, (g_inner, g_slots, n_r), codes in zip(gs, slots_of[ell, m], got):
-                held = None
-                if dead:
-                    yield g, g_inner, codes, held
-                    continue
-                row_g = rows_g[g.code]
-                if n_r == 1:
-                    lhs = [row_g[mid] for mid in row_f]
-                else:
-                    lhs = []
-                    for mid in row_f:
-                        lhs += row_g[mid * n_r : mid * n_r + n_r]
+                at = reads.get(n_r)
+                if at is None:
+                    at = reads[n_r] = row_f if n_r == 1 else [mid * n_r + r for mid in row_f for r in range(n_r)]
+                lhs, held = list(map(rows_g[g.code].__getitem__, at)), None
                 if closed or UNDEFINED not in lhs:
                     at = gathers.get(g_slots)
                     if at is None:
@@ -470,22 +469,35 @@ class OperadRows:
                     fg_code, sources, g_codes = codes
                     code = None
                     for source, width, c, at_i in zip(sources, widths, g_codes, at):
+                        if closed and sizes[source] == 1:
+                            continue
                         row = rows[source][width][c]
                         if not closed and UNDEFINED in row:
                             break
                         s_i = map(row.__getitem__, at_i)
                         code = s_i if code is None else map(add, map(mul, code, itertools.repeat(sizes[source])), s_i)
                     else:
-                        code = [0] * n_r if code is None else list(code)  # no fibers: n_q is 1
+                        if code is None:
+                            code = [0] * (n_q * n_r)
                         row_fg = rows_fg[fg_code]
-                        n_s = len(row_fg) // n_p
-                        if lhs == [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]:
+                        if n_p == 1:
+                            rhs = list(map(row_fg.__getitem__, code))
+                        else:
+                            code, n_s = list(code), len(row_fg) // n_p
+                            rhs = [row_fg[at + c] for at in range(0, len(row_fg), n_s) for c in code]
+                        if lhs == rhs:
                             held = len(lhs)
                 yield g, g_inner, codes, held
 
-        def pairs(f: FinMap, ell: int, total):
+        def pairs(f: FinMap, n_q: int, ell: int, total):
+            if not by_code:
+                by_code.extend([None] * n_arities for _ in range(n_arities))
+                for (a, b), hs in maps.items():
+                    by_code[a][b] = table = [None] * b**a
+                    for h in hs:
+                        table[h.code] = h
             fgs, widths = by_code[ell][f.target], [len(fib) for fib in f.fibers]
-            for g, g_inner, (fg_code, sources, codes), held in squares(f, ell, total is None):
+            for g, g_inner, (fg_code, sources, codes), held in squares(f, n_q, ell, total is None):
                 g_is = tuple(by_code[s][w][c] for s, w, c in zip(sources, widths, codes))
                 yield g, fgs[fg_code], g_is, g_inner, held
 
@@ -495,13 +507,13 @@ class OperadRows:
             if not ps:
                 continue
             for m in range(n_arities):
-                for f, (f_inner, _, _) in zip(live[m, n], slots_of[m, n]):
+                for f, (f_inner, _, n_q) in zip(live[m, n], slots_of[m, n]):
                     for ell in range(n_arities):
                         key = (n, f.values, ell)
                         if closed and sizes[ell] == 1:
                             if (ell, m) not in weights:
-                                weights[ell, m] = sum(math.prod(sizes[len(fib)] for fib in g.fibers) for g in maps[ell, m])
-                            total = len(ps) * math.prod(map(len, f_inner)) * weights[ell, m]
+                                weights[ell, m] = sum(n_r for _, _, n_r in slots_of[ell, m])
+                            total = len(ps) * n_q * weights[ell, m]
                         elif key in verdicts:
                             total = verdicts[key]
                         elif walks is not None and walks(n, f.values, ell):
@@ -510,13 +522,13 @@ class OperadRows:
                             # square by square; the squares are not kept
                             # (keeping them raised the peak resident set)
                             total = 0
-                            for *_, held in squares(f, ell, True):
+                            for *_, held in squares(f, n_q, ell, True):
                                 if held is None:
                                     total = None
                                     break
                                 total += held
                             verdicts[key] = total
-                        yield f, ps, f_inner, ell, total, pairs(f, ell, total)
+                        yield f, ps, f_inner, ell, total, pairs(f, n_q, ell, total)
 
     def key_code(self, f: FinMap, p: str, qs):
         """The code of ``(p, qs)``, a composition key, in the row of f."""
