@@ -188,12 +188,12 @@ def induced_fiber_map(f: FinMap, g: FinMap, i: int) -> FinMap:
 
 
 def _square_codes(f: FinMap, gs) -> list:
-    """For each map g: ell -> m into f.source of ``gs``, in one pass over ``g.values``: the
-    :attr:`FinMap.code` of ``f.g`` and, for every i, the source and the
-    code of the map ``(f.g)^-1(i) -> f^-1(i)`` that g induces, as
-    ``(fg_code, sources, codes)``.  No map is built.  Agrees with
-    :func:`fm_compose` and :func:`induced_fiber_map`, which stay as the
-    reference implementation."""
+    """For each map g: ell -> m of ``gs`` into f.source, in one pass over
+    ``g.values``: the :attr:`FinMap.code` of ``f.g`` and, for every i,
+    the source and the code of the map ``(f.g)^-1(i) -> f^-1(i)`` that g
+    induces, as ``(fg_code, sources, codes)``.  No map is built.  Agrees
+    with :func:`fm_compose` and :func:`induced_fiber_map`, which stay as
+    the reference implementation."""
     n, widths = f.target, tuple(map(len, f.fibers))
     # for each value v of g: the fiber of f it lies in, its rank there
     # (both from 0) and the size of that fiber

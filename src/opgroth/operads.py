@@ -305,7 +305,7 @@ class OperadRows:
     The operations of each arity are numbered by their place in the
     carrier.  ``row(f)`` is indexed by the code of ``(p, qs)`` in the
     mixed radix of the carrier sizes of f.target and of f's fiber slots
-    (:meth:`slots`), the order ``itertools.product`` yields them in; each
+    (:meth:`shape`), the order ``itertools.product`` yields them in; each
     entry is the index of ``op(f, p, qs)`` in its carrier, or UNDEFINED.
     A row is filled by one :meth:`Operad.compose` per key on first use,
     and kept in one list per source and target indexed by
@@ -326,7 +326,7 @@ class OperadRows:
         # _rows[m][n][code]: the row of the map m -> n with that code, or
         # None before it is filled; a list is made on first use
         self._rows = [[None] * len(self.sizes) for _ in self.sizes]
-        self._slots, self._verdicts, self._closed = {}, {}, None
+        self._shapes, self._slots, self._verdicts, self._closed = {}, {}, {}, None
         self._gather_f, self._gathers, self._ints = None, {}, ()
         self._digits, self._sub_codes = cache(_digits), cache(_sub_codes)
 
@@ -349,11 +349,19 @@ class OperadRows:
             row = by_code[f.code] = tuple(row)
         return row
 
-    def slots(self, f: FinMap) -> tuple:
-        """The carrier sizes of f's fiber slots, one tuple per distinct
-        value for the form's lifetime."""
-        slots = tuple(self.sizes[len(fib)] for fib in f.fibers)
-        return self._slots.setdefault(slots, slots)
+    def shape(self, f: FinMap) -> tuple:
+        """``(inner, slots, width)`` of f: the carriers of its fiber slots,
+        their sizes and the product of those, the number of codes of qs.
+        One tuple per tuple of fiber sizes for the form's lifetime, and one
+        slot-size tuple per distinct value."""
+        fiber_sizes = tuple(map(len, f.fibers))
+        got = self._shapes.get(fiber_sizes)
+        if got is None:
+            inner = tuple(self.o.carriers[k] for k in fiber_sizes)
+            slots = tuple(map(len, inner))
+            slots = self._slots.setdefault(slots, slots)
+            got = self._shapes[fiber_sizes] = (inner, slots, math.prod(slots))
+        return got
 
     def gather(self, f: FinMap, g_slots: tuple):
         """For each fiber i of f, over the codes of (qs, rs) with rs
@@ -368,7 +376,7 @@ class OperadRows:
         got = self._gathers.get(g_slots)
         if got is None:
             got = []
-            for fib, digits in zip(f.fibers, self._digits(self.slots(f))):
+            for fib, digits in zip(f.fibers, self._digits(self.shape(f)[1])):
                 n_sub, sub = math.prod(g_slots[j - 1] for j in fib), self._sub_codes(g_slots, fib)
                 if len(self._ints) < self.sizes[len(fib)] * n_sub:
                     self._ints = tuple(range(self.sizes[len(fib)] * n_sub))
@@ -415,18 +423,17 @@ class OperadRows:
             # fills every row of the family, which the kernel reads by code
             self._closed = all([UNDEFINED not in self.row(h) for hs in maps.values() for h in hs])
         closed = self._closed
-        # the maps of maps[m, n] whose fiber slots all have operations,
-        # and for each its slot carriers, their sizes and the product
-        live, slots_of, interned = {}, {}, self._slots
+        # the maps of maps[m, n] whose fiber slots all have operations, and
+        # the shape of each (:meth:`shape`)
+        live, shapes_of, shapes = {}, {}, self._shapes
         for key, hs in maps.items():
-            kept, info = [], []
+            kept, kept_shapes = [], []
             for h in hs:
-                inner = [o.carriers[len(fib)] for fib in h.fibers]
-                if all(inner):
-                    slots = tuple(map(len, inner))
+                shape = shapes.get(tuple(map(len, h.fibers))) or self.shape(h)
+                if shape[2]:
                     kept.append(h)
-                    info.append((inner, interned.setdefault(slots, slots), math.prod(slots)))
-            live[key], slots_of[key] = tuple(kept), tuple(info)
+                    kept_shapes.append(shape)
+            live[key], shapes_of[key] = tuple(kept), tuple(kept_shapes)
         # by_code[m][n][code]: the map of maps[m, n] with that code, or
         # None; made when a group's pairs are first walked
         by_code = []
@@ -440,12 +447,12 @@ class OperadRows:
             gs, n_p = live[ell, m], sizes[n]
             got = _square_codes(f, gs)
             if not prove:
-                for g, (g_inner, _, n_r), codes in zip(gs, slots_of[ell, m], got):
+                for g, (g_inner, _, n_r), codes in zip(gs, shapes_of[ell, m], got):
                     yield g, g_inner, codes, n_p * n_q * n_r
                 return
             row_f, rows_g, rows_fg = rows[m][n][f.code], rows[ell][m], rows[ell][n]
             if not closed and UNDEFINED in row_f:
-                for g, (g_inner, _, _), codes in zip(gs, slots_of[ell, m], got):
+                for g, (g_inner, _, _), codes in zip(gs, shapes_of[ell, m], got):
                     yield g, g_inner, codes, None
                 return
             # lhs: op(g, op(f, p, qs), rs) over (p, qs, rs), rs fastest, read
@@ -457,7 +464,7 @@ class OperadRows:
             # scan for one, and each g_i whose source has one operation:
             # its row is all 0
             widths, reads, gathers = [len(fib) for fib in f.fibers], {}, {}
-            for g, (g_inner, g_slots, n_r), codes in zip(gs, slots_of[ell, m], got):
+            for g, (g_inner, g_slots, n_r), codes in zip(gs, shapes_of[ell, m], got):
                 at = reads.get(n_r)
                 if at is None:
                     at = reads[n_r] = row_f if n_r == 1 else [mid * n_r + r for mid in row_f for r in range(n_r)]
@@ -507,12 +514,12 @@ class OperadRows:
             if not ps:
                 continue
             for m in range(n_arities):
-                for f, (f_inner, _, n_q) in zip(live[m, n], slots_of[m, n]):
+                for f, (f_inner, _, n_q) in zip(live[m, n], shapes_of[m, n]):
                     for ell in range(n_arities):
                         key = (n, f.values, ell)
                         if closed and sizes[ell] == 1:
                             if (ell, m) not in weights:
-                                weights[ell, m] = sum(n_r for _, _, n_r in slots_of[ell, m])
+                                weights[ell, m] = sum(n_r for _, _, n_r in shapes_of[ell, m])
                             total = len(ps) * n_q * weights[ell, m]
                         elif key in verdicts:
                             total = verdicts[key]
@@ -546,8 +553,8 @@ class OperadRows:
         row of g, of ``(qs[i], rs|f^-1(i))`` in the row of each g_i and of
         ``(p, s)`` in the row of fg, ``s[i]`` being ``op(g_i, qs[i],
         rs|f^-1(i))``."""
-        row_f, g_slots = self.row(f), self.slots(g)
-        n_p, n_q, n_r, sizes = self.sizes[f.target], math.prod(self.slots(f)), math.prod(g_slots), self.sizes
+        row_f, (_, g_slots, n_r) = self.row(f), self.shape(g)
+        n_p, n_q, sizes = self.sizes[f.target], self.shape(f)[2], self.sizes
         x_f = [a for a in range(len(row_f)) for _ in range(n_r)]
         x_g = [mid * n_r + r for mid in row_f for r in range(n_r)]
         x_gis, code = [], [0] * (n_q * n_r)
@@ -555,7 +562,7 @@ class OperadRows:
             row, radix = self.row(g_i), sizes[g_i.source]
             x_gis.append(list(at) * n_p)
             code = [c * radix + row[k] for c, k in zip(code, at)]
-        n_s = math.prod(self.slots(fg))
+        n_s = self.shape(fg)[2]
         x_fg = [at + c for at in range(0, n_p * n_s, n_s) for c in code]
         return x_f, x_g, x_gis, x_fg
 
