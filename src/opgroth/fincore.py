@@ -187,18 +187,17 @@ def induced_fiber_map(f: FinMap, g: FinMap, i: int) -> FinMap:
     )
 
 
-def _square_codes(f: FinMap, gs) -> list:
-    """For each map g: ell -> m of ``gs`` into f.source, in one pass over
-    ``g.values``: the :attr:`FinMap.code` of ``f.g`` and, for every i,
-    the source and the code of the map ``(f.g)^-1(i) -> f^-1(i)`` that g
-    induces, as ``(fg_code, sources, codes)``.  No map is built.  Agrees
-    with :func:`fm_compose` and :func:`induced_fiber_map`, which stay as
-    the reference implementation."""
+def _square_codes(f: FinMap, gs):
+    """Yields, for each map g: ell -> m of ``gs`` into f.source, from one
+    pass over ``g.values``: the :attr:`FinMap.code` of ``f.g`` and, for
+    every i, the source and the code of the map ``(f.g)^-1(i) -> f^-1(i)``
+    that g induces, as ``(fg_code, sources, codes)``.  No map is built.
+    Agrees with :func:`fm_compose` and :func:`induced_fiber_map`, which
+    stay as the reference implementation."""
     n, widths = f.target, tuple(map(len, f.fibers))
     # for each value v of g: the fiber of f it lies in, its rank there
     # (both from 0) and the size of that fiber
     steps = [(i - 1, r - 1, widths[i - 1]) for i, r in zip(f.values, f._ranks)]
-    out = []
     for g in gs:
         fg, sources, codes = 0, [0] * n, [0] * n
         for v in g.values:
@@ -206,8 +205,7 @@ def _square_codes(f: FinMap, gs) -> list:
             fg = fg * n + i
             sources[i] += 1
             codes[i] = codes[i] * w + r
-        out.append((fg, sources, codes))
-    return out
+        yield fg, sources, codes
 
 
 def block_permutation(f: FinMap, taus) -> FinMap:

@@ -456,19 +456,23 @@ class OperadRows:
                     yield g, g_inner, codes, None
                 return
             # lhs: op(g, op(f, p, qs), rs) over (p, qs, rs), rs fastest, read
-            # from the row of g at indices kept per n_r; rhs: op(fg, p, s),
-            # the code of s over (qs, rs) by Horner's rule over the fibers
-            # of f from the row of each g_i at its gather, kept per g_slots.
-            # Every entry of those rows is read.  A closed form has no
-            # UNDEFINED entry in any row of its family, so it skips each
-            # scan for one, and each g_i whose source has one operation:
-            # its row is all 0
-            widths, reads, gathers = [len(fib) for fib in f.fibers], {}, {}
+            # from the row of g in slices (index lists kept per group held
+            # ints of their own: 0.7 MB more at the peak of assoc(4)); rhs:
+            # op(fg, p, s), the code of s over (qs, rs) by Horner's rule
+            # over the fibers of f from the row of each g_i at its gather,
+            # kept per g_slots.  Every entry of those rows is read.  A
+            # closed form has no UNDEFINED entry in any row of its family,
+            # so it skips each scan for one, and each g_i whose source has
+            # one operation: its row is all 0
+            widths, gathers = [len(fib) for fib in f.fibers], {}
             for g, (g_inner, g_slots, n_r), codes in zip(gs, shapes_of[ell, m], got):
-                at = reads.get(n_r)
-                if at is None:
-                    at = reads[n_r] = row_f if n_r == 1 else [mid * n_r + r for mid in row_f for r in range(n_r)]
-                lhs, held = list(map(rows_g[g.code].__getitem__, at)), None
+                row_g, held = rows_g[g.code], None
+                if n_r == 1:
+                    lhs = list(map(row_g.__getitem__, row_f))
+                else:
+                    lhs = []
+                    for mid in row_f:
+                        lhs += row_g[mid * n_r : mid * n_r + n_r]
                 if closed or UNDEFINED not in lhs:
                     at = gathers.get(g_slots)
                     if at is None:

@@ -112,7 +112,7 @@ def test_a_map_code_is_its_place_among_all_maps():
     assert FinMap(3, 2, (2, 1, 1)).code == 0b100
     f, g = FinMap(3, 2, (2, 1, 1)), FinMap(2, 3, (3, 1))
     # f.g = [1,2]; g_1: {1} -> {2,3} is [2] and g_2: {2} -> {1} is [1]
-    assert _square_codes(f, [g]) == [(1, [1, 1], [1, 0])]
+    assert list(_square_codes(f, [g])) == [(1, [1, 1], [1, 0])]
 
 
 def test_block_permutation_examples():
