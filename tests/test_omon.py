@@ -590,13 +590,15 @@ def test_shared_operad_rows_serve_one_family_of_maps():
 
 @pytest.fixture
 def built_squares(monkeypatch):
-    # the sweep takes the codes of f.g and of each g_i at every pair of a
-    # group it proves or walks in one call, with the group's g
+    # the sweep takes the codes of f.g and of each g_i of a group it proves
+    # or walks from one generator over the group's g; a pair is counted as
+    # its codes are yielded, so a square left after a failing one is not
     built = []
 
     def counting(f, gs):
-        built.extend((f, g) for g in gs)
-        return square_codes(f, gs)
+        for g, codes in zip(gs, square_codes(f, gs)):
+            built.append((f, g))
+            yield codes
 
     square_codes = opgroth.operads._square_codes
     monkeypatch.setattr(opgroth.operads, "_square_codes", counting)
