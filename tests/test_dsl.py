@@ -4,7 +4,8 @@ import pathlib
 
 import pytest
 
-from fuzzing import token_mutations
+from fuzzing import nested_lines, random_lines, reference_tokenize_line, token_mutations
+from opgroth import dsl
 from opgroth.dsl import (
     DocBuilder,
     parse_spec_file,
@@ -115,15 +116,20 @@ def test_crlf_is_accepted():
 
 
 def test_nested_tuple_labels_tokenize():
+    # a group closes at the bracket that brings the depth back to 0,
+    # whatever its kind, and an arrow line needs no spaces
     text = """
 [category P]
-objects = (a,b), (a,c)
+objects = (a,b), (a,c), (a], ((((a,b),c),d),e)
 m : (a,b) -> (a,c)
+u:(a]->((((a,b),c),d),e)
 """
     doc = parse_spec_file(text)
     assert doc.ok
     cat = doc.get("P").value
-    assert cat.objects == ("(a,b)", "(a,c)")
+    assert cat.objects == ("(a,b)", "(a,c)", "(a]", "((((a,b),c),d),e)")
+    u = cat.mor_index("u")
+    assert (cat.objects[cat.mor_src[u]], cat.objects[cat.mor_tgt[u]]) == ("(a]", "((((a,b),c),d),e)")
 
 
 def test_iset_section_builds_actions():
@@ -184,6 +190,10 @@ LOCATED = [
      ("2:13: expected a comma before 'b' in [C]", "4:1: unknown key 'frobnicate' in [C]")),
     ("list_group_of_two_operations", "[operad O]\narity 1 = e f\nunit = e\n", 3,
      "2:13: expected a comma before 'f' in [O]"),
+    ("unbalanced_bracket_group", "[category C]\nobjects = a, (b\n", 3,
+     ("2:14: unbalanced bracket group in [C]", "1:1: category needs an 'objects' line in [C]")),
+    ("unmatched_closing_bracket", "[category C]\nobjects = a, b)\n", 3,
+     ("2:15: unmatched closing bracket in [C]", "1:1: category needs an 'objects' line in [C]")),
 ]
 
 
@@ -205,6 +215,47 @@ def _mutated_documents():
         for name in FIXTURE_NAMES
         for text in token_mutations(read(name), seed=1, count=100)
     )
+
+
+def _parser_tokens(line: str):
+    """The parser's ``(text, column)`` tokens of one line, or None, and
+    its rendered diagnostics."""
+    diagnostics = []
+    tokens = dsl._tokenize_line(line, 7, diagnostics, "S")
+    return tokens, [d.render() for d in diagnostics]
+
+
+def _reference_tokens(line: str):
+    diagnostics = []
+    tokens = reference_tokenize_line(line, 7, diagnostics, "S")
+    return tokens, [d.render() for d in diagnostics]
+
+
+def test_tokenizer_matches_the_reference_on_every_swept_line():
+    fixture_lines = {line for name in FIXTURE_NAMES for line in read(name).splitlines()}
+    mutated_lines = {
+        line
+        for name in FIXTURE_NAMES
+        for text in token_mutations(read(name), seed=1, count=100)
+        for line in text.splitlines()
+    }
+    sweeps = {
+        "fixtures": fixture_lines,
+        "mutations": mutated_lines - fixture_lines,
+        "random": list(random_lines(seed=1, count=50000)),
+        "nested": list(nested_lines(6)),
+    }
+    for sweep, lines in sweeps.items():
+        assert lines, sweep
+        for line in lines:
+            assert _parser_tokens(line) == _reference_tokens(line), (sweep, line)
+    # the sweeps reach both diagnostics and bracket groups 6 deep
+    rendered = {d for line in sweeps["random"] + sweeps["nested"] for d in _reference_tokens(line)[1]}
+    assert {d.split(": ", 1)[1] for d in rendered} == {
+        "unbalanced bracket group in [S]",
+        "unmatched closing bracket in [S]",
+    }
+    assert any(t.count("(") + t.count("[") == 6 for t, _ in _reference_tokens(sweeps["nested"][-1])[0])
 
 
 def test_token_mutations_never_hit_the_internal_error_net():
