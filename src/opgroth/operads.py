@@ -41,7 +41,9 @@ class Operad:
     rule: Optional[Callable[[FinMap, str, tuple[str, ...]], str]] = None
     table: Optional[dict] = None
     origin: Optional[tuple] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # results of ``rule`` by key; a table is read at every call, as it may
+    # be edited between calls, and a copy starts with an empty cache
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def elements(self, n: int) -> tuple[str, ...]:
         if not 0 <= n <= self.max_arity:
@@ -75,18 +77,16 @@ class Operad:
                     f"{q!r} is not an element of arity {size} (fiber {i} of {f.label()})"
                 )
         if self.rule is not None:
-            result = self.rule(f, p, qs)
-        elif self.table is not None:
-            try:
-                result = self.table[key]
-            except KeyError:
-                raise CompositionUndefined(
-                    f"no table entry for mu {f.label()} {p} {' '.join(qs)}"
-                ) from None
-        else:
+            result = self._cache[key] = self.rule(f, p, qs)
+            return result
+        if self.table is None:
             raise CompositionUndefined("operad has neither a rule nor a table")
-        self._cache[key] = result
-        return result
+        try:
+            return self.table[key]
+        except KeyError:
+            raise CompositionUndefined(
+                f"no table entry for mu {f.label()} {p} {' '.join(qs)}"
+            ) from None
 
 
 def composition_keys(o: Operad):

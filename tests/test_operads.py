@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -271,8 +272,20 @@ def test_equal_table_operads_stay_equal_after_one_composes():
     a, b = make(), make()
     assert a == b
     assert a.compose(identity_map(1), "e", ("e",)) == "e"
-    assert a._cache and not b._cache
     assert a == b
+
+
+def test_a_table_operad_edited_after_a_check_is_checked_on_its_new_table():
+    assoc = build_assoc(2)
+    table = {(f.target, f.values, p, qs): assoc.compose(f, p, qs) for f, p, qs in composition_keys(assoc)}
+    o = Operad(name="T", max_arity=2, carriers=assoc.carriers, unit=assoc.unit, table=table)
+    assert check_operad_axioms(o).ok
+    key = next(k for k in table if k[:2] == (1, (1, 1)))
+    table[key] = next(r for r in assoc.carriers[2] if r != table[key])
+    fresh = Operad(name="T", max_arity=2, carriers=assoc.carriers, unit=assoc.unit, table=dict(table))
+    assert len(check_operad_axioms(fresh).records) == 15
+    assert check_operad_axioms(o).records == check_operad_axioms(fresh).records
+    assert check_operad_axioms(dataclasses.replace(o)).records == check_operad_axioms(fresh).records
 
 
 def test_checker_agrees_with_oracle_on_corrupted_variants():
