@@ -2,21 +2,31 @@
 
 Line-oriented: ``[kind name]`` section headers, ``key = value`` entries,
 arrow declarations ``f : a -> b``, comments from ``#`` to end of line,
-LF or CRLF.  Bracket and parenthesis groups are single tokens, so tuple
-and map literals may appear anywhere a label does.  Parsing is total:
-every error becomes a diagnostic with a 1-based line and column, and an
-error in one section does not stop collection in the others.
+LF or CRLF.  Parsing is total: every error becomes a diagnostic with a
+1-based line and column, and an error in one section does not stop
+collection in the others.
+
+Tokens are words, ``->``, ``=``, ``,`` and ``:``, with optional
+whitespace between them.  A word runs up to whitespace, one of ``=,:``, or a ``-`` that
+starts ``->``, and may hold bracket groups.  A group opens at ``(`` or
+``[`` and closes at the ``)`` or ``]`` that brings the depth back to 0,
+whatever its kind (so ``(a]`` is one token), and takes in every
+character between, so tuple and map literals may appear anywhere a label
+does.  A closing bracket outside any group, or a group that never
+closes, is a diagnostic that drops its line.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 from .fincore import FinMap, _mixed_encode, make_category
 from .fib2cat import (
     DiscreteFibration,
     FinFunction,
+    FinSet,
     IndexedSet,
     iset_from_tables,
 )
@@ -71,7 +81,17 @@ class Diagnostic:
 @dataclass
 class RawLine:
     line: int
-    tokens: list  # (text, col) pairs
+    text: str  # the line up to its comment
+    tokens: list  # token texts
+    eq: int  # index of the first "=" token; 0 if there is none
+
+    def col(self, k: int) -> int:
+        """The 1-based column of token k, worked out for a diagnostic:
+        tokens are the line's text in order, parted by whitespace only."""
+        at = 0
+        for t in self.tokens[:k]:
+            at = self.text.index(t, at) + len(t)
+        return self.text.index(self.tokens[k], at) + 1
 
 
 @dataclass
@@ -112,76 +132,56 @@ class SpecDocument:
 # tokenizer
 
 
-def _tokenize_line(text: str, lineno: int, diagnostics: list, section: str):
-    hash_pos = text.find("#")
-    if hash_pos >= 0:
-        text = text[:hash_pos]
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "=,:":
-            tokens.append((ch, i + 1))
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(("->", i + 1))
-            i += 2
-            continue
-        start = i
-        buf = []
-        while i < n:
-            ch = text[i]
-            if ch.isspace() or ch in "=,:" or (ch == "-" and i + 1 < n and text[i + 1] == ">"):
-                break
-            if ch in "([":
-                close = ")" if ch == "(" else "]"
-                depth = 0
-                j = i
-                while j < n:
-                    if text[j] in "([":
-                        depth += 1
-                    elif text[j] in ")]":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    j += 1
-                if j >= n or depth != 0:
-                    diagnostics.append(
-                        Diagnostic(lineno, i + 1, "unbalanced bracket group", section)
-                    )
-                    return None
-                buf.append(text[i : j + 1])
-                i = j + 1
-                continue
-            if ch in ")]":
-                diagnostics.append(
-                    Diagnostic(lineno, i + 1, "unmatched closing bracket", section)
-                )
+# One token of the grammar in the module doc, after optional whitespace.
+# The pattern reaches groups nested _DEPTH deep; its last, empty
+# alternative matches at a bracket it cannot take, a bare one or one
+# opening a deeper group, and sends the line to _bracket_scan.
+_DEPTH = 3
+_FLAT = r"[^()\[\]]*"
+_GROUP = rf"[(\[]{_FLAT}[)\]]"
+for _ in range(_DEPTH - 1):
+    _GROUP = rf"[(\[]{_FLAT}(?:{_GROUP}{_FLAT})*[)\]]"
+_BRACKET = re.compile(r"[()\[\]]")
+_TOKEN = re.compile(rf"\s*([=,:]|(?:[^\s=,:()\[\]-]+|-(?!>)|{_GROUP})+|->|(?=[()\[\]]))")
+
+
+def _tokenize_line(code: str, lineno: int, diagnostics: list, section: str):
+    """The token texts of ``code``, a line up to its comment, or None
+    after a bracket diagnostic."""
+    tokens = _TOKEN.findall(code)
+    return _bracket_scan(code, lineno, diagnostics, section) if "" in tokens else tokens
+
+
+def _bracket_scan(code: str, lineno: int, diagnostics: list, section: str):
+    """The tokens of a line holding a bracket the pattern cannot take:
+    diagnose the first closing bracket outside any group, or a group that
+    never closes; else tokenize the line with each group's inside masked."""
+    depth = opened = 0
+    masked = list(code)
+    for i, ch in enumerate(code):
+        if ch in "([":
+            if not depth:
+                opened = i
+            depth += 1
+        elif ch in ")]":
+            if not depth:
+                diagnostics.append(Diagnostic(lineno, i + 1, "unmatched closing bracket", section))
                 return None
-            buf.append(ch)
-            i += 1
-        tokens.append(("".join(buf), start + 1))
-    return tokens
-
-
-def _split_on(tokens, sep):
-    groups = [[]]
-    for tok in tokens:
-        if tok[0] == sep:
-            groups.append([])
-        else:
-            groups[-1].append(tok)
-    return groups
+            depth -= 1
+            if not depth:
+                masked[opened + 1 : i] = "_" * (i - opened - 1)
+    if depth:
+        diagnostics.append(Diagnostic(lineno, opened + 1, "unbalanced bracket group", section))
+        return None
+    return [code[m.start(1) : m.end(1)] for m in _TOKEN.finditer("".join(masked))]
 
 
 def _parse_tuple(text: str):
     """Split a parenthesized literal at top-level commas."""
     inner = text[1:-1]
+    if not _BRACKET.search(inner):
+        parts = inner.split(",")
+        return tuple(map(str.strip, parts)) if len(parts) > 1 or inner.strip() else ()
     parts = []
     depth = 0
     buf = []
@@ -215,7 +215,8 @@ def _parse_raw(text: str, diagnostics: list):
     sections: list[RawSection] = []
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        code = line.partition("#")[0]
+        stripped = code.strip()
         if not stripped:
             continue
         if stripped.startswith("["):
@@ -247,9 +248,10 @@ def _parse_raw(text: str, diagnostics: list):
                 Diagnostic(lineno, 1, "content before any section header", "")
             )
             continue
-        tokens = _tokenize_line(line, lineno, diagnostics, current.name)
+        tokens = _tokenize_line(code, lineno, diagnostics, current.name)
         if tokens:
-            current.entries.append(RawLine(line=lineno, tokens=tokens))
+            eq = tokens.index("=") if "=" in tokens else 0
+            current.entries.append(RawLine(lineno, code, tokens, eq))
     names = {}
     for s in sections:
         if s.name in names:
@@ -310,31 +312,21 @@ class _Resolver:
             self.values[name] = value
         return value
 
-    def ref(self, raw, line, token, kinds):
-        name, col = token
+    def ref(self, raw, entry, name, kinds):
+        """Resolve ``name``, the single value of ``entry``, as a section of
+        one of ``kinds``."""
         if name not in self.raw:
-            self.diag(raw, line, col, f"unresolved reference {name!r}")
+            self.diag(raw, entry.line, entry.col(entry.eq + 1), f"unresolved reference {name!r}")
             return None
         if self.raw[name].kind not in kinds:
             self.diag(
-                raw, line, col,
+                raw, entry.line, entry.col(entry.eq + 1),
                 f"{name!r} is a {self.raw[name].kind}, expected one of {kinds}",
             )
             return None
         return self.resolve(name)
 
     # -- helpers -------------------------------------------------------------
-
-    @staticmethod
-    def _key_values(raw):
-        """Yield (key tokens, value token groups, line) for key=value lines."""
-        for entry in raw.entries:
-            texts = [t for t, _ in entry.tokens]
-            idx = texts.index("=") if "=" in texts else 0
-            if idx:
-                yield entry.tokens[:idx], entry.tokens[idx + 1 :], entry
-            else:  # no '=', or nothing before it
-                yield None, None, entry
 
     def _entries(self, raw, fields, keys=None, needs=None):
         """Read the ``key = value`` lines of ``raw`` in order.
@@ -343,37 +335,36 @@ class _Resolver:
         reference, resolved on the spot), to ``list`` (a comma list) or
         to what its single token is.  ``keys`` maps a head word to
         ``(word count, handler)``: a key with that head word and that
-        many words (any number for None) goes to the handler as one
-        ``(key words, value tokens, entry)`` tuple, and a handler returns
-        False to give the section up.  Any other line is diagnosed and
-        ends the section.  Returns the fields read, or None after a
-        diagnostic, which is the ``needs`` message when that is given
-        and a field is missing.
+        many words (any number for None) goes to the handler as its
+        :class:`RawLine`, and a handler returns False to give the section
+        up.  Any other line is diagnosed and ends the section.  Returns
+        the fields read, or None after a diagnostic, which is the
+        ``needs`` message when that is given and a field is missing.
         """
         got = {}
-        for key, value, entry in self._key_values(raw):
-            if key is None:
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
+        for entry in raw.entries:
+            eq, tokens = entry.eq, entry.tokens
+            if not eq:  # no '=', or nothing before it
+                self.diag(raw, entry.line, entry.col(0), "unrecognized line")
                 return None
-            texts = [t for t, _ in key]
-            what = fields.get(texts[0]) if len(texts) == 1 else None
+            head = tokens[0]
+            what = fields.get(head) if eq == 1 else None
             if what is None:
-                size, handle = keys.get(texts[0], (0, None)) if keys else (0, None)
-                if handle is None or size not in (None, len(texts)):
-                    self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(texts)!r}")
+                size, handle = keys.get(head, (0, None)) if keys else (0, None)
+                if handle is None or size not in (None, eq):
+                    self.diag(raw, entry.line, entry.col(0), f"unknown key {' '.join(tokens[:eq])!r}")
                     return None
-                if handle((texts, value, entry)) is False:
+                if handle(entry) is False:
                     return None
             elif what is list:
-                got[texts[0]] = self._list_values(raw, entry, value)
-                if got[texts[0]] is None:
+                got[head] = self._list_values(raw, entry)
+                if got[head] is None:
                     return None
             elif what in SECTION_KINDS:
-                tok = self._single(raw, entry, value, f"{what} name")
-                got[texts[0]] = self.ref(raw, entry.line, tok, (what,)) if tok else None
+                name = self._single(raw, entry, f"{what} name")
+                got[head] = self.ref(raw, entry, name, (what,)) if name else None
             else:
-                tok = self._single(raw, entry, value, what)
-                got[texts[0]] = tok[0] if tok else None
+                got[head] = self._single(raw, entry, what)
         if needs is not None and any(got.get(k) is None for k in fields):
             self.diag(raw, raw.line, 1, needs)
             return None
@@ -384,52 +375,55 @@ class _Resolver:
         comma list when ``what`` is ``list``, in ``table`` at the key's
         words after the first (one word, or a tuple of several)."""
 
-        def handle(line):
-            texts, value, entry = line
-            at = texts[1] if len(texts) == 2 else tuple(texts[1:])
+        def handle(entry):
+            tokens, eq = entry.tokens, entry.eq
+            at = tokens[1] if eq == 2 else tuple(tokens[1:eq])
             if what is list:
-                values = self._list_values(raw, entry, value)
+                values = self._list_values(raw, entry)
                 if values is None:
                     return False
                 table[at] = values
             else:
-                tok = self._single(raw, entry, value, what)
-                if tok:
-                    table[at] = tok[0]
+                value = self._single(raw, entry, what)
+                if value:
+                    table[at] = value
 
         return handle
 
-    def _single(self, raw, entry, value_tokens, what):
-        if len(value_tokens) != 1:
-            col = value_tokens[0][1] if value_tokens else 1
+    def _single(self, raw, entry, what):
+        """The one value token of a ``key = value`` line, or None after a
+        diagnostic."""
+        tokens, eq = entry.tokens, entry.eq
+        if len(tokens) != eq + 2:
+            col = entry.col(eq + 1) if len(tokens) > eq + 1 else 1
             self.diag(raw, entry.line, col, f"expected a single {what}")
             return None
-        return value_tokens[0]
+        return tokens[eq + 1]
 
-    def _list_tokens(self, raw, entry, value_tokens):
-        """The (text, column) tokens of a comma list, or None after a
-        diagnostic at the first group holding more than one token."""
-        groups = [g for g in _split_on(value_tokens, ",") if g]
-        for g in groups:
-            if len(g) > 1:
-                self.diag(raw, entry.line, g[1][1], f"expected a comma before {g[1][0]!r}")
-                return None
-        return [g[0] for g in groups]
+    def _list_values(self, raw, entry):
+        """The items of a line's comma list value, empty items dropped, or
+        None after a diagnostic at the first item holding more than one
+        token."""
+        value = entry.tokens[entry.eq + 1 :]
+        items = value[::2]
+        if "," in items or value[1::2].count(",") != len(value) // 2:
+            for i in range(1, len(value)):
+                if value[i] != "," != value[i - 1]:
+                    self.diag(raw, entry.line, entry.col(entry.eq + 1 + i), f"expected a comma before {value[i]!r}")
+                    return None
+            items = [t for t in value if t != ","]
+        return items
 
-    def _list_values(self, raw, entry, value_tokens):
-        tokens = self._list_tokens(raw, entry, value_tokens)
-        return None if tokens is None else [text for text, _ in tokens]
-
-    def _natural(self, raw, line, token, least):
-        """The integer ``token`` names, or None after a diagnostic when
-        it names none or one below ``least``."""
-        text, col = token
+    def _natural(self, raw, entry, k, least):
+        """The integer token k of ``entry`` names, or None after a
+        diagnostic when it names none or one below ``least``."""
+        text = entry.tokens[k]
         try:
             n = int(text)
         except ValueError:
             n = None
         if n is None or n < least:
-            self.diag(raw, line, col, f"expected an integer of at least {least}, got {text!r}")
+            self.diag(raw, entry.line, entry.col(k), f"expected an integer of at least {least}, got {text!r}")
             return None
         return n
 
@@ -440,38 +434,38 @@ class _Resolver:
         arrows = []
         compose = {}
         ok = listed = True
-        for key, value, entry in self._key_values(raw):
-            texts = [t for t, _ in entry.tokens]
-            if key is None:
+        for entry in raw.entries:
+            eq, texts = entry.eq, entry.tokens
+            if not eq:
                 if ":" in texts and "->" in texts:
                     ci, ai = texts.index(":"), texts.index("->")
                     if ci == 1 and ai == 3 and len(texts) == 5:
                         arrows.append((entry, texts[0], texts[2], texts[4]))
                         continue
-                self.diag(raw, entry.line, entry.tokens[0][1], "unrecognized line")
+                self.diag(raw, entry.line, entry.col(0), "unrecognized line")
                 ok = False
                 continue
-            key_texts = [t for t, _ in key]
-            if key_texts == ["objects"]:
+            if eq == 1 and texts[0] == "objects":
                 objects = []
-                tokens = self._list_tokens(raw, entry, value)
-                if tokens is None:
+                labels = self._list_values(raw, entry)
+                if labels is None:
                     ok = listed = False
                     continue
-                for label, col in tokens:
+                for k, label in enumerate(labels):
                     if label in objects:
-                        self.diag(raw, entry.line, col, f"duplicate object label {label!r}")
+                        at = [i for i in range(eq + 1, len(texts)) if texts[i] != ","][k]
+                        self.diag(raw, entry.line, entry.col(at), f"duplicate object label {label!r}")
                         ok = False
                     else:
                         objects.append(label)
-            elif key_texts and key_texts[0] == "compose" and len(key_texts) == 3:
-                target = self._single(raw, entry, value, "morphism")
+            elif eq == 3 and texts[0] == "compose":
+                target = self._single(raw, entry, "morphism")
                 if target is None:
                     ok = False
                     continue
-                compose[(key_texts[1], key_texts[2])] = target[0]
+                compose[(texts[1], texts[2])] = target
             else:
-                self.diag(raw, entry.line, key[0][1], f"unknown key {' '.join(key_texts)!r}")
+                self.diag(raw, entry.line, entry.col(0), f"unknown key {' '.join(texts[:eq])!r}")
                 ok = False
         if objects is None:
             self.diag(raw, raw.line, 1, "category needs an 'objects' line")
@@ -481,12 +475,12 @@ class _Resolver:
         label_pool = set(objects) | {f"id_{a}" for a in objects}
         for entry, label, s, t in arrows:
             if label in label_pool:
-                self.diag(raw, entry.line, entry.tokens[0][1],
+                self.diag(raw, entry.line, entry.col(0),
                           f"arrow label {label!r} collides with another label")
                 return None
             label_pool.add(label)
             if s not in objects or t not in objects:
-                col = entry.tokens[2 if s not in objects else 4][1]
+                col = entry.col(2 if s not in objects else 4)
                 self.diag(raw, entry.line, col, f"arrow {label!r} references unknown objects")
                 return None
         try:
@@ -569,20 +563,17 @@ class _Resolver:
     def _build_operad(self, raw):
         arities, mu_lines, max_arity = {}, [], None
 
-        def truncation(line):
+        def truncation(entry):
             nonlocal max_arity
-            _, value, entry = line
-            tok = self._single(raw, entry, value, "integer")
-            if tok:
-                max_arity = self._natural(raw, entry.line, tok, 1)
+            if self._single(raw, entry, "integer"):
+                max_arity = self._natural(raw, entry, entry.eq + 1, 1)
                 return max_arity is not None
 
-        def arity(line):
-            _, value, entry = line
-            n = self._natural(raw, entry.line, entry.tokens[1], 0)
+        def arity(entry):
+            n = self._natural(raw, entry, 1, 0)
             if n is None:
                 return False
-            arities[n] = self._list_values(raw, entry, value)
+            arities[n] = self._list_values(raw, entry)
             if arities[n] is None:
                 return False
 
@@ -616,22 +607,23 @@ class _Resolver:
         top = max(arities)
         carriers = tuple(tuple(arities.get(k, ())) for k in range(top + 1))
         table = {}
-        for key_texts, value, entry in mu_lines:
+        for entry in mu_lines:
             # mu [values] p q1 ... qn = r
-            if len(key_texts) < 3 or not key_texts[1].startswith("["):
-                self.diag(raw, entry.line, entry.tokens[0][1], "malformed mu entry")
+            key = entry.tokens[: entry.eq]
+            if len(key) < 3 or not key[1].startswith("["):
+                self.diag(raw, entry.line, entry.col(0), "malformed mu entry")
                 return None
-            p = key_texts[2]
-            qs = tuple(key_texts[3:])
+            p = key[2]
+            qs = tuple(key[3:])
             try:
-                f = _parse_finmap_literal(key_texts[1], len(qs))
+                f = _parse_finmap_literal(key[1], len(qs))
             except ValueError as exc:
-                self.diag(raw, entry.line, entry.tokens[1][1], str(exc))
+                self.diag(raw, entry.line, entry.col(1), str(exc))
                 return None
-            tok = self._single(raw, entry, value, "element")
-            if tok is None:
+            r = self._single(raw, entry, "element")
+            if r is None:
                 return None
-            table[(f.target, f.values, p, qs)] = tok[0]
+            table[(f.target, f.values, p, qs)] = r
         return Operad(name=raw.name, max_arity=top, carriers=carriers, unit=unit, table=table)
 
     # -- structured sections ---------------------------------------------------
@@ -640,10 +632,10 @@ class _Resolver:
         labels = _parse_tuple(literal)
         for kind, index in (("obj", cat.obj_index), ("mor", cat.mor_index)):
             try:
-                return tuple(index(x) for x in labels), kind
+                return tuple(map(index, labels)), kind
             except KeyError:
                 pass
-        self.diag(raw, entry.line, entry.tokens[0][1],
+        self.diag(raw, entry.line, entry.col(0),
                   f"tuple {literal} is neither all objects nor all morphisms")
         return None, None
 
@@ -659,29 +651,30 @@ class _Resolver:
         operad, base = got["operad"], got["base"]
         tensors: dict = {}
         ok = True
-        for key_texts, value, entry in tensor_lines:
-            if len(key_texts) != 3 or not key_texts[2].startswith("("):
-                self.diag(raw, entry.line, entry.tokens[0][1], "malformed tensor entry")
+        for entry in tensor_lines:
+            key = entry.tokens[: entry.eq]
+            if len(key) != 3 or not key[2].startswith("("):
+                self.diag(raw, entry.line, entry.col(0), "malformed tensor entry")
                 ok = False
                 continue
-            p = key_texts[1]
-            combo, kind = self._lookup_tuple(raw, entry, base, key_texts[2])
+            p = key[1]
+            combo, kind = self._lookup_tuple(raw, entry, base, key[2])
             if combo is None:
                 ok = False
                 continue
             n = len(combo)
-            tok = self._single(raw, entry, value, "label")
-            if tok is None:
+            label = self._single(raw, entry, "label")
+            if label is None:
                 ok = False
                 continue
             table = tensors.setdefault((n, p), TensorTable(obj={}, mor={}))
             try:
                 if kind == "obj":
-                    table.obj[combo] = base.obj_index(tok[0])
+                    table.obj[combo] = base.obj_index(label)
                 else:
-                    table.mor[combo] = base.mor_index(tok[0])
+                    table.mor[combo] = base.mor_index(label)
             except KeyError as exc:
-                self.diag(raw, entry.line, tok[1], str(exc))
+                self.diag(raw, entry.line, entry.col(entry.eq + 1), str(exc))
                 ok = False
         # identity-tuple morphism entries are forced by functoriality
         for (n, p), table in tensors.items():
@@ -689,30 +682,31 @@ class _Resolver:
                 ids = tuple(base.id_of(a) for a in combo)
                 table.mor.setdefault(ids, base.id_of(target))
         phi = {}
-        for key_texts, value, entry in phi_lines:
+        for entry in phi_lines:
             # phi [values] p q1 ... qn (A1,...,Am) = mor
-            if len(key_texts) < 4 or not key_texts[1].startswith("[") or not key_texts[-1].startswith("("):
-                self.diag(raw, entry.line, entry.tokens[0][1], "malformed phi entry")
+            key = entry.tokens[: entry.eq]
+            if len(key) < 4 or not key[1].startswith("[") or not key[-1].startswith("("):
+                self.diag(raw, entry.line, entry.col(0), "malformed phi entry")
                 ok = False
                 continue
-            p = key_texts[2]
-            qs = tuple(key_texts[3:-1])
+            p = key[2]
+            qs = tuple(key[3:-1])
             try:
-                f = _parse_finmap_literal(key_texts[1], len(qs))
+                f = _parse_finmap_literal(key[1], len(qs))
             except ValueError as exc:
-                self.diag(raw, entry.line, entry.tokens[1][1], str(exc))
+                self.diag(raw, entry.line, entry.col(1), str(exc))
                 ok = False
                 continue
-            labels = _parse_tuple(key_texts[-1])
-            tok = self._single(raw, entry, value, "morphism")
-            if tok is None:
+            labels = _parse_tuple(key[-1])
+            mor = self._single(raw, entry, "morphism")
+            if mor is None:
                 ok = False
                 continue
             try:
-                objs = tuple(base.obj_index(x) for x in labels)
-                phi[(f, p, qs, objs)] = base.mor_index(tok[0])
+                objs = tuple(map(base.obj_index, labels))
+                phi[(f, p, qs, objs)] = base.mor_index(mor)
             except KeyError as exc:
-                self.diag(raw, entry.line, entry.tokens[0][1], str(exc))
+                self.diag(raw, entry.line, entry.col(0), str(exc))
                 ok = False
         if not ok:
             return None
@@ -728,20 +722,21 @@ class _Resolver:
             return None
         dom, cod = got["dom"], got["cod"]
         xi = {}
-        for key_texts, value, entry in xi_lines:
-            if len(key_texts) != 3 or not key_texts[2].startswith("("):
-                self.diag(raw, entry.line, entry.tokens[0][1], "malformed xi entry")
+        for entry in xi_lines:
+            key = entry.tokens[: entry.eq]
+            if len(key) != 3 or not key[2].startswith("("):
+                self.diag(raw, entry.line, entry.col(0), "malformed xi entry")
                 return None
-            p = key_texts[1]
-            labels = _parse_tuple(key_texts[2])
-            tok = self._single(raw, entry, value, "morphism")
-            if tok is None:
+            p = key[1]
+            labels = _parse_tuple(key[2])
+            mor = self._single(raw, entry, "morphism")
+            if mor is None:
                 return None
             try:
-                objs = tuple(dom.base.obj_index(x) for x in labels)
-                xi[(len(objs), p, objs)] = cod.base.mor_index(tok[0])
+                objs = tuple(map(dom.base.obj_index, labels))
+                xi[(len(objs), p, objs)] = cod.base.mor_index(mor)
             except KeyError as exc:
-                self.diag(raw, entry.line, entry.tokens[0][1], str(exc))
+                self.diag(raw, entry.line, entry.col(0), str(exc))
                 return None
         return LaxOMonFunctor(dom=dom, cod=cod, functor=got["functor"], xi=xi, name=raw.name)
 
@@ -786,26 +781,28 @@ class _Resolver:
             return None
         groups: dict = {}
         ok = True
-        for key_texts, value, entry in nu_lines:
+        obj_index = omon.base.obj_index
+        for entry in nu_lines:
             # nu p (i1,...,in) (x1,...,xn) = y
-            if len(key_texts) != 4 or not key_texts[2].startswith("(") or not key_texts[3].startswith("("):
-                self.diag(raw, entry.line, entry.tokens[0][1], "malformed nu entry")
+            key = entry.tokens[: entry.eq]
+            if len(key) != 4 or not key[2].startswith("(") or not key[3].startswith("("):
+                self.diag(raw, entry.line, entry.col(0), "malformed nu entry")
                 ok = False
                 continue
-            p = key_texts[1]
-            i_labels = _parse_tuple(key_texts[2])
-            x_labels = _parse_tuple(key_texts[3])
-            tok = self._single(raw, entry, value, "element")
-            if tok is None:
+            p = key[1]
+            i_labels = _parse_tuple(key[2])
+            x_labels = _parse_tuple(key[3])
+            y = self._single(raw, entry, "element")
+            if y is None:
                 ok = False
                 continue
             try:
-                i_vec = tuple(omon.base.obj_index(x) for x in i_labels)
+                i_vec = tuple(map(obj_index, i_labels))
             except KeyError as exc:
-                self.diag(raw, entry.line, entry.tokens[0][1], str(exc))
+                self.diag(raw, entry.line, entry.col(0), str(exc))
                 ok = False
                 continue
-            groups.setdefault((len(i_vec), p, i_vec), {})[x_labels] = (tok[0], entry)
+            groups.setdefault((len(i_vec), p, i_vec), {})[x_labels] = (y, entry)
         nu = {}
         for (n, p, i_vec), table in groups.items():
             src = o_set_product(iset.values[a] for a in i_vec)
@@ -815,18 +812,17 @@ class _Resolver:
                 self.diag(raw, raw.line, 1, f"nu entry references a missing tensor at arity {n}")
                 ok = False
                 continue
-            sizes = [iset.values[a].size for a in i_vec]
+            sets = [iset.values[a] for a in i_vec]
+            sizes = [s.size for s in sets]
             mapping = [None] * src.size
             for x_labels, (y, entry) in table.items():
                 try:
-                    xs = tuple(
-                        iset.values[a].index(x) for a, x in zip(i_vec, x_labels)
-                    )
+                    xs = tuple(map(FinSet.index, sets, x_labels))
                     if len(x_labels) != n:
                         raise KeyError("tuple arity mismatch")
                     mapping[_mixed_encode(xs, sizes)] = tgt.index(y)
                 except KeyError as exc:
-                    self.diag(raw, entry.line, entry.tokens[0][1], str(exc))
+                    self.diag(raw, entry.line, entry.col(0), str(exc))
                     ok = False
             if any(v is None for v in mapping):
                 self.diag(raw, raw.line, 1,
