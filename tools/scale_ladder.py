@@ -1,6 +1,6 @@
 """Scale ladder: time the structured checkers at growing arity, the
-classical round trip, and the ``check`` and ``oroundtrip`` commands on
-the structured corpus.
+classical round trip, the ``check`` and ``oroundtrip`` commands on the
+structured corpus, and the parser on the two corpus files.
 
 Each rung builds one input and checks it, in a fresh interpreter with a
 wall-clock cap, and records the build time and the check time apart, the
@@ -122,6 +122,23 @@ def _oroundtrip_command(name: str):
     return doc, lambda doc: cli._oroundtrip(doc, {"source": f"fixtures/{name}", "max_arity": 3})
 
 
+def _parse_file(name: str, times: int):
+    from opgroth.dsl import parse_spec_file
+    from opgroth.report import CheckReport
+
+    def parse(text: str):
+        report = CheckReport()
+        for _ in range(times):
+            doc = parse_spec_file(text)
+            report.count("parse.section_instances", len(doc.sections))
+            report.count("parse.diagnostics", len(doc.diagnostics))
+            if not doc.ok:
+                report.structural("parse.diagnostic", doc.diagnostics[0].render())
+        return report
+
+    return (ROOT / "fixtures" / name).read_text(encoding="utf-8"), parse
+
+
 # rung name -> () -> (input, checker); the input build is timed apart
 RUNGS = {
     **{
@@ -166,6 +183,12 @@ RUNGS = {
     # the cell search and the structured round trip of the oroundtrip
     # command, on one memo: the build is the parse
     "oroundtrip corpus_omon.spec": lambda: _oroundtrip_command("corpus_omon.spec"),
+    # the parser alone, the same text parsed again and again so that the
+    # time stands above timer noise: the build reads the file
+    **{
+        f"parse {name} {times} times": (lambda name=name, times=times: _parse_file(name, times))
+        for name, times in (("corpus_small.spec", 100), ("corpus_omon.spec", 100))
+    },
 }
 
 
