@@ -141,7 +141,6 @@ _FLAT = r"[^()\[\]]*"
 _GROUP = rf"[(\[]{_FLAT}[)\]]"
 for _ in range(_DEPTH - 1):
     _GROUP = rf"[(\[]{_FLAT}(?:{_GROUP}{_FLAT})*[)\]]"
-_BRACKET = re.compile(r"[()\[\]]")
 _TOKEN = re.compile(rf"\s*([=,:]|(?:[^\s=,:()\[\]-]+|-(?!>)|{_GROUP})+|->|(?=[()\[\]]))")
 
 
@@ -179,9 +178,6 @@ def _bracket_scan(code: str, lineno: int, diagnostics: list, section: str):
 def _parse_tuple(text: str):
     """Split a parenthesized literal at top-level commas."""
     inner = text[1:-1]
-    if not _BRACKET.search(inner):
-        parts = inner.split(",")
-        return tuple(map(str.strip, parts)) if len(parts) > 1 or inner.strip() else ()
     parts = []
     depth = 0
     buf = []

@@ -86,30 +86,6 @@ def reference_tokenize_line(text: str, lineno: int, diagnostics: list, section: 
     return tokens
 
 
-def reference_parse_tuple(text: str):
-    """The parser's split of a parenthesized literal at top-level commas,
-    as a loop over every character, frozen as the reference for the
-    split that skips the loop when the literal holds no inner bracket."""
-    inner = text[1:-1]
-    parts = []
-    depth = 0
-    buf = []
-    for ch in inner:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail or parts:
-        parts.append(tail)
-    return tuple(parts)
-
-
 # the tokenizer's special characters, space, tab, and whitespace outside
 # ASCII; \x1c, \x85 and \u2028 also end a line for str.splitlines
 LINE_ALPHABET = "ab-=>,:#()[] \t\x1c\x85\xa0\u2028\u3000"

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from fuzzing import nested_lines, random_lines, reference_parse_tuple, reference_tokenize_line, token_mutations
+from fuzzing import nested_lines, random_lines, reference_tokenize_line, token_mutations
 from opgroth import dsl
 from opgroth.dsl import (
     DocBuilder,
@@ -261,12 +261,6 @@ def test_tokenizer_matches_the_reference_on_every_swept_line():
         "unmatched closing bracket in [S]",
     }
     assert any(t.count("(") + t.count("[") == 6 for t, _ in _reference_tokens(sweeps["nested"][-1])[0])
-
-
-def test_tuple_literals_split_as_the_reference_does():
-    literals = [f"({line})" for line in random_lines(seed=2, count=20000)] + ["()", "( )", "(,)", "(a,)"]
-    for literal in literals:
-        assert dsl._parse_tuple(literal) == reference_parse_tuple(literal), literal
 
 
 def test_token_mutations_never_hit_the_internal_error_net():
