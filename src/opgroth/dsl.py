@@ -83,7 +83,7 @@ class RawLine:
     line: int
     text: str  # the line up to its comment
     tokens: list  # token texts
-    eq: int  # index of the first "=" token; 0 if there is none
+    eq: int  # index of the first "=" token, or 0: a key = value line has eq > 0
 
     def col(self, k: int) -> int:
         """The 1-based column of token k, worked out for a diagnostic:

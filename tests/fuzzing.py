@@ -86,8 +86,9 @@ def reference_tokenize_line(text: str, lineno: int, diagnostics: list, section: 
     return tokens
 
 
-# the tokenizer's special characters, space, tab, and whitespace outside
-# ASCII; \x1c, \x85 and \u2028 also end a line for str.splitlines
+# the tokenizer's special characters, space, tab and other whitespace
+# (\x1c, \x85 and \u2028 also end a line for str.splitlines, \xa0 and
+# \u3000 do not)
 LINE_ALPHABET = "ab-=>,:#()[] \t\x1c\x85\xa0\u2028\u3000"
 
 
