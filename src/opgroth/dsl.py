@@ -26,7 +26,6 @@ from .fincore import FinMap, _mixed_encode, make_category
 from .fib2cat import (
     DiscreteFibration,
     FinFunction,
-    FinSet,
     IndexedSet,
     iset_from_tables,
 )
@@ -133,14 +132,10 @@ class SpecDocument:
 
 
 # One token of the grammar in the module doc, after optional whitespace.
-# The pattern reaches groups nested _DEPTH deep; its last, empty
+# The pattern takes bracket groups with no group inside; its last, empty
 # alternative matches at a bracket it cannot take, a bare one or one
-# opening a deeper group, and sends the line to _bracket_scan.
-_DEPTH = 3
-_FLAT = r"[^()\[\]]*"
-_GROUP = rf"[(\[]{_FLAT}[)\]]"
-for _ in range(_DEPTH - 1):
-    _GROUP = rf"[(\[]{_FLAT}(?:{_GROUP}{_FLAT})*[)\]]"
+# opening a nested group, and sends the line to _bracket_scan.
+_GROUP = r"[(\[][^()\[\]]*[)\]]"
 _TOKEN = re.compile(rf"\s*([=,:]|(?:[^\s=,:()\[\]-]+|-(?!>)|{_GROUP})+|->|(?=[()\[\]]))")
 
 
@@ -628,7 +623,7 @@ class _Resolver:
         labels = _parse_tuple(literal)
         for kind, index in (("obj", cat.obj_index), ("mor", cat.mor_index)):
             try:
-                return tuple(map(index, labels)), kind
+                return tuple(index(x) for x in labels), kind
             except KeyError:
                 pass
         self.diag(raw, entry.line, entry.col(0),
@@ -699,7 +694,7 @@ class _Resolver:
                 ok = False
                 continue
             try:
-                objs = tuple(map(base.obj_index, labels))
+                objs = tuple(base.obj_index(x) for x in labels)
                 phi[(f, p, qs, objs)] = base.mor_index(mor)
             except KeyError as exc:
                 self.diag(raw, entry.line, entry.col(0), str(exc))
@@ -729,7 +724,7 @@ class _Resolver:
             if mor is None:
                 return None
             try:
-                objs = tuple(map(dom.base.obj_index, labels))
+                objs = tuple(dom.base.obj_index(x) for x in labels)
                 xi[(len(objs), p, objs)] = cod.base.mor_index(mor)
             except KeyError as exc:
                 self.diag(raw, entry.line, entry.col(0), str(exc))
@@ -777,7 +772,6 @@ class _Resolver:
             return None
         groups: dict = {}
         ok = True
-        obj_index = omon.base.obj_index
         for entry in nu_lines:
             # nu p (i1,...,in) (x1,...,xn) = y
             key = entry.tokens[: entry.eq]
@@ -793,7 +787,7 @@ class _Resolver:
                 ok = False
                 continue
             try:
-                i_vec = tuple(map(obj_index, i_labels))
+                i_vec = tuple(omon.base.obj_index(x) for x in i_labels)
             except KeyError as exc:
                 self.diag(raw, entry.line, entry.col(0), str(exc))
                 ok = False
@@ -808,12 +802,13 @@ class _Resolver:
                 self.diag(raw, raw.line, 1, f"nu entry references a missing tensor at arity {n}")
                 ok = False
                 continue
-            sets = [iset.values[a] for a in i_vec]
-            sizes = [s.size for s in sets]
+            sizes = [iset.values[a].size for a in i_vec]
             mapping = [None] * src.size
             for x_labels, (y, entry) in table.items():
                 try:
-                    xs = tuple(map(FinSet.index, sets, x_labels))
+                    xs = tuple(
+                        iset.values[a].index(x) for a, x in zip(i_vec, x_labels)
+                    )
                     if len(x_labels) != n:
                         raise KeyError("tuple arity mismatch")
                     mapping[_mixed_encode(xs, sizes)] = tgt.index(y)
