@@ -85,7 +85,7 @@ from .omon import (
     restrict_along_operad_morphism,
     xi_key_render,
 )
-from .operads import boolean_semiring, build_qconv, identity_operad_morphism, operads_equal, qconv_coords, terminal_morphism
+from .operads import _rows_on, boolean_semiring, build_qconv, identity_operad_morphism, operads_equal, qconv_coords, terminal_morphism
 from .report import CheckReport, _memoized
 
 LaxToSet = LaxSetFunctor
@@ -93,8 +93,10 @@ LaxToSet = LaxSetFunctor
 
 def check_laxtoset(x: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport:
     """Validate the index structure, the indexed set, and the lax
-    comparison data as one object.  On a ``memo``, the index structure's
-    report is the one its other checks on that memo read."""
+    comparison data as one object.  The index structure's report is the
+    one its other checks on ``memo`` read; a memo of its own lets its
+    structure check and composition gate share operad rows."""
+    memo = {} if memo is None else memo
     report = CheckReport()
     report.merge(_checked_omon(memo, x.dom), where=x.dom.name or "index")
     if not report.ok:
@@ -193,6 +195,7 @@ def check_ofib_object(x: OFibObject, *, memo: dict | None = None) -> CheckReport
         x.total_omon,
         x.base_omon,
         x.fib.proj,
+        _rows_on(memo, x.total_omon.operad),
         clean=True,
     )
 
@@ -270,7 +273,7 @@ def check_ocell(c: OCell, *, memo: dict | None = None) -> CheckReport:
     # the square mu . nu_x == G(xi) . nu_y . (mu x ... x mu) on the ids of
     # one numbering of both sides' sets and functions; a missing value or an
     # uncomposable pair goes to the label tables, which name it
-    xi = _TableTarget(lax, _Compiled(x.dom), False)
+    xi = _TableTarget(lax, _Compiled(x.dom, _rows_on(memo, operad)), False)
     top = _SetTarget(x, xi.cc)
     bottom = top if y is x else _SetTarget(y, xi.cod_cc, share=top)
     mu = [top.intern(fn) for fn in c.mu]
@@ -371,7 +374,7 @@ def check_ofib_cell(c: OFibCell, *, memo: dict | None = None) -> CheckReport:
     # one row compare per operation, and a walk of the rows where they differ;
     # a missing component goes to the label tables, which name it
     top, bottom = c.top_lax(), c.bottom_lax()
-    up, down = _TableTarget(top, _Compiled(top.dom), False), _TableTarget(bottom, _Compiled(bottom.dom), False)
+    up, down = (_TableTarget(L, _Compiled(L.dom, _rows_on(memo, L.dom.operad)), False) for L in (top, bottom))
     operad, objects, proj = top.dom.operad, c.dom.fib.total.objects, c.cod.fib.proj.on_mor
     n_obj, n_base = up.cc.n_obj, down.cc.n_obj
 

@@ -51,7 +51,7 @@ from .fib2cat import (
 from .operads import (
     UNDEFINED,
     Operad,
-    _keys,
+    OperadRows,
     _rows_on,
     build_assoc,
     build_comm,
@@ -190,21 +190,23 @@ class _Compiled:
     it in, and a row is indexed by such codes.  ``obj[n, p]`` and
     ``mor[n, p]`` are the tensor tables and ``comp[g * n_mor + f]`` is the
     composite or MISSING.  :meth:`key` gives a composition key
-    ``(f, p, qs)`` its operation ``rho``, the row of codes of its target
-    tuples (the block tensors) and the row of its resolved structure
-    isomorphism: the explicit entry, else the identity where the two
-    endpoints agree, else MISSING.
+    ``(f, p, qs)``, whose operation ``rho`` the caller passes, the row of
+    codes of its target tuples (the block tensors) and the row of its
+    resolved structure isomorphism: the explicit entry, else the identity
+    where the two endpoints agree, else MISSING.  Callers read rho by
+    position from ``rows`` (:meth:`OperadRows.keys`), the operad rows the
+    check's composition gate filled, or those of an equal operad; a caller
+    that reads no key passes None.
 
     Rows are built on first use.  No caller keeps the form past the call
     that builds it, because the label tables it reads are edited in place
     by :func:`omon_copy` and the mutation helpers.  Tensor tables must be
-    total, and so must the operad's composition (see
-    :func:`_composition_totality`).
+    total, and so must the operad's composition.
     """
 
-    def __init__(self, c: OMonCategory):
+    def __init__(self, c: OMonCategory, rows: OperadRows | None):
         base = c.base
-        self.c = c
+        self.c, self.rows = c, rows
         self.n_obj = n_obj = base.n_objects
         self.n_mor = n_mor = base.n_morphisms
         self.ident, self.mor_src, self.mor_tgt = base.identity, base.mor_src, base.mor_tgt
@@ -277,18 +279,18 @@ class _Compiled:
             got = self._ends[m] = (self.image(m, self.mor_src, self.n_obj, True), self.image(m, self.mor_tgt, self.n_obj, True))
         return got
 
-    def key(self, f: FinMap, p: str, qs):
-        """``(rho, targets, phi)`` of a composition key; see the class doc."""
+    def key(self, f: FinMap, p: str, qs, rho: str):
+        """``(targets, phi)`` of a composition key whose operation is rho;
+        see the class doc."""
         k = (f.target, f.values, p, qs)
         got = self._keys.get(k)
         if got is None:
-            rho = self.c.operad.compose(f, p, qs)
             targets = self.blocks(f, qs)
             tgt, ident = self.obj[f.target, p], self.ident
             phi = [ident[s] if s == tgt[t] else MISSING for s, t in zip(self.obj[f.source, rho], targets)]
             for x, value in self.explicit.get(k, {}).items():
                 phi[x] = value
-            got = self._keys[k] = (rho, targets, tuple(phi))
+            got = self._keys[k] = (targets, tuple(phi))
         return got
 
     def by_map(self, f: FinMap):
@@ -300,13 +302,11 @@ class _Compiled:
         got = self._by_map.get(k)
         if got is None:
             targets, phi = [], []
-            carriers = self.c.operad.carriers
-            inner = [carriers[len(fib)] for fib in f.fibers]
-            for p in carriers[f.target]:
-                for qs in itertools.product(*inner):
-                    _, t, row = self.key(f, p, qs)
-                    targets += t
-                    phi += row
+            rows, results = self.rows, self.rows.o.carriers[f.source]
+            for (p, qs), at in zip(rows.labels(f), rows.row(f)):
+                t, row = self.key(f, p, qs, results[at])
+                targets += t
+                phi += row
             got = self._by_map[k] = (targets, phi)
         return got
 
@@ -378,49 +378,39 @@ def _tensor_totality(report: CheckReport, c: OMonCategory, prefix: str, where: s
                     )
 
 
-def _family_maps(operad: Operad, family=all_maps) -> dict:
-    """``{(m, n): the maps family(m, n) yields}`` over the truncation."""
-    n_arities = operad.max_arity + 1
-    return {(a, b): tuple(family(a, b)) for a in range(n_arities) for b in range(n_arities)}
-
-
-def _composition_totality(report: CheckReport, operad: Operad, maps: dict, prefix: str, where: str, memo=None, family=all_maps):
-    """Record as structural each composite of the operad, over the maps
-    ``maps[m, n]`` that ``family(m, n)`` yields, that is undefined or lies
-    outside its carrier (an UNDEFINED entry of its rows); :class:`_Compiled`
-    reads them all.  Gives the filled rows, or None when a record was made.
-    A ``memo`` keeps one form per operad and family (:func:`_rows_on`),
-    since the form keeps its verdicts on the squares of one family."""
-    rows = _rows_on(memo, operad, family)
+def _composition_totality(report: CheckReport, rows: OperadRows, prefix: str, where: str) -> bool:
+    """Record as structural each composite over the maps of the operad
+    ``rows`` that is undefined or lies outside its carrier (an UNDEFINED
+    entry); :class:`_Compiled` reads them all.  Whether none is."""
     total = True
-    n_arities = operad.max_arity + 1
+    n_arities = rows.o.max_arity + 1
     for n in range(n_arities):
         for m in range(n_arities):
-            for f in maps[m, n]:
+            for f in rows.maps[m, n]:
                 row = rows.row(f)
                 if UNDEFINED not in row:
                     continue
                 total = False
-                inner = itertools.product(*[operad.carriers[len(fib)] for fib in f.fibers])
-                for (p, qs), at in zip(itertools.product(operad.carriers[n], inner), row):
+                for (p, qs), at in zip(rows.labels(f), row):
                     if at == UNDEFINED:
                         report.structural(
                             f"{prefix}.operad_composition",
                             f"mu {f.label()} {p} {' '.join(qs)} is undefined or outside its carrier",
                             where,
                         )
-    return rows if total else None
+    return total
 
 
 def _compile_gate(report: CheckReport, prefix: str, at: str, dom: OMonCategory, cod=None, memo=None):
-    """Tensor totality of dom, then of another ``cod``, then the composition gate: the maps, or None."""
+    """Tensor totality of dom, then of another ``cod``, then the composition
+    gate: the operad rows, one form per operad on a ``memo``, or None."""
     _tensor_totality(report, dom, prefix, at + "dom")
     if cod is not None and cod is not dom:
         _tensor_totality(report, cod, prefix, at + "cod")
     if report.ok:
-        maps = _family_maps(dom.operad)
-        if _composition_totality(report, dom.operad, maps, prefix, at + "dom", memo):
-            return maps
+        rows = _rows_on(memo, dom.operad)
+        if _composition_totality(report, rows, prefix, at + "dom"):
+            return rows
 
 
 def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -> CheckReport:
@@ -512,11 +502,11 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
         return report
 
     # structure isomorphisms: keys, typing, invertibility, identity axioms, naturality
-    maps = _family_maps(operad, family)
+    rows = _rows_on(memo, operad, family)
     composable = []  # the explicit keys that name a composition key
     for f, p, qs, objs in phi:
         if (
-            f in maps.get((f.source, f.target), ())
+            f in rows.maps.get((f.source, f.target), ())
             and p in elements(f.target)
             and len(qs) == f.target
             and all(q in elements(len(fib)) for q, fib in zip(qs, f.fibers))
@@ -531,15 +521,14 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             where,
         )
 
-    rows = _composition_totality(report, operad, maps, prefix, where, memo, family)
-    if rows is None:
+    if not _composition_totality(report, rows, prefix, where):
         return report
-    cc = _Compiled(c)
+    cc = _Compiled(c, rows)
     comp, tensor_obj, tensor_mor, explicit = cc.comp, cc.obj, cc.mor, cc.explicit
     iso_instances, naturality_instances = f"{prefix}.{iso}_instances", f"{prefix}.{iso}_naturality_instances"
-    for f, p, qs in _keys(operad, lambda a, b: maps[a, b]):
+    for f, p, qs, rho in rows.keys():
         m, n = f.source, f.target
-        rho, targets, row = cc.key(f, p, qs)
+        targets, row = cc.key(f, p, qs, rho)
         if row:
             count(iso_instances, len(row))
         entries = explicit.get((n, f.values, p, qs), {})
@@ -627,7 +616,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     def walked(n, values, ell):
         return ell >= lowest or (n, values) in touched
 
-    for f, ps, f_inner, ell, proven, pairs in rows.sweep(maps, walked):
+    for f, ps, f_inner, ell, proven, pairs in rows.sweep(walked):
         n, m = f.target, f.source
         n_x = n_obj**ell
         if proven is not None and not walked(n, f.values, ell):
@@ -782,8 +771,8 @@ def _compose_lax(L2: LaxOMonFunctor, L1: LaxOMonFunctor) -> LaxOMonFunctor:
     both; a missing component or undefined composite is left to the label
     tables, which raise at it."""
     out = LaxOMonFunctor(dom=L1.dom, cod=L2.cod, functor=functor_compose(L2.functor, L1.functor))
-    first = _TableTarget(L1, _Compiled(L1.dom), False)
-    second = _TableTarget(L2, first.cod_cc if L2.dom is L1.cod else _Compiled(L2.dom), False)
+    first = _TableTarget(L1, _Compiled(L1.dom, None), False)
+    second = _TableTarget(L2, first.cod_cc if L2.dom is L1.cod else _Compiled(L2.dom, None), False)
     cod = second.cod_cc
     composition, ident = cod.c.base.composition, cod.ident
     on_mor, on_obj = L2.functor.on_mor, out.functor.on_obj
@@ -818,8 +807,9 @@ class _LaxTarget:
     - ``across(n, p)``: the row of ``T_p(F(mors))`` over morphism tuples;
     - ``tensors(n, p, blocks, size)``: the row of ``T_p`` of the values
       at one code of each row in ``blocks``, MISSING where one is;
-    - ``target_phi(f, p, qs, xs)``: the target's structure isomorphism
-      at the image of each object tuple with a code in ``xs``;
+    - ``target_phi(f, p, qs, rho, xs)``: the target's structure
+      isomorphism at the image of each object tuple with a code in ``xs``,
+      rho being ``op(f, p, qs)``;
     - ``compose(g, f)``: a composite, or MISSING.
 
     ``at``, ``label_obj``, ``label_mor``, ``label_compose``,
@@ -871,12 +861,12 @@ class _LaxTarget:
         return lhs != rhs
 
 
-def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget, maps: dict) -> CheckReport:
+def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget) -> CheckReport:
     """The laws of a lax functor out of the compiled structure ``cc``, for
     either target ``t``: the components ``t.comp`` are typed (with the
     identity rule at the unit), natural in the object tuple, and coherent
     with every structure isomorphism, one per composition key over the
-    maps ``maps[m, n]``; then the components classify it as strict, weak
+    maps of ``cc.rows``; then the components classify it as strict, weak
     or lax.
     """
     dom = cc.c
@@ -941,13 +931,13 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
     # coherence against every structure isomorphism; with no record so
     # far, every component is present and typed
     clean = report.ok
-    for f, p, qs in _keys(operad, lambda a, b: maps[a, b]):
+    for f, p, qs, rho in cc.rows.keys():
         m, n = f.source, f.target
-        if clean and t.untouched(f, p, qs) and plain_legs(f, p, qs, operad.compose(f, p, qs)):
+        if clean and t.untouched(f, p, qs) and plain_legs(f, p, qs, rho):
             if n_obj**m:
                 count(coh_instances, n_obj**m)
             continue
-        rho, targets, phi = cc.key(f, p, qs)
+        targets, phi = cc.key(f, p, qs, rho)
         if not phi:
             continue
         count(coh_instances, len(phi))
@@ -962,7 +952,7 @@ def _lax_coherence(report: CheckReport, where: str, cc: _Compiled, t: _LaxTarget
             subs = [[sub[x] for x in xs] for sub in subs]
         top, bottom = rows[m, rho], rows[n, p]
         blocks = [[rows[len(fib), q][s] for s in sub] for fib, q, sub in zip(f.fibers, qs, subs)]
-        for x, d, c in zip(xs, t.tensors(n, p, blocks, len(xs)), t.target_phi(f, p, qs, xs)):
+        for x, d, c in zip(xs, t.tensors(n, p, blocks, len(xs)), t.target_phi(f, p, qs, rho, xs)):
             a, u, b = phi[x], top[x], targets[x]
             v = bottom[b]
             if a != MISSING and u != MISSING and v != MISSING and d != MISSING and c != MISSING:
@@ -1006,7 +996,8 @@ class _TableTarget(_LaxTarget):
     def __init__(self, L: LaxOMonFunctor, cc: _Compiled, clean: bool):
         F, cod = L.functor, L.cod
         self.cc, self.L = cc, L
-        self.cod_cc = cod_cc = cc if cod is L.dom else _Compiled(cod)
+        # the operads are equal (checked before), so the dom's rows serve
+        self.cod_cc = cod_cc = cc if cod is L.dom else _Compiled(cod, cc.rows)
         n_mor = cod_cc.n_mor
         self.obj_images = _Rows(lambda n: cc.image(n, F.on_obj, cod_cc.n_obj))
         self.mor_images = _Rows(lambda n: cc.image(n, F.on_mor, n_mor, True))
@@ -1055,8 +1046,8 @@ class _TableTarget(_LaxTarget):
             code = [MISSING if c == MISSING or b == MISSING else c * r + b for c, b in zip(code, row)]
         return [MISSING if c == MISSING else table[c] for c in code]
 
-    def target_phi(self, f, p, qs, xs):
-        phi, images = self.cod_cc.key(f, p, qs)[2], self.obj_images[f.source]
+    def target_phi(self, f, p, qs, rho, xs):
+        phi, images = self.cod_cc.key(f, p, qs, rho)[1], self.obj_images[f.source]
         return [phi[images[x]] for x in xs]
 
     def neutral(self, n, p):
@@ -1098,7 +1089,7 @@ class _TableTarget(_LaxTarget):
         endpoints.  A False leaves the key to the per-instance loop."""
         if MISSING in phi or not self.neutral(f.target, p):
             return False
-        cod_phi = self.cod_cc.key(f, p, qs)[2]
+        cod_phi = self.cod_cc.key(f, p, qs, rho)[1]
         target = [cod_phi[i] for i in self.obj_images[f.source]]
         if [self.on_mor[a] for a in phi] != target:
             return False
@@ -1124,12 +1115,12 @@ def _check_table_lax(L: LaxOMonFunctor, *, memo: dict | None = None) -> CheckRep
         report.structural("laxfun.frame", "functor frame mismatch", where)
         return report
     report.merge(validate_functor(L.functor), where=where)
-    maps = _compile_gate(report, "laxfun", f"{where}:", dom, cod, memo)
-    if maps is None:
+    rows = _compile_gate(report, "laxfun", f"{where}:", dom, cod, memo)
+    if rows is None:
         return report
-    cc = _Compiled(dom)
+    cc = _Compiled(dom, rows)
     clean = _clean_on(memo, dom) and _clean_on(memo, cod)
-    return _lax_coherence(report, where, cc, _TableTarget(L, cc, clean), maps)
+    return _lax_coherence(report, where, cc, _TableTarget(L, cc, clean))
 
 
 # --------------------------------------------------------------------------
@@ -1341,7 +1332,7 @@ class _SetTarget(_LaxTarget):
             self._composites[g, f] = got
         return got
 
-    def target_phi(self, f, p, qs, xs):
+    def target_phi(self, f, p, qs, rho, xs):
         """The regrouping along f, which p and qs do not enter, at each
         object tuple of ``xs``: built once per tuple of sets, with one
         mapping per tuple of their sizes."""
@@ -1387,10 +1378,10 @@ def _check_set_lax(L: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport
         report.structural("laxtoset.frame", "indexed set does not live on the structured base", where)
         return report
     report.merge(validate_indexed_set(L.iset), where=where)
-    maps = _compile_gate(report, "laxtoset", f"{where}:", dom, memo=memo)
-    if maps is None:
+    rows = _compile_gate(report, "laxtoset", f"{where}:", dom, memo=memo)
+    if rows is None:
         return report
-    cc = _Compiled(dom)
+    cc = _Compiled(dom, rows)
     t = _SetTarget(L, cc)
     # element labels with commas can give two elements of a product one
     # label, and a FinSet has distinct labels
@@ -1406,7 +1397,7 @@ def _check_set_lax(L: LaxSetFunctor, *, memo: dict | None = None) -> CheckReport
                 )
     if report.records:
         return report
-    return _lax_coherence(report, where, cc, t, maps)
+    return _lax_coherence(report, where, cc, t)
 
 
 def check_lax_omon_functor(L, *, memo: dict | None = None) -> CheckReport:
@@ -1857,16 +1848,19 @@ def check_strict_omon_iso(c1: OMonCategory, c2: OMonCategory, functor: CatFuncto
         functor.on_mor
     ) != list(range(c2.base.n_morphisms)):
         report.violation("omoniso.bijective", "comparison functor is not invertible")
-    if _compile_gate(report, "omoniso", "", c1, c2) is None:
+    rows = _compile_gate(report, "omoniso", "", c1, c2)
+    if rows is None:
         return report
     return _strict_preservation(
-        report, "", ("omoniso.instances", "omoniso.tensor", "omoniso.phi", "omoniso.phi"), c1, c2, functor
+        report, "", ("omoniso.instances", "omoniso.tensor", "omoniso.phi", "omoniso.phi"), c1, c2, functor, rows
     )
 
 
-def _strict_preservation(report: CheckReport, where: str, checks, c1, c2, functor, clean: bool = False) -> CheckReport:
+def _strict_preservation(report: CheckReport, where: str, checks, c1, c2, functor, rows, clean: bool = False) -> CheckReport:
     """That ``functor`` carries every tensor entry and structure
-    isomorphism of ``c1`` to the one of ``c2`` at the image tuple.
+    isomorphism of ``c1`` to the one of ``c2`` at the image tuple, with
+    each key's operation read from ``rows``, a form of their operad (the
+    two are equal).
     ``checks`` names the instance counter and the records of a tensor
     that is not preserved, of a missing structure isomorphism and of one
     that is not preserved.
@@ -1880,8 +1874,8 @@ def _strict_preservation(report: CheckReport, where: str, checks, c1, c2, functo
     operad, objects = c1.operad, c1.base.objects
     on_obj, on_mor = functor.on_obj, functor.on_mor
     count, violation = report.count, report.violation
-    k1 = _Compiled(c1)
-    k2 = k1 if c2 is c1 else _Compiled(c2)
+    k1 = _Compiled(c1, rows)
+    k2 = k1 if c2 is c1 else _Compiled(c2, rows)
     obj_images = [k1.image(n, on_obj, k2.n_obj) for n in range(operad.max_arity + 1)]
     for n in range(operad.max_arity + 1):
         mor_image = k1.image(n, on_mor, k2.n_mor, True)
@@ -1903,13 +1897,13 @@ def _strict_preservation(report: CheckReport, where: str, checks, c1, c2, functo
                 if on_mor[a] != bottom[i]:
                     violation(tensor_check, f"tensor[p={p}] morphism entry not strictly preserved", where)
     untouched = clean and report.ok
-    for f, p, qs in composition_keys(operad):
+    for f, p, qs, rho in rows.keys():
         k = (f.target, f.values, p, qs)
         if untouched and k not in k1.explicit and k not in k2.explicit:
             if k1.n_obj**f.source:
                 count(counter, k1.n_obj**f.source)
             continue
-        top, bottom = k1.key(f, p, qs)[2], k2.key(f, p, qs)[2]
+        top, bottom = k1.key(f, p, qs, rho)[1], k2.key(f, p, qs, rho)[1]
         if top:
             count(counter, len(top))
         for x, (a, i) in enumerate(zip(top, obj_images[f.source])):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from operator import add, mul
 from typing import Callable, Optional
@@ -34,6 +34,12 @@ class CompositionUndefined(Exception):
 
 @dataclass
 class Operad:
+    """Composition by a ``rule``, else a ``table`` keyed on ``(f.target,
+    f.values, p, qs)``, which may be edited between calls.  :meth:`compose`
+    is the checked single lookup, run anew at each call.  A check reads
+    its composites from :class:`OperadRows` instead: the operad keeps
+    nothing, so a check leaves it as it found it."""
+
     name: str
     max_arity: int
     carriers: tuple[tuple[str, ...], ...]
@@ -41,9 +47,6 @@ class Operad:
     rule: Optional[Callable[[FinMap, str, tuple[str, ...]], str]] = None
     table: Optional[dict] = None
     origin: Optional[tuple] = None
-    # results of ``rule`` by key; a table is read at every call, as it may
-    # be edited between calls, and a copy starts with an empty cache
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def elements(self, n: int) -> tuple[str, ...]:
         if not 0 <= n <= self.max_arity:
@@ -51,15 +54,7 @@ class Operad:
         return self.carriers[n]
 
     def compose(self, f: FinMap, p: str, qs: tuple[str, ...]) -> str:
-        # The key fixes every argument, so a hit is a call that already
-        # passed the checks below.  Unhashable arguments are never cached
-        # and fail those checks.
         qs = tuple(qs)
-        key = (f.target, f.values, p, qs)
-        try:
-            return self._cache[key]
-        except (KeyError, TypeError):
-            pass
         if f.source > self.max_arity or f.target > self.max_arity:
             raise CompositionUndefined(
                 f"map {f.label()} exceeds truncation {self.max_arity}"
@@ -77,12 +72,11 @@ class Operad:
                     f"{q!r} is not an element of arity {size} (fiber {i} of {f.label()})"
                 )
         if self.rule is not None:
-            result = self._cache[key] = self.rule(f, p, qs)
-            return result
+            return self.rule(f, p, qs)
         if self.table is None:
             raise CompositionUndefined("operad has neither a rule nor a table")
         try:
-            return self.table[key]
+            return self.table[(f.target, f.values, p, qs)]
         except KeyError:
             raise CompositionUndefined(
                 f"no table entry for mu {f.label()} {p} {' '.join(qs)}"
@@ -91,15 +85,9 @@ class Operad:
 
 def composition_keys(o: Operad):
     """Every (f, p, qs) the truncation defines, in deterministic order."""
-    return _keys(o, all_maps)
-
-
-def _keys(o: Operad, family):
-    """The (f, p, qs) of :func:`composition_keys` with f among the maps
-    ``family(m, n)`` yields, in the same order."""
     for n in range(o.max_arity + 1):
         for m in range(o.max_arity + 1):
-            for f in family(m, n):
+            for f in all_maps(m, n):
                 inner = [o.elements(len(fib)) for fib in f.fibers]
                 for p in o.elements(n):
                     for qs in itertools.product(*inner):
@@ -306,21 +294,25 @@ class OperadRows:
     carrier.  ``row(f)`` is indexed by the code of ``(p, qs)`` in the
     mixed radix of the carrier sizes of f.target and of f's fiber slots
     (:meth:`shape`), the order ``itertools.product`` yields them in; each
-    entry is the index of ``op(f, p, qs)`` in its carrier, or UNDEFINED.
-    A row is filled by one :meth:`Operad.compose` per key on first use,
-    and kept in one list per source and target indexed by
-    :attr:`FinMap.code`, so that the square kernel of :meth:`sweep` finds
-    the rows of f.g and of each g_i from their codes, without building
-    the maps.  The form also keeps the verdict of each group of
-    associativity squares it proves square by square (see :meth:`sweep`),
-    so it serves one family of maps.  An operad's table may be edited
-    between calls, so a standalone check builds its own form and drops
-    it; a round trip or a ``check`` command keeps one form per operad and
-    family on its memo (:func:`_rows_on`).
+    entry is the index of ``op(f, p, qs)`` in its carrier, or UNDEFINED
+    (an absent table entry, a result outside the carrier, a rule that
+    raises).  The form is the one home of the composites during a check:
+    a row is filled on first use straight from the rule or table, as the
+    keys come from the carriers, and kept in one list per source and
+    target indexed by :attr:`FinMap.code`, so that the square kernel of
+    :meth:`sweep` finds the rows of f.g and of each g_i from their codes,
+    without building the maps.  The form also keeps the verdict of each
+    group of associativity squares it proves square by square (see
+    :meth:`sweep`), so it serves one family of maps.  An operad's table
+    may be edited between calls, so a standalone check builds its own
+    form and drops it; a round trip or a ``check`` command keeps one form
+    per operad and family on its memo (:func:`_rows_on`).
     """
 
-    def __init__(self, o: Operad):
-        self.o = o
+    def __init__(self, o: Operad, family=all_maps):
+        self.o, n_arities = o, o.max_arity + 1
+        # maps[m, n]: the maps family(m, n) yields, which the form serves
+        self.maps = {(a, b): tuple(family(a, b)) for a in range(n_arities) for b in range(n_arities)}
         self.sizes = tuple(map(len, o.carriers))
         self.index = [{label: i for i, label in enumerate(c)} for c in o.carriers]
         # _rows[m][n][code]: the row of the map m -> n with that code, or
@@ -337,17 +329,30 @@ class OperadRows:
             by_code = self._rows[f.source][f.target] = [None] * f.target**f.source
         row = by_code[f.code]
         if row is None:
-            o, index = self.o, self.index[f.source]
-            inner = [o.carriers[len(fib)] for fib in f.fibers]
-            row = []
-            for p in o.carriers[f.target]:
-                for qs in itertools.product(*inner):
-                    try:
-                        row.append(index.get(o.compose(f, p, qs), UNDEFINED))
-                    except CompositionUndefined:
-                        row.append(UNDEFINED)
+            index, rule, get, row = self.index[f.source], self.o.rule, (self.o.table or {}).get, []
+            for p, qs in self.labels(f):
+                try:
+                    got = rule(f, p, qs) if rule else get((f.target, f.values, p, qs))
+                except CompositionUndefined:
+                    got = None
+                row.append(index.get(got, UNDEFINED))
             row = by_code[f.code] = tuple(row)
         return row
+
+    def labels(self, f: FinMap):
+        """The ``(p, qs)`` of f's composition keys, in row order."""
+        return itertools.product(self.o.carriers[f.target], itertools.product(*self.shape(f)[0]))
+
+    def keys(self):
+        """``(f, p, qs, rho)`` at each key over the form's maps, in the
+        order of :func:`composition_keys`, rho read by position from the
+        row of f, which must be total (the checks' composition gates)."""
+        carriers, n_arities = self.o.carriers, self.o.max_arity + 1
+        for n in range(n_arities):
+            for m in range(n_arities):
+                for f in self.maps[m, n]:
+                    for (p, qs), at in zip(self.labels(f), self.row(f)):
+                        yield f, p, qs, carriers[m][at]
 
     def shape(self, f: FinMap) -> tuple:
         """``(inner, slots, width)`` of f: the carriers of its fiber slots,
@@ -385,8 +390,8 @@ class OperadRows:
             got = self._gathers[g_slots] = tuple(got)
         return got
 
-    def sweep(self, maps: dict, walks=None):
-        """Every associativity square over the maps ``maps[m, n]``, in sweep
+    def sweep(self, walks=None):
+        """Every associativity square over the form's maps, in sweep
         order, grouped by f and the source arity ell of g: yields
         ``(f, ps, f_inner, ell, total, pairs)`` for each f: m -> n and
         ell, where ``ps`` are the outer operations, ``f_inner`` the
@@ -396,8 +401,8 @@ class OperadRows:
         carriers of g's fiber slots and ``held`` the square's number of
         instances when every one holds, else None.  A pair with an empty
         carrier has no instances and is skipped.  f.g and each g_i are
-        read from ``maps`` by their codes (:func:`_square_codes`), so
-        ``maps`` must hold them: all maps, or the monotone ones.
+        read from ``self.maps`` by their codes (:func:`_square_codes`), so
+        the family must hold them: all maps, or the monotone ones.
 
         ``total`` is the group's verdict: its number of instances when
         every square of the group holds, else None.  The singleton lemma
@@ -414,10 +419,10 @@ class OperadRows:
         The squares of a group are proved in one loop over its g, on
         codes: one pass over ``g.values`` gives the codes of f.g and of
         each g_i, which index their rows, and no map is built.  The
-        ``pairs`` of a group read f.g and each g_i from ``maps`` by code,
+        ``pairs`` of a group read f.g and each g_i from the maps by code,
         and take ``held`` from the group's verdict when it has one.
         """
-        o, sizes, verdicts, rows = self.o, self.sizes, self._verdicts, self._rows
+        o, sizes, verdicts, rows, maps = self.o, self.sizes, self._verdicts, self._rows, self.maps
         n_arities = o.max_arity + 1
         if self._closed is None:
             # fills every row of the family, which the kernel reads by code
@@ -573,7 +578,7 @@ def _rows_on(memo: dict | None, o: Operad, family=all_maps) -> OperadRows:
     """The form of o for the maps ``family`` yields: one per operad and
     family while ``memo`` lives, with the operad held, so that each group
     of squares is proved once; a new form without a memo."""
-    return _memoized(memo, ("rows", id(o), family), o, lambda: OperadRows(o))
+    return _memoized(memo, ("rows", id(o), family), o, lambda: OperadRows(o, family))
 
 
 def check_operad_axioms(o: Operad, *, memo: dict | None = None) -> CheckReport:
@@ -629,10 +634,8 @@ def check_operad_axioms(o: Operad, *, memo: dict | None = None) -> CheckReport:
     # associativity: one verdict per group of squares, from the rows or by
     # the singleton lemma; in a group that fails, a square whose rows fail
     # runs the loop, which names each failure
-    maps = {(a, b): tuple(all_maps(a, b)) for a in range(n_arities) for b in range(n_arities)}
-    rows = _rows_on(memo, o)
     instances = 0
-    for f, ps, f_inner, ell, total, pairs in rows.sweep(maps):
+    for f, ps, f_inner, ell, total, pairs in _rows_on(memo, o).sweep():
         if total is not None:
             instances += total
             continue

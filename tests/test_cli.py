@@ -345,9 +345,9 @@ def test_check_proves_each_structure_and_operad_once(monkeypatch):
         laws[c.name] += 1
         return structure_laws(c, *args)
 
-    def counting_init(self, o):
+    def counting_init(self, o, *args):
         forms[id(o)] += 1
-        rows_init(self, o)
+        rows_init(self, o, *args)
 
     monkeypatch.setattr(opgroth.omon, "_structure_laws", counting_laws)
     monkeypatch.setattr(opgroth.operads.OperadRows, "__init__", counting_init)

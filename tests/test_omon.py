@@ -15,7 +15,7 @@ from opgroth.operads import (
     operads_equal,
     terminal_morphism,
 )
-from testkit import with_overrides
+from testkit import tabulate, with_overrides
 from opgroth.omon import (
     LaxOMonFunctor,
     LaxSetFunctor,
@@ -345,12 +345,12 @@ def _broken_operads(o):
     """``(mu key, hole, operad)`` for each composition entry of ``o``: the
     table without that entry (``hole``), and ``o`` with it set to a label
     outside its carrier."""
-    table = {(f.target, f.values, p, qs): o.compose(f, p, qs) for f, p, qs in composition_keys(o)}
+    table = tabulate(o)
     for f, p, qs in composition_keys(o):
         key = f"mu {f.label()} {p} {' '.join(qs)}"
         rest = {k: v for k, v in table.items() if k != (f.target, f.values, p, qs)}
         yield key, True, Operad(name="hole", max_arity=o.max_arity, carriers=o.carriers, unit=o.unit, table=rest)
-        yield key, False, with_overrides(o, {(f, p, qs): "<outside>"})
+        yield key, False, with_overrides(o, {(f, p, qs): "<outside>"}, table=table)
 
 
 @pytest.mark.parametrize("lax", [l2_laxtoset, grade_laxtoset], ids=["L2", "DZ2"])
@@ -553,12 +553,12 @@ def test_shared_operad_rows_keep_failing_squares():
     # count of each square that holds, off the shared rows
     c = grade_laxtoset(2).dom
     o = c.operad
-    swept = 0
+    table, swept = tabulate(o), 0
     for f, p, qs in composition_keys(o):
-        others = [q for q in o.carriers[f.source] if q != o.compose(f, p, qs)]
+        others = [q for q in o.carriers[f.source] if q != table[f.target, f.values, p, qs]]
         if not others:
             continue
-        broken = with_overrides(o, {(f, p, qs): others[0]})
+        broken = with_overrides(o, {(f, p, qs): others[0]}, table=table)
         d = OMonCategory(operad=broken, base=c.base, tensors=c.tensors, phi=c.phi, name=c.name)
         alone = _as_tuple(check_omon_category(d))
         assert "omon.assoc" in {r.check for r in alone[0]}

@@ -1,14 +1,21 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
+import pathlib
 import random
 
 import pytest
 
+from opgroth.dsl import parse_spec_file
 from opgroth.fincore import FinMap, identity_map, terminal_map
+from opgroth.ogroth import check_laxtoset, grade_laxtoset
+from opgroth.omon import LaxSetFunctor, check_omon_category
 from opgroth.operads import (
+    UNDEFINED,
     CompositionUndefined,
     Operad,
+    OperadRows,
     boolean_semiring,
     build_assoc,
     build_comm,
@@ -20,7 +27,7 @@ from opgroth.operads import (
     identity_operad_morphism,
     terminal_morphism,
 )
-from testkit import with_overrides
+from testkit import tabulate, with_overrides
 
 # ---------------------------------------------------------------------------
 # independent oracle: its own loop nest, no helpers shared with the package
@@ -237,10 +244,9 @@ def test_arity4_instance_counts_match_the_closed_form(make):
     }
 
 
-def test_compose_still_rejects_ill_typed_arguments_once_its_cache_is_warm():
+def test_compose_still_rejects_ill_typed_arguments_after_a_check():
     q = build_qconv(boolean_semiring(), 2)
     assert check_operad_axioms(q).ok
-    assert q._cache
     ill_typed = [
         (FinMap(3, 1, (1, 1, 1)), "(1)", ("(1,1,1)",)),  # beyond the truncation
         (identity_map(2), "(1)", ("(1)", "(1)")),  # outer element of the wrong arity
@@ -277,7 +283,7 @@ def test_equal_table_operads_stay_equal_after_one_composes():
 
 def test_a_table_operad_edited_after_a_check_is_checked_on_its_new_table():
     assoc = build_assoc(2)
-    table = {(f.target, f.values, p, qs): assoc.compose(f, p, qs) for f, p, qs in composition_keys(assoc)}
+    table = tabulate(assoc)
     o = Operad(name="T", max_arity=2, carriers=assoc.carriers, unit=assoc.unit, table=table)
     assert check_operad_axioms(o).ok
     key = next(k for k in table if k[:2] == (1, (1, 1)))
@@ -296,8 +302,9 @@ def test_checker_agrees_with_oracle_on_corrupted_variants():
         {(FinMap(2, 2, (2, 1)), ID2, (ETA, ETA)): ID2},
         {(FinMap(3, 2, (1, 1, 2)), SWAP, (SWAP, ETA)): "[1,2,3]"},
     ]
+    table = tabulate(assoc)
     for overrides in corruptions:
-        broken = with_overrides(assoc, overrides)
+        broken = with_overrides(assoc, overrides, table=table)
         report = check_operad_axioms(broken)
         ok, _ = oracle_operad(broken)
         assert report.ok == ok
@@ -311,11 +318,12 @@ def single_entry_overrides(o: Operad):
     """Every operad that differs from ``o`` at one composition entry: the
     entry set to each other element of its carrier, and to a label outside
     it."""
+    table = tabulate(o)
     for f, p, qs in composition_keys(o):
-        value = o.compose(f, p, qs)
+        value = table[f.target, f.values, p, qs]
         for other in o.carriers[f.source] + (OUTSIDE,):
             if other != value:
-                yield with_overrides(o, {(f, p, qs): other})
+                yield with_overrides(o, {(f, p, qs): other}, table=table)
 
 
 def oracle_verdict(o: Operad) -> bool:
@@ -367,7 +375,7 @@ def test_every_single_entry_override_of_qconv3_is_pinned():
 
 def single_entry_deletions(o: Operad):
     """Every table operad that is ``o`` with one composition entry missing."""
-    table = {(f.target, f.values, p, qs): o.compose(f, p, qs) for f, p, qs in composition_keys(o)}
+    table = tabulate(o)
     for key in table:
         rest = {k: v for k, v in table.items() if k != key}
         yield Operad(name=f"{o.name}-hole", max_arity=o.max_arity, carriers=o.carriers, unit=o.unit, table=rest)
@@ -483,7 +491,7 @@ def _square_by_instances(o: Operad, f: FinMap, g: FinMap, fg: FinMap, g_is):
 def _table_copies(o: Operad):
     """Table operads equal to o but at one composition entry: removed, or
     set to each other operation of its carrier."""
-    table = {(f.target, f.values, p, qs): o.compose(f, p, qs) for f, p, qs in composition_keys(o)}
+    table = tabulate(o)
     for (n, values, p, qs), value in table.items():
         for other in (None, *o.carriers[len(values)]):
             if other == value:
@@ -497,7 +505,7 @@ def _table_copies(o: Operad):
 
 
 def test_square_kernel_matches_a_per_instance_loop():
-    from opgroth.fincore import all_maps, fm_compose, induced_fiber_map
+    from opgroth.fincore import fm_compose, induced_fiber_map
     from opgroth.operads import OperadRows
 
     # once as a standalone check sweeps, the held of a proven group read
@@ -508,9 +516,8 @@ def test_square_kernel_matches_a_per_instance_loop():
     for walks in (None, lambda *_: True):
         squares = failing = 0
         for o in operads:
-            maps = {(a, b): tuple(all_maps(a, b)) for a in range(o.max_arity + 1) for b in range(o.max_arity + 1)}
             rows = OperadRows(o)
-            for f, _, _, _, _, pairs in rows.sweep(maps, walks):
+            for f, _, _, _, _, pairs in rows.sweep(walks):
                 for g, fg, g_is, _, held in pairs:
                     assert fg == fm_compose(f, g)
                     assert g_is == tuple(induced_fiber_map(f, g, i) for i in range(1, f.target + 1))
@@ -519,3 +526,71 @@ def test_square_kernel_matches_a_per_instance_loop():
                     squares += 1
                     failing += expected is None
         assert (squares, failing) == (5200, 353)
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _row_by_compose(o: Operad, f: FinMap) -> tuple:
+    """The row of f from one checked :meth:`Operad.compose` per key, the
+    slow reference for :meth:`OperadRows.row`."""
+    index, row = {label: i for i, label in enumerate(o.carriers[f.source])}, []
+    for p in o.carriers[f.target]:
+        for qs in itertools.product(*[o.carriers[len(fib)] for fib in f.fibers]):
+            try:
+                row.append(index.get(o.compose(f, p, qs), UNDEFINED))
+            except CompositionUndefined:
+                row.append(UNDEFINED)
+    return tuple(row)
+
+
+def test_operad_rows_match_a_checked_compose_at_every_key():
+    assoc = build_assoc(2)
+    table = tabulate(assoc)
+    swap_key = (2, (1, 2), SWAP, (ETA, ETA))
+    holed = {k: v for k, v in table.items() if k != (1, (1, 1), ETA, (SWAP,))}
+    holed[swap_key] = OUTSIDE
+
+    def raising(f, p, qs):
+        if (f.target, f.values, p, qs) == swap_key:
+            raise CompositionUndefined("no composite at this key")
+        return assoc.compose(f, p, qs)
+
+    fixture_operads = [
+        section.value
+        for path in sorted(FIXTURES.iterdir())
+        for section in parse_spec_file(path.read_text(encoding="utf-8")).sections
+        if section.kind == "operad" and section.value is not None
+    ]
+    assert len(fixture_operads) == 6
+    broken = [
+        Operad(name="holed", max_arity=2, carriers=assoc.carriers, unit=assoc.unit, table=holed),
+        Operad(name="raising", max_arity=2, carriers=assoc.carriers, unit=assoc.unit, rule=raising),
+    ]
+    operads = [build_assoc(3), build_comm(4), build_qconv(boolean_semiring(), 3), *fixture_operads, *_table_copies(assoc)]
+    undefined = {}
+    for o in operads + broken:
+        rows = OperadRows(o)
+        for f in itertools.chain.from_iterable(rows.maps.values()):
+            assert rows.row(f) == _row_by_compose(o, f), (o.name, f)
+            undefined[o.name] = undefined.get(o.name, 0) + rows.row(f).count(UNDEFINED)
+    assert (undefined["holed"], undefined["raising"], undefined["Assoc(3)"]) == (2, 1, 0)
+
+
+def test_checks_leave_the_operad_unchanged():
+    x = grade_laxtoset(2)
+
+    def fresh():
+        # a structure over a copy of its operad that no check has read
+        return dataclasses.replace(x.dom, operad=dataclasses.replace(x.dom.operad))
+
+    assoc, structure = build_assoc(3), fresh()
+    lax = LaxSetFunctor(dom=fresh(), iset=x.iset, nu=x.nu, name=x.name)
+    for o, check in (
+        (assoc, lambda: check_operad_axioms(assoc)),
+        (structure.operad, lambda: check_omon_category(structure)),
+        (lax.dom.operad, lambda: check_laxtoset(lax)),
+    ):
+        before = copy.deepcopy(vars(o))
+        assert check().ok
+        assert vars(o) == before

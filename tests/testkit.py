@@ -10,22 +10,28 @@ from opgroth.fib2cat import ISetCell, IndexedSet, constant_singleton, fn_from_la
 from opgroth.fincore import CatFunctor, FinCat, FinMap, discrete_category, monoid_category, product_category, tuple_label
 from opgroth.fixtures import GRADE_ELEMENTS, GRADE_MULT, GRADE_UNIT
 from opgroth.ogroth import omons_equal
-from opgroth.operads import Operad, operads_equal
+from opgroth.operads import Operad, composition_keys, operads_equal
 
 
-def with_overrides(o: Operad, overrides: dict, name: str = "") -> Operad:
+def tabulate(o: Operad) -> dict:
+    """The composition of ``o`` by key ``(f.target, f.values, p, qs)``."""
+    return {(f.target, f.values, p, qs): o.compose(f, p, qs) for f, p, qs in composition_keys(o)}
+
+
+def with_overrides(o: Operad, overrides: dict, name: str = "", table: dict | None = None) -> Operad:
     """A copy of ``o`` whose composition is redirected on the given keys,
     to build deliberately broken variants.
 
-    Keys are (f, p, qs) triples.
+    Keys are (f, p, qs) triples.  The copy's rule reads the other keys
+    from ``table``, the :func:`tabulate` of ``o``, which a sweep of
+    variants computes once and passes to each.
     """
     frozen = {(f.target, f.values, p, tuple(qs)): r for (f, p, qs), r in overrides.items()}
+    table = tabulate(o) if table is None else table
 
     def rule(f: FinMap, p: str, qs: tuple[str, ...]) -> str:
         key = (f.target, f.values, p, qs)
-        if key in frozen:
-            return frozen[key]
-        return o.compose(f, p, qs)
+        return frozen[key] if key in frozen else table[key]
 
     return Operad(
         name=name or f"{o.name}-broken",
