@@ -526,6 +526,79 @@ def test_mutation_sweep_records_and_counts_are_pinned():
     assert digest.hexdigest() == MUTATION_SWEEP_PIN
 
 
+def _phi_changes(c, maps):
+    """c with one structure isomorphism at a key over ``maps`` set to each
+    morphism other than its value."""
+    operad, base = c.operad, c.base
+    for f in maps:
+        for p in operad.elements(f.target):
+            for qs in itertools.product(*(operad.elements(len(fib)) for fib in f.fibers)):
+                for objs in itertools.product(range(base.n_objects), repeat=f.source):
+                    old = c.phi_at(f, p, qs, objs)
+                    for value in range(base.n_morphisms):
+                        if value != old:
+                            changed = omon_copy(c)
+                            changed.phi[f, p, qs, objs] = value
+                            yield changed
+
+
+def _touched_pair_structures():
+    """``(checker, structure)`` for the touched-pair pin: every single-entry
+    structure-iso change at the identity and terminal maps of source at
+    most 2 of DZ2, L2 and grade at arity 3 (mistyped entries read by each
+    leg f, g, f.g and g_i of the squares), each one's two shipped phi
+    mutations together (pairs with two touched legs), an entry whose object
+    tuple is out of range (a touched key that reads no tuple), the twisted
+    structure extended to assoc and it with two entries flipped (one
+    object, so every explicit key reads every tuple), and every single-entry
+    alpha change of the twisted unbiased structure (the monotone maps)."""
+    from test_oracles import unbiased_mutations
+
+    maps = [h for m in range(3) for h in (identity_map(m), terminal_map(m))]
+    for make in (dz2_assoc_omon, l2_comm_omon, grade_assoc_omon):
+        c = make(3)
+        for changed in _phi_changes(c, maps):
+            yield check_omon_category, changed
+        both = omon_copy(c)
+        for _, mutated, _ in omon_single_entry_mutations(c)[1:]:
+            both.phi.update(mutated.phi)
+        yield check_omon_category, both
+    outside = dz2_assoc_omon(3)
+    outside.phi[terminal_map(2), "[1]", ("[1,2]",), (0, 5)] = 0
+    yield check_omon_category, outside
+    twisted = extend_unbiased_to_assoc(twisted_bz2_unbiased(3))
+    yield check_omon_category, twisted
+    flippable = [key for key in twisted.phi if key[0].source <= 2]
+    for first, second in zip(flippable[:4], flippable[-4:]):
+        flipped = omon_copy(twisted)
+        for key in (first, second):
+            flipped.phi[key] = (twisted.phi[key] + 1) % twisted.base.n_morphisms
+        yield check_omon_category, flipped
+    for what, mutated in unbiased_mutations(twisted_bz2_unbiased(3)):
+        if what.startswith("alpha"):
+            yield validate_unbiased, mutated
+
+
+# sha256 over the (severity, check, witness, where) records, in order, and
+# the sorted stats of every report of the sweep above
+TOUCHED_PAIR_PIN = "84646dd6287be89cd3d20aecb7c4e3b1468657e6bb0860e8d4c799e9d5b2a9e3"
+
+
+def test_touched_pair_records_and_counts_are_pinned():
+    # the slow oracle of the square pass over touched pairs: its records and
+    # counters as the per-instance walk gave them
+    digest, structures, failing = hashlib.sha256(), 0, 0
+    for check, c in _touched_pair_structures():
+        report = check(c)
+        structures += 1
+        failing += any(r.check.endswith(".assoc") for r in report.records)
+        for r in report.records:
+            digest.update(repr((r.severity, r.check, r.witness, r.where)).encode())
+        digest.update(repr(sorted(report.stats.items())).encode())
+    assert (structures, failing) == (198, 68)
+    assert digest.hexdigest() == TOUCHED_PAIR_PIN
+
+
 def _as_tuple(report):
     return report.records, report.stats, report.info
 
