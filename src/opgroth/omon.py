@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
+from operator import add, mod, mul
 
 from .fincore import (
     CatFunctor,
@@ -255,21 +256,19 @@ class _Compiled:
             got = self._blocks[k] = tuple(row)
         return got
 
-    def over(self, f: FinMap):
-        """One row per fiber of f over the codes of the tuples of objects
-        on the fiber: the codes of the f.source-tuples that restrict to
-        it (see :meth:`restrict`).  Kept by source and fiber, which many
-        maps share (kept by map, they raised the peak resident set of
-        ``grade(4)`` mutation 1 by 1.4 MB)."""
-        got = []
-        for fib, sub in zip(f.fibers, self.restrict(f, self.n_obj)):
-            tuples = self._over.get((f.source, fib))
-            if tuples is None:
-                tuples = self._over[f.source, fib] = [[] for _ in range(self.n_obj ** len(fib))]
-                for x, c in enumerate(sub):
-                    tuples[c].append(x)
-            got.append(tuples)
-        return got
+    def over(self, f: FinMap, i: int):
+        """Over the codes of the tuples of objects on fiber i of f (from 0):
+        the codes of the f.source-tuples that restrict to each (see
+        :meth:`restrict`).  Kept by source and fiber, which many maps share
+        (kept by map, they raised the peak resident set of ``grade(4)``
+        mutation 1 by 1.4 MB)."""
+        fib = f.fibers[i]
+        tuples = self._over.get((f.source, fib))
+        if tuples is None:
+            tuples = self._over[f.source, fib] = [[] for _ in range(self.n_obj ** len(fib))]
+            for x, c in enumerate(self._sub_codes((self.n_obj,) * f.source, fib)):
+                tuples[c].append(x)
+        return tuples
 
     def mor_ends(self, m: int):
         """Rows over m-tuples of morphisms of the codes of their tuples of
@@ -588,8 +587,8 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                 )
 
     # associativity square over all composable pairs, operation tuples and
-    # object tuples, by the tuple lemma of the docstring.  The touched maps
-    # are those of the explicit keys, each with the row codes of its keys'
+    # object tuples, by the lemmas of the docstring.  The touched maps are
+    # those of the explicit keys, each with the row codes of its keys'
     # (p, qs) and, for each, the codes of its entries' object tuples; a
     # pair (f, g) is touched when f, g, f.g or an induced g_i is.  The
     # operad rows give one verdict per group (f, ell) of pairs, and keep
@@ -599,52 +598,130 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     # its squares.  Any other group walks its pairs, and the rows leave the
     # proof of its verdict to the walk: a pair's operad level holds at
     # every p, qs and rs by its group's verdict or by its rows, or else its
-    # failing instances are named one by one, and a touched pair evaluates
-    # the structure-iso square at each instance where one of its keys is
-    # explicit.  Per-instance operad verdicts are computed only in a pair
-    # whose square fails, and the tuples read are gathered only until
-    # every tuple is read.
+    # failing instances are named one by one.
     touched = {(f.target, f.values): {} for f, _, _, _ in phi}
     for f, p, qs in composable:
         touched[f.target, f.values][rows.key_code(f, p, qs)] = explicit[f.target, f.values, p, qs]
-    # the touched maps each of whose explicit keys has an entry at every object tuple
+    # the touched maps each of whose explicit keys has an entry at every
+    # object tuple, and (where identities compose as in a category) those
+    # whose explicit entries are all identities
     whole = {h for h, codes in touched.items() if all(len(e) == n_obj ** len(h[1]) for e in codes.values())}
+    ident = base.identity
+    lawful = all(comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING) for a in range(n_obj) for b in range(n_obj))
+    plain = {h for h, codes in touched.items() if lawful and all(v in ident for e in codes.values() for v in e.values())}
     lowest = min((len(values) for _, values in touched), default=n_arities)
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
+    # the square as table lookups, MISSING (-1) reading the last entry of a
+    # row: on_rhs[a][b] is the composite b.a plus 1, 0 where undefined or a
+    # leg is MISSING; on_lhs[a][b] is, for the composite a.b, whether such a
+    # value agrees with it (is equal, or one is undefined or MISSING); and
+    # on_tensor[n][p][t] is on_lhs at T_p of the morphisms with code t in
+    # base n_mor + 1, all agreeing where one of them is MISSING (n_mor)
+    shifted = [h + 1 for h in comp]
+    agree = [[h == e or not h or not e for e in range(n_mor + 1)] for h in range(n_mor + 1)]
+    on_rhs = [shifted[a::n_mor] + [0] for a in range(n_mor)] + [[0] * (n_mor + 1)]
+    on_lhs = [[agree[h] for h in shifted[a * n_mor : a * n_mor + n_mor]] + agree[:1] for a in range(n_mor)]
+    on_tensor = _Rows(
+        lambda n: [
+            [on_lhs[row[_mixed_encode(t, (n_mor,) * n)]] if n_mor not in t else agree[:1] * (n_mor + 1) for t in itertools.product(range(n_mor + 1), repeat=n)]
+            for row in (tensor_mor[n, p] for p in elements(n))
+        ]
+    )
 
     def walked(n, values, ell):
         return ell >= lowest or (n, values) in touched
 
     for f, ps, f_inner, ell, proven, pairs in rows.sweep(walked):
         n, m = f.target, f.source
-        n_x = n_obj**ell
+        n_x, n_p = n_obj**ell, len(ps)
         if proven is not None and not walked(n, f.values, ell):
             if proven:
                 swept, assoc_count = True, assoc_count + n_x * proven
             continue
+        row_f, n_q = rows.row(f), rows.shape(f)[2]
         for g, fg, g_is, g_inner, total in pairs:
-            legs = [touched.get((h.target, h.values)) for h in (f, g, fg, *g_is)]
-            involved, failing = set(), ()
-            if total is None or any(legs):
-                x_f, x_g, x_gis, x_fg = rows.square_keys(f, g, fg, g_is)
-                keys = (x_f, x_g, x_fg, *x_gis)
-                for codes, xs in zip(legs, keys):
-                    if codes:
-                        involved.update(itertools.compress(itertools.count(), map(codes.__contains__, xs)))
-                if total is None:
-                    # the instances whose operad level fails
-                    row_g, row_fg = rows.row(g), rows.row(fg)
-                    total = len(x_f)
-                    failing = {k for k in range(total) if row_g[x_g[k]] != row_fg[x_fg[k]]}
+            maps = [(h.target, h.values) for h in (f, g, fg, *g_is)]
+            legs = [touched.get(h) for h in maps]
+            # untouched, or by the identity lemma, its squares hold at every tuple
+            if total is not None and (not any(legs) or (n_x and not (legs[1] or legs[2]) and all(h in plain for h, c in zip(maps, legs) if c))):
+                swept, assoc_count = True, assoc_count + n_x * total
+                continue
+            n_r, n_s = rows.shape(g)[2], rows.shape(fg)[2]
+            n_qr, (at, s) = n_q * n_r, rows.inner_codes(f, g, g_is)
+
+            def keys(k):
+                """The codes of the keys of f, g, f.g and each g_i at instance k."""
+                return (k // n_r, row_f[k // n_r] * n_r + k % n_r, k // n_qr * n_s + s[k % n_qr], *(a[k % n_qr] for a in at))
+
+            def involved(k):
+                return any(codes and x in codes for codes, x in zip(legs, keys(k)))
+
+            # units[xs]: instances whose squares are evaluated at the tuples
+            # xs, by the tuple lemma: those of each explicit key, found by
+            # arithmetic on its code, at the tuples it is read at (every
+            # tuple for a map in whole), and the involved instances whose
+            # operad level fails, at every tuple
+            failing, units, targets_g = set(), {}, cc.by_map(g)[0]
+            if total is None:
+                row_g, row_fg, total = rows.row(g), rows.row(fg), n_p * n_qr
+                failing = {k for k, (_, x_g, x_fg, *_) in enumerate(map(keys, range(total))) if row_g[x_g] != row_fg[x_fg]}
+                units[tuple(range(n_x))] = set(filter(involved, failing))
             # an instance that involves no explicit entry is swept at the
             # operad level; one that does, only at its object tuples
-            swept = swept or len(involved) < total or n_x > 0
+            swept = swept or n_x > 0 or not all(map(involved, range(total)))
             assoc_count += n_x * total
-            if not (involved or failing):
-                continue
-            radix = (len(ps), *map(len, f_inner), *map(len, g_inner))
-            per_p = total // len(ps)
+            for h, (leg, codes) in enumerate(zip(maps, legs)):
+                # the leg's keys by the tuples they are read at
+                by_xs = {tuple(range(n_x)): codes} if leg in whole else {}
+                for code, entries in codes.items() if codes and not by_xs else ():
+                    if h == 0:  # through the block tensors of g
+                        for r in range(n_r):
+                            start = (row_f[code] * n_r + r) * n_x
+                            xs = tuple(x for x, t in enumerate(targets_g[start : start + n_x]) if t in entries)
+                            units.setdefault(xs, set()).add(code * n_r + r)
+                        continue
+                    if h > 2:  # through the tuples over each code of the fiber of f.g
+                        entries = set().union(*map(cc.over(fg, h - 3).__getitem__, entries))
+                    by_xs.setdefault(tuple(sorted(entries)), set()).add(code)
+                for xs, read in by_xs.items():
+                    if h > 2:
+                        js = list(itertools.compress(itertools.count(), map(read.__contains__, at[h - 3])))
+                        units.setdefault(xs, set()).update(p_at * n_qr + j for p_at in range(n_p) for j in js)
+                        continue
+                    at_h = (
+                        (a for a in range(n_p * n_q) for _ in range(n_r)),
+                        (mid * n_r + r for mid in row_f for r in range(n_r)),
+                        (p_at * n_s + v for p_at in range(n_p) for v in s),
+                    )[h]
+                    units.setdefault(xs, set()).update(itertools.compress(itertools.count(), map(read.__contains__, at_h)))
+            units.pop((), None)
+            phi_g, phi_f, phi_fg = cc.by_map(g)[1], cc.by_map(f)[1], cc.by_map(fg)[1]
+            phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
+            # the squares of each unit as rows over its instances k and
+            # tuples x, x fastest: named[k] holds the tuples x at which
+            # T_p(g_1, ..., g_n).(f.g) and f.g are defined and differ
+            named = {}
+            for xs, ks in units.items():
+                ks = list(ks)
+                js = [k % n_qr for k in ks]
+                keys_at = [
+                    (k, on_tensor[n][k // n_qr], (row_f[k // n_r] * n_r + k % n_r) * n_x, (k // n_qr * n_s + s[j]) * n_x, k // n_r * n_obj**m)
+                    for k, j in zip(ks, js)
+                ]
+                code = itertools.repeat(0)  # of T_p's leg tuple (g_1, ..., g_n), by (k, x)
+                for (row, size, sub), at_i in zip(phi_gis, at):
+                    legs_i = [row[at_i[j] * size + sub[x]] for j in js for x in xs]
+                    code = map(add, map(mul, code, itertools.repeat(n_mor + 1)), map(mod, legs_i, itertools.repeat(n_mor + 1)) if MISSING in legs_i else legs_i)
+                code = list(code) if at else [0] * (len(ks) * len(xs))
+                for k, x in [
+                    (k, x)
+                    for (k, on_p, at_g, at_fg, at_f), i in zip(keys_at, range(0, len(code), len(xs)))
+                    for x, t in zip(xs, code[i : i + len(xs)])
+                    if not on_p[t][phi_fg[at_fg + x]][on_rhs[phi_g[at_g + x]][phi_f[at_f + targets_g[at_g + x]]]]
+                ]:
+                    named.setdefault(k, set()).add(x)
+            radix = (n_p, *map(len, f_inner), *map(len, g_inner))
 
             def witness(k):
                 at = _mixed_decode(k, radix)
@@ -654,64 +731,11 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                     f"r=({','.join(c[d] for c, d in zip(g_inner, at[n + 1 :]))})"
                 )
 
-            targets_g, phi_g = cc.by_map(g)
-            phi_f, phi_fg = cc.by_map(f)[1], cc.by_map(fg)[1]
-            phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
-            reads_all = all((h.target, h.values) in whole for h, codes in zip((f, g, fg, *g_is), legs) if codes)
-            # each touched leg with its keys and what carries the code of
-            # the leg's object tuple to the tuples x that read it: nothing
-            # for g and f.g, the block tensors of g for f, and for g_i the
-            # tuples over each code of the i-th fiber of f.g, built only
-            # when some g_i leg is touched
-            reading = []
-            if not reads_all:
-                via_gis = cc.over(fg) if any(legs[3:]) else [None] * len(g_is)
-                reading = [
-                    (codes, xs, via)
-                    for codes, xs, via in zip((legs[1], legs[2], legs[0], *legs[3:]), (x_g, x_fg, x_f, *x_gis), (None, None, targets_g, *via_gis))
-                    if codes
-                ]
-            for k in sorted(involved.union(failing)):
-                if k not in involved:
+            for k in sorted(failing.union(named)):
+                if k in failing and not involved(k):
                     violation(f"{prefix}.assoc", witness(k), where)
-                    continue
-                at_g, at_f, at_fg = x_g[k] * n_x, x_f[k] * n_obj**m, x_fg[k] * n_x
-                if k in failing or reads_all:
-                    tuples = range(n_x)
-                else:
-                    # the object tuples where some leg reads an explicit entry
-                    read = set()
-                    for codes, xs, via in reading:
-                        entries = codes.get(xs[k])
-                        if not entries:
-                            continue
-                        if via is None:
-                            read.update(entries)
-                        elif via is targets_g:
-                            read.update(x for x in range(n_x) if via[at_g + x] in entries)
-                        else:
-                            for e in entries:
-                                read.update(via[e])
-                        if len(read) == n_x:
-                            break
-                    if not read:
-                        continue
-                    tuples = sorted(read)
-                # the structure-iso square at those object tuples x
-                mor_p = tensor_mor[n, ps[k // per_p]]
-                at_gis = [(row, xs[k] * size, sub) for (row, size, sub), xs in zip(phi_gis, x_gis)]
-                for x in tuples:
-                    first, second, third = phi_g[at_g + x], phi_f[at_f + targets_g[at_g + x]], phi_fg[at_fg + x]
-                    block = 0
-                    for row, base_at, sub in at_gis:
-                        leg = row[base_at + sub[x]]
-                        block = MISSING if leg == MISSING or block == MISSING else block * n_mor + leg
-                    if MISSING in (first, second, third, block):
-                        continue  # reported in the typing pass
-                    lhs = comp[mor_p[block] * n_mor + third]
-                    rhs = comp[second * n_mor + first]
-                    if lhs != rhs and lhs != MISSING and rhs != MISSING:
-                        violation(f"{prefix}.assoc", f"{witness(k)} A=({','.join(_labels(objects, x, ell))})", where)
+                for x in sorted(named.get(k, ())):
+                    violation(f"{prefix}.assoc", f"{witness(k)} A=({','.join(_labels(objects, x, ell))})", where)
     if swept:
         count(assoc_instances, assoc_count)
     return report

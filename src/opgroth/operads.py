@@ -552,26 +552,23 @@ class OperadRows:
             code = code * sizes[len(fib)] + index[len(fib)][q]
         return code
 
-    def square_keys(self, f: FinMap, g: FinMap, fg: FinMap, g_is):
-        """The keys of the square at g: ell -> m and f: m -> n, whose
-        composites must all be defined, at each instance in sweep order
-        (rs fastest): ``(x_f, x_g, x_gis, x_fg)``, the lists of the codes
-        of ``(p, qs)`` in the row of f, of ``(op(f, p, qs), rs)`` in the
-        row of g, of ``(qs[i], rs|f^-1(i))`` in the row of each g_i and of
-        ``(p, s)`` in the row of fg, ``s[i]`` being ``op(g_i, qs[i],
-        rs|f^-1(i))``."""
-        row_f, (_, g_slots, n_r) = self.row(f), self.shape(g)
-        n_p, n_q, sizes = self.sizes[f.target], self.shape(f)[2], self.sizes
-        x_f = [a for a in range(len(row_f)) for _ in range(n_r)]
-        x_g = [mid * n_r + r for mid in row_f for r in range(n_r)]
-        x_gis, code = [], [0] * (n_q * n_r)
-        for g_i, at in zip(g_is, self.gather(f, g_slots)):
-            row, radix = self.row(g_i), sizes[g_i.source]
-            x_gis.append(list(at) * n_p)
-            code = [c * radix + row[k] for c, k in zip(code, at)]
-        n_s = self.shape(fg)[2]
-        x_fg = [at + c for at in range(0, n_p * n_s, n_s) for c in code]
-        return x_f, x_g, x_gis, x_fg
+    def inner_codes(self, f: FinMap, g: FinMap, g_is):
+        """For the square at g: ell -> m and f: m -> n, whose composites
+        must all be defined, over the codes j of ``(qs, rs)`` (rs fastest):
+        ``(at, s)``, ``at[i][j]`` being the code of ``(qs[i], rs|f^-1(i))``
+        in the row of g_i (:meth:`gather`) and ``s[j]`` the code of
+        ``(op(g_i, qs[i], rs|f^-1(i)))_i`` among the qs of f.g.  So the
+        instance with code k (p slowest, rs fastest) reads f at
+        ``k // n_r``, g at ``row(f)[k // n_r] * n_r + k % n_r``, g_i at
+        ``at[i][k % (n_q * n_r)]`` and f.g at ``p * n_s + s[k % (n_q *
+        n_r)]``, n_q, n_r and n_s being the widths of f, g and f.g."""
+        g_slots, s = self.shape(g)[1], [0] * (self.shape(f)[2] * self.shape(g)[2])
+        at = self.gather(f, g_slots)
+        for g_i, at_i in zip(g_is, at):
+            row, radix = self.row(g_i), self.sizes[g_i.source]
+            if radix > 1:  # else every entry of the row is 0
+                s = [c * radix + row[x] for c, x in zip(s, at_i)]
+        return at, s
 
 
 def _rows_on(memo: dict | None, o: Operad, family=all_maps) -> OperadRows:
