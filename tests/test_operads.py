@@ -49,20 +49,31 @@ def _fibers(values, n):
 
 
 def oracle_operad(o: Operad):
-    """Naive re-check of all unit and associativity instances.
+    """Naive re-check of all unit and associativity instances, reading the
+    composites from one tabulation of ``o``.
 
     Returns (verdict, counts) where counts mirror the checker's stats keys.
+    Raises CompositionUndefined where an instance needs an undefined
+    composite, a result outside its carrier fed back in included.
     """
     N = o.max_arity
+    table = tabulate(o)
+
+    def compose(n, values, p, qs):
+        try:
+            return table[n, values, p, qs]
+        except KeyError:
+            raise CompositionUndefined(f"no composite at {values} {p} {qs}") from None
+
     ok = True
     counts = {"unit_id": 0, "unit_t": 0, "assoc": 0}
     for n in range(N + 1):
         for p in o.carriers[n]:
             counts["unit_id"] += 1
-            if o.compose(FinMap(n, n, tuple(range(1, n + 1))), p, (o.unit,) * n) != p:
+            if compose(n, tuple(range(1, n + 1)), p, (o.unit,) * n) != p:
                 ok = False
             counts["unit_t"] += 1
-            if o.compose(FinMap(n, 1, (1,) * n), o.unit, (p,)) != p:
+            if compose(1, (1,) * n, o.unit, (p,)) != p:
                 ok = False
     for n in range(N + 1):
         for m in range(N + 1):
@@ -79,31 +90,21 @@ def oracle_operad(o: Operad):
                             for qs in itertools.product(*inner_f):
                                 for rs in itertools.product(*inner_g):
                                     counts["assoc"] += 1
-                                    f = FinMap(m, n, tuple(fv))
-                                    g = FinMap(ell, m, tuple(gv))
-                                    lhs = o.compose(g, o.compose(f, p, qs), rs)
+                                    lhs = compose(m, gv, compose(n, fv, p, qs), rs)
                                     nested = []
                                     for i in range(1, n + 1):
                                         src_fib = fg_fibs[i - 1]
                                         tgt_fib = f_fibs[i - 1]
-                                        gi = FinMap(
-                                            len(src_fib),
-                                            len(tgt_fib),
-                                            tuple(
-                                                tgt_fib.index(gv[j - 1]) + 1
-                                                for j in src_fib
-                                            ),
-                                        )
+                                        gi_values = tuple(tgt_fib.index(gv[j - 1]) + 1 for j in src_fib)
                                         nested.append(
-                                            o.compose(
-                                                gi,
+                                            compose(
+                                                len(tgt_fib),
+                                                gi_values,
                                                 qs[i - 1],
                                                 tuple(rs[j - 1] for j in tgt_fib),
                                             )
                                         )
-                                    rhs = o.compose(
-                                        FinMap(ell, n, fgv), p, tuple(nested)
-                                    )
+                                    rhs = compose(n, fgv, p, tuple(nested))
                                     if lhs != rhs:
                                         ok = False
     return ok, counts
@@ -461,15 +462,13 @@ def test_collapsing_swap_breaks_preservation():
 # the square kernel against a per-instance loop
 
 
-def _square_by_instances(o: Operad, f: FinMap, g: FinMap, fg: FinMap, g_is):
+def _square_by_instances(o: Operad, table: dict, f: FinMap, g: FinMap, fg: FinMap, g_is):
     """The number of instances of the square at g and f, or None when a
-    composite is undefined or outside its carrier or the two sides differ."""
+    composite is undefined or outside its carrier or the two sides differ;
+    ``table`` is the :func:`tabulate` of o."""
 
     def op(h, p, qs):
-        try:
-            got = o.compose(h, p, qs)
-        except CompositionUndefined:
-            return None
+        got = table.get((h.target, h.values, p, qs))
         return got if got in o.carriers[h.source] else None
 
     instances = 0
@@ -516,12 +515,12 @@ def test_square_kernel_matches_a_per_instance_loop():
     for walks in (None, lambda *_: True):
         squares = failing = 0
         for o in operads:
-            rows = OperadRows(o)
+            rows, table = OperadRows(o), tabulate(o)
             for f, _, _, _, _, pairs in rows.sweep(walks):
                 for g, fg, g_is, _, held in pairs:
                     assert fg == fm_compose(f, g)
                     assert g_is == tuple(induced_fiber_map(f, g, i) for i in range(1, f.target + 1))
-                    expected = _square_by_instances(o, f, g, fg, g_is)
+                    expected = _square_by_instances(o, table, f, g, fg, g_is)
                     assert held == expected, (o.name, f, g)
                     squares += 1
                     failing += expected is None

@@ -10,12 +10,19 @@ from opgroth.fib2cat import ISetCell, IndexedSet, constant_singleton, fn_from_la
 from opgroth.fincore import CatFunctor, FinCat, FinMap, discrete_category, monoid_category, product_category, tuple_label
 from opgroth.fixtures import GRADE_ELEMENTS, GRADE_MULT, GRADE_UNIT
 from opgroth.ogroth import omons_equal
-from opgroth.operads import Operad, composition_keys, operads_equal
+from opgroth.operads import CompositionUndefined, Operad, composition_keys, operads_equal
 
 
 def tabulate(o: Operad) -> dict:
-    """The composition of ``o`` by key ``(f.target, f.values, p, qs)``."""
-    return {(f.target, f.values, p, qs): o.compose(f, p, qs) for f, p, qs in composition_keys(o)}
+    """The composition of ``o`` by key ``(f.target, f.values, p, qs)``,
+    without the keys where it is undefined."""
+    table = {}
+    for f, p, qs in composition_keys(o):
+        try:
+            table[f.target, f.values, p, qs] = o.compose(f, p, qs)
+        except CompositionUndefined:
+            pass
+    return table
 
 
 def with_overrides(o: Operad, overrides: dict, name: str = "", table: dict | None = None) -> Operad:
