@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
-from operator import add, mod, mul
+from operator import add, mul
 
 from .fincore import (
     CatFunctor,
@@ -602,32 +602,28 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     touched = {(f.target, f.values): {} for f, _, _, _ in phi}
     for f, p, qs in composable:
         touched[f.target, f.values][rows.key_code(f, p, qs)] = explicit[f.target, f.values, p, qs]
-    # the touched maps each of whose explicit keys has an entry at every
-    # object tuple, and (where identities compose as in a category) those
-    # whose explicit entries are all identities
-    whole = {h for h, codes in touched.items() if all(len(e) == n_obj ** len(h[1]) for e in codes.values())}
-    ident = base.identity
-    lawful = all(comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING) for a in range(n_obj) for b in range(n_obj))
-    plain = {h for h, codes in touched.items() if lawful and all(v in ident for e in codes.values() for v in e.values())}
     lowest = min((len(values) for _, values in touched), default=n_arities)
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
-    # the square as table lookups, MISSING (-1) reading the last entry of a
-    # row: on_rhs[a][b] is the composite b.a plus 1, 0 where undefined or a
-    # leg is MISSING; on_lhs[a][b] is, for the composite a.b, whether such a
-    # value agrees with it (is equal, or one is undefined or MISSING); and
-    # on_tensor[n][p][t] is on_lhs at T_p of the morphisms with code t in
-    # base n_mor + 1, all agreeing where one of them is MISSING (n_mor)
-    shifted = [h + 1 for h in comp]
-    agree = [[h == e or not h or not e for e in range(n_mor + 1)] for h in range(n_mor + 1)]
-    on_rhs = [shifted[a::n_mor] + [0] for a in range(n_mor)] + [[0] * (n_mor + 1)]
-    on_lhs = [[agree[h] for h in shifted[a * n_mor : a * n_mor + n_mor]] + agree[:1] for a in range(n_mor)]
-    on_tensor = _Rows(
-        lambda n: [
-            [on_lhs[row[_mixed_encode(t, (n_mor,) * n)]] if n_mor not in t else agree[:1] * (n_mor + 1) for t in itertools.product(range(n_mor + 1), repeat=n)]
-            for row in (tensor_mor[n, p] for p in elements(n))
-        ]
-    )
+    if touched:
+        # the touched maps each of whose explicit keys has an entry at every
+        # object tuple, and (where identities compose as in a category) those
+        # whose explicit entries are all identities
+        whole = {h for h, codes in touched.items() if all(len(e) == n_obj ** len(h[1]) for e in codes.values())}
+        ident = base.identity
+        lawful = all(comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING) for a in range(n_obj) for b in range(n_obj))
+        plain = {h for h, codes in touched.items() if lawful and all(v in ident for e in codes.values() for v in e.values())}
+        # the square as table lookups, where a MISSING (-1) leg reads the last
+        # entry of a row: on_rhs[a][b] is the composite b.a plus 1, 0 where
+        # undefined or MISSING; on_lhs[a][b] tells, for the composite a.b,
+        # whether such a value agrees with it (is equal, or one of them is
+        # undefined or MISSING); on_tensor[n][p][t] is on_lhs at T_p of the
+        # morphisms with code t, and agrees with every value at t = MISSING
+        shifted = [h + 1 for h in comp]
+        agree = [[h == e or not h or not e for e in range(n_mor + 1)] for h in range(n_mor + 1)]
+        on_rhs = [shifted[a::n_mor] + [0] for a in range(n_mor)] + [[0] * (n_mor + 1)]
+        on_lhs = [[agree[h] for h in shifted[a * n_mor : a * n_mor + n_mor]] + agree[:1] for a in range(n_mor)]
+        on_tensor = _Rows(lambda n: [[on_lhs[t] for t in tensor_mor[n, p]] + [agree[:1] * (n_mor + 1)] for p in elements(n)])
 
     def walked(n, values, ell):
         return ell >= lowest or (n, values) in touched
@@ -641,10 +637,12 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             continue
         row_f, n_q = rows.row(f), rows.shape(f)[2]
         for g, fg, g_is, g_inner, total in pairs:
-            maps = [(h.target, h.values) for h in (f, g, fg, *g_is)]
-            legs = [touched.get(h) for h in maps]
+            legs = [touched.get((h.target, h.values)) for h in (f, g, fg, *g_is)]
             # untouched, or by the identity lemma, its squares hold at every tuple
-            if total is not None and (not any(legs) or (n_x and not (legs[1] or legs[2]) and all(h in plain for h, c in zip(maps, legs) if c))):
+            if total is not None and (
+                not any(legs)
+                or (n_x and not (legs[1] or legs[2]) and all((h.target, h.values) in plain for h, c in zip((f, *g_is), legs[:1] + legs[3:]) if c))
+            ):
                 swept, assoc_count = True, assoc_count + n_x * total
                 continue
             n_r, n_s = rows.shape(g)[2], rows.shape(fg)[2]
@@ -671,16 +669,19 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             # operad level; one that does, only at its object tuples
             swept = swept or n_x > 0 or not all(map(involved, range(total)))
             assoc_count += n_x * total
-            for h, (leg, codes) in enumerate(zip(maps, legs)):
-                # the leg's keys by the tuples they are read at
-                by_xs = {tuple(range(n_x)): codes} if leg in whole else {}
-                for code, entries in codes.items() if codes and not by_xs else ():
-                    if h == 0:  # through the block tensors of g
+            for h, (leg, codes) in enumerate(zip((f, g, fg, *g_is), legs)):
+                if not codes:
+                    continue
+                every = tuple(range(n_x)) if (leg.target, leg.values) in whole else None
+                if h == 0:  # through the block tensors of g, at each rs
+                    for code, entries in codes.items():
                         for r in range(n_r):
                             start = (row_f[code] * n_r + r) * n_x
-                            xs = tuple(x for x, t in enumerate(targets_g[start : start + n_x]) if t in entries)
+                            xs = every or tuple(x for x, t in enumerate(targets_g[start : start + n_x]) if t in entries)
                             units.setdefault(xs, set()).add(code * n_r + r)
-                        continue
+                    continue
+                by_xs = {every: codes} if every else {}  # the leg's keys by the tuples read
+                for code, entries in () if every else codes.items():
                     if h > 2:  # through the tuples over each code of the fiber of f.g
                         entries = set().union(*map(cc.over(fg, h - 3).__getitem__, entries))
                     by_xs.setdefault(tuple(sorted(entries)), set()).add(code)
@@ -689,31 +690,32 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                         js = list(itertools.compress(itertools.count(), map(read.__contains__, at[h - 3])))
                         units.setdefault(xs, set()).update(p_at * n_qr + j for p_at in range(n_p) for j in js)
                         continue
-                    at_h = (
-                        (a for a in range(n_p * n_q) for _ in range(n_r)),
-                        (mid * n_r + r for mid in row_f for r in range(n_r)),
-                        (p_at * n_s + v for p_at in range(n_p) for v in s),
-                    )[h]
+                    at_h = (mid * n_r + r for mid in row_f for r in range(n_r)) if h == 1 else (p_at * n_s + v for p_at in range(n_p) for v in s)
                     units.setdefault(xs, set()).update(itertools.compress(itertools.count(), map(read.__contains__, at_h)))
             units.pop((), None)
+            if not (units or failing):
+                continue
             phi_g, phi_f, phi_fg = cc.by_map(g)[1], cc.by_map(f)[1], cc.by_map(fg)[1]
             phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
             # the squares of each unit as rows over its instances k and
             # tuples x, x fastest: named[k] holds the tuples x at which
             # T_p(g_1, ..., g_n).(f.g) and f.g are defined and differ
-            named = {}
+            named, on_n, n_xm = {}, on_tensor[n], n_obj**m
             for xs, ks in units.items():
                 ks = list(ks)
                 js = [k % n_qr for k in ks]
                 keys_at = [
-                    (k, on_tensor[n][k // n_qr], (row_f[k // n_r] * n_r + k % n_r) * n_x, (k // n_qr * n_s + s[j]) * n_x, k // n_r * n_obj**m)
+                    (k, on_n[k // n_qr], (row_f[k // n_r] * n_r + k % n_r) * n_x, (k // n_qr * n_s + s[j]) * n_x, k // n_r * n_xm)
                     for k, j in zip(ks, js)
                 ]
-                code = itertools.repeat(0)  # of T_p's leg tuple (g_1, ..., g_n), by (k, x)
-                for (row, size, sub), at_i in zip(phi_gis, at):
-                    legs_i = [row[at_i[j] * size + sub[x]] for j in js for x in xs]
-                    code = map(add, map(mul, code, itertools.repeat(n_mor + 1)), map(mod, legs_i, itertools.repeat(n_mor + 1)) if MISSING in legs_i else legs_i)
-                code = list(code) if at else [0] * (len(ks) * len(xs))
+                # the code of T_p's leg tuple (g_1, ..., g_n) by (k, x), MISSING
+                # where a leg is
+                blocks = [[row[at_i[j] * size + sub[x]] for j in js for x in xs] for (row, size, sub), at_i in zip(phi_gis, at)]
+                code = [0] * (len(ks) * len(xs))
+                for legs_i in blocks:
+                    code = list(map(add, map(mul, code, itertools.repeat(n_mor)), legs_i))
+                if any(MISSING in legs_i for legs_i in blocks):
+                    code = [c if low != MISSING else MISSING for c, low in zip(code, map(min, itertools.repeat(0), *blocks))]
                 for k, x in [
                     (k, x)
                     for (k, on_p, at_g, at_fg, at_f), i in zip(keys_at, range(0, len(code), len(xs)))

@@ -23,6 +23,7 @@ from opgroth.omon import (
     OMonTransformation,
     SetAlgebra,
     assoc_algebra_from_monoid,
+    build_omon,
     check_omon_category,
     check_lax_omon_functor,
     check_omon_transformation,
@@ -597,6 +598,62 @@ def test_touched_pair_records_and_counts_are_pinned():
         digest.update(repr(sorted(report.stats.items())).encode())
     assert (structures, failing) == (198, 68)
     assert digest.hexdigest() == TOUCHED_PAIR_PIN
+
+
+def _projection_structure(operad):
+    """First coordinates as tensors on L2 over ``operad``: lawful tensors
+    whose default structure isomorphism is MISSING wherever T_rho(A) and
+    the tensor of the block tensors differ."""
+    base = fixtures.l2()
+    return build_omon(
+        operad, base, lambda n, p, combo: combo[0] if n else 1, lambda n, p, combo: combo[0] if n else base.id_of(1), name="PROJ"
+    )
+
+
+def _missing_default_structures():
+    """The projection structure over comm(3) with one entry at an identity
+    or terminal map of source at most 2 set to each morphism, and over
+    comm(3) and assoc(3) with pairs of those keys set to the non-identity:
+    squares whose MISSING legs sit beside explicit ones."""
+    maps = dict.fromkeys(h for m in range(3) for h in (identity_map(m), terminal_map(m)))
+    for operad in (build_comm(3), build_assoc(3)):
+        c = _projection_structure(operad)
+        keys = [
+            (f, p, qs, objs)
+            for f in maps
+            for p in operad.elements(f.target)
+            for qs in itertools.product(*(operad.elements(len(fib)) for fib in f.fibers))
+            for objs in itertools.product(range(c.base.n_objects), repeat=f.source)
+        ]
+        for key in keys if operad.name.startswith("Comm") else ():
+            for value in range(c.base.n_morphisms):
+                changed = omon_copy(c)
+                changed.phi[key] = value
+                yield changed
+        for first, second in zip(keys[::2], keys[1::2]):
+            changed = omon_copy(c)
+            changed.phi[first] = changed.phi[second] = c.base.mor_index("le_0_1")
+            yield changed
+
+
+# sha256 over the (severity, check, witness, where) records, in order, and
+# the sorted stats of every report of the sweep above
+MISSING_DEFAULT_PIN = "329970c0427ae7c046f42e22c3fce3c700dd1a9ce595106a18e05973b8635961"
+
+
+def test_touched_pairs_beside_missing_defaults_are_pinned():
+    # squares where a MISSING default leg meets an explicit one, as the
+    # per-instance walk named them
+    digest, structures, failing = hashlib.sha256(), 0, 0
+    for c in _missing_default_structures():
+        report = check_omon_category(c)
+        structures += 1
+        failing += any(r.check == "omon.assoc" for r in report.records)
+        for r in report.records:
+            digest.update(repr((r.severity, r.check, r.witness, r.where)).encode())
+        digest.update(repr(sorted(report.stats.items())).encode())
+    assert (structures, failing) == (52, 27)
+    assert digest.hexdigest() == MISSING_DEFAULT_PIN
 
 
 def _as_tuple(report):
