@@ -692,7 +692,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                         continue
                     at_h = (mid * n_r + r for mid in row_f for r in range(n_r)) if h == 1 else (p_at * n_s + v for p_at in range(n_p) for v in s)
                     units.setdefault(xs, set()).update(itertools.compress(itertools.count(), map(read.__contains__, at_h)))
-            units.pop((), None)
+            units = {xs: ks for xs, ks in units.items() if xs and ks}
             if not (units or failing):
                 continue
             phi_g, phi_f, phi_fg = cc.by_map(g)[1], cc.by_map(f)[1], cc.by_map(fg)[1]
@@ -700,9 +700,9 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             # the squares of each unit as rows over its instances k and
             # tuples x, x fastest: named[k] holds the tuples x at which
             # T_p(g_1, ..., g_n).(f.g) and f.g are defined and differ
-            named, on_n, n_xm = {}, on_tensor[n], n_obj**m
+            named, n_xm = {}, n_obj**m
             for xs, ks in units.items():
-                ks = list(ks)
+                ks, on_n = list(ks), on_tensor[n]
                 js = [k % n_qr for k in ks]
                 keys_at = [
                     (k, on_n[k // n_qr], (row_f[k // n_r] * n_r + k % n_r) * n_x, (k // n_qr * n_s + s[j]) * n_x, k // n_r * n_xm)
