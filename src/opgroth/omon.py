@@ -430,9 +430,17 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     A, every leg is a default identity on endpoints the typing pass has
     checked (a default with unequal endpoints is MISSING, which that
     pass reports), so both sides are the identity of T_rho(A) and the
-    square holds.  So at such an instance the square is evaluated only
-    at the tuples some leg reads an entry at, in ascending order, and an
-    instance whose operad level fails runs every tuple.
+    square holds.  The identity lemma: where identities compose as in a
+    category and the operad level holds, the square holds at every A
+    when the legs of g and f.g read no explicit entry and every entry
+    the others read is an identity, as g and f.g are then the identity
+    of T_rho(A) or MISSING and T_p takes identities to identities.  So a
+    pair whose touched legs are all of that kind is counted whole; in
+    any other, the square is evaluated at the instances that read an
+    explicit entry, found by arithmetic on its key's code, at the tuples
+    some leg reads an entry at, and at every tuple of an instance whose
+    operad level fails, as rows of table lookups; failures are named in
+    the order of instances, then tuples.
     """
     report = CheckReport()
     operad, base = c.operad, c.base
@@ -596,9 +604,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     # a source of at most ell, a proven group with f untouched and no
     # touched map of source at most ell is counted whole, without building
     # its squares.  Any other group walks its pairs, and the rows leave the
-    # proof of its verdict to the walk: a pair's operad level holds at
-    # every p, qs and rs by its group's verdict or by its rows, or else its
-    # failing instances are named one by one.
+    # proof of its verdict to the walk.
     touched = {(f.target, f.values): {} for f, _, _, _ in phi}
     for f, p, qs in composable:
         touched[f.target, f.values][rows.key_code(f, p, qs)] = explicit[f.target, f.values, p, qs]
@@ -606,14 +612,16 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
     if touched:
-        # the touched maps each of whose explicit keys has an entry at every
-        # object tuple, and (where identities compose as in a category) those
-        # whose explicit entries are all identities
-        whole = {h for h, codes in touched.items() if all(len(e) == n_obj ** len(h[1]) for e in codes.values())}
+        # the keys of each touched map by the tuples their entries sit at,
+        # and the touched maps of the identity lemma
+        by_entries = {h: {} for h in touched}
+        for h, codes in touched.items():
+            for code, entries in codes.items():
+                by_entries[h].setdefault(tuple(sorted(entries)), set()).add(code)
         ident = base.identity
         lawful = all(comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING) for a in range(n_obj) for b in range(n_obj))
         plain = {h for h, codes in touched.items() if lawful and all(v in ident for e in codes.values() for v in e.values())}
-        # the square as table lookups, where a MISSING (-1) leg reads the last
+        # the square as table lookups, a MISSING (-1) leg reading the last
         # entry of a row: on_rhs[a][b] is the composite b.a plus 1, 0 where
         # undefined or MISSING; on_lhs[a][b] tells, for the composite a.b,
         # whether such a value agrees with it (is equal, or one of them is
@@ -637,11 +645,11 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             continue
         row_f, n_q = rows.row(f), rows.shape(f)[2]
         for g, fg, g_is, g_inner, total in pairs:
-            legs = [touched.get((h.target, h.values)) for h in (f, g, fg, *g_is)]
-            # untouched, or by the identity lemma, its squares hold at every tuple
-            if total is not None and (
+            maps = (f, g, fg, *g_is)
+            legs = [touched.get((h.target, h.values)) for h in maps]
+            if total is not None and (  # untouched, or by the identity lemma
                 not any(legs)
-                or (n_x and not (legs[1] or legs[2]) and all((h.target, h.values) in plain for h, c in zip((f, *g_is), legs[:1] + legs[3:]) if c))
+                or n_x and not (legs[1] or legs[2]) and all((h.target, h.values) in plain for h, c in zip(maps, legs) if c)
             ):
                 swept, assoc_count = True, assoc_count + n_x * total
                 continue
@@ -655,12 +663,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             def involved(k):
                 return any(codes and x in codes for codes, x in zip(legs, keys(k)))
 
-            # units[xs]: instances whose squares are evaluated at the tuples
-            # xs, by the tuple lemma: those of each explicit key, found by
-            # arithmetic on its code, at the tuples it is read at (every
-            # tuple for a map in whole), and the involved instances whose
-            # operad level fails, at every tuple
-            failing, units, targets_g = set(), {}, cc.by_map(g)[0]
+            failing, units, targets_g = set(), {}, cc.by_map(g)[0]  # units[xs]: instances read at the tuples xs
             if total is None:
                 row_g, row_fg, total = rows.row(g), rows.row(fg), n_p * n_qr
                 failing = {k for k, (_, x_g, x_fg, *_) in enumerate(map(keys, range(total))) if row_g[x_g] != row_fg[x_fg]}
@@ -669,47 +672,38 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             # operad level; one that does, only at its object tuples
             swept = swept or n_x > 0 or not all(map(involved, range(total)))
             assoc_count += n_x * total
-            for h, (leg, codes) in enumerate(zip((f, g, fg, *g_is), legs)):
-                if not codes:
-                    continue
-                every = tuple(range(n_x)) if (leg.target, leg.values) in whole else None
-                if h == 0:  # through the block tensors of g, at each rs
-                    for code, entries in codes.items():
-                        for r in range(n_r):
+            for h, (leg, codes) in enumerate(zip(maps, legs)):
+                for entries, read in by_entries[leg.target, leg.values].items() if codes else ():
+                    if h == 0 and len(entries) < n_obj**m:  # through the block tensors of g, at each rs
+                        for code, r in itertools.product(read, range(n_r)):
                             start = (row_f[code] * n_r + r) * n_x
-                            xs = every or tuple(x for x, t in enumerate(targets_g[start : start + n_x]) if t in entries)
+                            xs = tuple(x for x, t in enumerate(targets_g[start : start + n_x]) if t in entries)
                             units.setdefault(xs, set()).add(code * n_r + r)
-                    continue
-                by_xs = {every: codes} if every else {}  # the leg's keys by the tuples read
-                for code, entries in () if every else codes.items():
-                    if h > 2:  # through the tuples over each code of the fiber of f.g
-                        entries = set().union(*map(cc.over(fg, h - 3).__getitem__, entries))
-                    by_xs.setdefault(tuple(sorted(entries)), set()).add(code)
-                for xs, read in by_xs.items():
-                    if h > 2:
-                        js = list(itertools.compress(itertools.count(), map(read.__contains__, at[h - 3])))
-                        units.setdefault(xs, set()).update(p_at * n_qr + j for p_at in range(n_p) for j in js)
                         continue
-                    at_h = (mid * n_r + r for mid in row_f for r in range(n_r)) if h == 1 else (p_at * n_s + v for p_at in range(n_p) for v in s)
-                    units.setdefault(xs, set()).update(itertools.compress(itertools.count(), map(read.__contains__, at_h)))
+                    if h == 0:  # the leg's key code by instance, p slowest
+                        at_h, entries = (a for a in range(n_p * n_q) for _ in range(n_r)), range(n_x)
+                    elif h == 1:
+                        at_h = (mid * n_r + r for mid in row_f for r in range(n_r))
+                    elif h == 2:
+                        at_h = (p_at * n_s + v for p_at in range(n_p) for v in s)
+                    else:  # through the tuples over each code of the fiber of f.g
+                        over = cc.over(fg, h - 3)
+                        at_h, entries = at[h - 3] * n_p, sorted(set().union(*map(over.__getitem__, entries)))
+                    read_at = itertools.compress(itertools.count(), map(read.__contains__, at_h))
+                    units.setdefault(tuple(entries), set()).update(read_at)
             units = {xs: ks for xs, ks in units.items() if xs and ks}
             if not (units or failing):
                 continue
             phi_g, phi_f, phi_fg = cc.by_map(g)[1], cc.by_map(f)[1], cc.by_map(fg)[1]
             phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
-            # the squares of each unit as rows over its instances k and
-            # tuples x, x fastest: named[k] holds the tuples x at which
-            # T_p(g_1, ..., g_n).(f.g) and f.g are defined and differ
-            named, n_xm = {}, n_obj**m
+            # the squares of each unit as rows over its instances k and tuples
+            # x, x fastest: named[k] holds the tuples x at which both sides,
+            # T_p(g_1, ..., g_n).(f.g) and f.g, are defined and differ
+            named = {}
             for xs, ks in units.items():
-                ks, on_n = list(ks), on_tensor[n]
+                ks, on_n, n_xm = list(ks), on_tensor[n], n_obj**m
                 js = [k % n_qr for k in ks]
-                keys_at = [
-                    (k, on_n[k // n_qr], (row_f[k // n_r] * n_r + k % n_r) * n_x, (k // n_qr * n_s + s[j]) * n_x, k // n_r * n_xm)
-                    for k, j in zip(ks, js)
-                ]
-                # the code of T_p's leg tuple (g_1, ..., g_n) by (k, x), MISSING
-                # where a leg is
+                # the code of T_p's leg tuple by (k, x), MISSING where a leg is
                 blocks = [[row[at_i[j] * size + sub[x]] for j in js for x in xs] for (row, size, sub), at_i in zip(phi_gis, at)]
                 code = [0] * (len(ks) * len(xs))
                 for legs_i in blocks:
@@ -718,20 +712,22 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                     code = [c if low != MISSING else MISSING for c, low in zip(code, map(min, itertools.repeat(0), *blocks))]
                 for k, x in [
                     (k, x)
-                    for (k, on_p, at_g, at_fg, at_f), i in zip(keys_at, range(0, len(code), len(xs)))
+                    for k, j, i in zip(ks, js, range(0, len(code), len(xs)))
+                    for on_p, at_g, at_fg, at_f in [
+                        (on_n[k // n_qr], (row_f[k // n_r] * n_r + k % n_r) * n_x, (k // n_qr * n_s + s[j]) * n_x, k // n_r * n_xm)
+                    ]
                     for x, t in zip(xs, code[i : i + len(xs)])
                     if not on_p[t][phi_fg[at_fg + x]][on_rhs[phi_g[at_g + x]][phi_f[at_f + targets_g[at_g + x]]]]
                 ]:
                     named.setdefault(k, set()).add(x)
+            if not (failing or named):
+                continue
             radix = (n_p, *map(len, f_inner), *map(len, g_inner))
 
             def witness(k):
                 at = _mixed_decode(k, radix)
-                return (
-                    f"square fails at g={g.label()} f={f.label()} p={ps[at[0]]} "
-                    f"q=({','.join(c[d] for c, d in zip(f_inner, at[1 : n + 1]))}) "
-                    f"r=({','.join(c[d] for c, d in zip(g_inner, at[n + 1 :]))})"
-                )
+                q, r = (",".join(c[d] for c, d in zip(inner, at[i:])) for inner, i in ((f_inner, 1), (g_inner, n + 1)))
+                return f"square fails at g={g.label()} f={f.label()} p={ps[at[0]]} q=({q}) r=({r})"
 
             for k in sorted(failing.union(named)):
                 if k in failing and not involved(k):

@@ -553,15 +553,14 @@ class OperadRows:
         return code
 
     def inner_codes(self, f: FinMap, g: FinMap, g_is):
-        """For the square at g: ell -> m and f: m -> n, whose composites
-        must all be defined, over the codes j of ``(qs, rs)`` (rs fastest):
-        ``(at, s)``, ``at[i][j]`` being the code of ``(qs[i], rs|f^-1(i))``
-        in the row of g_i (:meth:`gather`) and ``s[j]`` the code of
-        ``(op(g_i, qs[i], rs|f^-1(i)))_i`` among the qs of f.g.  So the
-        instance with code k (p slowest, rs fastest) reads f at
-        ``k // n_r``, g at ``row(f)[k // n_r] * n_r + k % n_r``, g_i at
-        ``at[i][k % (n_q * n_r)]`` and f.g at ``p * n_s + s[k % (n_q *
-        n_r)]``, n_q, n_r and n_s being the widths of f, g and f.g."""
+        """``(at, s)`` for the square at g: ell -> m and f: m -> n, whose
+        composites must all be defined, over the codes j of ``(qs, rs)``:
+        ``at[i][j]``, the code of ``(qs[i], rs|f^-1(i))`` in the row of g_i
+        (:meth:`gather`), and ``s[j]``, that of the qs of f.g, the
+        ``op(g_i, qs[i], rs|f^-1(i))``.  So the instance k = (p, j) reads f
+        at ``k // n_r``, g at ``row(f)[k // n_r] * n_r + k % n_r``, g_i at
+        ``at[i][j]`` and f.g at ``p * n_s + s[j]``, n_r and n_s being the
+        widths of g and f.g."""
         g_slots, s = self.shape(g)[1], [0] * (self.shape(f)[2] * self.shape(g)[2])
         at = self.gather(f, g_slots)
         for g_i, at_i in zip(g_is, at):

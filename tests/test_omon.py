@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -654,6 +655,20 @@ def test_touched_pairs_beside_missing_defaults_are_pinned():
         digest.update(repr(sorted(report.stats.items())).encode())
     assert (structures, failing) == (52, 27)
     assert digest.hexdigest() == MISSING_DEFAULT_PIN
+
+
+def test_identity_entries_over_a_base_whose_identities_compose_apart_still_meet_their_squares():
+    # the identity lemma needs identities that compose as in a category:
+    # with composites entered for id_1.id_0 and id_0.id_1, squares that read
+    # only identities can fail, and are named as the per-instance walk named
+    # them (the pin was taken on that walk)
+    _, c, _ = omon_single_entry_mutations(dz2_assoc_omon(2))[1]
+    base = dataclasses.replace(c.base, composition={**c.base.composition, (1, 0): 1, (0, 1): 0})
+    report = check_omon_category(OMonCategory(operad=c.operad, base=base, tensors=c.tensors, phi=c.phi, name=c.name))
+    assert sum(r.check == "omon.assoc" for r in report.records) == 26
+    named = [(r.severity, r.check, r.witness, r.where) for r in report.records]
+    digest = hashlib.sha256(repr(named + sorted(report.stats.items())).encode())
+    assert digest.hexdigest() == "ba52a327fb2693cc06c597ac39b5cfa68350782b24c76edfaa087a0da40e93ac"
 
 
 def _as_tuple(report):
