@@ -431,16 +431,13 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     checked (a default with unequal endpoints is MISSING, which that
     pass reports), so both sides are the identity of T_rho(A) and the
     square holds.  The identity lemma: where identities compose as in a
-    category and the operad level holds, the square holds at every A
-    when the legs of g and f.g read no explicit entry and every entry
-    the others read is an identity, as g and f.g are then the identity
-    of T_rho(A) or MISSING and T_p takes identities to identities.  So a
-    pair whose touched legs are all of that kind is counted whole; in
-    any other, the square is evaluated at the instances that read an
-    explicit entry, found by arithmetic on its key's code, at the tuples
-    some leg reads an entry at, and at every tuple of an instance whose
-    operad level fails, as rows of table lookups; failures are named in
-    the order of instances, then tuples.
+    category and the operad level holds, the square holds at every A if
+    g and f.g read no explicit entry and the other legs only identities,
+    as g and f.g are then the identity of T_rho(A) or MISSING, and T_p
+    keeps identities.  Any other touched pair evaluates, as rows of table
+    lookups, the instances that read an entry (found by arithmetic on
+    its key's code) at the tuples some leg reads one at, and every tuple
+    of an instance whose operad level fails.
     """
     report = CheckReport()
     operad, base = c.operad, c.base
@@ -596,37 +593,31 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
 
     # associativity square over all composable pairs, operation tuples and
     # object tuples, by the lemmas of the docstring.  The touched maps are
-    # those of the explicit keys, each with the row codes of its keys'
-    # (p, qs) and, for each, the codes of its entries' object tuples; a
-    # pair (f, g) is touched when f, g, f.g or an induced g_i is.  The
-    # operad rows give one verdict per group (f, ell) of pairs, and keep
-    # each one they prove square by square.  As g, f.g and every g_i have
-    # a source of at most ell, a proven group with f untouched and no
-    # touched map of source at most ell is counted whole, without building
-    # its squares.  Any other group walks its pairs, and the rows leave the
-    # proof of its verdict to the walk.
+    # those of the explicit keys, with the row codes of their keys' (p, qs)
+    # and the codes of their entries' object tuples; a pair (f, g) is
+    # touched when f, g, f.g or an induced g_i is.  The operad rows keep a
+    # verdict per group (f, ell) of pairs; as g, f.g and every g_i have a
+    # source of at most ell, a proven group with f untouched and no touched
+    # map of source at most ell is counted whole.  Any other group walks
+    # its pairs, and the rows leave the proof of its verdict to the walk.
     touched = {(f.target, f.values): {} for f, _, _, _ in phi}
+    by_entries = {h: {} for h in touched}  # the codes of each by the tuples of their entries
     for f, p, qs in composable:
-        touched[f.target, f.values][rows.key_code(f, p, qs)] = explicit[f.target, f.values, p, qs]
+        code, entries = rows.key_code(f, p, qs), explicit[f.target, f.values, p, qs]
+        touched[f.target, f.values][code] = entries
+        by_entries[f.target, f.values].setdefault(tuple(sorted(entries)), set()).add(code)
     lowest = min((len(values) for _, values in touched), default=n_arities)
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
     if touched:
-        # the keys of each touched map by the tuples their entries sit at,
-        # and the touched maps of the identity lemma
-        by_entries = {h: {} for h in touched}
-        for h, codes in touched.items():
-            for code, entries in codes.items():
-                by_entries[h].setdefault(tuple(sorted(entries)), set()).add(code)
+        # the touched maps of the identity lemma
         ident = base.identity
         lawful = all(comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING) for a in range(n_obj) for b in range(n_obj))
         plain = {h for h, codes in touched.items() if lawful and all(v in ident for e in codes.values() for v in e.values())}
-        # the square as table lookups, a MISSING (-1) leg reading the last
-        # entry of a row: on_rhs[a][b] is the composite b.a plus 1, 0 where
-        # undefined or MISSING; on_lhs[a][b] tells, for the composite a.b,
-        # whether such a value agrees with it (is equal, or one of them is
-        # undefined or MISSING); on_tensor[n][p][t] is on_lhs at T_p of the
-        # morphisms with code t, and agrees with every value at t = MISSING
+        # the square as lookups, a MISSING (-1) leg reading a row's last entry:
+        # on_rhs[a][b] is b.a plus 1, 0 where undefined or MISSING; on_lhs[a][b]
+        # whether such a value agrees with a.b (is equal, or either is 0 or
+        # MISSING); on_tensor[n][p][t], on_lhs at T_p of the tuple with code t
         shifted = [h + 1 for h in comp]
         agree = [[h == e or not h or not e for e in range(n_mor + 1)] for h in range(n_mor + 1)]
         on_rhs = [shifted[a::n_mor] + [0] for a in range(n_mor)] + [[0] * (n_mor + 1)]
@@ -656,8 +647,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             n_r, n_s = rows.shape(g)[2], rows.shape(fg)[2]
             n_qr, (at, s) = n_q * n_r, rows.inner_codes(f, g, g_is)
 
-            def keys(k):
-                """The codes of the keys of f, g, f.g and each g_i at instance k."""
+            def keys(k):  # the codes of the keys of f, g, f.g and each g_i at instance k
                 return (k // n_r, row_f[k // n_r] * n_r + k % n_r, k // n_qr * n_s + s[k % n_qr], *(a[k % n_qr] for a in at))
 
             def involved(k):
@@ -696,9 +686,8 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                 continue
             phi_g, phi_f, phi_fg = cc.by_map(g)[1], cc.by_map(f)[1], cc.by_map(fg)[1]
             phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
-            # the squares of each unit as rows over its instances k and tuples
-            # x, x fastest: named[k] holds the tuples x at which both sides,
-            # T_p(g_1, ..., g_n).(f.g) and f.g, are defined and differ
+            # each unit's squares as rows over (k, x), x fastest: named[k] holds
+            # the x where T_p(g_1, ..., g_n).(f.g) and f.g are defined and differ
             named = {}
             for xs, ks in units.items():
                 ks, on_n, n_xm = list(ks), on_tensor[n], n_obj**m

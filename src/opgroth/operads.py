@@ -553,14 +553,12 @@ class OperadRows:
         return code
 
     def inner_codes(self, f: FinMap, g: FinMap, g_is):
-        """``(at, s)`` for the square at g: ell -> m and f: m -> n, whose
-        composites must all be defined, over the codes j of ``(qs, rs)``:
-        ``at[i][j]``, the code of ``(qs[i], rs|f^-1(i))`` in the row of g_i
-        (:meth:`gather`), and ``s[j]``, that of the qs of f.g, the
-        ``op(g_i, qs[i], rs|f^-1(i))``.  So the instance k = (p, j) reads f
-        at ``k // n_r``, g at ``row(f)[k // n_r] * n_r + k % n_r``, g_i at
-        ``at[i][j]`` and f.g at ``p * n_s + s[j]``, n_r and n_s being the
-        widths of g and f.g."""
+        """For the square at g and f, whose composites must be defined, over
+        the codes j of ``(qs, rs)``: ``at[i][j]``, the code of ``(qs[i],
+        rs|f^-1(i))`` in the row of g_i (:meth:`gather`), and ``s[j]``, that
+        of the qs ``op(g_i, qs[i], rs|f^-1(i))`` of f.g.  So the instance
+        k = (p, j) reads f at ``k // n_r``, g at ``row(f)[k // n_r] * n_r +
+        k % n_r``, g_i at ``at[i][j]`` and f.g at ``p * n_s + s[j]``."""
         g_slots, s = self.shape(g)[1], [0] * (self.shape(f)[2] * self.shape(g)[2])
         at = self.gather(f, g_slots)
         for g_i, at_i in zip(g_is, at):
