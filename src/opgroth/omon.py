@@ -612,7 +612,8 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     if touched:
         # the touched maps of the identity lemma
         ident = base.identity
-        lawful = all(comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING) for a in range(n_obj) for b in range(n_obj))
+        obj_pairs = itertools.product(range(n_obj), repeat=2)
+        lawful = all(comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING) for a, b in obj_pairs)
         plain = {h for h, codes in touched.items() if lawful and all(v in ident for e in codes.values() for v in e.values())}
         # the square as lookups, a MISSING (-1) leg reading a row's last entry:
         # on_rhs[a][b] is b.a plus 1, 0 where undefined or MISSING; on_lhs[a][b]

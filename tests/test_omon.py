@@ -587,8 +587,8 @@ TOUCHED_PAIR_PIN = "84646dd6287be89cd3d20aecb7c4e3b1468657e6bb0860e8d4c799e9d5b2
 
 
 def test_touched_pair_records_and_counts_are_pinned():
-    # the slow oracle of the square pass over touched pairs: its records and
-    # counters as the per-instance walk gave them
+    # the slow oracle of the square pass over touched pairs: every record,
+    # in order, and every counter of the sweep, pinned
     digest, structures, failing = hashlib.sha256(), 0, 0
     for check, c in _touched_pair_structures():
         report = check(c)
@@ -643,8 +643,8 @@ MISSING_DEFAULT_PIN = "329970c0427ae7c046f42e22c3fce3c700dd1a9ce595106a18e05973b
 
 
 def test_touched_pairs_beside_missing_defaults_are_pinned():
-    # squares where a MISSING default leg meets an explicit one, as the
-    # per-instance walk named them
+    # squares where a MISSING default leg meets an explicit one: every
+    # record, in order, and every counter, pinned
     digest, structures, failing = hashlib.sha256(), 0, 0
     for c in _missing_default_structures():
         report = check_omon_category(c)
@@ -660,8 +660,7 @@ def test_touched_pairs_beside_missing_defaults_are_pinned():
 def test_identity_entries_over_a_base_whose_identities_compose_apart_still_meet_their_squares():
     # the identity lemma needs identities that compose as in a category:
     # with composites entered for id_1.id_0 and id_0.id_1, squares that read
-    # only identities can fail, and are named as the per-instance walk named
-    # them (the pin was taken on that walk)
+    # only identities can fail, and each is named (records and counters pinned)
     _, c, _ = omon_single_entry_mutations(dz2_assoc_omon(2))[1]
     base = dataclasses.replace(c.base, composition={**c.base.composition, (1, 0): 1, (0, 1): 0})
     report = check_omon_category(OMonCategory(operad=c.operad, base=base, tensors=c.tensors, phi=c.phi, name=c.name))
