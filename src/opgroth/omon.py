@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
-from operator import add, mul
+from operator import add, mul, ne
 
 from .fincore import (
     CatFunctor,
@@ -313,6 +313,11 @@ class _Compiled:
 def _labels(names, x: int, n: int) -> list:
     """The labels of the n-tuple with code x over ``names``."""
     return [names[a] for a in _mixed_decode(x, (len(names),) * n)]
+
+
+def _positions(row, values):
+    """The indices of the entries of ``row`` that lie in ``values``."""
+    return itertools.compress(itertools.count(), map(values.__contains__, row))
 
 
 # --------------------------------------------------------------------------
@@ -647,41 +652,34 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                 continue
             n_r, n_s = rows.shape(g)[2], rows.shape(fg)[2]
             n_qr, (at, s) = n_q * n_r, rows.inner_codes(f, g, g_is)
-
-            def keys(k):  # the codes of the keys of f, g, f.g and each g_i at instance k
-                return (k // n_r, row_f[k // n_r] * n_r + k % n_r, k // n_qr * n_s + s[k % n_qr], *(a[k % n_qr] for a in at))
-
-            def involved(k):
-                return any(codes and x in codes for codes, x in zip(legs, keys(k)))
-
-            failing, units, targets_g = set(), {}, cc.by_map(g)[0]  # units[xs]: instances read at the tuples xs
-            if total is None:
-                row_g, row_fg, total = rows.row(g), rows.row(fg), n_p * n_qr
-                failing = {k for k, (_, x_g, x_fg, *_) in enumerate(map(keys, range(total))) if row_g[x_g] != row_fg[x_fg]}
-                units[tuple(range(n_x))] = set(filter(involved, failing))
-            # an instance that involves no explicit entry is swept at the
-            # operad level; one that does, only at its object tuples
-            swept = swept or n_x > 0 or not all(map(involved, range(total)))
-            assoc_count += n_x * total
+            # units[xs]: the instances k = (p, j), j = (qs, rs), that read an explicit
+            # key, found from each leg's key codes (inner_codes), by the tuples xs
+            units, targets_g = {}, cc.by_map(g)[0]
             for h, (leg, codes) in enumerate(zip(maps, legs)):
                 for entries, read in by_entries[leg.target, leg.values].items() if codes else ():
-                    if h == 0 and len(entries) < n_obj**m:  # through the block tensors of g, at each rs
-                        for code, r in itertools.product(read, range(n_r)):
-                            start = (row_f[code] * n_r + r) * n_x
-                            xs = tuple(x for x, t in enumerate(targets_g[start : start + n_x]) if t in entries)
-                            units.setdefault(xs, set()).add(code * n_r + r)
+                    if h == 0:  # k reads f at k // n_r, at the block tensors of A under g
+                        for a, r in itertools.product(read, range(n_r)):
+                            start = (row_f[a] * n_r + r) * n_x
+                            xs = range(n_x) if len(entries) == n_obj**m else [x for x, t in enumerate(targets_g[start : start + n_x]) if t in entries]
+                            units.setdefault(tuple(xs), set()).add(a * n_r + r)
                         continue
-                    if h == 0:  # the leg's key code by instance, p slowest
-                        at_h, entries = (a for a in range(n_p * n_q) for _ in range(n_r)), range(n_x)
-                    elif h == 1:
-                        at_h = (mid * n_r + r for mid in row_f for r in range(n_r))
-                    elif h == 2:
-                        at_h = (p_at * n_s + v for p_at in range(n_p) for v in s)
-                    else:  # through the tuples over each code of the fiber of f.g
-                        over = cc.over(fg, h - 3)
-                        at_h, entries = at[h - 3] * n_p, sorted(set().union(*map(over.__getitem__, entries)))
-                    read_at = itertools.compress(itertools.count(), map(read.__contains__, at_h))
-                    units.setdefault(tuple(entries), set()).update(read_at)
+                    if h == 1:  # k reads g at row_f[k // n_r] * n_r + k % n_r
+                        ks = [a * n_r + r for a in _positions(row_f, {c // n_r for c in read}) for r in range(n_r) if row_f[a] * n_r + r in read]
+                    elif h == 2:  # k reads f.g at p * n_s + s[j]
+                        ks = [p * n_qr + j for j in _positions(s, {c % n_s for c in read}) for p in range(n_p) if p * n_s + s[j] in read]
+                    else:  # k reads g_i at at_i[j], at the tuples over its entries on the fiber of f.g
+                        over, ks = cc.over(fg, h - 3), [p * n_qr + j for j in _positions(at[h - 3], read) for p in range(n_p)]
+                        entries = set().union(*map(over.__getitem__, entries))
+                    units.setdefault(tuple(sorted(entries)), set()).update(ks)
+            involved, failing = set().union(*units.values()), set()
+            if total is None:  # the instances whose operad level fails
+                row_g, row_fg, total = rows.row(g), rows.row(fg), n_p * n_qr
+                lhs = (row_g[mid * n_r + r] for mid in row_f for r in range(n_r))
+                failing = set(itertools.compress(itertools.count(), map(ne, lhs, (row_fg[p + v] for p in range(0, n_p * n_s, n_s) for v in s))))
+                units.setdefault(tuple(range(n_x)), set()).update(failing & involved)
+            # an instance with no explicit key is swept at the operad level, else at its tuples
+            swept = swept or n_x > 0 or len(involved) < total
+            assoc_count += n_x * total
             units = {xs: ks for xs, ks in units.items() if xs and ks}
             if not (units or failing):
                 continue
@@ -700,16 +698,12 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                     code = list(map(add, map(mul, code, itertools.repeat(n_mor)), legs_i))
                 if any(MISSING in legs_i for legs_i in blocks):
                     code = [c if low != MISSING else MISSING for c, low in zip(code, map(min, itertools.repeat(0), *blocks))]
-                for k, x in [
-                    (k, x)
-                    for k, j, i in zip(ks, js, range(0, len(code), len(xs)))
-                    for on_p, at_g, at_fg, at_f in [
-                        (on_n[k // n_qr], (row_f[k // n_r] * n_r + k % n_r) * n_x, (k // n_qr * n_s + s[j]) * n_x, k // n_r * n_xm)
-                    ]
-                    for x, t in zip(xs, code[i : i + len(xs)])
-                    if not on_p[t][phi_fg[at_fg + x]][on_rhs[phi_g[at_g + x]][phi_f[at_f + targets_g[at_g + x]]]]
-                ]:
-                    named.setdefault(k, set()).add(x)
+                for k, j, i in zip(ks, js, range(0, len(code), len(xs))):
+                    p, at_f, at_g = k // n_qr, k // n_r * n_xm, (row_f[k // n_r] * n_r + k % n_r) * n_x
+                    on_p, at_fg, tops = on_n[p], (p * n_s + s[j]) * n_x, zip(xs, code[i : i + len(xs)])
+                    bad = [x for x, t in tops if not on_p[t][phi_fg[at_fg + x]][on_rhs[phi_g[at_g + x]][phi_f[at_f + targets_g[at_g + x]]]]]
+                    if bad:
+                        named.setdefault(k, set()).update(bad)
             if not (failing or named):
                 continue
             radix = (n_p, *map(len, f_inner), *map(len, g_inner))
@@ -720,7 +714,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                 return f"square fails at g={g.label()} f={f.label()} p={ps[at[0]]} q=({q}) r=({r})"
 
             for k in sorted(failing.union(named)):
-                if k in failing and not involved(k):
+                if k in failing and k not in involved:
                     violation(f"{prefix}.assoc", witness(k), where)
                 for x in sorted(named.get(k, ())):
                     violation(f"{prefix}.assoc", f"{witness(k)} A=({','.join(_labels(objects, x, ell))})", where)
