@@ -605,12 +605,12 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     # source of at most ell, a proven group with f untouched and no touched
     # map of source at most ell is counted whole.  Any other group walks
     # its pairs, and the rows leave the proof of its verdict to the walk.
-    touched = {(f.target, f.values): {} for f, _, _, _ in phi}
-    by_entries = {h: {} for h in touched}  # the codes of each by the tuples of their entries
+    touched = {(f.target, f.values): {} for f, _, _, _ in phi}  # each one's key codes by their entries' tuples
+    impure = set()  # the touched maps with an entry other than an identity
     for f, p, qs in composable:
-        code, entries = rows.key_code(f, p, qs), explicit[f.target, f.values, p, qs]
-        touched[f.target, f.values][code] = entries
-        by_entries[f.target, f.values].setdefault(tuple(sorted(entries)), set()).add(code)
+        entries = explicit[f.target, f.values, p, qs]
+        touched[f.target, f.values].setdefault(tuple(sorted(entries)), set()).add(rows.key_code(f, p, qs))
+        impure.update((f.target, f.values) for v in entries.values() if v not in base.identity)
     lowest = min((len(values) for _, values in touched), default=n_arities)
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
@@ -619,7 +619,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
         ident = base.identity
         obj_pairs = itertools.product(range(n_obj), repeat=2)
         lawful = all(comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING) for a, b in obj_pairs)
-        plain = {h for h, codes in touched.items() if lawful and all(v in ident for e in codes.values() for v in e.values())}
+        plain = set(touched).difference(impure) if lawful else set()
         # the square as lookups, a MISSING (-1) leg reading a row's last entry:
         # on_rhs[a][b] is b.a plus 1, 0 where undefined or MISSING; on_lhs[a][b]
         # whether such a value agrees with a.b (is equal, or either is 0 or
@@ -650,20 +650,29 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             ):
                 swept, assoc_count = True, assoc_count + n_x * total
                 continue
-            n_r, n_s = rows.shape(g)[2], rows.shape(fg)[2]
-            n_qr, (at, s) = n_q * n_r, rows.inner_codes(f, g, g_is)
-            # units[xs]: the instances k = (p, j), j = (qs, rs), that read an explicit
-            # key, found from each leg's key codes (inner_codes), by the tuples xs
+            (_, g_slots, n_r), n_s = rows.shape(g), rows.shape(fg)[2]
+            # over the codes j of (qs, rs): at[i][j], the code of (qs[i], rs|f^-1(i)) in the
+            # row of g_i (gather), and s[j], that of the qs op(g_i, qs[i], rs|f^-1(i)) of f.g
+            n_qr, at = n_q * n_r, rows.gather(f, g_slots)
+            s = [0] * n_qr
+            for g_i, at_i in zip(g_is, at):
+                row, radix = rows.row(g_i), rows.sizes[g_i.source]
+                if radix > 1:  # else every entry of the row is 0
+                    s = [c * radix + row[x] for c, x in zip(s, at_i)]
+            # units[xs]: the instances k = (p, j) that read an explicit key, found from the
+            # codes of each leg's keys, by the tuples xs they read one at
             units, targets_g = {}, cc.by_map(g)[0]
-            for h, (leg, codes) in enumerate(zip(maps, legs)):
-                for entries, read in by_entries[leg.target, leg.values].items() if codes else ():
-                    if h == 0:  # k reads f at k // n_r, at the block tensors of A under g
+            for h, codes in enumerate(legs):
+                for entries, read in codes.items() if codes else ():
+                    if h == 0 and len(entries) < n_obj**m:  # k reads f at k // n_r, at the block tensors of A under g
                         for a, r in itertools.product(read, range(n_r)):
                             start = (row_f[a] * n_r + r) * n_x
-                            xs = range(n_x) if len(entries) == n_obj**m else [x for x, t in enumerate(targets_g[start : start + n_x]) if t in entries]
-                            units.setdefault(tuple(xs), set()).add(a * n_r + r)
+                            xs = tuple(x for x, t in enumerate(targets_g[start : start + n_x]) if t in entries)
+                            units.setdefault(xs, set()).add(a * n_r + r)
                         continue
-                    if h == 1:  # k reads g at row_f[k // n_r] * n_r + k % n_r
+                    if h == 0:  # at every tuple
+                        ks, entries = [a * n_r + r for a in read for r in range(n_r)], range(n_x)
+                    elif h == 1:  # k reads g at row_f[k // n_r] * n_r + k % n_r
                         ks = [a * n_r + r for a in _positions(row_f, {c // n_r for c in read}) for r in range(n_r) if row_f[a] * n_r + r in read]
                     elif h == 2:  # k reads f.g at p * n_s + s[j]
                         ks = [p * n_qr + j for j in _positions(s, {c % n_s for c in read}) for p in range(n_p) if p * n_s + s[j] in read]
@@ -671,11 +680,13 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                         over, ks = cc.over(fg, h - 3), [p * n_qr + j for j in _positions(at[h - 3], read) for p in range(n_p)]
                         entries = set().union(*map(over.__getitem__, entries))
                     units.setdefault(tuple(sorted(entries)), set()).update(ks)
-            involved, failing = set().union(*units.values()), set()
+            failing, involved = set(), set()
             if total is None:  # the instances whose operad level fails
                 row_g, row_fg, total = rows.row(g), rows.row(fg), n_p * n_qr
                 lhs = (row_g[mid * n_r + r] for mid in row_f for r in range(n_r))
                 failing = set(itertools.compress(itertools.count(), map(ne, lhs, (row_fg[p + v] for p in range(0, n_p * n_s, n_s) for v in s))))
+            if failing or not n_x:  # the instances that read an explicit key
+                involved = set().union(*units.values())
                 units.setdefault(tuple(range(n_x)), set()).update(failing & involved)
             # an instance with no explicit key is swept at the operad level, else at its tuples
             swept = swept or n_x > 0 or len(involved) < total
@@ -698,12 +709,16 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                     code = list(map(add, map(mul, code, itertools.repeat(n_mor)), legs_i))
                 if any(MISSING in legs_i for legs_i in blocks):
                     code = [c if low != MISSING else MISSING for c, low in zip(code, map(min, itertools.repeat(0), *blocks))]
-                for k, j, i in zip(ks, js, range(0, len(code), len(xs))):
-                    p, at_f, at_g = k // n_qr, k // n_r * n_xm, (row_f[k // n_r] * n_r + k % n_r) * n_x
-                    on_p, at_fg, tops = on_n[p], (p * n_s + s[j]) * n_x, zip(xs, code[i : i + len(xs)])
-                    bad = [x for x, t in tops if not on_p[t][phi_fg[at_fg + x]][on_rhs[phi_g[at_g + x]][phi_f[at_f + targets_g[at_g + x]]]]]
-                    if bad:
-                        named.setdefault(k, set()).update(bad)
+                for k, x in [
+                    (k, x)
+                    for k, j, i in zip(ks, js, range(0, len(code), len(xs)))
+                    for on_p, at_g, at_fg, at_f in [
+                        (on_n[k // n_qr], (row_f[k // n_r] * n_r + k % n_r) * n_x, (k // n_qr * n_s + s[j]) * n_x, k // n_r * n_xm)
+                    ]
+                    for x, t in zip(xs, code[i : i + len(xs)])
+                    if not on_p[t][phi_fg[at_fg + x]][on_rhs[phi_g[at_g + x]][phi_f[at_f + targets_g[at_g + x]]]]
+                ]:
+                    named.setdefault(k, set()).add(x)
             if not (failing or named):
                 continue
             radix = (n_p, *map(len, f_inner), *map(len, g_inner))

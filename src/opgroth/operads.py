@@ -552,21 +552,6 @@ class OperadRows:
             code = code * sizes[len(fib)] + index[len(fib)][q]
         return code
 
-    def inner_codes(self, f: FinMap, g: FinMap, g_is):
-        """For the square at g and f, whose composites must be defined, over
-        the codes j of ``(qs, rs)``: ``at[i][j]``, the code of ``(qs[i],
-        rs|f^-1(i))`` in the row of g_i (:meth:`gather`), and ``s[j]``, that
-        of the qs ``op(g_i, qs[i], rs|f^-1(i))`` of f.g.  So the instance
-        k = (p, j) reads f at ``k // n_r``, g at ``row(f)[k // n_r] * n_r +
-        k % n_r``, g_i at ``at[i][j]`` and f.g at ``p * n_s + s[j]``."""
-        g_slots, s = self.shape(g)[1], [0] * (self.shape(f)[2] * self.shape(g)[2])
-        at = self.gather(f, g_slots)
-        for g_i, at_i in zip(g_is, at):
-            row, radix = self.row(g_i), self.sizes[g_i.source]
-            if radix > 1:  # else every entry of the row is 0
-                s = [c * radix + row[x] for c, x in zip(s, at_i)]
-        return at, s
-
 
 def _rows_on(memo: dict | None, o: Operad, family=all_maps) -> OperadRows:
     """The form of o for the maps ``family`` yields: one per operad and
