@@ -439,10 +439,10 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
     category and the operad level holds, the square holds at every A if
     g and f.g read no explicit entry and the other legs only identities,
     as g and f.g are then the identity of T_rho(A) or MISSING, and T_p
-    keeps identities.  Any other touched pair evaluates, as rows of table
-    lookups, the instances that read an entry (found by arithmetic on
-    its key's code) at the tuples some leg reads one at, and every tuple
-    of an instance whose operad level fails.
+    keeps identities.  Any other touched pair evaluates the instances
+    that read an entry (found by arithmetic on its key's code) at the
+    tuples some leg reads one at, and every tuple of an instance whose
+    operad level fails.
     """
     report = CheckReport()
     operad, base = c.operad, c.base
@@ -611,24 +611,16 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
         entries = explicit[f.target, f.values, p, qs]
         touched[f.target, f.values].setdefault(tuple(sorted(entries)), set()).add(rows.key_code(f, p, qs))
         impure.update((f.target, f.values) for v in entries.values() if v not in base.identity)
+    # the touched maps of the identity lemma, if identities compose as in a category
+    ident = base.identity
+    lawful = bool(touched) and all(
+        comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING)
+        for a, b in itertools.product(range(n_obj), repeat=2)
+    )
+    plain = set(touched).difference(impure) if lawful else set()
     lowest = min((len(values) for _, values in touched), default=n_arities)
     assoc_instances = f"{prefix}.assoc_instances"
     swept, assoc_count = False, 0
-    if touched:
-        # the touched maps of the identity lemma
-        ident = base.identity
-        obj_pairs = itertools.product(range(n_obj), repeat=2)
-        lawful = all(comp[ident[b] * n_mor + ident[a]] == (ident[a] if a == b else MISSING) for a, b in obj_pairs)
-        plain = set(touched).difference(impure) if lawful else set()
-        # the square as lookups, a MISSING (-1) leg reading a row's last entry:
-        # on_rhs[a][b] is b.a plus 1, 0 where undefined or MISSING; on_lhs[a][b]
-        # whether such a value agrees with a.b (is equal, or either is 0 or
-        # MISSING); on_tensor[n][p][t], on_lhs at T_p of the tuple with code t
-        shifted = [h + 1 for h in comp]
-        agree = [[h == e or not h or not e for e in range(n_mor + 1)] for h in range(n_mor + 1)]
-        on_rhs = [shifted[a::n_mor] + [0] for a in range(n_mor)] + [[0] * (n_mor + 1)]
-        on_lhs = [[agree[h] for h in shifted[a * n_mor : a * n_mor + n_mor]] + agree[:1] for a in range(n_mor)]
-        on_tensor = _Rows(lambda n: [[on_lhs[t] for t in tensor_mor[n, p]] + [agree[:1] * (n_mor + 1)] for p in elements(n)])
 
     def walked(n, values, ell):
         return ell >= lowest or (n, values) in touched
@@ -646,7 +638,9 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             legs = [touched.get((h.target, h.values)) for h in maps]
             if total is not None and (  # untouched, or by the identity lemma
                 not any(legs)
-                or n_x and not (legs[1] or legs[2]) and all((h.target, h.values) in plain for h, c in zip(maps, legs) if c)
+                or n_x
+                and not (legs[1] or legs[2])
+                and all((h.target, h.values) in plain for h, c in zip(maps, legs) if c)
             ):
                 swept, assoc_count = True, assoc_count + n_x * total
                 continue
@@ -673,18 +667,22 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                     if h == 0:  # at every tuple
                         ks, entries = [a * n_r + r for a in read for r in range(n_r)], range(n_x)
                     elif h == 1:  # k reads g at row_f[k // n_r] * n_r + k % n_r
-                        ks = [a * n_r + r for a in _positions(row_f, {c // n_r for c in read}) for r in range(n_r) if row_f[a] * n_r + r in read]
+                        mids = _positions(row_f, {c // n_r for c in read})
+                        ks = [a * n_r + r for a in mids for r in range(n_r) if row_f[a] * n_r + r in read]
                     elif h == 2:  # k reads f.g at p * n_s + s[j]
-                        ks = [p * n_qr + j for j in _positions(s, {c % n_s for c in read}) for p in range(n_p) if p * n_s + s[j] in read]
+                        js = _positions(s, {c % n_s for c in read})
+                        ks = [p * n_qr + j for j in js for p in range(n_p) if p * n_s + s[j] in read]
                     else:  # k reads g_i at at_i[j], at the tuples over its entries on the fiber of f.g
-                        over, ks = cc.over(fg, h - 3), [p * n_qr + j for j in _positions(at[h - 3], read) for p in range(n_p)]
+                        over = cc.over(fg, h - 3)
+                        ks = [p * n_qr + j for j in _positions(at[h - 3], read) for p in range(n_p)]
                         entries = set().union(*map(over.__getitem__, entries))
                     units.setdefault(tuple(sorted(entries)), set()).update(ks)
             failing, involved = set(), set()
             if total is None:  # the instances whose operad level fails
                 row_g, row_fg, total = rows.row(g), rows.row(fg), n_p * n_qr
                 lhs = (row_g[mid * n_r + r] for mid in row_f for r in range(n_r))
-                failing = set(itertools.compress(itertools.count(), map(ne, lhs, (row_fg[p + v] for p in range(0, n_p * n_s, n_s) for v in s))))
+                rhs = (row_fg[p + v] for p in range(0, n_p * n_s, n_s) for v in s)
+                failing = set(itertools.compress(itertools.count(), map(ne, lhs, rhs)))
             if failing or not n_x:  # the instances that read an explicit key
                 involved = set().union(*units.values())
                 units.setdefault(tuple(range(n_x)), set()).update(failing & involved)
@@ -696,37 +694,46 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                 continue
             phi_g, phi_f, phi_fg = cc.by_map(g)[1], cc.by_map(f)[1], cc.by_map(fg)[1]
             phi_gis = [(cc.by_map(g_i)[1], n_obj**g_i.source, sub) for g_i, sub in zip(g_is, cc.restrict(fg, n_obj))]
-            # each unit's squares as rows over (k, x), x fastest: named[k] holds
-            # the x where T_p(g_1, ..., g_n).(f.g) and f.g are defined and differ
-            named = {}
+            # each unit's squares over (k, x), x fastest: named[k] holds the x
+            # where T_p(g_1, ..., g_n).(f.g) and f.g are defined and differ
+            named, n_xm = {}, n_obj**m
             for xs, ks in units.items():
-                ks, on_n, n_xm = list(ks), on_tensor[n], n_obj**m
+                ks = list(ks)
                 js = [k % n_qr for k in ks]
                 # the code of T_p's leg tuple by (k, x), MISSING where a leg is
-                blocks = [[row[at_i[j] * size + sub[x]] for j in js for x in xs] for (row, size, sub), at_i in zip(phi_gis, at)]
+                blocks = [
+                    [row[at_i[j] * size + sub[x]] for j in js for x in xs]
+                    for (row, size, sub), at_i in zip(phi_gis, at)
+                ]
                 code = [0] * (len(ks) * len(xs))
                 for legs_i in blocks:
                     code = list(map(add, map(mul, code, itertools.repeat(n_mor)), legs_i))
                 if any(MISSING in legs_i for legs_i in blocks):
-                    code = [c if low != MISSING else MISSING for c, low in zip(code, map(min, itertools.repeat(0), *blocks))]
-                for k, x in [
-                    (k, x)
-                    for k, j, i in zip(ks, js, range(0, len(code), len(xs)))
-                    for on_p, at_g, at_fg, at_f in [
-                        (on_n[k // n_qr], (row_f[k // n_r] * n_r + k % n_r) * n_x, (k // n_qr * n_s + s[j]) * n_x, k // n_r * n_xm)
-                    ]
-                    for x, t in zip(xs, code[i : i + len(xs)])
-                    if not on_p[t][phi_fg[at_fg + x]][on_rhs[phi_g[at_g + x]][phi_f[at_f + targets_g[at_g + x]]]]
-                ]:
-                    named.setdefault(k, set()).add(x)
+                    lows = map(min, itertools.repeat(0), *blocks)
+                    code = [c if low != MISSING else MISSING for c, low in zip(code, lows)]
+                for k, j, i in zip(ks, js, range(0, len(code), len(xs))):
+                    mor_p = tensor_mor[n, ps[k // n_qr]]
+                    at_g = (row_f[k // n_r] * n_r + k % n_r) * n_x
+                    at_fg = (k // n_qr * n_s + s[j]) * n_x
+                    at_f = k // n_r * n_xm
+                    for x, t in zip(xs, code[i : i + len(xs)]):
+                        first, second, third = phi_g[at_g + x], phi_f[at_f + targets_g[at_g + x]], phi_fg[at_fg + x]
+                        if MISSING in (t, first, second, third):
+                            continue  # reported in the typing pass
+                        lhs, rhs = comp[mor_p[t] * n_mor + third], comp[second * n_mor + first]
+                        if lhs != rhs and lhs != MISSING and rhs != MISSING:
+                            named.setdefault(k, set()).add(x)
             if not (failing or named):
                 continue
             radix = (n_p, *map(len, f_inner), *map(len, g_inner))
 
             def witness(k):
                 at = _mixed_decode(k, radix)
-                q, r = (",".join(c[d] for c, d in zip(inner, at[i:])) for inner, i in ((f_inner, 1), (g_inner, n + 1)))
-                return f"square fails at g={g.label()} f={f.label()} p={ps[at[0]]} q=({q}) r=({r})"
+                return (
+                    f"square fails at g={g.label()} f={f.label()} p={ps[at[0]]} "
+                    f"q=({','.join(c[d] for c, d in zip(f_inner, at[1 : n + 1]))}) "
+                    f"r=({','.join(c[d] for c, d in zip(g_inner, at[n + 1 :]))})"
+                )
 
             for k in sorted(failing.union(named)):
                 if k in failing and k not in involved:

@@ -172,6 +172,18 @@ def test_broken_unit_detected():
     assert any(r.check == "operad.unit_terminal" for r in report.records)
 
 
+def test_an_override_variant_keeps_the_undefined_keys_of_its_operad():
+    assoc = build_assoc(2)
+    table = tabulate(assoc)
+    del table[2, identity_map(2).values, ID2, (ETA, ETA)]
+    holey = Operad(name="holey", max_arity=2, carriers=assoc.carriers, unit=assoc.unit, table=table)
+    broken = with_overrides(holey, {(terminal_map(2), ETA, (SWAP,)): ID2})
+    with pytest.raises(CompositionUndefined):
+        broken.compose(identity_map(2), ID2, (ETA, ETA))
+    assert tabulate(broken).keys() == table.keys()
+    assert not check_operad_axioms(broken).ok
+
+
 def test_truncation_zero_reports_the_unit():
     o = Operad(name="Z", max_arity=0, carriers=(("e",),), unit="e", table={})
     report = check_operad_axioms(o)

@@ -31,14 +31,19 @@ def with_overrides(o: Operad, overrides: dict, name: str = "", table: dict | Non
 
     Keys are (f, p, qs) triples.  The copy's rule reads the other keys
     from ``table``, the :func:`tabulate` of ``o``, which a sweep of
-    variants computes once and passes to each.
+    variants computes once and passes to each; a key undefined in ``o``
+    stays undefined.
     """
     frozen = {(f.target, f.values, p, tuple(qs)): r for (f, p, qs), r in overrides.items()}
     table = tabulate(o) if table is None else table
 
     def rule(f: FinMap, p: str, qs: tuple[str, ...]) -> str:
         key = (f.target, f.values, p, qs)
-        return frozen[key] if key in frozen else table[key]
+        if key in frozen:
+            return frozen[key]
+        if key not in table:  # undefined in o, so in the copy too
+            raise CompositionUndefined(f"mu {f.label()} {p} {' '.join(qs)} is undefined in {o.name}")
+        return table[key]
 
     return Operad(
         name=name or f"{o.name}-broken",
