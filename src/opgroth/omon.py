@@ -697,6 +697,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
             # each unit's squares over (k, x), x fastest: named[k] holds the x
             # where T_p(g_1, ..., g_n).(f.g) and f.g are defined and differ
             named, n_xm = {}, n_obj**m
+            mor_ps = [tensor_mor[n, p] for p in ps]  # the morphism row of T_p by the index of p
             for xs, ks in units.items():
                 ks = list(ks)
                 js = [k % n_qr for k in ks]
@@ -712,7 +713,7 @@ def _structure_laws(c: OMonCategory, prefix: str, iso: str, family, memo=None) -
                     lows = map(min, itertools.repeat(0), *blocks)
                     code = [c if low != MISSING else MISSING for c, low in zip(code, lows)]
                 for k, j, i in zip(ks, js, range(0, len(code), len(xs))):
-                    mor_p = tensor_mor[n, ps[k // n_qr]]
+                    mor_p = mor_ps[k // n_qr]
                     at_g = (row_f[k // n_r] * n_r + k % n_r) * n_x
                     at_fg = (k // n_qr * n_s + s[j]) * n_x
                     at_f = k // n_r * n_xm
